@@ -20,16 +20,13 @@ log = logging.getLogger(__name__)
 
 def load_dataset(path):
     """JSON-lines of {id, question, answers}."""
-    records = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            missing = {"id", "question", "answers"} - set(rec)
-            if missing:
-                raise ValueError(f"{path}:{lineno}: dataset record missing {sorted(missing)}")
-            records.append(rec)
+    def record(rec):
+        missing = {"id", "question", "answers"} - set(rec)
+        if missing:
+            raise ValueError(f"dataset record missing {sorted(missing)}")
+        return rec
+
+    records = retrieval.read_jsonl(path, record)
     if not records:
         raise ValueError(f"{path}: empty dataset")
     return records
@@ -89,8 +86,11 @@ def _load_model(checkpoint_path):
     values, _, extra = T.load_checkpoint(checkpoint_path)
     if not extra or "config" not in extra or "table" not in extra:
         raise ValueError(f"{checkpoint_path}: checkpoint lacks config/table metadata")
-    config = Config(**extra["config"]).validate()
-    model = RankReadModel(config.model_config(), seed=config.seed)
+    try:
+        config = Config().with_overrides(extra["config"])
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint_path}: checkpoint config: {exc}") from None
+    model = RankReadModel(config, seed=config.seed)
     model.load_values(values)
     return model, _table_from_payload(extra["table"]), config
 
@@ -109,20 +109,11 @@ def cmd_retrieve(args):
     index = retrieval.load_index(args.index)
     dataset = load_dataset(args.dataset)
     train = args.mode == "train"
-
-    def one(rec):
-        return retrieval.retrieve(index, rec["id"], rec["question"], rec["answers"],
-                                  n=args.n, top_a=args.top_a, top_s=args.top_s, train=train)
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, dataset))
-    else:
-        results = [one(rec) for rec in dataset]
     sets = []
     empty = 0
-    for rs in results:
+    for rec in dataset:
+        rs = retrieval.retrieve(index, rec["id"], rec["question"], rec["answers"],
+                                n=args.n, top_a=args.top_a, top_s=args.top_s, train=train)
         if not rs.passages:
             empty += 1
             if train:
@@ -144,7 +135,7 @@ def cmd_train(args):
     if not examples:
         raise ValueError("no trainable questions (none has a positive passage)")
     table = _make_table(config, dataset, retrieved_sets)
-    model = RankReadModel(config.model_config(), seed=config.seed)
+    model = RankReadModel(config, seed=config.seed)
     trainer = trainer_mod.Trainer(model, table, config, seed=config.seed)
     if args.init:
         trainer_mod.pretrain_init(model, args.init, trainer.optimizer)
@@ -170,7 +161,7 @@ def cmd_evaluate(args):
     dataset = load_dataset(args.dataset)
     retrieved_sets = retrieval.load_retrieved(args.retrieved)
     report = evaluation.evaluate(model, table, dataset, retrieved_sets,
-                                 max_span_len=args.max_span_len, threads=args.threads)
+                                 max_span_len=args.max_span_len)
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
     print(f"evaluated {report['count']} questions: "
@@ -183,30 +174,8 @@ def cmd_analyze(args):
     dataset = load_dataset(args.dataset)
     retrieved_sets = retrieval.load_retrieved(args.retrieved)
     ks = [int(k) for k in args.k.split(",")]
-    by_id = {rs.question_id: rs for rs in retrieved_sets}
-    ir_flags, model_flags = [], []
-    candidate_lists, gold_lists = [], []
-    for rec in dataset:
-        rs = by_id.get(rec["id"])
-        if rs is None or not rs.passages:
-            continue
-        ir_flags.append([p.positive for p in rs.passages])
-        q_tokens = tokenize(rec["question"]).tokens
-        ranked = evaluation.rank_passages(model, table, q_tokens, rs.passages)
-        model_flags.append([p.positive for p in ranked])
-        if args.oracle:
-            candidate_lists.append(evaluation.predict_candidates(
-                model, table, q_tokens, rs.passages, args.max_span_len))
-            gold_lists.append(rec["answers"])
-    out = {
-        "k": ks,
-        "recall": {
-            "ir": evaluation.topk_recall(ir_flags, ks),
-            "model": evaluation.topk_recall(model_flags, ks),
-        },
-    }
-    if args.oracle:
-        out["oracle"] = evaluation.oracle_topk(candidate_lists, gold_lists, ks)
+    out = evaluation.analyze(model, table, dataset, retrieved_sets, ks,
+                             args.max_span_len, oracle=args.oracle)
     with open(args.out, "w") as f:
         json.dump(out, f, indent=1)
     for k in ks:
@@ -249,7 +218,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--top-a", type=int, default=20)
     p.add_argument("--top-s", type=int, default=50)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("train", help="train sr, sr2 or r3 on retrieved passages")
@@ -267,7 +235,6 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-span-len", type=int, default=15)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="top-k recall and oracle re-ranking ceiling")

@@ -2,13 +2,13 @@
 
 from dataclasses import dataclass, fields, asdict
 
-from .model import ModelConfig
+import numpy as np
 
 
 @dataclass
 class Config:
     # model
-    hidden_size: int = 16
+    hidden_size: int = 16   # l; per-direction LSTM width is l/2
     embed_dim: int = 16
     reader_layers: int = 3
     ranker_layers: int = 1
@@ -56,11 +56,14 @@ class Config:
             raise ValueError(f"policy_grad must be full or conditional, got {self.policy_grad!r}")
         return self
 
+    @property
+    def np_dtype(self):
+        return np.float64 if self.precision == "float64" else np.float32
+
     def model_config(self):
-        return ModelConfig(
-            hidden_size=self.hidden_size, embed_dim=self.embed_dim,
-            reader_layers=self.reader_layers, ranker_layers=self.ranker_layers,
-            dropout=self.dropout, dtype=self.precision)
+        # the model takes the Config itself; this alias stays because
+        # perfbench/workloads.py builds its models with cfg.model_config()
+        return self.validate()
 
     @classmethod
     def full_scale(cls):

@@ -23,6 +23,16 @@ def normalize_answer(s):
     return " ".join(s.split())
 
 
+def token_f1(pred_tokens, gold_tokens):
+    """Token-multiset F1 between two token lists; 0 when they share no token."""
+    num_same = sum((Counter(pred_tokens) & Counter(gold_tokens)).values())
+    if num_same == 0:
+        return 0.0
+    precision = num_same / len(pred_tokens)
+    recall = num_same / len(gold_tokens)
+    return 2 * precision * recall / (precision + recall)
+
+
 def f1_em(prediction, golds):
     """Max token-overlap F1 and exact-match over the gold answers.
 
@@ -35,19 +45,8 @@ def f1_em(prediction, golds):
     best_f1, best_em = 0.0, 0
     for gold in golds:
         g = normalize_answer(gold)
-        if not pred or not g:
-            em = int(pred == g)
-            f1 = float(em)
-        else:
-            em = int(pred == g)
-            common = Counter(pred.split()) & Counter(g.split())
-            num_same = sum(common.values())
-            if num_same == 0:
-                f1 = 0.0
-            else:
-                precision = num_same / len(pred.split())
-                recall = num_same / len(g.split())
-                f1 = 2 * precision * recall / (precision + recall)
+        em = int(pred == g)
+        f1 = token_f1(pred.split(), g.split()) if pred and g else float(em)
         best_f1 = max(best_f1, f1)
         best_em = max(best_em, em)
     return best_f1, best_em
@@ -173,4 +172,35 @@ def oracle_topk(candidate_lists, gold_lists, ks):
             f1_total += max((s[0] for s in scores), default=0.0)
             em_total += max((s[1] for s in scores), default=0)
         out[k] = {"f1": f1_total / n, "em": em_total / n}
+    return out
+
+
+def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15,
+            oracle=False):
+    """Top-k recall of the IR order and of the model's order and, with oracle
+    set, the re-ranking ceiling, over every question of the dataset.
+
+    A question with no retrieved passages counts as a miss at every k and as
+    a zero oracle row.
+    """
+    by_id = {rs.question_id: rs for rs in retrieved_sets}
+    ir_flags, model_flags, candidate_lists = [], [], []
+    for rec in dataset:
+        rs = by_id.get(rec["id"])
+        passages = rs.passages if rs else []
+        ir_flags.append([p.positive for p in passages])
+        if not passages:
+            model_flags.append([])
+            candidate_lists.append([])
+            continue
+        q_tokens = tokenize(rec["question"]).tokens
+        ranked = rank_passages(model, table, q_tokens, passages)
+        model_flags.append([p.positive for p in ranked])
+        if oracle:
+            candidate_lists.append(
+                predict_candidates(model, table, q_tokens, passages, max_span_len))
+    out = {"k": list(ks),
+           "recall": {"ir": topk_recall(ir_flags, ks), "model": topk_recall(model_flags, ks)}}
+    if oracle:
+        out["oracle"] = oracle_topk(candidate_lists, [rec["answers"] for rec in dataset], ks)
     return out

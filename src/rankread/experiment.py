@@ -8,7 +8,7 @@ from . import evaluation, retrieval, trainer as trainer_mod
 from .config import Config
 from .model import RankReadModel
 from .synth import SyntheticSpec, generate
-from .text import synthetic_embeddings, tokenize
+from .text import synthetic_embeddings
 
 log = logging.getLogger(__name__)
 
@@ -53,19 +53,6 @@ def prepare_task(spec=None, config=None):
     }
 
 
-def _recall_flags(task, model=None, ks=(1, 3, 5)):
-    """Positive-flag rankings per test question: IR order, or the model's."""
-    flag_lists = []
-    for rs in task["test_retrieved"]:
-        passages = rs.passages
-        if model is not None:
-            rec = next(r for r in task["test_records"] if r["id"] == rs.question_id)
-            passages = evaluation.rank_passages(
-                model, task["table"], tokenize(rec["question"]).tokens, passages)
-        flag_lists.append([p.positive for p in passages])
-    return evaluation.topk_recall(flag_lists, ks)
-
-
 def _evaluate(task, model):
     cfg = task["config"]
     report = evaluation.evaluate(model, task["table"], task["test_records"],
@@ -73,18 +60,10 @@ def _evaluate(task, model):
     return {"em": 100.0 * report["em"], "f1": 100.0 * report["f1"]}
 
 
-def oracle_table(task, model, ks=(1, 3, 5)):
+def _analyze(task, model, oracle=False):
     cfg = task["config"]
-    candidate_lists, gold_lists = [], []
-    by_id = {rs.question_id: rs for rs in task["test_retrieved"]}
-    for rec in task["test_records"]:
-        rs = by_id[rec["id"]]
-        candidate_lists.append(evaluation.predict_candidates(
-            model, task["table"], tokenize(rec["question"]).tokens,
-            rs.passages, cfg.max_span_len))
-        gold_lists.append(rec["answers"])
-    raw = evaluation.oracle_topk(candidate_lists, gold_lists, ks)
-    return {k: {"f1": 100.0 * v["f1"], "em": 100.0 * v["em"]} for k, v in raw.items()}
+    return evaluation.analyze(model, task["table"], task["test_records"],
+                              task["test_retrieved"], (1, 3, 5), cfg.max_span_len, oracle)
 
 
 def run_seed(task, seed, sr_epochs=None, sr2_epochs=None, r3_epochs=None):
@@ -95,23 +74,23 @@ def run_seed(task, seed, sr_epochs=None, sr2_epochs=None, r3_epochs=None):
     r3_epochs = DEFAULT_EPOCHS["r3"] if r3_epochs is None else r3_epochs
     out = {"seed": seed}
 
-    model_sr = RankReadModel(cfg.model_config(), seed=seed)
+    model_sr = RankReadModel(cfg, seed=seed)
     t_sr = trainer_mod.Trainer(model_sr, task["table"], cfg, seed=seed)
     t_sr.train(task["examples"], "sr", sr_epochs)
     out["sr"] = _evaluate(task, model_sr)
 
-    model_sr2 = RankReadModel(cfg.model_config(), seed=seed)
+    model_sr2 = RankReadModel(cfg, seed=seed)
     t_sr2 = trainer_mod.Trainer(model_sr2, task["table"], cfg, seed=seed)
     t_sr2.train(task["examples"], "sr2", sr2_epochs)
     out["sr2"] = _evaluate(task, model_sr2)
-    out["sr2"]["recall"] = _recall_flags(task, model_sr2)
+    out["sr2"]["recall"] = _analyze(task, model_sr2)["recall"]["model"]
 
-    model_r3 = RankReadModel(cfg.model_config(), seed=seed)
+    model_r3 = RankReadModel(cfg, seed=seed)
     model_r3.load_values(model_sr2.export_values())
     t_r3 = trainer_mod.Trainer(model_r3, task["table"], cfg, seed=seed + 1000)
     t_r3.train(task["examples"], "r3", r3_epochs)
     out["r3"] = _evaluate(task, model_r3)
-    out["r3"]["recall"] = _recall_flags(task, model_r3)
+    out["r3"]["recall"] = _analyze(task, model_r3)["recall"]["model"]
     out["models"] = {"sr": model_sr, "sr2": model_sr2, "r3": model_r3}
     return out
 
@@ -120,7 +99,6 @@ def run_experiment(seeds=(0, 1, 2), spec=None, config=None,
                    sr_epochs=None, sr2_epochs=None, r3_epochs=None, keep_models=False):
     started = time.time()
     task = prepare_task(spec, config)
-    ir_recall = _recall_flags(task, model=None)
     per_seed = []
     for seed in seeds:
         result = run_seed(task, seed, sr_epochs, sr2_epochs, r3_epochs)
@@ -138,17 +116,19 @@ def run_experiment(seeds=(0, 1, 2), spec=None, config=None,
             vals.append(node)
         return sum(vals) / len(vals)
 
+    # the re-ranking ceiling is most informative for the reader-only model,
+    # whose own top-1 choice is weakest
+    analysis = _analyze(task, per_seed[-1]["models"]["sr"], oracle=True)
     summary = {
-        "ir_recall": ir_recall,
+        "ir_recall": analysis["recall"]["ir"],
         "em": {m: mean([m, "em"]) for m in ("sr", "sr2", "r3")},
         "f1": {m: mean([m, "f1"]) for m in ("sr", "sr2", "r3")},
         "recall1": {m: mean([m, "recall", 1]) for m in ("sr2", "r3")},
         "dropped_train_questions": task["dropped"],
         "elapsed_seconds": None,
     }
-    # the re-ranking ceiling is most informative for the reader-only model,
-    # whose own top-1 choice is weakest
-    oracle = oracle_table(task, per_seed[-1]["models"]["sr"])
+    oracle = {k: {"f1": 100.0 * v["f1"], "em": 100.0 * v["em"]}
+              for k, v in analysis["oracle"].items()}
     if not keep_models:
         for res in per_seed:
             res.pop("models")

@@ -126,11 +126,6 @@ def encode_batch(seqs, params):
     return results
 
 
-def encode(seq, params):
-    """Bidirectional encoding of one (in_dim, T) sequence into (2h, T)."""
-    return encode_batch([seq], params)[0]
-
-
 def encode_stack(seqs, layers):
     """Run a stack of BiLSTM layers over a batch of sequences."""
     outs = seqs
@@ -156,11 +151,6 @@ def match(h_p, h_q, g, w_m):
     h_qbar = T.matmul(h_q, g)
     stacked = T.concat_rows([h_p, h_qbar, T.mul(h_p, h_qbar), T.sub(h_p, h_qbar)])
     return T.relu(T.matmul(w_m, stacked))
-
-
-def aggregate(m, layers):
-    """Aggregate a matching representation through stacked BiLSTM layers."""
-    return encode_stack([m], layers)[0]
 
 
 def dropout_mask(rng, shape, p, dtype=np.float64):

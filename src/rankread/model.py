@@ -1,42 +1,23 @@
 """The full ranker-reader model: one shared matcher, two heads, one registry."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matcher, ranker, reader
 from . import tensor as T
 
-
-@dataclass
-class ModelConfig:
-    hidden_size: int = 16   # l; per-direction LSTM width is l/2
-    embed_dim: int = 16
-    reader_layers: int = 3
-    ranker_layers: int = 1
-    dropout: float = 0.2
-    init_scale: float = 0.1
-    dtype: str = "float64"
-
-    def __post_init__(self):
-        if self.hidden_size % 2 != 0:
-            raise ValueError(f"hidden_size must be even, got {self.hidden_size}")
-        if self.dtype not in ("float64", "float32"):
-            raise ValueError(f"dtype must be float64 or float32, got {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+INIT_SCALE = 0.1  # parameters start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
 class RankReadModel:
-    """Owns every trainable tensor and the per-example forward passes."""
+    """Owns every trainable tensor and the per-example forward passes.
+
+    config is the run Config; it is validated here.
+    """
 
     def __init__(self, config, seed=0):
-        self.config = config
+        self.config = config.validate()
         rng = np.random.default_rng(seed)
-        l, d, dt = config.hidden_size, config.embed_dim, config.np_dtype
-        sc = config.init_scale
+        l, d, dt, sc = config.hidden_size, config.embed_dim, config.np_dtype, INIT_SCALE
         self.params = {}
 
         self.encoder = matcher.init_bilstm(rng, d, l, self.params, "enc", sc, dt)

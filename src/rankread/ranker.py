@@ -37,18 +37,9 @@ def score_passages(h_ranks, w_c, b_c, w_c_out, passage_ids=None):
     return PolicyDistribution(logits, gamma, list(passage_ids))
 
 
-def sample_passage(policy, positives, mode, rng=None):
-    """Pick a passage under the policy.
-
-    Train mode draws from gamma restricted to the positive ids and renormalized
-    (the law of rejection-sampling gamma until a positive comes up) and returns
-    one passage id. Inference mode does no sampling and returns the full
-    probability vector for downstream scoring.
-    """
-    if mode == "inference":
-        return policy.probs()
-    if mode != "train":
-        raise ValueError(f"unknown sampling mode: {mode!r}")
+def sample_passage(policy, positives, rng):
+    """Draw one passage id from gamma restricted to the positive ids and
+    renormalized (the law of rejection-sampling gamma until a positive comes up)."""
     pos = [pid for pid in policy.passage_ids if pid in positives]
     if not pos:
         raise ValueError("sample_passage: no positive passage to sample from")

@@ -40,9 +40,6 @@ class RetrievedSet:
     question_id: str
     passages: list
 
-    def positive_ids(self):
-        return {i for i, p in enumerate(self.passages) if p.positive}
-
 
 class InvertedIndex:
     """Postings plus document store; immutable once built."""
@@ -250,25 +247,31 @@ def save_retrieved(sets, path):
             f.write(json.dumps(rec) + "\n")
 
 
-def load_retrieved(path):
+def read_jsonl(path, make):
+    """make(record) for every non-blank line of a JSON-lines file.
+
+    A line that is not JSON, or that make rejects, raises a one-line
+    ValueError naming the file and the line.
+    """
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            out.append(RetrievedSet(rec["question_id"],
-                                    [RetrievedPassage(**p) for p in rec["passages"]]))
+            try:
+                out.append(make(json.loads(line)))
+            except (ValueError, TypeError, KeyError) as exc:
+                raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
     return out
 
 
+def load_retrieved(path):
+    return read_jsonl(path, lambda rec: RetrievedSet(
+        rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]]))
+
+
 def load_corpus(path):
-    docs = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                docs.append(Document(**json.loads(line)))
-    return docs
+    return read_jsonl(path, lambda rec: Document(**rec))
 
 
 def save_corpus(docs, path):

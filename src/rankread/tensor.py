@@ -89,10 +89,6 @@ def parameter(rng, rows, cols, scale=0.1, dtype=np.float64):
     return Tensor(data, requires_grad=True, dtype=dtype)
 
 
-def constant(data, dtype=np.float64):
-    return Tensor(data, dtype=dtype)
-
-
 def _ensure_grad(t):
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
@@ -201,15 +197,6 @@ def tanh(a):
 def relu(a):
     y = np.maximum(a.data, 0.0)
     return _unary(a, y, (a.data > 0).astype(a.data.dtype))
-
-
-def exp(a):
-    y = np.exp(a.data)
-    return _unary(a, y, y)
-
-
-def log(a):
-    return _unary(a, np.log(a.data), 1.0 / a.data)
 
 
 def sigmoid(a):
@@ -381,8 +368,6 @@ OPS = {
     "sub": sub,
     "tanh": tanh,
     "relu": relu,
-    "exp": exp,
-    "log": log,
     "sigmoid": sigmoid,
     "scale": scale,
     "softmax_cols": softmax_cols,
@@ -396,13 +381,6 @@ OPS = {
     "sum": sum_all,
     "neg_log_softmax_pick": neg_log_softmax_pick,
 }
-
-
-def forward(op_kind, *inputs, **kwargs):
-    """Apply an op by name. Unknown kinds are rejected."""
-    if op_kind not in OPS:
-        raise KeyError(f"unknown op kind: {op_kind!r}")
-    return OPS[op_kind](*inputs, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary ids, and fixed word embeddings."""
+"""Tokenization and fixed word embeddings."""
 
 import logging
 import string
@@ -12,16 +12,13 @@ log = logging.getLogger(__name__)
 
 _PUNCT = set(string.punctuation)
 
-UNKNOWN_ID = 0
-
 
 @dataclass
 class TokenSequence:
     tokens: list
-    ids: list = None
 
 
-def tokenize(text, table=None):
+def tokenize(text):
     """Lowercase, split on whitespace, peel leading/trailing punctuation.
 
     Interior punctuation stays attached ("don't", "104,688"). Idempotent on
@@ -41,8 +38,7 @@ def tokenize(text, table=None):
         if chunk:
             tokens.append(chunk)
         tokens.extend(reversed(trail))
-    ids = table.to_ids(tokens) if table is not None else None
-    return TokenSequence(tokens, ids)
+    return TokenSequence(tokens)
 
 
 def find_token_spans(haystack, needle):
@@ -68,7 +64,6 @@ class EmbeddingTable:
         self.dimension = dimension
         self._vectors = dict(vectors)
         self._unknown = np.zeros(dimension)
-        self._ids = {tok: i + 1 for i, tok in enumerate(self._vectors)}
         self.skipped_lines = skipped_lines
 
     def __len__(self):
@@ -79,17 +74,6 @@ class EmbeddingTable:
 
     def lookup(self, token):
         return self._vectors.get(token, self._unknown)
-
-    def to_ids(self, tokens):
-        return [self._ids.get(tok, UNKNOWN_ID) for tok in tokens]
-
-    def token_of(self, token_id):
-        if token_id == UNKNOWN_ID:
-            return None
-        for tok, i in self._ids.items():
-            if i == token_id:
-                return tok
-        raise KeyError(token_id)
 
 
 def load_embeddings(path, dimension):

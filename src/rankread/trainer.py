@@ -2,7 +2,6 @@
 supervised baselines (reader-only, and reader plus a KL-trained ranker)."""
 
 import logging
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +9,7 @@ import numpy as np
 from . import ranker as ranker_mod
 from . import reader as reader_mod
 from . import tensor as T
+from .evaluation import token_f1
 from .text import embed, find_token_spans, tokenize
 
 log = logging.getLogger(__name__)
@@ -23,26 +23,15 @@ class RewardValue:
     kind: str  # exact | overlap | miss
 
 
-def word_f1(pred_tokens, gold_tokens):
-    """Token-multiset F1 between two sequences."""
-    common = Counter(pred_tokens) & Counter(gold_tokens)
-    num_same = sum(common.values())
-    if num_same == 0:
-        return 0.0
-    precision = num_same / len(pred_tokens)
-    recall = num_same / len(gold_tokens)
-    return 2 * precision * recall / (precision + recall)
-
-
 def reward(gold, predicted):
-    """2 for an exact token match, word F1 for partial overlap, -1 for none."""
+    """2 for an exact token match, token F1 for partial overlap, -1 for none."""
     gold_tokens = tokenize(gold).tokens
     pred_tokens = tokenize(predicted).tokens
     if not pred_tokens:
         return RewardValue(-1.0, "miss")
     if pred_tokens == gold_tokens:
         return RewardValue(2.0, "exact")
-    f1 = word_f1(pred_tokens, gold_tokens)
+    f1 = token_f1(pred_tokens, gold_tokens)
     if f1 == 0.0:
         return RewardValue(-1.0, "miss")
     return RewardValue(f1, "overlap")
@@ -206,7 +195,7 @@ class Trainer:
             policy = self.model.rank(ms, subset)
 
         if mode == "r3":
-            tau = ranker_mod.sample_passage(policy, set(pos_ids), "train", rng)
+            tau = ranker_mod.sample_passage(policy, set(pos_ids), rng)
         else:
             tau = pos_ids[int(rng.integers(len(pos_ids)))]
 
@@ -270,10 +259,6 @@ class Trainer:
         self.log.append(record)
         return record
 
-    def r3_step(self, example):
-        """One joint update from a single example (batch of one)."""
-        return self._apply_batch([example], "r3", len(self.log))
-
     def train(self, examples, mode, epochs):
         """Shuffled epochs; one optimizer step per batch of examples."""
         batch = self.config.batch_size
@@ -284,18 +269,3 @@ class Trainer:
                 self._apply_batch(chunk, mode, len(self.log))
         return self.log
 
-
-def train_sr(examples, trainer, epochs):
-    return trainer.train(examples, "sr", epochs)
-
-
-def train_sr2(examples, trainer, epochs):
-    return trainer.train(examples, "sr2", epochs)
-
-
-def train_r3(examples, trainer, epochs, pretrain_epochs=0):
-    """Joint training; optionally runs the KL baseline first as initialization."""
-    if pretrain_epochs:
-        trainer.train(examples, "sr2", pretrain_epochs)
-        trainer.optimizer.reset()
-    return trainer.train(examples, "r3", epochs)

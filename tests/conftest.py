@@ -49,7 +49,7 @@ def toy_config(**overrides):
 
 def toy_trainer(seed=0, **config_overrides):
     cfg = toy_config(**config_overrides)
-    model = RankReadModel(cfg.model_config(), seed=seed)
+    model = RankReadModel(cfg, seed=seed)
     table = toy_table(cfg.embed_dim)
     return trainer_mod.Trainer(model, table, cfg, seed=seed)
 

@@ -135,8 +135,7 @@ def test_evaluate_and_analyze(workdir, tmp_path):
     report_path = tmp_path / "report.json"
     assert main(["evaluate", "--checkpoint", str(workdir["ckpt"]),
                  "--retrieved", str(workdir["retrieved_test"]),
-                 "--dataset", str(workdir["test"]), "--out", str(report_path),
-                 "--threads", "2"]) == 0
+                 "--dataset", str(workdir["test"]), "--out", str(report_path)]) == 0
     report = json.loads(report_path.read_text())
     assert set(report) == {"f1", "em", "count", "records"}
     assert report["count"] == 8
@@ -168,3 +167,87 @@ def test_evaluate_empty_dataset_fails(tmp_path, workdir, capsys):
                  "--retrieved", str(workdir["retrieved_test"]),
                  "--dataset", str(empty), "--out", str(tmp_path / "r.json")]) != 0
     assert "error" in capsys.readouterr().err
+
+
+def _error_line(capsys):
+    """The single stderr line of a failed command (no traceback)."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+def test_checkpoint_with_unknown_config_key_is_one_line_error(workdir, tmp_path, capsys):
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    ckpt["extra"]["config"]["not_a_key"] = 1
+    bad = tmp_path / "stale.json"
+    bad.write_text(json.dumps(ckpt))
+    assert main(["evaluate", "--checkpoint", str(bad),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}: ") and "not_a_key" in line
+
+
+def test_retrieved_line_without_ir_score_is_one_line_error(workdir, tmp_path, capsys):
+    lines = workdir["retrieved_test"].read_text().splitlines()
+    rec = json.loads(lines[1])
+    del rec["passages"][0]["ir_score"]
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "retrieved.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--checkpoint", str(workdir["ckpt"]), "--retrieved", str(bad),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}:2: ") and "ir_score" in line
+
+
+def test_corpus_line_without_title_is_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text(json.dumps({"id": "d0", "title": "t", "text": "x."}) + "\n"
+                   + json.dumps({"id": "d1", "text": "y."}) + "\n")
+    assert main(["build-index", "--corpus", str(bad), "--out", str(tmp_path / "i.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}:2: ") and "title" in line
+
+
+def test_non_json_dataset_line_is_one_line_error(workdir, tmp_path, capsys):
+    lines = workdir["test"].read_text().splitlines()
+    lines[2] = "not json"
+    bad = tmp_path / "test.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--checkpoint", str(workdir["ckpt"]),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}:3: ") and "Expecting value" in line
+
+
+def test_analyze_counts_questions_without_passages_as_misses(workdir, tmp_path):
+    dataset = [json.loads(l) for l in workdir["test"].read_text().splitlines()]
+    retrieved = [json.loads(l) for l in workdir["retrieved_test"].read_text().splitlines()]
+    by_id = {rec["question_id"]: rec for rec in retrieved}
+    # question 0 keeps an entry with zero passages; question 1 has no entry at all
+    kept = [by_id[q["id"]] for q in dataset[2:]]
+    edited = tmp_path / "retrieved_gaps.jsonl"
+    edited.write_text("\n".join(json.dumps(r) for r in
+                                [{"question_id": dataset[0]["id"], "passages": []}] + kept) + "\n")
+    only_kept = tmp_path / "retrieved_kept.jsonl"
+    only_kept.write_text("\n".join(json.dumps(r) for r in kept) + "\n")
+    subset = tmp_path / "test_kept.jsonl"
+    subset.write_text("\n".join(json.dumps(q) for q in dataset[2:]) + "\n")
+
+    def analyze(retrieved_path, dataset_path, out):
+        assert main(["analyze", "--checkpoint", str(workdir["ckpt"]),
+                     "--retrieved", str(retrieved_path), "--dataset", str(dataset_path),
+                     "--out", str(out), "--oracle"]) == 0
+        return json.loads(out.read_text())
+
+    full = analyze(edited, workdir["test"], tmp_path / "full.json")
+    part = analyze(only_kept, subset, tmp_path / "part.json")
+    n, m = len(dataset), len(dataset) - 2
+    for k in ("1", "3", "5"):
+        for source in ("ir", "model"):
+            hits = round(part["recall"][source][k] * m)
+            assert full["recall"][source][k] == hits / n
+        for metric in ("f1", "em"):
+            assert full["oracle"][k][metric] == pytest.approx(part["oracle"][k][metric] * m / n)

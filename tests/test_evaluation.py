@@ -204,3 +204,15 @@ def test_oracle_topk_monotone_and_k1_matches_argmax():
         E.f1_em(max(cands, key=lambda c: (c.score, -c.ir_rank)).answer, golds)[1]
         for cands, golds in zip(candidate_lists, gold_lists)])
     assert table[1]["em"] == pytest.approx(manual_em)
+
+
+def test_experiment_ir_recall_is_the_ir_order_over_every_test_question():
+    from rankread.experiment import run_experiment
+    from rankread.synth import SyntheticSpec
+
+    spec = SyntheticSpec(entities=8, relations=5, train_questions=12, test_questions=8, seed=3)
+    result = run_experiment(seeds=(0,), spec=spec, sr_epochs=0, sr2_epochs=0, r3_epochs=0)
+    task = result["task"]
+    assert len(task["test_retrieved"]) == len(task["test_records"])
+    flags = [[p.positive for p in rs.passages] for rs in task["test_retrieved"]]
+    assert result["summary"]["ir_recall"] == E.topk_recall(flags, (1, 3, 5))

@@ -10,6 +10,10 @@ def make_bilstm(seed, in_dim, out_dim, scale=0.2):
     return matcher.init_bilstm(rng, in_dim, out_dim, {}, "enc", init_scale=scale)
 
 
+def encode(seq, params):
+    return matcher.encode_batch([seq], params)[0]
+
+
 def test_output_dim_must_be_even():
     with pytest.raises(ValueError, match="even"):
         make_bilstm(0, 3, 5)
@@ -17,7 +21,7 @@ def test_output_dim_must_be_even():
 
 def test_encode_single_column():
     p = make_bilstm(1, 3, 4)
-    out = matcher.encode(T.Tensor(np.random.default_rng(0).normal(size=(3, 1))), p)
+    out = encode(T.Tensor(np.random.default_rng(0).normal(size=(3, 1))), p)
     assert out.data.shape == (4, 1)
     assert np.isfinite(out.data).all()
 
@@ -25,7 +29,7 @@ def test_encode_single_column():
 def test_encode_rejects_empty_sequence():
     p = make_bilstm(1, 3, 4)
     with pytest.raises(T.ShapeError, match="empty"):
-        matcher.encode(T.Tensor(np.zeros((3, 0))), p)
+        encode(T.Tensor(np.zeros((3, 0))), p)
 
 
 def test_zero_parameters_give_zero_output():
@@ -34,7 +38,7 @@ def test_zero_parameters_give_zero_output():
         d.W.data[...] = 0.0
         d.U.data[...] = 0.0
         d.b.data[...] = 0.0
-    out = matcher.encode(T.Tensor(np.random.default_rng(1).normal(size=(3, 6))), p)
+    out = encode(T.Tensor(np.random.default_rng(1).normal(size=(3, 6))), p)
     assert np.array_equal(out.data, np.zeros((4, 6)))
 
 
@@ -44,8 +48,8 @@ def test_reversal_symmetry_with_swapped_directions():
     p = make_bilstm(3, 3, 6)
     swapped = matcher.BiLstm(p.bwd, p.fwd, p.in_dim, p.hidden)
     x = np.random.default_rng(2).normal(size=(3, 5))
-    out = matcher.encode(T.Tensor(x), p).data
-    out_swapped = matcher.encode(T.Tensor(x[:, ::-1].copy()), swapped).data
+    out = encode(T.Tensor(x), p).data
+    out_swapped = encode(T.Tensor(x[:, ::-1].copy()), swapped).data
     h = p.hidden
     reassembled = np.vstack([out_swapped[h:, ::-1], out_swapped[:h, ::-1]])
     assert np.allclose(out, reassembled, atol=1e-12)
@@ -57,7 +61,7 @@ def test_batched_encode_matches_sequential():
     seqs = [T.Tensor(rng.normal(size=(3, t))) for t in (4, 7, 4, 2, 7, 7)]
     batched = matcher.encode_batch(seqs, p)
     for s, b in zip(seqs, batched):
-        single = matcher.encode(T.Tensor(s.data.copy()), p)
+        single = encode(T.Tensor(s.data.copy()), p)
         assert np.allclose(b.data, single.data, atol=1e-12)
 
 
@@ -75,7 +79,7 @@ def test_batched_encode_gradients_match_sequential():
         return [q.grad.copy() for q in params]
 
     g_batched = loss_from(lambda: matcher.encode_batch([T.Tensor(d) for d in data], p))
-    g_single = loss_from(lambda: [matcher.encode(T.Tensor(d), p) for d in data])
+    g_single = loss_from(lambda: [encode(T.Tensor(d), p) for d in data])
     for a, b in zip(g_batched, g_single):
         assert np.allclose(a, b, atol=1e-12)
 
@@ -155,7 +159,7 @@ def test_match_zero_weights_give_zero():
 def test_aggregate_one_layer_equals_single_encode():
     p = make_bilstm(10, 6, 4)
     m = T.Tensor(np.random.default_rng(10).normal(size=(6, 5)))
-    assert np.allclose(matcher.aggregate(m, [p]).data, matcher.encode(m, p).data, atol=1e-14)
+    assert np.allclose(matcher.encode_stack([m], [p])[0].data, encode(m, p).data, atol=1e-14)
 
 
 def test_fd_through_attend_match_aggregate():
@@ -171,11 +175,11 @@ def test_fd_through_attend_match_aggregate():
     p_emb = T.Tensor(rng.normal(size=(3, 3)))
 
     def build():
-        h_q = matcher.encode(q_emb, enc)
-        h_p = matcher.encode(p_emb, enc)
+        h_q = encode(q_emb, enc)
+        h_p = encode(p_emb, enc)
         g = matcher.attend(h_q, h_p, registry["wg"], registry["bg"])
         m = matcher.match(h_p, h_q, g, registry["wm"])
-        h = matcher.aggregate(m, [agg])
+        h = matcher.encode_stack([m], [agg])[0]
         return T.sum_all(T.tanh(h))
 
     assert T.fd_check(build, list(registry.values())) < 1e-4
@@ -191,8 +195,9 @@ def test_dropout_mask_scales_and_disables():
 
 
 def _small_model(seed=0):
-    from rankread.model import ModelConfig, RankReadModel
-    model = RankReadModel(ModelConfig(hidden_size=4, embed_dim=3, dropout=0.0), seed=seed)
+    from rankread.config import Config
+    from rankread.model import RankReadModel
+    model = RankReadModel(Config(hidden_size=4, embed_dim=3, dropout=0.0), seed=seed)
     rng = np.random.default_rng(seed + 50)
     q_emb = T.Tensor(rng.normal(size=(3, 3)))
     p_embs = [T.Tensor(rng.normal(size=(3, 4))) for _ in range(3)]

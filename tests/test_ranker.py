@@ -83,7 +83,7 @@ def test_sampling_single_positive_always_selected():
     pol, _, _ = random_policy(6, 4)
     rng = np.random.default_rng(0)
     for _ in range(20):
-        assert ranker.sample_passage(pol, {2}, "train", rng) == 2
+        assert ranker.sample_passage(pol, {2}, rng) == 2
 
 
 def test_sampling_frequencies_match_conditional_law():
@@ -92,7 +92,7 @@ def test_sampling_frequencies_match_conditional_law():
     pol = ranker.PolicyDistribution(logits, T.softmax_cols(logits), [0, 1, 2])
     rng = np.random.default_rng(123)
     draws = 100_000
-    hits = sum(1 for _ in range(draws) if ranker.sample_passage(pol, {0, 2}, "train", rng) == 0)
+    hits = sum(1 for _ in range(draws) if ranker.sample_passage(pol, {0, 2}, rng) == 0)
     p = 2.0 / 7.0
     sigma = math.sqrt(p * (1 - p) / draws)
     assert abs(hits / draws - p) < 3 * sigma
@@ -113,13 +113,7 @@ def test_sampling_uniform_over_all_positives():
 def test_sampling_requires_positives_in_train_mode():
     pol, _, _ = random_policy(7, 3)
     with pytest.raises(ValueError, match="positive"):
-        ranker.sample_passage(pol, set(), "train", np.random.default_rng(0))
-
-
-def test_inference_mode_returns_full_distribution():
-    pol, _, _ = random_policy(8, 3)
-    out = ranker.sample_passage(pol, set(), "inference")
-    assert np.array_equal(out, pol.probs())
+        ranker.sample_passage(pol, set(), np.random.default_rng(0))
 
 
 def test_log_policy_values():

@@ -83,14 +83,6 @@ def test_unused_parameter_gets_exactly_zero_grad():
     assert np.array_equal(unused.grad, np.zeros((3, 1)))
 
 
-def test_forward_dispatch_and_unknown_kind():
-    a = rand_tensor(2, 2, requires_grad=False)
-    out = T.forward("tanh", a)
-    assert np.allclose(out.data, np.tanh(a.data))
-    with pytest.raises(KeyError):
-        T.forward("conv2d", a)
-
-
 def test_determinism_bitwise():
     def build(seed):
         rng = np.random.default_rng(seed)
@@ -102,12 +94,11 @@ def test_determinism_bitwise():
 
 # --- finite-difference checks -----------------------------------------------
 
-def _fd_single_op(op, *shapes, positive=False, **kwargs):
+def _fd_single_op(op, *shapes, **kwargs):
     seed = sum(map(ord, op.__name__)) + 131 * sum(r * 7 + c for r, c in shapes)
     rng = np.random.default_rng(seed)
-    lo, hi = (0.1, 2.0) if positive else (-2.0, -0.2)
     params = [
-        T.Tensor(rng.uniform(lo, hi, size=s) * rng.choice([1.0] if positive else [-1.0, 1.0], size=s),
+        T.Tensor(rng.uniform(-2.0, -0.2, size=s) * rng.choice([-1.0, 1.0], size=s),
                  requires_grad=True)
         for s in shapes
     ]
@@ -122,7 +113,7 @@ def _fd_single_op(op, *shapes, positive=False, **kwargs):
     return T.fd_check(build, params)
 
 
-UNARY_OPS = [T.tanh, T.relu, T.exp, T.sigmoid]
+UNARY_OPS = [T.tanh, T.relu, T.sigmoid]
 
 
 @pytest.mark.parametrize("op", UNARY_OPS)
@@ -131,10 +122,6 @@ def test_fd_unary_ops(op):
     for _ in range(10):
         shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         assert _fd_single_op(op, shape) < 1e-4
-
-
-def test_fd_log():
-    assert _fd_single_op(T.log, (3, 2), positive=True) < 1e-4
 
 
 def test_fd_binary_and_structural_ops():

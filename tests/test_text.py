@@ -1,6 +1,8 @@
+import string
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rankread import text
 from rankread import tensor as T
@@ -25,11 +27,20 @@ def test_tokenize_peels_nested_punctuation_in_order():
     assert text.tokenize('("Hello!")').tokens == ["(", '"', "hello", "!", '"', ")"]
 
 
-@given(st.text(max_size=60))
+@settings(max_examples=500, deadline=None)
+@given(st.text(max_size=60) | st.text(string.punctuation + "ab \t\n", max_size=40))
 def test_tokenize_idempotent_on_its_own_output(s):
     once = text.tokenize(s).tokens
     again = text.tokenize(" ".join(once)).tokens
     assert once == again
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from("abc"), max_size=12), st.lists(st.sampled_from("abc"), max_size=4))
+def test_find_token_spans_matches_brute_force(haystack, needle):
+    brute = [(s, e) for s in range(len(haystack)) for e in range(s, len(haystack))
+             if haystack[s:e + 1] == needle]
+    assert text.find_token_spans(haystack, needle) == brute
 
 
 def test_find_token_spans():
@@ -64,7 +75,6 @@ def test_lookup_absent_token_is_zero_vector(tmp_path):
     p = write_embeddings(tmp_path / "e.txt", ["luzon 0.1 0.2 0.3"])
     table = text.load_embeddings(p, 3)
     assert np.array_equal(table.lookup("mindanao"), np.zeros(3))
-    assert table.to_ids(["mindanao"]) == [text.UNKNOWN_ID]
 
 
 def test_load_embeddings_skips_malformed_lines(tmp_path):
@@ -112,11 +122,3 @@ def test_embed_rejects_empty_sequence(tmp_path):
     p = write_embeddings(tmp_path / "e.txt", ["a 1 0 0"])
     with pytest.raises(ValueError, match="empty"):
         text.embed([], text.load_embeddings(p, 3))
-
-
-def test_ids_resolve_back_to_tokens(tmp_path):
-    p = write_embeddings(tmp_path / "e.txt", ["a 1 0 0", "b 0 1 0"])
-    table = text.load_embeddings(p, 3)
-    seq = text.tokenize("b a zzz", table)
-    resolved = [table.token_of(i) for i in seq.ids]
-    assert resolved == ["b", "a", None]

@@ -203,7 +203,7 @@ def test_r3_single_positive_always_selects_it():
 def test_r3_step_single_update_combines_both_sources(example):
     trainer = toy_trainer(seed=9)
     t_before = trainer.optimizer.t
-    record = trainer.r3_step(example)
+    record = trainer._apply_batch([example], "r3", len(trainer.log))
     assert trainer.optimizer.t == t_before + 1
     assert {"step", "mode", "reward", "reader_loss"} <= set(record)
     assert record["mode"] == "r3"
