@@ -24,6 +24,9 @@ def load_dataset(path):
         missing = {"id", "question", "answers"} - set(rec)
         if missing:
             raise ValueError(f"dataset record missing {sorted(missing)}")
+        answers = rec["answers"]
+        if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
+            raise ValueError(f"answers must be a list of strings, got {answers!r}")
         return rec
 
     records = retrieval.read_jsonl(path, record)
@@ -151,8 +154,11 @@ def cmd_train(args):
         with open(args.log, "w") as f:
             for record in trainer.log:
                 f.write(json.dumps(record) + "\n")
+    skipped = f"{trainer.skipped} skipped"
+    if trainer.nonfinite_steps:
+        skipped += f", {trainer.nonfinite_steps} non-finite steps skipped"
     print(f"trained mode={config.mode} on {len(examples)} questions "
-          f"({dropped} dropped, {trainer.skipped} skipped) -> {args.out}")
+          f"({dropped} dropped, {skipped}) -> {args.out}")
     return 0
 
 

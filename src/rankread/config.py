@@ -2,8 +2,6 @@
 
 from dataclasses import dataclass, fields, asdict
 
-import numpy as np
-
 
 @dataclass
 class Config:
@@ -13,7 +11,6 @@ class Config:
     reader_layers: int = 3
     ranker_layers: int = 1
     dropout: float = 0.2
-    precision: str = "float64"
     # training
     mode: str = "sr2"
     learning_rate: float = 0.002
@@ -23,24 +20,17 @@ class Config:
     train_sample_k: int = 10
     min_negatives: int = 2
     kl_weight: float = 1.0
-    policy_grad: str = "full"  # full | conditional log-probability for the policy term
     grad_clip: float = 5.0
     seed: int = 0
     # retrieval
     top_a: int = 20
     top_s: int = 50
     retrieve_n: int = 10
-    test_top_passages: int = 50
     bm25_k1: float = 1.2
     bm25_b: float = 0.75
     # prediction
     max_span_len: int = 15
-    # files (empty string means unset)
-    corpus_path: str = ""
-    dataset_path: str = ""
-    index_path: str = ""
-    retrieved_path: str = ""
-    checkpoint_path: str = ""
+    # word vectors file; empty string means synthetic embeddings
     embeddings_path: str = ""
 
     def validate(self):
@@ -50,26 +40,12 @@ class Config:
             raise ValueError(f"mode must be sr, sr2 or r3, got {self.mode!r}")
         if self.train_sample_k < self.min_negatives + 1:
             raise ValueError("train_sample_k must be at least min_negatives + 1")
-        if self.precision not in ("float64", "float32"):
-            raise ValueError(f"precision must be float64 or float32, got {self.precision!r}")
-        if self.policy_grad not in ("full", "conditional"):
-            raise ValueError(f"policy_grad must be full or conditional, got {self.policy_grad!r}")
         return self
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.precision == "float64" else np.float32
 
     def model_config(self):
         # the model takes the Config itself; this alias stays because
         # perfbench/workloads.py builds its models with cfg.model_config()
         return self.validate()
-
-    @classmethod
-    def full_scale(cls):
-        """Full-scale constants: l=300, batch 30, lr 0.002, 200/200/50 retrieval depths."""
-        return cls(hidden_size=300, embed_dim=300, batch_size=30, learning_rate=0.002,
-                   top_a=200, top_s=200, retrieve_n=50, test_top_passages=50)
 
     def to_file(self, path):
         with open(path, "w") as f:

@@ -77,11 +77,10 @@ def predict_candidates(model, table, question_tokens, passages, max_span_len):
     selection probability over the full candidate set."""
     if not passages:
         return []
-    dt = model.config.np_dtype
-    q_emb = embed(question_tokens, table, dt)
+    q_emb = embed(question_tokens, table)
     p_tokens = [tokenize(p.text).tokens for p in passages]
     with T.no_grad():
-        ms = model.match_passages(q_emb, [embed(t, table, dt) for t in p_tokens])
+        ms = model.match_passages(q_emb, [embed(t, table) for t in p_tokens])
         policy = model.rank(ms)
         dists = model.read_each(ms, list(range(len(passages))))
     gamma = policy.probs()
@@ -135,10 +134,9 @@ def evaluate(model, table, dataset, retrieved_sets, max_span_len=15, threads=1):
 def rank_passages(model, table, question_tokens, passages):
     """Passage order under the trained selector, descending probability;
     probability ties keep IR order."""
-    dt = model.config.np_dtype
-    q_emb = embed(question_tokens, table, dt)
+    q_emb = embed(question_tokens, table)
     with T.no_grad():
-        ms = model.match_passages(q_emb, [embed(tokenize(p.text).tokens, table, dt)
+        ms = model.match_passages(q_emb, [embed(tokenize(p.text).tokens, table)
                                           for p in passages])
         gamma = model.rank(ms).probs()
     order = sorted(range(len(passages)), key=lambda i: (-gamma[i], passages[i].ir_rank))

@@ -32,16 +32,16 @@ class BiLstm:
     hidden: int  # per direction; concatenated output has 2*hidden rows
 
 
-def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1, dtype=np.float64):
+def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
     """Create a BiLSTM whose concatenated output has out_dim rows (must be even)."""
     if out_dim % 2 != 0:
         raise ValueError(f"BiLSTM output dimension must be even, got {out_dim}")
     h = out_dim // 2
     dirs = []
     for tag in ("fwd", "bwd"):
-        W = T.parameter(rng, 4 * h, in_dim, scale=init_scale, dtype=dtype)
-        U = T.parameter(rng, 4 * h, h, scale=init_scale, dtype=dtype)
-        b = T.Tensor(np.zeros((4 * h, 1)), requires_grad=True, dtype=dtype)
+        W = T.parameter(rng, 4 * h, in_dim, scale=init_scale)
+        U = T.parameter(rng, 4 * h, h, scale=init_scale)
+        b = T.Tensor(np.zeros((4 * h, 1)), requires_grad=True)
         b.data[h:2 * h, 0] = 1.0  # forget-gate bias
         registry[f"{prefix}.{tag}.W"] = W
         registry[f"{prefix}.{tag}.U"] = U
@@ -53,9 +53,8 @@ def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1, dtype=np
 def _lstm_steps(direction, blocks, n):
     """Run one LSTM direction over time blocks, each (in_dim, n), n sequences wide."""
     h = direction.U.data.shape[1]
-    dtype = direction.U.data.dtype
-    state_h = T.Tensor(np.zeros((h, n)), dtype=dtype)
-    state_c = T.Tensor(np.zeros((h, n)), dtype=dtype)
+    state_h = T.Tensor(np.zeros((h, n)))
+    state_c = T.Tensor(np.zeros((h, n)))
     outs = []
     for pre_t in blocks:
         z = T.add(pre_t, T.matmul(direction.U, state_h))
@@ -118,7 +117,7 @@ def encode_batch(seqs, params):
             seq_tm = T.permute_cols(T.concat_cols(members), perm)
         else:
             stacked = np.concatenate([m.data for m in members], axis=1)
-            seq_tm = T.Tensor(stacked[:, perm], dtype=stacked.dtype)
+            seq_tm = T.Tensor(stacked[:, perm])
         out_tm = _run_group(seq_tm, params, steps, n)
         out_pm = T.permute_cols(out_tm, np.argsort(perm, kind="stable"))
         for slot, idx in enumerate(indices):
@@ -153,7 +152,6 @@ def match(h_p, h_q, g, w_m):
     return T.relu(T.matmul(w_m, stacked))
 
 
-def dropout_mask(rng, shape, p, dtype=np.float64):
+def dropout_mask(rng, shape, p):
     """Inverted-dropout mask tensor: entries 0 or 1/(1-p)."""
-    keep = (rng.random(shape) >= p).astype(dtype)
-    return T.Tensor(keep / (1.0 - p), dtype=dtype)
+    return T.Tensor((rng.random(shape) >= p) / (1.0 - p))

@@ -17,34 +17,34 @@ class RankReadModel:
     def __init__(self, config, seed=0):
         self.config = config.validate()
         rng = np.random.default_rng(seed)
-        l, d, dt, sc = config.hidden_size, config.embed_dim, config.np_dtype, INIT_SCALE
+        l, d, sc = config.hidden_size, config.embed_dim, INIT_SCALE
         self.params = {}
 
-        self.encoder = matcher.init_bilstm(rng, d, l, self.params, "enc", sc, dt)
-        self.w_g = self._add("attn.W", T.parameter(rng, l, l, sc, dt))
-        self.b_g = self._add("attn.b", T.parameter(rng, l, 1, sc, dt))
-        self.w_m = self._add("match.W", T.parameter(rng, 2 * l, 4 * l, sc, dt))
+        self.encoder = matcher.init_bilstm(rng, d, l, self.params, "enc", sc)
+        self.w_g = self._add("attn.W", T.parameter(rng, l, l, sc))
+        self.b_g = self._add("attn.b", T.parameter(rng, l, 1, sc))
+        self.w_m = self._add("match.W", T.parameter(rng, 2 * l, 4 * l, sc))
 
-        self.agg_rank = self._agg_stack(rng, "agg_rank", config.ranker_layers, l, sc, dt)
-        self.agg_read = self._agg_stack(rng, "agg_read", config.reader_layers, l, sc, dt)
+        self.agg_rank = self._agg_stack(rng, "agg_rank", config.ranker_layers, l, sc)
+        self.agg_read = self._agg_stack(rng, "agg_read", config.reader_layers, l, sc)
 
-        self.w_c = self._add("rank.W", T.parameter(rng, l, l, sc, dt))
-        self.b_c = self._add("rank.b", T.parameter(rng, l, 1, sc, dt))
-        self.w_c_out = self._add("rank.w", T.parameter(rng, 1, l, sc, dt))
+        self.w_c = self._add("rank.W", T.parameter(rng, l, l, sc))
+        self.b_c = self._add("rank.b", T.parameter(rng, l, 1, sc))
+        self.w_c_out = self._add("rank.w", T.parameter(rng, 1, l, sc))
         for tag in ("start", "end"):
-            self._add(f"read_{tag}.W", T.parameter(rng, l, l, sc, dt))
-            self._add(f"read_{tag}.b", T.parameter(rng, l, 1, sc, dt))
-            self._add(f"read_{tag}.w", T.parameter(rng, 1, l, sc, dt))
+            self._add(f"read_{tag}.W", T.parameter(rng, l, l, sc))
+            self._add(f"read_{tag}.b", T.parameter(rng, l, 1, sc))
+            self._add(f"read_{tag}.w", T.parameter(rng, 1, l, sc))
 
     def _add(self, name, tensor):
         self.params[name] = tensor
         return tensor
 
-    def _agg_stack(self, rng, prefix, layers, l, sc, dt):
+    def _agg_stack(self, rng, prefix, layers, l, sc):
         stack = []
         for i in range(layers):
             in_dim = 2 * l if i == 0 else l
-            stack.append(matcher.init_bilstm(rng, in_dim, l, self.params, f"{prefix}.{i}", sc, dt))
+            stack.append(matcher.init_bilstm(rng, in_dim, l, self.params, f"{prefix}.{i}", sc))
         return stack
 
     # -- parameter plumbing -------------------------------------------------
@@ -75,18 +75,17 @@ class RankReadModel:
         if not p_embs:
             raise T.ShapeError("match_passages: no passages")
         drop = self.config.dropout if train else 0.0
-        dt = self.config.np_dtype
         encoded = matcher.encode_batch([q_emb] + list(p_embs), self.encoder)
         h_q, h_ps = encoded[0], encoded[1:]
         if drop > 0:
-            h_q = T.mul(h_q, matcher.dropout_mask(rng, h_q.data.shape, drop, dt))
+            h_q = T.mul(h_q, matcher.dropout_mask(rng, h_q.data.shape, drop))
         h_p_all = T.concat_cols(h_ps) if len(h_ps) > 1 else h_ps[0]
         if drop > 0:
-            h_p_all = T.mul(h_p_all, matcher.dropout_mask(rng, h_p_all.data.shape, drop, dt))
+            h_p_all = T.mul(h_p_all, matcher.dropout_mask(rng, h_p_all.data.shape, drop))
         g_all = matcher.attend(h_q, h_p_all, self.w_g, self.b_g)
         m_all = matcher.match(h_p_all, h_q, g_all, self.w_m)
         if drop > 0:
-            m_all = T.mul(m_all, matcher.dropout_mask(rng, m_all.data.shape, drop, dt))
+            m_all = T.mul(m_all, matcher.dropout_mask(rng, m_all.data.shape, drop))
         ms = []
         offset = 0
         for h in h_ps:

@@ -57,15 +57,6 @@ def conditional_positive_probs(policy, positives):
     return {pid: probs[policy.index_of(pid)] / mass for pid in pos}
 
 
-def log_policy(policy, passage_id, restrict_to=None):
-    """log of the selection probability for one passage, as a tensor.
-
-    With restrict_to set (an id collection), the probability is renormalized
-    over that subset before taking the log.
-    """
-    idx = policy.index_of(passage_id)
-    if restrict_to is None:
-        return T.scale(T.neg_log_softmax_pick(policy.logits, idx), -1.0)
-    rows = sorted(policy.index_of(pid) for pid in restrict_to)
-    sub = T.concat_rows([T.slice_rows(policy.logits, r, r + 1) for r in rows])
-    return T.scale(T.neg_log_softmax_pick(sub, rows.index(idx)), -1.0)
+def log_policy(policy, passage_id):
+    """log of the selection probability for one passage, as a tensor."""
+    return T.scale(T.neg_log_softmax_pick(policy.logits, policy.index_of(passage_id)), -1.0)

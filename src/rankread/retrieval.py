@@ -87,7 +87,10 @@ def save_index(index, path):
 
 def load_index(path):
     with open(path) as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
     if payload.get("format_version") != INDEX_VERSION:
         raise ValueError(f"unsupported index version: {payload.get('format_version')!r}")
     postings = {tok: [(d, tf) for d, tf in plist] for tok, plist in payload["postings"].items()}
@@ -108,9 +111,8 @@ def search_bm25(index, query_tokens, top_a, k1=BM25_K1, b=BM25_B):
     """
     if top_a < 1:
         raise ValueError("top_a must be at least 1")
-    tokens = query_tokens.tokens if hasattr(query_tokens, "tokens") else list(query_tokens)
     scores = {}
-    for term in tokens:
+    for term in query_tokens:
         plist = index.postings.get(term)
         if not plist:
             continue
@@ -174,7 +176,6 @@ def rank_sentences_tfidf(sentence_tokens, query_tokens, top_s):
     frequency). Descending score; ties keep the original order. Returns at
     most top_s (index, score) pairs.
     """
-    tokens = query_tokens.tokens if hasattr(query_tokens, "tokens") else list(query_tokens)
     pool = len(sentence_tokens)
     if pool == 0:
         return []
@@ -185,7 +186,7 @@ def rank_sentences_tfidf(sentence_tokens, query_tokens, top_s):
     for idx, toks in enumerate(sentence_tokens):
         tf = Counter(toks)
         score = 0.0
-        for term in dict.fromkeys(tokens):
+        for term in dict.fromkeys(query_tokens):
             if df[term] == 0 or tf[term] == 0:
                 continue
             score += tf[term] * math.log(pool / df[term])
@@ -196,7 +197,7 @@ def rank_sentences_tfidf(sentence_tokens, query_tokens, top_s):
 
 def make_training_query(question_tokens, answers, train):
     """Append the answer tokens to the query when training with a unique answer."""
-    base = list(question_tokens.tokens if hasattr(question_tokens, "tokens") else question_tokens)
+    base = list(question_tokens)
     if train and answers and len(set(answers)) == 1:
         return base + tokenize(answers[0]).tokens
     return base

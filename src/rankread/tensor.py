@@ -39,8 +39,8 @@ def no_grad():
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=np.float64):
-        arr = np.array(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.array(data, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
@@ -83,10 +83,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(rng, rows, cols, scale=0.1, dtype=np.float64):
+def parameter(rng, rows, cols, scale=0.1):
     """Trainable tensor with entries uniform in [-scale, scale]."""
-    data = rng.uniform(-scale, scale, size=(rows, cols)).astype(dtype)
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    return Tensor(rng.uniform(-scale, scale, size=(rows, cols)), requires_grad=True)
 
 
 def _ensure_grad(t):
@@ -406,7 +405,7 @@ def _toposort(root):
     return order
 
 
-def backward(loss, check_finite=False):
+def backward(loss):
     """Accumulate d(loss)/d(t) into .grad for every tensor reachable from loss.
 
     Parameters keep their grad buffers across calls, so batch accumulation is
@@ -421,8 +420,6 @@ def backward(loss, check_finite=False):
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
-            if check_finite and not np.isfinite(node.grad).all():
-                raise FloatingPointError("non-finite gradient encountered in backward")
 
 
 def zero_grads(params):
@@ -558,7 +555,7 @@ def save_checkpoint(path, params, optimizer=None, extra=None):
                 "name": name,
                 "rows": p.data.shape[0],
                 "cols": p.data.shape[1],
-                "values": p.data.astype(np.float64).ravel().tolist(),
+                "values": p.data.ravel().tolist(),
             }
             for name, p in params.items()
         ],
@@ -574,7 +571,10 @@ def save_checkpoint(path, params, optimizer=None, extra=None):
 def load_checkpoint(path):
     """Return ({name: ndarray}, optimizer_state_or_None, extra_or_None)."""
     with open(path) as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {version!r}")

@@ -69,9 +69,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self._vectors)
 
-    def __contains__(self, token):
-        return token in self._vectors
-
     def lookup(self, token):
         return self._vectors.get(token, self._unknown)
 
@@ -114,10 +111,8 @@ def synthetic_embeddings(vocab, dimension, seed=0, scale=0.5):
     return EmbeddingTable(dimension, vectors)
 
 
-def embed(seq, table, dtype=np.float64):
+def embed(tokens, table):
     """Stack token vectors column-wise into a fixed (d, T) tensor."""
-    tokens = seq.tokens if isinstance(seq, TokenSequence) else list(seq)
     if not tokens:
         raise ValueError("embed: empty token sequence")
-    cols = np.stack([table.lookup(tok) for tok in tokens], axis=1)
-    return T.Tensor(cols.astype(dtype))
+    return T.Tensor(np.stack([table.lookup(tok) for tok in tokens], axis=1))

@@ -2,6 +2,7 @@
 supervised baselines (reader-only, and reader plus a KL-trained ranker)."""
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,7 @@ def kl_rank_loss(policy, positive_ids):
         pick = T.neg_log_softmax_pick(policy.logits, r)
         total = pick if total is None else T.add(total, pick)
     mean_neg_log = T.scale(total, 1.0 / len(rows))
-    return T.add(mean_neg_log, T.Tensor([[-np.log(len(rows))]], dtype=policy.logits.data.dtype))
+    return T.add(mean_neg_log, T.Tensor([[-np.log(len(rows))]]))
 
 
 def sample_passage_subset(example, k, min_negatives, rng):
@@ -145,7 +146,9 @@ class Trainer:
     """Runs epochs over training examples in any of the three modes.
 
     One optimizer step per batch; gradients accumulate across the batch's
-    examples. The per-step log records are kept on .log and returned.
+    examples. The per-step log records are kept on .log and returned. A batch
+    whose gradient norm is not finite takes no step and logs no record; it is
+    counted on .nonfinite_steps.
     """
 
     def __init__(self, model, table, config, seed=0):
@@ -156,6 +159,7 @@ class Trainer:
         self.optimizer = T.Adamax(model.parameters(), lr=config.learning_rate)
         self.log = []
         self.skipped = 0
+        self.nonfinite_steps = 0
         self._embed_cache = {}
 
     # -- embeddings (fixed; cached per question id) --------------------------
@@ -163,9 +167,8 @@ class Trainer:
     def _embeddings(self, example):
         cached = self._embed_cache.get(example.question_id)
         if cached is None:
-            dt = self.model.config.np_dtype
-            q_emb = embed(example.question_tokens, self.table, dt)
-            p_embs = [embed(toks, self.table, dt) for toks in example.passage_tokens]
+            q_emb = embed(example.question_tokens, self.table)
+            p_embs = [embed(toks, self.table) for toks in example.passage_tokens]
             cached = (q_emb, p_embs)
             self._embed_cache[example.question_id] = cached
         return cached
@@ -218,8 +221,7 @@ class Trainer:
             answer_text = " ".join(
                 example.passage_tokens[tau][extracted.start:extracted.end + 1])
             r = best_reward(example.answers, answer_text).value
-            restrict = set(pos_ids) if cfg.policy_grad == "conditional" else None
-            log_pi = ranker_mod.log_policy(policy, tau, restrict_to=restrict)
+            log_pi = ranker_mod.log_policy(policy, tau)
             loss = T.add(loss, T.scale(log_pi, -r))
             report["reward"] = r
         report["loss"] = loss
@@ -248,7 +250,11 @@ class Trainer:
                     seen[key] = True
         if counts == 0:
             return None
-        T.clip_global_norm(self.model.parameters().values(), self.config.grad_clip)
+        norm = T.clip_global_norm(self.model.parameters().values(), self.config.grad_clip)
+        if not math.isfinite(norm):
+            self.nonfinite_steps += 1
+            log.warning("step %d: non-finite gradient norm, optimizer step skipped", step_index)
+            return None
         self.optimizer.step()
         record = {"step": step_index, "mode": mode,
                   "reader_loss": sums["reader_loss"] / counts}

@@ -222,6 +222,39 @@ def test_non_json_dataset_line_is_one_line_error(workdir, tmp_path, capsys):
     assert line.startswith(f"error: {bad}:3: ") and "Expecting value" in line
 
 
+def test_non_json_checkpoint_is_one_line_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("garbage\n")
+    assert main(["evaluate", "--checkpoint", str(bad),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}: ") and "Expecting value" in line
+
+
+def test_non_json_index_is_one_line_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("garbage\n")
+    assert main(["retrieve", "--index", str(bad), "--dataset", str(workdir["test"]),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}: ") and "Expecting value" in line
+
+
+def test_dataset_answers_must_be_a_list_of_strings(workdir, tmp_path, capsys):
+    lines = workdir["test"].read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec["answers"] = rec["answers"][0]  # a bare string would score each letter as a gold
+    lines[1] = json.dumps(rec)
+    bad = tmp_path / "test.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--checkpoint", str(workdir["ckpt"]),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}:2: ValueError: ") and "list of strings" in line
+
+
 def test_analyze_counts_questions_without_passages_as_misses(workdir, tmp_path):
     dataset = [json.loads(l) for l in workdir["test"].read_text().splitlines()]
     retrieved = [json.loads(l) for l in workdir["retrieved_test"].read_text().splitlines()]

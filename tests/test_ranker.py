@@ -132,9 +132,3 @@ def test_log_policy_gradient_is_onehot_minus_gamma():
     onehot = np.array([[0.0], [0.0], [1.0]])
     assert np.allclose(logits.grad, onehot - pol.gamma.data, atol=1e-12)
 
-
-def test_log_policy_restricted_renormalizes():
-    logits = T.Tensor(np.log([[0.2], [0.3], [0.5]]))
-    pol = ranker.PolicyDistribution(logits, T.softmax_cols(logits), [0, 1, 2])
-    got = ranker.log_policy(pol, 2, restrict_to={0, 2}).item()
-    assert got == pytest.approx(math.log(5.0 / 7.0), abs=1e-12)

@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankread import retrieval as R
 from rankread.text import tokenize
@@ -141,6 +142,24 @@ def test_split_requires_uppercase_or_opening():
 
 def test_split_handles_multi_punctuation():
     assert R.split_sentences("Really?! Yes. ") == ["Really?!", "Yes."]
+
+
+_SPLIT_PIECES = st.sampled_from(
+    ["Mr", "mr", "Dr", "etc", "No", "A", "b", "Cd", "ef", "1", ".", "!", "?", "...",
+     '"', "'", "(", ")", "[", "]", " ", "  ", "\n", "\t", "\u00a0"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SPLIT_PIECES, max_size=30).map("".join) | st.text(max_size=40))
+def test_split_sentences_properties(text):
+    def squeeze(s):
+        return "".join(ch for ch in s if not ch.isspace())
+
+    pieces = R.split_sentences(text)
+    for piece in pieces:
+        assert piece and piece == piece.strip()
+        assert R.split_sentences(piece) == [piece]
+    assert "".join(squeeze(p) for p in pieces) == squeeze(text)
 
 
 # --- TF-IDF sentence ranking -------------------------------------------------------

@@ -105,7 +105,7 @@ def test_synthetic_embeddings_deterministic():
 def test_embed_columns_follow_token_order(tmp_path):
     p = write_embeddings(tmp_path / "e.txt", ["a 1 0 0", "b 0 1 0"])
     table = text.load_embeddings(p, 3)
-    out = text.embed(text.TokenSequence(["b", "a"]), table)
+    out = text.embed(["b", "a"], table)
     assert out.data.shape == (3, 2)
     assert np.array_equal(out.data[:, 0], [0, 1, 0])
     assert np.array_equal(out.data[:, 1], [1, 0, 0])

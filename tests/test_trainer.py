@@ -209,14 +209,26 @@ def test_r3_step_single_update_combines_both_sources(example):
     assert record["mode"] == "r3"
 
 
-def test_conditional_policy_gradient_flag(example):
-    # both estimators run; they differ once gamma is not uniform over positives
-    full = toy_trainer(seed=30)
-    full.train([example], "r3", epochs=2)
-    cond = toy_trainer(seed=30, policy_grad="conditional")
-    cond.train([example], "r3", epochs=2)
-    assert len(full.log) == len(cond.log)
-    assert any(a != b for a, b in zip(full.log, cond.log))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_gradient_skips_the_step(example, caplog):
+    trainer = toy_trainer(seed=9)
+    before = trainer.model.export_values()
+    build = trainer.example_losses
+
+    def poisoned(ex, mode):
+        report = build(ex, mode)
+        report["loss"] = T.scale(report["loss"], float("inf"))
+        return report
+
+    trainer.example_losses = poisoned
+    assert trainer._apply_batch([example], "r3", 4) is None
+    assert trainer.optimizer.t == 0 and trainer.nonfinite_steps == 1 and trainer.log == []
+    after = trainer.model.export_values()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+    assert "step 4: non-finite gradient norm" in caplog.text
+    trainer.example_losses = build
+    assert trainer._apply_batch([example], "r3", 4) is not None
+    assert trainer.optimizer.t == 1 and trainer.nonfinite_steps == 1
 
 
 def test_training_determinism_same_seed_same_log(example):
