@@ -8,6 +8,7 @@ import logging
 import sys
 
 from rankread.experiment import run_experiment
+from rankread.files import atomic_write
 
 
 def main(argv=None):
@@ -40,7 +41,7 @@ def main(argv=None):
                    "oracle": result["oracle"],
                    "per_seed": [{k: v for k, v in r.items() if k != "models"}
                                 for r in result["per_seed"]]}
-        with open(args.out, "w") as f:
+        with atomic_write(args.out) as f:
             json.dump(payload, f, indent=1)
         print(f"summary written to {args.out}")
     return 0

@@ -11,6 +11,7 @@ import numpy as np
 from . import evaluation, retrieval, trainer as trainer_mod
 from . import tensor as T
 from .config import Config
+from .files import atomic_write
 from .model import RankReadModel
 from .synth import SyntheticSpec, generate
 from .text import EmbeddingTable, load_embeddings, synthetic_embeddings, tokenize
@@ -151,7 +152,7 @@ def cmd_train(args):
              "table": _table_payload(config, table)}
     T.save_checkpoint(args.out, model.parameters(), optimizer=trainer.optimizer, extra=extra)
     if args.log:
-        with open(args.log, "w") as f:
+        with atomic_write(args.log) as f:
             for record in trainer.log:
                 f.write(json.dumps(record) + "\n")
     skipped = f"{trainer.skipped} skipped"
@@ -168,7 +169,7 @@ def cmd_evaluate(args):
     retrieved_sets = retrieval.load_retrieved(args.retrieved)
     report = evaluation.evaluate(model, table, dataset, retrieved_sets,
                                  max_span_len=args.max_span_len)
-    with open(args.out, "w") as f:
+    with atomic_write(args.out) as f:
         json.dump(report, f, indent=1)
     print(f"evaluated {report['count']} questions: "
           f"F1 {100 * report['f1']:.1f} EM {100 * report['em']:.1f} -> {args.out}")
@@ -182,7 +183,7 @@ def cmd_analyze(args):
     ks = [int(k) for k in args.k.split(",")]
     out = evaluation.analyze(model, table, dataset, retrieved_sets, ks,
                              args.max_span_len, oracle=args.oracle)
-    with open(args.out, "w") as f:
+    with atomic_write(args.out) as f:
         json.dump(out, f, indent=1)
     for k in ks:
         print(f"top-{k} recall: ir {out['recall']['ir'][k]:.3f} "
@@ -198,7 +199,7 @@ def cmd_synth(args):
     docs, train_records, test_records, vocab = generate(spec)
     retrieval.save_corpus(docs, args.out_corpus)
     for path, records in ((args.out_train, train_records), (args.out_test, test_records)):
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             for rec in records:
                 f.write(json.dumps(rec) + "\n")
     print(f"generated {len(docs)} documents, {len(train_records)}/{len(test_records)} "

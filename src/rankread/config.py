@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass, fields, asdict
 
+from .files import atomic_write
+
 
 @dataclass
 class Config:
@@ -48,7 +50,7 @@ class Config:
         return self.validate()
 
     def to_file(self, path):
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             for field in fields(self):
                 f.write(f"{field.name}={getattr(self, field.name)!r}\n")
 

@@ -7,7 +7,9 @@ layer for ranking, three for reading, separate parameters).
 Sequences sit in matrices column-per-token. The batched entry points run
 several same-length sequences through one recurrence, one column per
 sequence, which is exact column-parallel math (verified against the
-single-sequence path in tests).
+single-sequence path in tests). Each direction of a recurrence is one
+`tensor.lstm` tape node: the input projection W x + b is one matmul over all
+steps, and the step loop with its hand-written backward lives inside the op.
 """
 
 from dataclasses import dataclass
@@ -50,36 +52,10 @@ def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
     return BiLstm(dirs[0], dirs[1], in_dim, h)
 
 
-def _lstm_steps(direction, blocks, n):
-    """Run one LSTM direction over time blocks, each (in_dim, n), n sequences wide."""
-    h = direction.U.data.shape[1]
-    state_h = T.Tensor(np.zeros((h, n)))
-    state_c = T.Tensor(np.zeros((h, n)))
-    outs = []
-    for pre_t in blocks:
-        z = T.add(pre_t, T.matmul(direction.U, state_h))
-        i = T.sigmoid(T.slice_rows(z, 0, h))
-        f = T.sigmoid(T.slice_rows(z, h, 2 * h))
-        o = T.sigmoid(T.slice_rows(z, 2 * h, 3 * h))
-        g = T.tanh(T.slice_rows(z, 3 * h, 4 * h))
-        state_c = T.add(T.mul(f, state_c), T.mul(i, g))
-        state_h = T.mul(o, T.tanh(state_c))
-        outs.append(state_h)
-    return outs
-
-
-def _run_group(seq_tm, params, steps, n):
+def _run_group(seq_tm, params, n):
     """Encode n same-length sequences given their time-major stack (in_dim, steps*n)."""
-    halves = []
-    for direction, reverse in ((params.fwd, False), (params.bwd, True)):
-        pre = T.add_col(T.matmul(direction.W, seq_tm), direction.b)
-        blocks = [T.slice_cols(pre, t * n, (t + 1) * n) for t in range(steps)]
-        if reverse:
-            blocks.reverse()
-        outs = _lstm_steps(direction, blocks, n)
-        if reverse:
-            outs.reverse()
-        halves.append(T.concat_cols(outs))
+    halves = [T.lstm(T.add_col(T.matmul(d.W, seq_tm), d.b), d.U, n, reverse=reverse)
+              for d, reverse in ((params.fwd, False), (params.bwd, True))]
     return T.concat_rows(halves)  # (2h, steps*n), time-major
 
 
@@ -118,7 +94,7 @@ def encode_batch(seqs, params):
         else:
             stacked = np.concatenate([m.data for m in members], axis=1)
             seq_tm = T.Tensor(stacked[:, perm])
-        out_tm = _run_group(seq_tm, params, steps, n)
+        out_tm = _run_group(seq_tm, params, n)
         out_pm = T.permute_cols(out_tm, np.argsort(perm, kind="stable"))
         for slot, idx in enumerate(indices):
             results[idx] = T.slice_cols(out_pm, slot * steps, (slot + 1) * steps)

@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, asdict
 
+from .files import atomic_write, read_versioned_json
 from .text import tokenize, contains_answer
 
 BM25_K1 = 1.2
@@ -81,21 +82,20 @@ def save_index(index, path):
         "doc_lengths": index.doc_lengths,
         "docs": [asdict(index.docs[d]) for d in sorted(index.docs)],
     }
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, sort_keys=True)
 
 
 def load_index(path):
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
-    if payload.get("format_version") != INDEX_VERSION:
-        raise ValueError(f"unsupported index version: {payload.get('format_version')!r}")
-    postings = {tok: [(d, tf) for d, tf in plist] for tok, plist in payload["postings"].items()}
-    docs = {rec["id"]: Document(**rec) for rec in payload["docs"]}
-    return InvertedIndex(postings, payload["doc_lengths"], docs)
+    payload = read_versioned_json(path, "index", INDEX_VERSION,
+                                  ("postings", "doc_lengths", "docs"))
+    try:
+        postings = {tok: [(d, tf) for d, tf in plist]
+                    for tok, plist in payload["postings"].items()}
+        docs = {rec["id"]: Document(**rec) for rec in payload["docs"]}
+        return InvertedIndex(postings, payload["doc_lengths"], docs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def bm25_idf(index, term):
@@ -241,7 +241,7 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
 
 
 def save_retrieved(sets, path):
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for rs in sets:
             rec = {"question_id": rs.question_id,
                    "passages": [asdict(p) for p in rs.passages]}
@@ -276,6 +276,6 @@ def load_corpus(path):
 
 
 def save_corpus(docs, path):
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for doc in docs:
             f.write(json.dumps(asdict(doc)) + "\n")

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .files import atomic_write, read_versioned_json
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform to an op's rule."""
@@ -198,9 +200,12 @@ def relu(a):
     return _unary(a, y, (a.data > 0).astype(a.data.dtype))
 
 
+def _sigmoid(x):
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is overflow-safe for any sign
+
+
 def sigmoid(a):
-    # tanh form is overflow-safe for any input sign
-    y = 0.5 * (np.tanh(0.5 * a.data) + 1.0)
+    y = _sigmoid(a.data)
     return _unary(a, y, y * (1.0 - y))
 
 
@@ -355,6 +360,82 @@ def neg_log_softmax_pick(a, k):
             _ensure_grad(a)
             a.grad += g[0, 0] * soft
             a.grad[k, 0] -= g[0, 0]
+        out._backward = bw
+    return out
+
+
+def lstm(pre, U, n, reverse=False):
+    """One LSTM direction over n equal-length sequences, as a single tape node.
+
+    pre is the (4h, steps*n) time-major input projection W x + b: column
+    t*n + j holds sequence j at step t. U is the (4h, h) recurrent matrix and
+    gate rows are [i, f, o, g]. Returns the (h, steps*n) hidden states in the
+    same column order; reverse runs from the last step to the first. The
+    forward matches the per-step composition of matmul, add, sigmoid, tanh and
+    mul bit for bit; the backward is hand-written BPTT.
+    """
+    h = U.data.shape[1]
+    rows, cols = pre.data.shape
+    if U.data.shape != (4 * h, h) or rows != 4 * h:
+        raise ShapeError(f"lstm: input {pre.data.shape} and recurrent {U.data.shape} "
+                         "need shapes (4h, steps*n) and (4h, h)")
+    if n < 1 or cols % n:
+        raise ShapeError(f"lstm: {cols} columns do not split into sequences of width {n}")
+    steps = cols // n
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    acts = np.empty((4 * h, cols))  # gate activations i, f, o, g
+    cells = np.empty((h, cols))
+    tanh_c = np.empty((h, cols))
+    hs = np.empty((h, cols))
+    h_t = np.zeros((h, n))
+    c_t = np.zeros((h, n))
+    for t in order:
+        s = slice(t * n, (t + 1) * n)
+        z = pre.data[:, s] + U.data @ h_t
+        a = np.empty_like(z)
+        a[:3 * h] = _sigmoid(z[:3 * h])
+        a[3 * h:] = np.tanh(z[3 * h:])
+        c_t = a[h:2 * h] * c_t + a[:h] * a[3 * h:]
+        tc = np.tanh(c_t)
+        h_t = a[2 * h:3 * h] * tc
+        acts[:, s] = a
+        cells[:, s] = c_t
+        tanh_c[:, s] = tc
+        hs[:, s] = h_t
+    out = Tensor._node(hs, (pre, U))
+    if out.requires_grad:
+        def bw(g):
+            # state entering each step: the neighbouring step's, zero at the start
+            h_in = np.zeros_like(hs)
+            c_in = np.zeros_like(cells)
+            if reverse:
+                h_in[:, :-n] = hs[:, n:]
+                c_in[:, :-n] = cells[:, n:]
+            else:
+                h_in[:, n:] = hs[:, :-n]
+                c_in[:, n:] = cells[:, :-n]
+            i, f, o, gg = acts[:h], acts[h:2 * h], acts[2 * h:3 * h], acts[3 * h:]
+            # dz = factor * (dc for rows i, f, g; dh for rows o)
+            factor = np.concatenate((gg * i * (1.0 - i), c_in * f * (1.0 - f),
+                                     tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)))
+            dc_dh = o * (1.0 - tanh_c * tanh_c)
+            dpre = np.empty_like(acts)
+            dh_next = np.zeros((h, n))
+            dc_next = np.zeros((h, n))
+            for t in reversed(order):
+                s = slice(t * n, (t + 1) * n)
+                dh = g[:, s] + dh_next
+                dc = dh * dc_dh[:, s] + dc_next
+                dz = factor[:, s] * np.concatenate((dc, dc, dh, dc))
+                dpre[:, s] = dz
+                dc_next = dc * f[:, s]
+                dh_next = U.data.T @ dz
+            if pre.requires_grad:
+                _ensure_grad(pre)
+                pre.grad += dpre
+            if U.requires_grad:
+                _ensure_grad(U)
+                U.grad += dpre @ h_in.T
         out._backward = bw
     return out
 
@@ -564,24 +645,20 @@ def save_checkpoint(path, params, optimizer=None, extra=None):
         payload["optimizer"] = optimizer.state_dict()
     if extra is not None:
         payload["extra"] = extra
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f)
 
 
 def load_checkpoint(path):
     """Return ({name: ndarray}, optimizer_state_or_None, extra_or_None)."""
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
-    version = payload.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {version!r}")
+    payload = read_versioned_json(path, "checkpoint", CHECKPOINT_VERSION, ("params",))
     values = {}
-    for rec in payload["params"]:
-        arr = np.array(rec["values"], dtype=np.float64)
-        if arr.size != rec["rows"] * rec["cols"]:
-            raise ValueError(f"checkpoint entry {rec['name']!r} has inconsistent size")
-        values[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
+    try:
+        for rec in payload["params"]:
+            arr = np.array(rec["values"], dtype=np.float64)
+            if arr.size != rec["rows"] * rec["cols"]:
+                raise ValueError(f"checkpoint entry {rec['name']!r} has inconsistent size")
+            values[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
     return values, payload.get("optimizer"), payload.get("extra")

@@ -148,7 +148,8 @@ class Trainer:
     One optimizer step per batch; gradients accumulate across the batch's
     examples. The per-step log records are kept on .log and returned. A batch
     whose gradient norm is not finite takes no step and logs no record; it is
-    counted on .nonfinite_steps.
+    counted on .nonfinite_steps. .batches counts every batch train() ran,
+    logged or not, and is the step index of the next one.
     """
 
     def __init__(self, model, table, config, seed=0):
@@ -160,6 +161,7 @@ class Trainer:
         self.log = []
         self.skipped = 0
         self.nonfinite_steps = 0
+        self.batches = 0
         self._embed_cache = {}
 
     # -- embeddings (fixed; cached per question id) --------------------------
@@ -272,6 +274,7 @@ class Trainer:
             order = self.rng.permutation(len(examples))
             for lo in range(0, len(order), batch):
                 chunk = [examples[i] for i in order[lo:lo + batch]]
-                self._apply_batch(chunk, mode, len(self.log))
+                self._apply_batch(chunk, mode, self.batches)
+                self.batches += 1
         return self.log
 

@@ -241,6 +241,35 @@ def test_non_json_index_is_one_line_error(workdir, tmp_path, capsys):
     assert line.startswith(f"error: {bad}: ") and "Expecting value" in line
 
 
+@pytest.mark.parametrize("payload, message", [
+    ("[1]", "checkpoint must be a JSON object, got list"),
+    ('{"format_version": 1}', "checkpoint lacks 'params'"),
+    ('{"format_version": 1, "params": [1]}', "TypeError"),
+], ids=["list", "no_params", "bad_entry"])
+def test_malformed_checkpoint_is_one_line_error(workdir, tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    assert main(["evaluate", "--checkpoint", str(bad),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}: ") and message in line
+
+
+@pytest.mark.parametrize("payload, message", [
+    ("[1]", "index must be a JSON object, got list"),
+    ('{"format_version": 1}', "index lacks 'postings', 'doc_lengths', 'docs'"),
+    ('{"format_version": 1, "postings": [], "doc_lengths": {}, "docs": []}', "AttributeError"),
+], ids=["list", "no_postings", "postings_list"])
+def test_malformed_index_is_one_line_error(workdir, tmp_path, capsys, payload, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    assert main(["retrieve", "--index", str(bad), "--dataset", str(workdir["test"]),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}: ") and message in line
+
+
 def test_dataset_answers_must_be_a_list_of_strings(workdir, tmp_path, capsys):
     lines = workdir["test"].read_text().splitlines()
     rec = json.loads(lines[1])

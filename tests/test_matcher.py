@@ -84,6 +84,99 @@ def test_batched_encode_gradients_match_sequential():
         assert np.allclose(a, b, atol=1e-12)
 
 
+def _lstm_steps(direction, blocks, n):
+    """Composite reference: one LSTM direction over (4h, n) input blocks, one
+    tape node per gate op and step (the path `tensor.lstm` replaced)."""
+    h = direction.U.data.shape[1]
+    state_h = T.Tensor(np.zeros((h, n)))
+    state_c = T.Tensor(np.zeros((h, n)))
+    outs = []
+    for pre_t in blocks:
+        z = T.add(pre_t, T.matmul(direction.U, state_h))
+        i = T.sigmoid(T.slice_rows(z, 0, h))
+        f = T.sigmoid(T.slice_rows(z, h, 2 * h))
+        o = T.sigmoid(T.slice_rows(z, 2 * h, 3 * h))
+        g = T.tanh(T.slice_rows(z, 3 * h, 4 * h))
+        state_c = T.add(T.mul(f, state_c), T.mul(i, g))
+        state_h = T.mul(o, T.tanh(state_c))
+        outs.append(state_h)
+    return outs
+
+
+def _reference_direction(direction, seq_tm, n, reverse):
+    steps = seq_tm.data.shape[1] // n
+    pre = T.add_col(T.matmul(direction.W, seq_tm), direction.b)
+    blocks = [T.slice_cols(pre, t * n, (t + 1) * n) for t in range(steps)]
+    if reverse:
+        blocks.reverse()
+    outs = _lstm_steps(direction, blocks, n)
+    if reverse:
+        outs.reverse()
+    return T.concat_cols(outs)
+
+
+def _reference_encode_batch(seqs, params):
+    """encode_batch for n same-length sequences through the composite path."""
+    n, steps = len(seqs), seqs[0].data.shape[1]
+    perm = matcher._time_major_perm(steps, n)
+    seq_tm = T.permute_cols(T.concat_cols(seqs), perm)
+    out_tm = T.concat_rows([_reference_direction(params.fwd, seq_tm, n, False),
+                            _reference_direction(params.bwd, seq_tm, n, True)])
+    out_pm = T.permute_cols(out_tm, np.argsort(perm, kind="stable"))
+    return [T.slice_cols(out_pm, k * steps, (k + 1) * steps) for k in range(n)]
+
+
+def _bilstm_params(p):
+    return [p.fwd.W, p.fwd.U, p.fwd.b, p.bwd.W, p.bwd.U, p.bwd.b]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("steps", [1, 4])
+def test_fused_encode_matches_composite_reference(n, steps):
+    # forward bit for bit; gradients to 1e-10 (BPTT sums in another order)
+    p = make_bilstm(20 + n + steps, 3, 6, scale=0.5)
+    params = _bilstm_params(p)
+    rng = np.random.default_rng(30 + n * steps)
+    data = [rng.normal(size=(3, steps)) for _ in range(n)]
+    weights = rng.normal(size=(6, steps * n))
+
+    def run(encoder):
+        T.zero_grads(params)
+        seqs = [T.Tensor(d, requires_grad=True) for d in data]
+        outs = encoder(seqs, p)
+        T.backward(T.sum_all(T.mul(T.tanh(T.concat_cols(outs)), T.Tensor(weights))))
+        return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
+
+    fused_out, fused_grads = run(matcher.encode_batch)
+    ref_out, ref_grads = run(_reference_encode_batch)
+    for a, b in zip(fused_out, ref_out):
+        assert np.array_equal(a, b)
+    for a, b in zip(fused_grads, ref_grads):
+        assert np.abs(a - b).max() < 1e-10
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fused_direction_matches_composite_reference(reverse):
+    p = make_bilstm(40, 2, 8, scale=0.5)
+    d = p.fwd
+    n, steps = 3, 4
+    rng = np.random.default_rng(41)
+    seq_tm = T.Tensor(rng.normal(size=(2, steps * n)))
+    weights = T.Tensor(rng.normal(size=(4, steps * n)))
+
+    def run(direction_fn):
+        T.zero_grads([d.W, d.U, d.b])
+        out = direction_fn()
+        T.backward(T.sum_all(T.mul(out, weights)))
+        return out.data, [d.W.grad.copy(), d.U.grad.copy(), d.b.grad.copy()]
+
+    fused, g_fused = run(lambda: T.lstm(T.add_col(T.matmul(d.W, seq_tm), d.b), d.U, n, reverse))
+    ref, g_ref = run(lambda: _reference_direction(d, seq_tm, n, reverse))
+    assert np.array_equal(fused, ref)
+    for a, b in zip(g_fused, g_ref):
+        assert np.abs(a - b).max() < 1e-10
+
+
 def test_attend_single_question_word_gives_all_ones():
     rng = np.random.default_rng(5)
     l = 4

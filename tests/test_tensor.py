@@ -139,6 +139,21 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fd_lstm(reverse):
+    # pre is (4h, steps*n) and U is (4h, h): h=2, three steps of two sequences,
+    # then four steps of one
+    assert _fd_single_op(T.lstm, (8, 6), (8, 2), n=2, reverse=reverse) < 1e-4
+    assert _fd_single_op(T.lstm, (8, 4), (8, 2), n=1, reverse=reverse) < 1e-4
+
+
+def test_lstm_rejects_bad_shapes():
+    with pytest.raises(T.ShapeError, match="lstm"):
+        T.lstm(rand_tensor(6, 4), rand_tensor(8, 2), 2)
+    with pytest.raises(T.ShapeError, match="width 3"):
+        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), 3)
+
+
 def test_fd_concat_ops():
     rng = np.random.default_rng(5)
     xs = [T.Tensor(rng.normal(size=(3, w)), requires_grad=True) for w in (1, 2, 3)]

@@ -231,6 +231,45 @@ def test_nonfinite_gradient_skips_the_step(example, caplog):
     assert trainer.optimizer.t == 1 and trainer.nonfinite_steps == 1
 
 
+def _tape_size(root):
+    """Tensors reachable from root through their parents."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+def test_sr2_example_tape_stays_small(example):
+    # one tape node per LSTM direction and recurrence; the per-step
+    # composition recorded 1868 nodes for this example, the fused op 176
+    report = toy_trainer(seed=0).example_losses(example, "sr2")
+    assert _tape_size(report["loss"]) < 300
+
+
+def test_step_index_counts_batches_without_a_record(example, caplog):
+    trainer = toy_trainer(seed=9)
+    build = trainer.example_losses
+    calls = []
+
+    def poisoned_first(ex, mode):
+        report = build(ex, mode)
+        if not calls:
+            report["loss"] = T.scale(report["loss"], float("inf"))
+        calls.append(mode)
+        return report
+
+    trainer.example_losses = poisoned_first
+    with np.errstate(invalid="ignore"):
+        trainer.train([example], "r3", epochs=2)
+    assert trainer.batches == 2 and trainer.nonfinite_steps == 1
+    assert "step 0: non-finite gradient norm" in caplog.text
+    assert [record["step"] for record in trainer.log] == [1]
+
+
 def test_training_determinism_same_seed_same_log(example):
     logs = []
     for _ in range(2):
