@@ -38,6 +38,8 @@ class Config:
     def validate(self):
         if self.hidden_size % 2 != 0:
             raise ValueError(f"hidden_size must be even, got {self.hidden_size}")
+        if self.reader_layers < 1 or self.ranker_layers < 1:
+            raise ValueError("reader_layers and ranker_layers must be at least 1")
         if self.mode not in ("sr", "sr2", "r3"):
             raise ValueError(f"mode must be sr, sr2 or r3, got {self.mode!r}")
         if self.train_sample_k < self.min_negatives + 1:
@@ -69,7 +71,10 @@ class Config:
                 key = key.strip()
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _parse(raw.strip(), types[key])
+                try:
+                    values[key] = _parse(raw.strip(), types[key])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cls(**values).validate()
 
     def with_overrides(self, overrides):

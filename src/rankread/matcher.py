@@ -4,12 +4,14 @@ The matching representation M for each passage is shared by the ranking and
 reading heads; only the aggregation BiLSTM stacks on top of M differ (one
 layer for ranking, three for reading, separate parameters).
 
-Sequences sit in matrices column-per-token. The batched entry points run
-several same-length sequences through one recurrence, one column per
-sequence, which is exact column-parallel math (verified against the
-single-sequence path in tests). Each direction of a recurrence is one
-`tensor.lstm` tape node: the input projection W x + b is one matmul over all
-steps, and the step loop with its hand-written backward lives inside the op.
+Sequences sit in matrices column-per-token. `encode_batch` stacks
+same-length sequences side by side (column j*steps + t is sequence j at step
+t), which is the one layout every layer of a stack and `tensor.lstm` use, so
+a group runs through all its layers without reordering or splitting. The math
+is column-parallel: a sequence's output equals encoding it alone up to BLAS
+rounding (checked in tests). Each direction of a layer is one `tensor.lstm`
+tape node: the input projection W x + b is one matmul over all steps, and the
+step loop with its hand-written backward lives inside the op.
 """
 
 from dataclasses import dataclass
@@ -52,61 +54,43 @@ def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
     return BiLstm(dirs[0], dirs[1], in_dim, h)
 
 
-def _run_group(seq_tm, params, n):
-    """Encode n same-length sequences given their time-major stack (in_dim, steps*n)."""
-    halves = [T.lstm(T.add_col(T.matmul(d.W, seq_tm), d.b), d.U, n, reverse=reverse)
-              for d, reverse in ((params.fwd, False), (params.bwd, True))]
-    return T.concat_rows(halves)  # (2h, steps*n), time-major
+def _bilstm(x, params, n):
+    """One BiLSTM layer over n same-length sequences stacked side by side."""
+    return T.concat_rows([T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, n, reverse=reverse)
+                          for d, reverse in ((params.fwd, False), (params.bwd, True))])
 
 
-def _time_major_perm(steps, n):
-    # column (seq i, time t) moves from i*steps + t to t*n + i
-    perm = np.empty(steps * n, dtype=np.intp)
-    for i in range(n):
-        for t in range(steps):
-            perm[t * n + i] = i * steps + t
-    return perm
+def encode_batch(seqs, layers):
+    """Run a stack of BiLSTM layers over (in_dim, T_i) tensors; one (2h, T_i) output each.
 
-
-def encode_batch(seqs, params):
-    """Encode a list of (in_dim, T_i) tensors; returns one (2h, T_i) tensor each.
-
-    Same-length sequences share one recurrence. Output order matches input.
+    Same-length sequences are stacked side by side once and go through every
+    layer of the stack together; the result is split per sequence after the
+    last layer. Output order matches input.
     """
     if not seqs:
         return []
+    in_dim = layers[0].in_dim
     for s in seqs:
         if s.data.shape[1] == 0:
             raise T.ShapeError("encode: empty sequence")
-        if s.data.shape[0] != params.in_dim:
+        if s.data.shape[0] != in_dim:
             raise T.ShapeError(
-                f"encode: input has {s.data.shape[0]} rows, BiLSTM expects {params.in_dim}")
+                f"encode: input has {s.data.shape[0]} rows, BiLSTM expects {in_dim}")
     groups = {}
     for idx, s in enumerate(seqs):
         groups.setdefault(s.data.shape[1], []).append(idx)
     results = [None] * len(seqs)
     for steps, indices in groups.items():
         n = len(indices)
-        perm = _time_major_perm(steps, n)
-        members = [seqs[i] for i in indices]
-        if any(m.requires_grad or m._parents for m in members):
-            seq_tm = T.permute_cols(T.concat_cols(members), perm)
-        else:
-            stacked = np.concatenate([m.data for m in members], axis=1)
-            seq_tm = T.Tensor(stacked[:, perm])
-        out_tm = _run_group(seq_tm, params, n)
-        out_pm = T.permute_cols(out_tm, np.argsort(perm, kind="stable"))
+        x = T.concat_cols([seqs[i] for i in indices]) if n > 1 else seqs[indices[0]]
+        for layer in layers:
+            x = _bilstm(x, layer, n)
+        if n == 1:
+            results[indices[0]] = x
+            continue
         for slot, idx in enumerate(indices):
-            results[idx] = T.slice_cols(out_pm, slot * steps, (slot + 1) * steps)
+            results[idx] = T.slice_cols(x, slot * steps, (slot + 1) * steps)
     return results
-
-
-def encode_stack(seqs, layers):
-    """Run a stack of BiLSTM layers over a batch of sequences."""
-    outs = seqs
-    for layer in layers:
-        outs = encode_batch(outs, layer)
-    return outs
 
 
 def attend(h_q, h_p, w_g, b_g):

@@ -75,7 +75,7 @@ class RankReadModel:
         if not p_embs:
             raise T.ShapeError("match_passages: no passages")
         drop = self.config.dropout if train else 0.0
-        encoded = matcher.encode_batch([q_emb] + list(p_embs), self.encoder)
+        encoded = matcher.encode_batch([q_emb] + list(p_embs), [self.encoder])
         h_q, h_ps = encoded[0], encoded[1:]
         if drop > 0:
             h_q = T.mul(h_q, matcher.dropout_mask(rng, h_q.data.shape, drop))
@@ -96,12 +96,12 @@ class RankReadModel:
 
     def rank(self, ms, passage_ids=None):
         """Selection policy over the given matching representations."""
-        h_ranks = matcher.encode_stack(ms, self.agg_rank)
+        h_ranks = matcher.encode_batch(ms, self.agg_rank)
         return ranker.score_passages(h_ranks, self.w_c, self.b_c, self.w_c_out, passage_ids)
 
     def read(self, ms, passage_ids):
         """Span distributions over the given passages concatenated in order."""
-        h_reads = matcher.encode_stack(ms, self.agg_read)
+        h_reads = matcher.encode_batch(ms, self.agg_read)
         return reader.span_distributions(
             h_reads, passage_ids,
             self.params["read_start.W"], self.params["read_start.b"], self.params["read_start.w"],
@@ -109,7 +109,7 @@ class RankReadModel:
 
     def read_each(self, ms, passage_ids):
         """One single-segment span distribution per passage (inference form)."""
-        h_reads = matcher.encode_stack(ms, self.agg_read)
+        h_reads = matcher.encode_batch(ms, self.agg_read)
         return [
             reader.span_distributions(
                 [h], [pid],

@@ -77,31 +77,40 @@ def span_loss(dist, label):
                  T.neg_log_softmax_pick(dist.end_logits, ge))
 
 
+def _log_softmax(logits):
+    a = logits.data[:, 0]
+    m = a.max()
+    return a - (m + np.log(np.exp(a - m).sum()))
+
+
 def extract_best_span(dist, max_len, restrict_to=None):
-    """Best (start, end) pair by p_start * p_end within one passage segment.
+    """Best (start, end) pair by log p_start + log p_end within one passage segment.
 
     Spans never cross segment boundaries and cover at most max_len tokens.
-    Ties break toward the smaller start, then the smaller end. Returns the
-    label and log(p_start) + log(p_end).
+    Scores come from the log-softmax of the logits, so a span keeps a finite
+    score when its probabilities underflow. Ties break toward the smaller
+    start, then the smaller end. Returns the label and the span's log-prob.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    ps = dist.start_probs.data[:, 0]
-    pe = dist.end_probs.data[:, 0]
-    best = None
-    best_score = -1.0
+    ls = _log_softmax(dist.start_logits)
+    le = _log_softmax(dist.end_logits)
+    best, best_score = None, -np.inf
     for seg in dist.segments:
         if restrict_to is not None and seg.passage_id != restrict_to:
             continue
-        lo, hi = seg.offset, seg.offset + seg.length
-        for i in range(lo, hi):
-            for j in range(i, min(i + max_len, hi)):
-                score = ps[i] * pe[j]
-                if score > best_score:
-                    best_score = score
-                    best = (seg, i, j)
+        lo, length = seg.offset, seg.length
+        width = min(max_len, length)
+        # scores[i, k] is the span starting at token i and ending at i + k
+        ends = np.arange(length)[:, None] + np.arange(width)[None, :]
+        inside = ends < length
+        scores = ls[lo:lo + length, None] + le[lo + np.minimum(ends, length - 1)]
+        scores[~inside] = -np.inf
+        flat = int(scores.argmax())  # row-major: first hit has the smallest start, then end
+        if best is None or scores.flat[flat] > best_score:
+            i, k = divmod(flat, width)
+            best, best_score = (seg, i, i + k), float(scores.flat[flat])
     if best is None:
         raise ValueError("extract_best_span: no candidate span")
     seg, i, j = best
-    label = SpanLabel(seg.passage_id, i - seg.offset, j - seg.offset)
-    return label, float(np.log(ps[i]) + np.log(pe[j]))
+    return SpanLabel(seg.passage_id, i, j), best_score

@@ -285,20 +285,6 @@ def concat_rows(tensors):
     return out
 
 
-def permute_cols(a, perm):
-    """Reorder columns by an index permutation (no duplicates)."""
-    perm = np.asarray(perm, dtype=np.intp)
-    if perm.shape != (a.data.shape[1],):
-        raise ShapeError(f"permute_cols: permutation of length {perm.shape} does not fit {a.data.shape}")
-    out = Tensor._node(a.data[:, perm], (a,))
-    if out.requires_grad:
-        def bw(g):
-            _ensure_grad(a)
-            a.grad[:, perm] += g
-        out._backward = bw
-    return out
-
-
 def slice_cols(a, j0, j1):
     out = Tensor._node(a.data[:, j0:j1].copy(), (a,))
     if out.requires_grad:
@@ -367,75 +353,77 @@ def neg_log_softmax_pick(a, k):
 def lstm(pre, U, n, reverse=False):
     """One LSTM direction over n equal-length sequences, as a single tape node.
 
-    pre is the (4h, steps*n) time-major input projection W x + b: column
-    t*n + j holds sequence j at step t. U is the (4h, h) recurrent matrix and
-    gate rows are [i, f, o, g]. Returns the (h, steps*n) hidden states in the
-    same column order; reverse runs from the last step to the first. The
-    forward matches the per-step composition of matmul, add, sigmoid, tanh and
-    mul bit for bit; the backward is hand-written BPTT.
+    pre is the (4h, n*steps) input projection W x + b with the sequences side
+    by side: column j*steps + t holds sequence j at step t. U is the (4h, h)
+    recurrent matrix and gate rows are [i, f, o, g]. Returns the (h, n*steps)
+    hidden states in the same column order; reverse runs each sequence from
+    its last step to its first. The step loop works on (rows, n, steps) views.
+    The forward matches the per-step composition of matmul, add, sigmoid, tanh
+    and mul bit for bit; the backward is hand-written BPTT.
     """
     h = U.data.shape[1]
     rows, cols = pre.data.shape
     if U.data.shape != (4 * h, h) or rows != 4 * h:
         raise ShapeError(f"lstm: input {pre.data.shape} and recurrent {U.data.shape} "
-                         "need shapes (4h, steps*n) and (4h, h)")
+                         "need shapes (4h, n*steps) and (4h, h)")
     if n < 1 or cols % n:
-        raise ShapeError(f"lstm: {cols} columns do not split into sequences of width {n}")
+        raise ShapeError(f"lstm: {cols} columns do not split into {n} equal-length sequences")
     steps = cols // n
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    acts = np.empty((4 * h, cols))  # gate activations i, f, o, g
-    cells = np.empty((h, cols))
-    tanh_c = np.empty((h, cols))
-    hs = np.empty((h, cols))
+    pre3 = pre.data.reshape(rows, n, steps)
+    acts = np.empty((4 * h, n, steps))  # gate activations i, f, o, g
+    cells = np.empty((h, n, steps))
+    tanh_c = np.empty((h, n, steps))
+    hs = np.empty((h, n, steps))
     h_t = np.zeros((h, n))
     c_t = np.zeros((h, n))
     for t in order:
-        s = slice(t * n, (t + 1) * n)
-        z = pre.data[:, s] + U.data @ h_t
+        z = pre3[:, :, t] + U.data @ h_t
         a = np.empty_like(z)
         a[:3 * h] = _sigmoid(z[:3 * h])
         a[3 * h:] = np.tanh(z[3 * h:])
         c_t = a[h:2 * h] * c_t + a[:h] * a[3 * h:]
         tc = np.tanh(c_t)
         h_t = a[2 * h:3 * h] * tc
-        acts[:, s] = a
-        cells[:, s] = c_t
-        tanh_c[:, s] = tc
-        hs[:, s] = h_t
-    out = Tensor._node(hs, (pre, U))
+        acts[:, :, t] = a
+        cells[:, :, t] = c_t
+        tanh_c[:, :, t] = tc
+        hs[:, :, t] = h_t
+    out = Tensor._node(hs.reshape(h, cols), (pre, U))
     if out.requires_grad:
         def bw(g):
             # state entering each step: the neighbouring step's, zero at the start
             h_in = np.zeros_like(hs)
             c_in = np.zeros_like(cells)
             if reverse:
-                h_in[:, :-n] = hs[:, n:]
-                c_in[:, :-n] = cells[:, n:]
+                h_in[:, :, :-1] = hs[:, :, 1:]
+                c_in[:, :, :-1] = cells[:, :, 1:]
             else:
-                h_in[:, n:] = hs[:, :-n]
-                c_in[:, n:] = cells[:, :-n]
+                h_in[:, :, 1:] = hs[:, :, :-1]
+                c_in[:, :, 1:] = cells[:, :, :-1]
             i, f, o, gg = acts[:h], acts[h:2 * h], acts[2 * h:3 * h], acts[3 * h:]
             # dz = factor * (dc for rows i, f, g; dh for rows o)
             factor = np.concatenate((gg * i * (1.0 - i), c_in * f * (1.0 - f),
                                      tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)))
             dc_dh = o * (1.0 - tanh_c * tanh_c)
+            g3 = g.reshape(h, n, steps)
             dpre = np.empty_like(acts)
             dh_next = np.zeros((h, n))
             dc_next = np.zeros((h, n))
             for t in reversed(order):
-                s = slice(t * n, (t + 1) * n)
-                dh = g[:, s] + dh_next
-                dc = dh * dc_dh[:, s] + dc_next
-                dz = factor[:, s] * np.concatenate((dc, dc, dh, dc))
-                dpre[:, s] = dz
-                dc_next = dc * f[:, s]
+                dh = g3[:, :, t] + dh_next
+                dc = dh * dc_dh[:, :, t] + dc_next
+                dz = factor[:, :, t] * np.concatenate((dc, dc, dh, dc))
+                dpre[:, :, t] = dz
+                dc_next = dc * f[:, :, t]
                 dh_next = U.data.T @ dz
+            dpre = dpre.reshape(rows, cols)
             if pre.requires_grad:
                 _ensure_grad(pre)
                 pre.grad += dpre
             if U.requires_grad:
                 _ensure_grad(U)
-                U.grad += dpre @ h_in.T
+                U.grad += dpre @ h_in.reshape(h, cols).T
         out._backward = bw
     return out
 
@@ -454,7 +442,6 @@ OPS = {
     "transpose": transpose,
     "concat_cols": concat_cols,
     "concat_rows": concat_rows,
-    "permute_cols": permute_cols,
     "slice_cols": slice_cols,
     "slice_rows": slice_rows,
     "row_max": row_max,

@@ -62,8 +62,6 @@ def _random_conforming(rng, op_name):
         else:
             parts = [tensor(int(rng.integers(1, 4)), c) for _ in range(n)]
         return (parts,), {}
-    if op_name == "permute_cols":
-        return (tensor(r, c),), {"perm": rng.permutation(c)}
     if op_name == "slice_cols":
         j0 = int(rng.integers(0, c))
         return (tensor(r, c),), {"j0": j0, "j1": int(rng.integers(j0 + 1, c + 1))}

@@ -188,6 +188,15 @@ def test_checkpoint_with_unknown_config_key_is_one_line_error(workdir, tmp_path,
     assert line.startswith(f"error: {bad}: ") and "not_a_key" in line
 
 
+def test_config_parse_error_names_file_and_line(workdir, tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# model\nembed_dim=8\nhidden_size=abc\n")
+    assert main(["train", "--config", str(bad), "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(workdir["train"]), "--out", str(tmp_path / "m.json")]) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}:3: hidden_size: ") and "'abc'" in line
+
+
 def test_retrieved_line_without_ir_score_is_one_line_error(workdir, tmp_path, capsys):
     lines = workdir["retrieved_test"].read_text().splitlines()
     rec = json.loads(lines[1])

@@ -38,6 +38,8 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("hidden_size", 7, "even"),
     ("mode", "reinforce", "mode"),
     ("train_sample_k", 2, "min_negatives"),
+    ("reader_layers", 0, "at least 1"),
+    ("ranker_layers", 0, "at least 1"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):

@@ -10,8 +10,14 @@ def make_bilstm(seed, in_dim, out_dim, scale=0.2):
     return matcher.init_bilstm(rng, in_dim, out_dim, {}, "enc", init_scale=scale)
 
 
+def make_stack(seed, in_dim, out_dim, depth):
+    rng = np.random.default_rng(seed)
+    return [matcher.init_bilstm(rng, in_dim if k == 0 else out_dim, out_dim, {}, f"agg.{k}", 0.5)
+            for k in range(depth)]
+
+
 def encode(seq, params):
-    return matcher.encode_batch([seq], params)[0]
+    return matcher.encode_batch([seq], [params])[0]
 
 
 def test_output_dim_must_be_even():
@@ -59,7 +65,7 @@ def test_batched_encode_matches_sequential():
     p = make_bilstm(4, 3, 6)
     rng = np.random.default_rng(3)
     seqs = [T.Tensor(rng.normal(size=(3, t))) for t in (4, 7, 4, 2, 7, 7)]
-    batched = matcher.encode_batch(seqs, p)
+    batched = matcher.encode_batch(seqs, [p])
     for s, b in zip(seqs, batched):
         single = encode(T.Tensor(s.data.copy()), p)
         assert np.allclose(b.data, single.data, atol=1e-12)
@@ -78,7 +84,7 @@ def test_batched_encode_gradients_match_sequential():
         T.backward(loss)
         return [q.grad.copy() for q in params]
 
-    g_batched = loss_from(lambda: matcher.encode_batch([T.Tensor(d) for d in data], p))
+    g_batched = loss_from(lambda: matcher.encode_batch([T.Tensor(d) for d in data], [p]))
     g_single = loss_from(lambda: [encode(T.Tensor(d), p) for d in data])
     for a, b in zip(g_batched, g_single):
         assert np.allclose(a, b, atol=1e-12)
@@ -103,27 +109,29 @@ def _lstm_steps(direction, blocks, n):
     return outs
 
 
-def _reference_direction(direction, seq_tm, n, reverse):
-    steps = seq_tm.data.shape[1] // n
-    pre = T.add_col(T.matmul(direction.W, seq_tm), direction.b)
-    blocks = [T.slice_cols(pre, t * n, (t + 1) * n) for t in range(steps)]
+def _reference_direction(direction, x, n, reverse):
+    """One direction over n same-length sequences side by side (column
+    j*steps + t is sequence j at step t), through the composite path."""
+    steps = x.data.shape[1] // n
+    pre = T.add_col(T.matmul(direction.W, x), direction.b)
+    blocks = [T.concat_cols([T.slice_cols(pre, j * steps + t, j * steps + t + 1) for j in range(n)])
+              for t in range(steps)]
     if reverse:
         blocks.reverse()
     outs = _lstm_steps(direction, blocks, n)
     if reverse:
         outs.reverse()
-    return T.concat_cols(outs)
+    return T.concat_cols([T.slice_cols(outs[t], j, j + 1) for j in range(n) for t in range(steps)])
 
 
-def _reference_encode_batch(seqs, params):
+def _reference_encode_batch(seqs, layers):
     """encode_batch for n same-length sequences through the composite path."""
     n, steps = len(seqs), seqs[0].data.shape[1]
-    perm = matcher._time_major_perm(steps, n)
-    seq_tm = T.permute_cols(T.concat_cols(seqs), perm)
-    out_tm = T.concat_rows([_reference_direction(params.fwd, seq_tm, n, False),
-                            _reference_direction(params.bwd, seq_tm, n, True)])
-    out_pm = T.permute_cols(out_tm, np.argsort(perm, kind="stable"))
-    return [T.slice_cols(out_pm, k * steps, (k + 1) * steps) for k in range(n)]
+    x = T.concat_cols(seqs)
+    for p in layers:
+        x = T.concat_rows([_reference_direction(p.fwd, x, n, False),
+                           _reference_direction(p.bwd, x, n, True)])
+    return [T.slice_cols(x, k * steps, (k + 1) * steps) for k in range(n)]
 
 
 def _bilstm_params(p):
@@ -133,9 +141,10 @@ def _bilstm_params(p):
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("steps", [1, 4])
 def test_fused_encode_matches_composite_reference(n, steps):
-    # forward bit for bit; gradients to 1e-10 (BPTT sums in another order)
-    p = make_bilstm(20 + n + steps, 3, 6, scale=0.5)
-    params = _bilstm_params(p)
+    # a two-layer stack: forward bit for bit; gradients to 1e-10 (BPTT sums
+    # in another order)
+    layers = make_stack(20 + n + steps, 3, 6, 2)
+    params = [q for p in layers for q in _bilstm_params(p)]
     rng = np.random.default_rng(30 + n * steps)
     data = [rng.normal(size=(3, steps)) for _ in range(n)]
     weights = rng.normal(size=(6, steps * n))
@@ -143,7 +152,7 @@ def test_fused_encode_matches_composite_reference(n, steps):
     def run(encoder):
         T.zero_grads(params)
         seqs = [T.Tensor(d, requires_grad=True) for d in data]
-        outs = encoder(seqs, p)
+        outs = encoder(seqs, layers)
         T.backward(T.sum_all(T.mul(T.tanh(T.concat_cols(outs)), T.Tensor(weights))))
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
@@ -161,7 +170,7 @@ def test_fused_direction_matches_composite_reference(reverse):
     d = p.fwd
     n, steps = 3, 4
     rng = np.random.default_rng(41)
-    seq_tm = T.Tensor(rng.normal(size=(2, steps * n)))
+    x = T.Tensor(rng.normal(size=(2, steps * n)))
     weights = T.Tensor(rng.normal(size=(4, steps * n)))
 
     def run(direction_fn):
@@ -170,11 +179,44 @@ def test_fused_direction_matches_composite_reference(reverse):
         T.backward(T.sum_all(T.mul(out, weights)))
         return out.data, [d.W.grad.copy(), d.U.grad.copy(), d.b.grad.copy()]
 
-    fused, g_fused = run(lambda: T.lstm(T.add_col(T.matmul(d.W, seq_tm), d.b), d.U, n, reverse))
-    ref, g_ref = run(lambda: _reference_direction(d, seq_tm, n, reverse))
+    fused, g_fused = run(lambda: T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, n, reverse))
+    ref, g_ref = run(lambda: _reference_direction(d, x, n, reverse))
     assert np.array_equal(fused, ref)
     for a, b in zip(g_fused, g_ref):
         assert np.abs(a - b).max() < 1e-10
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+def test_stack_over_ragged_batch_matches_each_sequence_alone(depth):
+    # one pass of the whole stack per length group equals running every
+    # sequence through the stack on its own. Not bit for bit: BLAS multiplies
+    # a single column (gemv) and several columns (gemm) with different
+    # rounding, which moves outputs by a few 1e-18 here.
+    layers = make_stack(50 + depth, 3, 4, depth)
+    params = [q for p in layers for q in _bilstm_params(p)]
+    rng = np.random.default_rng(60 + depth)
+    data = [rng.normal(size=(3, t)) for t in (4, 1, 4, 6, 1, 4, 2)]
+    weights = [rng.normal(size=(4, d.shape[1])) for d in data]
+
+    def run(encoder):
+        T.zero_grads(params)
+        seqs = [T.Tensor(d, requires_grad=True) for d in data]
+        outs = encoder(seqs)
+        loss = T.sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w)) for o, w in zip(outs, weights)]))
+        T.backward(loss)
+        return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
+
+    batched_out, batched_grads = run(lambda seqs: matcher.encode_batch(seqs, layers))
+    alone_out, alone_grads = run(lambda seqs: [matcher.encode_batch([s], layers)[0] for s in seqs])
+    for a, b in zip(batched_out, alone_out):
+        assert np.abs(a - b).max() < 1e-15
+    for a, b in zip(batched_grads, alone_grads):
+        assert np.abs(a - b).max() < 1e-12
+
+
+def test_encode_rejects_wrong_input_rows():
+    with pytest.raises(T.ShapeError, match="expects 3"):
+        matcher.encode_batch([T.Tensor(np.zeros((2, 4)))], make_stack(72, 3, 4, 2))
 
 
 def test_attend_single_question_word_gives_all_ones():
@@ -252,7 +294,7 @@ def test_match_zero_weights_give_zero():
 def test_aggregate_one_layer_equals_single_encode():
     p = make_bilstm(10, 6, 4)
     m = T.Tensor(np.random.default_rng(10).normal(size=(6, 5)))
-    assert np.allclose(matcher.encode_stack([m], [p])[0].data, encode(m, p).data, atol=1e-14)
+    assert np.array_equal(encode(m, p).data, _reference_encode_batch([m], [p])[0].data)
 
 
 def test_fd_through_attend_match_aggregate():
@@ -272,7 +314,7 @@ def test_fd_through_attend_match_aggregate():
         h_p = encode(p_emb, enc)
         g = matcher.attend(h_q, h_p, registry["wg"], registry["bg"])
         m = matcher.match(h_p, h_q, g, registry["wm"])
-        h = matcher.encode_stack([m], [agg])[0]
+        h = encode(m, agg)
         return T.sum_all(T.tanh(h))
 
     assert T.fd_check(build, list(registry.values())) < 1e-4

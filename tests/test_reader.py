@@ -170,3 +170,18 @@ def test_exp_of_loss_at_argmax_equals_span_probability():
         label, logp = reader.extract_best_span(dist, 4)
         loss = reader.span_loss(dist, label)
         assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
+
+
+def test_extract_scores_in_log_space_when_probabilities_underflow():
+    # p_start * p_end underflows to 0 for every span, so a product score
+    # cannot tell the spans apart; the log-space score still finds (4, 4)
+    sl = np.zeros((6, 1))
+    el = np.zeros((6, 1))
+    sl[4, 0] = 1001.0
+    el[1, 0] = 1000.0
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el),
+                                   T.softmax_cols(T.Tensor(sl)), T.softmax_cols(T.Tensor(el)),
+                                   [reader.Segment("p", 0, 6)])
+    label, logp = reader.extract_best_span(dist, 3)
+    assert (label.start, label.end) == (4, 4)
+    assert logp == pytest.approx(-1000.0, abs=1e-9)

@@ -141,7 +141,7 @@ def test_fd_binary_and_structural_ops():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_fd_lstm(reverse):
-    # pre is (4h, steps*n) and U is (4h, h): h=2, three steps of two sequences,
+    # pre is (4h, n*steps) and U is (4h, h): h=2, two sequences of three steps,
     # then four steps of one
     assert _fd_single_op(T.lstm, (8, 6), (8, 2), n=2, reverse=reverse) < 1e-4
     assert _fd_single_op(T.lstm, (8, 4), (8, 2), n=1, reverse=reverse) < 1e-4
@@ -150,7 +150,7 @@ def test_fd_lstm(reverse):
 def test_lstm_rejects_bad_shapes():
     with pytest.raises(T.ShapeError, match="lstm"):
         T.lstm(rand_tensor(6, 4), rand_tensor(8, 2), 2)
-    with pytest.raises(T.ShapeError, match="width 3"):
+    with pytest.raises(T.ShapeError, match="into 3 equal-length"):
         T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), 3)
 
 
