@@ -36,21 +36,19 @@ def load_dataset(path):
     return records
 
 
-def _config_from_args(args):
-    base = Config.from_file(args.config) if getattr(args, "config", None) else Config()
-    overrides = {}
-    for field in fields(Config):
-        if hasattr(args, field.name):
-            overrides[field.name] = getattr(args, field.name)
-    return base.with_overrides(overrides)
+def _config_from_args(args, base=None):
+    """base (default: the --config file, else Config()) with the flags that
+    _add_config_flags registered; retrieve's --mode never reaches Config.mode."""
+    if base is None:
+        base = Config.from_file(args.config) if getattr(args, "config", None) else Config()
+    return base.with_overrides({name: getattr(args, name) for name in args.config_fields})
 
 
-def _add_config_flags(parser):
-    for field in fields(Config):
-        flag = "--" + field.name.replace("_", "-")
-        typ = {int: int, float: float, str: str}.get(field.type, str)
-        parser.add_argument(flag, type=typ, default=None, help=f"override config {field.name}")
-    parser.add_argument("--config", default=None, help="config file (key=value lines)")
+def _add_config_flags(parser, names=tuple(field.name for field in fields(Config)), cls=Config):
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=cls.__annotations__[name],
+                            default=None, help=f"override {cls.__name__} {name}")
+    parser.set_defaults(config_fields=names)
 
 
 def _vocabulary(dataset, retrieved_sets):
@@ -110,14 +108,13 @@ def cmd_build_index(args):
 
 
 def cmd_retrieve(args):
+    config = _config_from_args(args)
     index = retrieval.load_index(args.index)
     dataset = load_dataset(args.dataset)
     train = args.mode == "train"
     sets = []
     empty = 0
-    for rec in dataset:
-        rs = retrieval.retrieve(index, rec["id"], rec["question"], rec["answers"],
-                                n=args.n, top_a=args.top_a, top_s=args.top_s, train=train)
+    for rs in retrieval.retrieve_all(index, dataset, config, train):
         if not rs.passages:
             empty += 1
             if train:
@@ -140,14 +137,17 @@ def cmd_train(args):
         raise ValueError("no trainable questions (none has a positive passage)")
     table = _make_table(config, dataset, retrieved_sets)
     model = RankReadModel(config, seed=config.seed)
-    trainer = trainer_mod.Trainer(model, table, config, seed=config.seed)
     if args.init:
-        trainer_mod.pretrain_init(model, args.init, trainer.optimizer)
-    elif config.mode == "r3":
-        log.info("no init checkpoint: pretraining %d epochs first", config.pretrain_epochs)
-        trainer.train(examples, "sr2", config.pretrain_epochs)
-        trainer.optimizer.reset()
-    trainer.train(examples, config.mode, config.epochs)
+        trainer_mod.pretrain_init(model, args.init)
+    if config.mode == "r3":
+        sr2_epochs = 0 if args.init else config.pretrain_epochs
+        if sr2_epochs:
+            log.info("no init checkpoint: pretraining %d epochs first", sr2_epochs)
+        _, trainer = trainer_mod.train_sr2_then_r3(
+            model, table, config, examples, config.seed, sr2_epochs, config.epochs)
+    else:
+        trainer = trainer_mod.Trainer(model, table, config, seed=config.seed)
+        trainer.train(examples, config.mode, config.epochs)
     extra = {"mode": config.mode, "config": asdict(config),
              "table": _table_payload(config, table)}
     T.save_checkpoint(args.out, model.parameters(), optimizer=trainer.optimizer, extra=extra)
@@ -165,10 +165,11 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model, table, config = _load_model(args.checkpoint)
+    config = _config_from_args(args, config)
     dataset = load_dataset(args.dataset)
     retrieved_sets = retrieval.load_retrieved(args.retrieved)
     report = evaluation.evaluate(model, table, dataset, retrieved_sets,
-                                 max_span_len=args.max_span_len)
+                                 max_span_len=config.max_span_len)
     with atomic_write(args.out) as f:
         json.dump(report, f, indent=1)
     print(f"evaluated {report['count']} questions: "
@@ -178,11 +179,12 @@ def cmd_evaluate(args):
 
 def cmd_analyze(args):
     model, table, config = _load_model(args.checkpoint)
+    config = _config_from_args(args, config)
     dataset = load_dataset(args.dataset)
     retrieved_sets = retrieval.load_retrieved(args.retrieved)
     ks = [int(k) for k in args.k.split(",")]
     out = evaluation.analyze(model, table, dataset, retrieved_sets, ks,
-                             args.max_span_len, oracle=args.oracle)
+                             config.max_span_len, oracle=args.oracle)
     with atomic_write(args.out) as f:
         json.dump(out, f, indent=1)
     for k in ks:
@@ -192,10 +194,8 @@ def cmd_analyze(args):
 
 
 def cmd_synth(args):
-    spec = SyntheticSpec(entities=args.entities, relations=args.relations,
-                         train_questions=args.train_questions,
-                         test_questions=args.test_questions,
-                         strong_decoy_rate=args.strong_decoy_rate, seed=args.seed)
+    spec = SyntheticSpec(**{name: getattr(args, name) for name in args.config_fields
+                            if getattr(args, name) is not None})
     docs, train_records, test_records, vocab = generate(spec)
     retrieval.save_corpus(docs, args.out_corpus)
     for path, records in ((args.out_train, train_records), (args.out_test, test_records)):
@@ -222,9 +222,7 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["train", "test"], default="test")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--top-a", type=int, default=20)
-    p.add_argument("--top-s", type=int, default=50)
+    _add_config_flags(p, ["retrieve_n", "top_a", "top_s"])
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("train", help="train sr, sr2 or r3 on retrieved passages")
@@ -233,6 +231,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="write per-step JSONL records here")
     p.add_argument("--init", default=None, help="checkpoint to initialize from")
+    p.add_argument("--config", default=None, help="config file (key=value lines)")
     _add_config_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -241,7 +240,7 @@ def build_parser():
     p.add_argument("--retrieved", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--max-span-len", type=int, default=15)
+    _add_config_flags(p, ["max_span_len"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("analyze", help="top-k recall and oracle re-ranking ceiling")
@@ -251,19 +250,15 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--k", default="1,3,5")
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--max-span-len", type=int, default=15)
+    _add_config_flags(p, ["max_span_len"])
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("synth", help="generate the synthetic corpus and datasets")
     p.add_argument("--out-corpus", required=True)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
-    p.add_argument("--entities", type=int, default=40)
-    p.add_argument("--relations", type=int, default=10)
-    p.add_argument("--train-questions", type=int, default=300)
-    p.add_argument("--test-questions", type=int, default=100)
-    p.add_argument("--strong-decoy-rate", type=float, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, ["entities", "relations", "train_questions", "test_questions",
+                          "strong_decoy_rate", "seed"], SyntheticSpec)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -3,6 +3,7 @@
 from dataclasses import dataclass, fields, asdict
 
 from .files import atomic_write
+from .retrieval import BM25_B, BM25_K1
 
 
 @dataclass
@@ -12,24 +13,24 @@ class Config:
     embed_dim: int = 16
     reader_layers: int = 3
     ranker_layers: int = 1
-    dropout: float = 0.2
+    dropout: float = 0.15
     # training
     mode: str = "sr2"
-    learning_rate: float = 0.002
+    learning_rate: float = 0.01
     batch_size: int = 8
-    epochs: int = 3
-    pretrain_epochs: int = 2
+    epochs: int = 6
+    pretrain_epochs: int = 6   # sr2 epochs before r3 when no init checkpoint is given
     train_sample_k: int = 10
     min_negatives: int = 2
     kl_weight: float = 1.0
     grad_clip: float = 5.0
     seed: int = 0
     # retrieval
-    top_a: int = 20
-    top_s: int = 50
+    top_a: int = 10
+    top_s: int = 30
     retrieve_n: int = 10
-    bm25_k1: float = 1.2
-    bm25_b: float = 0.75
+    bm25_k1: float = BM25_K1
+    bm25_b: float = BM25_B
     # prediction
     max_span_len: int = 15
     # word vectors file; empty string means synthetic embeddings

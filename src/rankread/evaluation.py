@@ -192,11 +192,14 @@ def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15
             candidate_lists.append([])
             continue
         q_tokens = tokenize(rec["question"]).tokens
-        ranked = rank_passages(model, table, q_tokens, passages)
-        model_flags.append([p.positive for p in ranked])
         if oracle:
-            candidate_lists.append(
-                predict_candidates(model, table, q_tokens, passages, max_span_len))
+            candidates = predict_candidates(model, table, q_tokens, passages, max_span_len)
+            candidate_lists.append(candidates)
+            ranked = [passages[c.passage_id] for c in
+                      sorted(candidates, key=lambda c: (-c.policy_prob, c.ir_rank))]
+        else:
+            ranked = rank_passages(model, table, q_tokens, passages)
+        model_flags.append([p.positive for p in ranked])
     out = {"k": list(ks),
            "recall": {"ir": topk_recall(ir_flags, ks), "model": topk_recall(model_flags, ks)}}
     if oracle:

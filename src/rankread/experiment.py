@@ -17,8 +17,7 @@ DEFAULT_EPOCHS = {"sr": 6, "sr2": 6, "r3": 3}
 
 
 def default_config():
-    return Config(hidden_size=16, embed_dim=16, dropout=0.15, learning_rate=0.01,
-                  batch_size=8, epochs=6, top_a=10, top_s=30, retrieve_n=10)
+    return Config()
 
 
 def prepare_task(spec=None, config=None):
@@ -28,18 +27,8 @@ def prepare_task(spec=None, config=None):
     docs, train_records, test_records, vocab = generate(spec)
     index = retrieval.build_index(docs)
     table = synthetic_embeddings(vocab, config.embed_dim, seed=spec.seed)
-
-    def retrieve_all(records, train):
-        out = []
-        for rec in records:
-            out.append(retrieval.retrieve(
-                index, rec["id"], rec["question"], rec["answers"],
-                n=config.retrieve_n, top_a=config.top_a, top_s=config.top_s,
-                train=train, k1=config.bm25_k1, b=config.bm25_b))
-        return out
-
-    train_retrieved = retrieve_all(train_records, train=True)
-    test_retrieved = retrieve_all(test_records, train=False)
+    train_retrieved = retrieval.retrieve_all(index, train_records, config, train=True)
+    test_retrieved = retrieval.retrieve_all(index, test_records, config, train=False)
     examples, dropped = trainer_mod.build_examples(train_records, train_retrieved)
     return {
         "config": config,
@@ -54,44 +43,32 @@ def prepare_task(spec=None, config=None):
 
 
 def _evaluate(task, model):
-    cfg = task["config"]
     report = evaluation.evaluate(model, task["table"], task["test_records"],
-                                 task["test_retrieved"], cfg.max_span_len)
+                                 task["test_retrieved"], task["config"].max_span_len)
     return {"em": 100.0 * report["em"], "f1": 100.0 * report["f1"]}
 
 
 def _analyze(task, model, oracle=False):
-    cfg = task["config"]
-    return evaluation.analyze(model, task["table"], task["test_records"],
-                              task["test_retrieved"], (1, 3, 5), cfg.max_span_len, oracle)
+    return evaluation.analyze(model, task["table"], task["test_records"], task["test_retrieved"],
+                              (1, 3, 5), task["config"].max_span_len, oracle)
 
 
 def run_seed(task, seed, sr_epochs=None, sr2_epochs=None, r3_epochs=None):
     """Train SR, SR2 and R3 (initialized from the SR2 run) with one seed."""
-    cfg = task["config"]
     sr_epochs = DEFAULT_EPOCHS["sr"] if sr_epochs is None else sr_epochs
     sr2_epochs = DEFAULT_EPOCHS["sr2"] if sr2_epochs is None else sr2_epochs
     r3_epochs = DEFAULT_EPOCHS["r3"] if r3_epochs is None else r3_epochs
-    out = {"seed": seed}
-
-    model_sr = RankReadModel(cfg, seed=seed)
-    t_sr = trainer_mod.Trainer(model_sr, task["table"], cfg, seed=seed)
-    t_sr.train(task["examples"], "sr", sr_epochs)
-    out["sr"] = _evaluate(task, model_sr)
-
-    model_sr2 = RankReadModel(cfg, seed=seed)
-    t_sr2 = trainer_mod.Trainer(model_sr2, task["table"], cfg, seed=seed)
-    t_sr2.train(task["examples"], "sr2", sr2_epochs)
-    out["sr2"] = _evaluate(task, model_sr2)
-    out["sr2"]["recall"] = _analyze(task, model_sr2)["recall"]["model"]
-
-    model_r3 = RankReadModel(cfg, seed=seed)
-    model_r3.load_values(model_sr2.export_values())
-    t_r3 = trainer_mod.Trainer(model_r3, task["table"], cfg, seed=seed + 1000)
-    t_r3.train(task["examples"], "r3", r3_epochs)
-    out["r3"] = _evaluate(task, model_r3)
-    out["r3"]["recall"] = _analyze(task, model_r3)["recall"]["model"]
-    out["models"] = {"sr": model_sr, "sr2": model_sr2, "r3": model_r3}
+    cfg, table, examples = task["config"], task["table"], task["examples"]
+    models = {mode: RankReadModel(cfg, seed=seed) for mode in ("sr", "sr2", "r3")}
+    trainer_mod.Trainer(models["sr"], table, cfg, seed=seed).train(examples, "sr", sr_epochs)
+    sr2_values, _ = trainer_mod.train_sr2_then_r3(
+        models["r3"], table, cfg, examples, seed, sr2_epochs, r3_epochs)
+    models["sr2"].load_values(sr2_values)
+    out = {"seed": seed, "models": models}
+    for mode, model in models.items():
+        out[mode] = _evaluate(task, model)
+        if mode != "sr":
+            out[mode]["recall"] = _analyze(task, model)["recall"]["model"]
     return out
 
 

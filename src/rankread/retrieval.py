@@ -240,6 +240,13 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
     return RetrievedSet(question_id, passages)
 
 
+def retrieve_all(index, records, config, train):
+    """retrieve() for each {id, question, answers} record, with config's settings."""
+    return [retrieve(index, rec["id"], rec["question"], rec["answers"], n=config.retrieve_n,
+                     top_a=config.top_a, top_s=config.top_s, train=train,
+                     k1=config.bm25_k1, b=config.bm25_b) for rec in records]
+
+
 def save_retrieved(sets, path):
     with atomic_write(path) as f:
         for rs in sets:

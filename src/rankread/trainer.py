@@ -63,11 +63,11 @@ def localize_spans(passage_tokens, answer_token_lists):
     return sorted(set(spans))
 
 
-def build_examples(dataset, retrieved_sets, require_positive=True):
+def build_examples(dataset, retrieved_sets):
     """Join questions with their retrieved passages and localize answer spans.
 
-    Questions whose passages contain no answer occurrence are dropped (and
-    counted) when require_positive is set, as are questions with no passages.
+    Questions with no passages, or whose passages contain no answer
+    occurrence, are dropped and counted.
     """
     by_id = {rs.question_id: rs for rs in retrieved_sets}
     examples = []
@@ -84,7 +84,7 @@ def build_examples(dataset, retrieved_sets, require_positive=True):
             occ = localize_spans(toks, answer_tokens)
             if occ:
                 spans[i] = occ
-        if require_positive and not spans:
+        if not spans:
             dropped += 1
             continue
         examples.append(TrainingExample(
@@ -146,8 +146,8 @@ class Trainer:
     """Runs epochs over training examples in any of the three modes.
 
     One optimizer step per batch; gradients accumulate across the batch's
-    examples. The per-step log records are kept on .log and returned. A batch
-    whose gradient norm is not finite takes no step and logs no record; it is
+    examples. The per-step log records are kept on .log. A batch whose
+    gradient norm is not finite takes no step and logs no record; it is
     counted on .nonfinite_steps. .batches counts every batch train() ran,
     logged or not, and is the step index of the next one.
     """
@@ -276,5 +276,19 @@ class Trainer:
                 chunk = [examples[i] for i in order[lo:lo + batch]]
                 self._apply_batch(chunk, mode, self.batches)
                 self.batches += 1
-        return self.log
 
+
+def train_sr2_then_r3(model, table, config, examples, seed, sr2_epochs, r3_epochs):
+    """sr2 in a Trainer seeded `seed`, then r3 on the same model in a new Trainer
+    seeded `seed + 1000`: a fresh optimizer and an rng sr2 did not draw from, so
+    r3 after a checkpoint's sr2 weights with sr2_epochs=0 is the same run. The r3
+    trainer carries on the sr2 log, counters and step index; it is returned with
+    the sr2 weights."""
+    sr2 = Trainer(model, table, config, seed=seed)
+    sr2.train(examples, "sr2", sr2_epochs)
+    sr2_values = model.export_values()
+    r3 = Trainer(model, table, config, seed=seed + 1000)
+    r3.log, r3.skipped, r3.nonfinite_steps, r3.batches = (
+        sr2.log, sr2.skipped, sr2.nonfinite_steps, sr2.batches)
+    r3.train(examples, "r3", r3_epochs)
+    return sr2_values, r3

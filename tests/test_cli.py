@@ -1,8 +1,14 @@
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rankread.cli import main
+from rankread import retrieval
+from rankread import tensor as T
+from rankread.cli import build_parser, load_dataset, main
+from rankread.config import Config
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +35,7 @@ def workdir(tmp_path_factory):
         assert main(["retrieve", "--index", str(paths["index"]),
                      "--dataset", str(paths["train" if mode == "train" else "test"]),
                      "--out", str(paths[out]), "--mode", mode,
-                     "--n", "6", "--top-a", "8", "--top-s", "20"]) == 0
+                     "--retrieve-n", "6", "--top-a", "8", "--top-s", "20"]) == 0
     assert main(["train", "--retrieved", str(paths["retrieved_train"]),
                  "--dataset", str(paths["train"]), "--out", str(paths["ckpt"]),
                  "--log", str(paths["log"]), "--mode", "sr2", "--epochs", "1",
@@ -106,6 +112,30 @@ def test_train_r3_without_init_pretrains(workdir, tmp_path, caplog):
     assert any("pretraining" in m for m in caplog.messages)
 
 
+def test_r3_run_equals_sr2_checkpoint_then_r3_from_init(workdir, tmp_path):
+    common = ["--retrieved", str(workdir["retrieved_train"]), "--dataset", str(workdir["train"]),
+              "--hidden-size", "8", "--embed-dim", "8", "--dropout", "0.1",
+              "--train-sample-k", "6", "--seed", "5"]
+    paths = {name: tmp_path / f"{name}.json" for name in ("sr2", "r3_init", "r3")}
+    logs = {name: tmp_path / f"{name}.jsonl" for name in paths}
+    assert main(["train", *common, "--mode", "sr2", "--epochs", "2",
+                 "--out", str(paths["sr2"]), "--log", str(logs["sr2"])]) == 0
+    assert main(["train", *common, "--mode", "r3", "--epochs", "1", "--init", str(paths["sr2"]),
+                 "--out", str(paths["r3_init"]), "--log", str(logs["r3_init"])]) == 0
+    assert main(["train", *common, "--mode", "r3", "--epochs", "1", "--pretrain-epochs", "2",
+                 "--out", str(paths["r3"]), "--log", str(logs["r3"])]) == 0
+    sr2, r3_init, r3 = (T.load_checkpoint(paths[name])[0] for name in ("sr2", "r3_init", "r3"))
+    assert r3.keys() == r3_init.keys()
+    assert all(np.array_equal(r3[name], r3_init[name]) for name in r3)
+    assert not all(np.array_equal(r3[name], sr2[name]) for name in r3)
+    # one log across the hand-off: the r3 steps number on from the sr2 steps
+    records = {name: [json.loads(l) for l in path.read_text().splitlines()]
+               for name, path in logs.items()}
+    first_r3 = len(records["sr2"])
+    assert records["r3"] == records["sr2"] + [dict(rec, step=rec["step"] + first_r3)
+                                              for rec in records["r3_init"]]
+
+
 def test_train_r3_with_init_checkpoint(workdir, tmp_path):
     log = tmp_path / "r3_log.jsonl"
     assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
@@ -151,6 +181,51 @@ def test_evaluate_and_analyze(workdir, tmp_path):
         vals = [analysis["recall"][source][str(k)] for k in (1, 3, 5)]
         assert vals[0] <= vals[1] <= vals[2]
     assert all(str(k) in analysis["oracle"] for k in (1, 3, 5))
+
+
+def test_evaluate_defaults_to_the_checkpoint_max_span_len(workdir, tmp_path):
+    # an untrained model's best spans run long, so the limit shows
+    ckpt = tmp_path / "short.json"
+    assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(workdir["train"]), "--out", str(ckpt),
+                 "--mode", "sr2", "--epochs", "0", "--max-span-len", "2",
+                 "--hidden-size", "8", "--embed-dim", "8", "--seed", "4"]) == 0
+
+    def longest_prediction(*flags):
+        report_path = tmp_path / "report.json"
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--retrieved", str(workdir["retrieved_test"]),
+                     "--dataset", str(workdir["test"]), "--out", str(report_path), *flags]) == 0
+        records = json.loads(report_path.read_text())["records"]
+        return max(len(r["prediction"].split()) for r in records)
+
+    assert longest_prediction() <= 2
+    assert longest_prediction("--max-span-len", "15") > 2
+
+
+def test_retrieve_defaults_are_the_config_defaults(workdir, tmp_path):
+    out = tmp_path / "retrieved.jsonl"
+    assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(workdir["test"]),
+                 "--out", str(out)]) == 0
+    index = retrieval.load_index(workdir["index"])
+    cfg = Config()
+    expected = [retrieval.retrieve(index, rec["id"], rec["question"], rec["answers"],
+                                   n=cfg.retrieve_n, top_a=cfg.top_a, top_s=cfg.top_s,
+                                   k1=cfg.bm25_k1, b=cfg.bm25_b)
+                for rec in load_dataset(workdir["test"])]
+    assert retrieval.load_retrieved(out) == expected
+
+
+def test_readme_cli_commands_parse():
+    # every command of README's CLI block, with its \ continuations joined
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = [line.strip() for line in block.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("rankread ")]
+    assert len(commands) == 7
+    for command in commands:
+        argv = shlex.split(command)[1:]
+        assert build_parser().parse_args(argv).command == argv[0]
 
 
 def test_evaluate_missing_checkpoint_fails(tmp_path, workdir, capsys):

@@ -62,3 +62,8 @@ def test_every_config_field_is_read():
     unread = [f.name for f in fields(Config)
               if not re.search(rf"\.{f.name}\b", sources)]
     assert unread == []
+
+
+def test_experiment_runs_on_the_config_defaults():
+    from rankread.experiment import default_config
+    assert default_config() == Config()

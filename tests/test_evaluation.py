@@ -216,3 +216,27 @@ def test_experiment_ir_recall_is_the_ir_order_over_every_test_question():
     assert len(task["test_retrieved"]) == len(task["test_records"])
     flags = [[p.positive for p in rs.passages] for rs in task["test_retrieved"]]
     assert result["summary"]["ir_recall"] == E.topk_recall(flags, (1, 3, 5))
+
+
+def test_analyze_oracle_takes_the_rank_passages_order_from_its_candidates(example):
+    from dataclasses import replace
+    from rankread.retrieval import RetrievedSet
+
+    # one question per passage, with only that passage positive: recall at
+    # k = 1..4 then pins the position of every passage in the model's order
+    ks = (1, 2, 3, 4)
+    dataset, retrieved = [], []
+    for i in range(len(example.passages)):
+        dataset.append({"id": f"q{i}", "question": TOY_QUESTION, "answers": ["blue"]})
+        retrieved.append(RetrievedSet(f"q{i}", [replace(p, positive=j == i)
+                                                for j, p in enumerate(example.passages)]))
+    for seed in (0, 1, 2):
+        trainer = toy_trainer(seed=seed)
+        trainer.train([example], "sr2", epochs=1)
+        model, table = trainer.model, trainer.table
+        ranked = [E.rank_passages(model, table, tokenize(TOY_QUESTION).tokens, rs.passages)
+                  for rs in retrieved]
+        expected = E.topk_recall([[p.positive for p in order] for order in ranked], ks)
+        for oracle in (True, False):
+            out = E.analyze(model, table, dataset, retrieved, ks, oracle=oracle)
+            assert out["recall"]["model"] == expected, (seed, oracle)

@@ -333,3 +333,25 @@ def test_pretrain_init_rejects_shape_mismatch(tmp_path):
     target = toy_trainer(seed=16, hidden_size=8)
     with pytest.raises(T.ShapeError, match="enc"):
         trainer_mod.pretrain_init(target.model, path)
+
+
+def test_sr2_then_r3_hands_off_to_a_fresh_trainer(example):
+    # the hand-off equals sr2 in Trainer(seed), then r3 from a copy of those
+    # weights in a new Trainer(seed + 1000), as the experiment defines it
+    seed = 4
+    pipeline = toy_trainer(seed=seed, dropout=0.2)
+    sr2_values, r3 = trainer_mod.train_sr2_then_r3(
+        pipeline.model, pipeline.table, pipeline.config, [example], seed, 2, 3)
+
+    sr2 = toy_trainer(seed=seed, dropout=0.2)
+    sr2.train([example], "sr2", epochs=2)
+    copy = toy_trainer(seed=seed + 1000, dropout=0.2)
+    copy.model.load_values(sr2.model.export_values())
+    copy.train([example], "r3", epochs=3)
+
+    for name, p in sr2.model.parameters().items():
+        assert np.array_equal(sr2_values[name], p.data), name
+    for name, p in copy.model.parameters().items():
+        assert np.array_equal(r3.model.parameters()[name].data, p.data), name
+    assert r3.log == [dict(rec, step=i) for i, rec in enumerate(sr2.log + copy.log)]
+    assert r3.batches == 5 and r3.optimizer.t == 3
