@@ -37,10 +37,7 @@ def main(argv=None):
     print(f"\nelapsed: {s['elapsed_seconds']:.0f}s over seeds {list(seeds)}")
 
     if args.out:
-        payload = {"summary": {k: v for k, v in s.items()},
-                   "oracle": result["oracle"],
-                   "per_seed": [{k: v for k, v in r.items() if k != "models"}
-                                for r in result["per_seed"]]}
+        payload = {"summary": s, "oracle": result["oracle"], "per_seed": result["per_seed"]}
         with atomic_write(args.out) as f:
             json.dump(payload, f, indent=1)
         print(f"summary written to {args.out}")

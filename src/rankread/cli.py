@@ -86,15 +86,17 @@ def _table_from_payload(payload):
 
 def _load_model(checkpoint_path):
     values, _, extra = T.load_checkpoint(checkpoint_path)
-    if not extra or "config" not in extra or "table" not in extra:
+    if not isinstance(extra, dict) or "config" not in extra or "table" not in extra:
         raise ValueError(f"{checkpoint_path}: checkpoint lacks config/table metadata")
     try:
         config = Config().with_overrides(extra["config"])
-    except ValueError as exc:
-        raise ValueError(f"{checkpoint_path}: checkpoint config: {exc}") from None
+        table = _table_from_payload(extra["table"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{checkpoint_path}: checkpoint metadata: "
+                         f"{type(exc).__name__}: {exc}") from None
     model = RankReadModel(config, seed=config.seed)
     model.load_values(values)
-    return model, _table_from_payload(extra["table"]), config
+    return model, table, config
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -150,7 +152,7 @@ def cmd_train(args):
         trainer.train(examples, config.mode, config.epochs)
     extra = {"mode": config.mode, "config": asdict(config),
              "table": _table_payload(config, table)}
-    T.save_checkpoint(args.out, model.parameters(), optimizer=trainer.optimizer, extra=extra)
+    T.save_checkpoint(args.out, model.parameters(), extra=extra)
     if args.log:
         with atomic_write(args.log) as f:
             for record in trainer.log:
@@ -183,8 +185,7 @@ def cmd_analyze(args):
     dataset = load_dataset(args.dataset)
     retrieved_sets = retrieval.load_retrieved(args.retrieved)
     ks = [int(k) for k in args.k.split(",")]
-    out = evaluation.analyze(model, table, dataset, retrieved_sets, ks,
-                             config.max_span_len, oracle=args.oracle)
+    out = evaluation.analyze(model, table, dataset, retrieved_sets, ks, config.max_span_len)
     with atomic_write(args.out) as f:
         json.dump(out, f, indent=1)
     for k in ks:
@@ -243,13 +244,12 @@ def build_parser():
     _add_config_flags(p, ["max_span_len"])
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("analyze", help="top-k recall and oracle re-ranking ceiling")
+    p = sub.add_parser("analyze", help="F1/EM, top-k recall and oracle re-ranking ceiling")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--retrieved", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--k", default="1,3,5")
-    p.add_argument("--oracle", action="store_true")
     _add_config_flags(p, ["max_span_len"])
     p.set_defaults(func=cmd_analyze)
 

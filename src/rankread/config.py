@@ -43,6 +43,10 @@ class Config:
             raise ValueError("reader_layers and ranker_layers must be at least 1")
         if self.mode not in ("sr", "sr2", "r3"):
             raise ValueError(f"mode must be sr, sr2 or r3, got {self.mode!r}")
+        if self.batch_size < 1 or self.retrieve_n < 1:
+            raise ValueError("batch_size and retrieve_n must be at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.train_sample_k < self.min_negatives + 1:
             raise ValueError("train_sample_k must be at least min_negatives + 1")
         return self

@@ -94,9 +94,7 @@ def predict_candidates(model, table, question_tokens, passages, max_span_len):
     return candidates
 
 
-def predict(model, table, question_id, question_tokens, passages, max_span_len=15):
-    """Answer with the highest combined score; ties go to the lower IR rank."""
-    candidates = predict_candidates(model, table, question_tokens, passages, max_span_len)
+def _best(question_id, candidates):
     if not candidates:
         return Prediction(question_id, "", None, 0.0, float("-inf"), 0.0)
     best = max(candidates, key=lambda c: (c.score, -c.ir_rank))
@@ -104,31 +102,40 @@ def predict(model, table, question_id, question_tokens, passages, max_span_len=1
                       best.score, best.span_log_prob, best.policy_prob)
 
 
+def predict(model, table, question_id, question_tokens, passages, max_span_len=15):
+    """Answer with the highest combined score; ties go to the lower IR rank."""
+    return _best(question_id, predict_candidates(model, table, question_tokens, passages,
+                                                 max_span_len))
+
+
+def _answer(model, table, rec, passages, max_span_len):
+    """One dataset record's candidates and its evaluation record."""
+    candidates = predict_candidates(model, table, tokenize(rec["question"]).tokens,
+                                    passages, max_span_len)
+    pred = _best(rec["id"], candidates)
+    f1, em = f1_em(pred.answer, rec["answers"])
+    return candidates, {"id": rec["id"], "prediction": pred.answer,
+                        "passage_id": pred.passage_id, "score": pred.score, "f1": f1, "em": em}
+
+
+def _mean_f1_em(records):
+    n = max(len(records), 1)
+    return {"f1": sum(r["f1"] for r in records) / n, "em": sum(r["em"] for r in records) / n}
+
+
 def evaluate(model, table, dataset, retrieved_sets, max_span_len=15, threads=1):
     """Mean F1/EM over the dataset plus one record per question."""
-    by_id = {rs.question_id: rs for rs in retrieved_sets}
+    by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
 
     def one(rec):
-        rs = by_id.get(rec["id"])
-        passages = rs.passages if rs else []
-        pred = predict(model, table, rec["id"], tokenize(rec["question"]).tokens,
-                       passages, max_span_len)
-        f1, em = f1_em(pred.answer, rec["answers"])
-        return {"id": rec["id"], "prediction": pred.answer, "passage_id": pred.passage_id,
-                "score": pred.score, "f1": f1, "em": em}
+        return _answer(model, table, rec, by_id.get(rec["id"], []), max_span_len)[1]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(one, dataset))
     else:
         records = [one(rec) for rec in dataset]
-    n = max(len(records), 1)
-    return {
-        "f1": sum(r["f1"] for r in records) / n,
-        "em": sum(r["em"] for r in records) / n,
-        "count": len(records),
-        "records": records,
-    }
+    return {**_mean_f1_em(records), "count": len(records), "records": records}
 
 
 def rank_passages(model, table, question_tokens, passages):
@@ -173,35 +180,25 @@ def oracle_topk(candidate_lists, gold_lists, ks):
     return out
 
 
-def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15,
-            oracle=False):
-    """Top-k recall of the IR order and of the model's order and, with oracle
-    set, the re-ranking ceiling, over every question of the dataset.
+def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15):
+    """Mean F1/EM (as evaluate gives them), top-k recall of the IR order and of
+    the model's order, and the re-ranking ceiling, over every question of the
+    dataset, from one predict_candidates pass per question.
 
-    A question with no retrieved passages counts as a miss at every k and as
-    a zero oracle row.
+    The model's order sorts the candidates by selection probability, ties in
+    IR order, as rank_passages does. A question with no retrieved passages
+    counts as a miss at every k and as a zero oracle row.
     """
-    by_id = {rs.question_id: rs for rs in retrieved_sets}
-    ir_flags, model_flags, candidate_lists = [], [], []
+    by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
+    records, ir_flags, model_flags, candidate_lists = [], [], [], []
     for rec in dataset:
-        rs = by_id.get(rec["id"])
-        passages = rs.passages if rs else []
+        passages = by_id.get(rec["id"], [])
+        candidates, record = _answer(model, table, rec, passages, max_span_len)
+        records.append(record)
+        candidate_lists.append(candidates)
         ir_flags.append([p.positive for p in passages])
-        if not passages:
-            model_flags.append([])
-            candidate_lists.append([])
-            continue
-        q_tokens = tokenize(rec["question"]).tokens
-        if oracle:
-            candidates = predict_candidates(model, table, q_tokens, passages, max_span_len)
-            candidate_lists.append(candidates)
-            ranked = [passages[c.passage_id] for c in
-                      sorted(candidates, key=lambda c: (-c.policy_prob, c.ir_rank))]
-        else:
-            ranked = rank_passages(model, table, q_tokens, passages)
-        model_flags.append([p.positive for p in ranked])
-    out = {"k": list(ks),
-           "recall": {"ir": topk_recall(ir_flags, ks), "model": topk_recall(model_flags, ks)}}
-    if oracle:
-        out["oracle"] = oracle_topk(candidate_lists, [rec["answers"] for rec in dataset], ks)
-    return out
+        model_flags.append([passages[c.passage_id].positive for c in
+                            sorted(candidates, key=lambda c: (-c.policy_prob, c.ir_rank))])
+    return {**_mean_f1_em(records), "k": list(ks),
+            "recall": {"ir": topk_recall(ir_flags, ks), "model": topk_recall(model_flags, ks)},
+            "oracle": oracle_topk(candidate_lists, [rec["answers"] for rec in dataset], ks)}

@@ -42,19 +42,9 @@ def prepare_task(spec=None, config=None):
     }
 
 
-def _evaluate(task, model):
-    report = evaluation.evaluate(model, task["table"], task["test_records"],
-                                 task["test_retrieved"], task["config"].max_span_len)
-    return {"em": 100.0 * report["em"], "f1": 100.0 * report["f1"]}
-
-
-def _analyze(task, model, oracle=False):
-    return evaluation.analyze(model, task["table"], task["test_records"], task["test_retrieved"],
-                              (1, 3, 5), task["config"].max_span_len, oracle)
-
-
 def run_seed(task, seed, sr_epochs=None, sr2_epochs=None, r3_epochs=None):
-    """Train SR, SR2 and R3 (initialized from the SR2 run) with one seed."""
+    """Train SR, SR2 and R3 (initialized from the SR2 run) with one seed, and
+    score each model from one analysis pass over the test questions."""
     sr_epochs = DEFAULT_EPOCHS["sr"] if sr_epochs is None else sr_epochs
     sr2_epochs = DEFAULT_EPOCHS["sr2"] if sr2_epochs is None else sr2_epochs
     r3_epochs = DEFAULT_EPOCHS["r3"] if r3_epochs is None else r3_epochs
@@ -64,16 +54,19 @@ def run_seed(task, seed, sr_epochs=None, sr2_epochs=None, r3_epochs=None):
     sr2_values, _ = trainer_mod.train_sr2_then_r3(
         models["r3"], table, cfg, examples, seed, sr2_epochs, r3_epochs)
     models["sr2"].load_values(sr2_values)
-    out = {"seed": seed, "models": models}
-    for mode, model in models.items():
-        out[mode] = _evaluate(task, model)
-        if mode != "sr":
-            out[mode]["recall"] = _analyze(task, model)["recall"]["model"]
+    analyses = {mode: evaluation.analyze(model, table, task["test_records"],
+                                         task["test_retrieved"], (1, 3, 5), cfg.max_span_len)
+                for mode, model in models.items()}
+    out = {"seed": seed, "ir_recall": analyses["sr"]["recall"]["ir"]}
+    for mode, a in analyses.items():
+        out[mode] = {"em": 100.0 * a["em"], "f1": 100.0 * a["f1"], "recall": a["recall"]["model"],
+                     "oracle": {k: {"f1": 100.0 * v["f1"], "em": 100.0 * v["em"]}
+                                for k, v in a["oracle"].items()}}
     return out
 
 
 def run_experiment(seeds=(0, 1, 2), spec=None, config=None,
-                   sr_epochs=None, sr2_epochs=None, r3_epochs=None, keep_models=False):
+                   sr_epochs=None, sr2_epochs=None, r3_epochs=None):
     started = time.time()
     task = prepare_task(spec, config)
     per_seed = []
@@ -93,21 +86,15 @@ def run_experiment(seeds=(0, 1, 2), spec=None, config=None,
             vals.append(node)
         return sum(vals) / len(vals)
 
-    # the re-ranking ceiling is most informative for the reader-only model,
-    # whose own top-1 choice is weakest
-    analysis = _analyze(task, per_seed[-1]["models"]["sr"], oracle=True)
     summary = {
-        "ir_recall": analysis["recall"]["ir"],
+        "ir_recall": per_seed[-1]["ir_recall"],
         "em": {m: mean([m, "em"]) for m in ("sr", "sr2", "r3")},
         "f1": {m: mean([m, "f1"]) for m in ("sr", "sr2", "r3")},
         "recall1": {m: mean([m, "recall", 1]) for m in ("sr2", "r3")},
         "dropped_train_questions": task["dropped"],
-        "elapsed_seconds": None,
+        "elapsed_seconds": time.time() - started,
     }
-    oracle = {k: {"f1": 100.0 * v["f1"], "em": 100.0 * v["em"]}
-              for k, v in analysis["oracle"].items()}
-    if not keep_models:
-        for res in per_seed:
-            res.pop("models")
-    summary["elapsed_seconds"] = time.time() - started
+    # the re-ranking ceiling is most informative for the reader-only model,
+    # whose own top-1 choice is weakest
+    oracle = per_seed[-1]["sr"]["oracle"]
     return {"summary": summary, "per_seed": per_seed, "oracle": oracle, "task": task}

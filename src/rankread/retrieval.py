@@ -212,6 +212,8 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
     only their best-ranked copy. The returned set may be empty; dropping such
     questions from training is the caller's job.
     """
+    if n < 1:
+        raise ValueError(f"n={n} must be at least 1")
     if n > top_s:
         raise ValueError(f"n={n} exceeds top_s={top_s}")
     q_tokens = tokenize(question).tokens

@@ -82,6 +82,7 @@ def test_retrieved_output_respects_n_and_modes(workdir):
 
 def test_train_writes_checkpoint_and_log(workdir):
     ckpt = json.loads(workdir["ckpt"].read_text())
+    assert set(ckpt) == {"format_version", "params", "extra"}
     assert ckpt["format_version"] == 1
     assert ckpt["extra"]["mode"] == "sr2"
     assert ckpt["extra"]["table"]["kind"] == "inline"
@@ -173,14 +174,31 @@ def test_evaluate_and_analyze(workdir, tmp_path):
     analysis_path = tmp_path / "analysis.json"
     assert main(["analyze", "--checkpoint", str(workdir["ckpt"]),
                  "--retrieved", str(workdir["retrieved_test"]),
-                 "--dataset", str(workdir["test"]), "--out", str(analysis_path),
-                 "--oracle"]) == 0
+                 "--dataset", str(workdir["test"]), "--out", str(analysis_path)]) == 0
     analysis = json.loads(analysis_path.read_text())
+    assert (analysis["f1"], analysis["em"]) == (report["f1"], report["em"])
     assert analysis["k"] == [1, 3, 5]
     for source in ("ir", "model"):
         vals = [analysis["recall"][source][str(k)] for k in (1, 3, 5)]
         assert vals[0] <= vals[1] <= vals[2]
     assert all(str(k) in analysis["oracle"] for k in (1, 3, 5))
+
+
+def test_checkpoint_with_optimizer_state_evaluates_the_same(workdir, tmp_path):
+    # checkpoints written before the optimizer state was dropped still load
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    values = T.load_checkpoint(workdir["ckpt"])[0]
+    ckpt["optimizer"] = T.Adamax({name: T.Tensor(v) for name, v in values.items()}).state_dict()
+    old = tmp_path / "with_optimizer.json"
+    old.write_text(json.dumps(ckpt))
+    reports = []
+    for path in (workdir["ckpt"], old):
+        out = tmp_path / f"report_{path.stem}.json"
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--retrieved", str(workdir["retrieved_test"]),
+                     "--dataset", str(workdir["test"]), "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
 
 
 def test_evaluate_defaults_to_the_checkpoint_max_span_len(workdir, tmp_path):
@@ -329,7 +347,11 @@ def test_non_json_index_is_one_line_error(workdir, tmp_path, capsys):
     ("[1]", "checkpoint must be a JSON object, got list"),
     ('{"format_version": 1}', "checkpoint lacks 'params'"),
     ('{"format_version": 1, "params": [1]}', "TypeError"),
-], ids=["list", "no_params", "bad_entry"])
+    ('{"format_version": 1, "params": [], "extra": 5}', "lacks config/table metadata"),
+    ('{"format_version": 1, "params": [], "extra": {"config": {}, "table": "x"}}', "TypeError"),
+    ('{"format_version": 1, "params": [], "extra": {"config": [1], "table": {}}}',
+     "AttributeError"),
+], ids=["list", "no_params", "bad_entry", "extra_int", "table_str", "config_list"])
 def test_malformed_checkpoint_is_one_line_error(workdir, tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload)
@@ -385,7 +407,7 @@ def test_analyze_counts_questions_without_passages_as_misses(workdir, tmp_path):
     def analyze(retrieved_path, dataset_path, out):
         assert main(["analyze", "--checkpoint", str(workdir["ckpt"]),
                      "--retrieved", str(retrieved_path), "--dataset", str(dataset_path),
-                     "--out", str(out), "--oracle"]) == 0
+                     "--out", str(out)]) == 0
         return json.loads(out.read_text())
 
     full = analyze(edited, workdir["test"], tmp_path / "full.json")

@@ -40,6 +40,10 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("train_sample_k", 2, "min_negatives"),
     ("reader_layers", 0, "at least 1"),
     ("ranker_layers", 0, "at least 1"),
+    ("retrieve_n", 0, "at least 1"),
+    ("batch_size", 0, "at least 1"),
+    ("dropout", 1.0, "dropout must be in"),
+    ("dropout", -0.1, "dropout must be in"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):

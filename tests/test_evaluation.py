@@ -237,6 +237,43 @@ def test_analyze_oracle_takes_the_rank_passages_order_from_its_candidates(exampl
         ranked = [E.rank_passages(model, table, tokenize(TOY_QUESTION).tokens, rs.passages)
                   for rs in retrieved]
         expected = E.topk_recall([[p.positive for p in order] for order in ranked], ks)
-        for oracle in (True, False):
-            out = E.analyze(model, table, dataset, retrieved, ks, oracle=oracle)
-            assert out["recall"]["model"] == expected, (seed, oracle)
+        out = E.analyze(model, table, dataset, retrieved, ks)
+        assert out["recall"]["model"] == expected, seed
+
+
+def test_analyze_f1_em_equal_evaluate_with_a_question_without_passages(example):
+    dataset, retrieved = _dataset_and_retrieved(example)
+    dataset = dataset + [{"id": "toy-1", "question": TOY_QUESTION, "answers": ["blue"]},
+                         {"id": "toy-2", "question": TOY_QUESTION, "answers": [""]}]
+    for seed in (0, 1, 2):
+        trainer = toy_trainer(seed=seed)
+        report = E.evaluate(trainer.model, trainer.table, dataset, retrieved)
+        out = E.analyze(trainer.model, trainer.table, dataset, retrieved)
+        assert (out["f1"], out["em"]) == (report["f1"], report["em"]), seed
+        # both questions without passages predict "": a miss for toy-1, and an
+        # exact match against toy-2's empty gold, which analyze must count too
+        assert [r["em"] for r in report["records"][1:]] == [0, 1]
+
+
+def test_experiment_runs_one_predict_candidates_pass_per_model_and_question(monkeypatch):
+    from rankread.experiment import run_experiment
+    from rankread.synth import SyntheticSpec
+
+    calls = {"predict_candidates": [], "rank_passages": []}
+    for name, seen in calls.items():
+        def counted(model, table, question_tokens, *args, _call=getattr(E, name), _seen=seen):
+            _seen.append((model, tuple(question_tokens)))
+            return _call(model, table, question_tokens, *args)
+        monkeypatch.setattr(E, name, counted)
+    spec = SyntheticSpec(entities=8, relations=5, train_questions=12, test_questions=8, seed=3)
+    seeds = (0, 1)
+    result = run_experiment(seeds=seeds, spec=spec, sr_epochs=0, sr2_epochs=0, r3_epochs=1)
+    assert calls["rank_passages"] == []
+    questions = sorted(tuple(tokenize(rec["question"]).tokens)
+                       for rec in result["task"]["test_records"])
+    by_model = {}
+    for model, question in calls["predict_candidates"]:
+        by_model.setdefault(id(model), []).append(question)
+    # the call list holds every model, so no two of them share an id
+    assert len(by_model) == 3 * len(seeds)
+    assert all(sorted(qs) == questions for qs in by_model.values())

@@ -256,6 +256,13 @@ def test_retrieve_rejects_n_above_top_s():
         R.retrieve(idx, "q", "x", None, n=20, top_a=3, top_s=10)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_retrieve_rejects_n_below_one(n):
+    idx = R.build_index(CORPUS)
+    with pytest.raises(ValueError, match="at least 1"):
+        R.retrieve(idx, "q", "largest island", None, n=n, top_a=3, top_s=10)
+
+
 def test_retrieve_dedups_identical_sentences():
     corpus = [R.Document("a", "", "The kib is blue. End here."),
               R.Document("b", "", "The kib is blue. Other text.")]
