@@ -44,7 +44,7 @@ def _config_from_args(args, base=None):
     return base.with_overrides({name: getattr(args, name) for name in args.config_fields})
 
 
-def _add_config_flags(parser, names=tuple(field.name for field in fields(Config)), cls=Config):
+def _add_config_flags(parser, names, cls=Config):
     for name in names:
         parser.add_argument("--" + name.replace("_", "-"), type=cls.__annotations__[name],
                             default=None, help=f"override {cls.__name__} {name}")
@@ -157,11 +157,10 @@ def cmd_train(args):
         with atomic_write(args.log) as f:
             for record in trainer.log:
                 f.write(json.dumps(record) + "\n")
-    skipped = f"{trainer.skipped} skipped"
-    if trainer.nonfinite_steps:
-        skipped += f", {trainer.nonfinite_steps} non-finite steps skipped"
+    nonfinite = (f", {trainer.nonfinite_steps} non-finite steps skipped"
+                 if trainer.nonfinite_steps else "")
     print(f"trained mode={config.mode} on {len(examples)} questions "
-          f"({dropped} dropped, {skipped}) -> {args.out}")
+          f"({dropped} dropped{nonfinite}) -> {args.out}")
     return 0
 
 
@@ -233,7 +232,9 @@ def build_parser():
     p.add_argument("--log", default=None, help="write per-step JSONL records here")
     p.add_argument("--init", default=None, help="checkpoint to initialize from")
     p.add_argument("--config", default=None, help="config file (key=value lines)")
-    _add_config_flags(p)
+    # every field but retrieval's, which training never reads
+    _add_config_flags(p, [field.name for field in fields(Config) if field.name not in
+                          ("retrieve_n", "top_a", "top_s", "bm25_k1", "bm25_b")])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="F1/EM of a checkpoint on a dataset")

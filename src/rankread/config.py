@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, fields, asdict
 
-from .files import atomic_write
+from .files import atomic_write, read_lines
 from .retrieval import BM25_B, BM25_K1
 
 
@@ -65,21 +65,20 @@ class Config:
     def from_file(cls, path):
         values = {}
         types = {f.name: f.type for f in fields(cls)}
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, raw = line.partition("=")
-                key = key.strip()
-                if key not in types:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                try:
-                    values[key] = _parse(raw.strip(), types[key])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+        for lineno, line in read_lines(path):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, raw = line.partition("=")
+            key = key.strip()
+            if key not in types:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = _parse(raw.strip(), types[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
         return cls(**values).validate()
 
     def with_overrides(self, overrides):

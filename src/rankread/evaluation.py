@@ -189,6 +189,8 @@ def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15
     IR order, as rank_passages does. A question with no retrieved passages
     counts as a miss at every k and as a zero oracle row.
     """
+    if any(k < 1 for k in ks):
+        raise ValueError(f"top-k cutoffs must be at least 1, got {list(ks)}")
     by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
     records, ir_flags, model_flags, candidate_lists = [], [], [], []
     for rec in dataset:

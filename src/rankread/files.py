@@ -17,7 +17,7 @@ def atomic_write(path):
     """
     tmp = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
     try:
-        with open(tmp, "x") as f:
+        with open(tmp, "x", encoding="utf-8") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -26,13 +26,28 @@ def atomic_write(path):
         raise
 
 
+def read_lines(path):
+    """(line number, line) for each line of a UTF-8 text file.
+
+    A line that is not UTF-8 raises a one-line ValueError naming the file and
+    the line.
+    """
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            yield lineno, line
+
+
 def read_versioned_json(path, what, version, keys):
     """The object a versioned JSON file holds.
 
     Raises a one-line ValueError naming the file when it is not JSON, does not
     hold an object, has another format_version, or lacks one of keys.
     """
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             payload = json.load(f)
         except ValueError as exc:  # not JSON, or not UTF-8

@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, asdict
 
-from .files import atomic_write, read_versioned_json
+from .files import atomic_write, read_lines, read_versioned_json
 from .text import tokenize, contains_answer
 
 BM25_K1 = 1.2
@@ -264,14 +264,13 @@ def read_jsonl(path, make):
     ValueError naming the file and the line.
     """
     out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(make(json.loads(line)))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            out.append(make(json.loads(line)))
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
     return out
 
 

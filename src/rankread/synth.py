@@ -16,6 +16,8 @@ import numpy as np
 RELATIONS = ["color", "size", "shape", "origin", "flavor",
              "sound", "texture", "brand", "class", "mood"]
 
+ANSWERS_PER_RELATION = 3  # size of each relation's answer pool
+
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 
@@ -32,10 +34,8 @@ _TEMPLATE_WORDS = {
 class SyntheticSpec:
     entities: int = 40
     relations: int = 10
-    answers_per_relation: int = 3
     train_questions: int = 300
     test_questions: int = 100
-    positives_per_question: int = 2
     pseudo_positive_rate: float = 1.0   # answer string present, fact not stated
     strong_decoy_rate: float = 0.7      # overlap decoy that outranks the facts
     confusion_decoy_rate: float = 1.0   # hedged fact-shape with a wrong same-pool token
@@ -46,8 +46,6 @@ class SyntheticSpec:
             raise ValueError(f"at most {len(RELATIONS)} relations supported")
         if self.entities * self.relations < self.train_questions + self.test_questions:
             raise ValueError("not enough (entity, relation) pairs for the requested questions")
-        if not 1 <= self.positives_per_question <= 2:
-            raise ValueError("positives_per_question must be 1 or 2")
         return self
 
 
@@ -75,8 +73,7 @@ def _sentences(entity, relation, answer, wrong_answers, spec, rng):
     if rng.random() < spec.pseudo_positive_rate:
         sents.append(f"{answer.capitalize()} is often mentioned near {entity} in {relation} records.")
     sents.append(f"We all know the {relation} of {entity} is {answer}.")
-    if spec.positives_per_question >= 2:
-        sents.append(f"Everyone here knows the {relation} of {entity} is {answer}.")
+    sents.append(f"Everyone here knows the {relation} of {entity} is {answer}.")
     if rng.random() < spec.confusion_decoy_rate:
         # plausible wrong tokens in the exact "is X." shape the facts use, with
         # the relation word but no entity. The answer-augmented training query
@@ -103,13 +100,13 @@ def generate(spec):
     taken = set(_TEMPLATE_WORDS) | set(RELATIONS)
     entities = _coin_unique(rng, spec.entities, 3, taken)
     relations = RELATIONS[: spec.relations]
-    answers = {rel: _coin_unique(rng, spec.answers_per_relation, 2, taken)
+    answers = {rel: _coin_unique(rng, ANSWERS_PER_RELATION, 2, taken)
                for rel in relations}
 
     facts = []
     for entity in entities:
         for relation in relations:
-            value = answers[relation][int(rng.integers(spec.answers_per_relation))]
+            value = answers[relation][int(rng.integers(ANSWERS_PER_RELATION))]
             facts.append((entity, relation, value))
 
     documents = []

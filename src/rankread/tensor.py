@@ -68,10 +68,6 @@ class Tensor:
             out._parents = ()
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def item(self):
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
@@ -90,7 +86,19 @@ def parameter(rng, rows, cols, scale=0.1):
     return Tensor(rng.uniform(-scale, scale, size=(rows, cols)), requires_grad=True)
 
 
+def _accumulate(t, g):
+    """Add g into t.grad. The first gradient to reach t is stored as a copy,
+    since g may be the consumer's own gradient or a view of it."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g.copy()
+    else:
+        t.grad += g
+
+
 def _ensure_grad(t):
+    # for the ops that add into part of the buffer
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
 
@@ -106,11 +114,9 @@ def matmul(a, b):
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _ensure_grad(a)
-                a.grad += g @ b.data.T
+                _accumulate(a, g @ b.data.T)
             if b.requires_grad:
-                _ensure_grad(b)
-                b.grad += a.data.T @ g
+                _accumulate(b, a.data.T @ g)
         out._backward = bw
     return out
 
@@ -121,12 +127,8 @@ def add(a, b):
     out = Tensor._node(a.data + b.data, (a, b))
     if out.requires_grad:
         def bw(g):
-            if a.requires_grad:
-                _ensure_grad(a)
-                a.grad += g
-            if b.requires_grad:
-                _ensure_grad(b)
-                b.grad += g
+            _accumulate(a, g)
+            _accumulate(b, g)
         out._backward = bw
     return out
 
@@ -138,12 +140,8 @@ def add_col(a, v):
     out = Tensor._node(a.data + v.data, (a, v))
     if out.requires_grad:
         def bw(g):
-            if a.requires_grad:
-                _ensure_grad(a)
-                a.grad += g
-            if v.requires_grad:
-                _ensure_grad(v)
-                v.grad += g.sum(axis=1, keepdims=True)
+            _accumulate(a, g)
+            _accumulate(v, g.sum(axis=1, keepdims=True))
         out._backward = bw
     return out
 
@@ -155,11 +153,9 @@ def mul(a, b):
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _ensure_grad(a)
-                a.grad += g * b.data
+                _accumulate(a, g * b.data)
             if b.requires_grad:
-                _ensure_grad(b)
-                b.grad += g * a.data
+                _accumulate(b, g * a.data)
         out._backward = bw
     return out
 
@@ -170,12 +166,8 @@ def sub(a, b):
     out = Tensor._node(a.data - b.data, (a, b))
     if out.requires_grad:
         def bw(g):
-            if a.requires_grad:
-                _ensure_grad(a)
-                a.grad += g
-            if b.requires_grad:
-                _ensure_grad(b)
-                b.grad -= g
+            _accumulate(a, g)
+            _accumulate(b, -g)
         out._backward = bw
     return out
 
@@ -184,8 +176,7 @@ def _unary(a, value, local):
     out = Tensor._node(value, (a,))
     if out.requires_grad:
         def bw(g):
-            _ensure_grad(a)
-            a.grad += g * local
+            _accumulate(a, g * local)
         out._backward = bw
     return out
 
@@ -223,8 +214,7 @@ def softmax_cols(a):
     out = Tensor._node(y, (a,))
     if out.requires_grad:
         def bw(g):
-            _ensure_grad(a)
-            a.grad += y * (g - (g * y).sum(axis=0, keepdims=True))
+            _accumulate(a, y * (g - (g * y).sum(axis=0, keepdims=True)))
         out._backward = bw
     return out
 
@@ -233,8 +223,7 @@ def transpose(a):
     out = Tensor._node(a.data.T.copy(), (a,))
     if out.requires_grad:
         def bw(g):
-            _ensure_grad(a)
-            a.grad += g.T
+            _accumulate(a, g.T)
         out._backward = bw
     return out
 
@@ -254,9 +243,7 @@ def concat_cols(tensors):
         def bw(g):
             j = 0
             for t, w in zip(tensors, widths):
-                if t.requires_grad:
-                    _ensure_grad(t)
-                    t.grad += g[:, j:j + w]
+                _accumulate(t, g[:, j:j + w])
                 j += w
         out._backward = bw
     return out
@@ -277,9 +264,7 @@ def concat_rows(tensors):
         def bw(g):
             i = 0
             for t, h in zip(tensors, heights):
-                if t.requires_grad:
-                    _ensure_grad(t)
-                    t.grad += g[i:i + h, :]
+                _accumulate(t, g[i:i + h, :])
                 i += h
         out._backward = bw
     return out
@@ -322,8 +307,7 @@ def sum_all(a):
     out = Tensor._node(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,))
     if out.requires_grad:
         def bw(g):
-            _ensure_grad(a)
-            a.grad += g[0, 0]
+            _accumulate(a, np.full_like(a.data, g[0, 0]))
         out._backward = bw
     return out
 
@@ -343,8 +327,7 @@ def neg_log_softmax_pick(a, k):
     if out.requires_grad:
         soft = np.exp(a.data - lse)
         def bw(g):
-            _ensure_grad(a)
-            a.grad += g[0, 0] * soft
+            _accumulate(a, g[0, 0] * soft)
             a.grad[k, 0] -= g[0, 0]
         out._backward = bw
     return out
@@ -418,12 +401,9 @@ def lstm(pre, U, n, reverse=False):
                 dc_next = dc * f[:, :, t]
                 dh_next = U.data.T @ dz
             dpre = dpre.reshape(rows, cols)
-            if pre.requires_grad:
-                _ensure_grad(pre)
-                pre.grad += dpre
+            _accumulate(pre, dpre)
             if U.requires_grad:
-                _ensure_grad(U)
-                U.grad += dpre @ h_in.reshape(h, cols).T
+                _accumulate(U, dpre @ h_in.reshape(h, cols).T)
         out._backward = bw
     return out
 
@@ -482,9 +462,7 @@ def backward(loss):
     if loss.data.shape != (1, 1):
         raise ShapeError(f"backward: loss must be a 1x1 scalar, got {loss.data.shape}")
     order = _toposort(loss)
-    _ensure_grad(loss)
-    loss.grad[...] = 0.0
-    loss.grad[0, 0] = 1.0
+    loss.grad = np.ones((1, 1))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .files import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -81,18 +82,17 @@ def load_embeddings(path, dimension):
     """
     vectors = {}
     skipped = 0
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) != dimension + 1 or not parts[0]:
-                skipped += 1
-                continue
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                skipped += 1
-                continue
-            vectors.setdefault(parts[0], vec)
+    for _, line in read_lines(path):
+        parts = line.rstrip("\n").split(" ")
+        if len(parts) != dimension + 1 or not parts[0]:
+            skipped += 1
+            continue
+        try:
+            vec = np.array([float(x) for x in parts[1:]])
+        except ValueError:
+            skipped += 1
+            continue
+        vectors.setdefault(parts[0], vec)
     if skipped:
         log.warning("skipped %d malformed embedding lines in %s", skipped, path)
     if not vectors:
@@ -100,12 +100,12 @@ def load_embeddings(path, dimension):
     return EmbeddingTable(dimension, vectors, skipped)
 
 
-def synthetic_embeddings(vocab, dimension, seed=0, scale=0.5):
+def synthetic_embeddings(vocab, dimension, seed=0):
     """Deterministic random embeddings over a vocabulary (sorted for stability)."""
     rng = np.random.default_rng(seed)
     vectors = {}
     for tok in sorted(set(vocab)):
-        vectors[tok] = rng.uniform(-scale, scale, size=dimension)
+        vectors[tok] = rng.uniform(-0.5, 0.5, size=dimension)
     if not vectors:
         raise ValueError("synthetic_embeddings: empty vocabulary")
     return EmbeddingTable(dimension, vectors)

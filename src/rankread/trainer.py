@@ -159,7 +159,6 @@ class Trainer:
         self.rng = np.random.default_rng(seed)
         self.optimizer = T.Adamax(model.parameters(), lr=config.learning_rate)
         self.log = []
-        self.skipped = 0
         self.nonfinite_steps = 0
         self.batches = 0
         self._embed_cache = {}
@@ -179,7 +178,8 @@ class Trainer:
 
     def example_losses(self, example, mode):
         """Build the differentiable loss for one example; returns a report dict
-        with 'loss' (tensor) and logged floats."""
+        with 'loss' (tensor) and logged floats. An example without a positive
+        passage is a ValueError: build_examples drops those."""
         if mode not in MODES:
             raise ValueError(f"unknown training mode: {mode!r}")
         cfg = self.config
@@ -189,7 +189,7 @@ class Trainer:
         pos_ids = [i for i in subset if example.spans.get(i)]
         neg_ids = [i for i in subset if not example.spans.get(i)]
         if not pos_ids:
-            return None
+            raise ValueError(f"{example.question_id}: example has no positive passage")
         ms = self.model.match_passages(
             q_emb, [p_embs[i] for i in subset],
             train=cfg.dropout > 0, rng=rng)
@@ -233,25 +233,16 @@ class Trainer:
 
     def _apply_batch(self, batch, mode, step_index):
         self.model.zero_grads()
-        counts = 0
         sums = {"reader_loss": 0.0, "kl_loss": 0.0, "reward": 0.0}
         seen = {"kl_loss": False, "reward": False}
         for example in batch:
             report = self.example_losses(example, mode)
-            if report is None:
-                self.skipped += 1
-                log.warning("skipping %s: no positive passage in sampled subset",
-                            example.question_id)
-                continue
             T.backward(report["loss"])
-            counts += 1
             sums["reader_loss"] += report["reader_loss"]
             for key in ("kl_loss", "reward"):
                 if key in report:
                     sums[key] += report[key]
                     seen[key] = True
-        if counts == 0:
-            return None
         norm = T.clip_global_norm(self.model.parameters().values(), self.config.grad_clip)
         if not math.isfinite(norm):
             self.nonfinite_steps += 1
@@ -259,11 +250,11 @@ class Trainer:
             return None
         self.optimizer.step()
         record = {"step": step_index, "mode": mode,
-                  "reader_loss": sums["reader_loss"] / counts}
+                  "reader_loss": sums["reader_loss"] / len(batch)}
         if seen["reward"]:
-            record["reward"] = sums["reward"] / counts
+            record["reward"] = sums["reward"] / len(batch)
         if seen["kl_loss"]:
-            record["kl_loss"] = sums["kl_loss"] / counts
+            record["kl_loss"] = sums["kl_loss"] / len(batch)
         self.log.append(record)
         return record
 
@@ -288,7 +279,6 @@ def train_sr2_then_r3(model, table, config, examples, seed, sr2_epochs, r3_epoch
     sr2.train(examples, "sr2", sr2_epochs)
     sr2_values = model.export_values()
     r3 = Trainer(model, table, config, seed=seed + 1000)
-    r3.log, r3.skipped, r3.nonfinite_steps, r3.batches = (
-        sr2.log, sr2.skipped, sr2.nonfinite_steps, sr2.batches)
+    r3.log, r3.nonfinite_steps, r3.batches = sr2.log, sr2.nonfinite_steps, sr2.batches
     r3.train(examples, "r3", r3_epochs)
     return sr2_values, r3

@@ -376,6 +376,60 @@ def test_malformed_index_is_one_line_error(workdir, tmp_path, capsys, payload, m
     assert line.startswith(f"error: {bad}: ") and message in line
 
 
+def _with_bad_byte(source, path):
+    """source's text with a byte that is not UTF-8 in its second line."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:5] + b"\xff" + lines[1][5:]
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("which", ["dataset", "retrieved", "corpus", "config", "embeddings"])
+def test_non_utf8_input_is_one_line_error_naming_file_and_line(workdir, tmp_path, capsys,
+                                                               which):
+    out = str(tmp_path / "out.json")
+    if which == "dataset":
+        bad = _with_bad_byte(workdir["test"], tmp_path / "test.jsonl")
+        argv = ["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad), "--out", out]
+    elif which == "retrieved":
+        bad = _with_bad_byte(workdir["retrieved_test"], tmp_path / "retrieved.jsonl")
+        argv = ["evaluate", "--checkpoint", str(workdir["ckpt"]), "--retrieved", str(bad),
+                "--dataset", str(workdir["test"]), "--out", out]
+    elif which == "corpus":
+        bad = _with_bad_byte(workdir["corpus"], tmp_path / "corpus.jsonl")
+        argv = ["build-index", "--corpus", str(bad), "--out", out]
+    else:
+        source = tmp_path / "source.txt"
+        if which == "config":
+            source.write_text("embed_dim=8\nhidden_size=8\n")
+        else:
+            source.write_text("".join(f"w{i} " + " ".join(["0.5"] * 16) + "\n" for i in range(3)))
+        bad = _with_bad_byte(source, tmp_path / "bad.txt")
+        argv = ["train", "--retrieved", str(workdir["retrieved_train"]),
+                "--dataset", str(workdir["train"]), "--out", out,
+                {"config": "--config", "embeddings": "--embeddings-path"}[which], str(bad)]
+    assert main(argv) == 1
+    line = _error_line(capsys)
+    assert line.startswith(f"error: {bad}:2: ") and "can't decode byte 0xff" in line
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "1,0"])
+def test_analyze_k_below_one_is_one_line_error(workdir, tmp_path, capsys, k):
+    assert main(["analyze", "--checkpoint", str(workdir["ckpt"]),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "a.json"),
+                 "--k", k]) == 1
+    assert "must be at least 1" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--top-a", "--top-s", "--retrieve-n", "--bm25-k1", "--bm25-b"])
+def test_train_rejects_retrieval_flags(flag, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--retrieved", "r", "--dataset", "d", "--out", "o",
+                                   flag, "3"])
+    assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
 def test_dataset_answers_must_be_a_list_of_strings(workdir, tmp_path, capsys):
     lines = workdir["test"].read_text().splitlines()
     rec = json.loads(lines[1])

@@ -193,12 +193,63 @@ def test_fd_rejects_nondeterministic_builder():
         T.fd_check(lambda: T.sum_all(T.mul(w, T.Tensor(rng.normal(size=(2, 2))))), [w])
 
 
+def _assert_own_grad_arrays(root):
+    grads = [t.grad for t in T._toposort(root) if t.grad is not None]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_shared_subgraph_accumulates():
     # loss = sum(x*x) + sum(x): d/dx = 2x + 1
     x = T.Tensor([[1.5, -0.5]], requires_grad=True)
     loss = T.add(T.sum_all(T.mul(x, x)), T.sum_all(x))
     T.backward(loss)
     assert np.allclose(x.grad, 2 * x.data + 1)
+    # the same fan-out through an intermediate u = tanh(x)
+    x.zero_grad()
+    u = T.tanh(x)
+    loss = T.add(T.sum_all(T.mul(u, u)), T.sum_all(u))
+    T.backward(loss)
+    assert np.allclose(u.grad, 2 * u.data + 1)
+    assert np.allclose(x.grad, (2 * u.data + 1) * (1 - u.data ** 2))
+    _assert_own_grad_arrays(loss)
+
+
+# (op on the intermediates u = 2x and v = -1.5y, d loss/du and d loss/dv given
+# d loss/d out = c) for ops whose backward hands its parents g or a view of it
+_FAN_OUT = {
+    "add_same": (lambda u, v: T.add(u, u), lambda c: (2 * c, None)),
+    "add": (lambda u, v: T.add(u, v), lambda c: (c, c)),
+    "sub": (lambda u, v: T.sub(u, v), lambda c: (c, -c)),
+    "concat_cols": (lambda u, v: T.concat_cols([u, v, u]),
+                    lambda c: (c[:, :2] + c[:, 4:], c[:, 2:4])),
+    "concat_rows": (lambda u, v: T.concat_rows([v, u]), lambda c: (c[3:], c[:3])),
+    "transpose": (lambda u, v: T.transpose(u), lambda c: (c.T, None)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FAN_OUT))
+def test_fan_out_grads_are_exact_and_share_no_array(case):
+    op, expected = _FAN_OUT[case]
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    y = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    u, v = T.scale(x, 2.0), T.scale(y, -1.5)
+    out = op(u, v)
+    c = rng.normal(size=out.data.shape)
+    loss = T.sum_all(T.mul(out, T.Tensor(c)))
+    T.backward(loss)
+    du, dv = expected(c)
+    assert np.array_equal(out.grad, c)
+    assert np.allclose(u.grad, du, rtol=0, atol=1e-15)
+    assert np.allclose(x.grad, 2 * du, rtol=0, atol=1e-15)
+    if dv is None:
+        assert v.grad is None and not y.grad.any()
+    else:
+        assert np.allclose(v.grad, dv, rtol=0, atol=1e-15)
+        assert np.allclose(y.grad, -1.5 * dv, rtol=0, atol=1e-15)
+    _assert_own_grad_arrays(loss)
 
 
 # --- Adamax -------------------------------------------------------------------

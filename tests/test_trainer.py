@@ -243,6 +243,14 @@ def _tape_size(root):
     return len(seen)
 
 
+@pytest.mark.parametrize("mode", trainer_mod.MODES)
+def test_example_without_positive_passage_raises(example, mode):
+    example.question_id = "q-none"
+    example.spans = {}
+    with pytest.raises(ValueError, match="q-none: example has no positive passage"):
+        toy_trainer(seed=0).example_losses(example, mode)
+
+
 def test_sr2_example_tape_stays_small(example):
     # one tape node per LSTM direction, layer and length group, and no
     # reordering or split-and-rejoin between the layers of a stack. The
