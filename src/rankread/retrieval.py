@@ -3,8 +3,11 @@ sentence ranking, and the question -> top-N passage pipeline."""
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, asdict
+
+import numpy as np
 
 from .files import atomic_write, read_lines, read_versioned_json
 from .text import tokenize, contains_answer
@@ -43,7 +46,12 @@ class RetrievedSet:
 
 
 class InvertedIndex:
-    """Postings plus document store; immutable once built."""
+    """Postings plus document store, as the index file holds them.
+
+    The per-term arrays `search_bm25` scores from and the per-document
+    sentence store `retrieve` reads are caches derived from these on first
+    use; they are not part of the file format.
+    """
 
     def __init__(self, postings, doc_lengths, docs):
         self.postings = postings          # token -> [(doc_id, tf)], sorted by doc id
@@ -51,6 +59,32 @@ class InvertedIndex:
         self.docs = docs                  # doc_id -> Document
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = (sum(doc_lengths.values()) / self.doc_count) if doc_lengths else 0.0
+        self.doc_ids = sorted(doc_lengths)    # a document's position is its rank in id order
+        self._position = {d: i for i, d in enumerate(self.doc_ids)}
+        self.length_array = np.array([doc_lengths[d] for d in self.doc_ids], dtype=float)
+        self._term_arrays = {}
+        self._sentences = {}
+
+    def term_arrays(self, term):
+        """(document positions, tf as floats) of term's postings; None when absent."""
+        arrays = self._term_arrays.get(term)
+        if arrays is None:
+            plist = self.postings.get(term)
+            if not plist:
+                return None
+            arrays = (np.array([self._position[d] for d, _ in plist], dtype=np.intp),
+                      np.array([tf for _, tf in plist], dtype=float))
+            self._term_arrays[term] = arrays
+        return arrays
+
+    def sentences(self, doc_id):
+        """[(text, tokens)] per sentence of a document, split and tokenized on first use."""
+        store = self._sentences.get(doc_id)
+        if store is None:
+            store = [(sent, [sys.intern(tok) for tok in tokenize(sent).tokens])
+                     for sent in split_sentences(self.docs[doc_id].text)]
+            self._sentences[doc_id] = store
+        return store
 
 
 def build_index(corpus):
@@ -93,7 +127,18 @@ def load_index(path):
         postings = {tok: [(d, tf) for d, tf in plist]
                     for tok, plist in payload["postings"].items()}
         docs = {rec["id"]: Document(**rec) for rec in payload["docs"]}
-        return InvertedIndex(postings, payload["doc_lengths"], docs)
+        doc_lengths = payload["doc_lengths"]
+        if doc_lengths.keys() != docs.keys():
+            raise ValueError("doc_lengths and docs name different document ids")
+        for tok, plist in postings.items():
+            ids = {d for d, _ in plist}
+            if len(ids) < len(plist):
+                raise ValueError(f"postings of {tok!r} name a document twice")
+            unknown = ids.difference(docs)
+            if unknown:
+                raise ValueError(f"postings of {tok!r} name unknown document "
+                                 f"{min(map(repr, unknown))}")
+        return InvertedIndex(postings, doc_lengths, docs)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
@@ -111,18 +156,29 @@ def search_bm25(index, query_tokens, top_a, k1=BM25_K1, b=BM25_B):
     """
     if top_a < 1:
         raise ValueError("top_a must be at least 1")
-    scores = {}
+    scores = np.zeros(index.doc_count)
+    hit = np.zeros(index.doc_count, dtype=bool)
+    # term by term in query order, with the float operations of a loop over
+    # each term's postings, so every score is bitwise the same as that loop's
     for term in query_tokens:
-        plist = index.postings.get(term)
-        if not plist:
+        arrays = index.term_arrays(term)
+        if arrays is None:
             continue
+        pos, tf = arrays
         idf = bm25_idf(index, term)
-        for doc_id, tf in plist:
-            dl = index.doc_lengths[doc_id]
-            denom = tf + k1 * (1.0 - b + b * dl / index.avg_doc_length)
-            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / denom
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:top_a]
+        dl = index.length_array[pos]
+        denom = tf + k1 * (1.0 - b + b * dl / index.avg_doc_length)
+        scores[pos] += idf * tf * (k1 + 1.0) / denom
+        hit[pos] = True
+    found = np.flatnonzero(hit)
+    neg = -scores[found]
+    if top_a < found.size:
+        # only documents scoring at least the top_a-th best score can rank;
+        # every tie at that score stays, for lexsort to order by id
+        keep = neg <= np.partition(neg, top_a - 1)[top_a - 1]
+        found, neg = found[keep], neg[keep]
+    top = found[np.lexsort((found, neg))][:top_a]
+    return [(index.doc_ids[i], score) for i, score in zip(top.tolist(), scores[top].tolist())]
 
 
 def split_sentences(text):
@@ -179,20 +235,16 @@ def rank_sentences_tfidf(sentence_tokens, query_tokens, top_s):
     pool = len(sentence_tokens)
     if pool == 0:
         return []
-    df = Counter()
-    for toks in sentence_tokens:
-        df.update(set(toks))
-    scored = []
-    for idx, toks in enumerate(sentence_tokens):
-        tf = Counter(toks)
-        score = 0.0
-        for term in dict.fromkeys(query_tokens):
-            if df[term] == 0 or tf[term] == 0:
-                continue
-            score += tf[term] * math.log(pool / df[term])
-        scored.append((idx, score))
-    scored.sort(key=lambda pair: -pair[1])  # stable: ties keep original order
-    return scored[:top_s]
+    scores = np.zeros(pool)
+    # term by term in query order; adding 0.0 where a term is absent leaves a
+    # score bitwise as it was, so this equals a per-sentence loop that skips it
+    for term in dict.fromkeys(query_tokens):
+        tf = np.array([toks.count(term) for toks in sentence_tokens])
+        df = np.count_nonzero(tf)
+        if df:
+            scores += tf * math.log(pool / df)
+    top = np.argsort(-scores, kind="stable")[:top_s]  # stable: ties keep original order
+    return list(zip(top.tolist(), scores[top].tolist()))
 
 
 def make_training_query(question_tokens, answers, train):
@@ -220,14 +272,13 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
     query = make_training_query(q_tokens, answers, train)
     sentences = []
     for doc_id, _ in search_bm25(index, query, top_a, k1, b):
-        for sent in split_sentences(index.docs[doc_id].text):
-            sentences.append((sent, doc_id))
-    sent_tokens = [tokenize(s).tokens for s, _ in sentences]
+        sentences.extend((sent, toks, doc_id) for sent, toks in index.sentences(doc_id))
+    sent_tokens = [toks for _, toks, _ in sentences]
     answer_tokens = [tokenize(a).tokens for a in (answers or [])]
     passages = []
     seen = set()
     for idx, score in rank_sentences_tfidf(sent_tokens, query, top_s):
-        toks = sent_tokens[idx]
+        text_, toks, doc_id = sentences[idx]
         if not toks:
             continue
         key = " ".join(toks)
@@ -235,7 +286,6 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
             continue
         seen.add(key)
         positive = bool(answer_tokens) and contains_answer(toks, answer_tokens)
-        text_, doc_id = sentences[idx]
         passages.append(RetrievedPassage(text_, doc_id, len(passages) + 1, score, positive))
         if len(passages) == n:
             break

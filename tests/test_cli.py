@@ -366,7 +366,14 @@ def test_malformed_checkpoint_is_one_line_error(workdir, tmp_path, capsys, paylo
     ("[1]", "index must be a JSON object, got list"),
     ('{"format_version": 1}', "index lacks 'postings', 'doc_lengths', 'docs'"),
     ('{"format_version": 1, "postings": [], "doc_lengths": {}, "docs": []}', "AttributeError"),
-], ids=["list", "no_postings", "postings_list"])
+    ('{"format_version": 1, "postings": {"the": [["a", 1], ["zz", 1]]}, "doc_lengths": {"a": 2},'
+     ' "docs": [{"id": "a", "title": "", "text": "the x"}]}', "unknown document 'zz'"),
+    ('{"format_version": 1, "postings": {"the": [["a", 1]]}, "doc_lengths": {"a": 2, "b": 2},'
+     ' "docs": [{"id": "a", "title": "", "text": "the x"}]}', "doc_lengths and docs"),
+    ('{"format_version": 1, "postings": {"the": [["a", 1], ["a", 1]]}, "doc_lengths": {"a": 2},'
+     ' "docs": [{"id": "a", "title": "", "text": "the x"}]}', "name a document twice"),
+], ids=["list", "no_postings", "postings_list", "posting_unknown_doc", "lengths_docs_mismatch",
+        "posting_repeats_doc"])
 def test_malformed_index_is_one_line_error(workdir, tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload)

@@ -120,6 +120,47 @@ def test_bm25_matches_brute_force_on_100_docs_with_ties():
         assert got == expected  # same docs, same scores, same tie order
 
 
+def dict_bm25(index, query_tokens, top_a, k1=R.BM25_K1, b=R.BM25_B):
+    """The per-document dict scorer `search_bm25` replaced: the bitwise reference."""
+    scores = {}
+    for term in query_tokens:
+        plist = index.postings.get(term)
+        if not plist:
+            continue
+        idf = R.bm25_idf(index, term)
+        for doc_id, tf in plist:
+            dl = index.doc_lengths[doc_id]
+            denom = tf + k1 * (1.0 - b + b * dl / index.avg_doc_length)
+            scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / denom
+    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+    return ranked[:top_a]
+
+
+_WORDS = ["ant", "bee", "cat", "dog", "eel", "fox"]
+
+
+@st.composite
+def _corpora(draw):
+    texts = draw(st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=8).map(" ".join),
+                          min_size=1, max_size=12))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=4))  # duplicates tie on score
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(texts))]))
+    return [R.Document(i, "", t) for i, t in zip(ids, texts)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_corpora(), st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=8), st.integers(1, 20),
+       st.sampled_from([(R.BM25_K1, R.BM25_B), (0.9, 0.4), (2.0, 1.0)]))
+def test_bm25_equals_dict_reference(tmp_path_factory, docs, query, top_a, k1_b):
+    """Bitwise, on random corpora with tied documents, repeated and absent
+    query terms, and top_a above and below the number of hits."""
+    built = R.build_index(docs)
+    path = tmp_path_factory.getbasetemp() / "bm25_index.json"
+    R.save_index(built, path)
+    for index in (built, R.load_index(path)):
+        assert R.search_bm25(index, query, top_a, *k1_b) == dict_bm25(index, query, top_a, *k1_b)
+
+
 # --- sentence splitting -----------------------------------------------------------
 
 def test_split_basic():
@@ -207,6 +248,16 @@ def test_tfidf_100_sentences_matches_brute_force():
     assert R.rank_sentences_tfidf(toks, query, 100) == brute_force_tfidf(toks, query)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), max_size=12),
+       st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=8), st.integers(1, 15))
+def test_tfidf_equals_brute_force_on_random_pools(sentence_tokens, query, top_s):
+    """Bitwise, with empty sentences, repeated and absent query terms, and
+    top_s above and below the pool size."""
+    assert (R.rank_sentences_tfidf(sentence_tokens, query, top_s)
+            == brute_force_tfidf(sentence_tokens, query)[:top_s])
+
+
 # --- query augmentation -------------------------------------------------------------
 
 def test_training_query_with_unique_answer_appends_answer():
@@ -288,6 +339,35 @@ def test_positive_count_matches_brute_force_scan():
         toks = tokenize(p.text).tokens
         expected = any(toks[i:i + len(ans_tokens)] == ans_tokens for i in range(len(toks)))
         assert p.positive == expected
+
+
+def test_sentence_store_splits_and_tokenizes_each_sentence_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sentence_count = sum(len(R.split_sentences(doc.text)) for doc in CORPUS)
+    monkeypatch.setattr(R, "split_sentences", counted("split_sentences", R.split_sentences))
+    monkeypatch.setattr(R, "tokenize", counted("tokenize", R.tokenize))
+    idx = R.build_index(CORPUS)
+    assert calls["split_sentences"] == 0
+    question, answers = "What is the largest island in the Philippines?", ["Luzon", "Manila"]
+
+    def ask(index):
+        calls.clear()
+        return R.retrieve(index, "q1", question, answers, n=5, top_a=3, top_s=10)
+
+    first = ask(idx)
+    assert calls == {"split_sentences": len(CORPUS),
+                     "tokenize": 1 + len(answers) + sentence_count}
+    second = ask(idx)
+    assert calls == {"tokenize": 1 + len(answers)}  # the question and the answers only
+    assert second == first
+    assert ask(R.build_index(CORPUS)) == first
 
 
 def test_retrieved_roundtrip(tmp_path):
