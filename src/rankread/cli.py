@@ -20,7 +20,10 @@ log = logging.getLogger(__name__)
 
 
 def load_dataset(path):
-    """JSON-lines of {id, question, answers}."""
+    """JSON-lines of {id, question, answers}; ids are unique, since retrieved
+    sets are looked up by question id."""
+    seen = set()
+
     def record(rec):
         missing = {"id", "question", "answers"} - set(rec)
         if missing:
@@ -28,6 +31,9 @@ def load_dataset(path):
         answers = rec["answers"]
         if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
             raise ValueError(f"answers must be a list of strings, got {answers!r}")
+        if rec["id"] in seen:
+            raise ValueError(f"duplicate question id {rec['id']!r}")
+        seen.add(rec["id"])
         return rec
 
     records = retrieval.read_jsonl(path, record)

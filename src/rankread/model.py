@@ -9,7 +9,7 @@ INIT_SCALE = 0.1  # parameters start uniform in [-INIT_SCALE, INIT_SCALE]
 
 
 class RankReadModel:
-    """Owns every trainable tensor and the per-example forward passes.
+    """Owns every trainable tensor and the forward passes.
 
     config is the run Config; it is validated here.
     """
@@ -69,23 +69,47 @@ class RankReadModel:
             p.data[...] = arr
 
     # -- forward passes -----------------------------------------------------
+    #
+    # The *_batch methods run a batch of questions as one graph: one encoder
+    # pass over every question and passage, and one pass of each aggregation
+    # stack over every matching representation, so same-length sequences of
+    # different questions share each recurrence. Attention, fusion and the
+    # heads act per question. match_passages, rank, read and read_each are the
+    # one-question forms.
 
-    def match_passages(self, q_emb, p_embs, train=False, rng=None):
-        """Shared matching representations M, one (2l, P_i) tensor per passage."""
-        if not p_embs:
+    def dropout_masks(self, q_emb, p_embs, rng):
+        """One question's inverted-dropout masks for the encoded question, the
+        encoded passages and M, drawn in that order; None with dropout off.
+        Their shapes follow from the embeddings, so they can be drawn before
+        the forward pass."""
+        drop = self.config.dropout
+        if drop == 0:
+            return None
+        l = self.config.hidden_size
+        words = sum(p.data.shape[1] for p in p_embs)
+        return [matcher.dropout_mask(rng, shape, drop)
+                for shape in ((l, q_emb.data.shape[1]), (l, words), (2 * l, words))]
+
+    def match_batch(self, q_embs, p_emb_lists, masks=None):
+        """Shared matching representations M: per question, one (2l, P_i)
+        tensor per passage. masks[i] is question i's dropout_masks (or None)."""
+        if not all(p_emb_lists):
             raise T.ShapeError("match_passages: no passages")
-        drop = self.config.dropout if train else 0.0
-        encoded = matcher.encode_batch([q_emb] + list(p_embs), [self.encoder])
-        h_q, h_ps = encoded[0], encoded[1:]
-        if drop > 0:
-            h_q = T.mul(h_q, matcher.dropout_mask(rng, h_q.data.shape, drop))
+        encoded = matcher.encode_batch(
+            list(q_embs) + [p for p_embs in p_emb_lists for p in p_embs], [self.encoder])
+        h_p_lists = _split(encoded[len(q_embs):], p_emb_lists)
+        masks = masks or [None] * len(q_embs)
+        return [self._match(h_q, h_ps, m) for h_q, h_ps, m in zip(encoded, h_p_lists, masks)]
+
+    def _match(self, h_q, h_ps, masks):
         h_p_all = T.concat_cols(h_ps) if len(h_ps) > 1 else h_ps[0]
-        if drop > 0:
-            h_p_all = T.mul(h_p_all, matcher.dropout_mask(rng, h_p_all.data.shape, drop))
+        if masks is not None:
+            h_q = T.mul(h_q, masks[0])
+            h_p_all = T.mul(h_p_all, masks[1])
         g_all = matcher.attend(h_q, h_p_all, self.w_g, self.b_g)
         m_all = matcher.match(h_p_all, h_q, g_all, self.w_m)
-        if drop > 0:
-            m_all = T.mul(m_all, matcher.dropout_mask(rng, m_all.data.shape, drop))
+        if masks is not None:
+            m_all = T.mul(m_all, masks[2])
         ms = []
         offset = 0
         for h in h_ps:
@@ -94,26 +118,39 @@ class RankReadModel:
             offset += width
         return ms
 
+    def rank_batch(self, m_lists, passage_id_lists):
+        """One selection policy per question over its matching representations."""
+        h_ranks = matcher.encode_batch([m for ms in m_lists for m in ms], self.agg_rank)
+        return [ranker.score_passages(h, self.w_c, self.b_c, self.w_c_out, ids)
+                for h, ids in zip(_split(h_ranks, m_lists), passage_id_lists)]
+
+    def read_batch(self, m_lists, passage_id_lists):
+        """One span distribution per question over its passages concatenated in order."""
+        h_reads = matcher.encode_batch([m for ms in m_lists for m in ms], self.agg_read)
+        heads = [self.params[f"read_{tag}.{name}"]
+                 for tag in ("start", "end") for name in ("W", "b", "w")]
+        return [reader.span_distributions(h, ids, *heads)
+                for h, ids in zip(_split(h_reads, m_lists), passage_id_lists)]
+
+    def match_passages(self, q_emb, p_embs):
+        return self.match_batch([q_emb], [p_embs])[0]
+
     def rank(self, ms, passage_ids=None):
-        """Selection policy over the given matching representations."""
-        h_ranks = matcher.encode_batch(ms, self.agg_rank)
-        return ranker.score_passages(h_ranks, self.w_c, self.b_c, self.w_c_out, passage_ids)
+        return self.rank_batch([ms], [passage_ids])[0]
 
     def read(self, ms, passage_ids):
-        """Span distributions over the given passages concatenated in order."""
-        h_reads = matcher.encode_batch(ms, self.agg_read)
-        return reader.span_distributions(
-            h_reads, passage_ids,
-            self.params["read_start.W"], self.params["read_start.b"], self.params["read_start.w"],
-            self.params["read_end.W"], self.params["read_end.b"], self.params["read_end.w"])
+        return self.read_batch([ms], [passage_ids])[0]
 
     def read_each(self, ms, passage_ids):
         """One single-segment span distribution per passage (inference form)."""
-        h_reads = matcher.encode_batch(ms, self.agg_read)
-        return [
-            reader.span_distributions(
-                [h], [pid],
-                self.params["read_start.W"], self.params["read_start.b"], self.params["read_start.w"],
-                self.params["read_end.W"], self.params["read_end.b"], self.params["read_end.w"])
-            for h, pid in zip(h_reads, passage_ids)
-        ]
+        return self.read_batch([[m] for m in ms], [[pid] for pid in passage_ids])
+
+
+def _split(flat, lists):
+    """flat cut into consecutive pieces, as long as the lists in lists."""
+    pieces = []
+    offset = 0
+    for part in lists:
+        pieces.append(flat[offset:offset + len(part)])
+        offset += len(part)
+    return pieces

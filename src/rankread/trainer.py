@@ -145,11 +145,23 @@ def pretrain_init(model, checkpoint_path, optimizer=None):
 class Trainer:
     """Runs epochs over training examples in any of the three modes.
 
-    One optimizer step per batch; gradients accumulate across the batch's
-    examples. The per-step log records are kept on .log. A batch whose
-    gradient norm is not finite takes no step and logs no record; it is
-    counted on .nonfinite_steps. .batches counts every batch train() ran,
-    logged or not, and is the step index of the next one.
+    One optimizer step per batch: the batch's examples are built into one
+    graph and their summed loss gets one backward pass. The rng draws of a
+    batch come in a fixed order. First, for each example in batch order, its
+    passage subset (sample_passage_subset) and then its dropout masks, none
+    of which depend on the forward pass. Then, after the batched ranking
+    pass, for each example in batch order, tau (sample_passage in r3, a
+    uniform pick among the subset's positives in sr and sr2) and then the
+    index of the answer occurrence in tau.
+
+    Word vectors are looked up per batch, for the sampled passages only, so
+    the trainer's memory does not grow with the training set.
+
+    The per-step log records are kept on .log; each carries the gradient
+    norm before clipping and whether clipping fired. A batch whose gradient
+    norm is not finite takes no step and logs no record; it is counted on
+    .nonfinite_steps. .batches counts every batch train() ran, logged or
+    not, and is the step index of the next one.
     """
 
     def __init__(self, model, table, config, seed=0):
@@ -161,100 +173,104 @@ class Trainer:
         self.log = []
         self.nonfinite_steps = 0
         self.batches = 0
-        self._embed_cache = {}
 
-    # -- embeddings (fixed; cached per question id) --------------------------
+    # -- a batch's losses -------------------------------------------------------
 
-    def _embeddings(self, example):
-        cached = self._embed_cache.get(example.question_id)
-        if cached is None:
-            q_emb = embed(example.question_tokens, self.table)
-            p_embs = [embed(toks, self.table) for toks in example.passage_tokens]
-            cached = (q_emb, p_embs)
-            self._embed_cache[example.question_id] = cached
-        return cached
+    def batch_losses(self, batch, mode):
+        """Build the differentiable losses of a batch in one graph.
 
-    # -- one example's losses -------------------------------------------------
-
-    def example_losses(self, example, mode):
-        """Build the differentiable loss for one example; returns a report dict
-        with 'loss' (tensor) and logged floats. An example without a positive
-        passage is a ValueError: build_examples drops those."""
+        Returns one report per example, in batch order: 'loss' (tensor), the
+        logged floats, and the draws it used ('subset', 'tau', 'span'). An
+        example without a positive passage in its subset is a ValueError
+        naming it: build_examples drops those.
+        """
         if mode not in MODES:
             raise ValueError(f"unknown training mode: {mode!r}")
-        cfg = self.config
-        rng = self.rng
-        q_emb, p_embs = self._embeddings(example)
-        subset = sample_passage_subset(example, cfg.train_sample_k, cfg.min_negatives, rng)
-        pos_ids = [i for i in subset if example.spans.get(i)]
-        neg_ids = [i for i in subset if not example.spans.get(i)]
-        if not pos_ids:
-            raise ValueError(f"{example.question_id}: example has no positive passage")
-        ms = self.model.match_passages(
-            q_emb, [p_embs[i] for i in subset],
-            train=cfg.dropout > 0, rng=rng)
-        ms_by_id = dict(zip(subset, ms))
+        cfg, rng, model = self.config, self.rng, self.model
+        subsets, positives, q_embs, p_emb_lists, masks = [], [], [], [], []
+        for example in batch:
+            subset = sample_passage_subset(example, cfg.train_sample_k, cfg.min_negatives, rng)
+            pos_ids = [i for i in subset if example.spans.get(i)]
+            if not pos_ids:
+                raise ValueError(f"{example.question_id}: example has no positive passage")
+            q_emb = embed(example.question_tokens, self.table)
+            chosen = [embed(example.passage_tokens[i], self.table) for i in subset]
+            subsets.append(subset)
+            positives.append(pos_ids)
+            q_embs.append(q_emb)
+            p_emb_lists.append(chosen)
+            masks.append(model.dropout_masks(q_emb, chosen, rng))
+        m_lists = model.match_batch(q_embs, p_emb_lists, masks)
+        policies = model.rank_batch(m_lists, subsets) if mode != "sr" else [None] * len(batch)
 
-        policy = None
-        if mode in ("sr2", "r3"):
-            policy = self.model.rank(ms, subset)
+        labels, read_ids, read_ms = [], [], []
+        for example, subset, pos_ids, ms, policy in zip(batch, subsets, positives, m_lists,
+                                                        policies):
+            if mode == "r3":
+                tau = ranker_mod.sample_passage(policy, set(pos_ids), rng)
+            else:
+                tau = pos_ids[int(rng.integers(len(pos_ids)))]
+            occurrences = example.spans[tau]
+            start, end = occurrences[int(rng.integers(len(occurrences)))] \
+                if len(occurrences) > 1 else occurrences[0]
+            labels.append(reader_mod.SpanLabel(tau, start, end))
+            order = [tau] + [i for i in subset if not example.spans.get(i)]
+            ms_by_id = dict(zip(subset, ms))
+            read_ids.append(order)
+            read_ms.append([ms_by_id[i] for i in order])
+        dists = model.read_batch(read_ms, read_ids)
 
-        if mode == "r3":
-            tau = ranker_mod.sample_passage(policy, set(pos_ids), rng)
-        else:
-            tau = pos_ids[int(rng.integers(len(pos_ids)))]
+        reports = []
+        for example, subset, pos_ids, policy, dist, label in zip(
+                batch, subsets, positives, policies, dists, labels):
+            tau = label.passage_id
+            reader_loss = reader_mod.span_loss(dist, label)
+            report = {"reader_loss": reader_loss.item(), "subset": subset, "tau": tau,
+                      "span": (label.start, label.end)}
+            loss = reader_loss
+            if mode == "sr2":
+                kl = kl_rank_loss(policy, set(pos_ids))
+                loss = T.add(loss, T.scale(kl, cfg.kl_weight))
+                report["kl_loss"] = kl.item()
+            elif mode == "r3":
+                extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
+                answer_text = " ".join(
+                    example.passage_tokens[tau][extracted.start:extracted.end + 1])
+                r = best_reward(example.answers, answer_text).value
+                log_pi = ranker_mod.log_policy(policy, tau)
+                loss = T.add(loss, T.scale(log_pi, -r))
+                report["reward"] = r
+            report["loss"] = loss
+            reports.append(report)
+        return reports
 
-        order = [tau] + neg_ids
-        dist = self.model.read([ms_by_id[i] for i in order], order)
-        occurrences = example.spans[tau]
-        start, end = occurrences[int(rng.integers(len(occurrences)))] \
-            if len(occurrences) > 1 else occurrences[0]
-        label = reader_mod.SpanLabel(tau, start, end)
-        reader_loss = reader_mod.span_loss(dist, label)
-        report = {"reader_loss": reader_loss.item(), "tau": tau}
-        loss = reader_loss
-
-        if mode == "sr2":
-            kl = kl_rank_loss(policy, set(pos_ids))
-            loss = T.add(loss, T.scale(kl, cfg.kl_weight))
-            report["kl_loss"] = kl.item()
-        elif mode == "r3":
-            extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
-            answer_text = " ".join(
-                example.passage_tokens[tau][extracted.start:extracted.end + 1])
-            r = best_reward(example.answers, answer_text).value
-            log_pi = ranker_mod.log_policy(policy, tau)
-            loss = T.add(loss, T.scale(log_pi, -r))
-            report["reward"] = r
-        report["loss"] = loss
-        return report
+    def example_losses(self, example, mode):
+        """batch_losses of a batch of one; returns its report."""
+        return self.batch_losses([example], mode)[0]
 
     # -- steps and epochs ------------------------------------------------------
 
     def _apply_batch(self, batch, mode, step_index):
         self.model.zero_grads()
-        sums = {"reader_loss": 0.0, "kl_loss": 0.0, "reward": 0.0}
-        seen = {"kl_loss": False, "reward": False}
-        for example in batch:
-            report = self.example_losses(example, mode)
-            T.backward(report["loss"])
-            sums["reader_loss"] += report["reader_loss"]
-            for key in ("kl_loss", "reward"):
-                if key in report:
-                    sums[key] += report[key]
-                    seen[key] = True
-        norm = T.clip_global_norm(self.model.parameters().values(), self.config.grad_clip)
+        reports = self.batch_losses(batch, mode)
+        total = reports[0]["loss"]
+        for report in reports[1:]:
+            total = T.add(total, report["loss"])
+        T.backward(total)
+        grad_clip = self.config.grad_clip
+        norm = T.clip_global_norm(self.model.parameters().values(), grad_clip)
         if not math.isfinite(norm):
             self.nonfinite_steps += 1
             log.warning("step %d: non-finite gradient norm, optimizer step skipped", step_index)
             return None
         self.optimizer.step()
         record = {"step": step_index, "mode": mode,
-                  "reader_loss": sums["reader_loss"] / len(batch)}
-        if seen["reward"]:
-            record["reward"] = sums["reward"] / len(batch)
-        if seen["kl_loss"]:
-            record["kl_loss"] = sums["kl_loss"] / len(batch)
+                  "reader_loss": sum(r["reader_loss"] for r in reports) / len(batch)}
+        for key in ("reward", "kl_loss"):
+            if key in reports[0]:
+                record[key] = sum(r[key] for r in reports) / len(batch)
+        record["grad_norm"] = norm
+        record["clipped"] = norm > grad_clip > 0
         self.log.append(record)
         return record
 

@@ -5,7 +5,7 @@ from rankread import trainer as trainer_mod
 from rankread.config import Config
 from rankread.model import RankReadModel
 from rankread.retrieval import RetrievedPassage
-from rankread.text import synthetic_embeddings, tokenize
+from rankread.text import embed, synthetic_embeddings, tokenize
 
 
 TOY_PASSAGES = [
@@ -18,19 +18,24 @@ TOY_QUESTION = "what is the color of the kib ?"
 TOY_ANSWERS = ["blue"]
 
 
-def toy_example():
-    """N=4 passages, two containing the answer."""
-    passages = [RetrievedPassage(text, f"d{i}", i + 1, 1.0 / (i + 1), "blue" in text)
-                for i, text in enumerate(TOY_PASSAGES)]
-    p_tokens = [tokenize(t).tokens for t in TOY_PASSAGES]
-    answer_tokens = [tokenize(a).tokens for a in TOY_ANSWERS]
+def make_example(question_id, question, texts, answers):
+    """A training example over the given passages, answer spans localized."""
+    p_tokens = [tokenize(t).tokens for t in texts]
+    answer_tokens = [tokenize(a).tokens for a in answers]
+    passages = []
     spans = {}
     for i, toks in enumerate(p_tokens):
         occ = trainer_mod.localize_spans(toks, answer_tokens)
+        passages.append(RetrievedPassage(texts[i], f"d{i}", i + 1, 1.0 / (i + 1), bool(occ)))
         if occ:
             spans[i] = occ
     return trainer_mod.TrainingExample(
-        "toy-0", tokenize(TOY_QUESTION).tokens, list(TOY_ANSWERS), passages, p_tokens, spans)
+        question_id, tokenize(question).tokens, list(answers), passages, p_tokens, spans)
+
+
+def toy_example():
+    """N=4 passages, two containing the answer."""
+    return make_example("toy-0", TOY_QUESTION, TOY_PASSAGES, TOY_ANSWERS)
 
 
 def toy_table(dim=6):
@@ -71,7 +76,8 @@ def enumerate_policy_gradient(trainer, example):
 
     model = trainer.model
     cfg = trainer.config
-    q_emb, p_embs = trainer._embeddings(example)
+    q_emb = embed(example.question_tokens, trainer.table)
+    p_embs = [embed(toks, trainer.table) for toks in example.passage_tokens]
     pos = example.positive_indices()
     neg = [i for i in range(len(example.passages)) if i not in example.spans]
 

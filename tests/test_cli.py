@@ -99,7 +99,7 @@ def test_sr_mode_logs_skip_ranker_fields(workdir, tmp_path):
                  "--hidden-size", "8", "--embed-dim", "8", "--dropout", "0.0",
                  "--train-sample-k", "6", "--seed", "3"]) == 0
     records = [json.loads(l) for l in log.read_text().splitlines()]
-    assert all(set(r) == {"step", "mode", "reader_loss"} for r in records)
+    assert all(set(r) == {"step", "mode", "reader_loss", "grad_norm", "clipped"} for r in records)
 
 
 def test_train_r3_without_init_pretrains(workdir, tmp_path, caplog):
@@ -322,6 +322,23 @@ def test_non_json_dataset_line_is_one_line_error(workdir, tmp_path, capsys):
                  "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     line = _error_line(capsys)
     assert line.startswith(f"error: {bad}:3: ") and "Expecting value" in line
+
+
+def test_duplicate_question_id_is_one_line_error(workdir, tmp_path, capsys):
+    # retrieved sets are found by question id, so a repeated id would give
+    # one question the other's passages
+    lines = workdir["train"].read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["id"] = json.loads(lines[0])["id"]
+    lines[3] = json.dumps(rec)
+    bad = tmp_path / "train.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(bad), "--out", str(tmp_path / "m.json"),
+                 "--mode", "sr", "--epochs", "1", "--hidden-size", "8", "--embed-dim", "8",
+                 "--train-sample-k", "6"]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:4: ValueError: duplicate question id {rec['id']!r}"
 
 
 def test_non_json_checkpoint_is_one_line_error(workdir, tmp_path, capsys):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_policy_gradient, toy_example, toy_trainer
+from conftest import enumerate_policy_gradient, make_example, toy_example, toy_trainer
 
+from rankread import ranker as ranker_mod
+from rankread import reader as reader_mod
 from rankread import tensor as T
 from rankread import trainer as trainer_mod
 from rankread.ranker import PolicyDistribution
 from rankread.retrieval import RetrievedPassage, RetrievedSet
+from rankread.text import embed, synthetic_embeddings
 
 
 # --- reward -------------------------------------------------------------------
@@ -157,13 +160,13 @@ def test_one_epoch_touches_each_example_once_shuffled():
                                          ex.passages, ex.passage_tokens, ex.spans)
         examples.append(ex)
     seen = []
-    original = trainer.example_losses
+    original = trainer.batch_losses
 
-    def spy(example, mode):
-        seen.append(example.question_id)
-        return original(example, mode)
+    def spy(batch, mode):
+        seen.extend(example.question_id for example in batch)
+        return original(batch, mode)
 
-    trainer.example_losses = spy
+    trainer.batch_losses = spy
     trainer.train(examples, "sr", epochs=2)
     assert sorted(seen[:6]) == [f"q{i}" for i in range(6)]
     assert sorted(seen[6:]) == [f"q{i}" for i in range(6)]
@@ -213,20 +216,20 @@ def test_r3_step_single_update_combines_both_sources(example):
 def test_nonfinite_gradient_skips_the_step(example, caplog):
     trainer = toy_trainer(seed=9)
     before = trainer.model.export_values()
-    build = trainer.example_losses
+    build = trainer.batch_losses
 
-    def poisoned(ex, mode):
-        report = build(ex, mode)
-        report["loss"] = T.scale(report["loss"], float("inf"))
-        return report
+    def poisoned(batch, mode):
+        reports = build(batch, mode)
+        reports[0]["loss"] = T.scale(reports[0]["loss"], float("inf"))
+        return reports
 
-    trainer.example_losses = poisoned
+    trainer.batch_losses = poisoned
     assert trainer._apply_batch([example], "r3", 4) is None
     assert trainer.optimizer.t == 0 and trainer.nonfinite_steps == 1 and trainer.log == []
     after = trainer.model.export_values()
     assert all(np.array_equal(before[name], after[name]) for name in before)
     assert "step 4: non-finite gradient norm" in caplog.text
-    trainer.example_losses = build
+    trainer.batch_losses = build
     assert trainer._apply_batch([example], "r3", 4) is not None
     assert trainer.optimizer.t == 1 and trainer.nonfinite_steps == 1
 
@@ -249,6 +252,8 @@ def test_example_without_positive_passage_raises(example, mode):
     example.spans = {}
     with pytest.raises(ValueError, match="q-none: example has no positive passage"):
         toy_trainer(seed=0).example_losses(example, mode)
+    with pytest.raises(ValueError, match="q-none: example has no positive passage"):
+        toy_trainer(seed=0).batch_losses([toy_example(), example], mode)
 
 
 def test_sr2_example_tape_stays_small(example):
@@ -260,19 +265,122 @@ def test_sr2_example_tape_stays_small(example):
     assert _tape_size(report["loss"]) < 160
 
 
+def test_sr2_batch_tape_stays_small(example):
+    # a batch is one graph whose examples share each recurrence: four toy
+    # examples reach 359 tensors from their summed loss, four separate
+    # graphs 4 x 153 = 612
+    batch = [toy_example() for _ in range(4)]
+    reports = toy_trainer(seed=0).batch_losses(batch, "sr2")
+    total = reports[0]["loss"]
+    for report in reports[1:]:
+        total = T.add(total, report["loss"])
+    assert _tape_size(total) < 400
+
+
+def _mixed_batch():
+    """Examples of different question and passage lengths; the first one twice."""
+    a = toy_example()
+    b = make_example("mix-b", "which colour is the zob ?",
+                     ["the zob is red .", "red .", "nobody has ever seen the zob up close here .",
+                      "a zob , red and round , sat near the kib .", "zob ."], ["red"])
+    c = make_example("mix-c", "what food does the kib eat ?",
+                     ["the kib eats corn every day .", "corn .", "the zob eats nothing ."],
+                     ["corn"])
+    return [a, b, a, c]
+
+
+def _reference_loss(trainer, example, mode, report):
+    """One example's loss built alone with the one-question model passes, from
+    the subset, tau and span its batch drew."""
+    model, cfg = trainer.model, trainer.config
+    subset, tau = report["subset"], report["tau"]
+    ms = model.match_passages(embed(example.question_tokens, trainer.table),
+                              [embed(example.passage_tokens[i], trainer.table) for i in subset])
+    ms_by_id = dict(zip(subset, ms))
+    order = [tau] + [i for i in subset if not example.spans.get(i)]
+    dist = model.read([ms_by_id[i] for i in order], order)
+    loss = reader_mod.span_loss(dist, reader_mod.SpanLabel(tau, *report["span"]))
+    if mode == "sr2":
+        kl = trainer_mod.kl_rank_loss(model.rank(ms, subset),
+                                      {i for i in subset if example.spans.get(i)})
+        loss = T.add(loss, T.scale(kl, cfg.kl_weight))
+    elif mode == "r3":
+        extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
+        answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
+        r = trainer_mod.best_reward(example.answers, answer).value
+        assert r == report["reward"]
+        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(ms, subset), tau), -r))
+    return loss
+
+
+@pytest.mark.parametrize("mode", trainer_mod.MODES)
+def test_batch_losses_equal_per_example_losses(mode):
+    # one _apply_batch step at learning rate 0 and no clipping leaves the
+    # batch's gradients on the parameters
+    trainer = toy_trainer(seed=21, train_sample_k=3, min_negatives=1,
+                          learning_rate=0.0, grad_clip=1e9)
+    batch = _mixed_batch()
+    vocab = {tok for ex in batch for toks in [ex.question_tokens] + ex.passage_tokens
+             for tok in toks}
+    trainer.table = synthetic_embeddings(vocab, trainer.config.embed_dim, seed=5)
+    assert len({len(ex.question_tokens) for ex in batch}) == 3
+    params = trainer.model.parameters()
+    built = trainer.batch_losses
+    reports = []
+    trainer.batch_losses = lambda b, m: reports.extend(built(b, m)) or reports
+    record = trainer._apply_batch(batch, mode, 0)
+    assert [len(r["subset"]) < len(ex.passages) for ex, r in zip(batch, reports)] == \
+        [True, True, True, False]
+    batched = {name: p.grad.copy() for name, p in params.items()}
+
+    summed = 0.0
+    grads = {name: np.zeros_like(p.data) for name, p in params.items()}
+    for example, report in zip(batch, reports):
+        trainer.model.zero_grads()
+        loss = _reference_loss(trainer, example, mode, report)
+        T.backward(loss)
+        assert abs(loss.item() - report["loss"].item()) <= 1e-10
+        summed += loss.item()
+        for name, p in params.items():
+            grads[name] += p.grad
+    assert abs(sum(r["loss"].item() for r in reports) - summed) <= 1e-10
+    assert record["reader_loss"] == pytest.approx(
+        np.mean([r["reader_loss"] for r in reports]), abs=1e-12)
+    for name in params:
+        assert np.max(np.abs(batched[name] - grads[name])) <= 1e-10, name
+    touched = [name for name in params if np.any(batched[name])]
+    assert any(name.startswith("agg_rank.") for name in touched) == (mode != "sr")
+
+
+def test_step_record_reports_a_fired_clip(example):
+    trainer = toy_trainer(seed=9, grad_clip=1e-6)
+    record = trainer._apply_batch([example, example], "r3", 0)
+    assert record["clipped"] is True and record["grad_norm"] > 1e-6
+    left = np.concatenate([p.grad.ravel() for p in trainer.model.parameters().values()])
+    assert np.linalg.norm(left) == pytest.approx(1e-6, rel=1e-9)
+
+
+def test_step_record_reports_the_unclipped_gradient_norm(example):
+    trainer = toy_trainer(seed=9, grad_clip=1e6)
+    record = trainer._apply_batch([example, example], "sr2", 0)
+    assert record["clipped"] is False
+    left = np.concatenate([p.grad.ravel() for p in trainer.model.parameters().values()])
+    assert record["grad_norm"] == pytest.approx(np.linalg.norm(left), rel=1e-12)
+
+
 def test_step_index_counts_batches_without_a_record(example, caplog):
     trainer = toy_trainer(seed=9)
-    build = trainer.example_losses
+    build = trainer.batch_losses
     calls = []
 
-    def poisoned_first(ex, mode):
-        report = build(ex, mode)
+    def poisoned_first(batch, mode):
+        reports = build(batch, mode)
         if not calls:
-            report["loss"] = T.scale(report["loss"], float("inf"))
+            reports[0]["loss"] = T.scale(reports[0]["loss"], float("inf"))
         calls.append(mode)
-        return report
+        return reports
 
-    trainer.example_losses = poisoned_first
+    trainer.batch_losses = poisoned_first
     with np.errstate(invalid="ignore"):
         trainer.train([example], "r3", epochs=2)
     assert trainer.batches == 2 and trainer.nonfinite_steps == 1
