@@ -28,6 +28,8 @@ def load_dataset(path):
         missing = {"id", "question", "answers"} - set(rec)
         if missing:
             raise ValueError(f"dataset record missing {sorted(missing)}")
+        if not isinstance(rec["question"], str):
+            raise ValueError(f"question must be a string, got {rec['question']!r}")
         answers = rec["answers"]
         if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
             raise ValueError(f"answers must be a list of strings, got {answers!r}")

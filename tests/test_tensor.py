@@ -326,12 +326,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     values, opt_state, extra = T.load_checkpoint(path)
     for name, p in params.items():
         assert np.array_equal(values[name], p.data)
-    opt2 = T.Adamax(params, lr=0.01)
-    opt2.load_state_dict(opt_state)
-    assert opt2.t == opt.t
-    for n in params:
-        assert np.array_equal(opt2.m[n], opt.m[n])
-        assert np.array_equal(opt2.u[n], opt.u[n])
+    assert opt_state == opt.state_dict()
     assert extra == {"mode": "sr2"}
 
 
