@@ -4,14 +4,17 @@ The matching representation M for each passage is shared by the ranking and
 reading heads; only the aggregation BiLSTM stacks on top of M differ (one
 layer for ranking, three for reading, separate parameters).
 
-Sequences sit in matrices column-per-token. `encode_batch` stacks
-same-length sequences side by side (column j*steps + t is sequence j at step
-t), which is the one layout every layer of a stack and `tensor.lstm` use, so
-a group runs through all its layers without reordering or splitting. The math
-is column-parallel: a sequence's output equals encoding it alone up to BLAS
-rounding (checked in tests). Each direction of a layer is one `tensor.lstm`
-tape node: the input projection W x + b is one matmul over all steps, and the
-step loop with its hand-written backward lives inside the op.
+Sequences sit in matrices column-per-token. `encode_batch` sorts a stack
+call's sequences by length, longest first, and lays them side by side once
+(each sequence's columns in step order, one sequence after another), which is
+the one layout every layer of the stack and `tensor.lstm` use. So the whole
+call runs through each layer as one recurrence per direction, whatever the
+lengths, and is cut per sequence only after the last layer. At each step only
+the sequences that are still running take it, so a sequence's output equals
+encoding it alone up to BLAS rounding (checked in tests). Each direction of a
+layer is one `tensor.lstm` tape node: the input projection W x + b is one
+matmul over all steps, and the step loop with its hand-written backward lives
+inside the op.
 """
 
 from dataclasses import dataclass
@@ -54,18 +57,19 @@ def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
     return BiLstm(dirs[0], dirs[1], in_dim, h)
 
 
-def _bilstm(x, params, n):
-    """One BiLSTM layer over n same-length sequences stacked side by side."""
-    return T.concat_rows([T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, n, reverse=reverse)
+def _bilstm(x, params, lengths):
+    """One BiLSTM layer over sequences side by side, lengths non-increasing."""
+    return T.concat_rows([T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, lengths, reverse=reverse)
                           for d, reverse in ((params.fwd, False), (params.bwd, True))])
 
 
 def encode_batch(seqs, layers):
     """Run a stack of BiLSTM layers over (in_dim, T_i) tensors; one (2h, T_i) output each.
 
-    Same-length sequences are stacked side by side once and go through every
-    layer of the stack together; the result is split per sequence after the
-    last layer. Output order matches input.
+    The sequences are sorted by length, longest first (a stable sort), laid
+    side by side once and go through every layer of the stack together: one
+    `tensor.lstm` call per direction per layer. The result is split per
+    sequence after the last layer. Output order matches input.
     """
     if not seqs:
         return []
@@ -76,20 +80,18 @@ def encode_batch(seqs, layers):
         if s.data.shape[0] != in_dim:
             raise T.ShapeError(
                 f"encode: input has {s.data.shape[0]} rows, BiLSTM expects {in_dim}")
-    groups = {}
-    for idx, s in enumerate(seqs):
-        groups.setdefault(s.data.shape[1], []).append(idx)
+    order = sorted(range(len(seqs)), key=lambda i: -seqs[i].data.shape[1])
+    lengths = [seqs[i].data.shape[1] for i in order]
+    x = T.concat_cols([seqs[i] for i in order]) if len(seqs) > 1 else seqs[0]
+    for layer in layers:
+        x = _bilstm(x, layer, lengths)
+    if len(seqs) == 1:
+        return [x]
     results = [None] * len(seqs)
-    for steps, indices in groups.items():
-        n = len(indices)
-        x = T.concat_cols([seqs[i] for i in indices]) if n > 1 else seqs[indices[0]]
-        for layer in layers:
-            x = _bilstm(x, layer, n)
-        if n == 1:
-            results[indices[0]] = x
-            continue
-        for slot, idx in enumerate(indices):
-            results[idx] = T.slice_cols(x, slot * steps, (slot + 1) * steps)
+    offset = 0
+    for i, width in zip(order, lengths):
+        results[i] = T.slice_cols(x, offset, offset + width)
+        offset += width
     return results
 
 

@@ -72,8 +72,8 @@ class RankReadModel:
     #
     # The *_batch methods run a batch of questions as one graph: one encoder
     # pass over every question and passage, and one pass of each aggregation
-    # stack over every matching representation, so same-length sequences of
-    # different questions share each recurrence. Attention, fusion and the
+    # stack over every matching representation, so the sequences of all the
+    # questions share each recurrence. Attention, fusion and the
     # heads act per question. match_passages, rank, read and read_each are the
     # one-question forms.
 

@@ -44,6 +44,14 @@ class RetrievedPassage:
     ir_score: float
     positive: bool
 
+    def __post_init__(self):
+        for name, kind, what in (("text", str, "a string"), ("doc_id", str, "a string"),
+                                 ("ir_rank", int, "an integer"), ("ir_score", (int, float), "a number"),
+                                 ("positive", bool, "a bool")):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise TypeError(f"retrieved passage {name} must be {what}, got {value!r}")
+
 
 @dataclass
 class RetrievedSet:

@@ -67,8 +67,8 @@ def _coin_unique(rng, count, syllables, taken):
 
 
 def _sentences(entity, relation, answer, wrong_answers, spec, rng):
-    # every template is exactly ten tokens, so one question's passages run
-    # through the encoder as a single batch group
+    # every template is exactly ten tokens, so one question's passages are
+    # all of one length
     sents = []
     if rng.random() < spec.pseudo_positive_rate:
         sents.append(f"{answer.capitalize()} is often mentioned near {entity} in {relation} records.")

@@ -10,6 +10,7 @@ import json
 import math
 import threading
 from contextlib import contextmanager
+from itertools import accumulate
 
 import numpy as np
 
@@ -333,49 +334,93 @@ def neg_log_softmax_pick(a, k):
     return out
 
 
-def lstm(pre, U, n, reverse=False):
-    """One LSTM direction over n equal-length sequences, as a single tape node.
+def _prefix(a, k):
+    """The first k columns of a, with zero columns appended when a has fewer."""
+    if a.shape[1] >= k:
+        return a[:, :k]
+    out = np.zeros((a.shape[0], k))
+    out[:, :a.shape[1]] = a
+    return out
 
-    pre is the (4h, n*steps) input projection W x + b with the sequences side
-    by side: column j*steps + t holds sequence j at step t. U is the (4h, h)
-    recurrent matrix and gate rows are [i, f, o, g]. Returns the (h, n*steps)
-    hidden states in the same column order; reverse runs each sequence from
-    its last step to its first. The step loop works on (rows, n, steps) views.
+
+def lstm(pre, U, lengths, reverse=False):
+    """One LSTM direction over sequences of any lengths, as a single tape node.
+
+    pre is the (4h, sum(lengths)) input projection W x + b with the sequences
+    side by side: sequence j's columns follow sequence j-1's, in step order.
+    lengths must be positive and non-increasing. U is the (4h, h) recurrent
+    matrix and gate rows are [i, f, o, g]. Returns the (h, sum(lengths)) hidden
+    states in the same column order; reverse runs each sequence from its last
+    step to its first.
+
+    The step loop works on (rows, n, max_len) blocks with the sequences
+    left-aligned and zeros past each one's end; when all lengths are equal a
+    block is a reshape of pre. At step t only the first #(lengths > t)
+    sequences, a prefix because of the order, take the step, as in a packed
+    sequence. So a sequence's state starts at zero in either direction and no
+    padded position is computed, and each sequence's arithmetic is its own.
     The forward matches the per-step composition of matmul, add, sigmoid, tanh
-    and mul bit for bit; the backward is hand-written BPTT.
+    and mul bit for bit; the backward is hand-written BPTT over the same
+    prefixes.
     """
     h = U.data.shape[1]
     rows, cols = pre.data.shape
     if U.data.shape != (4 * h, h) or rows != 4 * h:
         raise ShapeError(f"lstm: input {pre.data.shape} and recurrent {U.data.shape} "
-                         "need shapes (4h, n*steps) and (4h, h)")
-    if n < 1 or cols % n:
-        raise ShapeError(f"lstm: {cols} columns do not split into {n} equal-length sequences")
-    steps = cols // n
+                         "need shapes (4h, sum(lengths)) and (4h, h)")
+    # plain Python on the lengths: numpy's per-call cost would outweigh it
+    lengths = list(lengths)
+    if not lengths or min(lengths) < 1:
+        raise ShapeError(f"lstm: sequence lengths must be positive, got {lengths}")
+    if any(a < b for a, b in zip(lengths, lengths[1:])):
+        raise ShapeError(f"lstm: sequence lengths must be non-increasing, got {lengths}")
+    if sum(lengths) != cols:
+        raise ShapeError(f"lstm: lengths sum to {sum(lengths)}, input has {cols} columns")
+    n, steps = len(lengths), lengths[0]
+    ends = [0] * steps  # ends[t]: how many sequences take their last step at t
+    for length in lengths:
+        ends[length - 1] += 1
+    active = list(accumulate(reversed(ends)))[::-1]  # active[t]: how many are longer than t
+    mask = None if lengths[-1] == steps else np.arange(steps) < np.array(lengths)[:, None]
+
+    def blocked(a):
+        if mask is None:
+            return a.reshape(a.shape[0], n, steps)
+        out = np.zeros((a.shape[0], n, steps))
+        out[:, mask] = a
+        return out
+
+    def packed(a):
+        return a.reshape(a.shape[0], cols) if mask is None else a[:, mask]
+
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    pre3 = pre.data.reshape(rows, n, steps)
-    acts = np.empty((4 * h, n, steps))  # gate activations i, f, o, g
-    cells = np.empty((h, n, steps))
-    tanh_c = np.empty((h, n, steps))
-    hs = np.empty((h, n, steps))
-    h_t = np.zeros((h, n))
-    c_t = np.zeros((h, n))
+    pre3 = blocked(pre.data)
+    # zeros past each sequence's end, which the backward reads
+    acts = np.zeros((4 * h, n, steps))  # gate activations i, f, o, g
+    cells = np.zeros((h, n, steps))
+    tanh_c = np.zeros((h, n, steps))
+    hs = np.zeros((h, n, steps))
+    h_t = c_t = np.zeros((h, 0))
     for t in order:
-        z = pre3[:, :, t] + U.data @ h_t
+        k = active[t]
+        if k != h_t.shape[1]:
+            h_t, c_t = _prefix(h_t, k), _prefix(c_t, k)
+        z = pre3[:, :k, t] + U.data @ h_t
         a = np.empty_like(z)
         a[:3 * h] = _sigmoid(z[:3 * h])
         a[3 * h:] = np.tanh(z[3 * h:])
         c_t = a[h:2 * h] * c_t + a[:h] * a[3 * h:]
         tc = np.tanh(c_t)
         h_t = a[2 * h:3 * h] * tc
-        acts[:, :, t] = a
-        cells[:, :, t] = c_t
-        tanh_c[:, :, t] = tc
-        hs[:, :, t] = h_t
-    out = Tensor._node(hs.reshape(h, cols), (pre, U))
+        acts[:, :k, t] = a
+        cells[:, :k, t] = c_t
+        tanh_c[:, :k, t] = tc
+        hs[:, :k, t] = h_t
+    out = Tensor._node(packed(hs), (pre, U))
     if out.requires_grad:
         def bw(g):
-            # state entering each step: the neighbouring step's, zero at the start
+            # state entering each step: the neighbouring step's, zero at a
+            # sequence's start since the blocks are zero past its end
             h_in = np.zeros_like(hs)
             c_in = np.zeros_like(cells)
             if reverse:
@@ -389,21 +434,23 @@ def lstm(pre, U, n, reverse=False):
             factor = np.concatenate((gg * i * (1.0 - i), c_in * f * (1.0 - f),
                                      tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)))
             dc_dh = o * (1.0 - tanh_c * tanh_c)
-            g3 = g.reshape(h, n, steps)
-            dpre = np.empty_like(acts)
-            dh_next = np.zeros((h, n))
-            dc_next = np.zeros((h, n))
+            g3 = blocked(g)
+            dpre = np.zeros_like(acts)
+            dh_next = dc_next = np.zeros((h, 0))
             for t in reversed(order):
-                dh = g3[:, :, t] + dh_next
-                dc = dh * dc_dh[:, :, t] + dc_next
-                dz = factor[:, :, t] * np.concatenate((dc, dc, dh, dc))
-                dpre[:, :, t] = dz
-                dc_next = dc * f[:, :, t]
+                k = active[t]
+                if k != dh_next.shape[1]:
+                    dh_next, dc_next = _prefix(dh_next, k), _prefix(dc_next, k)
+                dh = g3[:, :k, t] + dh_next
+                dc = dh * dc_dh[:, :k, t] + dc_next
+                dz = factor[:, :k, t] * np.concatenate((dc, dc, dh, dc))
+                dpre[:, :k, t] = dz
+                dc_next = dc * f[:, :k, t]
                 dh_next = U.data.T @ dz
-            dpre = dpre.reshape(rows, cols)
+            dpre = packed(dpre)
             _accumulate(pre, dpre)
             if U.requires_grad:
-                _accumulate(U, dpre @ h_in.reshape(h, cols).T)
+                _accumulate(U, dpre @ packed(h_in).T)
         out._backward = bw
     return out
 

@@ -489,6 +489,36 @@ def test_corpus_field_that_is_not_a_string_is_one_line_error(tmp_path, capsys):
     assert line == f"error: {bad}:1: TypeError: document text must be a string, got 5"
 
 
+def _edit_first_passage(workdir, path, **fields):
+    """A copy of the retrieved test file with fields set on the first passage;
+    returns the line number of the edited record."""
+    records = [json.loads(l) for l in workdir["retrieved_test"].read_text().splitlines()]
+    lineno = next(i for i, rec in enumerate(records, 1) if rec["passages"])
+    records[lineno - 1]["passages"][0].update(fields)
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    return lineno
+
+
+def test_retrieved_passage_text_that_is_not_a_string_is_one_line_error(workdir, tmp_path, capsys):
+    # before, evaluate ended in an AttributeError traceback from the tokenizer
+    bad = tmp_path / "retrieved.jsonl"
+    lineno = _edit_first_passage(workdir, bad, text=5)
+    assert main(["evaluate", "--checkpoint", str(workdir["ckpt"]), "--retrieved", str(bad),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:{lineno}: TypeError: retrieved passage text must be a string, got 5"
+
+
+def test_retrieved_positive_flag_that_is_not_a_bool_is_one_line_error(workdir, tmp_path, capsys):
+    # before, analyze counted the string "no" as a positive in its top-k recall
+    bad = tmp_path / "retrieved.jsonl"
+    lineno = _edit_first_passage(workdir, bad, positive="no")
+    assert main(["analyze", "--checkpoint", str(workdir["ckpt"]), "--retrieved", str(bad),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "a.json")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:{lineno}: TypeError: retrieved passage positive must be a bool, got 'no'"
+
+
 def test_analyze_counts_questions_without_passages_as_misses(workdir, tmp_path):
     dataset = [json.loads(l) for l in workdir["test"].read_text().splitlines()]
     retrieved = [json.loads(l) for l in workdir["retrieved_test"].read_text().splitlines()]

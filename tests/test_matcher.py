@@ -179,7 +179,7 @@ def test_fused_direction_matches_composite_reference(reverse):
         T.backward(T.sum_all(T.mul(out, weights)))
         return out.data, [d.W.grad.copy(), d.U.grad.copy(), d.b.grad.copy()]
 
-    fused, g_fused = run(lambda: T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, n, reverse))
+    fused, g_fused = run(lambda: T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, [steps] * n, reverse))
     ref, g_ref = run(lambda: _reference_direction(d, x, n, reverse))
     assert np.array_equal(fused, ref)
     for a, b in zip(g_fused, g_ref):
@@ -212,6 +212,48 @@ def test_stack_over_ragged_batch_matches_each_sequence_alone(depth):
         assert np.abs(a - b).max() < 1e-15
     for a, b in zip(batched_grads, alone_grads):
         assert np.abs(a - b).max() < 1e-12
+
+
+def test_stack_over_shuffled_lengths_matches_each_sequence_alone():
+    # inputs in no sorted order, each length repeated: the packed stack puts
+    # them longest first and back, and every sequence keeps its own arithmetic
+    layers = make_stack(55, 3, 4, 3)
+    params = [q for p in layers for q in _bilstm_params(p)]
+    rng = np.random.default_rng(65)
+    lengths = [2, 5, 1, 3, 5, 2, 1, 3]
+    data = [rng.normal(size=(3, t)) for t in rng.permutation(lengths)]
+    weights = [rng.normal(size=(4, d.shape[1])) for d in data]
+
+    def run(encoder):
+        T.zero_grads(params)
+        seqs = [T.Tensor(d, requires_grad=True) for d in data]
+        outs = encoder(seqs)
+        loss = T.sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w)) for o, w in zip(outs, weights)]))
+        T.backward(loss)
+        return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
+
+    packed_out, packed_grads = run(lambda seqs: matcher.encode_batch(seqs, layers))
+    alone_out, alone_grads = run(lambda seqs: [matcher.encode_batch([s], layers)[0] for s in seqs])
+    for d, a, b in zip(data, packed_out, alone_out):
+        assert a.shape == (4, d.shape[1])
+        assert np.abs(a - b).max() < 1e-15
+    for a, b in zip(packed_grads, alone_grads):
+        assert np.abs(a - b).max() < 1e-12
+
+
+def test_stack_call_makes_one_recurrence_per_direction_and_layer(monkeypatch):
+    calls = []
+    lstm = T.lstm
+
+    def counting_lstm(pre, U, lengths, reverse=False):
+        calls.append((list(lengths), reverse))
+        return lstm(pre, U, lengths, reverse)
+
+    monkeypatch.setattr(matcher.T, "lstm", counting_lstm)
+    rng = np.random.default_rng(66)
+    seqs = [T.Tensor(rng.normal(size=(3, t))) for t in (4, 1, 6, 4, 2, 7, 1)]
+    matcher.encode_batch(seqs, make_stack(56, 3, 4, 3))
+    assert calls == [([7, 6, 4, 4, 2, 1, 1], reverse) for _ in range(3) for reverse in (False, True)]
 
 
 def test_encode_rejects_wrong_input_rows():

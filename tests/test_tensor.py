@@ -141,17 +141,25 @@ def test_fd_binary_and_structural_ops():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_fd_lstm(reverse):
-    # pre is (4h, n*steps) and U is (4h, h): h=2, two sequences of three steps,
-    # then four steps of one
-    assert _fd_single_op(T.lstm, (8, 6), (8, 2), n=2, reverse=reverse) < 1e-4
-    assert _fd_single_op(T.lstm, (8, 4), (8, 2), n=1, reverse=reverse) < 1e-4
+    # pre is (4h, sum(lengths)) and U is (4h, h): h=2, two sequences of three
+    # steps, then one of four, then ragged lengths with 1, the maximum and a
+    # repeat
+    assert _fd_single_op(T.lstm, (8, 6), (8, 2), lengths=[3, 3], reverse=reverse) < 1e-4
+    assert _fd_single_op(T.lstm, (8, 4), (8, 2), lengths=[4], reverse=reverse) < 1e-4
+    assert _fd_single_op(T.lstm, (8, 14), (8, 2), lengths=[5, 5, 3, 1], reverse=reverse) < 1e-4
 
 
 def test_lstm_rejects_bad_shapes():
     with pytest.raises(T.ShapeError, match="lstm"):
-        T.lstm(rand_tensor(6, 4), rand_tensor(8, 2), 2)
-    with pytest.raises(T.ShapeError, match="into 3 equal-length"):
-        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), 3)
+        T.lstm(rand_tensor(6, 4), rand_tensor(8, 2), [2, 2])
+    with pytest.raises(T.ShapeError, match="lengths sum to 3, input has 4 columns"):
+        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [2, 1])
+    with pytest.raises(T.ShapeError, match="non-increasing"):
+        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [1, 3])
+    with pytest.raises(T.ShapeError, match="positive"):
+        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [4, 0])
+    with pytest.raises(T.ShapeError, match="positive"):
+        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [])
 
 
 def test_fd_concat_ops():
