@@ -28,6 +28,8 @@ def load_dataset(path):
         missing = {"id", "question", "answers"} - set(rec)
         if missing:
             raise ValueError(f"dataset record missing {sorted(missing)}")
+        if not isinstance(rec["id"], str):
+            raise ValueError(f"id must be a string, got {rec['id']!r}")
         if not isinstance(rec["question"], str):
             raise ValueError(f"question must be a string, got {rec['question']!r}")
         answers = rec["answers"]

@@ -1,5 +1,6 @@
 """Run configuration: a flat dataclass with a key=value file format."""
 
+import math
 from dataclasses import dataclass, fields, asdict
 
 from .files import read_lines
@@ -49,6 +50,9 @@ class Config:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.train_sample_k < self.min_negatives + 1:
             raise ValueError("train_sample_k must be at least min_negatives + 1")
+        for key in ("learning_rate", "kl_weight", "grad_clip", "bm25_k1", "bm25_b"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         return self
 
     def model_config(self):

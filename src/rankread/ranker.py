@@ -20,6 +20,14 @@ class PolicyDistribution:
         return self.passage_ids.index(passage_id)
 
 
+def softmax_head(x, w, b, w_out):
+    """The (N, 1) logits w_out tanh(w x + b) of x's N columns, transposed, and
+    their softmax: the ranker's head and each of the reader's pointer heads."""
+    c = T.tanh(T.add_col(T.matmul(w, x), b))
+    logits = T.transpose(T.matmul(w_out, c))
+    return logits, T.softmax_cols(logits)
+
+
 def score_passages(h_ranks, w_c, b_c, w_c_out, passage_ids=None):
     """Turn per-passage rank representations into a selection distribution.
 
@@ -29,9 +37,7 @@ def score_passages(h_ranks, w_c, b_c, w_c_out, passage_ids=None):
     if not h_ranks:
         raise T.ShapeError("score_passages: need at least one passage")
     pooled = T.concat_cols([T.row_max(h) for h in h_ranks])
-    c = T.tanh(T.add_col(T.matmul(w_c, pooled), b_c))
-    logits = T.transpose(T.matmul(w_c_out, c))
-    gamma = T.softmax_cols(logits)
+    logits, gamma = softmax_head(pooled, w_c, b_c, w_c_out)
     if passage_ids is None:
         passage_ids = list(range(len(h_ranks)))
     return PolicyDistribution(logits, gamma, list(passage_ids))

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .ranker import softmax_head
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,6 @@ class SpanDistribution:
         return seg.offset + label.start, seg.offset + label.end
 
 
-def _pointer_head(h_cat, w, b, w_out):
-    f = T.tanh(T.add_col(T.matmul(w, h_cat), b))
-    logits = T.transpose(T.matmul(w_out, f))
-    return logits, T.softmax_cols(logits)
-
-
 def span_distributions(h_reads, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out):
     """Start/end distributions over the words of the given passages, in order.
 
@@ -65,8 +60,8 @@ def span_distributions(h_reads, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out)
         segments.append(Segment(pid, offset, length))
         offset += length
     h_cat = T.concat_cols(h_reads) if len(h_reads) > 1 else h_reads[0]
-    s_logits, s_probs = _pointer_head(h_cat, w_s, b_s, ws_out)
-    e_logits, e_probs = _pointer_head(h_cat, w_e, b_e, we_out)
+    s_logits, s_probs = softmax_head(h_cat, w_s, b_s, ws_out)
+    e_logits, e_probs = softmax_head(h_cat, w_e, b_e, we_out)
     return SpanDistribution(s_logits, e_logits, s_probs, e_probs, segments)
 
 

@@ -58,6 +58,10 @@ class RetrievedSet:
     question_id: str
     passages: list
 
+    def __post_init__(self):
+        if not isinstance(self.question_id, str):
+            raise TypeError(f"retrieved set question_id must be a string, got {self.question_id!r}")
+
 
 class InvertedIndex:
     """Postings and document lengths derived from a document store.
@@ -322,8 +326,18 @@ def read_jsonl(path, make):
 
 
 def load_retrieved(path):
-    return read_jsonl(path, lambda rec: RetrievedSet(
-        rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]]))
+    """Retrieved sets, one per line; question ids are unique, since sets are
+    looked up by question id."""
+    seen = set()
+
+    def record(rec):
+        rs = RetrievedSet(rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]])
+        if rs.question_id in seen:
+            raise ValueError(f"duplicate question id {rs.question_id!r}")
+        seen.add(rs.question_id)
+        return rs
+
+    return read_jsonl(path, record)
 
 
 def load_corpus(path):

@@ -1,9 +1,10 @@
 """Reverse-mode autodiff over 2-D matrices, with an Adamax optimizer.
 
-Every value in the model is a Tensor: a (rows, cols) float array plus an
-optional gradient buffer. Ops build an implicit tape; backward() walks it
-in reverse topological order. Gradients are checked against central finite
-differences via fd_check().
+Every value in the model is a Tensor: a (rows, cols) float array and a grad,
+None until a gradient reaches it. Ops build an implicit tape; backward() walks
+it in reverse topological order, after which only leaves (tensors no op made)
+hold a grad. Gradients are checked against central finite differences via
+fd_check().
 """
 
 import json
@@ -50,7 +51,7 @@ class Tensor:
             raise ShapeError(f"tensors are 2-D matrices, got ndim={arr.ndim}")
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self.grad = None
         self._parents = ()
         self._backward = None
 
@@ -73,10 +74,6 @@ class Tensor:
         if self.data.shape != (1, 1):
             raise ShapeError(f"item() needs a 1x1 tensor, got {self.data.shape}")
         return float(self.data[0, 0])
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -501,23 +498,25 @@ def _toposort(root):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(t) into .grad for every tensor reachable from loss.
+    """Add d(loss)/d(t) into .grad for every leaf t reachable from loss.
 
-    Parameters keep their grad buffers across calls, so batch accumulation is
-    just repeated backward() without zeroing in between.
+    Each op output's gradient is taken off it before its backward runs, so a
+    later backward() through the same nodes sends down only its own gradient,
+    and batch accumulation is repeated backward() without zero_grads().
     """
     if loss.data.shape != (1, 1):
         raise ShapeError(f"backward: loss must be a 1x1 scalar, got {loss.data.shape}")
     order = _toposort(loss)
-    loss.grad = np.ones((1, 1))
+    _accumulate(loss, np.ones((1, 1)))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            g, node.grad = node.grad, None
+            node._backward(g)
 
 
 def zero_grads(params):
     for p in params:
-        p.zero_grad()
+        p.grad = None
 
 
 def clip_global_norm(params, max_norm):
@@ -550,7 +549,7 @@ def fd_check(loss_builder, params, h=1e-5):
         raise ValueError("fd_check: loss_builder is not deterministic")
     zero_grads(params)
     backward(loss_builder())
-    analytic = [p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
     worst = 0.0
     for p, ga in zip(params, analytic):
         rows, cols = p.data.shape
@@ -593,10 +592,8 @@ class Adamax:
         self.t += 1
         correction = 1.0 - self.beta1 ** self.t
         for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                raise ShapeError(f"adamax: parameter {name!r} has no gradient buffer")
-            if g.shape != p.data.shape or self.m[name].shape != p.data.shape:
+            g = 0.0 if p.grad is None else p.grad  # no gradient reached p
+            if np.shape(g) not in ((), p.data.shape) or self.m[name].shape != p.data.shape:
                 raise ShapeError(f"adamax: shape mismatch for parameter {name!r}")
             m = self.m[name]
             u = self.u[name]

@@ -64,6 +64,11 @@ def example():
     return toy_example()
 
 
+def grad_or_zero(p):
+    """A copy of p's gradient, or zeros when no gradient reached p."""
+    return np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+
+
 def enumerate_policy_gradient(trainer, example):
     """Exact expectation of the sampled policy-gradient term r * grad(log pi),
     under the positive-conditional sampling law, plus the per-outcome grads.
@@ -90,7 +95,7 @@ def enumerate_policy_gradient(trainer, example):
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         T.backward(T.scale(ranker_mod.log_policy(policy, tau), r))
-        return {n: p.grad.copy() for n, p in model.parameters().items()}, r, policy
+        return {n: grad_or_zero(p) for n, p in model.parameters().items()}, r, policy
 
     grads, rewards = {}, {}
     policy = None

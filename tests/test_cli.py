@@ -548,3 +548,64 @@ def test_analyze_counts_questions_without_passages_as_misses(workdir, tmp_path):
             assert full["recall"][source][k] == hits / n
         for metric in ("f1", "em"):
             assert full["oracle"][k][metric] == pytest.approx(part["oracle"][k][metric] * m / n)
+
+
+def _edit_retrieved(workdir, which, path, edit):
+    """A copy of a retrieved file with edit(records) applied to its records."""
+    records = [json.loads(l) for l in workdir[which].read_text().splitlines()]
+    edit(records)
+    path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "analyze", "train"])
+def test_retrieved_question_id_that_is_not_a_string_is_one_line_error(workdir, tmp_path, capsys,
+                                                                      command):
+    # before, each command ended in a "TypeError: unhashable type" traceback
+    which = "retrieved_train" if command == "train" else "retrieved_test"
+    bad = tmp_path / "retrieved.jsonl"
+    _edit_retrieved(workdir, which, bad, lambda recs: recs[1].update(question_id=["x"]))
+    if command == "train":
+        args = ["train", "--dataset", str(workdir["train"]), "--mode", "sr", "--epochs", "1",
+                "--hidden-size", "8", "--embed-dim", "8", "--train-sample-k", "6"]
+    else:
+        args = [command, "--checkpoint", str(workdir["ckpt"]), "--dataset", str(workdir["test"])]
+    assert main(args + ["--retrieved", str(bad), "--out", str(tmp_path / "out.json")]) == 1
+    line = _error_line(capsys)
+    assert line == (f"error: {bad}:2: TypeError: "
+                    "retrieved set question_id must be a string, got ['x']")
+
+
+def test_repeated_retrieved_question_id_is_one_line_error(workdir, tmp_path, capsys):
+    # before, the last line's passages silently replaced the first's
+    bad = tmp_path / "retrieved.jsonl"
+    qid = json.loads(workdir["retrieved_test"].read_text().splitlines()[0])["question_id"]
+    _edit_retrieved(workdir, "retrieved_test", bad, lambda recs: recs[2].update(question_id=qid))
+    assert main(["evaluate", "--checkpoint", str(workdir["ckpt"]), "--retrieved", str(bad),
+                 "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:3: ValueError: duplicate question id {qid!r}"
+
+
+def test_dataset_id_must_be_a_string(workdir, tmp_path, capsys):
+    # retrieve writes the id as the retrieved set's question_id, which must
+    # be a string to load back
+    bad = tmp_path / "test.jsonl"
+    bad.write_text(json.dumps({"id": 7, "question": "q", "answers": ["x"]}) + "\n")
+    assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:1: ValueError: id must be a string, got 7"
+
+
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--kl-weight", "inf")])
+def test_non_finite_training_setting_is_one_line_error(workdir, tmp_path, capsys, flag, value):
+    # before, a nan learning rate wrote a checkpoint of NaN parameters and an
+    # infinite kl weight skipped every step
+    out = tmp_path / "m.json"
+    assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "sr2",
+                 "--epochs", "1", "--hidden-size", "8", "--embed-dim", "8",
+                 "--train-sample-k", "6", flag, value]) == 1
+    key = flag[2:].replace("-", "_")
+    assert _error_line(capsys) == f"error: {key} must be finite, got {float(value)}"
+    assert not out.exists()

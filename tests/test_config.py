@@ -44,6 +44,11 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("batch_size", 0, "at least 1"),
     ("dropout", 1.0, "dropout must be in"),
     ("dropout", -0.1, "dropout must be in"),
+    ("learning_rate", float("nan"), "^learning_rate must be finite, got nan$"),
+    ("kl_weight", float("inf"), "^kl_weight must be finite, got inf$"),
+    ("grad_clip", float("-inf"), "^grad_clip must be finite, got -inf$"),
+    ("bm25_k1", float("nan"), "^bm25_k1 must be finite, got nan$"),
+    ("bm25_b", float("inf"), "^bm25_b must be finite, got inf$"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):

@@ -421,7 +421,7 @@ def test_head_parameter_separation_gradients():
     T.backward(ranker_mod.log_policy(model.rank(ms), 1))
     for name, p in model.parameters().items():
         if name.startswith(("agg_read.", "read_")):
-            assert np.array_equal(p.grad, np.zeros_like(p.grad)), name
+            assert p.grad is None, name
 
     model, q_emb, p_embs = _small_model(seed=1)
     ms = model.match_passages(q_emb, p_embs)
@@ -429,5 +429,5 @@ def test_head_parameter_separation_gradients():
     T.backward(reader_mod.span_loss(dist, reader_mod.SpanLabel(0, 1, 2)))
     for name, p in model.parameters().items():
         if name.startswith(("agg_rank.", "rank.")):
-            assert np.array_equal(p.grad, np.zeros_like(p.grad)), name
+            assert p.grad is None, name
     assert float(np.abs(model.params["match.W"].grad).sum()) > 0

@@ -77,10 +77,12 @@ def test_backward_rejects_non_scalar_loss():
 
 
 def test_unused_parameter_gets_exactly_zero_grad():
+    # no gradient reaches it, so it holds none, which Adamax and fd_check read as zero
     used = rand_tensor(2, 2)
     unused = rand_tensor(3, 1)
     T.backward(T.sum_all(T.tanh(used)))
-    assert np.array_equal(unused.grad, np.zeros((3, 1)))
+    assert unused.grad is None
+    assert T.fd_check(lambda: T.sum_all(T.tanh(used)), [unused]) == 0.0
 
 
 def test_determinism_bitwise():
@@ -214,14 +216,43 @@ def test_shared_subgraph_accumulates():
     loss = T.add(T.sum_all(T.mul(x, x)), T.sum_all(x))
     T.backward(loss)
     assert np.allclose(x.grad, 2 * x.data + 1)
-    # the same fan-out through an intermediate u = tanh(x)
-    x.zero_grad()
+    # the same fan-out through an intermediate u = tanh(x), which hands its
+    # gradient 2u + 1 on to x and keeps none
+    T.zero_grads([x])
     u = T.tanh(x)
     loss = T.add(T.sum_all(T.mul(u, u)), T.sum_all(u))
     T.backward(loss)
-    assert np.allclose(u.grad, 2 * u.data + 1)
+    assert u.grad is None
     assert np.allclose(x.grad, (2 * u.data + 1) * (1 - u.data ** 2))
     _assert_own_grad_arrays(loss)
+
+
+def test_backward_through_a_shared_intermediate_adds_each_loss_once():
+    # u = tanh(x) is shared by two losses; each backward() sends only its own
+    # loss's gradient through u
+    x = T.Tensor([[0.4, -1.3]], requires_grad=True)
+    u = T.tanh(x)
+    T.backward(T.sum_all(u))
+    first = x.grad.copy()
+    T.backward(T.sum_all(T.mul(u, u)))
+    y = T.Tensor(x.data, requires_grad=True)
+    T.backward(T.sum_all(T.mul(T.tanh(y), T.tanh(y))))
+    assert np.array_equal(x.grad, first + y.grad)
+    assert np.allclose(x.grad, (1 + 2 * u.data) * (1 - u.data ** 2), rtol=0, atol=1e-15)
+    assert u.grad is None
+
+
+def test_backward_twice_on_one_loss_doubles_the_gradient():
+    x = T.Tensor([[0.4, -1.3], [2.0, 0.1]], requires_grad=True)
+    # x's one consumer t feeds three, one of them a slice that adds into part
+    # of t's gradient; x gets one contribution per pass, so the sum is exact
+    t = T.tanh(x)
+    loss = T.sum_all(T.mul(T.sigmoid(t), T.add(t, T.concat_cols([T.slice_cols(t, 1, 2)] * 2))))
+    T.backward(loss)
+    once = x.grad.copy()
+    T.backward(loss)
+    assert np.array_equal(x.grad, 2 * once)
+    assert loss.grad is None
 
 
 # (op on the intermediates u = 2x and v = -1.5y, d loss/du and d loss/dv given
@@ -243,19 +274,23 @@ def test_fan_out_grads_are_exact_and_share_no_array(case):
     rng = np.random.default_rng(3)
     x = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     y = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    z = T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     u, v = T.scale(x, 2.0), T.scale(y, -1.5)
     out = op(u, v)
     c = rng.normal(size=out.data.shape)
-    loss = T.sum_all(T.mul(out, T.Tensor(c)))
+    d = rng.normal(size=(3, 2))
+    # u's second consumer w = u + z runs its backward first and hands u and z
+    # one gradient; were it not copied, u's share from out would land in z's
+    w = T.add(u, z)
+    loss = T.add(T.sum_all(T.mul(w, T.Tensor(d))), T.sum_all(T.mul(out, T.Tensor(c))))
     T.backward(loss)
     du, dv = expected(c)
-    assert np.array_equal(out.grad, c)
-    assert np.allclose(u.grad, du, rtol=0, atol=1e-15)
-    assert np.allclose(x.grad, 2 * du, rtol=0, atol=1e-15)
+    assert all(t.grad is None for t in (out, w, u, v))
+    assert np.array_equal(z.grad, d)
+    assert np.allclose(x.grad, 2 * (du + d), rtol=0, atol=1e-15)
     if dv is None:
-        assert v.grad is None and not y.grad.any()
+        assert y.grad is None
     else:
-        assert np.allclose(v.grad, dv, rtol=0, atol=1e-15)
         assert np.allclose(y.grad, -1.5 * dv, rtol=0, atol=1e-15)
     _assert_own_grad_arrays(loss)
 
@@ -266,7 +301,7 @@ def test_adamax_zero_gradient_leaves_params_unchanged():
     p = rand_tensor(2, 2)
     before = p.data.copy()
     opt = T.Adamax({"p": p}, lr=0.01)
-    p.grad[...] = 0.0
+    p.grad = np.zeros_like(p.data)
     opt.step()
     assert np.array_equal(p.data, before)
 
@@ -274,7 +309,7 @@ def test_adamax_zero_gradient_leaves_params_unchanged():
 def test_adamax_first_step_matches_hand_applied_recurrence():
     p = T.Tensor([[1.0, -2.0]], requires_grad=True)
     g = np.array([[0.5, -0.25]])
-    p.grad[...] = g
+    p.grad = g.copy()
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     opt = T.Adamax({"p": p}, lr=lr, beta1=b1, beta2=b2, eps=eps)
     expected = p.data - (lr / (1 - b1)) * ((1 - b1) * g) / (np.abs(g) + eps)
@@ -285,13 +320,13 @@ def test_adamax_first_step_matches_hand_applied_recurrence():
 def test_adamax_infnorm_accumulator_decays_only_by_rule():
     p = T.Tensor([[1.0]], requires_grad=True)
     opt = T.Adamax({"p": p}, lr=0.0)  # lr 0 isolates the state recurrence
-    p.grad[...] = 0.5
+    p.grad = np.full_like(p.data, 0.5)
     opt.step()
     assert opt.u["p"][0, 0] == pytest.approx(0.5)
     opt.step()
     # second identical step: max(b2*0.5, 0.5) = 0.5
     assert opt.u["p"][0, 0] == pytest.approx(0.5)
-    p.grad[...] = 0.0
+    p.grad = np.zeros_like(p.data)
     opt.step()
     # now only the decay branch applies
     assert opt.u["p"][0, 0] == pytest.approx(0.999 * 0.5)
@@ -301,7 +336,7 @@ def test_adamax_rejects_state_shape_mismatch():
     p = rand_tensor(2, 2)
     opt = T.Adamax({"p": p})
     opt.m["p"] = np.zeros((3, 3))
-    p.grad[...] = 1.0
+    p.grad = np.ones_like(p.data)
     with pytest.raises(T.ShapeError, match="p"):
         opt.step()
 
@@ -309,12 +344,29 @@ def test_adamax_rejects_state_shape_mismatch():
 def test_clip_global_norm():
     a = T.Tensor([[3.0]], requires_grad=True)
     b = T.Tensor([[4.0]], requires_grad=True)
-    a.grad[...] = 3.0
-    b.grad[...] = 4.0
+    a.grad = np.full_like(a.data, 3.0)
+    b.grad = np.full_like(b.data, 4.0)
     norm = T.clip_global_norm([a, b], 1.0)
     assert norm == pytest.approx(5.0)
     assert a.grad[0, 0] == pytest.approx(0.6)
     assert b.grad[0, 0] == pytest.approx(0.8)
+
+
+def test_adamax_reads_a_missing_gradient_as_zero():
+    # a parameter no gradient reached steps bitwise as with a zero gradient
+    rng = np.random.default_rng(4)
+    data, g = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    runs = []
+    for second in (None, np.zeros((3, 2))):
+        p = T.Tensor(data.copy(), requires_grad=True)
+        opt = T.Adamax({"p": p}, lr=0.01)
+        p.grad = g.copy()
+        opt.step()
+        p.grad = second
+        opt.step()
+        runs.append((p.data, opt.m["p"], opt.u["p"]))
+    for missing, zero in zip(*runs):
+        assert np.array_equal(missing, zero)
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -327,7 +379,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     }
     opt = T.Adamax(params, lr=0.01)
     for p in params.values():
-        p.grad[...] = rng.normal(size=p.data.shape)
+        p.grad = rng.normal(size=p.data.shape)
     opt.step()
     path = tmp_path / "ckpt.json"
     T.save_checkpoint(path, params, optimizer=opt, extra={"mode": "sr2"})

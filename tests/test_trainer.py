@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import enumerate_policy_gradient, make_example, toy_example, toy_trainer
+from conftest import (enumerate_policy_gradient, grad_or_zero, make_example, toy_example,
+                      toy_trainer)
 
 from rankread import ranker as ranker_mod
 from rankread import reader as reader_mod
@@ -332,7 +333,7 @@ def test_batch_losses_equal_per_example_losses(mode):
     record = trainer._apply_batch(batch, mode, 0)
     assert [len(r["subset"]) < len(ex.passages) for ex, r in zip(batch, reports)] == \
         [True, True, True, False]
-    batched = {name: p.grad.copy() for name, p in params.items()}
+    batched = {name: grad_or_zero(p) for name, p in params.items()}
 
     summed = 0.0
     grads = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -343,7 +344,7 @@ def test_batch_losses_equal_per_example_losses(mode):
         assert abs(loss.item() - report["loss"].item()) <= 1e-10
         summed += loss.item()
         for name, p in params.items():
-            grads[name] += p.grad
+            grads[name] += grad_or_zero(p)
     assert abs(sum(r["loss"].item() for r in reports) - summed) <= 1e-10
     assert record["reader_loss"] == pytest.approx(
         np.mean([r["reader_loss"] for r in reports]), abs=1e-12)
@@ -472,3 +473,17 @@ def test_sr2_then_r3_hands_off_to_a_fresh_trainer(example):
         assert np.array_equal(r3.model.parameters()[name].data, p.data), name
     assert r3.log == [dict(rec, step=i) for i, rec in enumerate(sr2.log + copy.log)]
     assert r3.batches == 5 and r3.optimizer.t == 3
+
+
+@pytest.mark.parametrize("mode", ["sr", "r3"])
+def test_after_backward_only_parameters_hold_gradients(example, mode):
+    trainer = toy_trainer(seed=4)
+    reports = trainer.batch_losses([example, example], mode)
+    total = T.add(reports[0]["loss"], reports[1]["loss"])
+    T.backward(total)
+    graph = T._toposort(total)
+    assert [t for t in graph if t._backward is not None and t.grad is not None] == []
+    reached = {id(t) for t in graph}
+    for name, p in trainer.model.parameters().items():
+        assert (p.grad is not None) == (id(p) in reached), name
+    assert any(p.grad is None for p in trainer.model.parameters().values()) == (mode == "sr")
