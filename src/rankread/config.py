@@ -38,14 +38,13 @@ class Config:
     embeddings_path: str = ""
 
     def validate(self):
+        for key, least in _LEAST.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.hidden_size % 2 != 0:
             raise ValueError(f"hidden_size must be even, got {self.hidden_size}")
-        if self.reader_layers < 1 or self.ranker_layers < 1:
-            raise ValueError("reader_layers and ranker_layers must be at least 1")
         if self.mode not in ("sr", "sr2", "r3"):
             raise ValueError(f"mode must be sr, sr2 or r3, got {self.mode!r}")
-        if self.batch_size < 1 or self.retrieve_n < 1:
-            raise ValueError("batch_size and retrieve_n must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.train_sample_k < self.min_negatives + 1:
@@ -90,6 +89,12 @@ class Config:
                 raise ValueError(f"unknown config key {key!r}")
             data[key] = value
         return Config(**data).validate()
+
+
+# the smallest value each integer setting may take
+_LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers": 1,
+          "batch_size": 1, "epochs": 0, "pretrain_epochs": 0, "min_negatives": 0,
+          "seed": 0, "retrieve_n": 1, "max_span_len": 1}
 
 
 def _parse(raw, typ):

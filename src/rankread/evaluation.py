@@ -3,7 +3,6 @@
 import re
 import string
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +71,20 @@ class Prediction:
     policy_prob: float
 
 
+def _match_and_rank(model, table, question_tokens, p_tokens):
+    """One question's matching representations and selection policy."""
+    ms = model.match_passages(embed(question_tokens, table), [embed(t, table) for t in p_tokens])
+    return ms, model.rank(ms)
+
+
 def predict_candidates(model, table, question_tokens, passages, max_span_len):
     """One extracted answer per passage, scored by span probability times the
     selection probability over the full candidate set."""
     if not passages:
         return []
-    q_emb = embed(question_tokens, table)
     p_tokens = [tokenize(p.text).tokens for p in passages]
     with T.no_grad():
-        ms = model.match_passages(q_emb, [embed(t, table) for t in p_tokens])
-        policy = model.rank(ms)
+        ms, policy = _match_and_rank(model, table, question_tokens, p_tokens)
         dists = model.read_each(ms, list(range(len(passages))))
     gamma = policy.probs()
     candidates = []
@@ -124,28 +127,22 @@ def _mean_f1_em(records):
 
 
 def evaluate(model, table, dataset, retrieved_sets, max_span_len=15, threads=1):
-    """Mean F1/EM over the dataset plus one record per question."""
+    """Mean F1/EM over the dataset plus one record per question, answered one
+    after another. threads must be 1."""
+    if threads != 1:
+        raise ValueError(f"evaluate runs on one thread, got threads={threads}")
     by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
-
-    def one(rec):
-        return _answer(model, table, rec, by_id.get(rec["id"], []), max_span_len)[1]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, dataset))
-    else:
-        records = [one(rec) for rec in dataset]
+    records = [_answer(model, table, rec, by_id.get(rec["id"], []), max_span_len)[1]
+               for rec in dataset]
     return {**_mean_f1_em(records), "count": len(records), "records": records}
 
 
 def rank_passages(model, table, question_tokens, passages):
     """Passage order under the trained selector, descending probability;
     probability ties keep IR order."""
-    q_emb = embed(question_tokens, table)
     with T.no_grad():
-        ms = model.match_passages(q_emb, [embed(tokenize(p.text).tokens, table)
-                                          for p in passages])
-        gamma = model.rank(ms).probs()
+        gamma = _match_and_rank(model, table, question_tokens,
+                                [tokenize(p.text).tokens for p in passages])[1].probs()
     order = sorted(range(len(passages)), key=lambda i: (-gamma[i], passages[i].ir_rank))
     return [passages[i] for i in order]
 

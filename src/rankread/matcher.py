@@ -82,7 +82,7 @@ def encode_batch(seqs, layers):
                 f"encode: input has {s.data.shape[0]} rows, BiLSTM expects {in_dim}")
     order = sorted(range(len(seqs)), key=lambda i: -seqs[i].data.shape[1])
     lengths = [seqs[i].data.shape[1] for i in order]
-    x = T.concat_cols([seqs[i] for i in order]) if len(seqs) > 1 else seqs[0]
+    x = T.concat_cols([seqs[i] for i in order])
     for layer in layers:
         x = _bilstm(x, layer, lengths)
     if len(seqs) == 1:

@@ -102,7 +102,7 @@ class RankReadModel:
         return [self._match(h_q, h_ps, m) for h_q, h_ps, m in zip(encoded, h_p_lists, masks)]
 
     def _match(self, h_q, h_ps, masks):
-        h_p_all = T.concat_cols(h_ps) if len(h_ps) > 1 else h_ps[0]
+        h_p_all = T.concat_cols(h_ps)
         if masks is not None:
             h_q = T.mul(h_q, masks[0])
             h_p_all = T.mul(h_p_all, masks[1])

@@ -59,7 +59,7 @@ def span_distributions(h_reads, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out)
         length = h.data.shape[1]
         segments.append(Segment(pid, offset, length))
         offset += length
-    h_cat = T.concat_cols(h_reads) if len(h_reads) > 1 else h_reads[0]
+    h_cat = T.concat_cols(h_reads)
     s_logits, s_probs = softmax_head(h_cat, w_s, b_s, ws_out)
     e_logits, e_probs = softmax_head(h_cat, w_e, b_e, we_out)
     return SpanDistribution(s_logits, e_logits, s_probs, e_probs, segments)

@@ -9,7 +9,6 @@ fd_check().
 
 import json
 import math
-import threading
 from contextlib import contextmanager
 from itertools import accumulate
 
@@ -22,22 +21,19 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform to an op's rule."""
 
 
-_grad_state = threading.local()  # per-thread so concurrent readers don't race
-
-
-def _grad_enabled():
-    return getattr(_grad_state, "enabled", True)
+_recording = True  # False inside no_grad()
 
 
 @contextmanager
 def no_grad():
-    """Suspend tape recording on this thread; forward values only."""
-    prev = _grad_enabled()
-    _grad_state.enabled = False
+    """Suspend tape recording; forward values only. Restores the previous
+    state on exit, so blocks nest."""
+    global _recording
+    prev, _recording = _recording, False
     try:
         yield
     finally:
-        _grad_state.enabled = prev
+        _recording = prev
 
 
 class Tensor:
@@ -62,7 +58,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._backward = None
-        if any(p.requires_grad for p in parents) and _grad_enabled():
+        if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
         else:
@@ -227,10 +223,13 @@ def transpose(a):
 
 
 def concat_cols(tensors):
-    """Stack matrices side by side: [A | B | ...]."""
+    """Stack matrices side by side: [A | B | ...]. One tensor is returned as
+    it is, with no new node."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat_cols: empty input")
+    if len(tensors) == 1:
+        return tensors[0]
     rows = tensors[0].data.shape[0]
     for t in tensors:
         if t.data.shape[0] != rows:
@@ -331,15 +330,6 @@ def neg_log_softmax_pick(a, k):
     return out
 
 
-def _prefix(a, k):
-    """The first k columns of a, with zero columns appended when a has fewer."""
-    if a.shape[1] >= k:
-        return a[:, :k]
-    out = np.zeros((a.shape[0], k))
-    out[:, :a.shape[1]] = a
-    return out
-
-
 def lstm(pre, U, lengths, reverse=False):
     """One LSTM direction over sequences of any lengths, as a single tape node.
 
@@ -352,10 +342,13 @@ def lstm(pre, U, lengths, reverse=False):
 
     The step loop works on (rows, n, max_len) blocks with the sequences
     left-aligned and zeros past each one's end; when all lengths are equal a
-    block is a reshape of pre. At step t only the first #(lengths > t)
-    sequences, a prefix because of the order, take the step, as in a packed
-    sequence. So a sequence's state starts at zero in either direction and no
-    padded position is computed, and each sequence's arithmetic is its own.
+    block is a reshape of pre. At step t only the first active[t] =
+    #(lengths > t) sequences, a prefix because of the order, take the step, as
+    in a packed sequence. The state, forward and backward, sits in
+    zero-initialised (h, n) buffers of which step t reads and writes only the
+    first active[t] columns: a sequence that has not started reads zeros, in
+    either direction, and one that has finished is never read again. So no
+    padded position is computed and each sequence's arithmetic is its own.
     The forward matches the per-step composition of matmul, add, sigmoid, tanh
     and mul bit for bit; the backward is hand-written BPTT over the same
     prefixes.
@@ -397,22 +390,23 @@ def lstm(pre, U, lengths, reverse=False):
     cells = np.zeros((h, n, steps))
     tanh_c = np.zeros((h, n, steps))
     hs = np.zeros((h, n, steps))
-    h_t = c_t = np.zeros((h, 0))
+    h_t = np.zeros((h, n))  # state; step t uses the first active[t] columns
+    c_t = np.zeros((h, n))
     for t in order:
         k = active[t]
-        if k != h_t.shape[1]:
-            h_t, c_t = _prefix(h_t, k), _prefix(c_t, k)
-        z = pre3[:, :k, t] + U.data @ h_t
+        h_k, c_k = h_t[:, :k], c_t[:, :k]  # views: writing them writes the state
+        z = pre3[:, :k, t] + U.data @ h_k
         a = np.empty_like(z)
         a[:3 * h] = _sigmoid(z[:3 * h])
         a[3 * h:] = np.tanh(z[3 * h:])
-        c_t = a[h:2 * h] * c_t + a[:h] * a[3 * h:]
-        tc = np.tanh(c_t)
-        h_t = a[2 * h:3 * h] * tc
+        c = a[h:2 * h] * c_k + a[:h] * a[3 * h:]
+        tc = np.tanh(c)
+        c_k[...] = c
+        np.multiply(a[2 * h:3 * h], tc, out=h_k)
         acts[:, :k, t] = a
-        cells[:, :k, t] = c_t
+        cells[:, :k, t] = c
         tanh_c[:, :k, t] = tc
-        hs[:, :k, t] = h_t
+        hs[:, :k, t] = h_k
     out = Tensor._node(packed(hs), (pre, U))
     if out.requires_grad:
         def bw(g):
@@ -433,17 +427,17 @@ def lstm(pre, U, lengths, reverse=False):
             dc_dh = o * (1.0 - tanh_c * tanh_c)
             g3 = blocked(g)
             dpre = np.zeros_like(acts)
-            dh_next = dc_next = np.zeros((h, 0))
+            dh_next = np.zeros((h, n))  # gradient reaching the state entering step t
+            dc_next = np.zeros((h, n))
             for t in reversed(order):
                 k = active[t]
-                if k != dh_next.shape[1]:
-                    dh_next, dc_next = _prefix(dh_next, k), _prefix(dc_next, k)
-                dh = g3[:, :k, t] + dh_next
-                dc = dh * dc_dh[:, :k, t] + dc_next
+                dh_k, dc_k = dh_next[:, :k], dc_next[:, :k]
+                dh = g3[:, :k, t] + dh_k
+                dc = dh * dc_dh[:, :k, t] + dc_k
                 dz = factor[:, :k, t] * np.concatenate((dc, dc, dh, dc))
                 dpre[:, :k, t] = dz
-                dc_next = dc * f[:, :k, t]
-                dh_next = U.data.T @ dz
+                np.multiply(dc, f[:, :k, t], out=dc_k)
+                np.matmul(U.data.T, dz, out=dh_k)
             dpre = packed(dpre)
             _accumulate(pre, dpre)
             if U.requires_grad:
@@ -657,6 +651,8 @@ def load_checkpoint(path):
             arr = np.array(rec["values"], dtype=np.float64)
             if arr.size != rec["rows"] * rec["cols"]:
                 raise ValueError(f"checkpoint entry {rec['name']!r} has inconsistent size")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint entry {rec['name']!r} has a non-finite value")
             values[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None

@@ -61,14 +61,10 @@ def contains_answer(tokens, answer_token_lists):
 class EmbeddingTable:
     """Immutable token -> vector map; unknown tokens share an all-zero vector."""
 
-    def __init__(self, dimension, vectors, skipped_lines=0):
+    def __init__(self, dimension, vectors):
         self.dimension = dimension
         self._vectors = dict(vectors)
         self._unknown = np.zeros(dimension)
-        self.skipped_lines = skipped_lines
-
-    def __len__(self):
-        return len(self._vectors)
 
     def lookup(self, token):
         return self._vectors.get(token, self._unknown)
@@ -77,8 +73,9 @@ class EmbeddingTable:
 def load_embeddings(path, dimension):
     """Read a text embedding file: one `token v1 ... vd` line per entry.
 
-    Malformed lines are skipped and counted; duplicates keep the first
-    occurrence; a file with no usable line is rejected.
+    Malformed lines, including those with a nan or inf entry, are skipped and
+    counted in a warning; duplicates keep the first occurrence; a file with no
+    usable line is rejected.
     """
     vectors = {}
     skipped = 0
@@ -92,12 +89,15 @@ def load_embeddings(path, dimension):
         except ValueError:
             skipped += 1
             continue
+        if not np.isfinite(vec).all():
+            skipped += 1
+            continue
         vectors.setdefault(parts[0], vec)
     if skipped:
         log.warning("skipped %d malformed embedding lines in %s", skipped, path)
     if not vectors:
         raise ValueError(f"no usable embedding lines in {path}")
-    return EmbeddingTable(dimension, vectors, skipped)
+    return EmbeddingTable(dimension, vectors)
 
 
 def synthetic_embeddings(vocab, dimension, seed=0):

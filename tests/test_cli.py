@@ -609,3 +609,41 @@ def test_non_finite_training_setting_is_one_line_error(workdir, tmp_path, capsys
     key = flag[2:].replace("-", "_")
     assert _error_line(capsys) == f"error: {key} must be finite, got {float(value)}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--hidden-size", "0"], "hidden_size must be at least 2, got 0"),
+    (["--embed-dim", "0"], "embed_dim must be at least 1, got 0"),
+    (["--epochs", "-1"], "epochs must be at least 0, got -1"),
+    (["--mode", "r3", "--max-span-len", "0"], "max_span_len must be at least 1, got 0"),
+    (["--seed", "-5"], "seed must be at least 0, got -5"),
+    (["--train-sample-k", "0", "--min-negatives", "-1"], "min_negatives must be at least 0, got -1"),
+], ids=["hidden_size", "embed_dim", "epochs", "max_span_len", "seed", "min_negatives"])
+def test_out_of_range_training_setting_is_one_line_error(workdir, tmp_path, capsys, flags,
+                                                         message):
+    # before, a zero width or a negative epoch count trained and wrote a
+    # checkpoint, and r3's span length failed only after the sr2 pretraining
+    out = tmp_path / "m.json"
+    assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "sr2",
+                 "--epochs", "1", "--pretrain-epochs", "1", "--hidden-size", "8",
+                 "--embed-dim", "8", "--train-sample-k", "6", *flags]) == 1
+    assert _error_line(capsys) == f"error: {message}"
+    assert not out.exists()
+
+
+def test_non_finite_checkpoint_value_is_one_line_error(workdir, tmp_path, capsys):
+    # before, a checkpoint of NaN parameters evaluated to NaN scores
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    for rec in ckpt["params"]:
+        rec["values"] = [float("nan")] * len(rec["values"])
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(ckpt))
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--checkpoint", str(bad),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(report)]) == 1
+    name = ckpt["params"][0]["name"]
+    assert _error_line(capsys) == (f"error: {bad}: ValueError: checkpoint entry {name!r} "
+                                   "has a non-finite value")
+    assert not report.exists()

@@ -49,6 +49,14 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("grad_clip", float("-inf"), "^grad_clip must be finite, got -inf$"),
     ("bm25_k1", float("nan"), "^bm25_k1 must be finite, got nan$"),
     ("bm25_b", float("inf"), "^bm25_b must be finite, got inf$"),
+    ("hidden_size", 0, "^hidden_size must be at least 2, got 0$"),
+    ("hidden_size", -2, "^hidden_size must be at least 2, got -2$"),
+    ("embed_dim", 0, "^embed_dim must be at least 1, got 0$"),
+    ("epochs", -1, "^epochs must be at least 0, got -1$"),
+    ("pretrain_epochs", -1, "^pretrain_epochs must be at least 0, got -1$"),
+    ("min_negatives", -1, "^min_negatives must be at least 0, got -1$"),
+    ("max_span_len", 0, "^max_span_len must be at least 1, got 0$"),
+    ("seed", -5, "^seed must be at least 0, got -5$"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):

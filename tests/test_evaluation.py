@@ -157,11 +157,13 @@ def test_evaluate_order_independent_and_threaded(example):
     trainer = toy_trainer(seed=2)
     dataset, retrieved = _dataset_and_retrieved(example)
     two = dataset + [{"id": "toy-0", "question": TOY_QUESTION, "answers": ["blue"]}]
-    serial = E.evaluate(trainer.model, trainer.table, two, retrieved)
-    threaded = E.evaluate(trainer.model, trainer.table, two, retrieved, threads=2)
-    assert serial["f1"] == threaded["f1"]
-    assert [r["prediction"] for r in serial["records"]] == \
-           [r["prediction"] for r in threaded["records"]]
+    once = E.evaluate(trainer.model, trainer.table, dataset, retrieved)
+    twice = E.evaluate(trainer.model, trainer.table, two, retrieved)
+    assert twice["records"] == once["records"] * 2
+    assert twice["f1"] == once["f1"] and twice["em"] == once["em"]
+    # evaluation runs on one thread; the keyword stays for the benchmark's threads=1
+    with pytest.raises(ValueError, match="^evaluate runs on one thread, got threads=2$"):
+        E.evaluate(trainer.model, trainer.table, two, retrieved, threads=2)
 
 
 # --- ranker analyses ------------------------------------------------------------------

@@ -188,10 +188,10 @@ def test_fused_direction_matches_composite_reference(reverse):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_stack_over_ragged_batch_matches_each_sequence_alone(depth):
-    # one pass of the whole stack per length group equals running every
-    # sequence through the stack on its own. Not bit for bit: BLAS multiplies
-    # a single column (gemv) and several columns (gemm) with different
-    # rounding, which moves outputs by a few 1e-18 here.
+    # one packed pass of the whole stack over the ragged batch equals
+    # running every sequence through the stack on its own. Not bit for bit:
+    # BLAS multiplies a single column (gemv) and several columns (gemm) with
+    # different rounding, which moves outputs by a few 1e-18 here.
     layers = make_stack(50 + depth, 3, 4, depth)
     params = [q for p in layers for q in _bilstm_params(p)]
     rng = np.random.default_rng(60 + depth)

@@ -369,6 +369,30 @@ def test_adamax_reads_a_missing_gradient_as_zero():
         assert np.array_equal(missing, zero)
 
 
+def test_concat_cols_of_one_tensor_is_that_tensor():
+    x = rand_tensor(3, 2)
+    assert T.concat_cols([x]) is x
+
+
+def test_no_grad_records_nothing_nests_and_restores_after_an_exception():
+    x = T.Tensor([[0.5, -1.5]], requires_grad=True)
+    with T.no_grad():
+        y = T.tanh(x)
+        with T.no_grad():
+            pass
+        z = T.mul(x, x)  # the inner block's exit keeps the outer block's state
+    for out in (y, z):
+        assert not out.requires_grad and out._parents == () and out._backward is None
+    assert np.array_equal(y.data, np.tanh(x.data))
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.no_grad():
+            raise RuntimeError("inside")
+    w = T.tanh(x)
+    assert w.requires_grad and w._parents == (x,)
+    T.backward(T.sum_all(w))
+    assert np.array_equal(x.grad, 1.0 - w.data * w.data)
+
+
 # --- checkpoints ---------------------------------------------------------------
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -395,3 +419,13 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 99, "params": []}')
     with pytest.raises(ValueError, match="version"):
         T.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "ckpt.json"
+    T.save_checkpoint(path, {"w": T.Tensor([[1.0, 2.0]]), "b": T.Tensor([[0.5], [value]])})
+    with pytest.raises(ValueError) as info:
+        T.load_checkpoint(path)
+    assert str(info.value) == (f"{path}: ValueError: checkpoint entry 'b' has a "
+                               "non-finite value")

@@ -67,8 +67,8 @@ def write_embeddings(path, lines):
 def test_load_embeddings_two_lines(tmp_path):
     p = write_embeddings(tmp_path / "e.txt", ["luzon 0.1 0.2 0.3", "manila 1 2 3"])
     table = text.load_embeddings(p, 3)
-    assert len(table) == 2
     assert np.allclose(table.lookup("luzon"), [0.1, 0.2, 0.3])
+    assert np.array_equal(table.lookup("manila"), [1.0, 2.0, 3.0])
 
 
 def test_lookup_absent_token_is_zero_vector(tmp_path):
@@ -77,11 +77,20 @@ def test_lookup_absent_token_is_zero_vector(tmp_path):
     assert np.array_equal(table.lookup("mindanao"), np.zeros(3))
 
 
-def test_load_embeddings_skips_malformed_lines(tmp_path):
+def test_load_embeddings_skips_malformed_lines(tmp_path, caplog):
     lines = ["a 1 2 3", "b 1 2", "c 1 2 3", "d x y z", "e 9 9 9"]
     table = text.load_embeddings(write_embeddings(tmp_path / "e.txt", lines), 3)
-    assert len(table) == 3
-    assert table.skipped_lines == 2
+    assert [t for t in "abcde" if table.lookup(t).any()] == ["a", "c", "e"]
+    assert "skipped 2 malformed embedding lines" in caplog.text
+
+
+def test_load_embeddings_skips_non_finite_lines(tmp_path, caplog):
+    lines = ["what nan 0.1 0.2", "a 1 2 3", "b inf 1 1", "c 1 -inf 1", "d 1 1 NaN"]
+    table = text.load_embeddings(write_embeddings(tmp_path / "e.txt", lines), 3)
+    assert np.array_equal(table.lookup("a"), [1.0, 2.0, 3.0])
+    for token in ("what", "b", "c", "d"):
+        assert np.array_equal(table.lookup(token), np.zeros(3))
+    assert "skipped 4 malformed embedding lines" in caplog.text
 
 
 def test_load_embeddings_keeps_first_duplicate(tmp_path):

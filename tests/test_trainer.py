@@ -269,8 +269,8 @@ def test_sr2_example_tape_stays_small(example):
 
 def test_sr2_batch_tape_stays_small(example):
     # a batch is one graph whose examples share each recurrence: four toy
-    # examples reach 323 tensors from their summed loss (359 with one
-    # recurrence per length group), four separate graphs 4 x 140 = 560
+    # examples reach 323 tensors from their summed loss, four separate graphs
+    # 4 x 140 = 560
     batch = [toy_example() for _ in range(4)]
     reports = toy_trainer(seed=0).batch_losses(batch, "sr2")
     total = reports[0]["loss"]
