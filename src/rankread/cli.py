@@ -90,8 +90,14 @@ def _table_payload(config, table):
 def _table_from_payload(payload):
     if payload["kind"] == "file":
         return load_embeddings(payload["path"], payload["dimension"])
-    vectors = {tok: np.array(vec) for tok, vec in payload["vectors"].items()}
-    return EmbeddingTable(payload["dimension"], vectors)
+    dimension = payload["dimension"]
+    vectors = {}
+    for tok, vec in payload["vectors"].items():
+        arr = np.array(vec, dtype=np.float64)
+        if arr.shape != (dimension,) or not np.isfinite(arr).all():
+            raise ValueError(f"embedding of {tok!r} must be {dimension} finite numbers")
+        vectors[tok] = arr
+    return EmbeddingTable(dimension, vectors)
 
 
 def _load_model(checkpoint_path):

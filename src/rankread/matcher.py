@@ -7,14 +7,14 @@ layer for ranking, three for reading, separate parameters).
 Sequences sit in matrices column-per-token. `encode_batch` sorts a stack
 call's sequences by length, longest first, and lays them side by side once
 (each sequence's columns in step order, one sequence after another), which is
-the one layout every layer of the stack and `tensor.lstm` use. So the whole
-call runs through each layer as one recurrence per direction, whatever the
-lengths, and is cut per sequence only after the last layer. At each step only
-the sequences that are still running take it, so a sequence's output equals
-encoding it alone up to BLAS rounding (checked in tests). Each direction of a
-layer is one `tensor.lstm` tape node: the input projection W x + b is one
-matmul over all steps, and the step loop with its hand-written backward lives
-inside the op.
+the one layout every layer of the stack and `tensor.bilstm` use. So the whole
+call runs through each layer as one recurrence, both directions in one step
+loop, whatever the lengths, and is cut per sequence only after the last
+layer. At each step only the sequences that are still running take it, so a
+sequence's output equals encoding it alone up to BLAS rounding (checked in
+tests). Each layer is one `tensor.bilstm` tape node for both directions: each
+direction's input projection W x + b is one matmul over all steps, and the
+step loop with its hand-written backward lives inside the op.
 """
 
 from dataclasses import dataclass
@@ -59,8 +59,9 @@ def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
 
 def _bilstm(x, params, lengths):
     """One BiLSTM layer over sequences side by side, lengths non-increasing."""
-    return T.concat_rows([T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, lengths, reverse=reverse)
-                          for d, reverse in ((params.fwd, False), (params.bwd, True))])
+    f, b = params.fwd, params.bwd
+    return T.bilstm(T.add_col(T.matmul(f.W, x), f.b), T.add_col(T.matmul(b.W, x), b.b),
+                    f.U, b.U, lengths)
 
 
 def encode_batch(seqs, layers):
@@ -68,7 +69,7 @@ def encode_batch(seqs, layers):
 
     The sequences are sorted by length, longest first (a stable sort), laid
     side by side once and go through every layer of the stack together: one
-    `tensor.lstm` call per direction per layer. The result is split per
+    `tensor.bilstm` call per layer. The result is split per
     sequence after the last layer. Output order matches input.
     """
     if not seqs:

@@ -330,118 +330,138 @@ def neg_log_softmax_pick(a, k):
     return out
 
 
-def lstm(pre, U, lengths, reverse=False):
-    """One LSTM direction over sequences of any lengths, as a single tape node.
+def bilstm(pre_f, pre_b, U_f, U_b, lengths):
+    """Both directions of an LSTM layer over sequences of any lengths, as a
+    single tape node.
 
-    pre is the (4h, sum(lengths)) input projection W x + b with the sequences
-    side by side: sequence j's columns follow sequence j-1's, in step order.
-    lengths must be positive and non-increasing. U is the (4h, h) recurrent
-    matrix and gate rows are [i, f, o, g]. Returns the (h, sum(lengths)) hidden
-    states in the same column order; reverse runs each sequence from its last
-    step to its first.
+    pre_f and pre_b are the forward and backward (4h, sum(lengths)) input
+    projections W x + b with the sequences side by side: sequence j's columns
+    follow sequence j-1's, in step order. lengths must be positive and
+    non-increasing. U_f and U_b are the (4h, h) recurrent matrices and gate
+    rows are [i, f, o, g]. Returns [h_fwd; h_bwd], the (2h, sum(lengths))
+    hidden states in the same column order; the backward direction runs each
+    sequence from its last step to its first.
 
-    The step loop works on (rows, n, max_len) blocks with the sequences
-    left-aligned and zeros past each one's end; when all lengths are equal a
-    block is a reshape of pre. At step t only the first active[t] =
-    #(lengths > t) sequences, a prefix because of the order, take the step, as
-    in a packed sequence. The state, forward and backward, sits in
-    zero-initialised (h, n) buffers of which step t reads and writes only the
-    first active[t] columns: a sequence that has not started reads zeros, in
-    either direction, and one that has finished is never read again. So no
-    padded position is computed and each sequence's arithmetic is its own.
-    The forward matches the per-step composition of matmul, add, sigmoid, tanh
-    and mul bit for bit; the backward is hand-written BPTT over the same
-    prefixes.
+    The step loop works on (rows, 2n, max_len) blocks with zeros past each
+    sequence's end. Forward sequence j sits in column n+j, backward
+    sequence j in column n-1-j with its steps reversed, so block step i holds
+    forward step i and backward step max_len-1-i. With active[t] =
+    #(lengths > t), the sequences that take iteration i, as in a packed
+    sequence, are the one contiguous column range [n - active[max_len-1-i],
+    n + active[i]), and every gate, cell and store op runs once per iteration
+    for both directions. The state, forward and backward, sits in
+    zero-initialised (h, 2n) buffers: a sequence that has not started reads
+    zeros and one that has finished is never read again, so no padded
+    position is computed and each sequence's arithmetic is its own.
+
+    Each direction keeps its own recurrent matmul over exactly its own
+    columns, so every product has the shape a single-direction loop gives it
+    (one active column still takes BLAS's gemv path) and the same bits; a
+    stacked or block-diagonal product would round differently. The forward
+    matches the per-step composition of matmul, add, sigmoid, tanh and mul
+    bit for bit; the backward is hand-written BPTT over the same columns.
+    Gate activations and cells are stored only when the op records a node.
     """
-    h = U.data.shape[1]
-    rows, cols = pre.data.shape
-    if U.data.shape != (4 * h, h) or rows != 4 * h:
-        raise ShapeError(f"lstm: input {pre.data.shape} and recurrent {U.data.shape} "
-                         "need shapes (4h, sum(lengths)) and (4h, h)")
+    h = U_f.data.shape[1]
+    rows, cols = pre_f.data.shape
+    if (U_f.data.shape != (4 * h, h) or U_b.data.shape != U_f.data.shape or rows != 4 * h
+            or pre_b.data.shape != pre_f.data.shape):
+        raise ShapeError(f"bilstm: inputs {pre_f.data.shape}, {pre_b.data.shape} and recurrent "
+                         f"{U_f.data.shape}, {U_b.data.shape} need shapes (4h, sum(lengths)) "
+                         "and (4h, h)")
     # plain Python on the lengths: numpy's per-call cost would outweigh it
     lengths = list(lengths)
     if not lengths or min(lengths) < 1:
-        raise ShapeError(f"lstm: sequence lengths must be positive, got {lengths}")
+        raise ShapeError(f"bilstm: sequence lengths must be positive, got {lengths}")
     if any(a < b for a, b in zip(lengths, lengths[1:])):
-        raise ShapeError(f"lstm: sequence lengths must be non-increasing, got {lengths}")
+        raise ShapeError(f"bilstm: sequence lengths must be non-increasing, got {lengths}")
     if sum(lengths) != cols:
-        raise ShapeError(f"lstm: lengths sum to {sum(lengths)}, input has {cols} columns")
+        raise ShapeError(f"bilstm: lengths sum to {sum(lengths)}, input has {cols} columns")
     n, steps = len(lengths), lengths[0]
     ends = [0] * steps  # ends[t]: how many sequences take their last step at t
     for length in lengths:
         ends[length - 1] += 1
     active = list(accumulate(reversed(ends)))[::-1]  # active[t]: how many are longer than t
+    spans = [(n - active[steps - 1 - i], n + active[i]) for i in range(steps)]
     mask = None if lengths[-1] == steps else np.arange(steps) < np.array(lengths)[:, None]
 
-    def blocked(a):
-        if mask is None:
-            return a.reshape(a.shape[0], n, steps)
-        out = np.zeros((a.shape[0], n, steps))
-        out[:, mask] = a
-        return out
+    def views(b):  # each direction's (rows, n, steps) view of a block, in input order
+        return b[:, n:], b[:, n - 1::-1, ::-1]
 
-    def packed(a):
+    def blocked(a_f, a_b):
+        b = np.zeros((a_f.shape[0], 2 * n, steps))
+        for view, a in zip(views(b), (a_f, a_b)):
+            if mask is None:
+                view[...] = a.reshape(a.shape[0], n, steps)
+            else:
+                view[:, mask] = a
+        return b
+
+    def packed(view):
+        # copied to one direction's own contiguous block first: the memory
+        # order of the U gradient's gemm operands decides its rounding
+        a = np.ascontiguousarray(view)
         return a.reshape(a.shape[0], cols) if mask is None else a[:, mask]
 
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    pre3 = blocked(pre.data)
-    # zeros past each sequence's end, which the backward reads
-    acts = np.zeros((4 * h, n, steps))  # gate activations i, f, o, g
-    cells = np.zeros((h, n, steps))
-    tanh_c = np.zeros((h, n, steps))
-    hs = np.zeros((h, n, steps))
-    h_t = np.zeros((h, n))  # state; step t uses the first active[t] columns
-    c_t = np.zeros((h, n))
-    for t in order:
-        k = active[t]
-        h_k, c_k = h_t[:, :k], c_t[:, :k]  # views: writing them writes the state
-        z = pre3[:, :k, t] + U.data @ h_k
+    out = Tensor._node(None, (pre_f, pre_b, U_f, U_b))  # data comes after the loop
+    record = out.requires_grad
+    pre3 = blocked(pre_f.data, pre_b.data)
+    hs = np.zeros((h, 2 * n, steps))
+    if record:  # zeros past each sequence's end, which the backward reads
+        acts = np.zeros((4 * h, 2 * n, steps))  # gate activations i, f, o, g
+        cells = np.zeros((h, 2 * n, steps))
+        tanh_c = np.zeros((h, 2 * n, steps))
+    h_t = np.zeros((h, 2 * n))  # state; iteration i uses columns spans[i]
+    c_t = np.zeros((h, 2 * n))
+    for i, (lo, hi) in enumerate(spans):
+        z = np.empty((4 * h, hi - lo))
+        np.matmul(U_b.data, h_t[:, lo:n], out=z[:, :n - lo])
+        np.matmul(U_f.data, h_t[:, n:hi], out=z[:, n - lo:])
+        z += pre3[:, lo:hi, i]
         a = np.empty_like(z)
         a[:3 * h] = _sigmoid(z[:3 * h])
         a[3 * h:] = np.tanh(z[3 * h:])
-        c = a[h:2 * h] * c_k + a[:h] * a[3 * h:]
+        c = a[h:2 * h] * c_t[:, lo:hi] + a[:h] * a[3 * h:]
         tc = np.tanh(c)
-        c_k[...] = c
-        np.multiply(a[2 * h:3 * h], tc, out=h_k)
-        acts[:, :k, t] = a
-        cells[:, :k, t] = c
-        tanh_c[:, :k, t] = tc
-        hs[:, :k, t] = h_k
-    out = Tensor._node(packed(hs), (pre, U))
-    if out.requires_grad:
+        c_t[:, lo:hi] = c
+        np.multiply(a[2 * h:3 * h], tc, out=h_t[:, lo:hi])
+        hs[:, lo:hi, i] = h_t[:, lo:hi]
+        if record:
+            acts[:, lo:hi, i] = a
+            cells[:, lo:hi, i] = c
+            tanh_c[:, lo:hi, i] = tc
+    out.data = np.concatenate([packed(v) for v in views(hs)])
+    if record:
         def bw(g):
-            # state entering each step: the neighbouring step's, zero at a
+            # state entering each block step: the previous step's, zero at a
             # sequence's start since the blocks are zero past its end
             h_in = np.zeros_like(hs)
             c_in = np.zeros_like(cells)
-            if reverse:
-                h_in[:, :, :-1] = hs[:, :, 1:]
-                c_in[:, :, :-1] = cells[:, :, 1:]
-            else:
-                h_in[:, :, 1:] = hs[:, :, :-1]
-                c_in[:, :, 1:] = cells[:, :, :-1]
+            h_in[:, :, 1:] = hs[:, :, :-1]
+            c_in[:, :, 1:] = cells[:, :, :-1]
             i, f, o, gg = acts[:h], acts[h:2 * h], acts[2 * h:3 * h], acts[3 * h:]
             # dz = factor * (dc for rows i, f, g; dh for rows o)
             factor = np.concatenate((gg * i * (1.0 - i), c_in * f * (1.0 - f),
                                      tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)))
             dc_dh = o * (1.0 - tanh_c * tanh_c)
-            g3 = blocked(g)
+            g3 = blocked(g[:h], g[h:])
             dpre = np.zeros_like(acts)
-            dh_next = np.zeros((h, n))  # gradient reaching the state entering step t
-            dc_next = np.zeros((h, n))
-            for t in reversed(order):
-                k = active[t]
-                dh_k, dc_k = dh_next[:, :k], dc_next[:, :k]
-                dh = g3[:, :k, t] + dh_k
-                dc = dh * dc_dh[:, :k, t] + dc_k
-                dz = factor[:, :k, t] * np.concatenate((dc, dc, dh, dc))
-                dpre[:, :k, t] = dz
-                np.multiply(dc, f[:, :k, t], out=dc_k)
-                np.matmul(U.data.T, dz, out=dh_k)
-            dpre = packed(dpre)
-            _accumulate(pre, dpre)
-            if U.requires_grad:
-                _accumulate(U, dpre @ packed(h_in).T)
+            dh_next = np.zeros((h, 2 * n))  # gradient reaching the state entering a step
+            dc_next = np.zeros((h, 2 * n))
+            for t in range(steps - 1, -1, -1):
+                lo, hi = spans[t]
+                dh = g3[:, lo:hi, t] + dh_next[:, lo:hi]
+                dc = dh * dc_dh[:, lo:hi, t] + dc_next[:, lo:hi]
+                dz = factor[:, lo:hi, t] * np.concatenate((dc, dc, dh, dc))
+                dpre[:, lo:hi, t] = dz
+                np.multiply(dc, f[:, lo:hi, t], out=dc_next[:, lo:hi])
+                np.matmul(U_b.data.T, dz[:, :n - lo], out=dh_next[:, lo:n])
+                np.matmul(U_f.data.T, dz[:, n - lo:], out=dh_next[:, n:hi])
+            for pre, U, dp, hp in zip((pre_f, pre_b), (U_f, U_b), views(dpre), views(h_in)):
+                dp = packed(dp)
+                _accumulate(pre, dp)
+                if U.requires_grad:
+                    _accumulate(U, dp @ packed(hp).T)
         out._backward = bw
     return out
 

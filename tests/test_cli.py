@@ -632,6 +632,29 @@ def test_out_of_range_training_setting_is_one_line_error(workdir, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("vector, what", [
+    ([float("nan")] * 8, "nan"),
+    ([0.5] * 7, "short"),
+], ids=["nan", "short"])
+def test_bad_inline_embedding_is_one_line_error(workdir, tmp_path, capsys, vector, what):
+    # before, a NaN vector evaluated to NaN scores with exit status 0, and a
+    # short one failed at lookup with a bare np.stack message
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    table = ckpt["extra"]["table"]
+    assert table["kind"] == "inline" and table["dimension"] == 8
+    tok = sorted(table["vectors"])[0]
+    table["vectors"][tok] = vector
+    bad = tmp_path / f"{what}.json"
+    bad.write_text(json.dumps(ckpt))
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--checkpoint", str(bad),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(report)]) == 1
+    assert _error_line(capsys) == (f"error: {bad}: checkpoint metadata: ValueError: "
+                                   f"embedding of {tok!r} must be 8 finite numbers")
+    assert not report.exists()
+
+
 def test_non_finite_checkpoint_value_is_one_line_error(workdir, tmp_path, capsys):
     # before, a checkpoint of NaN parameters evaluated to NaN scores
     ckpt = json.loads(workdir["ckpt"].read_text())

@@ -92,7 +92,7 @@ def test_batched_encode_gradients_match_sequential():
 
 def _lstm_steps(direction, blocks, n):
     """Composite reference: one LSTM direction over (4h, n) input blocks, one
-    tape node per gate op and step (the path `tensor.lstm` replaced)."""
+    tape node per gate op and step (the path `tensor.bilstm` replaced)."""
     h = direction.U.data.shape[1]
     state_h = T.Tensor(np.zeros((h, n)))
     state_c = T.Tensor(np.zeros((h, n)))
@@ -164,23 +164,28 @@ def test_fused_encode_matches_composite_reference(n, steps):
         assert np.abs(a - b).max() < 1e-10
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_fused_direction_matches_composite_reference(reverse):
+def test_fused_direction_matches_composite_reference():
+    # both directions of one op call, each against its composite reference:
+    # forward bit for bit, gradients to 1e-10
     p = make_bilstm(40, 2, 8, scale=0.5)
-    d = p.fwd
+    fwd, bwd = p.fwd, p.bwd
+    params = _bilstm_params(p)
     n, steps = 3, 4
     rng = np.random.default_rng(41)
     x = T.Tensor(rng.normal(size=(2, steps * n)))
-    weights = T.Tensor(rng.normal(size=(4, steps * n)))
+    weights = T.Tensor(rng.normal(size=(8, steps * n)))
 
-    def run(direction_fn):
-        T.zero_grads([d.W, d.U, d.b])
-        out = direction_fn()
+    def run(layer_fn):
+        T.zero_grads(params)
+        out = layer_fn()
         T.backward(T.sum_all(T.mul(out, weights)))
-        return out.data, [d.W.grad.copy(), d.U.grad.copy(), d.b.grad.copy()]
+        return out.data, [q.grad.copy() for q in params]
 
-    fused, g_fused = run(lambda: T.lstm(T.add_col(T.matmul(d.W, x), d.b), d.U, [steps] * n, reverse))
-    ref, g_ref = run(lambda: _reference_direction(d, x, n, reverse))
+    fused, g_fused = run(lambda: T.bilstm(T.add_col(T.matmul(fwd.W, x), fwd.b),
+                                          T.add_col(T.matmul(bwd.W, x), bwd.b),
+                                          fwd.U, bwd.U, [steps] * n))
+    ref, g_ref = run(lambda: T.concat_rows([_reference_direction(fwd, x, n, False),
+                                            _reference_direction(bwd, x, n, True)]))
     assert np.array_equal(fused, ref)
     for a, b in zip(g_fused, g_ref):
         assert np.abs(a - b).max() < 1e-10
@@ -242,18 +247,19 @@ def test_stack_over_shuffled_lengths_matches_each_sequence_alone():
 
 
 def test_stack_call_makes_one_recurrence_per_direction_and_layer(monkeypatch):
+    # one op call per layer runs both directions
     calls = []
-    lstm = T.lstm
+    bilstm = T.bilstm
 
-    def counting_lstm(pre, U, lengths, reverse=False):
-        calls.append((list(lengths), reverse))
-        return lstm(pre, U, lengths, reverse)
+    def counting_bilstm(pre_f, pre_b, U_f, U_b, lengths):
+        calls.append(list(lengths))
+        return bilstm(pre_f, pre_b, U_f, U_b, lengths)
 
-    monkeypatch.setattr(matcher.T, "lstm", counting_lstm)
+    monkeypatch.setattr(matcher.T, "bilstm", counting_bilstm)
     rng = np.random.default_rng(66)
     seqs = [T.Tensor(rng.normal(size=(3, t))) for t in (4, 1, 6, 4, 2, 7, 1)]
     matcher.encode_batch(seqs, make_stack(56, 3, 4, 3))
-    assert calls == [([7, 6, 4, 4, 2, 1, 1], reverse) for _ in range(3) for reverse in (False, True)]
+    assert calls == [[7, 6, 4, 4, 2, 1, 1]] * 3
 
 
 def test_encode_rejects_wrong_input_rows():

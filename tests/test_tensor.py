@@ -141,27 +141,55 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-def test_fd_lstm(reverse):
-    # pre is (4h, sum(lengths)) and U is (4h, h): h=2, two sequences of three
-    # steps, then one of four, then ragged lengths with 1, the maximum and a
-    # repeat
-    assert _fd_single_op(T.lstm, (8, 6), (8, 2), lengths=[3, 3], reverse=reverse) < 1e-4
-    assert _fd_single_op(T.lstm, (8, 4), (8, 2), lengths=[4], reverse=reverse) < 1e-4
-    assert _fd_single_op(T.lstm, (8, 14), (8, 2), lengths=[5, 5, 3, 1], reverse=reverse) < 1e-4
+def test_fd_lstm():
+    # pre_f and pre_b are (4h, sum(lengths)), U_f and U_b (4h, h), and all
+    # four are checked: h=2, two sequences of three steps, then one of four,
+    # then ragged lengths with 1, the maximum and a repeat
+    assert _fd_single_op(T.bilstm, (8, 6), (8, 6), (8, 2), (8, 2), lengths=[3, 3]) < 1e-4
+    assert _fd_single_op(T.bilstm, (8, 4), (8, 4), (8, 2), (8, 2), lengths=[4]) < 1e-4
+    assert _fd_single_op(T.bilstm, (8, 14), (8, 14), (8, 2), (8, 2), lengths=[5, 5, 3, 1]) < 1e-4
+
+
+def _bilstm(pre, U, lengths, pre_b=None, U_b=None):
+    """bilstm with the backward direction's inputs shaped like the forward's
+    unless given."""
+    pre_b = rand_tensor(*pre.data.shape) if pre_b is None else pre_b
+    U_b = rand_tensor(*U.data.shape) if U_b is None else U_b
+    return T.bilstm(pre, pre_b, U, U_b, lengths)
 
 
 def test_lstm_rejects_bad_shapes():
     with pytest.raises(T.ShapeError, match="lstm"):
-        T.lstm(rand_tensor(6, 4), rand_tensor(8, 2), [2, 2])
+        _bilstm(rand_tensor(6, 4), rand_tensor(8, 2), [2, 2])
     with pytest.raises(T.ShapeError, match="lengths sum to 3, input has 4 columns"):
-        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [2, 1])
+        _bilstm(rand_tensor(8, 4), rand_tensor(8, 2), [2, 1])
     with pytest.raises(T.ShapeError, match="non-increasing"):
-        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [1, 3])
+        _bilstm(rand_tensor(8, 4), rand_tensor(8, 2), [1, 3])
     with pytest.raises(T.ShapeError, match="positive"):
-        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [4, 0])
+        _bilstm(rand_tensor(8, 4), rand_tensor(8, 2), [4, 0])
     with pytest.raises(T.ShapeError, match="positive"):
-        T.lstm(rand_tensor(8, 4), rand_tensor(8, 2), [])
+        _bilstm(rand_tensor(8, 4), rand_tensor(8, 2), [])
+    with pytest.raises(T.ShapeError, match=r"inputs \(8, 4\), \(8, 3\)"):
+        _bilstm(rand_tensor(8, 4), rand_tensor(8, 2), [2, 2], pre_b=rand_tensor(8, 3))
+    with pytest.raises(T.ShapeError, match=r"recurrent \(8, 2\), \(8, 1\)"):
+        _bilstm(rand_tensor(8, 4), rand_tensor(8, 2), [2, 2], U_b=rand_tensor(8, 1))
+
+
+@pytest.mark.parametrize("lengths", [[4, 4], [5, 5, 3, 1], [1]])
+def test_bilstm_without_a_tape_gives_the_recording_output_and_no_node(lengths):
+    # under no_grad the op stores only hidden states; its output must be the
+    # recording path's bit for bit, and it must record nothing
+    rng = np.random.default_rng(sum(lengths))
+    cols = sum(lengths)
+    ins = [T.Tensor(rng.normal(size=s), requires_grad=True)
+           for s in ((8, cols), (8, cols), (8, 2), (8, 2))]
+    recorded = T.bilstm(*ins, lengths)
+    with T.no_grad():
+        bare = T.bilstm(*ins, lengths)
+    assert recorded.requires_grad and recorded._backward is not None
+    assert not bare.requires_grad and bare._parents == () and bare._backward is None
+    assert bare.data.shape == (4, cols)
+    assert np.array_equal(bare.data, recorded.data)
 
 
 def test_fd_concat_ops():
