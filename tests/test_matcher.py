@@ -164,22 +164,26 @@ def test_fused_encode_matches_composite_reference(n, steps):
         assert np.abs(a - b).max() < 1e-10
 
 
-def test_fused_direction_matches_composite_reference():
-    # both directions of one op call, each against its composite reference:
-    # forward bit for bit, gradients to 1e-10
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fused_direction_matches_composite_reference(reverse):
+    # one op call against both composite references: its output bit for bit,
+    # and the gradients of a loss on the rows of one direction (the backward
+    # one if reverse) to 1e-10, with none reaching the other direction
     p = make_bilstm(40, 2, 8, scale=0.5)
     fwd, bwd = p.fwd, p.bwd
     params = _bilstm_params(p)
     n, steps = 3, 4
     rng = np.random.default_rng(41)
     x = T.Tensor(rng.normal(size=(2, steps * n)))
-    weights = T.Tensor(rng.normal(size=(8, steps * n)))
+    weights = T.Tensor(rng.normal(size=(4, steps * n)))
+    i0 = 4 if reverse else 0
 
     def run(layer_fn):
         T.zero_grads(params)
         out = layer_fn()
-        T.backward(T.sum_all(T.mul(out, weights)))
-        return out.data, [q.grad.copy() for q in params]
+        T.backward(T.sum_all(T.mul(T.slice_rows(out, i0, i0 + 4), weights)))
+        return out.data, [np.zeros_like(q.data) if q.grad is None else q.grad.copy()
+                          for q in params]
 
     fused, g_fused = run(lambda: T.bilstm(T.add_col(T.matmul(fwd.W, x), fwd.b),
                                           T.add_col(T.matmul(bwd.W, x), bwd.b),
@@ -189,6 +193,9 @@ def test_fused_direction_matches_composite_reference():
     assert np.array_equal(fused, ref)
     for a, b in zip(g_fused, g_ref):
         assert np.abs(a - b).max() < 1e-10
+    other = g_fused[:3] if reverse else g_fused[3:]
+    assert all(not g.any() for g in other)
+    assert all(g.any() for g in (g_fused[3:] if reverse else g_fused[:3]))
 
 
 @pytest.mark.parametrize("depth", [2, 3])

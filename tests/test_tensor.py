@@ -141,13 +141,20 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
 
 
-def test_fd_lstm():
-    # pre_f and pre_b are (4h, sum(lengths)), U_f and U_b (4h, h), and all
-    # four are checked: h=2, two sequences of three steps, then one of four,
-    # then ragged lengths with 1, the maximum and a repeat
-    assert _fd_single_op(T.bilstm, (8, 6), (8, 6), (8, 2), (8, 2), lengths=[3, 3]) < 1e-4
-    assert _fd_single_op(T.bilstm, (8, 4), (8, 4), (8, 2), (8, 2), lengths=[4]) < 1e-4
-    assert _fd_single_op(T.bilstm, (8, 14), (8, 14), (8, 2), (8, 2), lengths=[5, 5, 3, 1]) < 1e-4
+@pytest.mark.parametrize("reverse", [False, True])
+def test_fd_lstm(reverse):
+    # pre_f and pre_b are (4h, sum(lengths)), U_f and U_b (4h, h): h=2, two
+    # sequences of three steps, then one of four, then ragged lengths with 1,
+    # the maximum and a repeat. The loss reads the rows of one direction (the
+    # backward one if reverse) and all four inputs are checked, so the other
+    # direction's gradients must come out zero.
+    def bilstm_rows(pre_f, pre_b, U_f, U_b, lengths):
+        out = T.bilstm(pre_f, pre_b, U_f, U_b, lengths)
+        return T.slice_rows(out, 2, 4) if reverse else T.slice_rows(out, 0, 2)
+
+    assert _fd_single_op(bilstm_rows, (8, 6), (8, 6), (8, 2), (8, 2), lengths=[3, 3]) < 1e-4
+    assert _fd_single_op(bilstm_rows, (8, 4), (8, 4), (8, 2), (8, 2), lengths=[4]) < 1e-4
+    assert _fd_single_op(bilstm_rows, (8, 14), (8, 14), (8, 2), (8, 2), lengths=[5, 5, 3, 1]) < 1e-4
 
 
 def _bilstm(pre, U, lengths, pre_b=None, U_b=None):
