@@ -11,7 +11,7 @@ import numpy as np
 from . import evaluation, retrieval, trainer as trainer_mod
 from . import tensor as T
 from .config import Config
-from .files import atomic_write
+from .files import atomic_write, check_fields, one_line_errors, read_jsonl
 from .model import RankReadModel
 from .synth import SyntheticSpec, generate
 from .text import EmbeddingTable, load_embeddings, synthetic_embeddings, tokenize
@@ -22,25 +22,11 @@ log = logging.getLogger(__name__)
 def load_dataset(path):
     """JSON-lines of {id, question, answers}; ids are unique, since retrieved
     sets are looked up by question id."""
-    seen = set()
-
     def record(rec):
-        missing = {"id", "question", "answers"} - set(rec)
-        if missing:
-            raise ValueError(f"dataset record missing {sorted(missing)}")
-        if not isinstance(rec["id"], str):
-            raise ValueError(f"id must be a string, got {rec['id']!r}")
-        if not isinstance(rec["question"], str):
-            raise ValueError(f"question must be a string, got {rec['question']!r}")
-        answers = rec["answers"]
-        if not isinstance(answers, list) or not all(isinstance(a, str) for a in answers):
-            raise ValueError(f"answers must be a list of strings, got {answers!r}")
-        if rec["id"] in seen:
-            raise ValueError(f"duplicate question id {rec['id']!r}")
-        seen.add(rec["id"])
+        check_fields("dataset record", rec, {"id": str, "question": str, "answers": list[str]})
         return rec
 
-    records = retrieval.read_jsonl(path, record)
+    records = read_jsonl(path, record, "id")
     if not records:
         raise ValueError(f"{path}: empty dataset")
     return records
@@ -104,15 +90,19 @@ def _load_model(checkpoint_path):
     values, _, extra = T.load_checkpoint(checkpoint_path)
     if not isinstance(extra, dict) or "config" not in extra or "table" not in extra:
         raise ValueError(f"{checkpoint_path}: checkpoint lacks config/table metadata")
-    try:
+    with one_line_errors(f"{checkpoint_path}: checkpoint metadata"):
         config = Config().with_overrides(extra["config"])
         table = _table_from_payload(extra["table"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{checkpoint_path}: checkpoint metadata: "
-                         f"{type(exc).__name__}: {exc}") from None
     model = RankReadModel(config, seed=config.seed)
     model.load_values(values)
     return model, table, config
+
+
+def _load_scoring_inputs(args):
+    """What evaluate and analyze read: model, table, config, dataset, retrieved sets."""
+    model, table, config = _load_model(args.checkpoint)
+    return (model, table, _config_from_args(args, config), load_dataset(args.dataset),
+            retrieval.load_retrieved(args.retrieved))
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -181,10 +171,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    model, table, config = _load_model(args.checkpoint)
-    config = _config_from_args(args, config)
-    dataset = load_dataset(args.dataset)
-    retrieved_sets = retrieval.load_retrieved(args.retrieved)
+    model, table, config, dataset, retrieved_sets = _load_scoring_inputs(args)
     report = evaluation.evaluate(model, table, dataset, retrieved_sets,
                                  max_span_len=config.max_span_len)
     with atomic_write(args.out) as f:
@@ -195,10 +182,7 @@ def cmd_evaluate(args):
 
 
 def cmd_analyze(args):
-    model, table, config = _load_model(args.checkpoint)
-    config = _config_from_args(args, config)
-    dataset = load_dataset(args.dataset)
-    retrieved_sets = retrieval.load_retrieved(args.retrieved)
+    model, table, config, dataset, retrieved_sets = _load_scoring_inputs(args)
     ks = [int(k) for k in args.k.split(",")]
     out = evaluation.analyze(model, table, dataset, retrieved_sets, ks, config.max_span_len)
     with atomic_write(args.out) as f:
@@ -286,7 +270,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, T.ShapeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

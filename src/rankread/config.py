@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass, fields, asdict
 
-from .files import read_lines
+from .files import check_fields, read_lines
 from .retrieval import BM25_B, BM25_K1
 
 
@@ -38,6 +38,7 @@ class Config:
     embeddings_path: str = ""
 
     def validate(self):
+        check_fields("config", self)
         for key, least in _LEAST.items():
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
@@ -100,8 +101,4 @@ _LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers":
 def _parse(raw, typ):
     if raw.startswith("'") and raw.endswith("'") or raw.startswith('"') and raw.endswith('"'):
         raw = raw[1:-1]
-    if typ in (int, "int"):
-        return int(raw)
-    if typ in (float, "float"):
-        return float(raw)
-    return raw
+    return typ(raw)

@@ -1,9 +1,12 @@
-"""File helpers shared by checkpoints, indexes and the CLI outputs."""
+"""File helpers: atomic writes, and one field check and one error line for every input."""
 
 import json
 import os
 import uuid
 from contextlib import contextmanager, suppress
+from dataclasses import fields
+from functools import cache
+from operator import getitem
 
 
 @contextmanager
@@ -41,17 +44,75 @@ def read_lines(path):
             yield lineno, line
 
 
+@contextmanager
+def one_line_errors(where):
+    """Re-raise an AttributeError, KeyError, TypeError or ValueError from the
+    block as the one-line ValueError "<where>: <Type>: <message>"."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {type(exc).__name__}: {exc}") from None
+
+
+# per annotation: the types a value may have, the types a list's items must
+# have, and the noun a message uses. Ints count as numbers; a bool is only a bool.
+_KINDS = {str: (str, (), "a string"), int: (int, (), "an integer"),
+          float: ((int, float), (), "a number"), bool: (bool, (), "a bool"),
+          list: (list, (), "a list"), list[str]: (list, str, "a list of strings")}
+
+
+def _rules(types):
+    return tuple((name, *_KINDS[typ]) for name, typ in types.items())
+
+
+@cache
+def _class_rules(cls):
+    return _rules({f.name: f.type for f in fields(cls)})
+
+
+def check_fields(what, record, types=None):
+    """Raise TypeError "<what> <field> must be <a string|an integer|...>, got
+    <value!r>" for the first field whose value does not have its type. A
+    dataclass record is checked against its annotations (one table per class);
+    a mapping record (a JSON line) passes a {field: type} table."""
+    if types is None:
+        rules, value_of = _class_rules(type(record)), getattr
+    else:
+        rules, value_of = _rules(types), getitem
+    for name, kinds, items, noun in rules:
+        value = value_of(record, name)
+        if (not isinstance(value, kinds) or (type(value) is bool and kinds is not bool)
+                or (items and not all(isinstance(item, items) for item in value))):
+            raise TypeError(f"{what} {name} must be {noun}, got {value!r}")
+
+
+def read_jsonl(path, make, id_key=None):
+    """make(record) for every non-blank line of a JSON-lines file. A line that
+    is not JSON, that make rejects, or whose record[id_key] (a question id)
+    repeats an earlier line's raises a one-line ValueError naming file and line."""
+    out = []
+    seen = set()
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        with one_line_errors(f"{path}:{lineno}"):
+            record = json.loads(line)
+            out.append(make(record))
+            if id_key is not None:
+                if record[id_key] in seen:
+                    raise ValueError(f"duplicate question id {record[id_key]!r}")
+                seen.add(record[id_key])
+    return out
+
+
 def read_versioned_json(path, what, version, keys):
     """The object a versioned JSON file holds.
 
     Raises a one-line ValueError naming the file when it is not JSON, does not
     hold an object, has another format_version, or lacks one of keys.
     """
-    with open(path, encoding="utf-8") as f:
-        try:
-            payload = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
+    with open(path, encoding="utf-8") as f, one_line_errors(path):
+        payload = json.load(f)  # not JSON, or not UTF-8
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {type(payload).__name__}")
     found = payload.get("format_version")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .files import atomic_write, read_lines, read_versioned_json
+from .files import atomic_write, check_fields, one_line_errors, read_jsonl, read_versioned_json
 from .text import tokenize, contains_answer
 
 BM25_K1 = 1.2
@@ -30,10 +30,7 @@ class Document:
     text: str
 
     def __post_init__(self):
-        for name in ("id", "title", "text"):
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise TypeError(f"document {name} must be a string, got {value!r}")
+        check_fields("document", self)
 
 
 @dataclass
@@ -45,12 +42,7 @@ class RetrievedPassage:
     positive: bool
 
     def __post_init__(self):
-        for name, kind, what in (("text", str, "a string"), ("doc_id", str, "a string"),
-                                 ("ir_rank", int, "an integer"), ("ir_score", (int, float), "a number"),
-                                 ("positive", bool, "a bool")):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise TypeError(f"retrieved passage {name} must be {what}, got {value!r}")
+        check_fields("retrieved passage", self)
 
 
 @dataclass
@@ -59,8 +51,7 @@ class RetrievedSet:
     passages: list
 
     def __post_init__(self):
-        if not isinstance(self.question_id, str):
-            raise TypeError(f"retrieved set question_id must be a string, got {self.question_id!r}")
+        check_fields("retrieved set", self)
 
 
 class InvertedIndex:
@@ -138,10 +129,8 @@ def save_index(index, path):
 
 def load_index(path):
     payload = read_versioned_json(path, "index", INDEX_VERSION, ("docs",))
-    try:
+    with one_line_errors(path):
         return build_index(Document(**rec) for rec in payload["docs"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def bm25_idf(index, term):
@@ -308,36 +297,11 @@ def save_retrieved(sets, path):
             f.write(json.dumps(rec) + "\n")
 
 
-def read_jsonl(path, make):
-    """make(record) for every non-blank line of a JSON-lines file.
-
-    A line that is not JSON, or that make rejects, raises a one-line
-    ValueError naming the file and the line.
-    """
-    out = []
-    for lineno, line in read_lines(path):
-        if not line.strip():
-            continue
-        try:
-            out.append(make(json.loads(line)))
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ValueError(f"{path}:{lineno}: {type(exc).__name__}: {exc}") from None
-    return out
-
-
 def load_retrieved(path):
     """Retrieved sets, one per line; question ids are unique, since sets are
     looked up by question id."""
-    seen = set()
-
-    def record(rec):
-        rs = RetrievedSet(rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]])
-        if rs.question_id in seen:
-            raise ValueError(f"duplicate question id {rs.question_id!r}")
-        seen.add(rs.question_id)
-        return rs
-
-    return read_jsonl(path, record)
+    return read_jsonl(path, lambda rec: RetrievedSet(
+        rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]]), "question_id")
 
 
 def load_corpus(path):

@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .files import atomic_write, read_versioned_json
+from .files import atomic_write, one_line_errors, read_versioned_json
 
 
 class ShapeError(ValueError):
@@ -189,11 +189,6 @@ def _sigmoid(x):
     return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is overflow-safe for any sign
 
 
-def sigmoid(a):
-    y = _sigmoid(a.data)
-    return _unary(a, y, y * (1.0 - y))
-
-
 def scale(a, c):
     """Multiply by a Python constant."""
     c = float(c)
@@ -277,16 +272,6 @@ def slice_cols(a, j0, j1):
     return out
 
 
-def slice_rows(a, i0, i1):
-    out = Tensor._node(a.data[i0:i1, :].copy(), (a,))
-    if out.requires_grad:
-        def bw(g):
-            _ensure_grad(a)
-            a.grad[i0:i1, :] += g
-        out._backward = bw
-    return out
-
-
 def row_max(a):
     """Row-wise max over columns (max pooling); grad routes to the first argmax."""
     idx = a.data.argmax(axis=1)
@@ -358,8 +343,9 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     columns, so every product has the shape a single-direction loop gives it
     (one active column still takes BLAS's gemv path) and the same bits; a
     stacked or block-diagonal product would round differently. The forward
-    matches the per-step composition of matmul, add, sigmoid, tanh and mul
-    bit for bit; the backward is hand-written BPTT over the same columns.
+    matches the composite reference in tests/test_matcher.py, one tape node
+    per gate op and step, bit for bit; the backward is hand-written BPTT over
+    the same columns.
     Gate activations and cells are stored only when the op records a node.
     """
     h = U_f.data.shape[1]
@@ -474,14 +460,12 @@ OPS = {
     "sub": sub,
     "tanh": tanh,
     "relu": relu,
-    "sigmoid": sigmoid,
     "scale": scale,
     "softmax_cols": softmax_cols,
     "transpose": transpose,
     "concat_cols": concat_cols,
     "concat_rows": concat_rows,
     "slice_cols": slice_cols,
-    "slice_rows": slice_rows,
     "row_max": row_max,
     "sum": sum_all,
     "neg_log_softmax_pick": neg_log_softmax_pick,
@@ -666,7 +650,7 @@ def load_checkpoint(path):
     """Return ({name: ndarray}, optimizer_state_or_None, extra_or_None)."""
     payload = read_versioned_json(path, "checkpoint", CHECKPOINT_VERSION, ("params",))
     values = {}
-    try:
+    with one_line_errors(path):
         for rec in payload["params"]:
             arr = np.array(rec["values"], dtype=np.float64)
             if arr.size != rec["rows"] * rec["cols"]:
@@ -674,6 +658,4 @@ def load_checkpoint(path):
             if not np.isfinite(arr).all():
                 raise ValueError(f"checkpoint entry {rec['name']!r} has a non-finite value")
             values[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
     return values, payload.get("optimizer"), payload.get("extra")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rankread import tensor as T
 from rankread import trainer as trainer_mod
 from rankread.config import Config
 from rankread.model import RankReadModel
@@ -62,6 +63,17 @@ def toy_trainer(seed=0, **config_overrides):
 @pytest.fixture
 def example():
     return toy_example()
+
+
+def sigmoid(a):
+    """The logistic function composed from tape ops, with `tensor._sigmoid`'s
+    arithmetic (0.5 * (tanh(0.5 x) + 1)), so its values are that function's bits."""
+    return T.scale(T.add(T.tanh(T.scale(a, 0.5)), T.Tensor(np.ones(a.data.shape))), 0.5)
+
+
+def rows(a, i0, i1):
+    """Rows i0:i1 of a, composed from tape ops."""
+    return T.transpose(T.slice_cols(T.transpose(a), i0, i1))
 
 
 def grad_or_zero(p):

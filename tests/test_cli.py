@@ -468,7 +468,8 @@ def test_dataset_answers_must_be_a_list_of_strings(workdir, tmp_path, capsys):
                  "--retrieved", str(workdir["retrieved_test"]),
                  "--dataset", str(bad), "--out", str(tmp_path / "r.json")]) == 1
     line = _error_line(capsys)
-    assert line.startswith(f"error: {bad}:2: ValueError: ") and "list of strings" in line
+    assert line == (f"error: {bad}:2: TypeError: dataset record answers must be a list of strings, "
+                    f"got {rec['answers']!r}")
 
 
 def test_dataset_question_must_be_a_string(workdir, tmp_path, capsys):
@@ -477,7 +478,7 @@ def test_dataset_question_must_be_a_string(workdir, tmp_path, capsys):
     assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad),
                  "--out", str(tmp_path / "r.jsonl")]) == 1
     line = _error_line(capsys)
-    assert line == f"error: {bad}:1: ValueError: question must be a string, got 5"
+    assert line == f"error: {bad}:1: TypeError: dataset record question must be a string, got 5"
 
 
 def test_corpus_field_that_is_not_a_string_is_one_line_error(tmp_path, capsys):
@@ -594,7 +595,7 @@ def test_dataset_id_must_be_a_string(workdir, tmp_path, capsys):
     assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad),
                  "--out", str(tmp_path / "r.jsonl")]) == 1
     line = _error_line(capsys)
-    assert line == f"error: {bad}:1: ValueError: id must be a string, got 7"
+    assert line == f"error: {bad}:1: TypeError: dataset record id must be a string, got 7"
 
 
 @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--kl-weight", "inf")])
@@ -652,6 +653,24 @@ def test_bad_inline_embedding_is_one_line_error(workdir, tmp_path, capsys, vecto
                  "--dataset", str(workdir["test"]), "--out", str(report)]) == 1
     assert _error_line(capsys) == (f"error: {bad}: checkpoint metadata: ValueError: "
                                    f"embedding of {tok!r} must be 8 finite numbers")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("key, value", [("hidden_size", 4.0), ("seed", 0.5)])
+def test_checkpoint_config_of_the_wrong_type_is_one_line_error(workdir, tmp_path, capsys, key,
+                                                               value):
+    # before, the model was built from the float and evaluate ended in a
+    # "'float' object cannot be interpreted as an integer" traceback
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    ckpt["extra"]["config"][key] = value
+    bad = tmp_path / "float.json"
+    bad.write_text(json.dumps(ckpt))
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--checkpoint", str(bad),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(report)]) == 1
+    assert _error_line(capsys) == (f"error: {bad}: checkpoint metadata: TypeError: "
+                                   f"config {key} must be an integer, got {value}")
     assert not report.exists()
 
 

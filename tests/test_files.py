@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from rankread import retrieval as R
 from rankread import tensor as T
+from rankread.cli import load_dataset
+from rankread.config import Config
 from rankread.files import atomic_write
 
 
@@ -40,3 +43,73 @@ def test_failed_save_leaves_the_old_file(tmp_path, monkeypatch, save):
         save(path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["saved.json"]
+
+
+def _document(tmp_path, **fields):
+    return R.Document(**{"id": "d", "title": "t", "text": "x", **fields})
+
+
+def _passage(tmp_path, **fields):
+    return R.RetrievedPassage(**{"text": "x", "doc_id": "d", "ir_rank": 1, "ir_score": 0.5,
+                                 "positive": True, **fields})
+
+
+def _retrieved_set(tmp_path, **fields):
+    return R.RetrievedSet(**{"question_id": "q", "passages": [], **fields})
+
+
+def _dataset_record(tmp_path, **fields):
+    path = tmp_path / "test.jsonl"
+    path.write_text(json.dumps({"id": "q", "question": "x", "answers": ["a"], **fields}) + "\n")
+    return load_dataset(path)
+
+
+def _config(tmp_path, **fields):
+    return Config(**fields).validate()
+
+
+# a value of the wrong type for every Config field, by its annotation
+_WRONG_CONFIG_VALUE = {int: (1.5, "an integer"), float: ("1", "a number"), str: (1, "a string")}
+
+_FIELD_CASES = [
+    (_document, "document", "id", 5, "a string"),
+    (_document, "document", "title", None, "a string"),
+    (_document, "document", "text", b"x", "a string"),
+    (_passage, "retrieved passage", "text", 5, "a string"),
+    (_passage, "retrieved passage", "doc_id", 1, "a string"),
+    (_passage, "retrieved passage", "ir_rank", 1.0, "an integer"),
+    (_passage, "retrieved passage", "ir_rank", True, "an integer"),
+    (_passage, "retrieved passage", "ir_score", "0.5", "a number"),
+    (_passage, "retrieved passage", "ir_score", False, "a number"),
+    (_passage, "retrieved passage", "positive", 1, "a bool"),
+    (_passage, "retrieved passage", "positive", "no", "a bool"),
+    (_retrieved_set, "retrieved set", "question_id", ["x"], "a string"),
+    (_retrieved_set, "retrieved set", "passages", (), "a list"),
+    (_dataset_record, "dataset record", "id", 7, "a string"),
+    (_dataset_record, "dataset record", "question", 5, "a string"),
+    (_dataset_record, "dataset record", "answers", "blue", "a list of strings"),
+    (_dataset_record, "dataset record", "answers", ["blue", 1], "a list of strings"),
+    (_config, "config", "hidden_size", True, "an integer"),
+    (_config, "config", "dropout", True, "a number"),
+] + [(_config, "config", f.name, *_WRONG_CONFIG_VALUE[f.type]) for f in dataclasses.fields(Config)]
+
+
+@pytest.mark.parametrize("make, what, field, value, noun", _FIELD_CASES, ids=[
+    f"{what.replace(' ', '_')}-{field}-{value!r}" for _, what, field, value, _ in _FIELD_CASES])
+def test_field_check_names_the_field_and_its_type(tmp_path, make, what, field, value, noun):
+    message = f"{what} {field} must be {noun}, got {value!r}"
+    if make is _dataset_record:  # read from a file: the one-line error naming the line
+        message = f"{tmp_path / 'test.jsonl'}:1: TypeError: {message}"
+    with pytest.raises(ValueError if make is _dataset_record else TypeError) as info:
+        make(tmp_path, **{field: value})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("make, fields", [
+    (_passage, {"ir_score": 3}),
+    (_passage, {"ir_rank": 0, "positive": False}),
+    (_dataset_record, {"answers": []}),
+    (_config, {"learning_rate": 1, "bm25_b": 0}),
+], ids=["int_ir_score", "false_positive", "no_answers", "int_floats"])
+def test_field_check_counts_ints_as_numbers(tmp_path, make, fields):
+    assert make(tmp_path, **fields)

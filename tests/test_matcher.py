@@ -4,6 +4,8 @@ import pytest
 from rankread import matcher
 from rankread import tensor as T
 
+from conftest import rows, sigmoid
+
 
 def make_bilstm(seed, in_dim, out_dim, scale=0.2):
     rng = np.random.default_rng(seed)
@@ -99,10 +101,10 @@ def _lstm_steps(direction, blocks, n):
     outs = []
     for pre_t in blocks:
         z = T.add(pre_t, T.matmul(direction.U, state_h))
-        i = T.sigmoid(T.slice_rows(z, 0, h))
-        f = T.sigmoid(T.slice_rows(z, h, 2 * h))
-        o = T.sigmoid(T.slice_rows(z, 2 * h, 3 * h))
-        g = T.tanh(T.slice_rows(z, 3 * h, 4 * h))
+        i = sigmoid(rows(z, 0, h))
+        f = sigmoid(rows(z, h, 2 * h))
+        o = sigmoid(rows(z, 2 * h, 3 * h))
+        g = T.tanh(rows(z, 3 * h, 4 * h))
         state_c = T.add(T.mul(f, state_c), T.mul(i, g))
         state_h = T.mul(o, T.tanh(state_c))
         outs.append(state_h)
@@ -181,7 +183,7 @@ def test_fused_direction_matches_composite_reference(reverse):
     def run(layer_fn):
         T.zero_grads(params)
         out = layer_fn()
-        T.backward(T.sum_all(T.mul(T.slice_rows(out, i0, i0 + 4), weights)))
+        T.backward(T.sum_all(T.mul(rows(out, i0, i0 + 4), weights)))
         return out.data, [np.zeros_like(q.data) if q.grad is None else q.grad.copy()
                           for q in params]
 

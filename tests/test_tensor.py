@@ -5,6 +5,8 @@ import pytest
 
 from rankread import tensor as T
 
+from conftest import rows, sigmoid
+
 
 RNG = np.random.default_rng(7)
 
@@ -115,7 +117,7 @@ def _fd_single_op(op, *shapes, **kwargs):
     return T.fd_check(build, params)
 
 
-UNARY_OPS = [T.tanh, T.relu, T.sigmoid]
+UNARY_OPS = [T.tanh, T.relu, sigmoid]
 
 
 @pytest.mark.parametrize("op", UNARY_OPS)
@@ -136,7 +138,7 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.transpose, (2, 5)) < 1e-4
     assert _fd_single_op(T.row_max, (3, 4)) < 1e-4
     assert _fd_single_op(T.slice_cols, (3, 5), j0=1, j1=4) < 1e-4
-    assert _fd_single_op(T.slice_rows, (5, 2), i0=0, i1=3) < 1e-4
+    assert _fd_single_op(rows, (5, 2), i0=0, i1=3) < 1e-4
     assert _fd_single_op(T.neg_log_softmax_pick, (5, 1), k=2) < 1e-4
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
 
@@ -150,7 +152,7 @@ def test_fd_lstm(reverse):
     # direction's gradients must come out zero.
     def bilstm_rows(pre_f, pre_b, U_f, U_b, lengths):
         out = T.bilstm(pre_f, pre_b, U_f, U_b, lengths)
-        return T.slice_rows(out, 2, 4) if reverse else T.slice_rows(out, 0, 2)
+        return rows(out, 2, 4) if reverse else rows(out, 0, 2)
 
     assert _fd_single_op(bilstm_rows, (8, 6), (8, 6), (8, 2), (8, 2), lengths=[3, 3]) < 1e-4
     assert _fd_single_op(bilstm_rows, (8, 4), (8, 4), (8, 2), (8, 2), lengths=[4]) < 1e-4
@@ -225,7 +227,7 @@ def test_fd_three_layer_composite():
 
     def build():
         h1 = T.tanh(T.matmul(w1, x))
-        h2 = T.sigmoid(T.matmul(w2, h1))
+        h2 = sigmoid(T.matmul(w2, h1))
         return T.sum_all(T.matmul(w3, h2))
 
     assert T.fd_check(build, [w1, w2, w3]) < 1e-4
@@ -282,7 +284,7 @@ def test_backward_twice_on_one_loss_doubles_the_gradient():
     # x's one consumer t feeds three, one of them a slice that adds into part
     # of t's gradient; x gets one contribution per pass, so the sum is exact
     t = T.tanh(x)
-    loss = T.sum_all(T.mul(T.sigmoid(t), T.add(t, T.concat_cols([T.slice_cols(t, 1, 2)] * 2))))
+    loss = T.sum_all(T.mul(sigmoid(t), T.add(t, T.concat_cols([T.slice_cols(t, 1, 2)] * 2))))
     T.backward(loss)
     once = x.grad.copy()
     T.backward(loss)
