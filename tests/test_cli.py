@@ -481,6 +481,15 @@ def test_dataset_question_must_be_a_string(workdir, tmp_path, capsys):
     assert line == f"error: {bad}:1: TypeError: dataset record question must be a string, got 5"
 
 
+def test_dataset_record_missing_a_field_is_one_line_error(workdir, tmp_path, capsys):
+    bad = tmp_path / "test.jsonl"
+    bad.write_text(json.dumps({"id": "q1", "answers": ["x"]}) + "\n")
+    assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad),
+                 "--out", str(tmp_path / "r.jsonl")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:1: KeyError: 'question'"
+
+
 def test_corpus_field_that_is_not_a_string_is_one_line_error(tmp_path, capsys):
     # before, such a document was indexed and retrieval failed on it later
     bad = tmp_path / "corpus.jsonl"
