@@ -3,12 +3,12 @@
 the comparison table (test EM/F1, top-1 ranker recall, oracle ceiling)."""
 
 import argparse
-import json
 import logging
 import sys
 
+from rankread.config import MODES
 from rankread.experiment import run_experiment
-from rankread.files import atomic_write
+from rankread.files import write_json
 
 
 def main(argv=None):
@@ -28,7 +28,7 @@ def main(argv=None):
 
     print("\nmode   test EM   test F1   top-1 recall")
     print(f"ir        -         -        {s['ir_recall'][1]:.3f}")
-    for mode in ("sr", "sr2", "r3"):
+    for mode in MODES:
         rec = f"{s['recall1'][mode]:.3f}" if mode in s["recall1"] else "  -  "
         print(f"{mode:<6} {s['em'][mode]:7.1f}  {s['f1'][mode]:7.1f}       {rec}")
     print("\noracle re-ranking ceiling (last seed's reader-only model):")
@@ -38,8 +38,7 @@ def main(argv=None):
 
     if args.out:
         payload = {"summary": s, "oracle": result["oracle"], "per_seed": result["per_seed"]}
-        with atomic_write(args.out) as f:
-            json.dump(payload, f, indent=1)
+        write_json(args.out, payload, indent=1)
         print(f"summary written to {args.out}")
     return 0
 

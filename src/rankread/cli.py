@@ -1,7 +1,6 @@
 """Command line: build-index, retrieve, train, evaluate, analyze, synth."""
 
 import argparse
-import json
 import logging
 import sys
 from dataclasses import asdict, fields
@@ -11,7 +10,7 @@ import numpy as np
 from . import evaluation, retrieval, trainer as trainer_mod
 from . import tensor as T
 from .config import Config
-from .files import atomic_write, check_fields, one_line_errors, read_jsonl
+from .files import check_fields, one_line_errors, read_jsonl, write_json, write_jsonl
 from .model import RankReadModel
 from .synth import SyntheticSpec, generate
 from .text import EmbeddingTable, load_embeddings, synthetic_embeddings, tokenize
@@ -160,9 +159,7 @@ def cmd_train(args):
              "table": _table_payload(config, table)}
     T.save_checkpoint(args.out, model.parameters(), extra=extra)
     if args.log:
-        with atomic_write(args.log) as f:
-            for record in trainer.log:
-                f.write(json.dumps(record) + "\n")
+        write_jsonl(args.log, trainer.log)
     nonfinite = (f", {trainer.nonfinite_steps} non-finite steps skipped"
                  if trainer.nonfinite_steps else "")
     print(f"trained mode={config.mode} on {len(examples)} questions "
@@ -174,8 +171,7 @@ def cmd_evaluate(args):
     model, table, config, dataset, retrieved_sets = _load_scoring_inputs(args)
     report = evaluation.evaluate(model, table, dataset, retrieved_sets,
                                  max_span_len=config.max_span_len)
-    with atomic_write(args.out) as f:
-        json.dump(report, f, indent=1)
+    write_json(args.out, report, indent=1)
     print(f"evaluated {report['count']} questions: "
           f"F1 {100 * report['f1']:.1f} EM {100 * report['em']:.1f} -> {args.out}")
     return 0
@@ -185,8 +181,7 @@ def cmd_analyze(args):
     model, table, config, dataset, retrieved_sets = _load_scoring_inputs(args)
     ks = [int(k) for k in args.k.split(",")]
     out = evaluation.analyze(model, table, dataset, retrieved_sets, ks, config.max_span_len)
-    with atomic_write(args.out) as f:
-        json.dump(out, f, indent=1)
+    write_json(args.out, out, indent=1)
     for k in ks:
         print(f"top-{k} recall: ir {out['recall']['ir'][k]:.3f} "
               f"model {out['recall']['model'][k]:.3f}")
@@ -198,10 +193,8 @@ def cmd_synth(args):
                             if getattr(args, name) is not None})
     docs, train_records, test_records, vocab = generate(spec)
     retrieval.save_corpus(docs, args.out_corpus)
-    for path, records in ((args.out_train, train_records), (args.out_test, test_records)):
-        with atomic_write(path) as f:
-            for rec in records:
-                f.write(json.dumps(rec) + "\n")
+    write_jsonl(args.out_train, train_records)
+    write_jsonl(args.out_test, test_records)
     print(f"generated {len(docs)} documents, {len(train_records)}/{len(test_records)} "
           f"train/test questions, vocabulary {len(vocab)}")
     return 0
@@ -237,22 +230,16 @@ def build_parser():
                           ("retrieve_n", "top_a", "top_s", "bm25_k1", "bm25_b")])
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="F1/EM of a checkpoint on a dataset")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--retrieved", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    _add_config_flags(p, ["max_span_len"])
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("analyze", help="F1/EM, top-k recall and oracle re-ranking ceiling")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--retrieved", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--k", default="1,3,5")
-    _add_config_flags(p, ["max_span_len"])
-    p.set_defaults(func=cmd_analyze)
+    for name, func, text in (
+            ("evaluate", cmd_evaluate, "F1/EM of a checkpoint on a dataset"),
+            ("analyze", cmd_analyze, "F1/EM, top-k recall and oracle re-ranking ceiling")):
+        p = sub.add_parser(name, help=text)
+        for flag in ("--checkpoint", "--retrieved", "--dataset", "--out"):
+            p.add_argument(flag, required=True)
+        if name == "analyze":
+            p.add_argument("--k", default="1,3,5")
+        _add_config_flags(p, ["max_span_len"])
+        p.set_defaults(func=func)
 
     p = sub.add_parser("synth", help="generate the synthetic corpus and datasets")
     p.add_argument("--out-corpus", required=True)

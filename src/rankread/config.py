@@ -3,8 +3,10 @@
 import math
 from dataclasses import dataclass, fields, asdict
 
-from .files import check_fields, read_lines
+from .files import check_fields, check_least, read_lines
 from .retrieval import BM25_B, BM25_K1
+
+MODES = ("sr", "sr2", "r3")  # reader only; plus a KL-trained ranker; joint policy gradient
 
 
 @dataclass
@@ -39,12 +41,10 @@ class Config:
 
     def validate(self):
         check_fields("config", self)
-        for key, least in _LEAST.items():
-            if getattr(self, key) < least:
-                raise ValueError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        check_least(self, _LEAST)
         if self.hidden_size % 2 != 0:
             raise ValueError(f"hidden_size must be even, got {self.hidden_size}")
-        if self.mode not in ("sr", "sr2", "r3"):
+        if self.mode not in MODES:
             raise ValueError(f"mode must be sr, sr2 or r3, got {self.mode!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")

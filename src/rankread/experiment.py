@@ -3,9 +3,11 @@ task and compare test EM plus ranker recall, over several seeds."""
 
 import logging
 import time
+from functools import reduce
+from operator import getitem
 
 from . import evaluation, retrieval, trainer as trainer_mod
-from .config import Config
+from .config import MODES, Config
 from .model import RankReadModel
 from .synth import SyntheticSpec, generate
 from .text import synthetic_embeddings
@@ -49,7 +51,7 @@ def run_seed(task, seed, sr_epochs=None, sr2_epochs=None, r3_epochs=None):
     sr2_epochs = DEFAULT_EPOCHS["sr2"] if sr2_epochs is None else sr2_epochs
     r3_epochs = DEFAULT_EPOCHS["r3"] if r3_epochs is None else r3_epochs
     cfg, table, examples = task["config"], task["table"], task["examples"]
-    models = {mode: RankReadModel(cfg, seed=seed) for mode in ("sr", "sr2", "r3")}
+    models = {mode: RankReadModel(cfg, seed=seed) for mode in MODES}
     trainer_mod.Trainer(models["sr"], table, cfg, seed=seed).train(examples, "sr", sr_epochs)
     sr2_values, _ = trainer_mod.train_sr2_then_r3(
         models["r3"], table, cfg, examples, seed, sr2_epochs, r3_epochs)
@@ -78,18 +80,12 @@ def run_experiment(seeds=(0, 1, 2), spec=None, config=None,
         per_seed.append(result)
 
     def mean(path):
-        vals = []
-        for res in per_seed:
-            node = res
-            for key in path:
-                node = node[key]
-            vals.append(node)
-        return sum(vals) / len(vals)
+        return sum(reduce(getitem, path, res) for res in per_seed) / len(per_seed)
 
     summary = {
         "ir_recall": per_seed[-1]["ir_recall"],
-        "em": {m: mean([m, "em"]) for m in ("sr", "sr2", "r3")},
-        "f1": {m: mean([m, "f1"]) for m in ("sr", "sr2", "r3")},
+        "em": {m: mean([m, "em"]) for m in MODES},
+        "f1": {m: mean([m, "f1"]) for m in MODES},
         "recall1": {m: mean([m, "recall", 1]) for m in ("sr2", "r3")},
         "dropped_train_questions": task["dropped"],
         "elapsed_seconds": time.time() - started,

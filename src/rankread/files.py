@@ -29,6 +29,19 @@ def atomic_write(path):
         raise
 
 
+def write_json(path, payload, indent=None):
+    """json.dump payload to path, atomically."""
+    with atomic_write(path) as f:
+        json.dump(payload, f, indent=indent)
+
+
+def write_jsonl(path, records):
+    """One json.dumps line per record to path, atomically."""
+    with atomic_write(path) as f:
+        for record in records:
+            f.write(json.dumps(record) + "\n")
+
+
 def read_lines(path):
     """(line number, line) for each line of a UTF-8 text file.
 
@@ -84,6 +97,14 @@ def check_fields(what, record, types=None):
         if (not isinstance(value, kinds) or (type(value) is bool and kinds is not bool)
                 or (items and not all(isinstance(item, items) for item in value))):
             raise TypeError(f"{what} {name} must be {noun}, got {value!r}")
+
+
+def check_least(record, least):
+    """Raise ValueError "<field> must be at least <least>, got <value>" for the
+    first {field: least} entry that record's value falls below."""
+    for name, low in least.items():
+        if getattr(record, name) < low:
+            raise ValueError(f"{name} must be at least {low}, got {getattr(record, name)}")
 
 
 def read_jsonl(path, make, id_key=None):

@@ -1,7 +1,6 @@
 """Sentence-level retrieval: inverted index, BM25 article search, TF-IDF
 sentence ranking, and the question -> top-N passage pipeline."""
 
-import json
 import math
 import sys
 from collections import Counter
@@ -9,7 +8,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .files import atomic_write, check_fields, one_line_errors, read_jsonl, read_versioned_json
+from .files import (check_fields, one_line_errors, read_jsonl, read_versioned_json, write_json,
+                    write_jsonl)
 from .text import tokenize, contains_answer
 
 BM25_K1 = 1.2
@@ -121,10 +121,8 @@ def build_index(corpus):
 
 def save_index(index, path):
     """Write the documents in id order; load_index rebuilds the postings from them."""
-    payload = {"format_version": INDEX_VERSION,
-               "docs": [asdict(index.docs[d]) for d in sorted(index.docs)]}
-    with atomic_write(path) as f:
-        json.dump(payload, f)
+    write_json(path, {"format_version": INDEX_VERSION,
+                      "docs": [asdict(index.docs[d]) for d in sorted(index.docs)]})
 
 
 def load_index(path):
@@ -290,11 +288,7 @@ def retrieve_all(index, records, config, train):
 
 
 def save_retrieved(sets, path):
-    with atomic_write(path) as f:
-        for rs in sets:
-            rec = {"question_id": rs.question_id,
-                   "passages": [asdict(p) for p in rs.passages]}
-            f.write(json.dumps(rec) + "\n")
+    write_jsonl(path, map(asdict, sets))
 
 
 def load_retrieved(path):
@@ -309,6 +303,4 @@ def load_corpus(path):
 
 
 def save_corpus(docs, path):
-    with atomic_write(path) as f:
-        for doc in docs:
-            f.write(json.dumps(asdict(doc)) + "\n")
+    write_jsonl(path, map(asdict, docs))

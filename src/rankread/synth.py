@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import check_least
+
 RELATIONS = ["color", "size", "shape", "origin", "flavor",
              "sound", "texture", "brand", "class", "mood"]
 
@@ -42,6 +44,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def validate(self):
+        check_least(self, {"entities": 1, "relations": 1, "train_questions": 0,
+                           "test_questions": 0, "seed": 0})
+        for key in ("pseudo_positive_rate", "strong_decoy_rate", "confusion_decoy_rate"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in [0, 1], got {getattr(self, key)}")
         if self.relations > len(RELATIONS):
             raise ValueError(f"at most {len(RELATIONS)} relations supported")
         if self.entities * self.relations < self.train_questions + self.test_questions:

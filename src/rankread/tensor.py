@@ -7,14 +7,13 @@ hold a grad. Gradients are checked against central finite differences via
 fd_check().
 """
 
-import json
 import math
 from contextlib import contextmanager
 from itertools import accumulate
 
 import numpy as np
 
-from .files import atomic_write, one_line_errors, read_versioned_json
+from .files import one_line_errors, read_versioned_json, write_json
 
 
 class ShapeError(ValueError):
@@ -115,16 +114,32 @@ def matmul(a, b):
     return out
 
 
-def add(a, b):
+def _elementwise(name, ufunc, a, b, local_a, local_b):
+    """Same-shape elementwise op: value ufunc(a, b), with local gradients
+    local_a and local_b (arrays or constants) for a and b."""
     if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: shapes {a.data.shape} vs {b.data.shape} differ")
-    out = Tensor._node(a.data + b.data, (a, b))
+        raise ShapeError(f"{name}: shapes {a.data.shape} vs {b.data.shape} differ")
+    out = Tensor._node(ufunc(a.data, b.data), (a, b))
     if out.requires_grad:
         def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
+            if a.requires_grad:
+                _accumulate(a, g * local_a)
+            if b.requires_grad:
+                _accumulate(b, g * local_b)
         out._backward = bw
     return out
+
+
+def add(a, b):
+    return _elementwise("add", np.add, a, b, 1.0, 1.0)
+
+
+def sub(a, b):
+    return _elementwise("sub", np.subtract, a, b, 1.0, -1.0)
+
+
+def mul(a, b):
+    return _elementwise("mul", np.multiply, a, b, b.data, a.data)
 
 
 def add_col(a, v):
@@ -136,32 +151,6 @@ def add_col(a, v):
         def bw(g):
             _accumulate(a, g)
             _accumulate(v, g.sum(axis=1, keepdims=True))
-        out._backward = bw
-    return out
-
-
-def mul(a, b):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: shapes {a.data.shape} vs {b.data.shape} differ")
-    out = Tensor._node(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            if a.requires_grad:
-                _accumulate(a, g * b.data)
-            if b.requires_grad:
-                _accumulate(b, g * a.data)
-        out._backward = bw
-    return out
-
-
-def sub(a, b):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: shapes {a.data.shape} vs {b.data.shape} differ")
-    out = Tensor._node(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
         out._backward = bw
     return out
 
@@ -217,49 +206,39 @@ def transpose(a):
     return out
 
 
-def concat_cols(tensors):
-    """Stack matrices side by side: [A | B | ...]. One tensor is returned as
-    it is, with no new node."""
+def _concat(name, tensors, axis):
+    """Stack matrices along axis 1 (side by side) or 0 (vertically). One
+    tensor is returned as it is, with no new node."""
     tensors = list(tensors)
     if not tensors:
-        raise ShapeError("concat_cols: empty input")
+        raise ShapeError(f"{name}: empty input")
     if len(tensors) == 1:
         return tensors[0]
-    rows = tensors[0].data.shape[0]
+    size = tensors[0].data.shape[1 - axis]
     for t in tensors:
-        if t.data.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row counts differ ({rows} vs {t.data.shape[0]})")
-    out = Tensor._node(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors))
+        if t.data.shape[1 - axis] != size:
+            raise ShapeError(f"{name}: {('column', 'row')[axis]} counts differ "
+                             f"({size} vs {t.data.shape[1 - axis]})")
+    out = Tensor._node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
     if out.requires_grad:
-        widths = [t.data.shape[1] for t in tensors]
+        widths = [t.data.shape[axis] for t in tensors]
         def bw(g):
             j = 0
             for t, w in zip(tensors, widths):
-                _accumulate(t, g[:, j:j + w])
+                _accumulate(t, g[:, j:j + w] if axis else g[j:j + w])
                 j += w
         out._backward = bw
     return out
 
 
+def concat_cols(tensors):
+    """[A | B | ...]"""
+    return _concat("concat_cols", tensors, 1)
+
+
 def concat_rows(tensors):
-    """Stack matrices vertically: [A; B; ...]."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat_rows: empty input")
-    cols = tensors[0].data.shape[1]
-    for t in tensors:
-        if t.data.shape[1] != cols:
-            raise ShapeError(f"concat_rows: column counts differ ({cols} vs {t.data.shape[1]})")
-    out = Tensor._node(np.concatenate([t.data for t in tensors], axis=0), tuple(tensors))
-    if out.requires_grad:
-        heights = [t.data.shape[0] for t in tensors]
-        def bw(g):
-            i = 0
-            for t, h in zip(tensors, heights):
-                _accumulate(t, g[i:i + h, :])
-                i += h
-        out._backward = bw
-    return out
+    """[A; B; ...]"""
+    return _concat("concat_rows", tensors, 0)
 
 
 def slice_cols(a, j0, j1):
@@ -642,8 +621,7 @@ def save_checkpoint(path, params, optimizer=None, extra=None):
         payload["optimizer"] = optimizer.state_dict()
     if extra is not None:
         payload["extra"] = extra
-    with atomic_write(path) as f:
-        json.dump(payload, f)
+    write_json(path, payload)
 
 
 def load_checkpoint(path):

@@ -10,12 +10,11 @@ import numpy as np
 from . import ranker as ranker_mod
 from . import reader as reader_mod
 from . import tensor as T
+from .config import MODES
 from .evaluation import token_f1
 from .text import embed, find_token_spans, tokenize
 
 log = logging.getLogger(__name__)
-
-MODES = ("sr", "sr2", "r3")
 
 
 @dataclass

@@ -48,3 +48,22 @@ def test_every_definition_has_a_caller():
                 for name in _definitions(ast.parse(path.read_text()))
                 if not (name.startswith("__") and name.endswith("__")) and name not in used]
     assert sorted(uncalled) == sorted(NO_CALLER_NEEDED)
+
+
+def _unused_imports(tree):
+    """Names a module imports and never reads."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    # no linter ships with the project; this is the one lint rule it keeps
+    unused = [f"{path.name}:{line}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert unused == []

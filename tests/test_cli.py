@@ -698,3 +698,24 @@ def test_non_finite_checkpoint_value_is_one_line_error(workdir, tmp_path, capsys
     assert _error_line(capsys) == (f"error: {bad}: ValueError: checkpoint entry {name!r} "
                                    "has a non-finite value")
     assert not report.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--train-questions", "-3"], "train_questions must be at least 0, got -3"),
+    (["--test-questions", "-1"], "test_questions must be at least 0, got -1"),
+    (["--entities", "0"], "entities must be at least 1, got 0"),
+    (["--relations", "0"], "relations must be at least 1, got 0"),
+    (["--seed", "-1"], "seed must be at least 0, got -1"),
+    (["--strong-decoy-rate", "7"], "strong_decoy_rate must be in [0, 1], got 7.0"),
+    (["--strong-decoy-rate", "-0.5"], "strong_decoy_rate must be in [0, 1], got -0.5"),
+    (["--strong-decoy-rate", "nan"], "strong_decoy_rate must be in [0, 1], got nan"),
+])
+def test_out_of_range_synth_setting_is_one_line_error(tmp_path, capsys, flags, message):
+    # before, -3 train questions wrote 4 "train" questions with test ids, and
+    # a negative seed failed inside numpy with a message naming no setting
+    outs = [tmp_path / name for name in ("corpus.jsonl", "train.jsonl", "test.jsonl")]
+    assert main(["synth", "--out-corpus", str(outs[0]), "--out-train", str(outs[1]),
+                 "--out-test", str(outs[2]), "--train-questions", "5", "--test-questions", "5",
+                 *flags]) == 1
+    assert _error_line(capsys) == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []

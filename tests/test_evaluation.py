@@ -54,9 +54,15 @@ class FakeCandidate:
 
 
 def test_predict_combination_arithmetic(example):
-    # policy [0.4, 0.6] and span probs [0.25, 0.1] -> scores [0.1, 0.06]
-    scores = [0.4 * 0.25, 0.6 * 0.1]
-    assert scores[0] > scores[1]
+    # every candidate's score is its span probability times its selection
+    # probability, and the selection probabilities form one distribution
+    trainer = toy_trainer(seed=0)
+    candidates = E.predict_candidates(trainer.model, trainer.table, example.question_tokens,
+                                      example.passages, max_span_len=4)
+    assert [c.passage_id for c in candidates] == list(range(len(example.passages)))
+    for c in candidates:
+        assert c.score == pytest.approx(math.exp(c.span_log_prob) * c.policy_prob, rel=1e-12)
+    assert sum(c.policy_prob for c in candidates) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_predict_on_toy_model(example):

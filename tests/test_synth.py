@@ -90,3 +90,9 @@ def test_hedged_decoys_only_surface_at_test_time():
 
     assert has_hedge(train_sets) == 0
     assert has_hedge(test_sets) == len(test_sets)
+
+
+@pytest.mark.parametrize("field", ["pseudo_positive_rate", "confusion_decoy_rate"])
+def test_rates_outside_unit_interval_are_rejected(field):
+    with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\], got 1.5$"):
+        SyntheticSpec(**{field: 1.5}).validate()

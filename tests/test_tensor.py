@@ -72,6 +72,27 @@ def test_shape_mismatch_names_op_and_shapes():
         T.matmul(a, b)
 
 
+@pytest.mark.parametrize("op, operands, line", [
+    ("add", ((2, 3), (3, 2)), "add: shapes (2, 3) vs (3, 2) differ"),
+    ("sub", ((2, 3), (2, 4)), "sub: shapes (2, 3) vs (2, 4) differ"),
+    ("mul", ((1, 3), (2, 3)), "mul: shapes (1, 3) vs (2, 3) differ"),
+    ("concat_cols", ([(2, 3), (2, 1), (4, 1)],), "concat_cols: row counts differ (2 vs 4)"),
+    ("concat_rows", ([(2, 3), (1, 3), (1, 5)],), "concat_rows: column counts differ (3 vs 5)"),
+    ("concat_cols", ([],), "concat_cols: empty input"),
+    ("concat_rows", ([],), "concat_rows: empty input"),
+], ids=["add", "sub", "mul", "concat_cols", "concat_rows", "concat_cols-empty", "concat_rows-empty"])
+def test_templated_op_shape_error_line(op, operands, line):
+    # the exact lines the elementwise and concat templates must keep. Zeros,
+    # not rand_tensor: draws from the shared RNG would change the data of
+    # every later test in this file
+    def build(spec):
+        return [build(s) for s in spec] if isinstance(spec, list) else T.Tensor(np.zeros(spec))
+
+    with pytest.raises(T.ShapeError) as excinfo:
+        T.OPS[op](*map(build, operands))
+    assert str(excinfo.value) == line
+
+
 def test_backward_rejects_non_scalar_loss():
     a = rand_tensor(2, 2)
     with pytest.raises(T.ShapeError, match="scalar"):
