@@ -41,7 +41,12 @@ class Config:
 
     def validate(self):
         check_fields("config", self)
+        for key in ("learning_rate", "kl_weight", "grad_clip", "bm25_k1", "bm25_b"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         check_least(self, _LEAST)
+        if not 0.0 <= self.bm25_b <= 1.0:
+            raise ValueError(f"bm25_b must be in [0, 1], got {self.bm25_b}")
         if self.hidden_size % 2 != 0:
             raise ValueError(f"hidden_size must be even, got {self.hidden_size}")
         if self.mode not in MODES:
@@ -50,9 +55,6 @@ class Config:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.train_sample_k < self.min_negatives + 1:
             raise ValueError("train_sample_k must be at least min_negatives + 1")
-        for key in ("learning_rate", "kl_weight", "grad_clip", "bm25_k1", "bm25_b"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         return self
 
     def model_config(self):
@@ -92,10 +94,11 @@ class Config:
         return Config(**data).validate()
 
 
-# the smallest value each integer setting may take
+# the smallest value each setting may take; a zero grad_clip turns clipping off
 _LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers": 1,
           "batch_size": 1, "epochs": 0, "pretrain_epochs": 0, "min_negatives": 0,
-          "seed": 0, "retrieve_n": 1, "max_span_len": 1}
+          "seed": 0, "retrieve_n": 1, "max_span_len": 1, "learning_rate": 0,
+          "kl_weight": 0, "grad_clip": 0, "bm25_k1": 0}
 
 
 def _parse(raw, typ):

@@ -2,6 +2,7 @@
 sentence ranking, and the question -> top-N passage pipeline."""
 
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, asdict
@@ -21,6 +22,11 @@ _ABBREVIATIONS = {
     "mr", "mrs", "ms", "dr", "prof", "rev", "sr", "jr", "st", "mt",
     "etc", "vs", "eg", "ie", "cf", "fig", "no", "vol", "inc", "co", "corp", "approx",
 }
+
+# a whole run of . ! ? (the lookbehind keeps a match from starting inside a
+# run, and the scan linear), any closing quotes or brackets, then whitespace;
+# group 1 is the character after it, which may open the next sentence
+_SENTENCE_END = re.compile(r"(?<![.!?])[.!?]+[\"')\]]*(?=\s+(\S))")
 
 
 @dataclass
@@ -173,34 +179,14 @@ def split_sentences(text):
     """Split at . ! ? followed by whitespace and an uppercase or opening
     character; a known-abbreviation dot never splits."""
     sents = []
-    n = len(text)
     start = 0
-    i = 0
-    while i < n:
-        if text[i] in ".!?":
-            j = i + 1
-            while j < n and text[j] in ".!?":
-                j += 1
-            while j < n and text[j] in "\"')]":
-                j += 1
-            k = j
-            while k < n and text[k].isspace():
-                k += 1
-            if (k > j and k < n and (text[k].isupper() or text[k] in "\"'([")
-                    and not _abbreviation_before(text, i)):
-                piece = text[start:j].strip()
-                if piece:
-                    sents.append(piece)
-                start = k
-                i = k
-                continue
-            i = j
-        else:
-            i += 1
+    for m in _SENTENCE_END.finditer(text):
+        after = m.group(1)
+        if (after.isupper() or after in "\"'([") and not _abbreviation_before(text, m.start()):
+            sents.append(text[start:m.end()].strip())
+            start = m.start(1)
     tail = text[start:].strip()
-    if tail:
-        sents.append(tail)
-    return sents
+    return sents + [tail] if tail else sents
 
 
 def _abbreviation_before(text, dot_pos):

@@ -1,6 +1,7 @@
 """Tokenization and fixed word embeddings."""
 
 import logging
+import re
 import string
 from dataclasses import dataclass
 
@@ -11,7 +12,11 @@ from .files import read_lines
 
 log = logging.getLogger(__name__)
 
-_PUNCT = set(string.punctuation)
+_P = re.escape(string.punctuation)
+# a token runs from a character that is neither ASCII punctuation nor
+# whitespace to the last such character before whitespace; every other ASCII
+# punctuation character is a token of its own ("(don't)." -> "(", "don't", ")", ".")
+_TOKEN = re.compile(rf"[^{_P}\s](?:\S*[^{_P}\s])?|[{_P}]")
 
 
 @dataclass
@@ -25,21 +30,7 @@ def tokenize(text):
     Interior punctuation stays attached ("don't", "104,688"). Idempotent on
     its own output joined by spaces.
     """
-    tokens = []
-    for chunk in text.lower().split():
-        lead = []
-        while chunk and chunk[0] in _PUNCT and len(chunk) > 1:
-            lead.append(chunk[0])
-            chunk = chunk[1:]
-        trail = []
-        while chunk and chunk[-1] in _PUNCT and len(chunk) > 1:
-            trail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(lead)
-        if chunk:
-            tokens.append(chunk)
-        tokens.extend(reversed(trail))
-    return TokenSequence(tokens)
+    return TokenSequence(_TOKEN.findall(text.lower()))
 
 
 def find_token_spans(haystack, needle):
@@ -102,13 +93,12 @@ def load_embeddings(path, dimension):
 
 def synthetic_embeddings(vocab, dimension, seed=0):
     """Deterministic random embeddings over a vocabulary (sorted for stability)."""
-    rng = np.random.default_rng(seed)
-    vectors = {}
-    for tok in sorted(set(vocab)):
-        vectors[tok] = rng.uniform(-0.5, 0.5, size=dimension)
-    if not vectors:
+    tokens = sorted(set(vocab))
+    if not tokens:
         raise ValueError("synthetic_embeddings: empty vocabulary")
-    return EmbeddingTable(dimension, vectors)
+    # one draw, row by row in token order: the stream of one draw per token
+    table = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(len(tokens), dimension))
+    return EmbeddingTable(dimension, zip(tokens, table))
 
 
 def embed(tokens, table):

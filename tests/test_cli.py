@@ -628,11 +628,17 @@ def test_non_finite_training_setting_is_one_line_error(workdir, tmp_path, capsys
     (["--mode", "r3", "--max-span-len", "0"], "max_span_len must be at least 1, got 0"),
     (["--seed", "-5"], "seed must be at least 0, got -5"),
     (["--train-sample-k", "0", "--min-negatives", "-1"], "min_negatives must be at least 0, got -1"),
-], ids=["hidden_size", "embed_dim", "epochs", "max_span_len", "seed", "min_negatives"])
+    (["--learning-rate", "-0.01"], "learning_rate must be at least 0, got -0.01"),
+    (["--kl-weight", "-1"], "kl_weight must be at least 0, got -1.0"),
+    (["--grad-clip", "-5"], "grad_clip must be at least 0, got -5.0"),
+], ids=["hidden_size", "embed_dim", "epochs", "max_span_len", "seed", "min_negatives",
+        "learning_rate", "kl_weight", "grad_clip"])
 def test_out_of_range_training_setting_is_one_line_error(workdir, tmp_path, capsys, flags,
                                                          message):
-    # before, a zero width or a negative epoch count trained and wrote a
-    # checkpoint, and r3's span length failed only after the sr2 pretraining
+    # before, a zero width, a negative epoch count or a negative learning
+    # rate (gradient ascent) trained and wrote a checkpoint, a negative
+    # grad_clip turned clipping off, and r3's span length failed only after
+    # the sr2 pretraining
     out = tmp_path / "m.json"
     assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
                  "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "sr2",

@@ -57,10 +57,23 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("min_negatives", -1, "^min_negatives must be at least 0, got -1$"),
     ("max_span_len", 0, "^max_span_len must be at least 1, got 0$"),
     ("seed", -5, "^seed must be at least 0, got -5$"),
+    ("learning_rate", -0.01, "^learning_rate must be at least 0, got -0.01$"),
+    ("kl_weight", -1.0, "^kl_weight must be at least 0, got -1.0$"),
+    ("grad_clip", -5.0, "^grad_clip must be at least 0, got -5.0$"),
+    ("bm25_k1", -1.0, "^bm25_k1 must be at least 0, got -1.0$"),
+    ("bm25_b", 7, r"^bm25_b must be in \[0, 1\], got 7$"),
+    ("bm25_b", -0.25, r"^bm25_b must be in \[0, 1\], got -0.25$"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):
         Config(**{field: value}).validate()
+
+
+def test_zero_and_unit_bounds_are_accepted():
+    # a zero learning rate or kl weight is a frozen run, a zero grad_clip
+    # turns clipping off, and bm25_b may take either end of [0, 1]
+    Config(learning_rate=0.0, kl_weight=0.0, grad_clip=0.0, bm25_k1=0.0, bm25_b=0.0).validate()
+    Config(bm25_b=1.0).validate()
 
 
 def test_overrides_skip_none_and_validate():

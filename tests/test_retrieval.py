@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -198,9 +199,78 @@ def test_split_handles_multi_punctuation():
     assert R.split_sentences("Really?! Yes. ") == ["Really?!", "Yes."]
 
 
+def reference_split_sentences(text):
+    """The sentence splitter as a character loop: at each run of . ! ?, skip
+    closing quotes and brackets, then whitespace, and split if the next
+    character is uppercase or opening and no abbreviation ends at the run."""
+    sents = []
+    n = len(text)
+    start = 0
+    i = 0
+    while i < n:
+        if text[i] in ".!?":
+            j = i + 1
+            while j < n and text[j] in ".!?":
+                j += 1
+            while j < n and text[j] in "\"')]":
+                j += 1
+            k = j
+            while k < n and text[k].isspace():
+                k += 1
+            if (k > j and k < n and (text[k].isupper() or text[k] in "\"'([")
+                    and not R._abbreviation_before(text, i)):
+                piece = text[start:j].strip()
+                if piece:
+                    sents.append(piece)
+                start = k
+                i = k
+                continue
+            i = j
+        else:
+            i += 1
+    tail = text[start:].strip()
+    if tail:
+        sents.append(tail)
+    return sents
+
+
+@pytest.mark.parametrize("text, sentences", [
+    ('He said." Then', ['He said."', "Then"]),
+    ("It ended.) (Then", ["It ended.)", "(Then"]),
+    ("Mr? Yes.", ["Mr?", "Yes."]),
+    ("See etc.. Next one.", ["See etc.. Next one."]),
+    ("End.\tNext", ["End.", "Next"]),
+    ("End.\u00a0Next", ["End.", "Next"]),
+    ("end.) lower", ["end.) lower"]),
+    ("Wait...", ["Wait..."]),
+    ("Wait... Then", ["Wait...", "Then"]),
+], ids=["closing-quote", "closing-bracket", "abbreviation-needs-a-dot", "abbreviation-dot-run",
+        "tab", "no-break-space", "lowercase-after-closer", "trailing-dots", "dot-run"])
+def test_split_exact_output(text, sentences):
+    # closers stay with the sentence they end; only a dot after an
+    # abbreviation is guarded, and the whole run of marks counts as one end
+    assert R.split_sentences(text) == sentences == reference_split_sentences(text)
+
+
 _SPLIT_PIECES = st.sampled_from(
     ["Mr", "mr", "Dr", "etc", "No", "A", "b", "Cd", "ef", "1", ".", "!", "?", "...",
      '"', "'", "(", ")", "[", "]", " ", "  ", "\n", "\t", "\u00a0"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_SPLIT_PIECES, max_size=30).map("".join) | st.text(max_size=40))
+def test_split_sentences_matches_reference_loop(text):
+    assert R.split_sentences(text) == reference_split_sentences(text)
+
+
+def test_split_is_linear_in_a_run_of_marks():
+    # a scan that tried every mark of an unsplit run as a sentence end would
+    # be quadratic: about a minute for this run
+    text = "Wait" + "." * 50_000
+    start = time.perf_counter()
+    assert R.split_sentences(text) == [text]
+    assert len(tokenize(text).tokens) == 50_001
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=500, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -8,11 +9,19 @@ from rankread import tensor as T
 from conftest import rows, sigmoid
 
 
-RNG = np.random.default_rng(7)
+RNG = None
 
 
-def rand_tensor(rows, cols, requires_grad=True, rng=RNG, lo=-1.0, hi=1.0):
-    return T.Tensor(rng.uniform(lo, hi, size=(rows, cols)), requires_grad=requires_grad)
+@pytest.fixture(autouse=True)
+def _own_rng(request):
+    # each test draws from its own generator, seeded from its own name, so
+    # adding, removing or reordering tests changes no other test's data
+    global RNG
+    RNG = np.random.default_rng(zlib.crc32(request.node.name.encode()))
+
+
+def rand_tensor(rows, cols, requires_grad=True, lo=-1.0, hi=1.0):
+    return T.Tensor(RNG.uniform(lo, hi, size=(rows, cols)), requires_grad=requires_grad)
 
 
 # --- forward identities ------------------------------------------------------
@@ -82,9 +91,7 @@ def test_shape_mismatch_names_op_and_shapes():
     ("concat_rows", ([],), "concat_rows: empty input"),
 ], ids=["add", "sub", "mul", "concat_cols", "concat_rows", "concat_cols-empty", "concat_rows-empty"])
 def test_templated_op_shape_error_line(op, operands, line):
-    # the exact lines the elementwise and concat templates must keep. Zeros,
-    # not rand_tensor: draws from the shared RNG would change the data of
-    # every later test in this file
+    # the exact lines the elementwise and concat templates must keep
     def build(spec):
         return [build(s) for s in spec] if isinstance(spec, list) else T.Tensor(np.zeros(spec))
 

@@ -27,6 +27,57 @@ def test_tokenize_peels_nested_punctuation_in_order():
     assert text.tokenize('("Hello!")').tokens == ["(", '"', "hello", "!", '"', ")"]
 
 
+def reference_tokenize(s):
+    """The tokenizer as a character loop: peel leading and trailing ASCII
+    punctuation off each whitespace chunk, keeping a last lone character."""
+    punct = set(string.punctuation)
+    tokens = []
+    for chunk in s.lower().split():
+        lead = []
+        while chunk and chunk[0] in punct and len(chunk) > 1:
+            lead.append(chunk[0])
+            chunk = chunk[1:]
+        trail = []
+        while chunk and chunk[-1] in punct and len(chunk) > 1:
+            trail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(lead)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(trail))
+    return tokens
+
+
+@pytest.mark.parametrize("s, tokens", [
+    ("?!", ["?", "!"]),
+    ("...", [".", ".", "."]),
+    ("(hello),", ["(", "hello", ")", ","]),
+    ("'don't'", ["'", "don't", "'"]),
+    ("x\u00b2", ["x\u00b2"]),
+    ("snake_case _x_", ["snake_case", "_", "x", "_"]),
+    ("\u00abquoted\u00bb a\u2014b", ["\u00abquoted\u00bb", "a\u2014b"]),
+    ("\u0130stanbul", ["i\u0307stanbul"]),
+    ("a\x1cb\x85c\xa0d\u3000e", ["a", "b", "c", "d", "e"]),
+    ("a\u200bb", ["a\u200bb"]),
+], ids=["marks", "dots", "brackets", "quotes", "superscript", "underscore", "non-ascii-punct",
+        "dotted-capital", "unicode-space", "zero-width-space"])
+def test_tokenize_exact_output(s, tokens):
+    # ASCII punctuation only is peeled ("_" among it), other punctuation stays
+    # attached, "\u0130" lowercases to two code points, and the chunks are
+    # str.split's, so every str.isspace character separates
+    assert text.tokenize(s).tokens == tokens == reference_tokenize(s)
+
+
+_TOKEN_TEXT = st.text(string.punctuation + "aZ\u00e9\u00b2\u00ab\u2014"
+                      + " \t\n\x1c\x85\xa0\u3000\u200b", max_size=40)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(max_size=60) | _TOKEN_TEXT)
+def test_tokenize_matches_reference_loop(s):
+    assert text.tokenize(s).tokens == reference_tokenize(s)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.text(max_size=60) | st.text(string.punctuation + "ab \t\n", max_size=40))
 def test_tokenize_idempotent_on_its_own_output(s):
