@@ -18,6 +18,7 @@ step loop with its hand-written backward lives inside the op.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class BiLstm:
     fwd: LstmDirection
     bwd: LstmDirection
     in_dim: int
-    hidden: int  # per direction; concatenated output has 2*hidden rows
 
 
 def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
@@ -54,7 +54,7 @@ def init_bilstm(rng, in_dim, out_dim, registry, prefix, init_scale=0.1):
         registry[f"{prefix}.{tag}.U"] = U
         registry[f"{prefix}.{tag}.b"] = b
         dirs.append(LstmDirection(W, U, b))
-    return BiLstm(dirs[0], dirs[1], in_dim, h)
+    return BiLstm(dirs[0], dirs[1], in_dim)
 
 
 def _bilstm(x, params, lengths):
@@ -89,11 +89,14 @@ def encode_batch(seqs, layers):
     if len(seqs) == 1:
         return [x]
     results = [None] * len(seqs)
-    offset = 0
-    for i, width in zip(order, lengths):
-        results[i] = T.slice_cols(x, offset, offset + width)
-        offset += width
+    for i, piece in zip(order, split_cols(x, lengths)):
+        results[i] = piece
     return results
+
+
+def split_cols(x, widths):
+    """x's columns cut into consecutive pieces of the given widths."""
+    return [T.slice_cols(x, end - width, end) for width, end in zip(widths, accumulate(widths))]
 
 
 def attend(h_q, h_p, w_g, b_g):

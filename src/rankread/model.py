@@ -1,5 +1,7 @@
 """The full ranker-reader model: one shared matcher, two heads, one registry."""
 
+from itertools import accumulate
+
 import numpy as np
 
 from . import matcher, ranker, reader
@@ -110,13 +112,7 @@ class RankReadModel:
         m_all = matcher.match(h_p_all, h_q, g_all, self.w_m)
         if masks is not None:
             m_all = T.mul(m_all, masks[2])
-        ms = []
-        offset = 0
-        for h in h_ps:
-            width = h.data.shape[1]
-            ms.append(T.slice_cols(m_all, offset, offset + width))
-            offset += width
-        return ms
+        return matcher.split_cols(m_all, [h.data.shape[1] for h in h_ps])
 
     def rank_batch(self, m_lists, passage_id_lists):
         """One selection policy per question over its matching representations."""
@@ -148,9 +144,5 @@ class RankReadModel:
 
 def _split(flat, lists):
     """flat cut into consecutive pieces, as long as the lists in lists."""
-    pieces = []
-    offset = 0
-    for part in lists:
-        pieces.append(flat[offset:offset + len(part)])
-        offset += len(part)
-    return pieces
+    ends = accumulate(len(part) for part in lists)
+    return [flat[end - len(part):end] for part, end in zip(lists, ends)]

@@ -10,37 +10,37 @@ from . import tensor as T
 @dataclass
 class PolicyDistribution:
     logits: T.Tensor  # (N, 1), pre-softmax scores
-    gamma: T.Tensor   # (N, 1), selection probabilities
     passage_ids: list
 
     def probs(self):
-        return self.gamma.data[:, 0]
+        with T.no_grad():
+            return T.softmax_cols(self.logits).data[:, 0]
 
     def index_of(self, passage_id):
         return self.passage_ids.index(passage_id)
 
 
-def softmax_head(x, w, b, w_out):
-    """The (N, 1) logits w_out tanh(w x + b) of x's N columns, transposed, and
-    their softmax: the ranker's head and each of the reader's pointer heads."""
+def logit_head(x, w, b, w_out):
+    """The (N, 1) logits w_out tanh(w x + b) of x's N columns, transposed: the
+    ranker's head and each of the reader's pointer heads."""
     c = T.tanh(T.add_col(T.matmul(w, x), b))
-    logits = T.transpose(T.matmul(w_out, c))
-    return logits, T.softmax_cols(logits)
+    return T.transpose(T.matmul(w_out, c))
 
 
 def score_passages(h_ranks, w_c, b_c, w_c_out, passage_ids=None):
     """Turn per-passage rank representations into a selection distribution.
 
     u_i = row-wise max pool of h_ranks[i]; c = tanh(w_c [u_1 | ... | u_N] + b_c);
-    gamma = softmax(w_c_out c). The heads act per column, so N is free to vary.
+    the logits are w_c_out c and gamma = softmax(w_c_out c), computed by
+    `probs`. The heads act per column, so N is free to vary.
     """
     if not h_ranks:
         raise T.ShapeError("score_passages: need at least one passage")
     pooled = T.concat_cols([T.row_max(h) for h in h_ranks])
-    logits, gamma = softmax_head(pooled, w_c, b_c, w_c_out)
+    logits = logit_head(pooled, w_c, b_c, w_c_out)
     if passage_ids is None:
         passage_ids = list(range(len(h_ranks)))
-    return PolicyDistribution(logits, gamma, list(passage_ids))
+    return PolicyDistribution(logits, list(passage_ids))
 
 
 def sample_passage(policy, positives, rng):

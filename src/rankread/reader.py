@@ -1,11 +1,11 @@
-"""Span reader: start/end distributions over concatenated passage words."""
+"""Span reader: start/end logits over concatenated passage words."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .ranker import softmax_head
+from .ranker import logit_head
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,8 @@ class Segment:
 
 @dataclass
 class SpanDistribution:
-    start_logits: T.Tensor  # (V, 1)
+    start_logits: T.Tensor  # (V, 1); softmax runs over all V concatenated words
     end_logits: T.Tensor
-    start_probs: T.Tensor   # (V, 1), softmax over all V concatenated words
-    end_probs: T.Tensor
     segments: list
 
     def segment_for(self, passage_id):
@@ -46,7 +44,7 @@ class SpanDistribution:
 
 
 def span_distributions(h_reads, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out):
-    """Start/end distributions over the words of the given passages, in order.
+    """Start/end logits over the words of the given passages, in order.
 
     The softmax runs over the full concatenated axis, so probability mass is
     shared between the first passage and any appended negatives.
@@ -60,9 +58,8 @@ def span_distributions(h_reads, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out)
         segments.append(Segment(pid, offset, length))
         offset += length
     h_cat = T.concat_cols(h_reads)
-    s_logits, s_probs = softmax_head(h_cat, w_s, b_s, ws_out)
-    e_logits, e_probs = softmax_head(h_cat, w_e, b_e, we_out)
-    return SpanDistribution(s_logits, e_logits, s_probs, e_probs, segments)
+    return SpanDistribution(logit_head(h_cat, w_s, b_s, ws_out),
+                            logit_head(h_cat, w_e, b_e, we_out), segments)
 
 
 def span_loss(dist, label):

@@ -150,6 +150,10 @@ def search_bm25(index, query_tokens, top_a, k1=BM25_K1, b=BM25_B):
     """
     if top_a < 1:
         raise ValueError("top_a must be at least 1")
+    if not 0.0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be finite and at least 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must be in [0, 1], got {b}")
     scores = np.zeros(index.doc_count)
     hit = np.zeros(index.doc_count, dtype=bool)
     # term by term in query order, with the float operations of a loop over

@@ -148,14 +148,15 @@ def test_c02_distribution_normalization():
         heads = [T.Tensor(rng.normal(size=s)) for s in
                  [(l, l), (l, 1), (1, l), (l, l), (l, 1), (1, l)]]
         dist = reader.span_distributions(h_ps, list(range(len(h_ps))), *heads)
+        gamma = pol.probs()
         sums = np.concatenate([
             g.data.sum(axis=0) - 1.0,
-            [pol.gamma.data.sum() - 1.0],
-            [dist.start_probs.data.sum() - 1.0],
-            [dist.end_probs.data.sum() - 1.0],
+            [gamma.sum() - 1.0],
+            [np.exp(reader._log_softmax(dist.start_logits)).sum() - 1.0],
+            [np.exp(reader._log_softmax(dist.end_logits)).sum() - 1.0],
         ])
         worst = max(worst, float(np.abs(sums).max()))
-        assert np.all(g.data > 0) and np.all(pol.gamma.data > 0)
+        assert np.all(g.data > 0) and np.all(gamma > 0)
     assert worst < 1e-9
     report(2, f"attention, policy and span distributions sum to 1 (worst |dev| {worst:.1e})")
 
@@ -244,11 +245,11 @@ def test_c06_span_extraction_oracle():
         for i, w in enumerate(widths):
             segs.append(reader.Segment(i, off, int(w)))
             off += int(w)
-        dist = reader.SpanDistribution(sl, el, T.softmax_cols(sl), T.softmax_cols(el), segs)
+        dist = reader.SpanDistribution(sl, el, segs)
         for max_len in (1, 4, 15):
             label, _ = reader.extract_best_span(dist, max_len)
-            ps = dist.start_probs.data[:, 0]
-            pe = dist.end_probs.data[:, 0]
+            ps = T.softmax_cols(sl).data[:, 0]
+            pe = T.softmax_cols(el).data[:, 0]
             best, best_score = None, -1.0
             for seg in segs:
                 for i in range(seg.offset, seg.offset + seg.length):

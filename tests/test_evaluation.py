@@ -65,6 +65,19 @@ def test_predict_combination_arithmetic(example):
     assert sum(c.policy_prob for c in candidates) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_predict_computes_only_the_probabilities_it_reads(example, monkeypatch):
+    # one softmax for the attention of every passage and one for the policy;
+    # the reader's spans are scored from the log-softmax of its logits
+    from rankread import tensor as T
+    calls = []
+    softmax_cols = T.softmax_cols
+    monkeypatch.setattr(T, "softmax_cols", lambda a: calls.append(a) or softmax_cols(a))
+    trainer = toy_trainer(seed=0)
+    E.predict_candidates(trainer.model, trainer.table, example.question_tokens,
+                         example.passages, max_span_len=4)
+    assert len(calls) == 2
+
+
 def test_predict_on_toy_model(example):
     trainer = toy_trainer(seed=0)
     pred = E.predict(trainer.model, trainer.table, "toy-0",
@@ -105,8 +118,8 @@ def test_predict_matches_brute_force_over_pairs(example):
         dists = model.read_each(ms, list(range(len(example.passages))))
     best_score, best_answer = -1.0, None
     for i, dist in enumerate(dists):
-        ps = dist.start_probs.data[:, 0]
-        pe = dist.end_probs.data[:, 0]
+        ps = T.softmax_cols(dist.start_logits).data[:, 0]
+        pe = T.softmax_cols(dist.end_logits).data[:, 0]
         for s in range(len(ps)):
             for e in range(s, min(s + 4, len(ps))):
                 score = ps[s] * pe[e] * gamma[i]

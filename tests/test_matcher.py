@@ -54,11 +54,11 @@ def test_reversal_symmetry_with_swapped_directions():
     # Swapping the two direction parameter sets and reversing the input
     # reverses the output columns, with the two row halves exchanged.
     p = make_bilstm(3, 3, 6)
-    swapped = matcher.BiLstm(p.bwd, p.fwd, p.in_dim, p.hidden)
+    swapped = matcher.BiLstm(p.bwd, p.fwd, p.in_dim)
     x = np.random.default_rng(2).normal(size=(3, 5))
     out = encode(T.Tensor(x), p).data
     out_swapped = encode(T.Tensor(x[:, ::-1].copy()), swapped).data
-    h = p.hidden
+    h = p.fwd.U.data.shape[1]
     reassembled = np.vstack([out_swapped[h:, ::-1], out_swapped[:h, ::-1]])
     assert np.allclose(out, reassembled, atol=1e-12)
 
@@ -399,7 +399,7 @@ def _small_model(seed=0):
 def _model_outputs(model, q_emb, p_embs):
     ms = model.match_passages(q_emb, p_embs)
     gamma = model.rank(ms).probs().copy()
-    start = model.read(ms, [0, 1, 2]).start_probs.data.copy()
+    start = T.softmax_cols(model.read(ms, [0, 1, 2]).start_logits).data.copy()
     return gamma, start
 
 

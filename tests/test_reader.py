@@ -21,9 +21,9 @@ def make_dist(seed, widths, l=4):
 
 def test_single_one_word_passage():
     dist = make_dist(0, [1])
-    assert dist.start_probs.data.shape == (1, 1)
-    assert dist.start_probs.data[0, 0] == pytest.approx(1.0)
-    assert dist.end_probs.data[0, 0] == pytest.approx(1.0)
+    assert dist.start_logits.data.shape == (1, 1)
+    assert T.softmax_cols(dist.start_logits).data[0, 0] == pytest.approx(1.0)
+    assert T.softmax_cols(dist.end_logits).data[0, 0] == pytest.approx(1.0)
 
 
 def test_two_identical_passages_symmetric():
@@ -31,8 +31,9 @@ def test_two_identical_passages_symmetric():
     h = rng.normal(size=(4, 3))
     heads = make_heads(2, 4)
     dist = reader.span_distributions([T.Tensor(h.copy()), T.Tensor(h.copy())], [0, 1], *heads)
-    assert np.allclose(dist.start_probs.data[:3], dist.start_probs.data[3:], atol=1e-12)
-    assert np.allclose(dist.end_probs.data[:3], dist.end_probs.data[3:], atol=1e-12)
+    ps, pe = T.softmax_cols(dist.start_logits).data, T.softmax_cols(dist.end_logits).data
+    assert np.allclose(ps[:3], ps[3:], atol=1e-12)
+    assert np.allclose(pe[:3], pe[3:], atol=1e-12)
 
 
 def _pointer_reference(h_cat, w, b, w_out):
@@ -54,9 +55,9 @@ def test_span_distributions_match_scalar_loop_reference():
     dist = reader.span_distributions(h_reads, [0, 1], *heads)
     h_cat = np.concatenate([h.data for h in h_reads], axis=1)
     ws, bs, ws_out, we, be, we_out = heads
-    assert np.allclose(dist.start_probs.data[:, 0],
+    assert np.allclose(T.softmax_cols(dist.start_logits).data[:, 0],
                        _pointer_reference(h_cat, ws.data, bs.data, ws_out.data), atol=1e-12)
-    assert np.allclose(dist.end_probs.data[:, 0],
+    assert np.allclose(T.softmax_cols(dist.end_logits).data[:, 0],
                        _pointer_reference(h_cat, we.data, be.data, we_out.data), atol=1e-12)
 
 
@@ -64,22 +65,20 @@ def test_distributions_sum_to_one():
     for seed in range(25):
         widths = list(np.random.default_rng(seed).integers(1, 5, size=3))
         dist = make_dist(seed, widths)
-        assert dist.start_probs.data.sum() == pytest.approx(1.0, abs=1e-9)
-        assert dist.end_probs.data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert T.softmax_cols(dist.start_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert T.softmax_cols(dist.end_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_span_loss_zero_when_mass_on_label():
     logits = T.Tensor([[50.0], [-50.0], [-50.0]])
-    dist = reader.SpanDistribution(logits, logits, T.softmax_cols(logits), T.softmax_cols(logits),
-                                   [reader.Segment("p", 0, 3)])
+    dist = reader.SpanDistribution(logits, logits, [reader.Segment("p", 0, 3)])
     loss = reader.span_loss(dist, reader.SpanLabel("p", 0, 0))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_span_loss_half_half_is_two_log_two():
     logits = T.Tensor([[0.0], [0.0]])
-    dist = reader.SpanDistribution(logits, logits, T.softmax_cols(logits), T.softmax_cols(logits),
-                                   [reader.Segment("p", 0, 2)])
+    dist = reader.SpanDistribution(logits, logits, [reader.Segment("p", 0, 2)])
     loss = reader.span_loss(dist, reader.SpanLabel("p", 1, 1))
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
@@ -107,12 +106,11 @@ def test_span_loss_gradient_fd():
 def _uniform_dist(widths):
     v = sum(widths)
     logits = T.Tensor(np.zeros((v, 1)))
-    probs = T.softmax_cols(logits)
     segs, off = [], 0
     for i, w in enumerate(widths):
         segs.append(reader.Segment(i, off, w))
         off += w
-    return reader.SpanDistribution(logits, logits, probs, probs, segs)
+    return reader.SpanDistribution(logits, logits, segs)
 
 
 def test_extract_concentrated_mass():
@@ -120,9 +118,7 @@ def test_extract_concentrated_mass():
     el = np.full((5, 1), -30.0)
     sl[2, 0] = 5.0
     el[3, 0] = 5.0
-    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el),
-                                   T.softmax_cols(T.Tensor(sl)), T.softmax_cols(T.Tensor(el)),
-                                   [reader.Segment("p", 0, 5)])
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment("p", 0, 5)])
     label, _ = reader.extract_best_span(dist, 4)
     assert (label.start, label.end) == (2, 3)
 
@@ -134,8 +130,8 @@ def test_extract_uniform_ties_to_first_position():
 
 
 def _brute_force_best(dist, max_len):
-    ps = dist.start_probs.data[:, 0]
-    pe = dist.end_probs.data[:, 0]
+    ps = T.softmax_cols(dist.start_logits).data[:, 0]
+    pe = T.softmax_cols(dist.end_logits).data[:, 0]
     best, best_score = None, -1.0
     for seg in dist.segments:
         for i in range(seg.offset, seg.offset + seg.length):
@@ -179,9 +175,7 @@ def test_extract_scores_in_log_space_when_probabilities_underflow():
     el = np.zeros((6, 1))
     sl[4, 0] = 1001.0
     el[1, 0] = 1000.0
-    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el),
-                                   T.softmax_cols(T.Tensor(sl)), T.softmax_cols(T.Tensor(el)),
-                                   [reader.Segment("p", 0, 6)])
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment("p", 0, 6)])
     label, logp = reader.extract_best_span(dist, 3)
     assert (label.start, label.end) == (4, 4)
     assert logp == pytest.approx(-1000.0, abs=1e-9)

@@ -100,6 +100,20 @@ def test_bm25_absent_term_gives_empty_result():
     assert R.search_bm25(idx, [], 5) == []
 
 
+@pytest.mark.parametrize("name, value", [("k1", -1.0), ("k1", math.nan), ("k1", math.inf),
+                                         ("b", -0.1), ("b", 1.5), ("b", math.nan)])
+def test_bm25_rejects_out_of_range_k1_and_b(name, value):
+    # a negative k1 scores every document 0.0; retrieve passes both through
+    rule = {"k1": "finite and at least 0", "b": "in [0, 1]"}[name]
+    idx = R.build_index(docs_from(["alpha beta", "gamma delta"]))
+    for call in (lambda: R.search_bm25(idx, ["alpha"], 3, **{name: value}),
+                 lambda: R.retrieve(idx, "q", "alpha", None, n=1, top_a=3, top_s=10,
+                                    **{name: value})):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"{name} must be {rule}, got {value}"
+
+
 def test_bm25_single_matching_doc_ranks_first():
     idx = R.build_index(docs_from(["alpha beta", "gamma delta", "epsilon zeta"]))
     ranked = R.search_bm25(idx, ["gamma"], 5)

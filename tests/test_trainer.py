@@ -56,7 +56,7 @@ def test_reward_range_property(gold, pred):
 
 def policy_from_gamma(gamma):
     logits = T.Tensor(np.log(np.asarray(gamma)).reshape(-1, 1), requires_grad=True)
-    return PolicyDistribution(logits, T.softmax_cols(logits), list(range(len(gamma))))
+    return PolicyDistribution(logits, list(range(len(gamma))))
 
 
 def test_kl_zero_when_gamma_matches_targets():
@@ -86,7 +86,7 @@ def test_kl_gradient_fd():
     logits = T.Tensor(np.random.default_rng(1).normal(size=(4, 1)), requires_grad=True)
 
     def build():
-        pol = PolicyDistribution(logits, T.softmax_cols(logits), [0, 1, 2, 3])
+        pol = PolicyDistribution(logits, [0, 1, 2, 3])
         return trainer_mod.kl_rank_loss(pol, {1, 3})
 
     assert T.fd_check(build, [logits]) < 1e-4
@@ -245,6 +245,43 @@ def _tape_size(root):
                 seen.add(id(parent))
                 stack.append(parent)
     return len(seen)
+
+
+def _unreached_nodes(monkeypatch, mode):
+    """Tape nodes a two-example batch records that its summed loss does not reach,
+    with the batch's reports."""
+    recorded = []
+    node = T.Tensor._node
+
+    def recording(cls, data, parents):
+        out = node(data, parents)
+        if out.requires_grad:
+            recorded.append(out)
+        return out
+
+    trainer = toy_trainer(seed=0, dropout=0.3)
+    with monkeypatch.context() as m:
+        m.setattr(T.Tensor, "_node", classmethod(recording))
+        reports = trainer.batch_losses([toy_example(), toy_example()], mode)
+    reached = {id(t) for t in T._toposort(T.add(reports[0]["loss"], reports[1]["loss"]))}
+    return [t for t in recorded if id(t) not in reached], reports
+
+
+@pytest.mark.parametrize("mode", ["sr2", "r3"])
+def test_batch_tape_records_only_what_backward_reads(monkeypatch, mode):
+    # the heads emit logits; a probability is computed off the tape where it is read
+    unreached, _ = _unreached_nodes(monkeypatch, mode)
+    assert len(unreached) == 0
+
+
+def test_sr_tape_leaves_only_the_unread_positive_slices(monkeypatch):
+    # sr matches every passage of the subset but reads only tau and the
+    # negatives: each other positive leaves its slice of M unread
+    unreached, reports = _unreached_nodes(monkeypatch, "sr")
+    example = toy_example()
+    others = sum(1 for r in reports for i in r["subset"] if example.spans.get(i) and i != r["tau"])
+    assert others > 0
+    assert len(unreached) == others
 
 
 @pytest.mark.parametrize("mode", trainer_mod.MODES)
