@@ -20,9 +20,12 @@ log = logging.getLogger(__name__)
 
 def load_dataset(path):
     """JSON-lines of {id, question, answers}; ids are unique, since retrieved
-    sets are looked up by question id."""
+    sets are looked up by question id. A question that tokenizes to nothing,
+    which the model could not read, is rejected."""
     def record(rec):
         check_fields("dataset record", rec, {"id": str, "question": str, "answers": list[str]})
+        if not tokenize(rec["question"]).tokens:
+            raise ValueError(f"question {rec['id']!r} tokenizes to nothing")
         return rec
 
     records = read_jsonl(path, record, "id")

@@ -72,9 +72,11 @@ class Prediction:
 
 
 def _match_and_rank(model, table, question_tokens, p_tokens):
-    """One question's matching representations and selection policy."""
-    ms = model.match_passages(embed(question_tokens, table), [embed(t, table) for t in p_tokens])
-    return ms, model.rank(ms)
+    """One question's M block, its passage widths and its selection policy."""
+    widths = [len(t) for t in p_tokens]
+    m = model.match_passages(embed(question_tokens, table),
+                             embed([tok for t in p_tokens for tok in t], table), widths)
+    return m, widths, model.rank(m, widths)
 
 
 def predict_candidates(model, table, question_tokens, passages, max_span_len):
@@ -84,8 +86,8 @@ def predict_candidates(model, table, question_tokens, passages, max_span_len):
         return []
     p_tokens = [tokenize(p.text).tokens for p in passages]
     with T.no_grad():
-        ms, policy = _match_and_rank(model, table, question_tokens, p_tokens)
-        dists = model.read_each(ms, list(range(len(passages))))
+        m, widths, policy = _match_and_rank(model, table, question_tokens, p_tokens)
+        dists = model.read_each(m, widths, list(range(len(passages))))
     gamma = policy.probs()
     candidates = []
     for i, (dist, passage) in enumerate(zip(dists, passages)):
@@ -142,7 +144,7 @@ def rank_passages(model, table, question_tokens, passages):
     probability ties keep IR order."""
     with T.no_grad():
         gamma = _match_and_rank(model, table, question_tokens,
-                                [tokenize(p.text).tokens for p in passages])[1].probs()
+                                [tokenize(p.text).tokens for p in passages])[2].probs()
     order = sorted(range(len(passages)), key=lambda i: (-gamma[i], passages[i].ir_rank))
     return [passages[i] for i in order]
 

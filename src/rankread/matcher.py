@@ -4,13 +4,15 @@ The matching representation M for each passage is shared by the ranking and
 reading heads; only the aggregation BiLSTM stacks on top of M differ (one
 layer for ranking, three for reading, separate parameters).
 
-Sequences sit in matrices column-per-token. `encode_batch` sorts a stack
-call's sequences by length, longest first, and lays them side by side once
-(each sequence's columns in step order, one sequence after another), which is
+Sequences sit in matrices column-per-token, and a question's passages sit
+side by side in one block, each passage's columns in step order: its
+embeddings, encodings and M are one tensor each, with the passage widths
+alongside. `encode_batch` takes a stack call's blocks, gathers all their
+sequences once into the longest-first order, laid side by side, which is
 the one layout every layer of the stack and `tensor.bilstm` use. So the whole
 call runs through each layer as one recurrence, both directions in one step
-loop, whatever the lengths, and is cut per sequence only after the last
-layer. At each step only the sequences that are still running take it, so a
+loop, whatever the lengths, and is gathered back per block only after the
+last layer. At each step only the sequences that are still running take it, so a
 sequence's output equals encoding it alone up to BLAS rounding (checked in
 tests). Each layer is one `tensor.bilstm` tape node for both directions: each
 direction's input projection W x + b is one matmul over all steps, and the
@@ -64,34 +66,50 @@ def _bilstm(x, params, lengths):
                     f.U, b.U, lengths)
 
 
-def encode_batch(seqs, layers):
-    """Run a stack of BiLSTM layers over (in_dim, T_i) tensors; one (2h, T_i) output each.
+def encode_batch(blocks, widths, layers):
+    """Run a stack of BiLSTM layers over blocks of sequences; one output block each.
 
-    The sequences are sorted by length, longest first (a stable sort), laid
-    side by side once and go through every layer of the stack together: one
-    `tensor.bilstm` call per layer. The result is split per
-    sequence after the last layer. Output order matches input.
+    Block k is an (in_dim, sum(widths[k])) tensor holding sequences of the
+    given widths side by side, and its output is the (2h, sum(widths[k]))
+    block of their hidden states in the same columns. The blocks are
+    concatenated once and gathered once into the stable longest-first
+    order of all their sequences (not at all when the order is already
+    sorted), go through every layer of the stack together, one
+    `tensor.bilstm` call per layer, and each block's output is gathered back
+    with one node.
     """
-    if not seqs:
+    if not blocks:
         return []
     in_dim = layers[0].in_dim
-    for s in seqs:
-        if s.data.shape[1] == 0:
+    for block, ws in zip(blocks, widths):
+        if not ws or min(ws) < 1:
             raise T.ShapeError("encode: empty sequence")
-        if s.data.shape[0] != in_dim:
+        if block.data.shape[0] != in_dim:
             raise T.ShapeError(
-                f"encode: input has {s.data.shape[0]} rows, BiLSTM expects {in_dim}")
-    order = sorted(range(len(seqs)), key=lambda i: -seqs[i].data.shape[1])
-    lengths = [seqs[i].data.shape[1] for i in order]
-    x = T.concat_cols([seqs[i] for i in order])
+                f"encode: input has {block.data.shape[0]} rows, BiLSTM expects {in_dim}")
+        if sum(ws) != block.data.shape[1]:
+            raise T.ShapeError(
+                f"encode: widths sum to {sum(ws)}, block has {block.data.shape[1]} columns")
+    lengths = np.array([w for ws in widths for w in ws])
+    order = np.argsort(-lengths, kind="stable")
+    ordered = lengths[order]
+    x = T.concat_cols(blocks)
+    cols = x.data.shape[1]
+    # column j of the sorted layout is column source[j] of x
+    source = np.arange(cols) + np.repeat(
+        (np.cumsum(lengths) - lengths)[order] - (np.cumsum(ordered) - ordered), ordered)
+    is_sorted = bool((np.diff(lengths) <= 0).all())
+    if not is_sorted:
+        x = T.take_cols(x, source)
     for layer in layers:
-        x = _bilstm(x, layer, lengths)
-    if len(seqs) == 1:
+        x = _bilstm(x, layer, ordered.tolist())
+    if len(blocks) == 1 and is_sorted:
         return [x]
-    results = [None] * len(seqs)
-    for i, piece in zip(order, split_cols(x, lengths)):
-        results[i] = piece
-    return results
+    position = np.empty_like(source)
+    position[source] = np.arange(cols)
+    ends = accumulate(block.data.shape[1] for block in blocks)
+    return [T.take_cols(x, position[end - block.data.shape[1]:end])
+            for block, end in zip(blocks, ends)]
 
 
 def split_cols(x, widths):

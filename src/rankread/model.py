@@ -1,7 +1,5 @@
 """The full ranker-reader model: one shared matcher, two heads, one registry."""
 
-from itertools import accumulate
-
 import numpy as np
 
 from . import matcher, ranker, reader
@@ -33,10 +31,9 @@ class RankReadModel:
         self.w_c = self._add("rank.W", T.parameter(rng, l, l, sc))
         self.b_c = self._add("rank.b", T.parameter(rng, l, 1, sc))
         self.w_c_out = self._add("rank.w", T.parameter(rng, 1, l, sc))
-        for tag in ("start", "end"):
-            self._add(f"read_{tag}.W", T.parameter(rng, l, l, sc))
-            self._add(f"read_{tag}.b", T.parameter(rng, l, 1, sc))
-            self._add(f"read_{tag}.w", T.parameter(rng, 1, l, sc))
+        self.read_heads = [self._add(f"read_{tag}.{name}", T.parameter(rng, *shape, sc))
+                           for tag in ("start", "end")
+                           for name, shape in (("W", (l, l)), ("b", (l, 1)), ("w", (1, l)))]
 
     def _add(self, name, tensor):
         self.params[name] = tensor
@@ -72,14 +69,16 @@ class RankReadModel:
 
     # -- forward passes -----------------------------------------------------
     #
-    # The *_batch methods run a batch of questions as one graph: one encoder
-    # pass over every question and passage, and one pass of each aggregation
-    # stack over every matching representation, so the sequences of all the
-    # questions share each recurrence. Attention, fusion and the
-    # heads act per question. match_passages, rank, read and read_each are the
-    # one-question forms.
+    # A question's passages are one block: their embeddings side by side in
+    # one (d, P) tensor, with the passage widths alongside, and so are their
+    # encodings, M and each stack's output. The *_batch methods run a batch
+    # of questions as one graph: one encoder pass over every question and
+    # passage, and one pass of each aggregation stack over every M, so the
+    # sequences of all the questions share each recurrence. Attention,
+    # fusion and the heads act per question. match_passages, rank, read and
+    # read_each are the one-question forms.
 
-    def dropout_masks(self, q_emb, p_embs, rng):
+    def dropout_masks(self, q_emb, p_emb, rng):
         """One question's inverted-dropout masks for the encoded question, the
         encoded passages and M, drawn in that order; None with dropout off.
         Their shapes follow from the embeddings, so they can be drawn before
@@ -87,62 +86,55 @@ class RankReadModel:
         drop = self.config.dropout
         if drop == 0:
             return None
-        l = self.config.hidden_size
-        words = sum(p.data.shape[1] for p in p_embs)
+        l, words = self.config.hidden_size, p_emb.data.shape[1]
         return [matcher.dropout_mask(rng, shape, drop)
                 for shape in ((l, q_emb.data.shape[1]), (l, words), (2 * l, words))]
 
-    def match_batch(self, q_embs, p_emb_lists, masks=None):
-        """Shared matching representations M: per question, one (2l, P_i)
-        tensor per passage. masks[i] is question i's dropout_masks (or None)."""
-        if not all(p_emb_lists):
+    def match_batch(self, q_embs, p_embs, widths, masks=None):
+        """Shared matching representations: per question, the (2l, P_i) block
+        M over its passage block p_embs[i], whose passages are widths[i] wide.
+        masks[i] is question i's dropout_masks (or None)."""
+        if not all(widths):
             raise T.ShapeError("match_passages: no passages")
-        encoded = matcher.encode_batch(
-            list(q_embs) + [p for p_embs in p_emb_lists for p in p_embs], [self.encoder])
-        h_p_lists = _split(encoded[len(q_embs):], p_emb_lists)
-        masks = masks or [None] * len(q_embs)
-        return [self._match(h_q, h_ps, m) for h_q, h_ps, m in zip(encoded, h_p_lists, masks)]
+        n = len(q_embs)
+        encoded = matcher.encode_batch(list(q_embs) + list(p_embs),
+                                       [[q.data.shape[1]] for q in q_embs] + list(widths),
+                                       [self.encoder])
+        masks = masks or [None] * n
+        return [self._match(h_q, h_p, m) for h_q, h_p, m in zip(encoded[:n], encoded[n:], masks)]
 
-    def _match(self, h_q, h_ps, masks):
-        h_p_all = T.concat_cols(h_ps)
+    def _match(self, h_q, h_p, masks):
         if masks is not None:
             h_q = T.mul(h_q, masks[0])
-            h_p_all = T.mul(h_p_all, masks[1])
-        g_all = matcher.attend(h_q, h_p_all, self.w_g, self.b_g)
-        m_all = matcher.match(h_p_all, h_q, g_all, self.w_m)
-        if masks is not None:
-            m_all = T.mul(m_all, masks[2])
-        return matcher.split_cols(m_all, [h.data.shape[1] for h in h_ps])
+            h_p = T.mul(h_p, masks[1])
+        g = matcher.attend(h_q, h_p, self.w_g, self.b_g)
+        m = matcher.match(h_p, h_q, g, self.w_m)
+        return m if masks is None else T.mul(m, masks[2])
 
-    def rank_batch(self, m_lists, passage_id_lists):
-        """One selection policy per question over its matching representations."""
-        h_ranks = matcher.encode_batch([m for ms in m_lists for m in ms], self.agg_rank)
-        return [ranker.score_passages(h, self.w_c, self.b_c, self.w_c_out, ids)
-                for h, ids in zip(_split(h_ranks, m_lists), passage_id_lists)]
+    def rank_batch(self, m_blocks, widths, passage_id_lists):
+        """One selection policy per question over the passages of its M block."""
+        h_ranks = matcher.encode_batch(m_blocks, widths, self.agg_rank)
+        return [ranker.score_passages(h, ws, self.w_c, self.b_c, self.w_c_out, ids)
+                for h, ws, ids in zip(h_ranks, widths, passage_id_lists)]
 
-    def read_batch(self, m_lists, passage_id_lists):
-        """One span distribution per question over its passages concatenated in order."""
-        h_reads = matcher.encode_batch([m for ms in m_lists for m in ms], self.agg_read)
-        heads = [self.params[f"read_{tag}.{name}"]
-                 for tag in ("start", "end") for name in ("W", "b", "w")]
-        return [reader.span_distributions(h, ids, *heads)
-                for h, ids in zip(_split(h_reads, m_lists), passage_id_lists)]
+    def read_batch(self, m_blocks, widths, passage_id_lists):
+        """One span distribution per question over the passages of its block, in order."""
+        h_reads = matcher.encode_batch(m_blocks, widths, self.agg_read)
+        return [reader.span_distributions(h, ws, ids, *self.read_heads)
+                for h, ws, ids in zip(h_reads, widths, passage_id_lists)]
 
-    def match_passages(self, q_emb, p_embs):
-        return self.match_batch([q_emb], [p_embs])[0]
+    def match_passages(self, q_emb, p_emb, widths):
+        return self.match_batch([q_emb], [p_emb], [widths])[0]
 
-    def rank(self, ms, passage_ids=None):
-        return self.rank_batch([ms], [passage_ids])[0]
+    def rank(self, m, widths, passage_ids=None):
+        return self.rank_batch([m], [widths], [passage_ids])[0]
 
-    def read(self, ms, passage_ids):
-        return self.read_batch([ms], [passage_ids])[0]
+    def read(self, m, widths, passage_ids):
+        return self.read_batch([m], [widths], [passage_ids])[0]
 
-    def read_each(self, ms, passage_ids):
-        """One single-segment span distribution per passage (inference form)."""
-        return self.read_batch([[m] for m in ms], [[pid] for pid in passage_ids])
-
-
-def _split(flat, lists):
-    """flat cut into consecutive pieces, as long as the lists in lists."""
-    ends = accumulate(len(part) for part in lists)
-    return [flat[end - len(part):end] for part, end in zip(lists, ends)]
+    def read_each(self, m, widths, passage_ids):
+        """One single-segment span distribution per passage (inference form):
+        one pass of the stack over the block, then the heads per passage."""
+        h_read = matcher.encode_batch([m], [widths], self.agg_read)[0]
+        return [reader.span_distributions(h, [w], [pid], *self.read_heads)
+                for h, w, pid in zip(matcher.split_cols(h_read, widths), widths, passage_ids)]

@@ -27,19 +27,19 @@ def logit_head(x, w, b, w_out):
     return T.transpose(T.matmul(w_out, c))
 
 
-def score_passages(h_ranks, w_c, b_c, w_c_out, passage_ids=None):
-    """Turn per-passage rank representations into a selection distribution.
+def score_passages(h_rank, widths, w_c, b_c, w_c_out, passage_ids=None):
+    """Turn a block of rank representations into a selection distribution.
 
-    u_i = row-wise max pool of h_ranks[i]; c = tanh(w_c [u_1 | ... | u_N] + b_c);
+    h_rank holds the N passages side by side, widths wide. u_i = row-wise
+    max pool of passage i's columns; c = tanh(w_c [u_1 | ... | u_N] + b_c);
     the logits are w_c_out c and gamma = softmax(w_c_out c), computed by
     `probs`. The heads act per column, so N is free to vary.
     """
-    if not h_ranks:
+    if not widths:
         raise T.ShapeError("score_passages: need at least one passage")
-    pooled = T.concat_cols([T.row_max(h) for h in h_ranks])
-    logits = logit_head(pooled, w_c, b_c, w_c_out)
+    logits = logit_head(T.segment_max(h_rank, widths), w_c, b_c, w_c_out)
     if passage_ids is None:
-        passage_ids = list(range(len(h_ranks)))
+        passage_ids = list(range(len(widths)))
     return PolicyDistribution(logits, list(passage_ids))
 
 

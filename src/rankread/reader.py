@@ -1,6 +1,7 @@
 """Span reader: start/end logits over concatenated passage words."""
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,23 +44,18 @@ class SpanDistribution:
         return seg.offset + label.start, seg.offset + label.end
 
 
-def span_distributions(h_reads, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out):
-    """Start/end logits over the words of the given passages, in order.
+def span_distributions(h_read, widths, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out):
+    """Start/end logits over the words of a block of passages, widths wide, in order.
 
     The softmax runs over the full concatenated axis, so probability mass is
     shared between the first passage and any appended negatives.
     """
-    if not h_reads:
+    if not widths:
         raise T.ShapeError("span_distributions: need at least one passage")
-    segments = []
-    offset = 0
-    for pid, h in zip(passage_ids, h_reads):
-        length = h.data.shape[1]
-        segments.append(Segment(pid, offset, length))
-        offset += length
-    h_cat = T.concat_cols(h_reads)
-    return SpanDistribution(logit_head(h_cat, w_s, b_s, ws_out),
-                            logit_head(h_cat, w_e, b_e, we_out), segments)
+    segments = [Segment(pid, end - w, w)
+                for pid, w, end in zip(passage_ids, widths, accumulate(widths))]
+    return SpanDistribution(logit_head(h_read, w_s, b_s, ws_out),
+                            logit_head(h_read, w_e, b_e, we_out), segments)
 
 
 def span_loss(dist, label):

@@ -283,9 +283,16 @@ def save_retrieved(sets, path):
 
 def load_retrieved(path):
     """Retrieved sets, one per line; question ids are unique, since sets are
-    looked up by question id."""
-    return read_jsonl(path, lambda rec: RetrievedSet(
-        rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]]), "question_id")
+    looked up by question id. A passage that tokenizes to nothing, which the
+    model could not read, is rejected."""
+    def retrieved_set(rec):
+        rs = RetrievedSet(rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]])
+        for i, p in enumerate(rs.passages):
+            if not tokenize(p.text).tokens:
+                raise ValueError(f"passage {i} of question {rs.question_id!r} tokenizes to nothing")
+        return rs
+
+    return read_jsonl(path, retrieved_set, "question_id")
 
 
 def load_corpus(path):

@@ -251,15 +251,44 @@ def slice_cols(a, j0, j1):
     return out
 
 
-def row_max(a):
-    """Row-wise max over columns (max pooling); grad routes to the first argmax."""
-    idx = a.data.argmax(axis=1)
-    y = a.data[np.arange(a.data.shape[0]), idx].reshape(-1, 1)
-    out = Tensor._node(y, (a,))
+def take_cols(a, index):
+    """Columns index of a, in that order, as one node: a column gather.
+
+    np.take's copy is C-ordered like every other op's output (a[:, index]
+    would be F-ordered, and a matmul operand's order can change its
+    rounding). A column is taken once at most: the backward adds each
+    output column's gradient into its source column once.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    cols = a.data.shape[1]
+    if index.ndim != 1 or (index.size and (index.min() < 0 or index.max() >= cols)):
+        raise ShapeError(f"take_cols: index out of range for {a.data.shape}")
+    if index.size and np.bincount(index).max() > 1:
+        raise ShapeError("take_cols: a column is taken twice")
+    out = Tensor._node(np.take(a.data, index, axis=1), (a,))
     if out.requires_grad:
         def bw(g):
             _ensure_grad(a)
-            a.grad[np.arange(a.data.shape[0]), idx] += g[:, 0]
+            a.grad[:, index] += g
+        out._backward = bw
+    return out
+
+
+def segment_max(a, widths):
+    """Row-wise max over each segment of a's columns (max pooling), cut into
+    consecutive segments of the given widths: (rows, len(widths)). The
+    gradient routes to each segment's first argmax."""
+    widths = list(widths)
+    if not widths or min(widths) < 1 or sum(widths) != a.data.shape[1]:
+        raise ShapeError(f"segment_max: widths {widths} do not cut {a.data.shape[1]} columns")
+    idx = np.stack([a.data[:, end - w:end].argmax(axis=1) + (end - w)
+                    for w, end in zip(widths, accumulate(widths))], axis=1)
+    rows = np.arange(a.data.shape[0])[:, None]
+    out = Tensor._node(a.data[rows, idx], (a,))
+    if out.requires_grad:
+        def bw(g):
+            _ensure_grad(a)
+            a.grad[rows, idx] += g
         out._backward = bw
     return out
 
@@ -273,25 +302,37 @@ def sum_all(a):
     return out
 
 
-def neg_log_softmax_pick(a, k):
-    """-log(softmax(a)[k]) for a column vector a, computed as one fused op.
+def neg_log_softmax_mean(a, ks):
+    """The mean over ks of -log(softmax(a)[k]) for a column vector a, as one
+    fused node; fusing keeps -log(prob) exact when a probability underflows.
 
-    Fusing keeps -log(prob) exact when the picked probability underflows.
+    The picks are added in the order of ks, then scaled by 1/len(ks), and
+    the backward adds their gradients into a.grad in the same order: the
+    bits of the picks added one by one, and of one pick for one k.
     """
+    ks = list(ks)
     if a.data.shape[1] != 1:
-        raise ShapeError(f"neg_log_softmax_pick: expected a column vector, got {a.data.shape}")
-    if not 0 <= k < a.data.shape[0]:
-        raise ShapeError(f"neg_log_softmax_pick: index {k} out of range for {a.data.shape}")
+        raise ShapeError(f"neg_log_softmax: expected a column vector, got {a.data.shape}")
+    if not ks or not all(0 <= k < a.data.shape[0] for k in ks):
+        raise ShapeError(f"neg_log_softmax: indices {ks} out of range for {a.data.shape}")
     m = a.data.max()
     lse = m + math.log(np.exp(a.data - m).sum())
-    out = Tensor._node(np.array([[lse - a.data[k, 0]]], dtype=a.data.dtype), (a,))
+    c = 1.0 / len(ks)
+    out = Tensor._node(np.array([[sum(lse - a.data[k, 0] for k in ks) * c]]), (a,))
     if out.requires_grad:
         soft = np.exp(a.data - lse)
         def bw(g):
-            _accumulate(a, g[0, 0] * soft)
-            a.grad[k, 0] -= g[0, 0]
+            gk = (g * c)[0, 0]
+            for k in ks:
+                _accumulate(a, gk * soft)
+                a.grad[k, 0] -= gk
         out._backward = bw
     return out
+
+
+def neg_log_softmax_pick(a, k):
+    """-log(softmax(a)[k]) for a column vector a, as one fused node."""
+    return neg_log_softmax_mean(a, [k])
 
 
 def bilstm(pre_f, pre_b, U_f, U_b, lengths):
@@ -445,9 +486,11 @@ OPS = {
     "concat_cols": concat_cols,
     "concat_rows": concat_rows,
     "slice_cols": slice_cols,
-    "row_max": row_max,
+    "take_cols": take_cols,
+    "segment_max": segment_max,
     "sum": sum_all,
     "neg_log_softmax_pick": neg_log_softmax_pick,
+    "neg_log_softmax_mean": neg_log_softmax_mean,
 }
 
 

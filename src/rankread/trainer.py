@@ -4,6 +4,7 @@ supervised baselines (reader-only, and reader plus a KL-trained ranker)."""
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,12 +104,7 @@ def kl_rank_loss(policy, positive_ids):
     rows = [i for i, pid in enumerate(policy.passage_ids) if pid in positive_ids]
     if not rows:
         raise ValueError("kl_rank_loss: no positive passage")
-    total = None
-    for r in rows:
-        pick = T.neg_log_softmax_pick(policy.logits, r)
-        total = pick if total is None else T.add(total, pick)
-    mean_neg_log = T.scale(total, 1.0 / len(rows))
-    return T.add(mean_neg_log, T.Tensor([[-np.log(len(rows))]]))
+    return T.add(T.neg_log_softmax_mean(policy.logits, rows), T.Tensor([[-np.log(len(rows))]]))
 
 
 def sample_passage_subset(example, k, min_negatives, rng):
@@ -186,25 +182,27 @@ class Trainer:
         if mode not in MODES:
             raise ValueError(f"unknown training mode: {mode!r}")
         cfg, rng, model = self.config, self.rng, self.model
-        subsets, positives, q_embs, p_emb_lists, masks = [], [], [], [], []
+        subsets, positives, widths, q_embs, p_embs, masks = [], [], [], [], [], []
         for example in batch:
             subset = sample_passage_subset(example, cfg.train_sample_k, cfg.min_negatives, rng)
             pos_ids = [i for i in subset if example.spans.get(i)]
             if not pos_ids:
                 raise ValueError(f"{example.question_id}: example has no positive passage")
             q_emb = embed(example.question_tokens, self.table)
-            chosen = [embed(example.passage_tokens[i], self.table) for i in subset]
+            p_emb = embed([tok for i in subset for tok in example.passage_tokens[i]], self.table)
             subsets.append(subset)
             positives.append(pos_ids)
+            widths.append([len(example.passage_tokens[i]) for i in subset])
             q_embs.append(q_emb)
-            p_emb_lists.append(chosen)
-            masks.append(model.dropout_masks(q_emb, chosen, rng))
-        m_lists = model.match_batch(q_embs, p_emb_lists, masks)
-        policies = model.rank_batch(m_lists, subsets) if mode != "sr" else [None] * len(batch)
+            p_embs.append(p_emb)
+            masks.append(model.dropout_masks(q_emb, p_emb, rng))
+        m_blocks = model.match_batch(q_embs, p_embs, widths, masks)
+        policies = (model.rank_batch(m_blocks, widths, subsets) if mode != "sr"
+                    else [None] * len(batch))
 
-        labels, read_ids, read_ms = [], [], []
-        for example, subset, pos_ids, ms, policy in zip(batch, subsets, positives, m_lists,
-                                                        policies):
+        labels, read_ids, read_widths, read_blocks = [], [], [], []
+        for example, subset, pos_ids, ws, m, policy in zip(batch, subsets, positives, widths,
+                                                           m_blocks, policies):
             if mode == "r3":
                 tau = ranker_mod.sample_passage(policy, set(pos_ids), rng)
             else:
@@ -213,11 +211,14 @@ class Trainer:
             start, end = occurrences[int(rng.integers(len(occurrences)))] \
                 if len(occurrences) > 1 else occurrences[0]
             labels.append(reader_mod.SpanLabel(tau, start, end))
+            # the reader reads tau, then the negatives: their columns of M
             order = [tau] + [i for i in subset if not example.spans.get(i)]
-            ms_by_id = dict(zip(subset, ms))
+            start = dict(zip(subset, accumulate(ws, initial=0)))
             read_ids.append(order)
-            read_ms.append([ms_by_id[i] for i in order])
-        dists = model.read_batch(read_ms, read_ids)
+            read_widths.append([len(example.passage_tokens[i]) for i in order])
+            read_blocks.append(T.take_cols(m, [start[i] + c for i, w in zip(order, read_widths[-1])
+                                               for c in range(w)]))
+        dists = model.read_batch(read_blocks, read_widths, read_ids)
 
         reports = []
         for example, subset, pos_ids, policy, dist, label in zip(

@@ -76,6 +76,20 @@ def rows(a, i0, i1):
     return T.transpose(T.slice_cols(T.transpose(a), i0, i1))
 
 
+def passage_block(token_lists, table):
+    """The passages' embeddings side by side, and their widths."""
+    return (embed([tok for toks in token_lists for tok in toks], table),
+            [len(toks) for toks in token_lists])
+
+
+def read_block(m, widths, order):
+    """The columns of M that the passages in order (indices into widths) fill,
+    in that order, and their widths."""
+    starts = np.cumsum([0] + widths)
+    cols = [c for i in order for c in range(starts[i], starts[i + 1])]
+    return T.take_cols(m, cols), [widths[i] for i in order]
+
+
 def grad_or_zero(p):
     """A copy of p's gradient, or zeros when no gradient reached p."""
     return np.zeros_like(p.data) if p.grad is None else p.grad.copy()
@@ -94,15 +108,15 @@ def enumerate_policy_gradient(trainer, example):
     model = trainer.model
     cfg = trainer.config
     q_emb = embed(example.question_tokens, trainer.table)
-    p_embs = [embed(toks, trainer.table) for toks in example.passage_tokens]
+    p_emb, widths = passage_block(example.passage_tokens, trainer.table)
     pos = example.positive_indices()
     neg = [i for i in range(len(example.passages)) if i not in example.spans]
 
     def grad_for(tau):
         model.zero_grads()
-        ms = model.match_passages(q_emb, p_embs)
-        policy = model.rank(ms, list(range(len(example.passages))))
-        dist = model.read([ms[tau]] + [ms[i] for i in neg], [tau] + neg)
+        m = model.match_passages(q_emb, p_emb, widths)
+        policy = model.rank(m, widths, list(range(len(example.passages))))
+        dist = model.read(*read_block(m, widths, [tau] + neg), [tau] + neg)
         extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import enumerate_policy_gradient, toy_example, toy_trainer
+from conftest import enumerate_policy_gradient, read_block, toy_example, toy_trainer
 from test_retrieval import brute_force_bm25, brute_force_tfidf, docs_from
 
 from rankread import evaluation as E
@@ -70,6 +70,13 @@ def _random_conforming(rng, op_name):
         return (tensor(r, c),), {"i0": i0, "i1": int(rng.integers(i0 + 1, r + 1))}
     if op_name == "neg_log_softmax_pick":
         return (tensor(r, 1),), {"k": int(rng.integers(0, r))}
+    if op_name == "neg_log_softmax_mean":
+        return (tensor(r, 1),), {"ks": rng.permutation(r)[:int(rng.integers(1, r + 1))].tolist()}
+    if op_name == "take_cols":
+        return (tensor(r, c),), {"index": rng.permutation(c)[:int(rng.integers(1, c + 1))].tolist()}
+    if op_name == "segment_max":
+        widths = rng.integers(1, 4, size=int(rng.integers(1, 4))).tolist()
+        return (tensor(r, sum(widths)),), {"widths": widths}
     return (tensor(r, c),), {}
 
 
@@ -105,20 +112,21 @@ def test_c01_gradient_correctness():
         q_emb = T.Tensor(rng.uniform(0.2, 1.0, size=(2, 2)))
         p_embs = [T.Tensor(rng.uniform(0.2, 1.0, size=(2, int(rng.integers(2, 4)))))
                   for _ in range(3)]
+        p_emb, widths = T.concat_cols(p_embs), [p.data.shape[1] for p in p_embs]
         params = list(model.parameters().values())
 
         def reader_loss():
-            ms = model.match_passages(q_emb, p_embs)
-            dist = model.read([ms[0], ms[2]], [0, 2])
+            m = model.match_passages(q_emb, p_emb, widths)
+            dist = model.read(*read_block(m, widths, [0, 2]), [0, 2])
             return reader.span_loss(dist, reader.SpanLabel(0, 0, 1))
 
         def kl_loss():
-            ms = model.match_passages(q_emb, p_embs)
-            return trainer_mod.kl_rank_loss(model.rank(ms), {0, 1})
+            m = model.match_passages(q_emb, p_emb, widths)
+            return trainer_mod.kl_rank_loss(model.rank(m, widths), {0, 1})
 
         def log_pi():
-            ms = model.match_passages(q_emb, p_embs)
-            return ranker.log_policy(model.rank(ms), 1)
+            m = model.match_passages(q_emb, p_emb, widths)
+            return ranker.log_policy(model.rank(m, widths), 1)
 
         for name, fn in [("reader", reader_loss), ("kl", kl_loss), ("log_pi", log_pi)]:
             err = T.fd_check(fn, params)
@@ -142,12 +150,13 @@ def test_c02_distribution_normalization():
         h_ps = [T.Tensor(rng.normal(size=(l, rng.integers(1, 6)))) for _ in range(rng.integers(1, 5))]
         g = matcher.attend(h_q, h_ps[0], T.Tensor(rng.normal(size=(l, l))),
                            T.Tensor(rng.normal(size=(l, 1))))
-        pol = ranker.score_passages(h_ps, T.Tensor(rng.normal(size=(l, l))),
+        h_block, widths = T.concat_cols(h_ps), [h.data.shape[1] for h in h_ps]
+        pol = ranker.score_passages(h_block, widths, T.Tensor(rng.normal(size=(l, l))),
                                     T.Tensor(rng.normal(size=(l, 1))),
                                     T.Tensor(rng.normal(size=(1, l))))
         heads = [T.Tensor(rng.normal(size=s)) for s in
                  [(l, l), (l, 1), (1, l), (l, l), (l, 1), (1, l)]]
-        dist = reader.span_distributions(h_ps, list(range(len(h_ps))), *heads)
+        dist = reader.span_distributions(h_block, widths, list(range(len(h_ps))), *heads)
         gamma = pol.probs()
         sums = np.concatenate([
             g.data.sum(axis=0) - 1.0,

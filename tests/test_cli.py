@@ -585,6 +585,49 @@ def test_retrieved_question_id_that_is_not_a_string_is_one_line_error(workdir, t
                     "retrieved set question_id must be a string, got ['x']")
 
 
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_retrieved_passage_that_tokenizes_to_nothing_is_one_line_error(workdir, tmp_path, capsys,
+                                                                       command):
+    # before, the run stopped partway, once it reached the passage, with
+    # "embed: empty token sequence", naming no file, line or question
+    which = "retrieved_train" if command == "train" else "retrieved_test"
+    bad = tmp_path / "retrieved.jsonl"
+    _edit_retrieved(workdir, which, bad, lambda recs: recs[1]["passages"][2].update(text=" \t "))
+    qid = json.loads(bad.read_text().splitlines()[1])["question_id"]
+    if command == "train":
+        args = ["train", "--dataset", str(workdir["train"]), "--mode", "sr", "--epochs", "1",
+                "--hidden-size", "8", "--embed-dim", "8", "--train-sample-k", "6"]
+    else:
+        args = [command, "--checkpoint", str(workdir["ckpt"]), "--dataset", str(workdir["test"])]
+    assert main(args + ["--retrieved", str(bad), "--out", str(tmp_path / "out.json")]) == 1
+    line = _error_line(capsys)
+    assert line == f"error: {bad}:2: ValueError: passage 2 of question {qid!r} tokenizes to nothing"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train", "retrieve"])
+def test_dataset_question_that_tokenizes_to_nothing_is_one_line_error(workdir, tmp_path, capsys,
+                                                                      command):
+    # before, evaluate and train stopped partway with "embed: empty token
+    # sequence", naming no file, line or question
+    which = "train" if command == "train" else "test"
+    records = [json.loads(l) for l in workdir[which].read_text().splitlines()]
+    records[2]["question"] = "   "
+    bad = tmp_path / "dataset.jsonl"
+    bad.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    if command == "train":
+        args = ["train", "--retrieved", str(workdir["retrieved_train"]), "--mode", "sr",
+                "--epochs", "1", "--hidden-size", "8", "--embed-dim", "8"]
+    elif command == "evaluate":
+        args = ["evaluate", "--checkpoint", str(workdir["ckpt"]),
+                "--retrieved", str(workdir["retrieved_test"])]
+    else:
+        args = ["retrieve", "--index", str(workdir["index"])]
+    assert main(args + ["--dataset", str(bad), "--out", str(tmp_path / "out.json")]) == 1
+    line = _error_line(capsys)
+    assert line == (f"error: {bad}:3: ValueError: "
+                    f"question {records[2]['id']!r} tokenizes to nothing")
+
+
 def test_repeated_retrieved_question_id_is_one_line_error(workdir, tmp_path, capsys):
     # before, the last line's passages silently replaced the first's
     bad = tmp_path / "retrieved.jsonl"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import toy_example, toy_table, toy_trainer, TOY_QUESTION
+from conftest import passage_block, toy_example, toy_table, toy_trainer, TOY_QUESTION
 
 from rankread import evaluation as E
 from rankread.text import tokenize
@@ -113,9 +113,10 @@ def test_predict_matches_brute_force_over_pairs(example):
                      max_span_len=4)
     with T.no_grad():
         q_emb = embed(example.question_tokens, table)
-        ms = model.match_passages(q_emb, [embed(t, table) for t in example.passage_tokens])
-        gamma = model.rank(ms).probs()
-        dists = model.read_each(ms, list(range(len(example.passages))))
+        p_emb, widths = passage_block(example.passage_tokens, table)
+        m = model.match_passages(q_emb, p_emb, widths)
+        gamma = model.rank(m, widths).probs()
+        dists = model.read_each(m, widths, list(range(len(example.passages))))
     best_score, best_answer = -1.0, None
     for i, dist in enumerate(dists):
         ps = T.softmax_cols(dist.start_logits).data[:, 0]

@@ -19,7 +19,12 @@ def make_stack(seed, in_dim, out_dim, depth):
 
 
 def encode(seq, params):
-    return matcher.encode_batch([seq], [params])[0]
+    return encode_each([seq], [params])[0]
+
+
+def encode_each(seqs, layers):
+    """encode_batch with every sequence a block of its own."""
+    return matcher.encode_batch(seqs, [[s.data.shape[1]] for s in seqs], layers)
 
 
 def test_output_dim_must_be_even():
@@ -67,7 +72,7 @@ def test_batched_encode_matches_sequential():
     p = make_bilstm(4, 3, 6)
     rng = np.random.default_rng(3)
     seqs = [T.Tensor(rng.normal(size=(3, t))) for t in (4, 7, 4, 2, 7, 7)]
-    batched = matcher.encode_batch(seqs, [p])
+    batched = encode_each(seqs, [p])
     for s, b in zip(seqs, batched):
         single = encode(T.Tensor(s.data.copy()), p)
         assert np.allclose(b.data, single.data, atol=1e-12)
@@ -86,7 +91,7 @@ def test_batched_encode_gradients_match_sequential():
         T.backward(loss)
         return [q.grad.copy() for q in params]
 
-    g_batched = loss_from(lambda: matcher.encode_batch([T.Tensor(d) for d in data], [p]))
+    g_batched = loss_from(lambda: encode_each([T.Tensor(d) for d in data], [p]))
     g_single = loss_from(lambda: [encode(T.Tensor(d), p) for d in data])
     for a, b in zip(g_batched, g_single):
         assert np.allclose(a, b, atol=1e-12)
@@ -158,7 +163,7 @@ def test_fused_encode_matches_composite_reference(n, steps):
         T.backward(T.sum_all(T.mul(T.tanh(T.concat_cols(outs)), T.Tensor(weights))))
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
-    fused_out, fused_grads = run(matcher.encode_batch)
+    fused_out, fused_grads = run(encode_each)
     ref_out, ref_grads = run(_reference_encode_batch)
     for a, b in zip(fused_out, ref_out):
         assert np.array_equal(a, b)
@@ -220,8 +225,8 @@ def test_stack_over_ragged_batch_matches_each_sequence_alone(depth):
         T.backward(loss)
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
-    batched_out, batched_grads = run(lambda seqs: matcher.encode_batch(seqs, layers))
-    alone_out, alone_grads = run(lambda seqs: [matcher.encode_batch([s], layers)[0] for s in seqs])
+    batched_out, batched_grads = run(lambda seqs: encode_each(seqs, layers))
+    alone_out, alone_grads = run(lambda seqs: [encode_each([s], layers)[0] for s in seqs])
     for a, b in zip(batched_out, alone_out):
         assert np.abs(a - b).max() < 1e-15
     for a, b in zip(batched_grads, alone_grads):
@@ -246,8 +251,8 @@ def test_stack_over_shuffled_lengths_matches_each_sequence_alone():
         T.backward(loss)
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
-    packed_out, packed_grads = run(lambda seqs: matcher.encode_batch(seqs, layers))
-    alone_out, alone_grads = run(lambda seqs: [matcher.encode_batch([s], layers)[0] for s in seqs])
+    packed_out, packed_grads = run(lambda seqs: encode_each(seqs, layers))
+    alone_out, alone_grads = run(lambda seqs: [encode_each([s], layers)[0] for s in seqs])
     for d, a, b in zip(data, packed_out, alone_out):
         assert a.shape == (4, d.shape[1])
         assert np.abs(a - b).max() < 1e-15
@@ -267,13 +272,73 @@ def test_stack_call_makes_one_recurrence_per_direction_and_layer(monkeypatch):
     monkeypatch.setattr(matcher.T, "bilstm", counting_bilstm)
     rng = np.random.default_rng(66)
     seqs = [T.Tensor(rng.normal(size=(3, t))) for t in (4, 1, 6, 4, 2, 7, 1)]
-    matcher.encode_batch(seqs, make_stack(56, 3, 4, 3))
+    encode_each(seqs, make_stack(56, 3, 4, 3))
     assert calls == [[7, 6, 4, 4, 2, 1, 1]] * 3
+
+
+@pytest.mark.parametrize("widths", [[[3, 1, 4], [2], [4, 4]], [[4, 4], [4], [4, 4, 4]]])
+def test_blocks_encode_as_their_sequences_do_bit_for_bit(widths):
+    # blocks of sequences side by side give each sequence's columns the
+    # outputs and gradients of encoding the sequences one block each; the
+    # same packed layout, so the same bits
+    layers = make_stack(80, 3, 4, 2)
+    params = [q for p in layers for q in _bilstm_params(p)]
+    rng = np.random.default_rng(81)
+    data = [rng.normal(size=(3, sum(ws))) for ws in widths]
+    weights = [rng.normal(size=(4, d.shape[1])) for d in data]
+
+    def run(encoder):
+        T.zero_grads(params)
+        blocks = [T.Tensor(d, requires_grad=True) for d in data]
+        outs = encoder(blocks)
+        T.backward(T.sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w))
+                                            for o, w in zip(outs, weights)])))
+        return [o.data for o in outs], [q.grad for q in params] + [b.grad for b in blocks]
+
+    def per_sequence(blocks):
+        seqs = [T.Tensor(b.data[:, end - w:end].copy()) for b, ws in zip(blocks, widths)
+                for w, end in zip(ws, np.cumsum(ws))]
+        outs = iter(encode_each(seqs, layers))
+        return [T.concat_cols([next(outs) for _ in ws]) for ws in widths]
+
+    block_out, block_grads = run(lambda blocks: matcher.encode_batch(blocks, widths, layers))
+    seq_out, seq_grads = run(per_sequence)
+    for a, b in zip(block_out, seq_out):
+        assert np.array_equal(a, b)
+    for a, b in zip(block_grads[:len(params)], seq_grads):
+        assert np.array_equal(a, b)
+    assert all(g.shape == d.shape for g, d in zip(block_grads[len(params):], data))
+
+
+@pytest.mark.parametrize("widths, gathers", [
+    ([[4, 4], [4]], 2),           # sorted: none in, one out per block
+    ([[4]], 0),                   # one sorted block is the stack's output itself
+    ([[2, 4], [4]], 3),           # one gather in, one out per block
+])
+def test_stack_call_gathers_once_in_and_once_per_block_out(monkeypatch, widths, gathers):
+    calls = []
+    take_cols = T.take_cols
+
+    def counting(a, index):
+        calls.append(len(index))
+        return take_cols(a, index)
+
+    monkeypatch.setattr(matcher.T, "take_cols", counting)
+    rng = np.random.default_rng(82)
+    blocks = [T.Tensor(rng.normal(size=(3, sum(ws)))) for ws in widths]
+    outs = matcher.encode_batch(blocks, widths, make_stack(83, 3, 4, 2))
+    assert len(calls) == gathers
+    assert [o.data.shape for o in outs] == [(4, sum(ws)) for ws in widths]
+
+
+def test_encode_rejects_widths_that_do_not_cut_the_block():
+    with pytest.raises(T.ShapeError, match="^encode: widths sum to 5, block has 6 columns$"):
+        matcher.encode_batch([T.Tensor(np.zeros((3, 6)))], [[2, 3]], make_stack(84, 3, 4, 1))
 
 
 def test_encode_rejects_wrong_input_rows():
     with pytest.raises(T.ShapeError, match="expects 3"):
-        matcher.encode_batch([T.Tensor(np.zeros((2, 4)))], make_stack(72, 3, 4, 2))
+        encode_each([T.Tensor(np.zeros((2, 4)))], make_stack(72, 3, 4, 2))
 
 
 def test_attend_single_question_word_gives_all_ones():
@@ -392,14 +457,17 @@ def _small_model(seed=0):
     model = RankReadModel(Config(hidden_size=4, embed_dim=3, dropout=0.0), seed=seed)
     rng = np.random.default_rng(seed + 50)
     q_emb = T.Tensor(rng.normal(size=(3, 3)))
-    p_embs = [T.Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-    return model, q_emb, p_embs
+    p_emb = T.concat_cols([T.Tensor(rng.normal(size=(3, 4))) for _ in range(3)])
+    return model, q_emb, p_emb
 
 
-def _model_outputs(model, q_emb, p_embs):
-    ms = model.match_passages(q_emb, p_embs)
-    gamma = model.rank(ms).probs().copy()
-    start = T.softmax_cols(model.read(ms, [0, 1, 2]).start_logits).data.copy()
+WIDTHS = [4, 4, 4]
+
+
+def _model_outputs(model, q_emb, p_emb):
+    m = model.match_passages(q_emb, p_emb, WIDTHS)
+    gamma = model.rank(m, WIDTHS).probs().copy()
+    start = T.softmax_cols(model.read(m, WIDTHS, [0, 1, 2]).start_logits).data.copy()
     return gamma, start
 
 
@@ -432,15 +500,15 @@ def test_head_parameter_separation_gradients():
     from rankread import reader as reader_mod
 
     model, q_emb, p_embs = _small_model(seed=1)
-    ms = model.match_passages(q_emb, p_embs)
-    T.backward(ranker_mod.log_policy(model.rank(ms), 1))
+    m = model.match_passages(q_emb, p_embs, WIDTHS)
+    T.backward(ranker_mod.log_policy(model.rank(m, WIDTHS), 1))
     for name, p in model.parameters().items():
         if name.startswith(("agg_read.", "read_")):
             assert p.grad is None, name
 
     model, q_emb, p_embs = _small_model(seed=1)
-    ms = model.match_passages(q_emb, p_embs)
-    dist = model.read(ms, [0, 1, 2])
+    m = model.match_passages(q_emb, p_embs, WIDTHS)
+    dist = model.read(m, WIDTHS, [0, 1, 2])
     T.backward(reader_mod.span_loss(dist, reader_mod.SpanLabel(0, 1, 2)))
     for name, p in model.parameters().items():
         if name.startswith(("agg_rank.", "rank.")):

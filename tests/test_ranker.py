@@ -13,7 +13,12 @@ def random_policy(seed, n, l=4):
     w_c = T.Tensor(rng.normal(size=(l, l)))
     b_c = T.Tensor(rng.normal(size=(l, 1)))
     w_out = T.Tensor(rng.normal(size=(1, l)))
-    return ranker.score_passages(h_ranks, w_c, b_c, w_out), h_ranks, (w_c, b_c, w_out)
+    return ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out), h_ranks, (w_c, b_c, w_out)
+
+
+def _block(h_ranks):
+    """The passages side by side, and their widths."""
+    return T.concat_cols(h_ranks), [h.data.shape[1] for h in h_ranks]
 
 
 def test_identical_passages_give_uniform_gamma():
@@ -24,7 +29,7 @@ def test_identical_passages_give_uniform_gamma():
     w_c = T.Tensor(rng.normal(size=(4, 4)))
     b_c = T.Tensor(rng.normal(size=(4, 1)))
     w_out = T.Tensor(rng.normal(size=(1, 4)))
-    pol = ranker.score_passages(h_ranks, w_c, b_c, w_out)
+    pol = ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out)
     assert np.allclose(pol.probs(), 0.25, atol=1e-12)
 
 
@@ -36,7 +41,7 @@ def test_single_passage_gamma_is_one():
 
 def test_empty_input_rejected():
     with pytest.raises(T.ShapeError):
-        ranker.score_passages([], None, None, None)
+        ranker.score_passages(T.Tensor(np.zeros((4, 0))), [], None, None, None)
 
 
 def test_tiny_instance_matches_hand_computation():
@@ -46,7 +51,7 @@ def test_tiny_instance_matches_hand_computation():
     w_c = T.Tensor([[1.0, -1.0], [0.5, 2.0]])
     b_c = T.Tensor([[0.1], [-0.3]])
     w_out = T.Tensor([[2.0, 1.0]])
-    pol = ranker.score_passages([h1, h2], w_c, b_c, w_out)
+    pol = ranker.score_passages(*_block([h1, h2]), w_c, b_c, w_out)
 
     u1 = [max(0.1, 0.4), max(-0.2, 0.3)]
     u2 = [max(0.0, -0.1), max(0.5, 0.2)]
@@ -73,9 +78,10 @@ def test_permutation_equivariance():
     w_c = T.Tensor(rng.normal(size=(l, l)))
     b_c = T.Tensor(rng.normal(size=(l, 1)))
     w_out = T.Tensor(rng.normal(size=(1, l)))
-    base = ranker.score_passages(h_ranks, w_c, b_c, w_out).probs()
+    base = ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out).probs()
     perm = rng.permutation(n)
-    permuted = ranker.score_passages([h_ranks[i] for i in perm], w_c, b_c, w_out).probs()
+    permuted = ranker.score_passages(*_block([h_ranks[i] for i in perm]), w_c, b_c,
+                                     w_out).probs()
     assert np.allclose(permuted, base[perm], atol=1e-9)
 
 

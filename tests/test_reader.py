@@ -16,7 +16,8 @@ def make_heads(seed, l):
 def make_dist(seed, widths, l=4):
     rng = np.random.default_rng(seed)
     h_reads = [T.Tensor(rng.normal(size=(l, w))) for w in widths]
-    return reader.span_distributions(h_reads, list(range(len(widths))), *make_heads(seed + 1, l))
+    return reader.span_distributions(T.concat_cols(h_reads), widths, list(range(len(widths))),
+                                     *make_heads(seed + 1, l))
 
 
 def test_single_one_word_passage():
@@ -30,7 +31,7 @@ def test_two_identical_passages_symmetric():
     rng = np.random.default_rng(1)
     h = rng.normal(size=(4, 3))
     heads = make_heads(2, 4)
-    dist = reader.span_distributions([T.Tensor(h.copy()), T.Tensor(h.copy())], [0, 1], *heads)
+    dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], [0, 1], *heads)
     ps, pe = T.softmax_cols(dist.start_logits).data, T.softmax_cols(dist.end_logits).data
     assert np.allclose(ps[:3], ps[3:], atol=1e-12)
     assert np.allclose(pe[:3], pe[3:], atol=1e-12)
@@ -52,7 +53,7 @@ def test_span_distributions_match_scalar_loop_reference():
     l = 4
     h_reads = [T.Tensor(rng.normal(size=(l, w))) for w in (3, 2)]
     heads = make_heads(4, l)
-    dist = reader.span_distributions(h_reads, [0, 1], *heads)
+    dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], [0, 1], *heads)
     h_cat = np.concatenate([h.data for h in h_reads], axis=1)
     ws, bs, ws_out, we, be, we_out = heads
     assert np.allclose(T.softmax_cols(dist.start_logits).data[:, 0],
@@ -97,7 +98,8 @@ def test_span_loss_gradient_fd():
     h_reads_data = [rng.normal(size=(l, 3)), rng.normal(size=(l, 2))]
 
     def build():
-        dist = reader.span_distributions([T.Tensor(d) for d in h_reads_data], [0, 1], *heads)
+        dist = reader.span_distributions(T.Tensor(np.hstack(h_reads_data)), [3, 2], [0, 1],
+                                         *heads)
         return reader.span_loss(dist, reader.SpanLabel(0, 1, 2))
 
     assert T.fd_check(build, heads) < 1e-4

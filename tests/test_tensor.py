@@ -134,7 +134,7 @@ def _fd_single_op(op, *shapes, **kwargs):
                  requires_grad=True)
         for s in shapes
     ]
-    # keep relu/row_max inputs away from their kinks
+    # keep relu/segment_max inputs away from their kinks
     for p in params:
         p.data[np.abs(p.data) < 0.05] = 0.21
 
@@ -164,11 +164,134 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.add_col, (3, 4), (3, 1)) < 1e-4
     assert _fd_single_op(T.softmax_cols, (4, 3)) < 1e-4
     assert _fd_single_op(T.transpose, (2, 5)) < 1e-4
-    assert _fd_single_op(T.row_max, (3, 4)) < 1e-4
+    assert _fd_single_op(T.segment_max, (3, 7), widths=[2, 1, 4]) < 1e-4
+    assert _fd_single_op(T.take_cols, (3, 5), index=[4, 0, 2]) < 1e-4
     assert _fd_single_op(T.slice_cols, (3, 5), j0=1, j1=4) < 1e-4
     assert _fd_single_op(rows, (5, 2), i0=0, i1=3) < 1e-4
     assert _fd_single_op(T.neg_log_softmax_pick, (5, 1), k=2) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), ks=[3, 0, 2]) < 1e-4
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
+
+
+# --- gathers and fused reductions: the bits of the compositions they replace ---
+
+def _row_max(a):
+    """Row-wise max of a as one (rows, 1) node, its gradient routed to the
+    first argmax: the per-passage op segment_max replaced."""
+    idx = a.data.argmax(axis=1)
+    r = np.arange(a.data.shape[0])
+    out = T.Tensor._node(a.data[r, idx].reshape(-1, 1), (a,))
+    if out.requires_grad:
+        def bw(g):
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[r, idx] += g[:, 0]
+        out._backward = bw
+    return out
+
+
+def _two_paths(build_new, build_old, shape):
+    """Output and upstream gradients of two builds over the same input,
+    which feeds a matmul after the op and a second consumer besides it."""
+    data = RNG.normal(size=shape)
+    w = T.Tensor(RNG.normal(size=(3, shape[0])), requires_grad=True)
+    results = []
+    for build in (build_new, build_old):
+        w.grad = None
+        x = T.Tensor(data, requires_grad=True)
+        a = T.tanh(x)
+        out = build(a)
+        T.backward(T.add(T.sum_all(T.mul(T.matmul(w, out), T.matmul(w, out))), T.sum_all(a)))
+        results.append((out.data, x.grad, w.grad))
+    return results
+
+
+def test_take_cols_equals_its_slices_bit_for_bit():
+    for _ in range(50):
+        cols = int(RNG.integers(1, 9))
+        index = RNG.permutation(cols)[:int(RNG.integers(1, cols + 1))].tolist()
+        new, old = _two_paths(
+            lambda a: T.take_cols(a, index),
+            lambda a: T.concat_cols([T.slice_cols(a, j, j + 1) for j in index]), (4, cols))
+        assert new[0].flags.c_contiguous
+        for x, y in zip(new, old):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("index, line", [
+    ([0, 2, 0], "take_cols: a column is taken twice"),
+    ([3], "take_cols: index out of range for (2, 3)"),
+    ([-1], "take_cols: index out of range for (2, 3)"),
+])
+def test_take_cols_rejects_a_repeat_and_a_column_outside(index, line):
+    # a repeated column's gradient would be added once, not once per take
+    with pytest.raises(T.ShapeError) as excinfo:
+        T.take_cols(rand_tensor(2, 3), index)
+    assert str(excinfo.value) == line
+
+
+def test_segment_max_equals_row_max_per_segment_bit_for_bit():
+    for _ in range(50):
+        widths = RNG.integers(1, 5, size=int(RNG.integers(1, 6))).tolist()
+        # few distinct values, so rows hold ties and the first argmax decides
+        data = RNG.integers(-2, 3, size=(4, sum(widths))).astype(float)
+        ends = np.cumsum(widths)
+        new, old = (
+            [out.data, x.grad] for out, x in (
+                _segment_paths(data, lambda a: T.segment_max(a, widths)),
+                _segment_paths(data, lambda a: T.concat_cols(
+                    [_row_max(T.slice_cols(a, e - w, e)) for w, e in zip(widths, ends)]))))
+        assert new[0].flags.c_contiguous
+        for x, y in zip(new, old):
+            assert np.array_equal(x, y)
+
+
+def _segment_paths(data, build):
+    x = T.Tensor(data, requires_grad=True)
+    out = build(x)
+    T.backward(T.sum_all(T.mul(out, T.Tensor(np.arange(out.data.size).reshape(out.data.shape)))))
+    return out, x
+
+
+@pytest.mark.parametrize("widths", [[], [2, 0, 2], [2, 3]])
+def test_segment_max_rejects_widths_that_do_not_cut_the_columns(widths):
+    with pytest.raises(T.ShapeError, match="segment_max: widths"):
+        T.segment_max(rand_tensor(2, 4), widths)
+
+
+def test_fused_mean_of_picks_equals_the_picks_added_in_order_bit_for_bit():
+    # the backward adds the picks' gradients in forward order, as the
+    # composition's backward does; another order changes the bits
+    for _ in range(500):
+        n = int(RNG.integers(2, 9))
+        ks = sorted(RNG.permutation(n)[:int(RNG.integers(1, n + 1))].tolist())
+
+        def composite(a):
+            total = None
+            for k in ks:
+                pick = T.neg_log_softmax_pick(a, k)
+                total = pick if total is None else T.add(total, pick)
+            return T.scale(total, 1.0 / len(ks))
+
+        data = RNG.normal(size=(n, 2)) * 3
+        w = T.Tensor(RNG.normal(size=(1, 2)), requires_grad=True)
+        results = []
+        for build in (lambda a: T.neg_log_softmax_mean(a, ks), composite):
+            x = T.Tensor(data, requires_grad=True)
+            w.grad = None
+            loss = build(T.transpose(T.matmul(w, T.transpose(x))))
+            T.backward(T.scale(loss, 1.7))
+            results.append((loss.data, x.grad, w.grad))
+        for a, b in zip(*results):
+            assert np.array_equal(a, b)
+
+
+def test_neg_log_softmax_mean_rejects_bad_input():
+    with pytest.raises(T.ShapeError, match="column vector"):
+        T.neg_log_softmax_mean(rand_tensor(3, 2), [0])
+    for ks in ([], [3], [-1]):
+        with pytest.raises(T.ShapeError, match="out of range"):
+            T.neg_log_softmax_mean(rand_tensor(3, 1), ks)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

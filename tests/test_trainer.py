@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (enumerate_policy_gradient, grad_or_zero, make_example, toy_example,
-                      toy_trainer)
+from conftest import (enumerate_policy_gradient, grad_or_zero, make_example, passage_block,
+                      read_block, toy_example, toy_trainer)
 
 from rankread import ranker as ranker_mod
 from rankread import reader as reader_mod
@@ -249,7 +249,7 @@ def _tape_size(root):
 
 def _unreached_nodes(monkeypatch, mode):
     """Tape nodes a two-example batch records that its summed loss does not reach,
-    with the batch's reports."""
+    with the batch's reports; a slice_cols call fails it."""
     recorded = []
     node = T.Tensor._node
 
@@ -259,29 +259,27 @@ def _unreached_nodes(monkeypatch, mode):
             recorded.append(out)
         return out
 
+    def no_slices(*args):
+        raise AssertionError("training moves columns with gathers, not slices")
+
     trainer = toy_trainer(seed=0, dropout=0.3)
     with monkeypatch.context() as m:
         m.setattr(T.Tensor, "_node", classmethod(recording))
+        m.setattr(T, "slice_cols", no_slices)
         reports = trainer.batch_losses([toy_example(), toy_example()], mode)
     reached = {id(t) for t in T._toposort(T.add(reports[0]["loss"], reports[1]["loss"]))}
     return [t for t in recorded if id(t) not in reached], reports
 
 
-@pytest.mark.parametrize("mode", ["sr2", "r3"])
+@pytest.mark.parametrize("mode", trainer_mod.MODES)
 def test_batch_tape_records_only_what_backward_reads(monkeypatch, mode):
-    # the heads emit logits; a probability is computed off the tape where it is read
-    unreached, _ = _unreached_nodes(monkeypatch, mode)
-    assert len(unreached) == 0
-
-
-def test_sr_tape_leaves_only_the_unread_positive_slices(monkeypatch):
-    # sr matches every passage of the subset but reads only tau and the
-    # negatives: each other positive leaves its slice of M unread
-    unreached, reports = _unreached_nodes(monkeypatch, "sr")
+    # the heads emit logits, and a probability is computed off the tape where
+    # it is read; the reader takes its passages' columns of M with one gather,
+    # so in sr the subset positives it does not read leave no node behind
+    unreached, reports = _unreached_nodes(monkeypatch, mode)
     example = toy_example()
-    others = sum(1 for r in reports for i in r["subset"] if example.spans.get(i) and i != r["tau"])
-    assert others > 0
-    assert len(unreached) == others
+    assert any(example.spans.get(i) and i != r["tau"] for r in reports for i in r["subset"])
+    assert len(unreached) == 0
 
 
 @pytest.mark.parametrize("mode", trainer_mod.MODES)
@@ -300,21 +298,22 @@ def test_sr2_example_tape_stays_small(example):
     # nodes for this example, the fused op with per-layer reshuffling 176, one
     # layout through each stack 153, one packed recurrence per stack call
     # whatever the lengths 140 (a node per direction and a concat per layer),
-    # one node per layer for both directions 130.
+    # one node per layer for both directions 130, one column block per
+    # question with gathers in place of per-passage slices 108.
     report = toy_trainer(seed=0).example_losses(example, "sr2")
-    assert _tape_size(report["loss"]) < 135
+    assert _tape_size(report["loss"]) < 110
 
 
 def test_sr2_batch_tape_stays_small(example):
     # a batch is one graph whose examples share each recurrence: four toy
-    # examples reach 313 tensors from their summed loss, four separate graphs
-    # 4 x 130 = 520
+    # examples reach 235 tensors from their summed loss (313 with per-passage
+    # slices), four separate graphs 4 x 108 = 432
     batch = [toy_example() for _ in range(4)]
     reports = toy_trainer(seed=0).batch_losses(batch, "sr2")
     total = reports[0]["loss"]
     for report in reports[1:]:
         total = T.add(total, report["loss"])
-    assert _tape_size(total) < 320
+    assert _tape_size(total) < 240
 
 
 def _mixed_batch():
@@ -334,14 +333,13 @@ def _reference_loss(trainer, example, mode, report):
     the subset, tau and span its batch drew."""
     model, cfg = trainer.model, trainer.config
     subset, tau = report["subset"], report["tau"]
-    ms = model.match_passages(embed(example.question_tokens, trainer.table),
-                              [embed(example.passage_tokens[i], trainer.table) for i in subset])
-    ms_by_id = dict(zip(subset, ms))
+    p_emb, widths = passage_block([example.passage_tokens[i] for i in subset], trainer.table)
+    m = model.match_passages(embed(example.question_tokens, trainer.table), p_emb, widths)
     order = [tau] + [i for i in subset if not example.spans.get(i)]
-    dist = model.read([ms_by_id[i] for i in order], order)
+    dist = model.read(*read_block(m, widths, [subset.index(i) for i in order]), order)
     loss = reader_mod.span_loss(dist, reader_mod.SpanLabel(tau, *report["span"]))
     if mode == "sr2":
-        kl = trainer_mod.kl_rank_loss(model.rank(ms, subset),
+        kl = trainer_mod.kl_rank_loss(model.rank(m, widths, subset),
                                       {i for i in subset if example.spans.get(i)})
         loss = T.add(loss, T.scale(kl, cfg.kl_weight))
     elif mode == "r3":
@@ -349,7 +347,7 @@ def _reference_loss(trainer, example, mode, report):
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         assert r == report["reward"]
-        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(ms, subset), tau), -r))
+        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(m, widths, subset), tau), -r))
     return loss
 
 
