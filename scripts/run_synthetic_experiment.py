@@ -6,6 +6,7 @@ import argparse
 import logging
 import sys
 
+from rankread.cli import comma_ints
 from rankread.config import MODES
 from rankread.experiment import run_experiment
 from rankread.files import write_json
@@ -13,15 +14,18 @@ from rankread.files import write_json
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", default="0,1,2", help="comma-separated training seeds")
+    parser.add_argument("--seeds", type=comma_ints, default="0,1,2",
+                        help="comma-separated training seeds")
     parser.add_argument("--sr-epochs", type=int, default=None)
     parser.add_argument("--sr2-epochs", type=int, default=None)
     parser.add_argument("--r3-epochs", type=int, default=None)
     parser.add_argument("--out", default=None, help="write the summary JSON here")
     args = parser.parse_args(argv)
+    if min(args.seeds) < 0:
+        parser.error(f"argument --seeds: seeds must be at least 0, got {args.seeds}")
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = tuple(args.seeds)
     result = run_experiment(seeds=seeds, sr_epochs=args.sr_epochs,
                             sr2_epochs=args.sr2_epochs, r3_epochs=args.r3_epochs)
     s = result["summary"]

@@ -42,6 +42,15 @@ def _config_from_args(args, base=None):
     return base.with_overrides({name: getattr(args, name) for name in args.config_fields})
 
 
+def comma_ints(text):
+    """argparse type: a list of comma-separated integers."""
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_config_flags(parser, names, cls=Config):
     for name in names:
         parser.add_argument("--" + name.replace("_", "-"), type=cls.__annotations__[name],
@@ -89,14 +98,15 @@ def _table_from_payload(payload):
 
 
 def _load_model(checkpoint_path):
-    values, _, extra = T.load_checkpoint(checkpoint_path)
+    values, extra = T.load_checkpoint(checkpoint_path)
     if not isinstance(extra, dict) or "config" not in extra or "table" not in extra:
         raise ValueError(f"{checkpoint_path}: checkpoint lacks config/table metadata")
     with one_line_errors(f"{checkpoint_path}: checkpoint metadata"):
         config = Config().with_overrides(extra["config"])
         table = _table_from_payload(extra["table"])
     model = RankReadModel(config, seed=config.seed)
-    model.load_values(values)
+    with one_line_errors(checkpoint_path):
+        model.load_values(values)
     return model, table, config
 
 
@@ -182,10 +192,9 @@ def cmd_evaluate(args):
 
 def cmd_analyze(args):
     model, table, config, dataset, retrieved_sets = _load_scoring_inputs(args)
-    ks = [int(k) for k in args.k.split(",")]
-    out = evaluation.analyze(model, table, dataset, retrieved_sets, ks, config.max_span_len)
+    out = evaluation.analyze(model, table, dataset, retrieved_sets, args.k, config.max_span_len)
     write_json(args.out, out, indent=1)
-    for k in ks:
+    for k in args.k:
         print(f"top-{k} recall: ir {out['recall']['ir'][k]:.3f} "
               f"model {out['recall']['model'][k]:.3f}")
     return 0
@@ -240,7 +249,8 @@ def build_parser():
         for flag in ("--checkpoint", "--retrieved", "--dataset", "--out"):
             p.add_argument(flag, required=True)
         if name == "analyze":
-            p.add_argument("--k", default="1,3,5")
+            p.add_argument("--k", type=comma_ints, default="1,3,5",
+                           help="comma-separated top-k cutoffs")
         _add_config_flags(p, ["max_span_len"])
         p.set_defaults(func=func)
 

@@ -15,17 +15,21 @@ def atomic_write(path):
 
     Writes go to a temporary file in path's directory, which os.replace then
     moves over path. If the block raises, path keeps its old contents and the
-    temporary file is removed. There is no fsync: this guards against a failed
-    or interrupted write, not against power loss.
+    temporary file is removed; an OSError on the temporary file (a missing
+    directory, or path being a directory) is raised naming path. There is no
+    fsync: this guards against a failed or interrupted write, not against
+    power loss.
     """
     tmp = f"{path}.{uuid.uuid4().hex[:8]}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

@@ -60,7 +60,7 @@ class RankReadModel:
     def load_values(self, values):
         for name, p in self.params.items():
             if name not in values:
-                raise KeyError(f"checkpoint is missing parameter {name!r}")
+                raise ValueError(f"checkpoint is missing parameter {name!r}")
             arr = np.asarray(values[name], dtype=p.data.dtype)
             if arr.shape != p.data.shape:
                 raise T.ShapeError(

@@ -347,17 +347,18 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     hidden states in the same column order; the backward direction runs each
     sequence from its last step to its first.
 
-    The step loop works on (rows, 2n, max_len) blocks with zeros past each
-    sequence's end. Forward sequence j sits in column n+j, backward
+    The step loop works on step-major (max_len, rows, 2n) blocks with zeros
+    past each sequence's end. Forward sequence j sits in column n+j, backward
     sequence j in column n-1-j with its steps reversed, so block step i holds
     forward step i and backward step max_len-1-i. With active[t] =
     #(lengths > t), the sequences that take iteration i, as in a packed
     sequence, are the one contiguous column range [n - active[max_len-1-i],
     n + active[i]), and every gate, cell and store op runs once per iteration
-    for both directions. The state, forward and backward, sits in
-    zero-initialised (h, 2n) buffers: a sequence that has not started reads
-    zeros and one that has finished is never read again, so no padded
-    position is computed and each sequence's arithmetic is its own.
+    for both directions. The hidden states and cells are stored with one
+    extra zero step in front, so step i of each store is the state entering
+    block step i: a sequence that has not started reads zeros and one that
+    has finished is never read again, so no padded position is computed and
+    each sequence's arithmetic is its own.
 
     Each direction keeps its own recurrent matmul over exactly its own
     columns, so every product has the shape a single-direction loop gives it
@@ -365,8 +366,9 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     stacked or block-diagonal product would round differently. The forward
     matches the composite reference in tests/test_matcher.py, one tape node
     per gate op and step, bit for bit; the backward is hand-written BPTT over
-    the same columns.
-    Gate activations and cells are stored only when the op records a node.
+    the same columns, reading the entering state from the stores and
+    recomputing tanh(c) from the cells. Gate activations are stored only when
+    the op records a node.
     """
     h = U_f.data.shape[1]
     rows, cols = pre_f.data.shape
@@ -391,11 +393,12 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     spans = [(n - active[steps - 1 - i], n + active[i]) for i in range(steps)]
     mask = None if lengths[-1] == steps else np.arange(steps) < np.array(lengths)[:, None]
 
-    def views(b):  # each direction's (rows, n, steps) view of a block, in input order
+    def views(b):  # each direction's (rows, n, steps) view of a step-major block, in input order
+        b = b.transpose(1, 2, 0)
         return b[:, n:], b[:, n - 1::-1, ::-1]
 
     def blocked(a_f, a_b):
-        b = np.zeros((a_f.shape[0], 2 * n, steps))
+        b = np.zeros((steps, a_f.shape[0], 2 * n))
         for view, a in zip(views(b), (a_f, a_b)):
             if mask is None:
                 view[...] = a.reshape(a.shape[0], n, steps)
@@ -412,43 +415,31 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     out = Tensor._node(None, (pre_f, pre_b, U_f, U_b))  # data comes after the loop
     record = out.requires_grad
     pre3 = blocked(pre_f.data, pre_b.data)
-    hs = np.zeros((h, 2 * n, steps))
+    hs = np.zeros((steps + 1, h, 2 * n))  # [i]: the state entering block step i
+    cells = np.zeros_like(hs)
     if record:  # zeros past each sequence's end, which the backward reads
-        acts = np.zeros((4 * h, 2 * n, steps))  # gate activations i, f, o, g
-        cells = np.zeros((h, 2 * n, steps))
-        tanh_c = np.zeros((h, 2 * n, steps))
-    h_t = np.zeros((h, 2 * n))  # state; iteration i uses columns spans[i]
-    c_t = np.zeros((h, 2 * n))
+        acts = np.zeros((steps, 4 * h, 2 * n))  # gate activations i, f, o, g
     for i, (lo, hi) in enumerate(spans):
         z = np.empty((4 * h, hi - lo))
-        np.matmul(U_b.data, h_t[:, lo:n], out=z[:, :n - lo])
-        np.matmul(U_f.data, h_t[:, n:hi], out=z[:, n - lo:])
-        z += pre3[:, lo:hi, i]
+        np.matmul(U_b.data, hs[i, :, lo:n], out=z[:, :n - lo])
+        np.matmul(U_f.data, hs[i, :, n:hi], out=z[:, n - lo:])
+        z += pre3[i, :, lo:hi]
         a = np.empty_like(z)
         a[:3 * h] = _sigmoid(z[:3 * h])
         a[3 * h:] = np.tanh(z[3 * h:])
-        c = a[h:2 * h] * c_t[:, lo:hi] + a[:h] * a[3 * h:]
-        tc = np.tanh(c)
-        c_t[:, lo:hi] = c
-        np.multiply(a[2 * h:3 * h], tc, out=h_t[:, lo:hi])
-        hs[:, lo:hi, i] = h_t[:, lo:hi]
+        c = a[h:2 * h] * cells[i, :, lo:hi] + a[:h] * a[3 * h:]
+        cells[i + 1, :, lo:hi] = c
+        np.multiply(a[2 * h:3 * h], np.tanh(c), out=hs[i + 1, :, lo:hi])
         if record:
-            acts[:, lo:hi, i] = a
-            cells[:, lo:hi, i] = c
-            tanh_c[:, lo:hi, i] = tc
-    out.data = np.concatenate([packed(v) for v in views(hs)])
+            acts[i, :, lo:hi] = a
+    out.data = np.concatenate([packed(v) for v in views(hs[1:])])
     if record:
         def bw(g):
-            # state entering each block step: the previous step's, zero at a
-            # sequence's start since the blocks are zero past its end
-            h_in = np.zeros_like(hs)
-            c_in = np.zeros_like(cells)
-            h_in[:, :, 1:] = hs[:, :, :-1]
-            c_in[:, :, 1:] = cells[:, :, :-1]
-            i, f, o, gg = acts[:h], acts[h:2 * h], acts[2 * h:3 * h], acts[3 * h:]
+            i, f, o, gg = acts[:, :h], acts[:, h:2 * h], acts[:, 2 * h:3 * h], acts[:, 3 * h:]
+            tanh_c = np.tanh(cells[1:])
             # dz = factor * (dc for rows i, f, g; dh for rows o)
-            factor = np.concatenate((gg * i * (1.0 - i), c_in * f * (1.0 - f),
-                                     tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)))
+            factor = np.concatenate((gg * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                                     tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)), axis=1)
             dc_dh = o * (1.0 - tanh_c * tanh_c)
             g3 = blocked(g[:h], g[h:])
             dpre = np.zeros_like(acts)
@@ -456,14 +447,14 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
             dc_next = np.zeros((h, 2 * n))
             for t in range(steps - 1, -1, -1):
                 lo, hi = spans[t]
-                dh = g3[:, lo:hi, t] + dh_next[:, lo:hi]
-                dc = dh * dc_dh[:, lo:hi, t] + dc_next[:, lo:hi]
-                dz = factor[:, lo:hi, t] * np.concatenate((dc, dc, dh, dc))
-                dpre[:, lo:hi, t] = dz
-                np.multiply(dc, f[:, lo:hi, t], out=dc_next[:, lo:hi])
+                dh = g3[t, :, lo:hi] + dh_next[:, lo:hi]
+                dc = dh * dc_dh[t, :, lo:hi] + dc_next[:, lo:hi]
+                dz = factor[t, :, lo:hi] * np.concatenate((dc, dc, dh, dc))
+                dpre[t, :, lo:hi] = dz
+                np.multiply(dc, f[t, :, lo:hi], out=dc_next[:, lo:hi])
                 np.matmul(U_b.data.T, dz[:, :n - lo], out=dh_next[:, lo:n])
                 np.matmul(U_f.data.T, dz[:, n - lo:], out=dh_next[:, n:hi])
-            for pre, U, dp, hp in zip((pre_f, pre_b), (U_f, U_b), views(dpre), views(h_in)):
+            for pre, U, dp, hp in zip((pre_f, pre_b), (U_f, U_b), views(dpre), views(hs[:-1])):
                 dp = packed(dp)
                 _accumulate(pre, dp)
                 if U.requires_grad:
@@ -622,19 +613,6 @@ class Adamax:
             np.maximum(self.beta2 * u, np.abs(g), out=u)
             p.data -= (self.lr / correction) * m / (u + self.eps)
 
-    def reset(self):
-        self.t = 0
-        for n in self.m:
-            self.m[n][...] = 0.0
-            self.u[n][...] = 0.0
-
-    def state_dict(self):
-        return {
-            "t": self.t,
-            "m": {n: a.ravel().tolist() for n, a in self.m.items()},
-            "u": {n: a.ravel().tolist() for n, a in self.u.items()},
-        }
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints
@@ -643,8 +621,8 @@ class Adamax:
 CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path, params, optimizer=None, extra=None):
-    """Write parameters (and optionally optimizer state) to a JSON file.
+def save_checkpoint(path, params, extra=None):
+    """Write parameters, and extra if given, to a JSON file.
 
     Floats serialize via repr, so a save/load round-trip is bit-exact.
     """
@@ -660,15 +638,14 @@ def save_checkpoint(path, params, optimizer=None, extra=None):
             for name, p in params.items()
         ],
     }
-    if optimizer is not None:
-        payload["optimizer"] = optimizer.state_dict()
     if extra is not None:
         payload["extra"] = extra
     write_json(path, payload)
 
 
 def load_checkpoint(path):
-    """Return ({name: ndarray}, optimizer_state_or_None, extra_or_None)."""
+    """Return ({name: ndarray}, extra_or_None). An "optimizer" entry, which
+    older checkpoints carry, is ignored."""
     payload = read_versioned_json(path, "checkpoint", CHECKPOINT_VERSION, ("params",))
     values = {}
     with one_line_errors(path):
@@ -679,4 +656,4 @@ def load_checkpoint(path):
             if not np.isfinite(arr).all():
                 raise ValueError(f"checkpoint entry {rec['name']!r} has a non-finite value")
             values[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
-    return values, payload.get("optimizer"), payload.get("extra")
+    return values, payload.get("extra")

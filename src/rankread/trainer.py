@@ -13,6 +13,7 @@ from . import reader as reader_mod
 from . import tensor as T
 from .config import MODES
 from .evaluation import token_f1
+from .files import one_line_errors
 from .text import embed, find_token_spans, tokenize
 
 log = logging.getLogger(__name__)
@@ -128,13 +129,11 @@ def sample_passage_subset(example, k, min_negatives, rng):
     return sorted(chosen)
 
 
-def pretrain_init(model, checkpoint_path, optimizer=None):
-    """Copy checkpointed parameters into the model and reset optimizer state."""
-    values, _, extra = T.load_checkpoint(checkpoint_path)
-    model.load_values(values)
-    if optimizer is not None:
-        optimizer.reset()
-    return extra
+def pretrain_init(model, checkpoint_path):
+    """Copy checkpointed parameters into the model."""
+    values, _ = T.load_checkpoint(checkpoint_path)
+    with one_line_errors(checkpoint_path):
+        model.load_values(values)
 
 
 class Trainer:

@@ -187,8 +187,7 @@ def test_evaluate_and_analyze(workdir, tmp_path):
 def test_checkpoint_with_optimizer_state_evaluates_the_same(workdir, tmp_path):
     # checkpoints written before the optimizer state was dropped still load
     ckpt = json.loads(workdir["ckpt"].read_text())
-    values = T.load_checkpoint(workdir["ckpt"])[0]
-    ckpt["optimizer"] = T.Adamax({name: T.Tensor(v) for name, v in values.items()}).state_dict()
+    ckpt["optimizer"] = {"t": 3, "m": {"rank.W": [0.5, -0.25]}, "u": {"rank.W": [0.5, 0.25]}}
     old = tmp_path / "with_optimizer.json"
     old.write_text(json.dumps(ckpt))
     reports = []
@@ -447,6 +446,68 @@ def test_analyze_k_below_one_is_one_line_error(workdir, tmp_path, capsys, k):
                  "--dataset", str(workdir["test"]), "--out", str(tmp_path / "a.json"),
                  "--k", k]) == 1
     assert "must be at least 1" in _error_line(capsys)
+
+
+@pytest.mark.parametrize("k", ["a", "", "1,,3"])
+def test_analyze_k_that_is_not_integers_is_a_usage_error_naming_k(workdir, tmp_path, capsys, k):
+    # before, --k a gave "error: invalid literal for int() with base 10: 'a'"
+    out = tmp_path / "a.json"
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", "--checkpoint", str(workdir["ckpt"]),
+              "--retrieved", str(workdir["retrieved_test"]),
+              "--dataset", str(workdir["test"]), "--out", str(out), "--k", k])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"rankread analyze: error: argument --k: expected comma-separated integers, got {k!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_out_that_cannot_be_written_is_one_line_error_naming_it(workdir, tmp_path, capsys,
+                                                               target):
+    # before, the line named the temporary file: 'nodir/i.json.2d5dbfd4.tmp'
+    if target == "directory":
+        out = tmp_path / "d"
+        out.mkdir()
+        message = f"[Errno 21] Is a directory: {str(out)!r}"
+    else:
+        out = tmp_path / "nodir" / "i.json"
+        message = f"[Errno 2] No such file or directory: {str(out)!r}"
+    assert main(["build-index", "--corpus", str(workdir["corpus"]), "--out", str(out)]) == 1
+    assert _error_line(capsys) == f"error: {message}"
+    assert [p.name for p in tmp_path.rglob("*")] == (["d"] if target == "directory" else [])
+
+
+@pytest.mark.parametrize("fault", ["missing", "shape"])
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_checkpoint_that_does_not_fit_the_model_is_one_line_error_naming_it(
+        workdir, tmp_path, capsys, command, fault):
+    # before, a missing parameter printed KeyError's quotes, and neither
+    # error named the checkpoint
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    if fault == "missing":
+        ckpt["params"] = [rec for rec in ckpt["params"] if rec["name"] != "rank.W"]
+        message = "ValueError: checkpoint is missing parameter 'rank.W'"
+    else:
+        rec = next(rec for rec in ckpt["params"] if rec["name"] == "enc.fwd.W")
+        shape = (rec["rows"], rec["cols"])
+        rec["cols"] += 1
+        rec["values"] += [0.0] * rec["rows"]
+        message = (f"ShapeError: parameter 'enc.fwd.W': checkpoint shape "
+                   f"{(shape[0], shape[1] + 1)} != model shape {shape}")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(ckpt))
+    out = tmp_path / "out.json"
+    if command == "evaluate":
+        argv = ["evaluate", "--checkpoint", str(bad), "--retrieved", str(workdir["retrieved_test"]),
+                "--dataset", str(workdir["test"]), "--out", str(out)]
+    else:
+        argv = ["train", "--init", str(bad), "--retrieved", str(workdir["retrieved_train"]),
+                "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "r3",
+                "--hidden-size", "8", "--embed-dim", "8", "--train-sample-k", "6"]
+    assert main(argv) == 1
+    assert _error_line(capsys) == f"error: {bad}: {message}"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", ["--top-a", "--top-s", "--retrieve-n", "--bm25-k1", "--bm25-b"])

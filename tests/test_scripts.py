@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -25,3 +27,13 @@ def test_run_synthetic_experiment_writes_the_summary_json(tmp_path):
     assert seed["seed"] == 0
     for mode in ("sr", "sr2", "r3"):
         assert 0.0 <= seed[mode]["em"] <= seed[mode]["f1"] <= 100.0
+
+
+@pytest.mark.parametrize("seeds", ["a", "", "0,x", "-1"])
+def test_run_synthetic_experiment_rejects_seeds_that_are_not_integers_at_least_0(capsys, seeds):
+    # before, --seeds a ended in a traceback from int()
+    script = _load("run_synthetic_experiment")
+    with pytest.raises(SystemExit) as info:
+        script.main([f"--seeds={seeds}"])
+    assert info.value.code == 2
+    assert ": error: argument --seeds: " in capsys.readouterr().err.splitlines()[-1]
