@@ -81,7 +81,7 @@ def _table_payload(config, table):
     if config.embeddings_path:
         return {"kind": "file", "path": config.embeddings_path, "dimension": table.dimension}
     return {"kind": "inline", "dimension": table.dimension,
-            "vectors": {tok: table.lookup(tok).tolist() for tok in sorted(table._vectors)}}
+            "vectors": {tok: table.lookup(tok).tolist() for tok in sorted(table.tokens())}}
 
 
 def _table_from_payload(payload):

@@ -182,7 +182,8 @@ def oracle_topk(candidate_lists, gold_lists, ks):
 def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15):
     """Mean F1/EM (as evaluate gives them), top-k recall of the IR order and of
     the model's order, and the re-ranking ceiling, over every question of the
-    dataset, from one predict_candidates pass per question.
+    dataset, from one predict_candidates pass per question. The cutoffs ks
+    are distinct and at least 1.
 
     The model's order sorts the candidates by selection probability, ties in
     IR order, as rank_passages does. A question with no retrieved passages
@@ -190,6 +191,8 @@ def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15
     """
     if any(k < 1 for k in ks):
         raise ValueError(f"top-k cutoffs must be at least 1, got {list(ks)}")
+    if len(set(ks)) != len(ks):
+        raise ValueError(f"top-k cutoffs must not repeat, got {list(ks)}")
     by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
     records, ir_flags, model_flags, candidate_lists = [], [], [], []
     for rec in dataset:

@@ -112,11 +112,6 @@ def encode_batch(blocks, widths, layers):
             for block, end in zip(blocks, ends)]
 
 
-def split_cols(x, widths):
-    """x's columns cut into consecutive pieces of the given widths."""
-    return [T.slice_cols(x, end - width, end) for width, end in zip(widths, accumulate(widths))]
-
-
 def attend(h_q, h_p, w_g, b_g):
     """Attention over question words for each passage word.
 

@@ -76,7 +76,9 @@ class RankReadModel:
     # passage, and one pass of each aggregation stack over every M, so the
     # sequences of all the questions share each recurrence. Attention,
     # fusion and the heads act per question. match_passages, rank, read and
-    # read_each are the one-question forms.
+    # read_each are the one-question forms; read_each, the inference form,
+    # runs the read stack and each pointer head once over the question's
+    # block and cuts the logits per passage afterwards.
 
     def dropout_masks(self, q_emb, p_emb, rng):
         """One question's inverted-dropout masks for the encoded question, the
@@ -133,8 +135,13 @@ class RankReadModel:
         return self.read_batch([m], [widths], [passage_ids])[0]
 
     def read_each(self, m, widths, passage_ids):
-        """One single-segment span distribution per passage (inference form):
-        one pass of the stack over the block, then the heads per passage."""
-        h_read = matcher.encode_batch([m], [widths], self.agg_read)[0]
-        return [reader.span_distributions(h, [w], [pid], *self.read_heads)
-                for h, w, pid in zip(matcher.split_cols(h_read, widths), widths, passage_ids)]
+        """One single-segment span distribution per passage, for inference only:
+        under no_grad, one pass of the read stack and of each pointer head over
+        the block, then each passage gets its own rows of the two logit columns."""
+        with T.no_grad():
+            dist = self.read(m, widths, passage_ids)
+        starts, ends = dist.start_logits.data, dist.end_logits.data
+        return [reader.SpanDistribution(T.Tensor(starts[s.offset:s.offset + s.length]),
+                                        T.Tensor(ends[s.offset:s.offset + s.length]),
+                                        [reader.Segment(s.passage_id, 0, s.length)])
+                for s in dist.segments]

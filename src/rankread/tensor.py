@@ -174,10 +174,6 @@ def relu(a):
     return _unary(a, y, (a.data > 0).astype(a.data.dtype))
 
 
-def _sigmoid(x):
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)  # tanh form is overflow-safe for any sign
-
-
 def scale(a, c):
     """Multiply by a Python constant."""
     c = float(c)
@@ -424,9 +420,12 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
         np.matmul(U_b.data, hs[i, :, lo:n], out=z[:, :n - lo])
         np.matmul(U_f.data, hs[i, :, n:hi], out=z[:, n - lo:])
         z += pre3[i, :, lo:hi]
-        a = np.empty_like(z)
-        a[:3 * h] = _sigmoid(z[:3 * h])
-        a[3 * h:] = np.tanh(z[3 * h:])
+        # one tanh for all four gates; the sigmoid rows take the overflow-safe
+        # form 0.5 * (tanh(0.5 z) + 1), in place
+        z[:3 * h] *= 0.5
+        a = np.tanh(z, out=z)
+        a[:3 * h] += 1.0
+        a[:3 * h] *= 0.5
         c = a[h:2 * h] * cells[i, :, lo:hi] + a[:h] * a[3 * h:]
         cells[i + 1, :, lo:hi] = c
         np.multiply(a[2 * h:3 * h], np.tanh(c), out=hs[i + 1, :, lo:hi])

@@ -50,15 +50,27 @@ def contains_answer(tokens, answer_token_lists):
 
 
 class EmbeddingTable:
-    """Immutable token -> vector map; unknown tokens share an all-zero vector."""
+    """Immutable token -> vector map, held as one (d, V+1) matrix and a token ->
+    column map. Column j is the vector of the j-th token given; the last
+    column is the all-zero vector that unknown tokens share."""
 
     def __init__(self, dimension, vectors):
+        vectors = dict(vectors)
         self.dimension = dimension
-        self._vectors = dict(vectors)
-        self._unknown = np.zeros(dimension)
+        self._columns = {tok: j for j, tok in enumerate(vectors)}
+        self._matrix = np.column_stack([*vectors.values(), np.zeros(dimension)])
+
+    def tokens(self):
+        """The known tokens, in column order."""
+        return list(self._columns)
 
     def lookup(self, token):
-        return self._vectors.get(token, self._unknown)
+        return self._matrix[:, self._columns.get(token, -1)]
+
+    def gather(self, tokens):
+        """The (d, len(tokens)) C-ordered matrix of the tokens' vectors, one gather."""
+        unknown = len(self._columns)
+        return np.take(self._matrix, [self._columns.get(tok, unknown) for tok in tokens], axis=1)
 
 
 def load_embeddings(path, dimension):
@@ -102,7 +114,7 @@ def synthetic_embeddings(vocab, dimension, seed=0):
 
 
 def embed(tokens, table):
-    """Stack token vectors column-wise into a fixed (d, T) tensor."""
+    """The token vectors side by side, as a fixed (d, T) tensor."""
     if not tokens:
         raise ValueError("embed: empty token sequence")
-    return T.Tensor(np.stack([table.lookup(tok) for tok in tokens], axis=1))
+    return T.Tensor(table.gather(tokens))

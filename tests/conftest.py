@@ -66,8 +66,9 @@ def example():
 
 
 def sigmoid(a):
-    """The logistic function composed from tape ops, with `tensor._sigmoid`'s
-    arithmetic (0.5 * (tanh(0.5 x) + 1)), so its values are that function's bits."""
+    """The logistic function composed from tape ops, with the arithmetic of
+    `tensor.bilstm`'s sigmoid gates (0.5 * (tanh(0.5 x) + 1)), so its values
+    are those gates' bits."""
     return T.scale(T.add(T.tanh(T.scale(a, 0.5)), T.Tensor(np.ones(a.data.shape))), 0.5)
 
 

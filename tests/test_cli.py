@@ -91,6 +91,15 @@ def test_train_writes_checkpoint_and_log(workdir):
     assert all("reward" not in r for r in records)  # no policy term in sr2 logs
 
 
+def test_inline_table_is_the_token_vector_map_sorted_by_token(workdir):
+    # synthetic embeddings draw one row per token in sorted order, from the seed
+    table = json.loads(workdir["ckpt"].read_text())["extra"]["table"]
+    tokens = list(table["vectors"])
+    assert tokens == sorted(tokens)
+    draw = np.random.default_rng(3).uniform(-0.5, 0.5, size=(len(tokens), 8))
+    assert table["vectors"] == {tok: row.tolist() for tok, row in zip(tokens, draw)}
+
+
 def test_sr_mode_logs_skip_ranker_fields(workdir, tmp_path):
     log = tmp_path / "sr_log.jsonl"
     assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
@@ -446,6 +455,17 @@ def test_analyze_k_below_one_is_one_line_error(workdir, tmp_path, capsys, k):
                  "--dataset", str(workdir["test"]), "--out", str(tmp_path / "a.json"),
                  "--k", k]) == 1
     assert "must be at least 1" in _error_line(capsys)
+
+
+def test_analyze_repeated_k_is_one_line_error(workdir, tmp_path, capsys):
+    # before, --k 3,1,3 printed the top-3 line twice and wrote "k": [3, 1, 3]
+    # beside recall and oracle dicts with two keys each
+    out = tmp_path / "a.json"
+    assert main(["analyze", "--checkpoint", str(workdir["ckpt"]),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(out), "--k", "3,1,3"]) == 1
+    assert _error_line(capsys) == "error: top-k cutoffs must not repeat, got [3, 1, 3]"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", ["a", "", "1,,3"])

@@ -101,9 +101,16 @@ def test_predict_empty_passages_gives_sentinel():
     assert pred.answer == "" and pred.passage_id is None and pred.score == 0.0
 
 
+def _softmax(a):
+    e = np.exp(a - a.max())
+    return e / e.sum()
+
+
 def test_predict_matches_brute_force_over_pairs(example):
-    """argmax over per-passage candidates == argmax over all (span, passage) pairs."""
-    from rankread import reader as reader_mod
+    """argmax over per-passage candidates == argmax over all (span, passage)
+    pairs, with each passage's pointer logits computed in plain numpy, one
+    passage at a time, from the read stack's output and the six head arrays."""
+    from rankread import matcher
     from rankread import tensor as T
     from rankread.text import embed
 
@@ -116,11 +123,19 @@ def test_predict_matches_brute_force_over_pairs(example):
         p_emb, widths = passage_block(example.passage_tokens, table)
         m = model.match_passages(q_emb, p_emb, widths)
         gamma = model.rank(m, widths).probs()
-        dists = model.read_each(m, widths, list(range(len(example.passages))))
+        h_read = matcher.encode_batch([m], [widths], model.agg_read)[0].data
+        dists = model.read_each(m, widths, list(range(len(widths))))
+    w_s, b_s, ws_out, w_e, b_e, we_out = (p.data for p in model.read_heads)
+    assert len(dists) == len(widths)
     best_score, best_answer = -1.0, None
-    for i, dist in enumerate(dists):
-        ps = T.softmax_cols(dist.start_logits).data[:, 0]
-        pe = T.softmax_cols(dist.end_logits).data[:, 0]
+    for i, (dist, end) in enumerate(zip(dists, np.cumsum(widths))):
+        x = h_read[:, end - widths[i]:end]
+        start_logits = (ws_out @ np.tanh(w_s @ x + b_s))[0]
+        end_logits = (we_out @ np.tanh(w_e @ x + b_e))[0]
+        np.testing.assert_allclose(dist.start_logits.data[:, 0], start_logits, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dist.end_logits.data[:, 0], end_logits, rtol=0, atol=1e-12)
+        assert [(s.passage_id, s.offset, s.length) for s in dist.segments] == [(i, 0, widths[i])]
+        ps, pe = _softmax(start_logits), _softmax(end_logits)
         for s in range(len(ps)):
             for e in range(s, min(s + 4, len(ps))):
                 score = ps[s] * pe[e] * gamma[i]
@@ -261,6 +276,17 @@ def test_analyze_oracle_takes_the_rank_passages_order_from_its_candidates(exampl
         expected = E.topk_recall([[p.positive for p in order] for order in ranked], ks)
         out = E.analyze(model, table, dataset, retrieved, ks)
         assert out["recall"]["model"] == expected, seed
+
+
+@pytest.mark.parametrize("ks", [(3, 1, 3), (1, 1)])
+def test_analyze_rejects_a_repeated_cutoff(example, ks):
+    # before, (3, 1, 3) gave "k": [3, 1, 3] beside recall and oracle dicts
+    # with one key per distinct cutoff
+    trainer = toy_trainer(seed=0)
+    dataset, retrieved = _dataset_and_retrieved(example)
+    with pytest.raises(ValueError) as info:
+        E.analyze(trainer.model, trainer.table, dataset, retrieved, ks=ks)
+    assert str(info.value) == f"top-k cutoffs must not repeat, got {list(ks)}"
 
 
 def test_analyze_f1_em_equal_evaluate_with_a_question_without_passages(example):

@@ -178,6 +178,40 @@ def test_embed_all_unknown_gives_zero_matrix(tmp_path):
     assert np.array_equal(text.embed(["x", "y"], table).data, np.zeros((3, 2)))
 
 
+def _per_token_stack(tokens, vectors, dimension):
+    """embed as a stack of one looked-up vector per token, unknown ones zero."""
+    unknown = np.zeros(dimension)
+    return np.stack([vectors.get(tok, unknown) for tok in tokens], axis=1)
+
+
+def _assert_same_bits(out, ref):
+    assert out.shape == ref.shape and out.dtype == ref.dtype
+    assert out.tobytes() == ref.tobytes()  # tells -0.0 from 0.0 too
+    assert out.flags.c_contiguous
+
+
+# known tokens with a repeat, known and unknown mixed, all unknown
+EMBED_SEQUENCES = [["b", "a", "b"], ["a", "zz", "c", "qq", "a"], ["zz", "qq"]]
+
+
+@pytest.mark.parametrize("tokens", EMBED_SEQUENCES)
+def test_embed_equals_the_per_token_stack_on_a_synthetic_table(tokens):
+    vocab = ["c", "a", "b", "a"]
+    draw = np.random.default_rng(4).uniform(-0.5, 0.5, size=(3, 5))
+    vectors = dict(zip(["a", "b", "c"], draw))  # one row per token, sorted
+    out = text.embed(tokens, text.synthetic_embeddings(vocab, 5, seed=4)).data
+    _assert_same_bits(out, _per_token_stack(tokens, vectors, 5))
+
+
+@pytest.mark.parametrize("tokens", EMBED_SEQUENCES)
+def test_embed_equals_the_per_token_stack_on_a_file_table(tmp_path, tokens):
+    lines = ["a 0.1 -0.2 3e-5", "b 1 2 3", "a 9 9 9", "c -0.0 0.5 1e300", "d 1 2"]
+    table = text.load_embeddings(write_embeddings(tmp_path / "e.txt", lines), 3)
+    vectors = {"a": np.array([0.1, -0.2, 3e-5]), "b": np.array([1.0, 2.0, 3.0]),
+               "c": np.array([-0.0, 0.5, 1e300])}  # the duplicate "a" keeps its first line
+    _assert_same_bits(text.embed(tokens, table).data, _per_token_stack(tokens, vectors, 3))
+
+
 def test_embed_rejects_empty_sequence(tmp_path):
     p = write_embeddings(tmp_path / "e.txt", ["a 1 0 0"])
     with pytest.raises(ValueError, match="empty"):
