@@ -139,7 +139,7 @@ class RankReadModel:
         under no_grad, one pass of the read stack and of each pointer head over
         the block, then each passage gets its own rows of the two logit columns."""
         with T.no_grad():
-            dist = self.read(m, widths, passage_ids)
+            dist = self.read_batch([m], [widths], [passage_ids])[0]
         starts, ends = dist.start_logits.data, dist.end_logits.data
         return [reader.SpanDistribution(T.Tensor(starts[s.offset:s.offset + s.length]),
                                         T.Tensor(ends[s.offset:s.offset + s.length]),

@@ -1,7 +1,6 @@
 """Span reader: start/end logits over concatenated passage words."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -72,18 +71,6 @@ def _log_softmax(logits):
     return a - (m + np.log(np.exp(a - m).sum()))
 
 
-@lru_cache(maxsize=256)
-def _span_grid(length, width):
-    """For a passage of length tokens, the end index of each span (i, i + k),
-    clipped into the passage, and the mask of spans that run past its end:
-    both (length, width), read-only, built once per shape."""
-    ends = np.arange(length)[:, None] + np.arange(width)[None, :]
-    grid = np.minimum(ends, length - 1), ends >= length
-    for a in grid:
-        a.flags.writeable = False
-    return grid
-
-
 def extract_best_span(dist, max_len, restrict_to=None):
     """Best (start, end) pair by log p_start + log p_end within one passage segment.
 
@@ -103,9 +90,10 @@ def extract_best_span(dist, max_len, restrict_to=None):
         lo, length = seg.offset, seg.length
         width = min(max_len, length)
         # scores[i, k] is the span starting at token i and ending at i + k
-        ends, outside = _span_grid(length, width)
-        scores = ls[lo:lo + length, None] + le[lo + ends]
-        scores[outside] = -np.inf
+        ends = np.arange(length)[:, None] + np.arange(width)[None, :]
+        inside = ends < length
+        scores = ls[lo:lo + length, None] + le[lo + np.minimum(ends, length - 1)]
+        scores[~inside] = -np.inf
         flat = int(scores.argmax())  # row-major: first hit has the smallest start, then end
         if best is None or scores.flat[flat] > best_score:
             i, k = divmod(flat, width)

@@ -181,17 +181,3 @@ def test_extract_scores_in_log_space_when_probabilities_underflow():
     label, logp = reader.extract_best_span(dist, 3)
     assert (label.start, label.end) == (4, 4)
     assert logp == pytest.approx(-1000.0, abs=1e-9)
-
-
-def test_extract_builds_each_span_grid_once_and_keeps_it_read_only():
-    reader._span_grid.cache_clear()
-    dist = make_dist(3, [4, 2, 4])
-    picks = [reader.extract_best_span(dist, 3) for _ in range(3)]
-    assert picks == [picks[0]] * 3
-    info = reader._span_grid.cache_info()
-    assert (info.misses, info.hits) == (2, 7)  # (4, 3) and (2, 2) built; 9 lookups
-    ends, outside = reader._span_grid(4, 3)
-    starts, offsets = np.arange(4)[:, None], np.arange(3)[None, :]
-    assert np.array_equal(ends, np.minimum(starts + offsets, 3))
-    assert np.array_equal(outside, starts + offsets >= 4)
-    assert not ends.flags.writeable and not outside.flags.writeable
