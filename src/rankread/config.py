@@ -97,8 +97,8 @@ class Config:
 # the smallest value each setting may take; a zero grad_clip turns clipping off
 _LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers": 1,
           "batch_size": 1, "epochs": 0, "pretrain_epochs": 0, "min_negatives": 0,
-          "seed": 0, "retrieve_n": 1, "max_span_len": 1, "learning_rate": 0,
-          "kl_weight": 0, "grad_clip": 0, "bm25_k1": 0}
+          "seed": 0, "top_a": 1, "top_s": 1, "retrieve_n": 1, "max_span_len": 1,
+          "learning_rate": 0, "kl_weight": 0, "grad_clip": 0, "bm25_k1": 0}
 
 
 def _parse(raw, typ):

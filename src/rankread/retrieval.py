@@ -6,6 +6,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, asdict
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -64,9 +65,9 @@ class InvertedIndex:
     """Postings and document lengths derived from a document store.
 
     The index file holds only the documents; `load_index` derives the rest
-    with `build_index`. The per-term arrays `search_bm25` scores from and the
-    per-document sentence store `retrieve` reads are caches derived on first
-    use.
+    with `build_index`. Two caches fill on first use: per term and (k1, b),
+    the document positions and BM25 weights `search_bm25` adds up; per
+    document, the sentence store `retrieve` reads.
     """
 
     def __init__(self, postings, doc_lengths, docs):
@@ -78,20 +79,29 @@ class InvertedIndex:
         self.doc_ids = sorted(doc_lengths)    # a document's position is its rank in id order
         self._position = {d: i for i, d in enumerate(self.doc_ids)}
         self.length_array = np.array([doc_lengths[d] for d in self.doc_ids], dtype=float)
-        self._term_arrays = {}
+        self._term_weights = {}
         self._sentences = {}
 
-    def term_arrays(self, term):
-        """(document positions, tf as floats) of term's postings; None when absent."""
-        arrays = self._term_arrays.get(term)
-        if arrays is None:
+    def term_weights(self, term, k1, b):
+        """(document positions, BM25 weights) of term's postings under k1 and b,
+        the positions a slice when they are consecutive; None when absent."""
+        key = (term, k1, b)
+        cached = self._term_weights.get(key)
+        if cached is None:
             plist = self.postings.get(term)
             if not plist:
                 return None
-            arrays = (np.array([self._position[d] for d, _ in plist], dtype=np.intp),
-                      np.array([tf for _, tf in plist], dtype=float))
-            self._term_arrays[term] = arrays
-        return arrays
+            pos = np.array([self._position[d] for d, _ in plist], dtype=np.intp)
+            tf = np.array([count for _, count in plist], dtype=float)
+            denom = tf + k1 * (1.0 - b + b * self.length_array[pos] / self.avg_doc_length)
+            weights = bm25_idf(self, term) * tf * (k1 + 1.0) / denom
+            if pos[-1] - pos[0] + 1 == pos.size:
+                # a run of consecutive documents, as for a term every document
+                # holds: a slice reads and writes the same scores, with no gather
+                pos = slice(int(pos[0]), int(pos[-1]) + 1)
+            cached = (pos, weights)
+            self._term_weights[key] = cached
+        return cached
 
     def sentences(self, doc_id):
         """[(text, tokens)] per sentence of a document, split and tokenized on first use."""
@@ -159,14 +169,11 @@ def search_bm25(index, query_tokens, top_a, k1=BM25_K1, b=BM25_B):
     # term by term in query order, with the float operations of a loop over
     # each term's postings, so every score is bitwise the same as that loop's
     for term in query_tokens:
-        arrays = index.term_arrays(term)
-        if arrays is None:
+        cached = index.term_weights(term, k1, b)
+        if cached is None:
             continue
-        pos, tf = arrays
-        idf = bm25_idf(index, term)
-        dl = index.length_array[pos]
-        denom = tf + k1 * (1.0 - b + b * dl / index.avg_doc_length)
-        scores[pos] += idf * tf * (k1 + 1.0) / denom
+        pos, weights = cached
+        scores[pos] += weights
         hit[pos] = True
     found = np.flatnonzero(hit)
     neg = -scores[found]
@@ -210,17 +217,26 @@ def rank_sentences_tfidf(sentence_tokens, query_tokens, top_s):
     frequency). Descending score; ties keep the original order. Returns at
     most top_s (index, score) pairs.
     """
+    if top_s < 1:
+        raise ValueError("top_s must be at least 1")
     pool = len(sentence_tokens)
     if pool == 0:
         return []
+    # one count over the flattened pool: column j counts the j-th distinct
+    # query term, the last column every other token
+    column = {term: j for j, term in enumerate(dict.fromkeys(query_tokens))}
+    width = len(column) + 1
+    flat = chain.from_iterable(sentence_tokens)
+    cols = np.fromiter(map(column.get, flat, repeat(width - 1)), dtype=np.intp)
+    rows = np.repeat(np.arange(0, pool * width, width),
+                     np.fromiter(map(len, sentence_tokens), dtype=np.intp, count=pool))
+    tf = np.bincount(rows + cols, minlength=pool * width).reshape(pool, width)
     scores = np.zeros(pool)
     # term by term in query order; adding 0.0 where a term is absent leaves a
     # score bitwise as it was, so this equals a per-sentence loop that skips it
-    for term in dict.fromkeys(query_tokens):
-        tf = np.array([toks.count(term) for toks in sentence_tokens])
-        df = np.count_nonzero(tf)
+    for j, df in enumerate(np.count_nonzero(tf[:, :-1], axis=0).tolist()):
         if df:
-            scores += tf * math.log(pool / df)
+            scores += tf[:, j] * math.log(pool / df)
     top = np.argsort(-scores, kind="stable")[:top_s]  # stable: ties keep original order
     return list(zip(top.tolist(), scores[top].tolist()))
 
@@ -248,9 +264,8 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
         raise ValueError(f"n={n} exceeds top_s={top_s}")
     q_tokens = tokenize(question).tokens
     query = make_training_query(q_tokens, answers, train)
-    sentences = []
-    for doc_id, _ in search_bm25(index, query, top_a, k1, b):
-        sentences.extend((sent, toks, doc_id) for sent, toks in index.sentences(doc_id))
+    sentences = [(sent, toks, doc_id) for doc_id, _ in search_bm25(index, query, top_a, k1, b)
+                 for sent, toks in index.sentences(doc_id)]
     sent_tokens = [toks for _, toks, _ in sentences]
     answer_tokens = [tokenize(a).tokens for a in (answers or [])]
     passages = []

@@ -45,8 +45,12 @@ def find_token_spans(haystack, needle):
 
 
 def contains_answer(tokens, answer_token_lists):
-    """Token-level containment of any answer, after shared tokenization."""
-    return any(find_token_spans(tokens, ans) for ans in answer_token_lists)
+    """Token-level containment of any answer, after shared tokenization. Only
+    the slices that start where an answer's first token occurs are compared,
+    and the search stops at the first match."""
+    return any(tokens[i:i + len(ans)] == ans
+               for ans in answer_token_lists if ans
+               for i, tok in enumerate(tokens) if tok == ans[0])
 
 
 class EmbeddingTable:

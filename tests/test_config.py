@@ -41,6 +41,9 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("reader_layers", 0, "at least 1"),
     ("ranker_layers", 0, "at least 1"),
     ("retrieve_n", 0, "at least 1"),
+    ("top_a", 0, "^top_a must be at least 1, got 0$"),
+    ("top_a", -3, "^top_a must be at least 1, got -3$"),
+    ("top_s", 0, "^top_s must be at least 1, got 0$"),
     ("batch_size", 0, "at least 1"),
     ("dropout", 1.0, "dropout must be in"),
     ("dropout", -0.1, "dropout must be in"),

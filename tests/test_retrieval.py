@@ -1,14 +1,15 @@
 import json
 import math
+import sys
 import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rankread import retrieval as R
-from rankread.text import tokenize
+from rankread import retrieval as R, synth
+from rankread.text import find_token_spans, tokenize
 
 
 def docs_from(texts, prefix="d"):
@@ -177,16 +178,19 @@ def _corpora(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_corpora(), st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=8), st.integers(1, 20),
-       st.sampled_from([(R.BM25_K1, R.BM25_B), (0.9, 0.4), (2.0, 1.0)]))
-def test_bm25_equals_dict_reference(tmp_path_factory, docs, query, top_a, k1_b):
+@given(_corpora(), st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=8), st.integers(1, 20))
+def test_bm25_equals_dict_reference(tmp_path_factory, docs, query, top_a):
     """Bitwise, on random corpora with tied documents, repeated and absent
-    query terms, and top_a above and below the number of hits."""
+    query terms, and top_a above and below the number of hits. One index
+    serves every (k1, b) in turn and then the first again, so no weight
+    cached under one setting is read under another."""
     built = R.build_index(docs)
     path = tmp_path_factory.getbasetemp() / "bm25_index.json"
     R.save_index(built, path)
     for index in (built, R.load_index(path)):
-        assert R.search_bm25(index, query, top_a, *k1_b) == dict_bm25(index, query, top_a, *k1_b)
+        for k1_b in [(R.BM25_K1, R.BM25_B), (0.9, 0.4), (2.0, 1.0), (R.BM25_K1, R.BM25_B)]:
+            assert (R.search_bm25(index, query, top_a, *k1_b)
+                    == dict_bm25(index, query, top_a, *k1_b))
 
 
 # --- sentence splitting -----------------------------------------------------------
@@ -348,11 +352,26 @@ def test_tfidf_100_sentences_matches_brute_force():
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), max_size=12),
        st.lists(st.sampled_from(_WORDS + ["zz"]), max_size=8), st.integers(1, 15))
+@example([[], [], []], ["ant", "bee"], 2)
+@example([["ant", "bee", "ant"]], ["ant", "zz"], 1)
+@example([["ant", "bee", "ant"]], ["bee"], 3)
 def test_tfidf_equals_brute_force_on_random_pools(sentence_tokens, query, top_s):
-    """Bitwise, with empty sentences, repeated and absent query terms, and
-    top_s above and below the pool size."""
-    assert (R.rank_sentences_tfidf(sentence_tokens, query, top_s)
-            == brute_force_tfidf(sentence_tokens, query)[:top_s])
+    """Bitwise, with empty sentences, pools of only empty sentences and of
+    one sentence, repeated and absent query terms, query terms equal to but
+    not the same objects as the pool's interned tokens, and top_s above and
+    below the pool size."""
+    pool = [[sys.intern(tok) for tok in toks] for toks in sentence_tokens]
+    fresh = ["".join(list(term)) for term in query]
+    assert all(a is not b for a, b in zip(fresh, query))
+    assert (R.rank_sentences_tfidf(pool, fresh, top_s)
+            == brute_force_tfidf(pool, fresh)[:top_s])
+
+
+@pytest.mark.parametrize("top_s", [0, -1])
+def test_tfidf_rejects_top_s_below_one(top_s):
+    # a negative top_s would slice sentences off the end of the ranking
+    with pytest.raises(ValueError, match="^top_s must be at least 1$"):
+        R.rank_sentences_tfidf([["a"], ["b"], ["a", "b"]], ["a"], top_s)
 
 
 # --- query augmentation -------------------------------------------------------------
@@ -465,6 +484,43 @@ def test_sentence_store_splits_and_tokenizes_each_sentence_once(monkeypatch):
     assert calls == {"tokenize": 1 + len(answers)}  # the question and the answers only
     assert second == first
     assert ask(R.build_index(CORPUS)) == first
+
+
+def reference_retrieve(index, question_id, question, answers, n, top_a, top_s, train):
+    """The pipeline from its parts' references: `dict_bm25`, the documents
+    split and tokenized afresh, `brute_force_tfidf`, then the duplicate rule
+    and a span scan for the positive flag."""
+    query = tokenize(question).tokens
+    if train and answers and len(set(answers)) == 1:
+        query += tokenize(answers[0]).tokens
+    sentences = [(sent, tokenize(sent).tokens, doc_id)
+                 for doc_id, _ in dict_bm25(index, query, top_a)
+                 for sent in R.split_sentences(index.docs[doc_id].text)]
+    answer_tokens = [tokenize(a).tokens for a in answers or []]
+    passages, seen = [], set()
+    for idx, score in brute_force_tfidf([toks for _, toks, _ in sentences], query)[:top_s]:
+        sent, toks, doc_id = sentences[idx]
+        if toks and tuple(toks) not in seen and len(passages) < n:
+            seen.add(tuple(toks))
+            positive = any(find_token_spans(toks, ans) for ans in answer_tokens)
+            passages.append(R.RetrievedPassage(sent, doc_id, len(passages) + 1, score, positive))
+    return R.RetrievedSet(question_id, passages)
+
+
+@pytest.mark.parametrize("n, top_a, top_s", [(5, 3, 10), (10, 8, 30), (1, 1, 1)])
+def test_retrieve_equals_the_reference_pipeline_on_a_synthetic_corpus(n, top_a, top_s):
+    docs, train, test, _ = synth.generate(
+        synth.SyntheticSpec(entities=12, train_questions=30, test_questions=20, seed=3))
+    # copies tie with their originals, so duplicate sentences meet in a pool
+    index = R.build_index(docs + [R.Document(f"{d.id}-copy", d.title, d.text) for d in docs[::7]])
+    records = train + test + [{"id": "two", "question": train[0]["question"],
+                               "answers": [train[0]["answers"][0], test[0]["answers"][0]]},
+                              {"id": "none", "question": test[1]["question"], "answers": None}]
+    for train_mode in (True, False):
+        for rec in records:
+            args = (rec["id"], rec["question"], rec["answers"], n, top_a, top_s)
+            assert (R.retrieve(index, *args, train=train_mode)
+                    == reference_retrieve(index, *args, train_mode))
 
 
 def test_retrieved_roundtrip(tmp_path):
