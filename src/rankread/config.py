@@ -76,6 +76,8 @@ class Config:
             key = key.strip()
             if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
             try:
                 values[key] = _parse(raw.strip(), types[key])
             except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Prediction combination, answer-string metrics, and ranker analyses."""
+"""Candidate answers and the best one, answer-string metrics, and ranker analyses."""
 
 import re
 import string
@@ -56,19 +56,13 @@ class Candidate:
     answer: str
     passage_id: int
     ir_rank: int
-    score: float          # exp(span log-prob) * policy prob
     span_log_prob: float
     policy_prob: float
 
-
-@dataclass
-class Prediction:
-    question_id: str
-    answer: str
-    passage_id: object
-    score: float
-    span_log_prob: float
-    policy_prob: float
+    @property
+    def score(self):
+        """exp(span log-prob) * policy prob, the score answers are ranked by."""
+        return float(np.exp(self.span_log_prob) * self.policy_prob)
 
 
 def _match_and_rank(model, table, question_tokens, p_tokens):
@@ -93,34 +87,28 @@ def predict_candidates(model, table, question_tokens, passages, max_span_len):
     for i, (dist, passage) in enumerate(zip(dists, passages)):
         label, log_prob = reader_mod.extract_best_span(dist, max_span_len)
         answer = " ".join(p_tokens[i][label.start:label.end + 1])
-        candidates.append(Candidate(
-            answer, i, passage.ir_rank,
-            float(np.exp(log_prob) * gamma[i]), log_prob, float(gamma[i])))
+        candidates.append(Candidate(answer, i, passage.ir_rank, log_prob, float(gamma[i])))
     return candidates
 
 
-def _best(question_id, candidates):
-    if not candidates:
-        return Prediction(question_id, "", None, 0.0, float("-inf"), 0.0)
-    best = max(candidates, key=lambda c: (c.score, -c.ir_rank))
-    return Prediction(question_id, best.answer, best.passage_id,
-                      best.score, best.span_log_prob, best.policy_prob)
+def _answer_all(model, table, dataset, retrieved_sets, max_span_len):
+    """Each dataset record's passages, its candidates and its report record.
 
-
-def predict(model, table, question_id, question_tokens, passages, max_span_len=15):
-    """Answer with the highest combined score; ties go to the lower IR rank."""
-    return _best(question_id, predict_candidates(model, table, question_tokens, passages,
-                                                 max_span_len))
-
-
-def _answer(model, table, rec, passages, max_span_len):
-    """One dataset record's candidates and its evaluation record."""
-    candidates = predict_candidates(model, table, tokenize(rec["question"]).tokens,
-                                    passages, max_span_len)
-    pred = _best(rec["id"], candidates)
-    f1, em = f1_em(pred.answer, rec["answers"])
-    return candidates, {"id": rec["id"], "prediction": pred.answer,
-                        "passage_id": pred.passage_id, "score": pred.score, "f1": f1, "em": em}
+    The record answers with the highest-scoring candidate, ties going to the
+    lower IR rank, the order oracle_topk sorts by; with no candidate it holds
+    "", None and 0.0.
+    """
+    by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
+    for rec in dataset:
+        passages = by_id.get(rec["id"], [])
+        candidates = predict_candidates(model, table, tokenize(rec["question"]).tokens,
+                                        passages, max_span_len)
+        best = min(candidates, key=lambda c: (-c.score, c.ir_rank), default=None)
+        answer, passage_id, score = (("", None, 0.0) if best is None
+                                     else (best.answer, best.passage_id, best.score))
+        f1, em = f1_em(answer, rec["answers"])
+        yield passages, candidates, {"id": rec["id"], "prediction": answer,
+                                     "passage_id": passage_id, "score": score, "f1": f1, "em": em}
 
 
 def _mean_f1_em(records):
@@ -128,14 +116,13 @@ def _mean_f1_em(records):
     return {"f1": sum(r["f1"] for r in records) / n, "em": sum(r["em"] for r in records) / n}
 
 
-def evaluate(model, table, dataset, retrieved_sets, max_span_len=15, threads=1):
+def evaluate(model, table, dataset, retrieved_sets, max_span_len, threads=1):
     """Mean F1/EM over the dataset plus one record per question, answered one
     after another. threads must be 1."""
     if threads != 1:
         raise ValueError(f"evaluate runs on one thread, got threads={threads}")
-    by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
-    records = [_answer(model, table, rec, by_id.get(rec["id"], []), max_span_len)[1]
-               for rec in dataset]
+    records = [record for _, _, record in
+               _answer_all(model, table, dataset, retrieved_sets, max_span_len)]
     return {**_mean_f1_em(records), "count": len(records), "records": records}
 
 
@@ -179,7 +166,7 @@ def oracle_topk(candidate_lists, gold_lists, ks):
     return out
 
 
-def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15):
+def analyze(model, table, dataset, retrieved_sets, ks, max_span_len):
     """Mean F1/EM (as evaluate gives them), top-k recall of the IR order and of
     the model's order, and the re-ranking ceiling, over every question of the
     dataset, from one predict_candidates pass per question. The cutoffs ks
@@ -193,11 +180,9 @@ def analyze(model, table, dataset, retrieved_sets, ks=(1, 3, 5), max_span_len=15
         raise ValueError(f"top-k cutoffs must be at least 1, got {list(ks)}")
     if len(set(ks)) != len(ks):
         raise ValueError(f"top-k cutoffs must not repeat, got {list(ks)}")
-    by_id = {rs.question_id: rs.passages for rs in retrieved_sets}
     records, ir_flags, model_flags, candidate_lists = [], [], [], []
-    for rec in dataset:
-        passages = by_id.get(rec["id"], [])
-        candidates, record = _answer(model, table, rec, passages, max_span_len)
+    for passages, candidates, record in _answer_all(model, table, dataset, retrieved_sets,
+                                                    max_span_len):
         records.append(record)
         candidate_lists.append(candidates)
         ir_flags.append([p.positive for p in passages])

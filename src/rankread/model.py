@@ -58,6 +58,9 @@ class RankReadModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_values(self, values):
+        for name in values:
+            if name not in self.params:
+                raise ValueError(f"checkpoint has parameter {name!r} the model lacks")
         for name, p in self.params.items():
             if name not in values:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")

@@ -55,14 +55,6 @@ def sample_passage(policy, positives, rng):
     return pos[int(rng.choice(len(pos), p=weights))]
 
 
-def conditional_positive_probs(policy, positives):
-    """gamma restricted to the positive ids, renormalized; keyed by passage id."""
-    probs = policy.probs()
-    pos = [pid for pid in policy.passage_ids if pid in positives]
-    mass = sum(probs[policy.index_of(pid)] for pid in pos)
-    return {pid: probs[policy.index_of(pid)] / mass for pid in pos}
-
-
 def log_policy(policy, passage_id):
     """log of the selection probability for one passage, as a tensor."""
     return T.scale(T.neg_log_softmax_pick(policy.logits, policy.index_of(passage_id)), -1.0)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .files import (check_fields, one_line_errors, read_jsonl, read_versioned_json, write_json,
                     write_jsonl)
-from .text import tokenize, contains_answer
+from .text import find_token_spans, tokenize
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -278,7 +278,7 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
         if key in seen:
             continue
         seen.add(key)
-        positive = bool(answer_tokens) and contains_answer(toks, answer_tokens)
+        positive = any(find_token_spans(toks, a) for a in answer_tokens)
         passages.append(RetrievedPassage(text_, doc_id, len(passages) + 1, score, positive))
         if len(passages) == n:
             break

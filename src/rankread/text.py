@@ -34,23 +34,13 @@ def tokenize(text):
 
 
 def find_token_spans(haystack, needle):
-    """All (start, end-inclusive) occurrences of needle as a contiguous run."""
-    if not needle or len(needle) > len(haystack):
+    """All (start, end-inclusive) occurrences of needle as a contiguous run.
+    Only the slices that start where needle's first token occurs are compared."""
+    if not needle:
         return []
-    spans = []
-    for start in range(len(haystack) - len(needle) + 1):
-        if haystack[start:start + len(needle)] == needle:
-            spans.append((start, start + len(needle) - 1))
-    return spans
-
-
-def contains_answer(tokens, answer_token_lists):
-    """Token-level containment of any answer, after shared tokenization. Only
-    the slices that start where an answer's first token occurs are compared,
-    and the search stops at the first match."""
-    return any(tokens[i:i + len(ans)] == ans
-               for ans in answer_token_lists if ans
-               for i, tok in enumerate(tokens) if tok == ans[0])
+    n = len(needle)
+    return [(i, i + n - 1) for i, tok in enumerate(haystack)
+            if tok == needle[0] and haystack[i:i + n] == needle]
 
 
 class EmbeddingTable:

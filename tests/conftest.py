@@ -96,6 +96,15 @@ def grad_or_zero(p):
     return np.zeros_like(p.data) if p.grad is None else p.grad.copy()
 
 
+def conditional_positive_probs(policy, positives):
+    """gamma restricted to the positive ids, renormalized; keyed by passage id:
+    the exact law c04 checks REINFORCE's sampling against."""
+    probs = policy.probs()
+    pos = [pid for pid in policy.passage_ids if pid in positives]
+    mass = sum(probs[policy.index_of(pid)] for pid in pos)
+    return {pid: probs[policy.index_of(pid)] / mass for pid in pos}
+
+
 def enumerate_policy_gradient(trainer, example):
     """Exact expectation of the sampled policy-gradient term r * grad(log pi),
     under the positive-conditional sampling law, plus the per-outcome grads.
@@ -128,7 +137,7 @@ def enumerate_policy_gradient(trainer, example):
     policy = None
     for tau in pos:
         grads[tau], rewards[tau], policy = grad_for(tau)
-    probs = ranker_mod.conditional_positive_probs(policy, set(pos))
+    probs = conditional_positive_probs(policy, set(pos))
     expectation = {
         name: sum(probs[tau] * grads[tau][name] for tau in pos)
         for name in trainer.model.parameters()

@@ -5,7 +5,6 @@ lines as they complete. The end-to-end experiment (criteria 7 and 8) trains
 three modes over three seeds and is shared through a session fixture.
 """
 
-import math
 import time
 
 import numpy as np
@@ -18,7 +17,7 @@ from rankread import evaluation as E
 from rankread import matcher, ranker, reader, retrieval
 from rankread import tensor as T
 from rankread import trainer as trainer_mod
-from rankread.experiment import default_config, prepare_task, run_experiment
+from rankread.experiment import run_experiment
 from rankread.config import Config
 from rankread.model import RankReadModel
 from rankread.text import tokenize
@@ -344,10 +343,10 @@ def test_c10_determinism_and_persistence(tmp_path):
     target = toy_trainer(seed=77)
     trainer_mod.pretrain_init(target.model, path)
     example = toy_example()
-    pred_source = E.predict(source.model, source.table, "q", example.question_tokens,
-                            example.passages)
-    pred_target = E.predict(target.model, target.table, "q", example.question_tokens,
-                            example.passages)
-    assert pred_source == pred_target
+    cands_source = E.predict_candidates(source.model, source.table, example.question_tokens,
+                                        example.passages, source.config.max_span_len)
+    cands_target = E.predict_candidates(target.model, target.table, example.question_tokens,
+                                        example.passages, target.config.max_span_len)
+    assert cands_source == cands_target
     report(10, "fixed-seed logs bitwise equal; checkpoints round-trip; "
                "pretraining hand-off preserves predictions exactly")

@@ -7,8 +7,6 @@ PACKAGE = ROOT / "src" / "rankread"
 # definitions kept without a caller in the program, each for a test that
 # needs it as a reference
 NO_CALLER_NEEDED = {
-    "evaluation.predict": "c10 predicts with a reloaded model through it",
-    "ranker.conditional_positive_probs": "the exact reference c04 checks REINFORCE against",
     "tensor.fd_check": "the finite-difference reference every op's gradient is checked against",
 }
 
@@ -102,8 +100,11 @@ def _unused_imports(tree):
 
 
 def test_no_unused_imports():
-    # no linter ships with the project; this is the one lint rule it keeps
-    unused = [f"{path.name}:{line}: {name}"
-              for path in sorted(PACKAGE.glob("*.py"))
+    # no linter ships with the project; this is the one lint rule it keeps,
+    # over the package, its tests and its scripts
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "scripts").glob("*.py")]
+    unused = [f"{path.relative_to(ROOT)}:{line}: {name}"
+              for path in sorted(paths)
               for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert unused == []

@@ -498,7 +498,7 @@ def test_out_that_cannot_be_written_is_one_line_error_naming_it(workdir, tmp_pat
     assert [p.name for p in tmp_path.rglob("*")] == (["d"] if target == "directory" else [])
 
 
-@pytest.mark.parametrize("fault", ["missing", "shape"])
+@pytest.mark.parametrize("fault", ["missing", "shape", "extra"])
 @pytest.mark.parametrize("command", ["evaluate", "train"])
 def test_checkpoint_that_does_not_fit_the_model_is_one_line_error_naming_it(
         workdir, tmp_path, capsys, command, fault):
@@ -508,6 +508,10 @@ def test_checkpoint_that_does_not_fit_the_model_is_one_line_error_naming_it(
     if fault == "missing":
         ckpt["params"] = [rec for rec in ckpt["params"] if rec["name"] != "rank.W"]
         message = "ValueError: checkpoint is missing parameter 'rank.W'"
+    elif fault == "extra":
+        # before, a parameter the model lacks was dropped silently
+        ckpt["params"].append({**ckpt["params"][0], "name": "agg_read.9.fwd.W"})
+        message = "ValueError: checkpoint has parameter 'agg_read.9.fwd.W' the model lacks"
     else:
         rec = next(rec for rec in ckpt["params"] if rec["name"] == "enc.fwd.W")
         shape = (rec["rows"], rec["cols"])

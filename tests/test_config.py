@@ -27,6 +27,15 @@ def test_file_rejects_unknown_key(tmp_path):
         Config.from_file(path)
 
 
+def test_file_rejects_a_repeated_key(tmp_path):
+    # before, the last of the two values was kept silently
+    path = tmp_path / "twice.cfg"
+    path.write_text("hidden_size=4\n# again\n hidden_size = 8\n")
+    with pytest.raises(ValueError) as info:
+        Config.from_file(path)
+    assert str(info.value) == f"{path}:3: repeated config key 'hidden_size'"
+
+
 def test_file_allows_comments_and_blanks(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("# comment\n\nhidden_size=8\nmode=sr\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import passage_block, toy_example, toy_table, toy_trainer, TOY_QUESTION
+from conftest import passage_block, toy_trainer, TOY_QUESTION
 
 from rankread import evaluation as E
 from rankread.text import tokenize
@@ -78,27 +78,35 @@ def test_predict_computes_only_the_probabilities_it_reads(example, monkeypatch):
     assert len(calls) == 2
 
 
+def _record(trainer, passages, max_span_len):
+    """evaluate's record of the toy question answered from the given passages."""
+    from rankread.retrieval import RetrievedSet
+    dataset = [{"id": "toy-0", "question": TOY_QUESTION, "answers": ["blue"]}]
+    return E.evaluate(trainer.model, trainer.table, dataset,
+                      [RetrievedSet("toy-0", passages)], max_span_len)["records"][0]
+
+
 def test_predict_on_toy_model(example):
     trainer = toy_trainer(seed=0)
-    pred = E.predict(trainer.model, trainer.table, "toy-0",
-                     example.question_tokens, example.passages, max_span_len=4)
-    assert pred.question_id == "toy-0"
-    assert pred.passage_id in range(4)
-    assert 0.0 < pred.score <= 1.0
-    assert pred.score == pytest.approx(math.exp(pred.span_log_prob) * pred.policy_prob, rel=1e-12)
+    pred = _record(trainer, example.passages, max_span_len=4)
+    assert pred["id"] == "toy-0"
+    assert pred["passage_id"] in range(4)
+    assert 0.0 < pred["score"] <= 1.0
+    best = E.predict_candidates(trainer.model, trainer.table, example.question_tokens,
+                                example.passages, max_span_len=4)[pred["passage_id"]]
+    assert pred["score"] == pytest.approx(math.exp(best.span_log_prob) * best.policy_prob,
+                                          rel=1e-12)
 
 
 def test_predict_single_passage_wins_regardless_of_policy(example):
     trainer = toy_trainer(seed=0)
-    pred = E.predict(trainer.model, trainer.table, "q", example.question_tokens,
-                     example.passages[:1], max_span_len=4)
-    assert pred.passage_id == 0
+    assert _record(trainer, example.passages[:1], max_span_len=4)["passage_id"] == 0
 
 
 def test_predict_empty_passages_gives_sentinel():
     trainer = toy_trainer(seed=0)
-    pred = E.predict(trainer.model, trainer.table, "q", ["what"], [], max_span_len=4)
-    assert pred.answer == "" and pred.passage_id is None and pred.score == 0.0
+    pred = _record(trainer, [], max_span_len=4)
+    assert pred["prediction"] == "" and pred["passage_id"] is None and pred["score"] == 0.0
 
 
 def _softmax(a):
@@ -116,8 +124,7 @@ def test_predict_matches_brute_force_over_pairs(example):
 
     trainer = toy_trainer(seed=1)
     model, table = trainer.model, trainer.table
-    pred = E.predict(model, table, "q", example.question_tokens, example.passages,
-                     max_span_len=4)
+    pred = _record(trainer, example.passages, max_span_len=4)
     with T.no_grad():
         q_emb = embed(example.question_tokens, table)
         p_emb, widths = passage_block(example.passage_tokens, table)
@@ -142,8 +149,8 @@ def test_predict_matches_brute_force_over_pairs(example):
                 if score > best_score:
                     best_score = score
                     best_answer = " ".join(example.passage_tokens[i][s:e + 1])
-    assert pred.answer == best_answer
-    assert pred.score == pytest.approx(best_score, rel=1e-9)
+    assert pred["prediction"] == best_answer
+    assert pred["score"] == pytest.approx(best_score, rel=1e-9)
 
 
 def test_predict_argmax_invariant_to_scaling_policy(example):
@@ -164,7 +171,8 @@ def _dataset_and_retrieved(example):
 def test_evaluate_bounds_and_records(example):
     trainer = toy_trainer(seed=2)
     dataset, retrieved = _dataset_and_retrieved(example)
-    report = E.evaluate(trainer.model, trainer.table, dataset, retrieved)
+    report = E.evaluate(trainer.model, trainer.table, dataset, retrieved,
+                        trainer.config.max_span_len)
     assert report["count"] == 1
     assert 0.0 <= report["f1"] <= 1.0
     rec = report["records"][0]
@@ -175,16 +183,16 @@ def test_evaluate_bounds_and_records(example):
 def test_evaluate_all_exact_and_all_disjoint(example):
     trainer = toy_trainer(seed=2)
     dataset, retrieved = _dataset_and_retrieved(example)
+    max_span_len = trainer.config.max_span_len
     exact = E.evaluate(trainer.model, trainer.table,
                        [{"id": "toy-0", "question": TOY_QUESTION,
-                         "answers": [E.predict(trainer.model, trainer.table, "toy-0",
-                                               tokenize(TOY_QUESTION).tokens,
-                                               example.passages).answer]}],
-                       retrieved)
+                         "answers": [_record(trainer, example.passages,
+                                             max_span_len)["prediction"]]}],
+                       retrieved, max_span_len)
     assert exact["em"] == 1.0 and exact["f1"] == 1.0
     disjoint = E.evaluate(trainer.model, trainer.table,
                           [{"id": "toy-0", "question": TOY_QUESTION, "answers": ["zzzzz"]}],
-                          retrieved)
+                          retrieved, max_span_len)
     assert disjoint["em"] == 0.0 and disjoint["f1"] == 0.0
 
 
@@ -192,13 +200,14 @@ def test_evaluate_order_independent_and_threaded(example):
     trainer = toy_trainer(seed=2)
     dataset, retrieved = _dataset_and_retrieved(example)
     two = dataset + [{"id": "toy-0", "question": TOY_QUESTION, "answers": ["blue"]}]
-    once = E.evaluate(trainer.model, trainer.table, dataset, retrieved)
-    twice = E.evaluate(trainer.model, trainer.table, two, retrieved)
+    max_span_len = trainer.config.max_span_len
+    once = E.evaluate(trainer.model, trainer.table, dataset, retrieved, max_span_len)
+    twice = E.evaluate(trainer.model, trainer.table, two, retrieved, max_span_len)
     assert twice["records"] == once["records"] * 2
     assert twice["f1"] == once["f1"] and twice["em"] == once["em"]
     # evaluation runs on one thread; the keyword stays for the benchmark's threads=1
     with pytest.raises(ValueError, match="^evaluate runs on one thread, got threads=2$"):
-        E.evaluate(trainer.model, trainer.table, two, retrieved, threads=2)
+        E.evaluate(trainer.model, trainer.table, two, retrieved, max_span_len, threads=2)
 
 
 # --- ranker analyses ------------------------------------------------------------------
@@ -274,7 +283,7 @@ def test_analyze_oracle_takes_the_rank_passages_order_from_its_candidates(exampl
         ranked = [E.rank_passages(model, table, tokenize(TOY_QUESTION).tokens, rs.passages)
                   for rs in retrieved]
         expected = E.topk_recall([[p.positive for p in order] for order in ranked], ks)
-        out = E.analyze(model, table, dataset, retrieved, ks)
+        out = E.analyze(model, table, dataset, retrieved, ks, trainer.config.max_span_len)
         assert out["recall"]["model"] == expected, seed
 
 
@@ -285,7 +294,8 @@ def test_analyze_rejects_a_repeated_cutoff(example, ks):
     trainer = toy_trainer(seed=0)
     dataset, retrieved = _dataset_and_retrieved(example)
     with pytest.raises(ValueError) as info:
-        E.analyze(trainer.model, trainer.table, dataset, retrieved, ks=ks)
+        E.analyze(trainer.model, trainer.table, dataset, retrieved, ks=ks,
+                  max_span_len=trainer.config.max_span_len)
     assert str(info.value) == f"top-k cutoffs must not repeat, got {list(ks)}"
 
 
@@ -295,8 +305,10 @@ def test_analyze_f1_em_equal_evaluate_with_a_question_without_passages(example):
                          {"id": "toy-2", "question": TOY_QUESTION, "answers": [""]}]
     for seed in (0, 1, 2):
         trainer = toy_trainer(seed=seed)
-        report = E.evaluate(trainer.model, trainer.table, dataset, retrieved)
-        out = E.analyze(trainer.model, trainer.table, dataset, retrieved)
+        max_span_len = trainer.config.max_span_len
+        report = E.evaluate(trainer.model, trainer.table, dataset, retrieved, max_span_len)
+        out = E.analyze(trainer.model, trainer.table, dataset, retrieved, (1, 3, 5),
+                        max_span_len)
         assert (out["f1"], out["em"]) == (report["f1"], report["em"]), seed
         # both questions without passages predict "": a miss for toy-1, and an
         # exact match against toy-2's empty gold, which analyze must count too

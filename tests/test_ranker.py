@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import conditional_positive_probs
+
 from rankread import ranker
 from rankread import tensor as T
 
@@ -112,7 +114,7 @@ def test_sampling_frequencies_match_conditional_law():
 def test_sampling_uniform_over_all_positives():
     logits = T.Tensor(np.zeros((4, 1)))
     pol = ranker.PolicyDistribution(logits, [0, 1, 2, 3])
-    cond = ranker.conditional_positive_probs(pol, {0, 1, 2, 3})
+    cond = conditional_positive_probs(pol, {0, 1, 2, 3})
     assert all(v == pytest.approx(0.25) for v in cond.values())
 
 

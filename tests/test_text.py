@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rankread import text
-from rankread import tensor as T
 
 
 def test_tokenize_question_with_trailing_punctuation():
@@ -100,20 +99,6 @@ def test_find_token_spans():
     assert text.find_token_spans(hay, ["a"]) == [(0, 0), (2, 2), (4, 4)]
     assert text.find_token_spans(hay, ["z"]) == []
     assert text.find_token_spans(hay, []) == []
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from("abc"), max_size=12),
-       st.lists(st.lists(st.sampled_from("abc"), max_size=4), max_size=3))
-def test_contains_answer_equals_any_span(tokens, answers):
-    assert text.contains_answer(tokens, answers) == any(
-        text.find_token_spans(tokens, ans) for ans in answers)
-
-
-def test_contains_answer_matches_span_rule():
-    tokens = text.tokenize("As an island, Luzon is the largest.").tokens
-    assert text.contains_answer(tokens, [["luzon"]])
-    assert not text.contains_answer(tokens, [["mindanao"]])
 
 
 # --- embeddings ---------------------------------------------------------------

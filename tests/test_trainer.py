@@ -478,6 +478,22 @@ def test_pretrain_init_rejects_missing_parameter(tmp_path, example):
     assert str(info.value) == f"{path}: ValueError: checkpoint is missing parameter 'rank.W'"
 
 
+def test_pretrain_init_rejects_a_parameter_the_model_lacks(tmp_path):
+    # before, a three-layer reader's checkpoint loaded into a two-layer
+    # model, and agg_read.2.* was dropped silently
+    source = toy_trainer(seed=13, reader_layers=3)
+    path = tmp_path / "deep.json"
+    T.save_checkpoint(path, source.model.parameters())
+    target = toy_trainer(seed=14, reader_layers=2)
+    before = target.model.export_values()
+    with pytest.raises(ValueError) as info:
+        trainer_mod.pretrain_init(target.model, path)
+    assert str(info.value) == (
+        f"{path}: ValueError: checkpoint has parameter 'agg_read.2.fwd.W' the model lacks")
+    for name, value in target.model.export_values().items():
+        assert np.array_equal(value, before[name]), name
+
+
 def test_pretrain_init_rejects_shape_mismatch(tmp_path):
     source = toy_trainer(seed=15)
     path = tmp_path / "ckpt.json"
