@@ -81,7 +81,7 @@ def predict_candidates(model, table, question_tokens, passages, max_span_len):
     p_tokens = [tokenize(p.text).tokens for p in passages]
     with T.no_grad():
         m, widths, policy = _match_and_rank(model, table, question_tokens, p_tokens)
-        dists = model.read_each(m, widths, list(range(len(passages))))
+        dists = model.read_each(m, widths)
     gamma = policy.probs()
     candidates = []
     for i, (dist, passage) in enumerate(zip(dists, passages)):

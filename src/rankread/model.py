@@ -58,9 +58,12 @@ class RankReadModel:
         return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_values(self, values):
+        """Copy a checkpoint's arrays into the parameters. Every name and shape
+        is checked first, so a load that fails leaves the model as it was."""
         for name in values:
             if name not in self.params:
                 raise ValueError(f"checkpoint has parameter {name!r} the model lacks")
+        arrays = {}
         for name, p in self.params.items():
             if name not in values:
                 raise ValueError(f"checkpoint is missing parameter {name!r}")
@@ -68,7 +71,9 @@ class RankReadModel:
             if arr.shape != p.data.shape:
                 raise T.ShapeError(
                     f"parameter {name!r}: checkpoint shape {arr.shape} != model shape {p.data.shape}")
-            p.data[...] = arr
+            arrays[name] = arr
+        for name, arr in arrays.items():
+            self.params[name].data[...] = arr
 
     # -- forward passes -----------------------------------------------------
     #
@@ -78,10 +83,12 @@ class RankReadModel:
     # of questions as one graph: one encoder pass over every question and
     # passage, and one pass of each aggregation stack over every M, so the
     # sequences of all the questions share each recurrence. Attention,
-    # fusion and the heads act per question. match_passages, rank, read and
-    # read_each are the one-question forms; read_each, the inference form,
-    # runs the read stack and each pointer head once over the question's
-    # block and cuts the logits per passage afterwards.
+    # fusion and the heads act per question. A policy's rows and a span
+    # distribution's segments follow the passages' positions in the block;
+    # the caller maps positions back to its own passages. match_passages,
+    # rank, read and read_each are the one-question forms; read_each, the
+    # inference form, runs the read stack and each pointer head once over the
+    # question's block and cuts the logits per passage afterwards.
 
     def dropout_masks(self, q_emb, p_emb, rng):
         """One question's inverted-dropout masks for the encoded question, the
@@ -116,35 +123,36 @@ class RankReadModel:
         m = matcher.match(h_p, h_q, g, self.w_m)
         return m if masks is None else T.mul(m, masks[2])
 
-    def rank_batch(self, m_blocks, widths, passage_id_lists):
+    def rank_batch(self, m_blocks, widths):
         """One selection policy per question over the passages of its M block."""
         h_ranks = matcher.encode_batch(m_blocks, widths, self.agg_rank)
-        return [ranker.score_passages(h, ws, self.w_c, self.b_c, self.w_c_out, ids)
-                for h, ws, ids in zip(h_ranks, widths, passage_id_lists)]
+        return [ranker.score_passages(h, ws, self.w_c, self.b_c, self.w_c_out)
+                for h, ws in zip(h_ranks, widths)]
 
-    def read_batch(self, m_blocks, widths, passage_id_lists):
+    def read_batch(self, m_blocks, widths):
         """One span distribution per question over the passages of its block, in order."""
         h_reads = matcher.encode_batch(m_blocks, widths, self.agg_read)
-        return [reader.span_distributions(h, ws, ids, *self.read_heads)
-                for h, ws, ids in zip(h_reads, widths, passage_id_lists)]
+        return [reader.span_distributions(h, ws, *self.read_heads)
+                for h, ws in zip(h_reads, widths)]
 
     def match_passages(self, q_emb, p_emb, widths):
         return self.match_batch([q_emb], [p_emb], [widths])[0]
 
-    def rank(self, m, widths, passage_ids=None):
-        return self.rank_batch([m], [widths], [passage_ids])[0]
+    def rank(self, m, widths):
+        return self.rank_batch([m], [widths])[0]
 
-    def read(self, m, widths, passage_ids):
-        return self.read_batch([m], [widths], [passage_ids])[0]
+    def read(self, m, widths):
+        return self.read_batch([m], [widths])[0]
 
-    def read_each(self, m, widths, passage_ids):
-        """One single-segment span distribution per passage, for inference only:
-        under no_grad, one pass of the read stack and of each pointer head over
-        the block, then each passage gets its own rows of the two logit columns."""
+    def read_each(self, m, widths):
+        """One single-segment span distribution per passage position, for
+        inference only: under no_grad, one pass of the read stack and of each
+        pointer head over the block, then each passage gets its own rows of
+        the two logit columns."""
         with T.no_grad():
-            dist = self.read_batch([m], [widths], [passage_ids])[0]
+            dist = self.read_batch([m], [widths])[0]
         starts, ends = dist.start_logits.data, dist.end_logits.data
         return [reader.SpanDistribution(T.Tensor(starts[s.offset:s.offset + s.length]),
                                         T.Tensor(ends[s.offset:s.offset + s.length]),
-                                        [reader.Segment(s.passage_id, 0, s.length)])
+                                        [reader.Segment(0, s.length)])
                 for s in dist.segments]

@@ -2,22 +2,16 @@
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 
 
 @dataclass
 class PolicyDistribution:
-    logits: T.Tensor  # (N, 1), pre-softmax scores
-    passage_ids: list
+    logits: T.Tensor  # (N, 1), pre-softmax scores, one row per passage position
 
     def probs(self):
         with T.no_grad():
             return T.softmax_cols(self.logits).data[:, 0]
-
-    def index_of(self, passage_id):
-        return self.passage_ids.index(passage_id)
 
 
 def logit_head(x, w, b, w_out):
@@ -27,8 +21,9 @@ def logit_head(x, w, b, w_out):
     return T.transpose(T.matmul(w_out, c))
 
 
-def score_passages(h_rank, widths, w_c, b_c, w_c_out, passage_ids=None):
-    """Turn a block of rank representations into a selection distribution.
+def score_passages(h_rank, widths, w_c, b_c, w_c_out):
+    """Turn a block of rank representations into a selection distribution
+    over the passages' positions in the block.
 
     h_rank holds the N passages side by side, widths wide. u_i = row-wise
     max pool of passage i's columns; c = tanh(w_c [u_1 | ... | u_N] + b_c);
@@ -37,24 +32,21 @@ def score_passages(h_rank, widths, w_c, b_c, w_c_out, passage_ids=None):
     """
     if not widths:
         raise T.ShapeError("score_passages: need at least one passage")
-    logits = logit_head(T.segment_max(h_rank, widths), w_c, b_c, w_c_out)
-    if passage_ids is None:
-        passage_ids = list(range(len(widths)))
-    return PolicyDistribution(logits, list(passage_ids))
+    return PolicyDistribution(logit_head(T.segment_max(h_rank, widths), w_c, b_c, w_c_out))
 
 
 def sample_passage(policy, positives, rng):
-    """Draw one passage id from gamma restricted to the positive ids and
-    renormalized (the law of rejection-sampling gamma until a positive comes up)."""
-    pos = [pid for pid in policy.passage_ids if pid in positives]
+    """Draw one passage position from gamma restricted to the positive
+    positions and renormalized (the law of rejection-sampling gamma until a
+    positive comes up)."""
+    pos = sorted(positives)
     if not pos:
         raise ValueError("sample_passage: no positive passage to sample from")
-    probs = policy.probs()
-    weights = np.array([probs[policy.index_of(pid)] for pid in pos])
+    weights = policy.probs()[pos]
     weights = weights / weights.sum()
     return pos[int(rng.choice(len(pos), p=weights))]
 
 
-def log_policy(policy, passage_id):
-    """log of the selection probability for one passage, as a tensor."""
-    return T.scale(T.neg_log_softmax_pick(policy.logits, policy.index_of(passage_id)), -1.0)
+def log_policy(policy, position):
+    """log of the selection probability of the passage at one position, as a tensor."""
+    return T.scale(T.neg_log_softmax_pick(policy.logits, position), -1.0)

@@ -11,14 +11,13 @@ from .ranker import logit_head
 
 @dataclass(frozen=True)
 class SpanLabel:
-    passage_id: object
+    passage: int  # position of the passage's segment in the distribution
     start: int  # token offsets within the passage, end inclusive
     end: int
 
 
 @dataclass
 class Segment:
-    passage_id: object
     offset: int  # position of the passage's first word on the concatenated axis
     length: int
 
@@ -27,33 +26,29 @@ class Segment:
 class SpanDistribution:
     start_logits: T.Tensor  # (V, 1); softmax runs over all V concatenated words
     end_logits: T.Tensor
-    segments: list
-
-    def segment_for(self, passage_id):
-        for seg in self.segments:
-            if seg.passage_id == passage_id:
-                return seg
-        raise KeyError(f"passage {passage_id!r} not in this distribution")
+    segments: list    # one Segment per passage position, in order
 
     def global_index(self, label):
-        seg = self.segment_for(label.passage_id)
+        if not 0 <= label.passage < len(self.segments):
+            raise KeyError(f"passage {label.passage} not in this distribution")
+        seg = self.segments[label.passage]
         if not (0 <= label.start <= label.end < seg.length):
             raise ValueError(
                 f"span [{label.start}, {label.end}] outside passage "
-                f"{label.passage_id!r} of length {seg.length}")
+                f"{label.passage} of length {seg.length}")
         return seg.offset + label.start, seg.offset + label.end
 
 
-def span_distributions(h_read, widths, passage_ids, w_s, b_s, ws_out, w_e, b_e, we_out):
-    """Start/end logits over the words of a block of passages, widths wide, in order.
+def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out):
+    """Start/end logits over the words of a block of passages, widths wide, in
+    order; segment i is the passage at position i.
 
     The softmax runs over the full concatenated axis, so probability mass is
     shared between the first passage and any appended negatives.
     """
     if not widths:
         raise T.ShapeError("span_distributions: need at least one passage")
-    segments = [Segment(pid, end - w, w)
-                for pid, w, end in zip(passage_ids, widths, accumulate(widths))]
+    segments = [Segment(end - w, w) for w, end in zip(widths, accumulate(widths))]
     return SpanDistribution(logit_head(h_read, w_s, b_s, ws_out),
                             logit_head(h_read, w_e, b_e, we_out), segments)
 
@@ -71,10 +66,11 @@ def _log_softmax(logits):
     return a - (m + np.log(np.exp(a - m).sum()))
 
 
-def extract_best_span(dist, max_len, restrict_to=None):
+def extract_best_span(dist, max_len):
     """Best (start, end) pair by log p_start + log p_end within one passage segment.
 
     Spans never cross segment boundaries and cover at most max_len tokens.
+    The label names its passage by the segment's position in dist.segments.
     Scores come from the log-softmax of the logits, so a span keeps a finite
     score when its probabilities underflow. Ties break toward the smaller
     start, then the smaller end. Returns the label and the span's log-prob.
@@ -84,9 +80,7 @@ def extract_best_span(dist, max_len, restrict_to=None):
     ls = _log_softmax(dist.start_logits)
     le = _log_softmax(dist.end_logits)
     best, best_score = None, -np.inf
-    for seg in dist.segments:
-        if restrict_to is not None and seg.passage_id != restrict_to:
-            continue
+    for passage, seg in enumerate(dist.segments):
         lo, length = seg.offset, seg.length
         width = min(max_len, length)
         # scores[i, k] is the span starting at token i and ending at i + k
@@ -97,8 +91,7 @@ def extract_best_span(dist, max_len, restrict_to=None):
         flat = int(scores.argmax())  # row-major: first hit has the smallest start, then end
         if best is None or scores.flat[flat] > best_score:
             i, k = divmod(flat, width)
-            best, best_score = (seg, i, i + k), float(scores.flat[flat])
+            best, best_score = SpanLabel(passage, i, i + k), float(scores.flat[flat])
     if best is None:
         raise ValueError("extract_best_span: no candidate span")
-    seg, i, j = best
-    return SpanLabel(seg.passage_id, i, j), best_score
+    return best, best_score

@@ -19,6 +19,8 @@ RELATIONS = ["color", "size", "shape", "origin", "flavor",
              "sound", "texture", "brand", "class", "mood"]
 
 ANSWERS_PER_RELATION = 3  # size of each relation's answer pool
+PSEUDO_POSITIVE_RATE = 1.0  # answer string present, fact not stated
+CONFUSION_DECOY_RATE = 1.0  # hedged fact-shape with a wrong same-pool token
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -38,17 +40,14 @@ class SyntheticSpec:
     relations: int = 10
     train_questions: int = 300
     test_questions: int = 100
-    pseudo_positive_rate: float = 1.0   # answer string present, fact not stated
     strong_decoy_rate: float = 0.7      # overlap decoy that outranks the facts
-    confusion_decoy_rate: float = 1.0   # hedged fact-shape with a wrong same-pool token
     seed: int = 0
 
     def validate(self):
         check_least(self, {"entities": 1, "relations": 1, "train_questions": 0,
                            "test_questions": 0, "seed": 0})
-        for key in ("pseudo_positive_rate", "strong_decoy_rate", "confusion_decoy_rate"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ValueError(f"{key} must be in [0, 1], got {getattr(self, key)}")
+        if not 0.0 <= self.strong_decoy_rate <= 1.0:
+            raise ValueError(f"strong_decoy_rate must be in [0, 1], got {self.strong_decoy_rate}")
         if self.relations > len(RELATIONS):
             raise ValueError(f"at most {len(RELATIONS)} relations supported")
         if self.entities * self.relations < self.train_questions + self.test_questions:
@@ -77,11 +76,11 @@ def _sentences(entity, relation, answer, wrong_answers, spec, rng):
     # every template is exactly ten tokens, so one question's passages are
     # all of one length
     sents = []
-    if rng.random() < spec.pseudo_positive_rate:
+    if rng.random() < PSEUDO_POSITIVE_RATE:
         sents.append(f"{answer.capitalize()} is often mentioned near {entity} in {relation} records.")
     sents.append(f"We all know the {relation} of {entity} is {answer}.")
     sents.append(f"Everyone here knows the {relation} of {entity} is {answer}.")
-    if rng.random() < spec.confusion_decoy_rate:
+    if rng.random() < CONFUSION_DECOY_RATE:
         # plausible wrong tokens in the exact "is X." shape the facts use, with
         # the relation word but no entity. The answer-augmented training query
         # ranks these out of the top-N (entity and answer carry the idf there)

@@ -3,7 +3,7 @@ supervised baselines (reader-only, and reader plus a KL-trained ranker)."""
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -96,13 +96,13 @@ def build_examples(dataset, retrieved_sets):
     return examples, dropped
 
 
-def kl_rank_loss(policy, positive_ids):
-    """KL(y || gamma) where y is uniform over the positive passages.
+def kl_rank_loss(policy, positives):
+    """KL(y || gamma) where y is uniform over the passages at the positive positions.
 
     Expands to mean(-log gamma over positives) - log(#positives); zero exactly
     when gamma matches y on its support.
     """
-    rows = [i for i, pid in enumerate(policy.passage_ids) if pid in positive_ids]
+    rows = sorted(positives)
     if not rows:
         raise ValueError("kl_rank_loss: no positive passage")
     return T.add(T.neg_log_softmax_mean(policy.logits, rows), T.Tensor([[-np.log(len(rows))]]))
@@ -184,59 +184,59 @@ class Trainer:
         subsets, positives, widths, q_embs, p_embs, masks = [], [], [], [], [], []
         for example in batch:
             subset = sample_passage_subset(example, cfg.train_sample_k, cfg.min_negatives, rng)
-            pos_ids = [i for i in subset if example.spans.get(i)]
-            if not pos_ids:
+            pos = [row for row, i in enumerate(subset) if example.spans.get(i)]
+            if not pos:
                 raise ValueError(f"{example.question_id}: example has no positive passage")
             q_emb = embed(example.question_tokens, self.table)
             p_emb = embed([tok for i in subset for tok in example.passage_tokens[i]], self.table)
             subsets.append(subset)
-            positives.append(pos_ids)
+            positives.append(pos)
             widths.append([len(example.passage_tokens[i]) for i in subset])
             q_embs.append(q_emb)
             p_embs.append(p_emb)
             masks.append(model.dropout_masks(q_emb, p_emb, rng))
         m_blocks = model.match_batch(q_embs, p_embs, widths, masks)
-        policies = (model.rank_batch(m_blocks, widths, subsets) if mode != "sr"
-                    else [None] * len(batch))
+        policies = model.rank_batch(m_blocks, widths) if mode != "sr" else [None] * len(batch)
 
-        labels, read_ids, read_widths, read_blocks = [], [], [], []
-        for example, subset, pos_ids, ws, m, policy in zip(batch, subsets, positives, widths,
-                                                           m_blocks, policies):
-            if mode == "r3":
-                tau = ranker_mod.sample_passage(policy, set(pos_ids), rng)
-            else:
-                tau = pos_ids[int(rng.integers(len(pos_ids)))]
-            occurrences = example.spans[tau]
+        # policies and span distributions index passages by their position in
+        # the subset's block; subset[row] is the example's passage at row
+        tau_rows, labels, read_widths, read_blocks = [], [], [], []
+        for example, subset, pos, ws, m, policy in zip(batch, subsets, positives, widths,
+                                                       m_blocks, policies):
+            row = (ranker_mod.sample_passage(policy, pos, rng) if mode == "r3"
+                   else pos[int(rng.integers(len(pos)))])
+            occurrences = example.spans[subset[row]]
             start, end = occurrences[int(rng.integers(len(occurrences)))] \
                 if len(occurrences) > 1 else occurrences[0]
-            labels.append(reader_mod.SpanLabel(tau, start, end))
+            tau_rows.append(row)
+            labels.append(reader_mod.SpanLabel(0, start, end))
             # the reader reads tau, then the negatives: their columns of M
-            order = [tau] + [i for i in subset if not example.spans.get(i)]
-            start = dict(zip(subset, accumulate(ws, initial=0)))
-            read_ids.append(order)
-            read_widths.append([len(example.passage_tokens[i]) for i in order])
-            read_blocks.append(T.take_cols(m, [start[i] + c for i, w in zip(order, read_widths[-1])
-                                               for c in range(w)]))
-        dists = model.read_batch(read_blocks, read_widths, read_ids)
+            order = [row] + [r for r, i in enumerate(subset) if not example.spans.get(i)]
+            starts = list(accumulate(ws, initial=0))
+            read_widths.append([ws[r] for r in order])
+            read_blocks.append(T.take_cols(m, [starts[r] + c for r in order for c in range(ws[r])]))
+        dists = model.read_batch(read_blocks, read_widths)
 
         reports = []
-        for example, subset, pos_ids, policy, dist, label in zip(
-                batch, subsets, positives, policies, dists, labels):
-            tau = label.passage_id
+        for example, subset, pos, policy, dist, row, label in zip(
+                batch, subsets, positives, policies, dists, tau_rows, labels):
+            tau = subset[row]
             reader_loss = reader_mod.span_loss(dist, label)
             report = {"reader_loss": reader_loss.item(), "subset": subset, "tau": tau,
                       "span": (label.start, label.end)}
             loss = reader_loss
             if mode == "sr2":
-                kl = kl_rank_loss(policy, set(pos_ids))
+                kl = kl_rank_loss(policy, pos)
                 loss = T.add(loss, T.scale(kl, cfg.kl_weight))
                 report["kl_loss"] = kl.item()
             elif mode == "r3":
-                extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
+                # tau's segment alone, under the whole reader block's log-softmax
+                extracted, _ = reader_mod.extract_best_span(
+                    replace(dist, segments=dist.segments[:1]), cfg.max_span_len)
                 answer_text = " ".join(
                     example.passage_tokens[tau][extracted.start:extracted.end + 1])
                 r = best_reward(example.answers, answer_text).value
-                log_pi = ranker_mod.log_policy(policy, tau)
+                log_pi = ranker_mod.log_policy(policy, row)
                 loss = T.add(loss, T.scale(log_pi, -r))
                 report["reward"] = r
             report["loss"] = loss

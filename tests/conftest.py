@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,12 +99,12 @@ def grad_or_zero(p):
 
 
 def conditional_positive_probs(policy, positives):
-    """gamma restricted to the positive ids, renormalized; keyed by passage id:
-    the exact law c04 checks REINFORCE's sampling against."""
+    """gamma restricted to the positive positions, renormalized; keyed by
+    position: the exact law c04 checks REINFORCE's sampling against."""
     probs = policy.probs()
-    pos = [pid for pid in policy.passage_ids if pid in positives]
-    mass = sum(probs[policy.index_of(pid)] for pid in pos)
-    return {pid: probs[policy.index_of(pid)] / mass for pid in pos}
+    pos = sorted(positives)
+    mass = sum(probs[i] for i in pos)
+    return {i: probs[i] / mass for i in pos}
 
 
 def enumerate_policy_gradient(trainer, example):
@@ -125,9 +127,10 @@ def enumerate_policy_gradient(trainer, example):
     def grad_for(tau):
         model.zero_grads()
         m = model.match_passages(q_emb, p_emb, widths)
-        policy = model.rank(m, widths, list(range(len(example.passages))))
-        dist = model.read(*read_block(m, widths, [tau] + neg), [tau] + neg)
-        extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
+        policy = model.rank(m, widths)
+        dist = model.read(*read_block(m, widths, [tau] + neg))
+        extracted, _ = reader_mod.extract_best_span(replace(dist, segments=dist.segments[:1]),
+                                                    cfg.max_span_len)
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         T.backward(T.scale(ranker_mod.log_policy(policy, tau), r))

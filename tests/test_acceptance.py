@@ -116,7 +116,7 @@ def test_c01_gradient_correctness():
 
         def reader_loss():
             m = model.match_passages(q_emb, p_emb, widths)
-            dist = model.read(*read_block(m, widths, [0, 2]), [0, 2])
+            dist = model.read(*read_block(m, widths, [0, 2]))
             return reader.span_loss(dist, reader.SpanLabel(0, 0, 1))
 
         def kl_loss():
@@ -155,7 +155,7 @@ def test_c02_distribution_normalization():
                                     T.Tensor(rng.normal(size=(1, l))))
         heads = [T.Tensor(rng.normal(size=s)) for s in
                  [(l, l), (l, 1), (1, l), (l, l), (l, 1), (1, l)]]
-        dist = reader.span_distributions(h_block, widths, list(range(len(h_ps))), *heads)
+        dist = reader.span_distributions(h_block, widths, *heads)
         gamma = pol.probs()
         sums = np.concatenate([
             g.data.sum(axis=0) - 1.0,
@@ -250,8 +250,8 @@ def test_c06_span_extraction_oracle():
         sl = T.Tensor(rng.normal(size=(v, 1)))
         el = T.Tensor(rng.normal(size=(v, 1)))
         segs, off = [], 0
-        for i, w in enumerate(widths):
-            segs.append(reader.Segment(i, off, int(w)))
+        for w in widths:
+            segs.append(reader.Segment(off, int(w)))
             off += int(w)
         dist = reader.SpanDistribution(sl, el, segs)
         for max_len in (1, 4, 15):
@@ -259,13 +259,13 @@ def test_c06_span_extraction_oracle():
             ps = T.softmax_cols(sl).data[:, 0]
             pe = T.softmax_cols(el).data[:, 0]
             best, best_score = None, -1.0
-            for seg in segs:
+            for passage, seg in enumerate(segs):
                 for i in range(seg.offset, seg.offset + seg.length):
                     for j in range(i, min(i + max_len, seg.offset + seg.length)):
                         if ps[i] * pe[j] > best_score:
                             best_score = ps[i] * pe[j]
-                            best = (seg.passage_id, i - seg.offset, j - seg.offset)
-            assert (label.passage_id, label.start, label.end) == best
+                            best = (passage, i - seg.offset, j - seg.offset)
+            assert (label.passage, label.start, label.end) == best
             checked += 1
     report(6, f"extract_best_span equals exhaustive enumeration on {checked} cases")
 

@@ -131,7 +131,7 @@ def test_predict_matches_brute_force_over_pairs(example):
         m = model.match_passages(q_emb, p_emb, widths)
         gamma = model.rank(m, widths).probs()
         h_read = matcher.encode_batch([m], [widths], model.agg_read)[0].data
-        dists = model.read_each(m, widths, list(range(len(widths))))
+        dists = model.read_each(m, widths)
     w_s, b_s, ws_out, w_e, b_e, we_out = (p.data for p in model.read_heads)
     assert len(dists) == len(widths)
     best_score, best_answer = -1.0, None
@@ -141,7 +141,7 @@ def test_predict_matches_brute_force_over_pairs(example):
         end_logits = (we_out @ np.tanh(w_e @ x + b_e))[0]
         np.testing.assert_allclose(dist.start_logits.data[:, 0], start_logits, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dist.end_logits.data[:, 0], end_logits, rtol=0, atol=1e-12)
-        assert [(s.passage_id, s.offset, s.length) for s in dist.segments] == [(i, 0, widths[i])]
+        assert [(s.offset, s.length) for s in dist.segments] == [(0, widths[i])]
         ps, pe = _softmax(start_logits), _softmax(end_logits)
         for s in range(len(ps)):
             for e in range(s, min(s + 4, len(ps))):

@@ -467,7 +467,7 @@ WIDTHS = [4, 4, 4]
 def _model_outputs(model, q_emb, p_emb):
     m = model.match_passages(q_emb, p_emb, WIDTHS)
     gamma = model.rank(m, WIDTHS).probs().copy()
-    start = T.softmax_cols(model.read(m, WIDTHS, [0, 1, 2]).start_logits).data.copy()
+    start = T.softmax_cols(model.read(m, WIDTHS).start_logits).data.copy()
     return gamma, start
 
 
@@ -508,7 +508,7 @@ def test_head_parameter_separation_gradients():
 
     model, q_emb, p_embs = _small_model(seed=1)
     m = model.match_passages(q_emb, p_embs, WIDTHS)
-    dist = model.read(m, WIDTHS, [0, 1, 2])
+    dist = model.read(m, WIDTHS)
     T.backward(reader_mod.span_loss(dist, reader_mod.SpanLabel(0, 1, 2)))
     for name, p in model.parameters().items():
         if name.startswith(("agg_rank.", "rank.")):

@@ -97,7 +97,7 @@ def test_sampling_single_positive_always_selected():
 def test_sampling_frequencies_match_conditional_law():
     # gamma [0.2, 0.3, 0.5], positives {0, 2}: conditional probs 2/7 and 5/7.
     logits = T.Tensor(np.log([[0.2], [0.3], [0.5]]))
-    pol = ranker.PolicyDistribution(logits, [0, 1, 2])
+    pol = ranker.PolicyDistribution(logits)
     rng = np.random.default_rng(123)
     draws = 100_000
     hits = sum(1 for _ in range(draws) if ranker.sample_passage(pol, {0, 2}, rng) == 0)
@@ -113,7 +113,7 @@ def test_sampling_frequencies_match_conditional_law():
 
 def test_sampling_uniform_over_all_positives():
     logits = T.Tensor(np.zeros((4, 1)))
-    pol = ranker.PolicyDistribution(logits, [0, 1, 2, 3])
+    pol = ranker.PolicyDistribution(logits)
     cond = conditional_positive_probs(pol, {0, 1, 2, 3})
     assert all(v == pytest.approx(0.25) for v in cond.values())
 
@@ -126,15 +126,15 @@ def test_sampling_requires_positives_in_train_mode():
 
 def test_log_policy_values():
     logits = T.Tensor(np.log([[0.5], [0.5]]))
-    pol = ranker.PolicyDistribution(logits, [0, 1])
+    pol = ranker.PolicyDistribution(logits)
     assert ranker.log_policy(pol, 0).item() == pytest.approx(math.log(0.5), abs=1e-12)
-    sure = ranker.PolicyDistribution(T.Tensor([[100.0], [-100.0]]), [0, 1])
+    sure = ranker.PolicyDistribution(T.Tensor([[100.0], [-100.0]]))
     assert ranker.log_policy(sure, 0).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_policy_gradient_is_onehot_minus_gamma():
     logits = T.Tensor([[0.4], [-0.3], [1.1]], requires_grad=True)
-    pol = ranker.PolicyDistribution(logits, [0, 1, 2])
+    pol = ranker.PolicyDistribution(logits)
     T.backward(ranker.log_policy(pol, 2))
     onehot = np.array([[0.0], [0.0], [1.0]])
     assert np.allclose(logits.grad, onehot - pol.probs()[:, None], atol=1e-12)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ def make_heads(seed, l):
 def make_dist(seed, widths, l=4):
     rng = np.random.default_rng(seed)
     h_reads = [T.Tensor(rng.normal(size=(l, w))) for w in widths]
-    return reader.span_distributions(T.concat_cols(h_reads), widths, list(range(len(widths))),
-                                     *make_heads(seed + 1, l))
+    return reader.span_distributions(T.concat_cols(h_reads), widths, *make_heads(seed + 1, l))
 
 
 def test_single_one_word_passage():
@@ -31,7 +31,7 @@ def test_two_identical_passages_symmetric():
     rng = np.random.default_rng(1)
     h = rng.normal(size=(4, 3))
     heads = make_heads(2, 4)
-    dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], [0, 1], *heads)
+    dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], *heads)
     ps, pe = T.softmax_cols(dist.start_logits).data, T.softmax_cols(dist.end_logits).data
     assert np.allclose(ps[:3], ps[3:], atol=1e-12)
     assert np.allclose(pe[:3], pe[3:], atol=1e-12)
@@ -53,7 +53,7 @@ def test_span_distributions_match_scalar_loop_reference():
     l = 4
     h_reads = [T.Tensor(rng.normal(size=(l, w))) for w in (3, 2)]
     heads = make_heads(4, l)
-    dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], [0, 1], *heads)
+    dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], *heads)
     h_cat = np.concatenate([h.data for h in h_reads], axis=1)
     ws, bs, ws_out, we, be, we_out = heads
     assert np.allclose(T.softmax_cols(dist.start_logits).data[:, 0],
@@ -72,15 +72,15 @@ def test_distributions_sum_to_one():
 
 def test_span_loss_zero_when_mass_on_label():
     logits = T.Tensor([[50.0], [-50.0], [-50.0]])
-    dist = reader.SpanDistribution(logits, logits, [reader.Segment("p", 0, 3)])
-    loss = reader.span_loss(dist, reader.SpanLabel("p", 0, 0))
+    dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 3)])
+    loss = reader.span_loss(dist, reader.SpanLabel(0, 0, 0))
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_span_loss_half_half_is_two_log_two():
     logits = T.Tensor([[0.0], [0.0]])
-    dist = reader.SpanDistribution(logits, logits, [reader.Segment("p", 0, 2)])
-    loss = reader.span_loss(dist, reader.SpanLabel("p", 1, 1))
+    dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 2)])
+    loss = reader.span_loss(dist, reader.SpanLabel(0, 1, 1))
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
@@ -88,6 +88,13 @@ def test_span_loss_rejects_label_outside_segment():
     dist = make_dist(5, [3, 2])
     with pytest.raises(ValueError, match="outside"):
         reader.span_loss(dist, reader.SpanLabel(1, 0, 3))
+
+
+@pytest.mark.parametrize("passage", [-1, 2])
+def test_span_loss_rejects_a_passage_outside_the_distribution(passage):
+    dist = make_dist(5, [3, 2])
+    with pytest.raises(KeyError, match=f"passage {passage} not in this distribution"):
+        reader.span_loss(dist, reader.SpanLabel(passage, 0, 0))
 
 
 def test_span_loss_gradient_fd():
@@ -98,8 +105,7 @@ def test_span_loss_gradient_fd():
     h_reads_data = [rng.normal(size=(l, 3)), rng.normal(size=(l, 2))]
 
     def build():
-        dist = reader.span_distributions(T.Tensor(np.hstack(h_reads_data)), [3, 2], [0, 1],
-                                         *heads)
+        dist = reader.span_distributions(T.Tensor(np.hstack(h_reads_data)), [3, 2], *heads)
         return reader.span_loss(dist, reader.SpanLabel(0, 1, 2))
 
     assert T.fd_check(build, heads) < 1e-4
@@ -109,8 +115,8 @@ def _uniform_dist(widths):
     v = sum(widths)
     logits = T.Tensor(np.zeros((v, 1)))
     segs, off = [], 0
-    for i, w in enumerate(widths):
-        segs.append(reader.Segment(i, off, w))
+    for w in widths:
+        segs.append(reader.Segment(off, w))
         off += w
     return reader.SpanDistribution(logits, logits, segs)
 
@@ -120,14 +126,14 @@ def test_extract_concentrated_mass():
     el = np.full((5, 1), -30.0)
     sl[2, 0] = 5.0
     el[3, 0] = 5.0
-    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment("p", 0, 5)])
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 5)])
     label, _ = reader.extract_best_span(dist, 4)
     assert (label.start, label.end) == (2, 3)
 
 
 def test_extract_uniform_ties_to_first_position():
     label, _ = reader.extract_best_span(_uniform_dist([3, 2]), 4)
-    assert label.passage_id == 0
+    assert label.passage == 0
     assert (label.start, label.end) == (0, 0)
 
 
@@ -135,14 +141,14 @@ def _brute_force_best(dist, max_len):
     ps = T.softmax_cols(dist.start_logits).data[:, 0]
     pe = T.softmax_cols(dist.end_logits).data[:, 0]
     best, best_score = None, -1.0
-    for seg in dist.segments:
+    for passage, seg in enumerate(dist.segments):
         for i in range(seg.offset, seg.offset + seg.length):
             for j in range(seg.offset, seg.offset + seg.length):
                 if j < i or j - i >= max_len:
                     continue
                 if ps[i] * pe[j] > best_score:
                     best_score = ps[i] * pe[j]
-                    best = (seg.passage_id, i - seg.offset, j - seg.offset)
+                    best = (passage, i - seg.offset, j - seg.offset)
     return best
 
 
@@ -152,14 +158,21 @@ def test_extract_matches_exhaustive_enumeration(max_len):
         widths = list(np.random.default_rng(seed).integers(1, 6, size=3))
         dist = make_dist(seed + 100, widths)
         label, logp = reader.extract_best_span(dist, max_len)
-        assert (label.passage_id, label.start, label.end) == _brute_force_best(dist, max_len)
+        assert (label.passage, label.start, label.end) == _brute_force_best(dist, max_len)
         assert label.end - label.start < max_len
 
 
 def test_extract_restricted_to_one_passage():
-    dist = make_dist(7, [3, 4])
-    label, _ = reader.extract_best_span(dist, 3, restrict_to=1)
-    assert label.passage_id == 1
+    # r3 extracts from one segment of a block, under the whole block's
+    # log-softmax: the best span of passage 1 with passage 1's scores
+    for seed in range(10):
+        dist = make_dist(seed + 300, [3, 4, 2])
+        one = replace(dist, segments=dist.segments[1:2])
+        label, logp = reader.extract_best_span(one, 3)
+        assert label.passage == 0
+        assert _brute_force_best(one, 3) == (0, label.start, label.end)
+        loss = reader.span_loss(dist, reader.SpanLabel(1, label.start, label.end))
+        assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
 
 
 def test_exp_of_loss_at_argmax_equals_span_probability():
@@ -177,7 +190,7 @@ def test_extract_scores_in_log_space_when_probabilities_underflow():
     el = np.zeros((6, 1))
     sl[4, 0] = 1001.0
     el[1, 0] = 1000.0
-    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment("p", 0, 6)])
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 6)])
     label, logp = reader.extract_best_span(dist, 3)
     assert (label.start, label.end) == (4, 4)
     assert logp == pytest.approx(-1000.0, abs=1e-9)

@@ -91,7 +91,6 @@ def test_hedged_decoys_only_surface_at_test_time():
     assert has_hedge(test_sets) == len(test_sets)
 
 
-@pytest.mark.parametrize("field", ["pseudo_positive_rate", "confusion_decoy_rate"])
-def test_rates_outside_unit_interval_are_rejected(field):
-    with pytest.raises(ValueError, match=rf"^{field} must be in \[0, 1\], got 1.5$"):
-        SyntheticSpec(**{field: 1.5}).validate()
+def test_rates_outside_unit_interval_are_rejected():
+    with pytest.raises(ValueError, match=r"^strong_decoy_rate must be in \[0, 1\], got 1.5$"):
+        SyntheticSpec(strong_decoy_rate=1.5).validate()

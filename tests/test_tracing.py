@@ -43,3 +43,24 @@ def test_tracer_spans_fire_on_a_training_step_and_a_prediction():
             "tensor.backward"} <= fired
     assert tracer.counts["tape_nodes.train.sr2"] > 0
     assert tracer.counts["spans_scored.eval"] > 0
+
+
+def test_tracer_counts_only_taus_spans_on_an_r3_step():
+    # one positive passage, so tau is passage 0; r3 extracts from tau's
+    # segment alone, not from the negatives the reader block also holds
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.targets())
+    try:
+        trainer = toy_trainer(seed=0)
+        example = toy_example()
+        example.spans.pop(1)
+        tracer.phase = "train.r3"
+        assert trainer._apply_batch([example], "r3", 0) is not None
+    finally:
+        tracer.uninstall()
+    fired = {rec[tracing.NAME] for rec in tracer.spans}
+    assert {"ranker.sample_passage", "reader.extract_best_span", "trainer.best_reward"} <= fired
+    length, max_len = len(example.passage_tokens[0]), trainer.config.max_span_len
+    assert tracer.counts["spans_scored.train.r3"] == sum(min(max_len, length - i)
+                                                          for i in range(length))

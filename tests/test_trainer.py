@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def test_reward_range_property(gold, pred):
 
 def policy_from_gamma(gamma):
     logits = T.Tensor(np.log(np.asarray(gamma)).reshape(-1, 1), requires_grad=True)
-    return PolicyDistribution(logits, list(range(len(gamma))))
+    return PolicyDistribution(logits)
 
 
 def test_kl_zero_when_gamma_matches_targets():
@@ -86,7 +87,7 @@ def test_kl_gradient_fd():
     logits = T.Tensor(np.random.default_rng(1).normal(size=(4, 1)), requires_grad=True)
 
     def build():
-        pol = PolicyDistribution(logits, [0, 1, 2, 3])
+        pol = PolicyDistribution(logits)
         return trainer_mod.kl_rank_loss(pol, {1, 3})
 
     assert T.fd_check(build, [logits]) < 1e-4
@@ -336,18 +337,20 @@ def _reference_loss(trainer, example, mode, report):
     p_emb, widths = passage_block([example.passage_tokens[i] for i in subset], trainer.table)
     m = model.match_passages(embed(example.question_tokens, trainer.table), p_emb, widths)
     order = [tau] + [i for i in subset if not example.spans.get(i)]
-    dist = model.read(*read_block(m, widths, [subset.index(i) for i in order]), order)
-    loss = reader_mod.span_loss(dist, reader_mod.SpanLabel(tau, *report["span"]))
+    dist = model.read(*read_block(m, widths, [subset.index(i) for i in order]))
+    loss = reader_mod.span_loss(dist, reader_mod.SpanLabel(0, *report["span"]))
     if mode == "sr2":
-        kl = trainer_mod.kl_rank_loss(model.rank(m, widths, subset),
-                                      {i for i in subset if example.spans.get(i)})
+        kl = trainer_mod.kl_rank_loss(model.rank(m, widths),
+                                      {subset.index(i) for i in subset if example.spans.get(i)})
         loss = T.add(loss, T.scale(kl, cfg.kl_weight))
     elif mode == "r3":
-        extracted, _ = reader_mod.extract_best_span(dist, cfg.max_span_len, restrict_to=tau)
+        extracted, _ = reader_mod.extract_best_span(replace(dist, segments=dist.segments[:1]),
+                                                    cfg.max_span_len)
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         assert r == report["reward"]
-        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(m, widths, subset), tau), -r))
+        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(m, widths), subset.index(tau)),
+                                   -r))
     return loss
 
 
@@ -499,9 +502,28 @@ def test_pretrain_init_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "ckpt.json"
     T.save_checkpoint(path, source.model.parameters())
     target = toy_trainer(seed=16, hidden_size=8)
+    before = target.model.export_values()
     with pytest.raises(ValueError) as info:
         trainer_mod.pretrain_init(target.model, path)
     assert str(info.value).startswith(f"{path}: ShapeError: parameter 'enc.")
+    _assert_values_bitwise_equal(target.model, before)
+
+    # a checkpoint that fits but for one late parameter copies nothing either
+    params = dict(source.model.parameters(), **{"rank.W": T.Tensor(np.zeros((1, 1)))})
+    T.save_checkpoint(path, params)
+    target = toy_trainer(seed=16)
+    before = target.model.export_values()
+    with pytest.raises(ValueError) as info:
+        trainer_mod.pretrain_init(target.model, path)
+    assert str(info.value) == (f"{path}: ShapeError: parameter 'rank.W': "
+                               "checkpoint shape (1, 1) != model shape (6, 6)")
+    _assert_values_bitwise_equal(target.model, before)
+
+
+def _assert_values_bitwise_equal(model, values):
+    assert list(model.parameters()) == list(values)
+    for name, p in model.parameters().items():
+        assert p.data.tobytes() == values[name].tobytes(), name
 
 
 def test_sr2_then_r3_hands_off_to_a_fresh_trainer(example):
