@@ -1,7 +1,7 @@
 import pytest
 
 from rankread import retrieval as R
-from rankread.synth import SyntheticSpec, generate
+from rankread.synth import CONFUSION_DECOY_RATE, PSEUDO_POSITIVE_RATE, SyntheticSpec, generate
 from rankread.text import tokenize
 
 
@@ -91,6 +91,21 @@ def test_hedged_decoys_only_surface_at_test_time():
     assert has_hedge(test_sets) == len(test_sets)
 
 
-def test_rates_outside_unit_interval_are_rejected():
-    with pytest.raises(ValueError, match=r"^strong_decoy_rate must be in \[0, 1\], got 1.5$"):
-        SyntheticSpec(strong_decoy_rate=1.5).validate()
+# pseudo_positive_rate and confusion_decoy_rate are module constants, not spec
+# fields: a spec that names them is refused before validate runs
+@pytest.mark.parametrize("field, error, message", [
+    pytest.param("pseudo_positive_rate", TypeError,
+                 "unexpected keyword argument 'pseudo_positive_rate'", id="pseudo_positive_rate"),
+    pytest.param("confusion_decoy_rate", TypeError,
+                 "unexpected keyword argument 'confusion_decoy_rate'", id="confusion_decoy_rate"),
+    pytest.param("strong_decoy_rate", ValueError,
+                 r"^strong_decoy_rate must be in \[0, 1\], got 1.5$", id="strong_decoy_rate"),
+])
+def test_rates_outside_unit_interval_are_rejected(field, error, message):
+    with pytest.raises(error, match=message):
+        SyntheticSpec(**{field: 1.5}).validate()
+
+
+def test_module_rates_lie_in_unit_interval():
+    assert 0.0 <= PSEUDO_POSITIVE_RATE <= 1.0
+    assert 0.0 <= CONFUSION_DECOY_RATE <= 1.0
