@@ -89,9 +89,9 @@ def _class_rules(cls):
 
 def check_fields(what, record, types=None):
     """Raise TypeError "<what> <field> must be <a string|an integer|...>, got
-    <value!r>" for the first field whose value does not have its type. A
-    dataclass record is checked against its annotations (one table per class);
-    a mapping record (a JSON line) passes a {field: type} table."""
+    <value!r>" for the first field whose value does not have its type, else
+    return record. A dataclass record is checked against its annotations (one
+    table per class); a mapping record (a JSON line) passes a {field: type} table."""
     if types is None:
         rules, value_of = _class_rules(type(record)), getattr
     else:
@@ -101,6 +101,7 @@ def check_fields(what, record, types=None):
         if (not isinstance(value, kinds) or (type(value) is bool and kinds is not bool)
                 or (items and not all(isinstance(item, items) for item in value))):
             raise TypeError(f"{what} {name} must be {noun}, got {value!r}")
+    return record
 
 
 def check_least(record, least):

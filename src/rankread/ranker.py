@@ -49,4 +49,4 @@ def sample_passage(policy, positives, rng):
 
 def log_policy(policy, position):
     """log of the selection probability of the passage at one position, as a tensor."""
-    return T.scale(T.neg_log_softmax_pick(policy.logits, position), -1.0)
+    return T.scale(T.neg_log_softmax_mean(policy.logits, [position]), -1.0)

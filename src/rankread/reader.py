@@ -56,8 +56,8 @@ def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out):
 def span_loss(dist, label):
     """-log p_start(label) - log p_end(label), fused with the softmax."""
     gs, ge = dist.global_index(label)
-    return T.add(T.neg_log_softmax_pick(dist.start_logits, gs),
-                 T.neg_log_softmax_pick(dist.end_logits, ge))
+    return T.add(T.neg_log_softmax_mean(dist.start_logits, [gs]),
+                 T.neg_log_softmax_mean(dist.end_logits, [ge]))
 
 
 def _log_softmax(logits):

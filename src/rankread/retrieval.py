@@ -48,17 +48,11 @@ class RetrievedPassage:
     ir_score: float
     positive: bool
 
-    def __post_init__(self):
-        check_fields("retrieved passage", self)
-
 
 @dataclass
 class RetrievedSet:
     question_id: str
     passages: list
-
-    def __post_init__(self):
-        check_fields("retrieved set", self)
 
 
 class InvertedIndex:
@@ -298,10 +292,13 @@ def save_retrieved(sets, path):
 
 def load_retrieved(path):
     """Retrieved sets, one per line; question ids are unique, since sets are
-    looked up by question id. A passage that tokenizes to nothing, which the
-    model could not read, is rejected."""
+    looked up by question id. Each record is type-checked as it is built (the
+    sets retrieve makes from the index's own strings are not). A passage that
+    tokenizes to nothing, which the model could not read, is rejected."""
     def retrieved_set(rec):
-        rs = RetrievedSet(rec["question_id"], [RetrievedPassage(**p) for p in rec["passages"]])
+        passages = [check_fields("retrieved passage", RetrievedPassage(**p))
+                    for p in rec["passages"]]
+        rs = check_fields("retrieved set", RetrievedSet(rec["question_id"], passages))
         for i, p in enumerate(rs.passages):
             if not tokenize(p.text).tokens:
                 raise ValueError(f"passage {i} of question {rs.question_id!r} tokenizes to nothing")

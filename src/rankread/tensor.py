@@ -237,16 +237,6 @@ def concat_rows(tensors):
     return _concat("concat_rows", tensors, 0)
 
 
-def slice_cols(a, j0, j1):
-    out = Tensor._node(a.data[:, j0:j1].copy(), (a,))
-    if out.requires_grad:
-        def bw(g):
-            _ensure_grad(a)
-            a.grad[:, j0:j1] += g
-        out._backward = bw
-    return out
-
-
 def take_cols(a, index):
     """Columns index of a, in that order, as one node: a column gather.
 
@@ -289,15 +279,6 @@ def segment_max(a, widths):
     return out
 
 
-def sum_all(a):
-    out = Tensor._node(np.array([[a.data.sum()]], dtype=a.data.dtype), (a,))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, np.full_like(a.data, g[0, 0]))
-        out._backward = bw
-    return out
-
-
 def neg_log_softmax_mean(a, ks):
     """The mean over ks of -log(softmax(a)[k]) for a column vector a, as one
     fused node; fusing keeps -log(prob) exact when a probability underflows.
@@ -324,11 +305,6 @@ def neg_log_softmax_mean(a, ks):
                 a.grad[k, 0] -= gk
         out._backward = bw
     return out
-
-
-def neg_log_softmax_pick(a, k):
-    """-log(softmax(a)[k]) for a column vector a, as one fused node."""
-    return neg_log_softmax_mean(a, [k])
 
 
 def bilstm(pre_f, pre_b, U_f, U_b, lengths):
@@ -475,11 +451,8 @@ OPS = {
     "transpose": transpose,
     "concat_cols": concat_cols,
     "concat_rows": concat_rows,
-    "slice_cols": slice_cols,
     "take_cols": take_cols,
     "segment_max": segment_max,
-    "sum": sum_all,
-    "neg_log_softmax_pick": neg_log_softmax_pick,
     "neg_log_softmax_mean": neg_log_softmax_mean,
 }
 

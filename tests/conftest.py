@@ -74,9 +74,21 @@ def sigmoid(a):
     return T.scale(T.add(T.tanh(T.scale(a, 0.5)), T.Tensor(np.ones(a.data.shape))), 0.5)
 
 
+def cols(a, j0, j1):
+    """Columns j0:j1 of a, as one gather."""
+    return T.take_cols(a, range(j0, j1))
+
+
 def rows(a, i0, i1):
     """Rows i0:i1 of a, composed from tape ops."""
-    return T.transpose(T.slice_cols(T.transpose(a), i0, i1))
+    return T.transpose(cols(T.transpose(a), i0, i1))
+
+
+def sum_all(a):
+    """The sum of a's entries as a 1x1 tensor: a ones row times a times a
+    ones column. Every gradient entry it sends down is exactly the upstream one."""
+    r, c = a.data.shape
+    return T.matmul(T.matmul(T.Tensor(np.ones((1, r))), a), T.Tensor(np.ones((c, 1))))
 
 
 def passage_block(token_lists, table):

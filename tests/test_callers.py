@@ -1,4 +1,5 @@
 import ast
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -10,6 +11,18 @@ NO_CALLER_NEEDED = {
     "tensor.fd_check": "the finite-difference reference every op's gradient is checked against",
 }
 
+# definitions whose only callers are in perfbench/, each with the benchmark
+# line that pins it; they can go once the benchmark stops naming them
+BENCHMARK_ONLY = {
+    "config.model_config":
+        ("perfbench/workloads.py", "RankReadModel(self.cfg.model_config(), seed=self.seed)"),
+    "evaluation.rank_passages":
+        ("perfbench/workloads.py", "evaluation.rank_passages(model, table, q_tokens, rs.passages)"),
+    "model.read": ("perfbench/tracing.py", '(model.RankReadModel, "read", "model.read", None, None)'),
+    "trainer.example_losses":
+        ("perfbench/tracing.py", '(trainer.Trainer, "example_losses", "trainer.example_losses",'),
+}
+
 # dataclass fields kept though the program never reads them back
 NO_READER_NEEDED = {
     "retrieval.RetrievedPassage.doc_id": "written to the retrieved file for users",
@@ -17,10 +30,22 @@ NO_READER_NEEDED = {
 }
 
 
+def _program():
+    """The package and its scripts."""
+    return [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+
+
 def _sources():
-    """The program: the package, its scripts and the benchmark."""
-    return [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-            *(ROOT / "perfbench").glob("*.py")]
+    """The program and the benchmark."""
+    return [*_program(), *(ROOT / "perfbench").glob("*.py")]
+
+
+def _parse(paths):
+    return [ast.parse(path.read_text()) for path in paths]
+
+
+def _package():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _definitions(tree):
@@ -34,28 +59,63 @@ def _definitions(tree):
                     yield item.name
 
 
+def _is_op_table(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "OPS" for t in node.targets)
+
+
 def _names_used(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value  # perfbench/tracing.py names its targets as strings
+    # an op's own entry in the OPS table, its key or its value, is not a use
+    for statement in tree.body:
+        if _is_op_table(statement):
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value  # perfbench/tracing.py names its targets as strings
+
+
+def _uncalled(modules, sources):
+    """The definitions of modules ({stem: tree}), as stem.name, whose name no
+    tree in sources uses."""
+    used = {name for tree in sources for name in _names_used(tree)}
+    return sorted(f"{stem}.{name}" for stem, tree in modules.items()
+                  for name in _definitions(tree)
+                  if not (name.startswith("__") and name.endswith("__")) and name not in used)
 
 
 def test_every_definition_has_a_caller():
     # code that only tests call is code nobody runs
-    used = set()
-    for path in _sources():
-        used.update(_names_used(ast.parse(path.read_text())))
-    uncalled = [f"{path.stem}.{name}"
-                for path in sorted(PACKAGE.glob("*.py"))
-                for name in _definitions(ast.parse(path.read_text()))
-                if not (name.startswith("__") and name.endswith("__")) and name not in used]
-    assert sorted(uncalled) == sorted(NO_CALLER_NEEDED)
+    assert _uncalled(_package(), _parse(_sources())) == sorted(NO_CALLER_NEEDED)
+
+
+def test_code_only_the_benchmark_calls_is_named():
+    # each goes with the benchmark line that pins it
+    package = _package()
+    only_benchmark = (set(_uncalled(package, _parse(_program())))
+                      - set(_uncalled(package, _parse(_sources()))))
+    assert sorted(only_benchmark) == sorted(BENCHMARK_ONLY)
+    for path, line in BENCHMARK_ONLY.values():
+        assert line in (ROOT / path).read_text()
+
+
+def test_an_op_named_only_in_its_table_has_no_caller():
+    # the lint's rule on a made-up module, whose OPS table names one op by its
+    # own name and one under another key, and lists a called op too
+    module = ast.parse(textwrap.dedent("""
+        def matmul(a, b): return a @ b
+        def slice_cols(a, j0, j1): return a[:, j0:j1]
+        def sum_all(a): return a.sum()
+        OPS = {"matmul": matmul, "slice_cols": slice_cols, "sum": sum_all}
+    """))
+    caller = ast.parse("from tensor import matmul\nmatmul(a, b)\n")
+    assert _uncalled({"tensor": module}, [module, caller]) == ["tensor.slice_cols", "tensor.sum_all"]
+    assert _uncalled({"tensor": module}, [ast.parse("OPS, matmul, slice_cols, sum_all")]) == []
 
 
 def _dataclass_fields(tree):

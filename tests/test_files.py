@@ -8,7 +8,7 @@ from rankread import retrieval as R
 from rankread import tensor as T
 from rankread.cli import load_dataset
 from rankread.config import Config
-from rankread.files import atomic_write
+from rankread.files import atomic_write, check_fields
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -49,13 +49,15 @@ def _document(tmp_path, **fields):
     return R.Document(**{"id": "d", "title": "t", "text": "x", **fields})
 
 
+# load_retrieved checks each passage and set it builds; retrieve's own are not checked
 def _passage(tmp_path, **fields):
-    return R.RetrievedPassage(**{"text": "x", "doc_id": "d", "ir_rank": 1, "ir_score": 0.5,
-                                 "positive": True, **fields})
+    return check_fields("retrieved passage", R.RetrievedPassage(
+        **{"text": "x", "doc_id": "d", "ir_rank": 1, "ir_score": 0.5, "positive": True, **fields}))
 
 
 def _retrieved_set(tmp_path, **fields):
-    return R.RetrievedSet(**{"question_id": "q", "passages": [], **fields})
+    return check_fields("retrieved set", R.RetrievedSet(**{"question_id": "q", "passages": [],
+                                                           **fields}))
 
 
 def _dataset_record(tmp_path, **fields):

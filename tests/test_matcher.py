@@ -4,7 +4,7 @@ import pytest
 from rankread import matcher
 from rankread import tensor as T
 
-from conftest import rows, sigmoid
+from conftest import cols, rows, sigmoid, sum_all
 
 
 def make_bilstm(seed, in_dim, out_dim, scale=0.2):
@@ -87,7 +87,7 @@ def test_batched_encode_gradients_match_sequential():
     def loss_from(encoder_fn):
         T.zero_grads(params)
         outs = encoder_fn()
-        loss = T.sum_all(T.tanh(T.concat_cols(outs)))
+        loss = sum_all(T.tanh(T.concat_cols(outs)))
         T.backward(loss)
         return [q.grad.copy() for q in params]
 
@@ -121,14 +121,14 @@ def _reference_direction(direction, x, n, reverse):
     j*steps + t is sequence j at step t), through the composite path."""
     steps = x.data.shape[1] // n
     pre = T.add_col(T.matmul(direction.W, x), direction.b)
-    blocks = [T.concat_cols([T.slice_cols(pre, j * steps + t, j * steps + t + 1) for j in range(n)])
+    blocks = [T.concat_cols([cols(pre, j * steps + t, j * steps + t + 1) for j in range(n)])
               for t in range(steps)]
     if reverse:
         blocks.reverse()
     outs = _lstm_steps(direction, blocks, n)
     if reverse:
         outs.reverse()
-    return T.concat_cols([T.slice_cols(outs[t], j, j + 1) for j in range(n) for t in range(steps)])
+    return T.concat_cols([cols(outs[t], j, j + 1) for j in range(n) for t in range(steps)])
 
 
 def _reference_encode_batch(seqs, layers):
@@ -138,7 +138,7 @@ def _reference_encode_batch(seqs, layers):
     for p in layers:
         x = T.concat_rows([_reference_direction(p.fwd, x, n, False),
                            _reference_direction(p.bwd, x, n, True)])
-    return [T.slice_cols(x, k * steps, (k + 1) * steps) for k in range(n)]
+    return [cols(x, k * steps, (k + 1) * steps) for k in range(n)]
 
 
 def _bilstm_params(p):
@@ -160,7 +160,7 @@ def test_fused_encode_matches_composite_reference(n, steps):
         T.zero_grads(params)
         seqs = [T.Tensor(d, requires_grad=True) for d in data]
         outs = encoder(seqs, layers)
-        T.backward(T.sum_all(T.mul(T.tanh(T.concat_cols(outs)), T.Tensor(weights))))
+        T.backward(sum_all(T.mul(T.tanh(T.concat_cols(outs)), T.Tensor(weights))))
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
     fused_out, fused_grads = run(encode_each)
@@ -188,7 +188,7 @@ def test_fused_direction_matches_composite_reference(reverse):
     def run(layer_fn):
         T.zero_grads(params)
         out = layer_fn()
-        T.backward(T.sum_all(T.mul(rows(out, i0, i0 + 4), weights)))
+        T.backward(sum_all(T.mul(rows(out, i0, i0 + 4), weights)))
         return out.data, [np.zeros_like(q.data) if q.grad is None else q.grad.copy()
                           for q in params]
 
@@ -221,7 +221,7 @@ def test_stack_over_ragged_batch_matches_each_sequence_alone(depth):
         T.zero_grads(params)
         seqs = [T.Tensor(d, requires_grad=True) for d in data]
         outs = encoder(seqs)
-        loss = T.sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w)) for o, w in zip(outs, weights)]))
+        loss = sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w)) for o, w in zip(outs, weights)]))
         T.backward(loss)
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
@@ -247,7 +247,7 @@ def test_stack_over_shuffled_lengths_matches_each_sequence_alone():
         T.zero_grads(params)
         seqs = [T.Tensor(d, requires_grad=True) for d in data]
         outs = encoder(seqs)
-        loss = T.sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w)) for o, w in zip(outs, weights)]))
+        loss = sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w)) for o, w in zip(outs, weights)]))
         T.backward(loss)
         return [o.data for o in outs], [q.grad.copy() for q in params] + [s.grad for s in seqs]
 
@@ -291,7 +291,7 @@ def test_blocks_encode_as_their_sequences_do_bit_for_bit(widths):
         T.zero_grads(params)
         blocks = [T.Tensor(d, requires_grad=True) for d in data]
         outs = encoder(blocks)
-        T.backward(T.sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w))
+        T.backward(sum_all(T.concat_cols([T.mul(T.tanh(o), T.Tensor(w))
                                             for o, w in zip(outs, weights)])))
         return [o.data for o in outs], [q.grad for q in params] + [b.grad for b in blocks]
 
@@ -437,7 +437,7 @@ def test_fd_through_attend_match_aggregate():
         g = matcher.attend(h_q, h_p, registry["wg"], registry["bg"])
         m = matcher.match(h_p, h_q, g, registry["wm"])
         h = encode(m, agg)
-        return T.sum_all(T.tanh(h))
+        return sum_all(T.tanh(h))
 
     assert T.fd_check(build, list(registry.values())) < 1e-4
 

@@ -6,7 +6,7 @@ import pytest
 
 from rankread import tensor as T
 
-from conftest import rows, sigmoid
+from conftest import cols, rows, sigmoid, sum_all
 
 
 RNG = None
@@ -42,21 +42,21 @@ def test_relu_forward_and_backward():
     x = T.Tensor([[-1.0, 2.0]], requires_grad=True)
     y = T.relu(x)
     assert np.array_equal(y.data, [[0.0, 2.0]])
-    T.backward(T.sum_all(y))
+    T.backward(sum_all(y))
     assert np.array_equal(x.grad, [[0.0, 1.0]])
 
 
 def test_bilinear_grads():
     w = T.Tensor([[1.0, 2.0]], requires_grad=True)
     x = T.Tensor([[3.0, 4.0]])
-    loss = T.sum_all(T.mul(w, x))
+    loss = sum_all(T.mul(w, x))
     T.backward(loss)
     assert np.array_equal(w.grad, [[3.0, 4.0]])
 
 
 def test_neg_log_softmax_pick_grad_is_softmax_minus_onehot():
     z = T.Tensor([[0.3], [-1.2], [0.7]], requires_grad=True)
-    loss = T.neg_log_softmax_pick(z, 1)
+    loss = T.neg_log_softmax_mean(z, [1])
     T.backward(loss)
     soft = np.exp(z.data) / np.exp(z.data).sum()
     expected = soft.copy()
@@ -110,9 +110,9 @@ def test_unused_parameter_gets_exactly_zero_grad():
     # no gradient reaches it, so it holds none, which Adamax and fd_check read as zero
     used = rand_tensor(2, 2)
     unused = rand_tensor(3, 1)
-    T.backward(T.sum_all(T.tanh(used)))
+    T.backward(sum_all(T.tanh(used)))
     assert unused.grad is None
-    assert T.fd_check(lambda: T.sum_all(T.tanh(used)), [unused]) == 0.0
+    assert T.fd_check(lambda: sum_all(T.tanh(used)), [unused]) == 0.0
 
 
 def test_determinism_bitwise():
@@ -140,7 +140,7 @@ def _fd_single_op(op, *shapes, **kwargs):
 
     def build():
         out = op(*params, **kwargs)
-        return T.sum_all(T.mul(out, out)) if out.data.shape != (1, 1) else out
+        return sum_all(T.mul(out, out)) if out.data.shape != (1, 1) else out
 
     return T.fd_check(build, params)
 
@@ -166,9 +166,9 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.transpose, (2, 5)) < 1e-4
     assert _fd_single_op(T.segment_max, (3, 7), widths=[2, 1, 4]) < 1e-4
     assert _fd_single_op(T.take_cols, (3, 5), index=[4, 0, 2]) < 1e-4
-    assert _fd_single_op(T.slice_cols, (3, 5), j0=1, j1=4) < 1e-4
+    assert _fd_single_op(cols, (3, 5), j0=1, j1=4) < 1e-4
     assert _fd_single_op(rows, (5, 2), i0=0, i1=3) < 1e-4
-    assert _fd_single_op(T.neg_log_softmax_pick, (5, 1), k=2) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), ks=[2]) < 1e-4
     assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), ks=[3, 0, 2]) < 1e-4
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
 
@@ -201,18 +201,21 @@ def _two_paths(build_new, build_old, shape):
         x = T.Tensor(data, requires_grad=True)
         a = T.tanh(x)
         out = build(a)
-        T.backward(T.add(T.sum_all(T.mul(T.matmul(w, out), T.matmul(w, out))), T.sum_all(a)))
+        T.backward(T.add(sum_all(T.mul(T.matmul(w, out), T.matmul(w, out))), sum_all(a)))
         results.append((out.data, x.grad, w.grad))
     return results
 
 
 def test_take_cols_equals_its_slices_bit_for_bit():
+    # the reference is the product with the one-hot columns of index: each
+    # entry of its value and of its gradient is one product by 1 plus zeros,
+    # so it is exact, and it shares no code with take_cols
     for _ in range(50):
         cols = int(RNG.integers(1, 9))
         index = RNG.permutation(cols)[:int(RNG.integers(1, cols + 1))].tolist()
         new, old = _two_paths(
             lambda a: T.take_cols(a, index),
-            lambda a: T.concat_cols([T.slice_cols(a, j, j + 1) for j in index]), (4, cols))
+            lambda a: T.matmul(a, T.Tensor(np.eye(cols)[:, index])), (4, cols))
         assert new[0].flags.c_contiguous
         for x, y in zip(new, old):
             assert np.array_equal(x, y)
@@ -240,7 +243,7 @@ def test_segment_max_equals_row_max_per_segment_bit_for_bit():
             [out.data, x.grad] for out, x in (
                 _segment_paths(data, lambda a: T.segment_max(a, widths)),
                 _segment_paths(data, lambda a: T.concat_cols(
-                    [_row_max(T.slice_cols(a, e - w, e)) for w, e in zip(widths, ends)]))))
+                    [_row_max(cols(a, e - w, e)) for w, e in zip(widths, ends)]))))
         assert new[0].flags.c_contiguous
         for x, y in zip(new, old):
             assert np.array_equal(x, y)
@@ -249,7 +252,7 @@ def test_segment_max_equals_row_max_per_segment_bit_for_bit():
 def _segment_paths(data, build):
     x = T.Tensor(data, requires_grad=True)
     out = build(x)
-    T.backward(T.sum_all(T.mul(out, T.Tensor(np.arange(out.data.size).reshape(out.data.shape)))))
+    T.backward(sum_all(T.mul(out, T.Tensor(np.arange(out.data.size).reshape(out.data.shape)))))
     return out, x
 
 
@@ -269,7 +272,7 @@ def test_fused_mean_of_picks_equals_the_picks_added_in_order_bit_for_bit():
         def composite(a):
             total = None
             for k in ks:
-                pick = T.neg_log_softmax_pick(a, k)
+                pick = T.neg_log_softmax_mean(a, [k])
                 total = pick if total is None else T.add(total, pick)
             return T.scale(total, 1.0 / len(ks))
 
@@ -433,7 +436,7 @@ def test_bilstm_equals_the_frozen_step_loop_bit_for_bit(h):
         g = RNG.normal(size=(2 * h, cols))
         expected = reference_bilstm(*(t.data for t in ins), lengths, g)
         out = T.bilstm(*ins, lengths)
-        T.backward(T.sum_all(T.mul(out, T.Tensor(g))))  # the gradient reaching out is g
+        T.backward(sum_all(T.mul(out, T.Tensor(g))))  # the gradient reaching out is g
         with T.no_grad():
             bare = T.bilstm(*ins, lengths)
         got = [out.data] + [t.grad for t in ins]
@@ -463,17 +466,17 @@ def test_bilstm_without_a_tape_gives_the_recording_output_and_no_node(lengths):
 def test_fd_concat_ops():
     rng = np.random.default_rng(5)
     xs = [T.Tensor(rng.normal(size=(3, w)), requires_grad=True) for w in (1, 2, 3)]
-    err = T.fd_check(lambda: T.sum_all(T.tanh(T.concat_cols(xs))), xs)
+    err = T.fd_check(lambda: sum_all(T.tanh(T.concat_cols(xs))), xs)
     assert err < 1e-4
     ys = [T.Tensor(rng.normal(size=(h, 2)), requires_grad=True) for h in (2, 1, 3)]
-    err = T.fd_check(lambda: T.sum_all(T.tanh(T.concat_rows(ys))), ys)
+    err = T.fd_check(lambda: sum_all(T.tanh(T.concat_rows(ys))), ys)
     assert err < 1e-4
 
 
 def test_fd_linear_loss_is_near_exact():
     w = rand_tensor(3, 2)
     x = rand_tensor(3, 2, requires_grad=False)
-    err = T.fd_check(lambda: T.sum_all(T.mul(w, x)), [w])
+    err = T.fd_check(lambda: sum_all(T.mul(w, x)), [w])
     assert err < 1e-10
 
 
@@ -487,7 +490,7 @@ def test_fd_three_layer_composite():
     def build():
         h1 = T.tanh(T.matmul(w1, x))
         h2 = sigmoid(T.matmul(w2, h1))
-        return T.sum_all(T.matmul(w3, h2))
+        return sum_all(T.matmul(w3, h2))
 
     assert T.fd_check(build, [w1, w2, w3]) < 1e-4
 
@@ -496,7 +499,7 @@ def test_fd_rejects_nondeterministic_builder():
     rng = np.random.default_rng(0)
     w = rand_tensor(2, 2)
     with pytest.raises(ValueError, match="deterministic"):
-        T.fd_check(lambda: T.sum_all(T.mul(w, T.Tensor(rng.normal(size=(2, 2))))), [w])
+        T.fd_check(lambda: sum_all(T.mul(w, T.Tensor(rng.normal(size=(2, 2))))), [w])
 
 
 def _assert_own_grad_arrays(root):
@@ -509,14 +512,14 @@ def _assert_own_grad_arrays(root):
 def test_shared_subgraph_accumulates():
     # loss = sum(x*x) + sum(x): d/dx = 2x + 1
     x = T.Tensor([[1.5, -0.5]], requires_grad=True)
-    loss = T.add(T.sum_all(T.mul(x, x)), T.sum_all(x))
+    loss = T.add(sum_all(T.mul(x, x)), sum_all(x))
     T.backward(loss)
     assert np.allclose(x.grad, 2 * x.data + 1)
     # the same fan-out through an intermediate u = tanh(x), which hands its
     # gradient 2u + 1 on to x and keeps none
     T.zero_grads([x])
     u = T.tanh(x)
-    loss = T.add(T.sum_all(T.mul(u, u)), T.sum_all(u))
+    loss = T.add(sum_all(T.mul(u, u)), sum_all(u))
     T.backward(loss)
     assert u.grad is None
     assert np.allclose(x.grad, (2 * u.data + 1) * (1 - u.data ** 2))
@@ -528,11 +531,11 @@ def test_backward_through_a_shared_intermediate_adds_each_loss_once():
     # loss's gradient through u
     x = T.Tensor([[0.4, -1.3]], requires_grad=True)
     u = T.tanh(x)
-    T.backward(T.sum_all(u))
+    T.backward(sum_all(u))
     first = x.grad.copy()
-    T.backward(T.sum_all(T.mul(u, u)))
+    T.backward(sum_all(T.mul(u, u)))
     y = T.Tensor(x.data, requires_grad=True)
-    T.backward(T.sum_all(T.mul(T.tanh(y), T.tanh(y))))
+    T.backward(sum_all(T.mul(T.tanh(y), T.tanh(y))))
     assert np.array_equal(x.grad, first + y.grad)
     assert np.allclose(x.grad, (1 + 2 * u.data) * (1 - u.data ** 2), rtol=0, atol=1e-15)
     assert u.grad is None
@@ -543,7 +546,7 @@ def test_backward_twice_on_one_loss_doubles_the_gradient():
     # x's one consumer t feeds three, one of them a slice that adds into part
     # of t's gradient; x gets one contribution per pass, so the sum is exact
     t = T.tanh(x)
-    loss = T.sum_all(T.mul(sigmoid(t), T.add(t, T.concat_cols([T.slice_cols(t, 1, 2)] * 2))))
+    loss = sum_all(T.mul(sigmoid(t), T.add(t, T.concat_cols([cols(t, 1, 2)] * 2))))
     T.backward(loss)
     once = x.grad.copy()
     T.backward(loss)
@@ -578,7 +581,7 @@ def test_fan_out_grads_are_exact_and_share_no_array(case):
     # u's second consumer w = u + z runs its backward first and hands u and z
     # one gradient; were it not copied, u's share from out would land in z's
     w = T.add(u, z)
-    loss = T.add(T.sum_all(T.mul(w, T.Tensor(d))), T.sum_all(T.mul(out, T.Tensor(c))))
+    loss = T.add(sum_all(T.mul(w, T.Tensor(d))), sum_all(T.mul(out, T.Tensor(c))))
     T.backward(loss)
     du, dv = expected(c)
     assert all(t.grad is None for t in (out, w, u, v))
@@ -685,7 +688,7 @@ def test_no_grad_records_nothing_nests_and_restores_after_an_exception():
             raise RuntimeError("inside")
     w = T.tanh(x)
     assert w.requires_grad and w._parents == (x,)
-    T.backward(T.sum_all(w))
+    T.backward(sum_all(w))
     assert np.array_equal(x.grad, 1.0 - w.data * w.data)
 
 

