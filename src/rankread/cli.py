@@ -3,17 +3,14 @@
 import argparse
 import logging
 import sys
-from dataclasses import asdict, fields
-
-import numpy as np
+from dataclasses import fields
 
 from . import evaluation, retrieval, trainer as trainer_mod
-from . import tensor as T
 from .config import Config
-from .files import check_fields, one_line_errors, read_jsonl, write_json, write_jsonl
-from .model import RankReadModel
+from .files import check_fields, read_jsonl, write_json, write_jsonl
+from .model import RankReadModel, load_checkpoint, save_checkpoint
 from .synth import SyntheticSpec, generate
-from .text import EmbeddingTable, load_embeddings, synthetic_embeddings, tokenize
+from .text import load_embeddings, synthetic_embeddings, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -77,43 +74,10 @@ def _make_table(config, dataset, retrieved_sets):
                                 config.embed_dim, seed=config.seed)
 
 
-def _table_payload(config, table):
-    if config.embeddings_path:
-        return {"kind": "file", "path": config.embeddings_path, "dimension": table.dimension}
-    return {"kind": "inline", "dimension": table.dimension,
-            "vectors": {tok: table.lookup(tok).tolist() for tok in sorted(table.tokens())}}
-
-
-def _table_from_payload(payload):
-    if payload["kind"] == "file":
-        return load_embeddings(payload["path"], payload["dimension"])
-    dimension = payload["dimension"]
-    vectors = {}
-    for tok, vec in payload["vectors"].items():
-        arr = np.array(vec, dtype=np.float64)
-        if arr.shape != (dimension,) or not np.isfinite(arr).all():
-            raise ValueError(f"embedding of {tok!r} must be {dimension} finite numbers")
-        vectors[tok] = arr
-    return EmbeddingTable(dimension, vectors)
-
-
-def _load_model(checkpoint_path):
-    values, extra = T.load_checkpoint(checkpoint_path)
-    if not isinstance(extra, dict) or "config" not in extra or "table" not in extra:
-        raise ValueError(f"{checkpoint_path}: checkpoint lacks config/table metadata")
-    with one_line_errors(f"{checkpoint_path}: checkpoint metadata"):
-        config = Config().with_overrides(extra["config"])
-        table = _table_from_payload(extra["table"])
-    model = RankReadModel(config, seed=config.seed)
-    with one_line_errors(checkpoint_path):
-        model.load_values(values)
-    return model, table, config
-
-
 def _load_scoring_inputs(args):
     """What evaluate and analyze read: model, table, config, dataset, retrieved sets."""
-    model, table, config = _load_model(args.checkpoint)
-    return (model, table, _config_from_args(args, config), load_dataset(args.dataset),
+    model, table = load_checkpoint(args.checkpoint)
+    return (model, table, _config_from_args(args, model.config), load_dataset(args.dataset),
             retrieval.load_retrieved(args.retrieved))
 
 
@@ -155,10 +119,11 @@ def cmd_train(args):
     examples, dropped = trainer_mod.build_examples(dataset, retrieved_sets)
     if not examples:
         raise ValueError("no trainable questions (none has a positive passage)")
-    table = _make_table(config, dataset, retrieved_sets)
-    model = RankReadModel(config, seed=config.seed)
     if args.init:
-        trainer_mod.pretrain_init(model, args.init)
+        model, table = load_checkpoint(args.init, config)
+    else:
+        table = _make_table(config, dataset, retrieved_sets)
+        model = RankReadModel(config, seed=config.seed)
     if config.mode == "r3":
         sr2_epochs = 0 if args.init else config.pretrain_epochs
         if sr2_epochs:
@@ -168,9 +133,7 @@ def cmd_train(args):
     else:
         trainer = trainer_mod.Trainer(model, table, config, seed=config.seed)
         trainer.train(examples, config.mode, config.epochs)
-    extra = {"mode": config.mode, "config": asdict(config),
-             "table": _table_payload(config, table)}
-    T.save_checkpoint(args.out, model.parameters(), extra=extra)
+    save_checkpoint(args.out, model, table)
     if args.log:
         write_jsonl(args.log, trainer.log)
     nonfinite = (f", {trainer.nonfinite_steps} non-finite steps skipped"

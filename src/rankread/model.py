@@ -1,11 +1,18 @@
-"""The full ranker-reader model: one shared matcher, two heads, one registry."""
+"""The full ranker-reader model: one shared matcher, two heads, one registry,
+and the checkpoint file that holds it with its config and word vectors."""
+
+from dataclasses import asdict
 
 import numpy as np
 
 from . import matcher, ranker, reader
 from . import tensor as T
+from .config import Config
+from .files import one_line_errors, read_versioned_json, write_json
+from .text import EmbeddingTable, load_embeddings
 
 INIT_SCALE = 0.1  # parameters start uniform in [-INIT_SCALE, INIT_SCALE]
+CHECKPOINT_FORMAT = 1
 
 
 class RankReadModel:
@@ -156,3 +163,71 @@ class RankReadModel:
                                         T.Tensor(ends[s.offset:s.offset + s.length]),
                                         [reader.Segment(0, s.length)])
                 for s in dist.segments]
+
+
+# -- checkpoints ------------------------------------------------------------
+
+def save_checkpoint(path, model, table):
+    """Write one versioned JSON object: "params", one {name, rows, cols, values}
+    entry per parameter, and "extra", the run's mode, config and word vectors.
+    A table read from a file is stored by its path, any other one inline by
+    token. Floats serialize via repr, so a round-trip is bit-exact."""
+    if table.path:
+        vectors = {"kind": "file", "path": table.path, "dimension": table.dimension}
+    else:
+        vectors = {"kind": "inline", "dimension": table.dimension,
+                   "vectors": {tok: table.lookup(tok).tolist() for tok in sorted(table.tokens())}}
+    write_json(path, {
+        "format_version": CHECKPOINT_FORMAT,
+        "params": [{"name": name, "rows": p.data.shape[0], "cols": p.data.shape[1],
+                    "values": p.data.ravel().tolist()} for name, p in model.params.items()],
+        "extra": {"mode": model.config.mode, "config": asdict(model.config), "table": vectors},
+    })
+
+
+def load_checkpoint(path, config=None):
+    """(model, table) from a checkpoint: the model is built from config, or from
+    the checkpoint's own (parsed and checked either way) when config is None.
+    config's embeddings_path, when set, must be the table's file. Errors are one
+    line naming path; an "optimizer" entry, which older checkpoints carry, is ignored."""
+    payload = read_versioned_json(path, "checkpoint", CHECKPOINT_FORMAT, ("params",))
+    values = {}
+    with one_line_errors(path):
+        for rec in payload["params"]:
+            name = rec["name"]
+            if name in values:
+                raise ValueError(f"checkpoint entry {name!r} repeats")
+            arr = np.array(rec["values"], dtype=np.float64)
+            if arr.size != rec["rows"] * rec["cols"]:
+                raise ValueError(f"checkpoint entry {name!r} has inconsistent size")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint entry {name!r} has a non-finite value")
+            values[name] = arr.reshape(rec["rows"], rec["cols"])
+    extra = payload.get("extra")
+    if not isinstance(extra, dict) or "config" not in extra or "table" not in extra:
+        raise ValueError(f"{path}: checkpoint lacks config/table metadata")
+    with one_line_errors(f"{path}: checkpoint metadata"):
+        own = Config().with_overrides(extra["config"])
+        table = _embedding_table(extra["table"])
+    config = own if config is None else config
+    if config.embeddings_path not in ("", table.path):
+        held = repr(table.path) if table.path else "inline"
+        raise ValueError(f"{path}: embeddings_path {config.embeddings_path!r} is not the "
+                         f"checkpoint's word vectors ({held})")
+    model = RankReadModel(config, seed=config.seed)
+    with one_line_errors(path):
+        model.load_values(values)
+    return model, table
+
+
+def _embedding_table(payload):
+    if payload["kind"] == "file":
+        return load_embeddings(payload["path"], payload["dimension"])
+    dimension = payload["dimension"]
+    vectors = {}
+    for tok, vec in payload["vectors"].items():
+        arr = np.array(vec, dtype=np.float64)
+        if arr.shape != (dimension,) or not np.isfinite(arr).all():
+            raise ValueError(f"embedding of {tok!r} must be {dimension} finite numbers")
+        vectors[tok] = arr
+    return EmbeddingTable(dimension, vectors)

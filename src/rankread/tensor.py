@@ -13,8 +13,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from .files import one_line_errors, read_versioned_json, write_json
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform to an op's rule."""
@@ -584,48 +582,3 @@ class Adamax:
             m += (1.0 - self.beta1) * g
             np.maximum(self.beta2 * u, np.abs(g), out=u)
             p.data -= (self.lr / correction) * m / (u + self.eps)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(path, params, extra=None):
-    """Write parameters, and extra if given, to a JSON file.
-
-    Floats serialize via repr, so a save/load round-trip is bit-exact.
-    """
-    payload = {
-        "format_version": CHECKPOINT_VERSION,
-        "params": [
-            {
-                "name": name,
-                "rows": p.data.shape[0],
-                "cols": p.data.shape[1],
-                "values": p.data.ravel().tolist(),
-            }
-            for name, p in params.items()
-        ],
-    }
-    if extra is not None:
-        payload["extra"] = extra
-    write_json(path, payload)
-
-
-def load_checkpoint(path):
-    """Return ({name: ndarray}, extra_or_None). An "optimizer" entry, which
-    older checkpoints carry, is ignored."""
-    payload = read_versioned_json(path, "checkpoint", CHECKPOINT_VERSION, ("params",))
-    values = {}
-    with one_line_errors(path):
-        for rec in payload["params"]:
-            arr = np.array(rec["values"], dtype=np.float64)
-            if arr.size != rec["rows"] * rec["cols"]:
-                raise ValueError(f"checkpoint entry {rec['name']!r} has inconsistent size")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"checkpoint entry {rec['name']!r} has a non-finite value")
-            values[rec["name"]] = arr.reshape(rec["rows"], rec["cols"])
-    return values, payload.get("extra")

@@ -46,11 +46,13 @@ def find_token_spans(haystack, needle):
 class EmbeddingTable:
     """Immutable token -> vector map, held as one (d, V+1) matrix and a token ->
     column map. Column j is the vector of the j-th token given; the last
-    column is the all-zero vector that unknown tokens share."""
+    column is the all-zero vector that unknown tokens share. path is the
+    vectors' file, "" for a table made in memory."""
 
-    def __init__(self, dimension, vectors):
+    def __init__(self, dimension, vectors, path=""):
         vectors = dict(vectors)
         self.dimension = dimension
+        self.path = path
         self._columns = {tok: j for j, tok in enumerate(vectors)}
         self._matrix = np.column_stack([*vectors.values(), np.zeros(dimension)])
 
@@ -94,7 +96,7 @@ def load_embeddings(path, dimension):
         log.warning("skipped %d malformed embedding lines in %s", skipped, path)
     if not vectors:
         raise ValueError(f"no usable embedding lines in {path}")
-    return EmbeddingTable(dimension, vectors)
+    return EmbeddingTable(dimension, vectors, str(path))
 
 
 def synthetic_embeddings(vocab, dimension, seed=0):

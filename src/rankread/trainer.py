@@ -13,7 +13,6 @@ from . import reader as reader_mod
 from . import tensor as T
 from .config import MODES
 from .evaluation import token_f1
-from .files import one_line_errors
 from .text import embed, find_token_spans, tokenize
 
 log = logging.getLogger(__name__)
@@ -127,13 +126,6 @@ def sample_passage_subset(example, k, min_negatives, rng):
         picks = rng.choice(len(neg), size=n_neg, replace=False).tolist()
         chosen.extend(neg[i] for i in picks)
     return sorted(chosen)
-
-
-def pretrain_init(model, checkpoint_path):
-    """Copy checkpointed parameters into the model."""
-    values, _ = T.load_checkpoint(checkpoint_path)
-    with one_line_errors(checkpoint_path):
-        model.load_values(values)
 
 
 class Trainer:

@@ -21,7 +21,7 @@ from rankread import tensor as T
 from rankread import trainer as trainer_mod
 from rankread.experiment import run_experiment
 from rankread.config import Config
-from rankread.model import RankReadModel
+from rankread.model import RankReadModel, load_checkpoint, save_checkpoint
 from rankread.text import tokenize
 
 
@@ -346,18 +346,18 @@ def test_c10_determinism_and_persistence(tmp_path):
     source = toy_trainer(seed=24)
     source.train([toy_example()], "sr2", epochs=2)
     path = tmp_path / "sr2.json"
-    T.save_checkpoint(path, source.model.parameters(), extra={"mode": "sr2"})
-    values, _ = T.load_checkpoint(path)
+    save_checkpoint(path, source.model, source.table)
+    loaded, _ = load_checkpoint(path)
     for name, p in source.model.parameters().items():
-        assert np.array_equal(values[name], p.data), name
+        assert np.array_equal(loaded.parameters()[name].data, p.data), name
 
     # (c) pretraining hand-off with zero steps predicts identically
     target = toy_trainer(seed=77)
-    trainer_mod.pretrain_init(target.model, path)
+    model, table = load_checkpoint(path, target.config)
     example = toy_example()
     cands_source = E.predict_candidates(source.model, source.table, example.question_tokens,
                                         example.passages, source.config.max_span_len)
-    cands_target = E.predict_candidates(target.model, target.table, example.question_tokens,
+    cands_target = E.predict_candidates(model, table, example.question_tokens,
                                         example.passages, target.config.max_span_len)
     assert cands_source == cands_target
     report(10, "fixed-seed logs bitwise equal; checkpoints round-trip; "

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rankread import retrieval
-from rankread import tensor as T
 from rankread.cli import build_parser, load_dataset, main
 from rankread.config import Config
+from rankread.model import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,8 @@ def test_r3_run_equals_sr2_checkpoint_then_r3_from_init(workdir, tmp_path):
                  "--out", str(paths["r3_init"]), "--log", str(logs["r3_init"])]) == 0
     assert main(["train", *common, "--mode", "r3", "--epochs", "1", "--pretrain-epochs", "2",
                  "--out", str(paths["r3"]), "--log", str(logs["r3"])]) == 0
-    sr2, r3_init, r3 = (T.load_checkpoint(paths[name])[0] for name in ("sr2", "r3_init", "r3"))
+    sr2, r3_init, r3 = (load_checkpoint(paths[name])[0].export_values()
+                        for name in ("sr2", "r3_init", "r3"))
     assert r3.keys() == r3_init.keys()
     assert all(np.array_equal(r3[name], r3_init[name]) for name in r3)
     assert not all(np.array_equal(r3[name], sr2[name]) for name in r3)
@@ -156,6 +157,64 @@ def test_train_r3_with_init_checkpoint(workdir, tmp_path):
                  "--train-sample-k", "6", "--seed", "3"]) == 0
     records = [json.loads(l) for l in log.read_text().splitlines()]
     assert all("reward" in r for r in records)
+
+
+def _train_sr2(workdir, out, *flags):
+    assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "sr2",
+                 "--hidden-size", "8", "--embed-dim", "8", "--train-sample-k", "6", *flags]) == 0
+    return json.loads(out.read_text())
+
+
+def _vectors_file(workdir, path):
+    """The workdir checkpoint's inline vectors as an embeddings file."""
+    vectors = json.loads(workdir["ckpt"].read_text())["extra"]["table"]["vectors"]
+    path.write_text("".join(f"{tok} {' '.join(map(repr, vec))}\n" for tok, vec in vectors.items()))
+    return str(path)
+
+
+@pytest.mark.parametrize("table", ["inline", "file", "file_and_flag"])
+def test_init_takes_the_checkpoint_word_vectors(workdir, tmp_path, table):
+    # before, --init drew a new synthetic table from --seed and trained the
+    # checkpoint's weights on vectors they never saw, and a chain that started
+    # from a vectors file went on with synthetic vectors written inline
+    if table == "inline":
+        flags = []
+    else:
+        flags = ["--embeddings-path", _vectors_file(workdir, tmp_path / "vectors.txt")]
+    a = _train_sr2(workdir, tmp_path / "a.json", "--epochs", "1", "--seed", "1", *flags)
+    b = _train_sr2(workdir, tmp_path / "b.json", "--epochs", "0", "--seed", "2",
+                   "--init", str(tmp_path / "a.json"), *(flags if table == "file_and_flag" else []))
+    assert b["params"] == a["params"]
+    assert b["extra"]["table"] == a["extra"]["table"]
+    assert a["extra"]["table"]["kind"] == ("inline" if table == "inline" else "file")
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("table", ["file", "inline"])
+def test_init_with_other_word_vectors_is_one_line_error_naming_both(workdir, tmp_path, capsys,
+                                                                    source, table):
+    # before, the flag's vectors were silently paired with the checkpoint's weights
+    other = _vectors_file(workdir, tmp_path / "other.txt")
+    if table == "file":
+        ckpt = tmp_path / "a.json"
+        vectors = _vectors_file(workdir, tmp_path / "vectors.txt")
+        _train_sr2(workdir, ckpt, "--epochs", "0", "--embeddings-path", vectors)
+        held = repr(vectors)
+    else:
+        ckpt, held = workdir["ckpt"], "inline"
+    if source == "flag":
+        flags = ["--embeddings-path", other]
+    else:
+        (tmp_path / "run.cfg").write_text(f"embeddings_path={other}\n")
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "out.json"
+    assert main(["train", "--init", str(ckpt), "--retrieved", str(workdir["retrieved_train"]),
+                 "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "r3",
+                 "--hidden-size", "8", "--embed-dim", "8", "--train-sample-k", "6", *flags]) == 1
+    assert _error_line(capsys) == (f"error: {ckpt}: embeddings_path {other!r} is not the "
+                                   f"checkpoint's word vectors ({held})")
+    assert not out.exists()
 
 
 def test_fixed_seed_reproduces_training_log(workdir, tmp_path):
@@ -498,7 +557,7 @@ def test_out_that_cannot_be_written_is_one_line_error_naming_it(workdir, tmp_pat
     assert [p.name for p in tmp_path.rglob("*")] == (["d"] if target == "directory" else [])
 
 
-@pytest.mark.parametrize("fault", ["missing", "shape", "extra"])
+@pytest.mark.parametrize("fault", ["missing", "shape", "extra", "repeated"])
 @pytest.mark.parametrize("command", ["evaluate", "train"])
 def test_checkpoint_that_does_not_fit_the_model_is_one_line_error_naming_it(
         workdir, tmp_path, capsys, command, fault):
@@ -512,6 +571,11 @@ def test_checkpoint_that_does_not_fit_the_model_is_one_line_error_naming_it(
         # before, a parameter the model lacks was dropped silently
         ckpt["params"].append({**ckpt["params"][0], "name": "agg_read.9.fwd.W"})
         message = "ValueError: checkpoint has parameter 'agg_read.9.fwd.W' the model lacks"
+    elif fault == "repeated":
+        # before, the second, zeroed entry was loaded over the first silently
+        rec = next(rec for rec in ckpt["params"] if rec["name"] == "enc.fwd.W")
+        ckpt["params"].append({**rec, "values": [0.0] * len(rec["values"])})
+        message = "ValueError: checkpoint entry 'enc.fwd.W' repeats"
     else:
         rec = next(rec for rec in ckpt["params"] if rec["name"] == "enc.fwd.W")
         shape = (rec["rows"], rec["cols"])

@@ -1,14 +1,15 @@
 import dataclasses
 import json
 
-import numpy as np
 import pytest
 
 from rankread import retrieval as R
-from rankread import tensor as T
 from rankread.cli import load_dataset
 from rankread.config import Config
 from rankread.files import atomic_write, check_fields
+from rankread.model import save_checkpoint
+
+from conftest import toy_trainer
 
 
 def test_atomic_write_replaces_the_file(tmp_path):
@@ -21,7 +22,8 @@ def test_atomic_write_replaces_the_file(tmp_path):
 
 
 def _save_checkpoint(path):
-    T.save_checkpoint(path, {"w": T.Tensor(np.arange(6.0).reshape(2, 3))})
+    trainer = toy_trainer()
+    save_checkpoint(path, trainer.model, trainer.table)
 
 
 def _save_index(path):

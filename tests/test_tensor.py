@@ -1,3 +1,4 @@
+import json
 import math
 import zlib
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from rankread import tensor as T
+from rankread.model import load_checkpoint, save_checkpoint
 
-from conftest import cols, rows, sigmoid, sum_all
+from conftest import cols, rows, sigmoid, sum_all, toy_trainer
 
 
 RNG = None
@@ -696,34 +698,36 @@ def test_no_grad_records_nothing_nests_and_restores_after_an_exception():
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(21)
-    params = {
-        "w": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        "b": T.Tensor(rng.normal(size=(3, 1)), requires_grad=True),
-    }
+    source = toy_trainer(seed=21)
+    params = source.model.parameters()
     opt = T.Adamax(params, lr=0.01)
     for p in params.values():
         p.grad = rng.normal(size=p.data.shape)
     opt.step()
     path = tmp_path / "ckpt.json"
-    T.save_checkpoint(path, params, extra={"mode": "sr2"})
-    values, extra = T.load_checkpoint(path)
+    save_checkpoint(path, source.model, source.table)
+    model, table = load_checkpoint(path)
     for name, p in params.items():
-        assert np.array_equal(values[name], p.data)
-    assert extra == {"mode": "sr2"}
+        assert np.array_equal(model.parameters()[name].data, p.data)
+    assert model.config == source.config
+    assert table.tokens() == sorted(source.table.tokens())
+    assert all(np.array_equal(table.lookup(tok), source.table.lookup(tok)) for tok in table.tokens())
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 99, "params": []}')
     with pytest.raises(ValueError, match="version"):
-        T.load_checkpoint(path)
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_checkpoint_rejects_a_non_finite_value(tmp_path, value):
     path = tmp_path / "ckpt.json"
-    T.save_checkpoint(path, {"w": T.Tensor([[1.0, 2.0]]), "b": T.Tensor([[0.5], [value]])})
+    path.write_text(json.dumps({"format_version": 1, "params": [
+        {"name": "w", "rows": 1, "cols": 2, "values": [1.0, 2.0]},
+        {"name": "b", "rows": 2, "cols": 1, "values": [0.5, value]}]}))
     with pytest.raises(ValueError) as info:
-        T.load_checkpoint(path)
+        load_checkpoint(path)
     assert str(info.value) == (f"{path}: ValueError: checkpoint entry 'b' has a "
                                "non-finite value")

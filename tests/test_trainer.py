@@ -12,6 +12,7 @@ from rankread import ranker as ranker_mod
 from rankread import reader as reader_mod
 from rankread import tensor as T
 from rankread import trainer as trainer_mod
+from rankread.model import load_checkpoint, save_checkpoint
 from rankread.ranker import PolicyDistribution
 from rankread.retrieval import RetrievedPassage, RetrievedSet
 from rankread.text import embed, synthetic_embeddings
@@ -457,23 +458,22 @@ def test_pretrain_init_roundtrip(tmp_path, example):
     source = toy_trainer(seed=12)
     source.train([example], "sr2", epochs=2)
     path = tmp_path / "ckpt.json"
-    T.save_checkpoint(path, source.model.parameters(), extra={"mode": "sr2"})
+    save_checkpoint(path, source.model, source.table)
 
     target = toy_trainer(seed=99)
-    trainer_mod.pretrain_init(target.model, path)
+    model, _ = load_checkpoint(path, target.config)
     for name, p in source.model.parameters().items():
-        assert np.array_equal(p.data, target.model.parameters()[name].data)
+        assert np.array_equal(p.data, model.parameters()[name].data)
 
 
 def test_pretrain_init_rejects_missing_parameter(tmp_path, example):
     source = toy_trainer(seed=13)
-    params = dict(source.model.parameters())
-    params.pop("rank.W")
+    source.model.params.pop("rank.W")
     path = tmp_path / "partial.json"
-    T.save_checkpoint(path, params)
+    save_checkpoint(path, source.model, source.table)
     target = toy_trainer(seed=14)
     with pytest.raises(ValueError) as info:
-        trainer_mod.pretrain_init(target.model, path)
+        load_checkpoint(path, target.config)
     assert str(info.value) == f"{path}: ValueError: checkpoint is missing parameter 'rank.W'"
 
 
@@ -482,13 +482,16 @@ def test_pretrain_init_rejects_a_parameter_the_model_lacks(tmp_path):
     # model, and agg_read.2.* was dropped silently
     source = toy_trainer(seed=13, reader_layers=3)
     path = tmp_path / "deep.json"
-    T.save_checkpoint(path, source.model.parameters())
+    save_checkpoint(path, source.model, source.table)
     target = toy_trainer(seed=14, reader_layers=2)
     before = target.model.export_values()
     with pytest.raises(ValueError) as info:
-        trainer_mod.pretrain_init(target.model, path)
+        load_checkpoint(path, target.config)
     assert str(info.value) == (
         f"{path}: ValueError: checkpoint has parameter 'agg_read.2.fwd.W' the model lacks")
+    # load_checkpoint builds its own model; a model loaded into by hand keeps its values
+    with pytest.raises(ValueError):
+        target.model.load_values(source.model.export_values())
     for name, value in target.model.export_values().items():
         assert np.array_equal(value, before[name]), name
 
@@ -496,23 +499,28 @@ def test_pretrain_init_rejects_a_parameter_the_model_lacks(tmp_path):
 def test_pretrain_init_rejects_shape_mismatch(tmp_path):
     source = toy_trainer(seed=15)
     path = tmp_path / "ckpt.json"
-    T.save_checkpoint(path, source.model.parameters())
+    save_checkpoint(path, source.model, source.table)
     target = toy_trainer(seed=16, hidden_size=8)
     before = target.model.export_values()
     with pytest.raises(ValueError) as info:
-        trainer_mod.pretrain_init(target.model, path)
+        load_checkpoint(path, target.config)
     assert str(info.value).startswith(f"{path}: ShapeError: parameter 'enc.")
+    # load_checkpoint builds its own model; a model loaded into by hand keeps its values
+    with pytest.raises(T.ShapeError):
+        target.model.load_values(source.model.export_values())
     _assert_values_bitwise_equal(target.model, before)
 
     # a checkpoint that fits but for one late parameter copies nothing either
-    params = dict(source.model.parameters(), **{"rank.W": T.Tensor(np.zeros((1, 1)))})
-    T.save_checkpoint(path, params)
+    source.model.params["rank.W"] = T.Tensor(np.zeros((1, 1)))
+    save_checkpoint(path, source.model, source.table)
     target = toy_trainer(seed=16)
     before = target.model.export_values()
     with pytest.raises(ValueError) as info:
-        trainer_mod.pretrain_init(target.model, path)
+        load_checkpoint(path, target.config)
     assert str(info.value) == (f"{path}: ShapeError: parameter 'rank.W': "
                                "checkpoint shape (1, 1) != model shape (6, 6)")
+    with pytest.raises(T.ShapeError):
+        target.model.load_values(source.model.export_values())
     _assert_values_bitwise_equal(target.model, before)
 
 
