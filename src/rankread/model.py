@@ -8,7 +8,7 @@ import numpy as np
 from . import matcher, ranker, reader
 from . import tensor as T
 from .config import Config
-from .files import one_line_errors, read_versioned_json, write_json
+from .files import check_fields, one_line_errors, read_versioned_json, write_json
 from .text import EmbeddingTable, load_embeddings
 
 INIT_SCALE = 0.1  # parameters start uniform in [-INIT_SCALE, INIT_SCALE]
@@ -217,13 +217,28 @@ def load_checkpoint(path, config=None):
     model = RankReadModel(config, seed=config.seed)
     with one_line_errors(path):
         model.load_values(values)
+    with one_line_errors(f"{path}: checkpoint metadata"):
+        if table.dimension != config.embed_dim:
+            raise ValueError(f"table dimension {table.dimension} is not the model's "
+                             f"embed_dim {config.embed_dim}")
     return model, table
 
 
 def _embedding_table(payload):
-    if payload["kind"] == "file":
-        return load_embeddings(payload["path"], payload["dimension"])
-    dimension = payload["dimension"]
+    """The table a checkpoint's table entry describes. A file table's path is
+    read as stored, so a relative one is relative to the working directory."""
+    kind = payload["kind"]
+    if kind not in ("file", "inline"):
+        raise ValueError(f"table kind must be 'file' or 'inline', got {kind!r}")
+    dimension = check_fields("table", payload, {"dimension": int})["dimension"]
+    if kind == "file":
+        if not check_fields("table", payload, {"path": str})["path"]:
+            raise ValueError("table path must not be empty")
+        try:
+            return load_embeddings(payload["path"], dimension)
+        except OSError as exc:
+            raise ValueError(f"word vectors {payload['path']!r} cannot be read: "
+                             f"{exc.strerror or exc}") from None
     vectors = {}
     for tok, vec in payload["vectors"].items():
         arr = np.array(vec, dtype=np.float64)

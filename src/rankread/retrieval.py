@@ -4,7 +4,7 @@ sentence ranking, and the question -> top-N passage pipeline."""
 import math
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, asdict
 from itertools import chain, repeat
 
@@ -59,18 +59,19 @@ class InvertedIndex:
     """Postings and document lengths derived from a document store.
 
     The index file holds only the documents; `load_index` derives the rest
-    with `build_index`. Two caches fill on first use: per term and (k1, b),
-    the document positions and BM25 weights `search_bm25` adds up; per
-    document, the sentence store `retrieve` reads.
+    with `build_index`, which indexes the documents in id order, so postings
+    lists and doc_lengths follow that order. Two caches fill on first use: per
+    term and (k1, b), the document positions and BM25 weights `search_bm25`
+    adds up; per document, the sentence store `retrieve` reads.
     """
 
     def __init__(self, postings, doc_lengths, docs):
         self.postings = postings          # token -> [(doc_id, tf)], sorted by doc id
-        self.doc_lengths = doc_lengths    # doc_id -> token count
+        self.doc_lengths = doc_lengths    # doc_id -> token count, in id order
         self.docs = docs                  # doc_id -> Document
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = (sum(doc_lengths.values()) / self.doc_count) if doc_lengths else 0.0
-        self.doc_ids = sorted(doc_lengths)    # a document's position is its rank in id order
+        self.doc_ids = list(doc_lengths)      # a document's position is its rank in id order
         self._position = {d: i for i, d in enumerate(self.doc_ids)}
         self.length_array = np.array([doc_lengths[d] for d in self.doc_ids], dtype=float)
         self._term_weights = {}
@@ -108,31 +109,35 @@ class InvertedIndex:
 
 
 def build_index(corpus):
-    """Index a stream of Documents; duplicate ids and empty corpora are rejected."""
-    postings = {}
-    doc_lengths = {}
+    """Index a stream of Documents. The first pass stores them and rejects a
+    repeated id or an empty corpus; the second tokenizes them in id order, so
+    each term's postings list is appended already sorted, and rejects a
+    document that tokenizes to nothing (the first such in id order)."""
     docs = {}
     for doc in corpus:
         if doc.id in docs:
             raise ValueError(f"duplicate document id: {doc.id!r}")
-        tokens = tokenize(f"{doc.title} {doc.text}").tokens
-        if not tokens:
-            raise ValueError(f"document {doc.id!r} tokenizes to nothing")
         docs[doc.id] = doc
-        doc_lengths[doc.id] = len(tokens)
-        for tok, tf in Counter(tokens).items():
-            postings.setdefault(tok, []).append((doc.id, tf))
     if not docs:
         raise ValueError("empty corpus")
-    for plist in postings.values():
-        plist.sort(key=lambda entry: entry[0])
+    postings = defaultdict(list)
+    doc_lengths = {}
+    for doc_id in sorted(docs):
+        doc = docs[doc_id]
+        tokens = tokenize(f"{doc.title} {doc.text}").tokens
+        if not tokens:
+            raise ValueError(f"document {doc_id!r} tokenizes to nothing")
+        doc_lengths[doc_id] = len(tokens)
+        for tok, tf in Counter(tokens).items():
+            postings[tok].append((doc_id, tf))
+    postings.default_factory = None  # from here on a missing term is absent, as in a dict
     return InvertedIndex(postings, doc_lengths, docs)
 
 
 def save_index(index, path):
     """Write the documents in id order; load_index rebuilds the postings from them."""
     write_json(path, {"format_version": INDEX_VERSION,
-                      "docs": [asdict(index.docs[d]) for d in sorted(index.docs)]})
+                      "docs": [asdict(index.docs[d]) for d in index.doc_ids]})
 
 
 def load_index(path):

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -860,6 +861,75 @@ def test_bad_inline_embedding_is_one_line_error(workdir, tmp_path, capsys, vecto
                  "--dataset", str(workdir["test"]), "--out", str(report)]) == 1
     assert _error_line(capsys) == (f"error: {bad}: checkpoint metadata: ValueError: "
                                    f"embedding of {tok!r} must be 8 finite numbers")
+    assert not report.exists()
+
+
+_TABLE_FAULTS = {
+    "kind": "ValueError: table kind must be 'file' or 'inline', got 'x'",
+    "path_int": "TypeError: table path must be a string, got 0",
+    "path_empty": "ValueError: table path must not be empty",
+    "dimension_bool": "TypeError: table dimension must be an integer, got True",
+    "dimension_3": "ValueError: table dimension 3 is not the model's embed_dim 8",
+    "dimension_0": "ValueError: table dimension 0 is not the model's embed_dim 8",
+}
+
+
+@pytest.mark.parametrize("fault", list(_TABLE_FAULTS))
+def test_bad_checkpoint_table_entry_is_one_line_error(workdir, tmp_path, capsys, fault):
+    # before, a kind of "x" was read as inline, a path of 0 read the vectors
+    # from standard input, and a dimension other than embed_dim loaded and then
+    # failed in the encoder with a line that did not name the checkpoint
+    ckpt = json.loads(workdir["ckpt"].read_text())
+    table = ckpt["extra"]["table"]
+    if fault == "kind":
+        table["kind"] = "x"
+    elif fault.startswith("path"):
+        ckpt["extra"]["table"] = {"kind": "file", "dimension": 8,
+                                  "path": 0 if fault == "path_int" else ""}
+    elif fault == "dimension_bool":
+        table["dimension"] = True
+    else:
+        table["dimension"] = int(fault[-1])
+        table["vectors"] = {tok: vec[:table["dimension"]] for tok, vec in table["vectors"].items()}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(ckpt))
+    report = tmp_path / "r.json"
+    # standard input holds one usable vector line, which must not be read
+    stdin = tmp_path / "stdin.txt"
+    stdin.write_text("x " + " ".join(["1"] * 8) + "\n")
+    saved = os.dup(0)
+    try:
+        with open(stdin) as f:
+            os.dup2(f.fileno(), 0)
+        status = main(["evaluate", "--checkpoint", str(bad),
+                       "--retrieved", str(workdir["retrieved_test"]),
+                       "--dataset", str(workdir["test"]), "--out", str(report)])
+        assert os.lseek(0, 0, os.SEEK_CUR) == 0
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+    assert status == 1
+    assert _error_line(capsys) == f"error: {bad}: checkpoint metadata: {_TABLE_FAULTS[fault]}"
+    assert not report.exists()
+
+
+def test_checkpoint_vectors_file_that_cannot_be_read_is_one_line_error_naming_both(
+        workdir, tmp_path, capsys, monkeypatch):
+    # before, evaluating from another directory than training's printed
+    # "error: [Errno 2] No such file or directory: 'vec.txt'"
+    (tmp_path / "train").mkdir()
+    (tmp_path / "other").mkdir()
+    monkeypatch.chdir(tmp_path / "train")
+    _vectors_file(workdir, tmp_path / "train" / "vec.txt")
+    ckpt = tmp_path / "train" / "a.json"
+    _train_sr2(workdir, ckpt, "--epochs", "0", "--embeddings-path", "vec.txt")
+    monkeypatch.chdir(tmp_path / "other")
+    report = tmp_path / "r.json"
+    assert main(["evaluate", "--checkpoint", str(ckpt),
+                 "--retrieved", str(workdir["retrieved_test"]),
+                 "--dataset", str(workdir["test"]), "--out", str(report)]) == 1
+    assert _error_line(capsys) == (f"error: {ckpt}: checkpoint metadata: ValueError: word "
+                                   "vectors 'vec.txt' cannot be read: No such file or directory")
     assert not report.exists()
 
 

@@ -69,6 +69,46 @@ def test_index_file_holds_only_the_documents(tmp_path):
     assert loaded.avg_doc_length == rebuilt.avg_doc_length
 
 
+def test_index_is_the_same_whatever_order_the_documents_come_in():
+    docs, _, test, _ = synth.generate(
+        synth.SyntheticSpec(entities=12, train_questions=0, test_questions=20, seed=5))
+    # ids that sort between the generator's, so its order is not id order
+    docs = docs + [R.Document(f"{d.id}-copy", d.title, d.text) for d in docs[::5]]
+    queries = [tokenize(rec["question"]).tokens for rec in test]
+    rng = np.random.default_rng(28)
+    orders = [docs, docs[::-1]] + [[docs[i] for i in rng.permutation(len(docs))] for _ in range(5)]
+    first = R.build_index(iter(docs))
+    for order in orders:
+        index = R.build_index(iter(order))
+        assert list(index.postings.items()) == list(first.postings.items())
+        assert index.doc_lengths == first.doc_lengths
+        assert list(index.doc_lengths) == index.doc_ids == first.doc_ids
+        assert index.docs == first.docs
+        assert index.avg_doc_length.hex() == first.avg_doc_length.hex()
+        for query in queries:
+            assert R.search_bm25(index, query, 10) == R.search_bm25(first, query, 10)
+    for plist in first.postings.values():
+        ids = [doc_id for doc_id, _ in plist]
+        assert all(a < b for a, b in zip(ids, ids[1:]))
+
+
+def test_document_that_tokenizes_to_nothing_is_named():
+    docs = [R.Document("b", "", " "), R.Document("c", "title", "text"),
+            R.Document("a", "", "\t")]
+    # the first empty document in id order is the one reported
+    with pytest.raises(ValueError) as info:
+        R.build_index(docs)
+    assert str(info.value) == "document 'a' tokenizes to nothing"
+
+
+def test_duplicate_id_is_reported_before_an_empty_document():
+    docs = [R.Document("a", "", " "), R.Document("b", "title", "text"),
+            R.Document("b", "title", "again")]
+    with pytest.raises(ValueError) as info:
+        R.build_index(docs)
+    assert str(info.value) == "duplicate document id: 'b'"
+
+
 # --- BM25 ------------------------------------------------------------------------
 
 def brute_force_bm25(docs, query_tokens, k1=R.BM25_K1, b=R.BM25_B):

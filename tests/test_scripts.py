@@ -37,3 +37,70 @@ def test_run_synthetic_experiment_rejects_seeds_that_are_not_integers_at_least_0
         script.main([f"--seeds={seeds}"])
     assert info.value.code == 2
     assert ": error: argument --seeds: " in capsys.readouterr().err.splitlines()[-1]
+
+
+def _bench_run(seed, side, metrics, fingerprint="f", failed=0):
+    return {"workload": "w", "seed": seed, "side": side, "trace": 0, "first": "parent",
+            "fingerprint": fingerprint, "inputs_sha256": "i", "quality": {"em": 1.0},
+            "correct": failed == 0, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summary_of_made_up_runs():
+    script = _load("bench_pairs")
+    parent = {"t": [1.0, 2.0, 3.0, 4.0], "slow": [1.0, 1.0, 1.0, 1.0], "q": [10.0] * 4}
+    change = {"t": [0.5, 2.5, 1.0, 3.0], "slow": [1.5, 1.2, 1.0, 1.3], "q": [12.0, 8.0, 12.0, 12.0]}
+    def change_metrics(i):
+        return {k: v[i] for k, v in change.items()}
+    runs = []
+    for i, seed in enumerate((7, 8, 9, 10)):
+        runs.append(_bench_run(seed, "parent", {k: v[i] for k, v in parent.items()}))
+        runs.append(_bench_run(seed, "change", change_metrics(i),
+                               fingerprint="g" if seed == 9 else "f", failed=int(seed == 10)))
+    runs.append(_bench_run(11, "parent", {"t": 100.0, "slow": 100.0, "q": 0.0}))  # unpaired
+    end_to_end = [{"name": "t", "better": "lower", "bound": 0.25},
+                  {"name": "slow", "better": "lower", "bound": 0.25},
+                  {"name": "q", "better": "higher", "bound": 0.1}]
+    [(workload, s)] = script.summarize(runs, end_to_end).items()
+    assert workload == "w" and s["pairs"] == 4 and s["seeds"] == [7, 8, 9, 10]
+    assert not s["fingerprints_equal"] and s["inputs_equal"] and s["quality_equal"]
+    assert s["failed"] == {"parent": 0, "change": 1}
+    assert s["attempted"] == {"parent": 40, "change": 40}
+    # numpy's linear percentiles of 1, 2, 3, 4 are 1.75 and 3.25
+    assert s["t"] == {"parent_median": 2.5, "change_median": 1.75, "parent_iqr": 1.5,
+                      "change_wins": 3, "worse_by": -0.3, "bound": 0.25}
+    # lower is better, so a larger change median is worse: worse_by > 0; a tie is no win
+    assert s["slow"] == {"parent_median": 1.0, "change_median": 1.25, "parent_iqr": 0.0,
+                         "change_wins": 0, "worse_by": 0.25, "bound": 0.25}
+    assert s["q"] == {"parent_median": 10.0, "change_median": 12.0, "parent_iqr": 0.0,
+                      "change_wins": 3, "worse_by": -0.2, "bound": 0.1}
+    summary = {"w": s}
+    s["t"].update(change_wins=4, parent_iqr=0.5)
+    assert script.claim(summary, "w", "t", "lower")["met"] is False  # fewer than 10 pairs
+    s["pairs"] = 10
+    s["t"]["change_wins"] = 9
+    assert script.claim(summary, "w", "t", "lower")["met"] is True
+    s["t"]["parent_iqr"] = 1.5
+    assert script.claim(summary, "w", "t", "lower")["met"] is False  # gap 0.75 < IQR 1.5
+    s["t"].update(change_wins=8, parent_iqr=0.5)
+    assert script.claim(summary, "w", "t", "lower")["met"] is False  # 8 wins of 10
+    s["slow"]["change_wins"] = 10
+    assert script.claim(summary, "w", "slow", "lower")["met"] is False  # worse median
+    # a second run of one seed and side would replace the first in the summary
+    with pytest.raises(ValueError, match="w trace 0 seed 8: change ran more than once"):
+        script.summarize(runs + [_bench_run(8, "change", change_metrics(0))], end_to_end)
+
+
+def test_bench_pairs_refuses_a_seed_already_in_out(tmp_path, capsys):
+    script = _load("bench_pairs")
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": [_bench_run(5, "parent", {})]}))
+    with pytest.raises(SystemExit) as info:  # refused before either tree runs
+        script.main([str(tmp_path / "none"), str(SCRIPTS.parent), "--workload", "w",
+                     "--seeds", "4-6", "--out", str(out)])
+    assert info.value.code == 2
+    assert "already has w trace 0 runs on seeds [5]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, seeds", [("5-7", [5, 6, 7]), ("4", [4])])
+def test_bench_pairs_seed_range(text, seeds):
+    assert _load("bench_pairs").seed_range(text) == seeds
