@@ -10,13 +10,16 @@ seed, one after the other, each from its own directory, for the run length
 that tree's BENCHMARK.json sets. The side that runs first alternates from pair
 to pair, parent first on the first pair. The runs are appended to --out when
 it exists; a seed already run there on this workload and trace is refused, so
-every run made stays in the summaries. Every workload's summary is then
-recomputed from all of its runs: trace-0 runs under "summary", against each
-end-to-end metric's bound in the change tree's BENCHMARK.json, and trace-1
-runs under "traced". --claim names the metric this workload claims a gain
-on; the claim is met when at least 10 pairs ran, the change wins at least 9
-in 10 of them and the medians differ, in the better direction, by more than
-the parent's IQR.
+every run made stays in the summaries. --workload and --claim are checked
+against the change tree's BENCHMARK.json before anything runs. --out is
+rewritten, atomically, after every run, so the runs made before one that
+fails are kept, and a second invocation on the remaining seeds resumes. Each
+time, every workload's summary is recomputed from all of its runs: trace-0
+runs under "summary", against each end-to-end metric's bound in the change
+tree's BENCHMARK.json, and trace-1 runs under "traced". --claim names the
+metric this workload claims a gain on; the claim is met when at least 10
+pairs ran, the change wins at least 9 in 10 of them and the medians differ,
+in the better direction, by more than the parent's IQR.
 """
 
 import argparse
@@ -96,6 +99,8 @@ def summarize(runs, end_to_end):
     out = {}
     for workload in dict.fromkeys(run["workload"] for run in runs if run["trace"] == 0):
         pairs = _pairs(runs, workload, 0)
+        if not pairs:
+            continue
         summary = {
             "pairs": len(pairs),
             "seeds": [p["seed"] for p, _ in pairs],
@@ -132,6 +137,9 @@ def traced(runs):
 
 def claim(summary, workload, metric, better):
     """The claim block: is metric's gain on workload shown by summary?"""
+    if workload not in summary:  # no pair has run yet
+        return {"metric": metric, "workload": workload, "rule": CLAIM_RULE, "pairs": 0,
+                "met": False}
     s = summary[workload][metric]
     pairs = summary[workload]["pairs"]
     gap = s["change_median"] - s["parent_median"]
@@ -162,6 +170,19 @@ def _machine(m):
             f"{m['blas']['name']} pinned to {m['blas_threads']} thread")
 
 
+def _write(path, doc, end_to_end, better):
+    """Recompute doc's summaries from its runs and write it to path."""
+    doc["protocol"] = _protocol(doc["runs"])
+    doc["summary"] = summarize(doc["runs"], end_to_end)
+    doc["traced"] = traced(doc["runs"])
+    if doc["claim"]:
+        doc["claim"] = claim(doc["summary"], doc["claim"]["workload"], doc["claim"]["metric"],
+                             better[doc["claim"]["metric"]])
+    keys = ("command", "parent", "change", "machine", "protocol", "claim", "summary", "traced",
+            "runs")
+    write_json(path, {key: doc[key] for key in keys}, indent=1)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_tree")
@@ -188,6 +209,15 @@ def main(argv=None):
     if repeated:
         parser.error(f"{args.out} already has {args.workload} trace {args.trace} runs on seeds "
                      f"{repeated}")
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"argument --workload: {args.workload!r} is not one of {workloads}")
+    if args.claim is not None and args.claim not in better:
+        parser.error(f"argument --claim: {args.claim!r} is not an end-to-end metric of "
+                     "BENCHMARK.json")
+    if args.claim:
+        doc["claim"] = {"metric": args.claim, "workload": args.workload}
     trees = dict(zip(SIDES, (args.parent_tree, args.change_tree)))
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -196,20 +226,8 @@ def main(argv=None):
             doc["machine"] = _machine(run.pop("machine"))
             doc["runs"].append({"workload": args.workload, "seed": seed, "side": side,
                                 "trace": args.trace, "first": order[0], **run})
+            _write(args.out, doc, spec["end_to_end"], better)
             print(f"{args.workload} seed {seed} {side}: failed {run['failed']}", flush=True)
-
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    doc["protocol"] = _protocol(doc["runs"])
-    doc["summary"] = summarize(doc["runs"], spec["end_to_end"])
-    doc["traced"] = traced(doc["runs"])
-    if args.claim:
-        doc["claim"] = {"metric": args.claim, "workload": args.workload}
-    if doc["claim"]:
-        doc["claim"] = claim(doc["summary"], doc["claim"]["workload"], doc["claim"]["metric"],
-                             better[doc["claim"]["metric"]])
-    keys = ("command", "parent", "change", "machine", "protocol", "claim", "summary", "traced",
-            "runs")
-    write_json(args.out, {key: doc[key] for key in keys}, indent=1)
     return 0
 
 

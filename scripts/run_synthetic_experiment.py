@@ -23,6 +23,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if min(args.seeds) < 0:
         parser.error(f"argument --seeds: seeds must be at least 0, got {args.seeds}")
+    if len(set(args.seeds)) < len(args.seeds):
+        parser.error(f"argument --seeds: a seed repeats, got {args.seeds}")
+    for mode in MODES:
+        epochs = getattr(args, f"{mode}_epochs")
+        if epochs is not None and epochs < 0:
+            parser.error(f"argument --{mode}-epochs: must be at least 0, got {epochs}")
 
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     seeds = tuple(args.seeds)

@@ -81,14 +81,12 @@ def predict_candidates(model, table, question_tokens, passages, max_span_len):
     p_tokens = [tokenize(p.text).tokens for p in passages]
     with T.no_grad():
         m, widths, policy = _match_and_rank(model, table, question_tokens, p_tokens)
-        dists = model.read_each(m, widths)
+        dist = model.read_each(m, widths)
     gamma = policy.probs()
-    candidates = []
-    for i, (dist, passage) in enumerate(zip(dists, passages)):
-        label, log_prob = reader_mod.extract_best_span(dist, max_span_len)
-        answer = " ".join(p_tokens[i][label.start:label.end + 1])
-        candidates.append(Candidate(answer, i, passage.ir_rank, log_prob, float(gamma[i])))
-    return candidates
+    spans = reader_mod.extract_best_span(dist, max_span_len)
+    return [Candidate(" ".join(p_tokens[i][label.start:label.end + 1]), i, passage.ir_rank,
+                      log_prob, float(gamma[i]))
+            for i, (passage, (label, log_prob)) in enumerate(zip(passages, spans))]
 
 
 def _answer_all(model, table, dataset, retrieved_sets, max_span_len):

@@ -1,7 +1,7 @@
 """The full ranker-reader model: one shared matcher, two heads, one registry,
 and the checkpoint file that holds it with its config and word vectors."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class RankReadModel:
     # the caller maps positions back to its own passages. match_passages,
     # rank, read and read_each are the one-question forms; read_each, the
     # inference form, runs the read stack and each pointer head once over the
-    # question's block and cuts the logits per passage afterwards.
+    # question's block and marks the distribution for a softmax per passage.
 
     def dropout_masks(self, q_emb, p_emb, rng):
         """One question's inverted-dropout masks for the encoded question, the
@@ -152,17 +152,11 @@ class RankReadModel:
         return self.read_batch([m], [widths])[0]
 
     def read_each(self, m, widths):
-        """One single-segment span distribution per passage position, for
-        inference only: under no_grad, one pass of the read stack and of each
-        pointer head over the block, then each passage gets its own rows of
-        the two logit columns."""
+        """The question's span distribution for inference, with a softmax per
+        passage segment: under no_grad, one pass of the read stack and of each
+        pointer head over the block."""
         with T.no_grad():
-            dist = self.read_batch([m], [widths])[0]
-        starts, ends = dist.start_logits.data, dist.end_logits.data
-        return [reader.SpanDistribution(T.Tensor(starts[s.offset:s.offset + s.length]),
-                                        T.Tensor(ends[s.offset:s.offset + s.length]),
-                                        [reader.Segment(0, s.length)])
-                for s in dist.segments]
+            return replace(self.read_batch([m], [widths])[0], per_segment=True)
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -24,9 +24,10 @@ class Segment:
 
 @dataclass
 class SpanDistribution:
-    start_logits: T.Tensor  # (V, 1); softmax runs over all V concatenated words
-    end_logits: T.Tensor
+    start_logits: T.Tensor  # (V, 1); softmax runs over all V concatenated words,
+    end_logits: T.Tensor    # or over each segment's words when per_segment is set
     segments: list    # one Segment per passage position, in order
+    per_segment: bool = False  # set by read_each, for inference only
 
     def global_index(self, label):
         if not 0 <= label.passage < len(self.segments):
@@ -60,38 +61,50 @@ def span_loss(dist, label):
                  T.neg_log_softmax_mean(dist.end_logits, [ge]))
 
 
-def _log_softmax(logits):
-    a = logits.data[:, 0]
-    m = a.max()
-    return a - (m + np.log(np.exp(a - m).sum()))
+def _log_prob_grids(dist, width):
+    """(2, P, width) grids of each segment's start and end word log-probs,
+    -inf past the segment's end.
+
+    The log-softmax runs over the whole axis, or over each segment alone when
+    dist.per_segment is set. Then the masked sum adds each row's words as one
+    contiguous run, which gives the bits of that segment's own 1-D sum; a sum
+    over the zero-padded row, or over a strided one, rounds differently."""
+    offsets, lengths = np.array([(seg.offset, seg.length) for seg in dist.segments]).T
+    cols = np.arange(width)
+    valid = cols < lengths[:, None]
+    a = np.concatenate([dist.start_logits.data.T, dist.end_logits.data.T])  # (2, V)
+    index = np.minimum(offsets[:, None] + cols, a.shape[1] - 1)
+    if dist.per_segment:  # take, unlike a[:, index], gives C order
+        a = np.where(valid, np.take(a, index, axis=1), -np.inf)
+    m = a.max(axis=-1, keepdims=True)
+    total = np.add.reduce(np.exp(a - m), axis=-1, keepdims=True,
+                          where=valid if dist.per_segment else True)
+    a = a - (m + np.log(total))
+    return a if dist.per_segment else np.where(valid, np.take(a, index, axis=1), -np.inf)
 
 
 def extract_best_span(dist, max_len):
-    """Best (start, end) pair by log p_start + log p_end within one passage segment.
+    """Best (start, end) pair by log p_start + log p_end within each passage segment.
 
-    Spans never cross segment boundaries and cover at most max_len tokens.
-    The label names its passage by the segment's position in dist.segments.
-    Scores come from the log-softmax of the logits, so a span keeps a finite
-    score when its probabilities underflow. Ties break toward the smaller
-    start, then the smaller end. Returns the label and the span's log-prob.
+    Returns one (label, log-prob) per segment, in segment order; the label
+    names its passage by the segment's position in dist.segments. Spans never
+    cross segment boundaries and cover at most max_len tokens. Scores come
+    from the log-softmax of the logits, over the whole axis or per segment as
+    dist.per_segment says, so a span keeps a finite score when its
+    probabilities underflow. Ties break toward the smaller start, then the
+    smaller end.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    ls = _log_softmax(dist.start_logits)
-    le = _log_softmax(dist.end_logits)
-    best, best_score = None, -np.inf
-    for passage, seg in enumerate(dist.segments):
-        lo, length = seg.offset, seg.length
-        width = min(max_len, length)
-        # scores[i, k] is the span starting at token i and ending at i + k
-        ends = np.arange(length)[:, None] + np.arange(width)[None, :]
-        inside = ends < length
-        scores = ls[lo:lo + length, None] + le[lo + np.minimum(ends, length - 1)]
-        scores[~inside] = -np.inf
-        flat = int(scores.argmax())  # row-major: first hit has the smallest start, then end
-        if best is None or scores.flat[flat] > best_score:
-            i, k = divmod(flat, width)
-            best, best_score = SpanLabel(passage, i, i + k), float(scores.flat[flat])
-    if best is None:
-        raise ValueError("extract_best_span: no candidate span")
-    return best, best_score
+    longest = max(seg.length for seg in dist.segments)
+    width = min(max_len, longest)
+    # scores[p, i, k] is segment p's span starting at token i and ending at
+    # i + k; the grids run width - 1 words past the longest segment, all -inf
+    ls, le = _log_prob_grids(dist, longest + width - 1)
+    ends = np.arange(longest)[:, None] + np.arange(width)
+    scores = (ls[:, :longest, None] + le[:, ends]).reshape(len(dist.segments), -1)
+    flat = scores.argmax(axis=1)  # row-major: first hit has the smallest start, then end
+    best = scores[np.arange(len(flat)), flat].tolist()
+    starts, extra = np.divmod(flat, width)
+    return [(SpanLabel(p, i, i + k), score)
+            for p, (i, k, score) in enumerate(zip(starts.tolist(), extra.tolist(), best))]

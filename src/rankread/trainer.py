@@ -223,7 +223,7 @@ class Trainer:
                 report["kl_loss"] = kl.item()
             elif mode == "r3":
                 # tau's segment alone, under the whole reader block's log-softmax
-                extracted, _ = reader_mod.extract_best_span(
+                [(extracted, _)] = reader_mod.extract_best_span(
                     replace(dist, segments=dist.segments[:1]), cfg.max_span_len)
                 answer_text = " ".join(
                     example.passage_tokens[tau][extracted.start:extracted.end + 1])

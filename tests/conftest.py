@@ -142,7 +142,7 @@ def enumerate_policy_gradient(trainer, example):
         policy = model.rank(m, widths)
         dist = model.read(*read_block(m, widths, [tau] + neg))
         extracted, _ = reader_mod.extract_best_span(replace(dist, segments=dist.segments[:1]),
-                                                    cfg.max_span_len)
+                                                    cfg.max_span_len)[0]
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         T.backward(T.scale(ranker_mod.log_policy(policy, tau), r))

@@ -115,9 +115,10 @@ def _softmax(a):
 
 
 def test_predict_matches_brute_force_over_pairs(example):
-    """argmax over per-passage candidates == argmax over all (span, passage)
-    pairs, with each passage's pointer logits computed in plain numpy, one
-    passage at a time, from the read stack's output and the six head arrays."""
+    """Each passage's candidate is its best (span, passage) pair, and the
+    answer is the argmax over all pairs, with each passage's pointer logits
+    and softmax computed in plain numpy, one passage at a time, from the read
+    stack's output and the six head arrays."""
     from rankread import matcher
     from rankread import tensor as T
     from rankread.text import embed
@@ -125,30 +126,40 @@ def test_predict_matches_brute_force_over_pairs(example):
     trainer = toy_trainer(seed=1)
     model, table = trainer.model, trainer.table
     pred = _record(trainer, example.passages, max_span_len=4)
+    candidates = E.predict_candidates(model, table, example.question_tokens, example.passages,
+                                      max_span_len=4)
     with T.no_grad():
         q_emb = embed(example.question_tokens, table)
         p_emb, widths = passage_block(example.passage_tokens, table)
         m = model.match_passages(q_emb, p_emb, widths)
         gamma = model.rank(m, widths).probs()
         h_read = matcher.encode_batch([m], [widths], model.agg_read)[0].data
-        dists = model.read_each(m, widths)
+        dist = model.read_each(m, widths)
     w_s, b_s, ws_out, w_e, b_e, we_out = (p.data for p in model.read_heads)
-    assert len(dists) == len(widths)
+    assert dist.per_segment
+    ends = np.cumsum(widths)
+    assert [(s.offset, s.length) for s in dist.segments] == list(zip(ends - widths, widths))
+    assert len(candidates) == len(widths)
     best_score, best_answer = -1.0, None
-    for i, (dist, end) in enumerate(zip(dists, np.cumsum(widths))):
+    for i, (candidate, end) in enumerate(zip(candidates, ends)):
         x = h_read[:, end - widths[i]:end]
         start_logits = (ws_out @ np.tanh(w_s @ x + b_s))[0]
         end_logits = (we_out @ np.tanh(w_e @ x + b_e))[0]
-        np.testing.assert_allclose(dist.start_logits.data[:, 0], start_logits, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dist.end_logits.data[:, 0], end_logits, rtol=0, atol=1e-12)
-        assert [(s.offset, s.length) for s in dist.segments] == [(0, widths[i])]
+        seg = dist.segments[i]
+        np.testing.assert_allclose(dist.start_logits.data[seg.offset:end, 0], start_logits,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dist.end_logits.data[seg.offset:end, 0], end_logits,
+                                   rtol=0, atol=1e-12)
         ps, pe = _softmax(start_logits), _softmax(end_logits)
+        span_prob, answer = -1.0, None
         for s in range(len(ps)):
             for e in range(s, min(s + 4, len(ps))):
-                score = ps[s] * pe[e] * gamma[i]
-                if score > best_score:
-                    best_score = score
-                    best_answer = " ".join(example.passage_tokens[i][s:e + 1])
+                if ps[s] * pe[e] > span_prob:
+                    span_prob, answer = ps[s] * pe[e], " ".join(example.passage_tokens[i][s:e + 1])
+        assert candidate.answer == answer
+        assert candidate.score == pytest.approx(span_prob * gamma[i], rel=1e-9)
+        if span_prob * gamma[i] > best_score:
+            best_score, best_answer = span_prob * gamma[i], answer
     assert pred["prediction"] == best_answer
     assert pred["score"] == pytest.approx(best_score, rel=1e-9)
 

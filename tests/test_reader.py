@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -121,18 +122,23 @@ def _uniform_dist(widths):
     return reader.SpanDistribution(logits, logits, segs)
 
 
+def _best(spans):
+    """The best of extract_best_span's per-segment spans; the first wins a tie."""
+    return max(spans, key=lambda span: span[1])
+
+
 def test_extract_concentrated_mass():
     sl = np.full((5, 1), -30.0)
     el = np.full((5, 1), -30.0)
     sl[2, 0] = 5.0
     el[3, 0] = 5.0
     dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 5)])
-    label, _ = reader.extract_best_span(dist, 4)
+    label, _ = reader.extract_best_span(dist, 4)[0]
     assert (label.start, label.end) == (2, 3)
 
 
 def test_extract_uniform_ties_to_first_position():
-    label, _ = reader.extract_best_span(_uniform_dist([3, 2]), 4)
+    label, _ = _best(reader.extract_best_span(_uniform_dist([3, 2]), 4))
     assert label.passage == 0
     assert (label.start, label.end) == (0, 0)
 
@@ -157,7 +163,7 @@ def test_extract_matches_exhaustive_enumeration(max_len):
     for seed in range(30):
         widths = list(np.random.default_rng(seed).integers(1, 6, size=3))
         dist = make_dist(seed + 100, widths)
-        label, logp = reader.extract_best_span(dist, max_len)
+        label, logp = _best(reader.extract_best_span(dist, max_len))
         assert (label.passage, label.start, label.end) == _brute_force_best(dist, max_len)
         assert label.end - label.start < max_len
 
@@ -168,7 +174,7 @@ def test_extract_restricted_to_one_passage():
     for seed in range(10):
         dist = make_dist(seed + 300, [3, 4, 2])
         one = replace(dist, segments=dist.segments[1:2])
-        label, logp = reader.extract_best_span(one, 3)
+        label, logp = reader.extract_best_span(one, 3)[0]
         assert label.passage == 0
         assert _brute_force_best(one, 3) == (0, label.start, label.end)
         loss = reader.span_loss(dist, reader.SpanLabel(1, label.start, label.end))
@@ -178,7 +184,7 @@ def test_extract_restricted_to_one_passage():
 def test_exp_of_loss_at_argmax_equals_span_probability():
     for seed in range(10):
         dist = make_dist(seed + 200, [3, 2, 4])
-        label, logp = reader.extract_best_span(dist, 4)
+        label, logp = _best(reader.extract_best_span(dist, 4))
         loss = reader.span_loss(dist, label)
         assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
 
@@ -191,6 +197,59 @@ def test_extract_scores_in_log_space_when_probabilities_underflow():
     sl[4, 0] = 1001.0
     el[1, 0] = 1000.0
     dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 6)])
-    label, logp = reader.extract_best_span(dist, 3)
+    label, logp = reader.extract_best_span(dist, 3)[0]
     assert (label.start, label.end) == (4, 4)
     assert logp == pytest.approx(-1000.0, abs=1e-9)
+
+
+def _log_softmax(a):
+    m = a.max()
+    return a - (m + np.log(np.exp(a - m).sum()))
+
+
+def reference_best_spans(dist, max_len):
+    """extract_best_span as a loop with one span grid per segment, as it ran
+    before it scored every segment in one array pass, frozen as the
+    bit-for-bit reference. A segment's log-probs come from a log-softmax over
+    its own words when dist.per_segment is set, else over the whole axis."""
+    starts, ends = dist.start_logits.data[:, 0], dist.end_logits.data[:, 0]
+    whole = _log_softmax(starts), _log_softmax(ends)
+    spans = []
+    for passage, seg in enumerate(dist.segments):
+        lo, length = seg.offset, seg.length
+        if dist.per_segment:
+            ls, le = _log_softmax(starts[lo:lo + length]), _log_softmax(ends[lo:lo + length])
+        else:
+            ls, le = whole[0][lo:lo + length], whole[1][lo:lo + length]
+        width = min(max_len, length)
+        # scores[i, k] is the span starting at token i and ending at i + k
+        last = np.arange(length)[:, None] + np.arange(width)[None, :]
+        scores = ls[:, None] + le[np.minimum(last, length - 1)]
+        scores[last >= length] = -np.inf
+        flat = int(scores.argmax())
+        i, k = divmod(flat, width)
+        spans.append((reader.SpanLabel(passage, i, i + k), float(scores.flat[flat])))
+    return spans
+
+
+@pytest.mark.parametrize("per_segment", [False, True])
+@pytest.mark.parametrize("max_len", [1, 4, 15])
+def test_extract_equals_the_frozen_per_segment_loop_bit_for_bit(max_len, per_segment):
+    # one-token segments, uniform logits (every span of a segment ties), then
+    # 60 random ragged blocks of 1-20 segments; a third of them have segments
+    # of up to 150 words, where a sum over a zero-padded or strided row rounds
+    # differently from the segment's own sum
+    rng = np.random.default_rng(29)
+    cases = [([1], None), ([1, 1, 1], None), ([3, 2], 0.0), ([1, 5, 1], 0.0), ([7] * 4, None)]
+    for _ in range(60):
+        longest = 150 if rng.random() < 1 / 3 else 20
+        cases.append((rng.integers(1, longest + 1, size=rng.integers(1, 21)).tolist(), None))
+    for widths, fill in cases:
+        v = sum(widths)
+        logits = (rng.normal(size=(2, v, 1)) * rng.uniform(0.1, 30) if fill is None
+                  else np.full((2, v, 1), fill))
+        segments = [reader.Segment(end - w, w) for w, end in zip(widths, accumulate(widths))]
+        dist = reader.SpanDistribution(T.Tensor(logits[0]), T.Tensor(logits[1]), segments,
+                                       per_segment)
+        expected = reference_best_spans(dist, max_len)
+        assert reader.extract_best_span(dist, max_len) == expected, widths

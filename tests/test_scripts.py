@@ -39,6 +39,21 @@ def test_run_synthetic_experiment_rejects_seeds_that_are_not_integers_at_least_0
     assert ": error: argument --seeds: " in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--sr-epochs", "-1"], "--sr-epochs"),
+    (["--sr2-epochs", "-2"], "--sr2-epochs"),
+    (["--r3-epochs", "-1"], "--r3-epochs"),
+    (["--seeds", "0,1,0"], "--seeds"),
+], ids=["sr_epochs", "sr2_epochs", "r3_epochs", "repeated_seed"])
+def test_run_synthetic_experiment_rejects_negative_epochs_and_a_repeated_seed(capsys, argv, flag):
+    # before, range(-1) trained nothing and a repeated seed counted twice in the means
+    script = _load("run_synthetic_experiment")
+    with pytest.raises(SystemExit) as info:
+        script.main(argv)
+    assert info.value.code == 2
+    assert f": error: argument {flag}: " in capsys.readouterr().err.splitlines()[-1]
+
+
 def _bench_run(seed, side, metrics, fingerprint="f", failed=0):
     return {"workload": "w", "seed": seed, "side": side, "trace": 0, "first": "parent",
             "fingerprint": fingerprint, "inputs_sha256": "i", "quality": {"em": 1.0},
@@ -104,3 +119,62 @@ def test_bench_pairs_refuses_a_seed_already_in_out(tmp_path, capsys):
 @pytest.mark.parametrize("text, seeds", [("5-7", [5, 6, 7]), ("4", [4])])
 def test_bench_pairs_seed_range(text, seeds):
     assert _load("bench_pairs").seed_range(text) == seeds
+
+
+STUB_RUN = """import json, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+seed = int(args["--seed"])
+with open("ran", "a") as f:
+    f.write(f"{seed}\\n")
+if seed in FAIL:
+    sys.exit("stub run failed")
+machine = {"nproc": 1, "python": "3", "numpy": "2", "blas": {"name": "none"}, "blas_threads": 1}
+print(json.dumps({"meta": {"fingerprint": "f", "inputs_sha256": "i", "quality": {},
+                           "machine": machine}}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"t": {"value": float(seed)}}}))
+"""
+
+
+def _stub_tree(root, fail=()):
+    """A tree whose perfbench/run.py prints a made-up run and notes each seed it
+    ran in the file "ran"; it exits 1 on a seed in fail."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.replace("FAIL", repr(set(fail))))
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "t", "better": "lower", "bound": 0.25}]}))
+    return root
+
+
+@pytest.mark.parametrize("flag", [["--claim", "eval_qps"], ["--workload", "x"]],
+                         ids=["claim", "workload"])
+def test_bench_pairs_checks_claim_and_workload_before_running(tmp_path, capsys, flag):
+    # before, an unknown --claim raised KeyError after every pair had run
+    trees = [_stub_tree(tmp_path / side) for side in ("parent", "change")]
+    out = tmp_path / "bench.json"
+    argv = [str(trees[0]), str(trees[1]), "--workload", "w", "--seeds", "1-2",
+            "--out", str(out)] + flag
+    with pytest.raises(SystemExit) as info:
+        _load("bench_pairs").main(argv)
+    assert info.value.code == 2
+    assert f"error: argument {flag[0]}: {flag[1]!r} is not" in capsys.readouterr().err
+    assert not out.exists() and not any((tree / "ran").exists() for tree in trees)
+
+
+def test_bench_pairs_keeps_the_runs_before_one_that_fails_and_resumes(tmp_path):
+    # before, a run that exited non-zero dropped every run already made
+    parent, change = _stub_tree(tmp_path / "parent"), _stub_tree(tmp_path / "change", fail={3})
+    out = tmp_path / "bench.json"
+    script = _load("bench_pairs")
+    argv = [str(parent), str(change), "--workload", "w", "--out", str(out), "--claim", "t"]
+    with pytest.raises(RuntimeError, match="exited 1"):
+        script.main(argv + ["--seeds", "1-3"])
+    doc = json.loads(out.read_text())
+    assert [(r["seed"], r["side"]) for r in doc["runs"]] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"), (3, "parent")]
+    assert doc["summary"]["w"]["pairs"] == 2 and doc["claim"]["pairs"] == 2
+    assert script.main(argv + ["--seeds", "4"]) == 0  # the failed seed is skipped, not re-run
+    doc = json.loads(out.read_text())
+    assert len(doc["runs"]) == 7 and doc["summary"]["w"]["seeds"] == [1, 2, 4]
+    assert (change / "ran").read_text().split() == ["1", "2", "3", "4"]

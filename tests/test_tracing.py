@@ -42,7 +42,10 @@ def test_tracer_spans_fire_on_a_training_step_and_a_prediction():
             "model.read_each", "model.match_passages", "model.rank",
             "tensor.backward"} <= fired
     assert tracer.counts["tape_nodes.train.sr2"] > 0
-    assert tracer.counts["spans_scored.eval"] > 0
+    # one extraction call scores every passage's spans of at most 4 words
+    assert tracer.counts["spans_scored.eval"] == sum(
+        sum(min(4, length - i) for i in range(length))
+        for length in map(len, example.passage_tokens))
 
 
 def test_tracer_counts_only_taus_spans_on_an_r3_step():

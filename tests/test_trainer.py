@@ -342,7 +342,7 @@ def _reference_loss(trainer, example, mode, report):
         loss = T.add(loss, T.scale(kl, cfg.kl_weight))
     elif mode == "r3":
         extracted, _ = reader_mod.extract_best_span(replace(dist, segments=dist.segments[:1]),
-                                                    cfg.max_span_len)
+                                                    cfg.max_span_len)[0]
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         assert r == report["reward"]
