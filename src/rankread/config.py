@@ -55,6 +55,9 @@ class Config:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.train_sample_k < self.min_negatives + 1:
             raise ValueError("train_sample_k must be at least min_negatives + 1")
+        if self.retrieve_n > self.top_s:
+            raise ValueError(
+                f"retrieve_n must be at most top_s, got {self.retrieve_n} > {self.top_s}")
         return self
 
     def model_config(self):

@@ -3,10 +3,9 @@ sentence ranking, and the question -> top-N passage pipeline."""
 
 import math
 import re
-import sys
 from collections import Counter, defaultdict
 from dataclasses import dataclass, asdict
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -25,9 +24,10 @@ _ABBREVIATIONS = {
 }
 
 # a whole run of . ! ? (the lookbehind keeps a match from starting inside a
-# run, and the scan linear), any closing quotes or brackets, then whitespace;
+# run, and the scan linear; it runs after the first mark, so the engine can
+# skip ahead to a mark), any closing quotes or brackets, then whitespace;
 # group 1 is the character after it, which may open the next sentence
-_SENTENCE_END = re.compile(r"(?<![.!?])[.!?]+[\"')\]]*(?=\s+(\S))")
+_SENTENCE_END = re.compile(r"[.!?](?<![.!?][.!?])[.!?]*[\"')\]]*(?=\s+(\S))")
 
 
 @dataclass
@@ -55,6 +55,14 @@ class RetrievedSet:
     passages: list
 
 
+class _Vocabulary(dict):
+    """token -> id; a token not yet in it gets the next free id."""
+
+    def __missing__(self, token):
+        self[token] = token_id = len(self)
+        return token_id
+
+
 class InvertedIndex:
     """Postings and document lengths derived from a document store.
 
@@ -62,7 +70,11 @@ class InvertedIndex:
     with `build_index`, which indexes the documents in id order, so postings
     lists and doc_lengths follow that order. Two caches fill on first use: per
     term and (k1, b), the document positions and BM25 weights `search_bm25`
-    adds up; per document, the sentence store `retrieve` reads.
+    adds up; per document, the sentence store `retrieve` reads. The store
+    holds tokens as ids, one per distinct token: the postings' terms in
+    order, then each sentence token they lack, as a fill first meets it.
+    Ids are only ever compared for equality, so no result depends on the
+    order in which documents are filled.
     """
 
     def __init__(self, postings, doc_lengths, docs):
@@ -76,6 +88,7 @@ class InvertedIndex:
         self.length_array = np.array([doc_lengths[d] for d in self.doc_ids], dtype=float)
         self._term_weights = {}
         self._sentences = {}
+        self._vocabulary = None
 
     def term_weights(self, term, k1, b):
         """(document positions, BM25 weights) of term's postings under k1 and b,
@@ -99,13 +112,25 @@ class InvertedIndex:
         return cached
 
     def sentences(self, doc_id):
-        """[(text, tokens)] per sentence of a document, split and tokenized on first use."""
+        """(texts, ids, lengths) of a document's sentences, split and tokenized
+        on first use: the sentence texts, their tokens' ids end to end (int32)
+        and each sentence's token count."""
         store = self._sentences.get(doc_id)
         if store is None:
-            store = [(sent, [sys.intern(tok) for tok in tokenize(sent).tokens])
-                     for sent in split_sentences(self.docs[doc_id].text)]
-            self._sentences[doc_id] = store
+            if self._vocabulary is None:
+                self._vocabulary = _Vocabulary((term, i) for i, term in enumerate(self.postings))
+            texts = split_sentences(self.docs[doc_id].text)
+            token_lists = [tokenize(sent).tokens for sent in texts]
+            lengths = list(map(len, token_lists))
+            ids = np.fromiter(map(self._vocabulary.__getitem__, chain.from_iterable(token_lists)),
+                              dtype=np.int32, count=sum(lengths))
+            store = self._sentences[doc_id] = (texts, ids, lengths)
         return store
+
+    def token_ids(self, tokens):
+        """The tokens' ids, -1 for one that has none (no filled sentence holds it)."""
+        vocabulary = self._vocabulary or {}
+        return [vocabulary.get(tok, -1) for tok in tokens]
 
 
 def build_index(corpus):
@@ -200,36 +225,53 @@ def split_sentences(text):
 
 
 def _abbreviation_before(text, dot_pos):
+    """Whether the dot at dot_pos ends a known abbreviation: the letters
+    before it ("etc"), or the single letters before it each followed by a
+    dot, with the dots dropped ("e.g" is "eg")."""
     if text[dot_pos] != ".":
         return False
-    end = dot_pos
-    begin = end
+    begin = dot_pos
     while begin > 0 and text[begin - 1].isalpha():
         begin -= 1
-    return text[begin:end].lower() in _ABBREVIATIONS
+    if text[begin:dot_pos].lower() in _ABBREVIATIONS:
+        return True
+    letters, end = "", dot_pos
+    while end > 0 and text[end - 1].isalpha() and (end == 1 or not text[end - 2].isalpha()):
+        letters = text[end - 1] + letters
+        if end < 3 or text[end - 2] != ".":
+            break
+        end -= 2
+    return letters.lower() in _ABBREVIATIONS
 
 
-def rank_sentences_tfidf(sentence_tokens, query_tokens, top_s):
+def rank_sentences_tfidf(lengths, token_ids, query_ids, top_s):
     """Rank sentences by sum over distinct query terms of tf * idf.
 
+    Tokens and query terms are given as ids, equal ids for equal tokens:
+    sentence i is the lengths[i] ids of token_ids that follow sentence i - 1's.
     idf is computed over this candidate pool: ln(pool size / document
     frequency). Descending score; ties keep the original order. Returns at
     most top_s (index, score) pairs.
     """
     if top_s < 1:
         raise ValueError("top_s must be at least 1")
-    pool = len(sentence_tokens)
+    pool = len(lengths)
     if pool == 0:
         return []
-    # one count over the flattened pool: column j counts the j-th distinct
-    # query term, the last column every other token
-    column = {term: j for j, term in enumerate(dict.fromkeys(query_tokens))}
+    # one count over the pool: column j counts the j-th distinct query term,
+    # the last column every other token. Searched in the sorted bounds t, t + 1
+    # of the terms, a token lands at an odd position just after its own term's
+    # t, or at an even one; one gather maps each position to its column
+    column = {term: j for j, term in enumerate(dict.fromkeys(query_ids))}
     width = len(column) + 1
-    flat = chain.from_iterable(sentence_tokens)
-    cols = np.fromiter(map(column.get, flat, repeat(width - 1)), dtype=np.intp)
-    rows = np.repeat(np.arange(0, pool * width, width),
-                     np.fromiter(map(len, sentence_tokens), dtype=np.intp, count=pool))
-    tf = np.bincount(rows + cols, minlength=pool * width).reshape(pool, width)
+    bounds, table = [], [width - 1]
+    for term in sorted(column):
+        bounds += (term, term + 1)
+        table += (column[term], width - 1)
+    at = np.searchsorted(np.array(bounds, dtype=token_ids.dtype), token_ids, side="right")
+    columns = np.array(table)[at]
+    rows = np.repeat(np.arange(0, pool * width, width), lengths)
+    tf = np.bincount(rows + columns, minlength=pool * width).reshape(pool, width)
     scores = np.zeros(pool)
     # term by term in query order; adding 0.0 where a term is absent leaves a
     # score bitwise as it was, so this equals a per-sentence loop that skips it
@@ -263,22 +305,33 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
         raise ValueError(f"n={n} exceeds top_s={top_s}")
     q_tokens = tokenize(question).tokens
     query = make_training_query(q_tokens, answers, train)
-    sentences = [(sent, toks, doc_id) for doc_id, _ in search_bm25(index, query, top_a, k1, b)
-                 for sent, toks in index.sentences(doc_id)]
-    sent_tokens = [toks for _, toks, _ in sentences]
-    answer_tokens = [tokenize(a).tokens for a in (answers or [])]
+    texts, owners, lengths, id_runs = [], [], [], []
+    for doc_id, _ in search_bm25(index, query, top_a, k1, b):
+        doc_texts, doc_ids, doc_lengths = index.sentences(doc_id)
+        texts += doc_texts
+        owners += repeat(doc_id, len(doc_texts))
+        lengths += doc_lengths
+        id_runs.append(doc_ids)
+    # every hit is filled before the query's and answers' ids are read, so
+    # each of their tokens that the pool holds has its id
+    ids = np.concatenate(id_runs) if id_runs else np.empty(0, np.int32)
+    bounds = [0, *accumulate(lengths)]  # sentence i's ids are bounds[i]:bounds[i + 1]
+    answer_ids = [index.token_ids(tokenize(a).tokens) for a in (answers or [])]
     passages = []
     seen = set()
-    for idx, score in rank_sentences_tfidf(sent_tokens, query, top_s):
-        text_, toks, doc_id = sentences[idx]
-        if not toks:
+    for idx, score in rank_sentences_tfidf(lengths, ids, index.token_ids(query), top_s):
+        start, end = bounds[idx], bounds[idx + 1]
+        if start == end:
             continue
-        key = " ".join(toks)
+        run = ids[start:end]
+        key = run.tobytes()  # equal token runs are exactly equal id runs
         if key in seen:
             continue
         seen.add(key)
-        positive = any(find_token_spans(toks, a) for a in answer_tokens)
-        passages.append(RetrievedPassage(text_, doc_id, len(passages) + 1, score, positive))
+        run = run.tolist()
+        positive = any(find_token_spans(run, a) for a in answer_ids)
+        passages.append(RetrievedPassage(texts[idx], owners[idx], len(passages) + 1, score,
+                                         positive))
         if len(passages) == n:
             break
     return RetrievedSet(question_id, passages)

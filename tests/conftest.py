@@ -91,6 +91,16 @@ def sum_all(a):
     return T.matmul(T.matmul(T.Tensor(np.ones((1, r))), a), T.Tensor(np.ones((c, 1))))
 
 
+def tfidf_ids(sentence_tokens, query_tokens):
+    """`rank_sentences_tfidf`'s pool and query for token lists: the sentence
+    lengths, the pool's token ids (int32, equal ids for equal tokens) and the
+    query's ids, -1 for a term no sentence holds."""
+    ids = {}
+    flat = [ids.setdefault(tok, len(ids)) for toks in sentence_tokens for tok in toks]
+    return ([len(toks) for toks in sentence_tokens], np.array(flat, dtype=np.int32),
+            [ids.get(term, -1) for term in query_tokens])
+
+
 def passage_block(token_lists, table):
     """The passages' embeddings side by side, and their widths."""
     return (embed([tok for toks in token_lists for tok in toks], table),

@@ -13,7 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import enumerate_policy_gradient, read_block, sum_all, toy_example, toy_trainer
+from conftest import (enumerate_policy_gradient, read_block, sum_all, tfidf_ids, toy_example,
+                      toy_trainer)
 from test_retrieval import brute_force_bm25, brute_force_tfidf, docs_from
 
 from rankread import evaluation as E
@@ -251,7 +252,7 @@ def test_c05_retrieval_matches_brute_force():
     for qi in range(12):
         qrng = np.random.default_rng(200 + qi)
         query = list(qrng.choice(vocab, size=3))
-        assert retrieval.rank_sentences_tfidf(sent_tokens, query, 100) == \
+        assert retrieval.rank_sentences_tfidf(*tfidf_ids(sent_tokens, query), 100) == \
             brute_force_tfidf(sent_tokens, query)
     report(5, "BM25 and TF-IDF rankings equal brute-force scorers exactly on 100-doc fixtures")
 

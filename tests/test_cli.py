@@ -800,6 +800,20 @@ def test_dataset_id_must_be_a_string(workdir, tmp_path, capsys):
     assert line == f"error: {bad}:1: TypeError: dataset record id must be a string, got 7"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--retrieve-n", "40"], "retrieve_n must be at most top_s, got 40 > 30"),
+    (["--top-s", "5"], "retrieve_n must be at most top_s, got 10 > 5"),
+], ids=["retrieve_n", "top_s"])
+def test_retrieve_n_above_top_s_stops_before_any_file_is_read(tmp_path, capsys, flags, message):
+    # before, retrieve read the index and the dataset, then stopped with
+    # "n=40 exceeds top_s=30", naming no setting; the files need not exist
+    out = tmp_path / "r.jsonl"
+    assert main(["retrieve", "--index", str(tmp_path / "missing.json"),
+                 "--dataset", str(tmp_path / "missing.jsonl"), "--out", str(out), *flags]) == 1
+    assert _error_line(capsys) == f"error: {message}"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--kl-weight", "inf")])
 def test_non_finite_training_setting_is_one_line_error(workdir, tmp_path, capsys, flag, value):
     # before, a nan learning rate wrote a checkpoint of NaN parameters and an

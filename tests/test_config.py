@@ -75,6 +75,8 @@ def test_file_allows_comments_and_blanks(tmp_path):
     ("bm25_k1", -1.0, "^bm25_k1 must be at least 0, got -1.0$"),
     ("bm25_b", 7, r"^bm25_b must be in \[0, 1\], got 7$"),
     ("bm25_b", -0.25, r"^bm25_b must be in \[0, 1\], got -0.25$"),
+    ("retrieve_n", 40, "^retrieve_n must be at most top_s, got 40 > 30$"),
+    ("top_s", 9, "^retrieve_n must be at most top_s, got 10 > 9$"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):
@@ -83,9 +85,11 @@ def test_validation_errors(field, value, msg):
 
 def test_zero_and_unit_bounds_are_accepted():
     # a zero learning rate or kl weight is a frozen run, a zero grad_clip
-    # turns clipping off, and bm25_b may take either end of [0, 1]
+    # turns clipping off, bm25_b may take either end of [0, 1], and
+    # retrieve_n may take every sentence TF-IDF keeps
     Config(learning_rate=0.0, kl_weight=0.0, grad_clip=0.0, bm25_k1=0.0, bm25_b=0.0).validate()
     Config(bm25_b=1.0).validate()
+    Config(retrieve_n=30, top_s=30).validate()
 
 
 def test_overrides_skip_none_and_validate():

@@ -3,10 +3,13 @@ import math
 import sys
 import time
 from collections import Counter
+from itertools import chain, repeat, takewhile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+
+from conftest import tfidf_ids
 
 from rankread import retrieval as R, synth
 from rankread.text import find_token_spans, tokenize
@@ -257,6 +260,24 @@ def test_split_handles_multi_punctuation():
     assert R.split_sentences("Really?! Yes. ") == ["Really?!", "Yes."]
 
 
+def reference_abbreviation_before(text, i):
+    """README's rule: the dot at i ends a known abbreviation when the letters
+    just before it spell one, or the single letters before it, each followed
+    by a dot, spell one with the dots dropped ("e.g." reads "eg")."""
+    if text[i] != ".":
+        return False
+    pieces = text[:i].split(".")
+    word = "".join(takewhile(str.isalpha, reversed(pieces[-1])))[::-1]
+    letters = ""
+    for piece in reversed(pieces):
+        if not piece[-1:].isalpha() or piece[-2:-1].isalpha():
+            break
+        letters = piece[-1] + letters
+        if len(piece) > 1:
+            break
+    return word.lower() in R._ABBREVIATIONS or letters.lower() in R._ABBREVIATIONS
+
+
 def reference_split_sentences(text):
     """The sentence splitter as a character loop: at each run of . ! ?, skip
     closing quotes and brackets, then whitespace, and split if the next
@@ -276,7 +297,7 @@ def reference_split_sentences(text):
             while k < n and text[k].isspace():
                 k += 1
             if (k > j and k < n and (text[k].isupper() or text[k] in "\"'([")
-                    and not R._abbreviation_before(text, i)):
+                    and not reference_abbreviation_before(text, i)):
                 piece = text[start:j].strip()
                 if piece:
                     sents.append(piece)
@@ -302,8 +323,17 @@ def reference_split_sentences(text):
     ("end.) lower", ["end.) lower"]),
     ("Wait...", ["Wait..."]),
     ("Wait... Then", ["Wait...", "Then"]),
+    ("See e.g. Paris is big.", ["See e.g. Paris is big."]),
+    ("One, i.e. Two.", ["One, i.e. Two."]),
+    ("See (e.g. Paris) now.", ["See (e.g. Paris) now."]),
+    ("See E.G. Paris.", ["See E.G. Paris."]),
+    ("See xe.g. Paris", ["See xe.g.", "Paris"]),
+    ("The U.S. Army came.", ["The U.S.", "Army came."]),
+    ("A word.Mr. Smith came.", ["A word.Mr. Smith came."]),
 ], ids=["closing-quote", "closing-bracket", "abbreviation-needs-a-dot", "abbreviation-dot-run",
-        "tab", "no-break-space", "lowercase-after-closer", "trailing-dots", "dot-run"])
+        "tab", "no-break-space", "lowercase-after-closer", "trailing-dots", "dot-run",
+        "dotted-eg", "dotted-ie", "dotted-after-a-bracket", "dotted-uppercase",
+        "dotted-needs-single-letters", "dotted-not-listed", "letters-after-a-dot"])
 def test_split_exact_output(text, sentences):
     # closers stay with the sentence they end; only a dot after an
     # abbreviation is guarded, and the whole run of marks counts as one end
@@ -312,11 +342,13 @@ def test_split_exact_output(text, sentences):
 
 _SPLIT_PIECES = st.sampled_from(
     ["Mr", "mr", "Dr", "etc", "No", "A", "b", "Cd", "ef", "1", ".", "!", "?", "...",
-     '"', "'", "(", ")", "[", "]", " ", "  ", "\n", "\t", "\u00a0"])
+     '"', "'", "(", ")", "[", "]", " ", "  ", "\n", "\t", "\u00a0",
+     "e.g", "i.e", "E.G", "U.S", "e", "g", "i", "S"])
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(_SPLIT_PIECES, max_size=30).map("".join) | st.text(max_size=40))
+@example("See e.g. Paris. No i.e. Rome")
 def test_split_sentences_matches_reference_loop(text):
     assert R.split_sentences(text) == reference_split_sentences(text)
 
@@ -363,13 +395,13 @@ def brute_force_tfidf(sentence_tokens, query_tokens):
 
 def test_tfidf_no_query_term_scores_zero():
     toks = [["a", "b"], ["c", "d"]]
-    ranked = dict(R.rank_sentences_tfidf(toks, ["z"], 5))
+    ranked = dict(R.rank_sentences_tfidf(*tfidf_ids(toks, ["z"]), 5))
     assert ranked[0] == 0.0 and ranked[1] == 0.0
 
 
 def test_tfidf_identical_sentences_keep_original_order():
     toks = [["a", "b"], ["a", "b"], ["c"]]
-    ranked = R.rank_sentences_tfidf(toks, ["a"], 5)
+    ranked = R.rank_sentences_tfidf(*tfidf_ids(toks, ["a"]), 5)
     assert [i for i, _ in ranked[:2]] == [0, 1]
 
 
@@ -378,7 +410,7 @@ def test_tfidf_matches_brute_force():
     vocab = [f"t{i}" for i in range(8)]
     toks = [list(rng.choice(vocab, size=rng.integers(2, 8))) for _ in range(5)]
     query = ["t0", "t3", "t0"]
-    assert R.rank_sentences_tfidf(toks, query, 5) == brute_force_tfidf(toks, query)
+    assert R.rank_sentences_tfidf(*tfidf_ids(toks, query), 5) == brute_force_tfidf(toks, query)
 
 
 def test_tfidf_100_sentences_matches_brute_force():
@@ -386,7 +418,7 @@ def test_tfidf_100_sentences_matches_brute_force():
     vocab = [f"t{i}" for i in range(12)]
     toks = [list(rng.choice(vocab, size=rng.integers(1, 10))) for _ in range(100)]
     query = ["t1", "t5", "t7"]
-    assert R.rank_sentences_tfidf(toks, query, 100) == brute_force_tfidf(toks, query)
+    assert R.rank_sentences_tfidf(*tfidf_ids(toks, query), 100) == brute_force_tfidf(toks, query)
 
 
 @settings(max_examples=300, deadline=None)
@@ -403,7 +435,7 @@ def test_tfidf_equals_brute_force_on_random_pools(sentence_tokens, query, top_s)
     pool = [[sys.intern(tok) for tok in toks] for toks in sentence_tokens]
     fresh = ["".join(list(term)) for term in query]
     assert all(a is not b for a, b in zip(fresh, query))
-    assert (R.rank_sentences_tfidf(pool, fresh, top_s)
+    assert (R.rank_sentences_tfidf(*tfidf_ids(pool, fresh), top_s)
             == brute_force_tfidf(pool, fresh)[:top_s])
 
 
@@ -411,7 +443,7 @@ def test_tfidf_equals_brute_force_on_random_pools(sentence_tokens, query, top_s)
 def test_tfidf_rejects_top_s_below_one(top_s):
     # a negative top_s would slice sentences off the end of the ranking
     with pytest.raises(ValueError, match="^top_s must be at least 1$"):
-        R.rank_sentences_tfidf([["a"], ["b"], ["a", "b"]], ["a"], top_s)
+        R.rank_sentences_tfidf(*tfidf_ids([["a"], ["b"], ["a", "b"]], ["a"]), top_s)
 
 
 # --- query augmentation -------------------------------------------------------------
@@ -561,6 +593,112 @@ def test_retrieve_equals_the_reference_pipeline_on_a_synthetic_corpus(n, top_a, 
             args = (rec["id"], rec["question"], rec["answers"], n, top_a, top_s)
             assert (R.retrieve(index, *args, train=train_mode)
                     == reference_retrieve(index, *args, train_mode))
+
+
+def token_list_tfidf(sentence_tokens, query_tokens, top_s):
+    """`rank_sentences_tfidf` as it was when it counted token lists, frozen:
+    one dict lookup per pool token, then the same bincount and score loop."""
+    pool = len(sentence_tokens)
+    if pool == 0:
+        return []
+    column = {term: j for j, term in enumerate(dict.fromkeys(query_tokens))}
+    width = len(column) + 1
+    flat = chain.from_iterable(sentence_tokens)
+    cols = np.fromiter(map(column.get, flat, repeat(width - 1)), dtype=np.intp)
+    rows = np.repeat(np.arange(0, pool * width, width),
+                     np.fromiter(map(len, sentence_tokens), dtype=np.intp, count=pool))
+    tf = np.bincount(rows + cols, minlength=pool * width).reshape(pool, width)
+    scores = np.zeros(pool)
+    for j, df in enumerate(np.count_nonzero(tf[:, :-1], axis=0).tolist()):
+        if df:
+            scores += tf[:, j] * math.log(pool / df)
+    top = np.argsort(-scores, kind="stable")[:top_s]
+    return list(zip(top.tolist(), scores[top].tolist()))
+
+
+def token_list_retrieve(index, question_id, question, answers, n, top_a, top_s, train):
+    """`retrieve` as it was when the sentence store held token lists, frozen:
+    each hit split and tokenized afresh, `token_list_tfidf`, duplicates
+    dropped by their joined tokens, positive flags from the token lists."""
+    query = R.make_training_query(tokenize(question).tokens, answers, train)
+    sentences = [(sent, tokenize(sent).tokens, doc_id)
+                 for doc_id, _ in R.search_bm25(index, query, top_a)
+                 for sent in R.split_sentences(index.docs[doc_id].text)]
+    answer_tokens = [tokenize(a).tokens for a in (answers or [])]
+    passages, seen = [], set()
+    for idx, score in token_list_tfidf([toks for _, toks, _ in sentences], query, top_s):
+        text_, toks, doc_id = sentences[idx]
+        if not toks or " ".join(toks) in seen:
+            continue
+        seen.add(" ".join(toks))
+        positive = any(find_token_spans(toks, a) for a in answer_tokens)
+        passages.append(R.RetrievedPassage(text_, doc_id, len(passages) + 1, score, positive))
+        if len(passages) == n:
+            break
+    return R.RetrievedSet(question_id, passages)
+
+
+_SENTENCE_WORDS = _WORDS + ["e.g.", "U.S.", "ant-bee", "(cat)"]
+
+
+@st.composite
+def _sentence_corpora(draw):
+    sentence = st.tuples(st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=6),
+                         st.sampled_from([".", "!", "?", "", ". ."]))
+    texts = draw(st.lists(st.lists(sentence, min_size=1, max_size=5).map(
+        lambda sents: " ".join(" ".join(words).capitalize() + end for words, end in sents)),
+        min_size=1, max_size=8))
+    texts += draw(st.lists(st.sampled_from(texts), max_size=3))  # duplicate sentences meet
+    return docs_from(texts)
+
+
+_ANSWERS = st.none() | st.lists(st.sampled_from(_WORDS + ["zz", "bee cat", "e.g", ""]),
+                                max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sentence_corpora(),
+       st.lists(st.tuples(st.lists(st.sampled_from(_SENTENCE_WORDS + ["zz"]), max_size=6)
+                          .map(" ".join), _ANSWERS, st.booleans()), min_size=1, max_size=6),
+       st.sampled_from(_WORDS), st.integers(1, 8), st.integers(1, 5), st.integers(0, 12))
+def test_retrieve_equals_the_token_list_pipeline_whatever_the_fill_order(
+        docs, queries, unindexed, n, top_a, extra):
+    """Bitwise (the repr of every set, so every ir_score's bits), on two
+    indexes of the same corpus: one fills its sentence store in query order,
+    the other in reverse id order first. Both lack one term's postings, so
+    the sentences that hold it give it an id of its own when first filled."""
+    top_s = n + extra
+    indexes = [R.build_index(docs), R.build_index(docs)]
+    for index in indexes:
+        index.postings.pop(unindexed, None)
+    for doc_id in reversed(indexes[1].doc_ids):
+        indexes[1].sentences(doc_id)
+    for index in indexes:
+        for question, answers, train in queries:
+            args = ("q", question, answers, n, top_a, top_s)
+            assert (repr(R.retrieve(index, *args, train=train))
+                    == repr(token_list_retrieve(index, *args, train)))
+
+
+def test_sentence_store_ids_are_equal_exactly_for_equal_tokens():
+    docs, _, _, _ = synth.generate(
+        synth.SyntheticSpec(entities=12, train_questions=0, test_questions=0, seed=5))
+    index = R.build_index(docs[::-1])
+    index.postings.pop("is")  # a sentence token with no postings gets an id when first met
+    for doc_id in reversed(index.doc_ids):
+        index.sentences(doc_id)
+    token_of = {}
+    for doc_id in index.doc_ids:
+        texts, ids, lengths = index.sentences(doc_id)
+        sentences = R.split_sentences(index.docs[doc_id].text)
+        tokens = [tok for sent in sentences for tok in tokenize(sent).tokens]
+        assert texts == sentences
+        assert lengths == [len(tokenize(sent).tokens) for sent in sentences]
+        assert ids.dtype == np.int32 and ids.size == len(tokens)
+        for tok, token_id in zip(tokens, ids.tolist()):
+            assert token_of.setdefault(token_id, tok) == tok
+    assert len(token_of) == len(set(token_of.values()))
+    assert index.token_ids(["is", "zz"])[1] == -1 and index.token_ids(["is"])[0] >= 0
 
 
 def test_retrieved_roundtrip(tmp_path):

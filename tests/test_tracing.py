@@ -11,7 +11,7 @@ from pathlib import Path
 
 from conftest import toy_example, toy_trainer
 
-from rankread import evaluation
+from rankread import evaluation, retrieval
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -67,3 +67,34 @@ def test_tracer_counts_only_taus_spans_on_an_r3_step():
     length, max_len = len(example.passage_tokens[0]), trainer.config.max_span_len
     assert tracer.counts["spans_scored.train.r3"] == sum(min(max_len, length - i)
                                                           for i in range(length))
+
+
+def test_tracer_counts_equal_hand_counts_over_retrieval():
+    # three documents of 2, 1 and 1 sentences, each holding a query term, so
+    # top_a=3 pools all four sentences; the first call fills the sentence
+    # store, the second reads it
+    docs = [retrieval.Document("a", "", "Luzon is the largest island. Manila is on Luzon."),
+            retrieval.Document("b", "", "Mindanao is the second largest island."),
+            retrieval.Document("c", "", "The Visayas lie between Luzon and Mindanao.")]
+    index = retrieval.build_index(docs)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracer.install(tracing.targets())
+    try:
+        tracer.phase = "retrieve"
+        for _ in range(2):
+            rs = retrieval.retrieve(index, "q", "What is the largest island?", ["Luzon"],
+                                    n=4, top_a=3, top_s=4, train=True)
+            assert len(rs.passages) == 4 and rs.passages[0].positive
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert (counts["bm25.queries"], counts["tfidf.calls"], counts["retrieve.calls"]) == (2, 2, 2)
+    assert counts["tfidf.sentences"] == 2 * 4
+    # per call: the question, the answer appended to the training query and
+    # the answer for the positive flags; the first call also tokenizes the
+    # four sentences it stores
+    assert counts["tokenize.in_retrieve"] == (3 + 4) + 3
+    metrics = tracing.layer_metrics(tracer, 1.0)
+    assert metrics["retrieval.sentences_scored"] == 4.0
+    assert metrics["text.tokenize_calls_per_query"] == 5.0
