@@ -107,6 +107,6 @@ _LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers":
 
 
 def _parse(raw, typ):
-    if raw.startswith("'") and raw.endswith("'") or raw.startswith('"') and raw.endswith('"'):
+    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
         raw = raw[1:-1]
     return typ(raw)

@@ -55,14 +55,6 @@ class RetrievedSet:
     passages: list
 
 
-class _Vocabulary(dict):
-    """token -> id; a token not yet in it gets the next free id."""
-
-    def __missing__(self, token):
-        self[token] = token_id = len(self)
-        return token_id
-
-
 class InvertedIndex:
     """Postings and document lengths derived from a document store.
 
@@ -71,10 +63,8 @@ class InvertedIndex:
     lists and doc_lengths follow that order. Two caches fill on first use: per
     term and (k1, b), the document positions and BM25 weights `search_bm25`
     adds up; per document, the sentence store `retrieve` reads. The store
-    holds tokens as ids, one per distinct token: the postings' terms in
-    order, then each sentence token they lack, as a fill first meets it.
-    Ids are only ever compared for equality, so no result depends on the
-    order in which documents are filled.
+    holds tokens as ids, fixed when the index is made: a term's id is its
+    rank in the postings' term order.
     """
 
     def __init__(self, postings, doc_lengths, docs):
@@ -88,7 +78,7 @@ class InvertedIndex:
         self.length_array = np.array([doc_lengths[d] for d in self.doc_ids], dtype=float)
         self._term_weights = {}
         self._sentences = {}
-        self._vocabulary = None
+        self._vocabulary = {term: i for i, term in enumerate(postings)}
 
     def term_weights(self, term, k1, b):
         """(document positions, BM25 weights) of term's postings under k1 and b,
@@ -113,12 +103,10 @@ class InvertedIndex:
 
     def sentences(self, doc_id):
         """(texts, ids, lengths) of a document's sentences, split and tokenized
-        on first use: the sentence texts, their tokens' ids end to end (int32)
-        and each sentence's token count."""
+        on first use: the sentence texts, their tokens' ids end to end (int32;
+        a sentence token is always a postings term) and each sentence's token count."""
         store = self._sentences.get(doc_id)
         if store is None:
-            if self._vocabulary is None:
-                self._vocabulary = _Vocabulary((term, i) for i, term in enumerate(self.postings))
             texts = split_sentences(self.docs[doc_id].text)
             token_lists = [tokenize(sent).tokens for sent in texts]
             lengths = list(map(len, token_lists))
@@ -128,9 +116,8 @@ class InvertedIndex:
         return store
 
     def token_ids(self, tokens):
-        """The tokens' ids, -1 for one that has none (no filled sentence holds it)."""
-        vocabulary = self._vocabulary or {}
-        return [vocabulary.get(tok, -1) for tok in tokens]
+        """The tokens' ids, -1 for one the corpus lacks."""
+        return [self._vocabulary.get(tok, -1) for tok in tokens]
 
 
 def build_index(corpus):
@@ -312,8 +299,6 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
         owners += repeat(doc_id, len(doc_texts))
         lengths += doc_lengths
         id_runs.append(doc_ids)
-    # every hit is filled before the query's and answers' ids are read, so
-    # each of their tokens that the pool holds has its id
     ids = np.concatenate(id_runs) if id_runs else np.empty(0, np.int32)
     bounds = [0, *accumulate(lengths)]  # sentence i's ids are bounds[i]:bounds[i + 1]
     answer_ids = [index.token_ids(tokenize(a).tokens) for a in (answers or [])]

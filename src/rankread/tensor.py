@@ -436,25 +436,6 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     return out
 
 
-OPS = {
-    "matmul": matmul,
-    "add": add,
-    "add_col": add_col,
-    "mul": mul,
-    "sub": sub,
-    "tanh": tanh,
-    "relu": relu,
-    "scale": scale,
-    "softmax_cols": softmax_cols,
-    "transpose": transpose,
-    "concat_cols": concat_cols,
-    "concat_rows": concat_rows,
-    "take_cols": take_cols,
-    "segment_max": segment_max,
-    "neg_log_softmax_mean": neg_log_softmax_mean,
-}
-
-
 # ---------------------------------------------------------------------------
 # Backward pass
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import ast
-import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,25 +58,30 @@ def _definitions(tree):
                     yield item.name
 
 
-def _is_op_table(node):
-    return isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "OPS" for t in node.targets)
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _assigned(tree):
+    """The names module-level assignments bind, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for target in targets for n in ast.walk(target)):
+                if isinstance(name, ast.Name) and not _dunder(name.id):
+                    yield name.id
 
 
 def _names_used(tree):
-    # an op's own entry in the OPS table, its key or its value, is not a use
-    for statement in tree.body:
-        if _is_op_table(statement):
-            continue
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-            elif isinstance(node, ast.alias):
-                yield node.name
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                yield node.value  # perfbench/tracing.py names its targets as strings
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id  # the name an assignment binds is not a use of it
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value  # perfbench/tracing.py names its targets as strings
 
 
 def _uncalled(modules, sources):
@@ -86,7 +90,7 @@ def _uncalled(modules, sources):
     used = {name for tree in sources for name in _names_used(tree)}
     return sorted(f"{stem}.{name}" for stem, tree in modules.items()
                   for name in _definitions(tree)
-                  if not (name.startswith("__") and name.endswith("__")) and name not in used)
+                  if not _dunder(name) and name not in used)
 
 
 def test_every_definition_has_a_caller():
@@ -104,18 +108,11 @@ def test_code_only_the_benchmark_calls_is_named():
         assert line in (ROOT / path).read_text()
 
 
-def test_an_op_named_only_in_its_table_has_no_caller():
-    # the lint's rule on a made-up module, whose OPS table names one op by its
-    # own name and one under another key, and lists a called op too
-    module = ast.parse(textwrap.dedent("""
-        def matmul(a, b): return a @ b
-        def slice_cols(a, j0, j1): return a[:, j0:j1]
-        def sum_all(a): return a.sum()
-        OPS = {"matmul": matmul, "slice_cols": slice_cols, "sum": sum_all}
-    """))
-    caller = ast.parse("from tensor import matmul\nmatmul(a, b)\n")
-    assert _uncalled({"tensor": module}, [module, caller]) == ["tensor.slice_cols", "tensor.sum_all"]
-    assert _uncalled({"tensor": module}, [ast.parse("OPS, matmul, slice_cols, sum_all")]) == []
+def test_every_module_level_name_is_read():
+    # a table or constant that only tests read is bookkeeping nobody runs
+    used = {name for tree in _parse(_sources()) for name in _names_used(tree)}
+    assert [f"{stem}.{name}" for stem, tree in _package().items()
+            for name in _assigned(tree) if name not in used] == []
 
 
 def _dataclass_fields(tree):

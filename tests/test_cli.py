@@ -435,7 +435,7 @@ def test_non_json_index_is_one_line_error(workdir, tmp_path, capsys):
     ('{"format_version": 1, "params": [], "extra": 5}', "lacks config/table metadata"),
     ('{"format_version": 1, "params": [], "extra": {"config": {}, "table": "x"}}', "TypeError"),
     ('{"format_version": 1, "params": [], "extra": {"config": [1], "table": {}}}',
-     "AttributeError"),
+     "argument after ** must be a mapping, not list"),
 ], ids=["list", "no_params", "bad_entry", "extra_int", "table_str", "config_list"])
 def test_malformed_checkpoint_is_one_line_error(workdir, tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
@@ -947,11 +947,14 @@ def test_checkpoint_vectors_file_that_cannot_be_read_is_one_line_error_naming_bo
     assert not report.exists()
 
 
-@pytest.mark.parametrize("key, value", [("hidden_size", 4.0), ("seed", 0.5)])
+@pytest.mark.parametrize("key, value", [("hidden_size", 4.0), ("seed", 0.5),
+                                        ("max_span_len", None), ("hidden_size", None)])
 def test_checkpoint_config_of_the_wrong_type_is_one_line_error(workdir, tmp_path, capsys, key,
                                                                value):
     # before, the model was built from the float and evaluate ended in a
-    # "'float' object cannot be interpreted as an integer" traceback
+    # "'float' object cannot be interpreted as an integer" traceback; a null
+    # was taken for the default (max_span_len 15), or for hidden_size ended
+    # in a misleading parameter shape error
     ckpt = json.loads(workdir["ckpt"].read_text())
     ckpt["extra"]["config"][key] = value
     bad = tmp_path / "float.json"

@@ -36,6 +36,16 @@ def test_file_rejects_a_repeated_key(tmp_path):
     assert str(info.value) == f"{path}:3: repeated config key 'hidden_size'"
 
 
+@pytest.mark.parametrize("raw, value", [("'", "'"), ('"', '"'), ("''", ""), ('"a.txt"', "a.txt")],
+                         ids=["single", "double", "empty-pair", "pair"])
+def test_file_strips_a_quote_pair_only(tmp_path, raw, value):
+    # before, a lone quote was taken for a pair and read as the empty string,
+    # so embeddings_path=' chose synthetic vectors
+    path = tmp_path / "quoted.cfg"
+    path.write_text(f"embeddings_path={raw}\n")
+    assert Config.from_file(path).embeddings_path == value
+
+
 def test_file_allows_comments_and_blanks(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("# comment\n\nhidden_size=8\nmode=sr\n")

@@ -638,15 +638,16 @@ def token_list_retrieve(index, question_id, question, answers, n, top_a, top_s, 
     return R.RetrievedSet(question_id, passages)
 
 
-_SENTENCE_WORDS = _WORDS + ["e.g.", "U.S.", "ant-bee", "(cat)"]
+_SENTENCE_WORDS = _WORDS + ["e.g.", "U.S.", "ant-bee", "(cat)", "ΟΔΟΣ"]
 
 
 @st.composite
 def _sentence_corpora(draw):
     sentence = st.tuples(st.lists(st.sampled_from(_SENTENCE_WORDS), max_size=6),
                          st.sampled_from([".", "!", "?", "", ". ."]))
+    separator = draw(st.sampled_from([" ", "\u3000"]))
     texts = draw(st.lists(st.lists(sentence, min_size=1, max_size=5).map(
-        lambda sents: " ".join(" ".join(words).capitalize() + end for words, end in sents)),
+        lambda sents: separator.join(" ".join(words).capitalize() + end for words, end in sents)),
         min_size=1, max_size=8))
     texts += draw(st.lists(st.sampled_from(texts), max_size=3))  # duplicate sentences meet
     return docs_from(texts)
@@ -666,7 +667,8 @@ def test_retrieve_equals_the_token_list_pipeline_whatever_the_fill_order(
     """Bitwise (the repr of every set, so every ir_score's bits), on two
     indexes of the same corpus: one fills its sentence store in query order,
     the other in reverse id order first. Both lack one term's postings, so
-    the sentences that hold it give it an id of its own when first filled."""
+    BM25 never scores it; its id was fixed with the others' when the index
+    was made."""
     top_s = n + extra
     indexes = [R.build_index(docs), R.build_index(docs)]
     for index in indexes:
@@ -684,7 +686,7 @@ def test_sentence_store_ids_are_equal_exactly_for_equal_tokens():
     docs, _, _, _ = synth.generate(
         synth.SyntheticSpec(entities=12, train_questions=0, test_questions=0, seed=5))
     index = R.build_index(docs[::-1])
-    index.postings.pop("is")  # a sentence token with no postings gets an id when first met
+    index.postings.pop("is")  # BM25 then lacks the term; its id was fixed with the rest
     for doc_id in reversed(index.doc_ids):
         index.sentences(doc_id)
     token_of = {}
@@ -699,6 +701,37 @@ def test_sentence_store_ids_are_equal_exactly_for_equal_tokens():
             assert token_of.setdefault(token_id, tok) == tok
     assert len(token_of) == len(set(token_of.values()))
     assert index.token_ids(["is", "zz"])[1] == -1 and index.token_ids(["is"])[0] >= 0
+
+
+def test_token_ids_are_the_postings_term_order_before_any_fill():
+    index = R.build_index(CORPUS)
+    terms = list(index.postings)
+    assert index.token_ids([*terms, "zz"]) == [*range(len(terms)), -1]
+
+
+# each sentence opens and ends with a capital sigma, final or not, after a
+# combining mark, a quote or a dotted capital I; {ws} is the whitespace tried
+_SIGMA_SENTENCES = ["ΣΑ{ws}ΟΔΟΣ.", "Σ\u0301ΟΔΟΣ\u0301!", "İΣ{ws}İΣ?", "ΣΑ ΟΔΟΣ.)", "'ΣΑΣ'."]
+
+
+def test_every_sentence_token_is_a_postings_term_whatever_the_whitespace():
+    """Sentences split at whitespace runs, no token spans whitespace, and the
+    one context rule of str.lower (final sigma) stops at whitespace: so every
+    sentence token is a document token, and every fill finds its ids in the
+    map made with the index, for each whitespace character between sentences."""
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert len(spaces) == 29
+    for ws in spaces:
+        sentences = [sent.format(ws=ws) for sent in _SIGMA_SENTENCES]
+        # one document per index, so no other document's terms stand in
+        for title, text in [("ΟΔΟΣ", ws.join(sentences)),
+                            ("Σ", (ws + ws).join(reversed(sentences)))]:
+            index = R.build_index([R.Document("d", title, text)])
+            texts, ids, _ = index.sentences("d")
+            tokens = [tok for text in texts for tok in tokenize(text).tokens]
+            assert len(texts) == len(sentences), repr(ws)
+            assert set(tokens) <= index.postings.keys(), repr(ws)
+            assert ids.tolist() == index.token_ids(tokens), repr(ws)
 
 
 def test_retrieved_roundtrip(tmp_path):

@@ -98,7 +98,7 @@ def test_templated_op_shape_error_line(op, operands, line):
         return [build(s) for s in spec] if isinstance(spec, list) else T.Tensor(np.zeros(spec))
 
     with pytest.raises(T.ShapeError) as excinfo:
-        T.OPS[op](*map(build, operands))
+        getattr(T, op)(*map(build, operands))
     assert str(excinfo.value) == line
 
 
