@@ -47,7 +47,8 @@ def write_jsonl(path, records):
 
 
 def read_lines(path):
-    """(line number, line) for each line of a UTF-8 text file.
+    """(line number, line) for each line of a UTF-8 text file, without the
+    byte-order mark some editors write at its start.
 
     A line that is not UTF-8 raises a one-line ValueError naming the file and
     the line.
@@ -55,7 +56,7 @@ def read_lines(path):
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, 1):
             try:
-                line = raw.decode("utf-8")
+                line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             yield lineno, line

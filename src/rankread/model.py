@@ -1,7 +1,7 @@
 """The full ranker-reader model: one shared matcher, two heads, one registry,
 and the checkpoint file that holds it with its config and word vectors."""
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -95,7 +95,8 @@ class RankReadModel:
     # the caller maps positions back to its own passages. match_passages,
     # rank, read and read_each are the one-question forms; read_each, the
     # inference form, runs the read stack and each pointer head once over the
-    # question's block and marks the distribution for a softmax per passage.
+    # question's block under no_grad. Training's span_loss normalizes over the
+    # whole block; extract_best_span normalizes over each passage alone.
 
     def dropout_masks(self, q_emb, p_emb, rng):
         """One question's inverted-dropout masks for the encoded question, the
@@ -152,11 +153,10 @@ class RankReadModel:
         return self.read_batch([m], [widths])[0]
 
     def read_each(self, m, widths):
-        """The question's span distribution for inference, with a softmax per
-        passage segment: under no_grad, one pass of the read stack and of each
-        pointer head over the block."""
+        """The question's span distribution for inference: under no_grad, one
+        pass of the read stack and of each pointer head over the block."""
         with T.no_grad():
-            return replace(self.read_batch([m], [widths])[0], per_segment=True)
+            return self.read_batch([m], [widths])[0]
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -24,10 +24,9 @@ class Segment:
 
 @dataclass
 class SpanDistribution:
-    start_logits: T.Tensor  # (V, 1); softmax runs over all V concatenated words,
-    end_logits: T.Tensor    # or over each segment's words when per_segment is set
+    start_logits: T.Tensor  # (V, 1); span_loss's softmax runs over all V concatenated
+    end_logits: T.Tensor    # words, extract_best_span's over each segment's own words
     segments: list    # one Segment per passage position, in order
-    per_segment: bool = False  # set by read_each, for inference only
 
     def global_index(self, label):
         if not 0 <= label.passage < len(self.segments):
@@ -44,8 +43,8 @@ def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out):
     """Start/end logits over the words of a block of passages, widths wide, in
     order; segment i is the passage at position i.
 
-    The softmax runs over the full concatenated axis, so probability mass is
-    shared between the first passage and any appended negatives.
+    span_loss's softmax runs over the full concatenated axis, so probability
+    mass is shared between the first passage and any appended negatives.
     """
     if not widths:
         raise T.ShapeError("span_distributions: need at least one passage")
@@ -62,25 +61,22 @@ def span_loss(dist, label):
 
 
 def _log_prob_grids(dist, width):
-    """(2, P, width) grids of each segment's start and end word log-probs,
-    -inf past the segment's end.
+    """(2, P, width) grids of each segment's start and end word log-probs
+    under a log-softmax over that segment's own words, -inf past its end.
 
-    The log-softmax runs over the whole axis, or over each segment alone when
-    dist.per_segment is set. Then the masked sum adds each row's words as one
-    contiguous run, which gives the bits of that segment's own 1-D sum; a sum
-    over the zero-padded row, or over a strided one, rounds differently."""
+    The masked sum adds each row's words as one contiguous run, which gives
+    the bits of that segment's own 1-D sum; a sum over the zero-padded row,
+    or over a strided one, rounds differently."""
     offsets, lengths = np.array([(seg.offset, seg.length) for seg in dist.segments]).T
     cols = np.arange(width)
     valid = cols < lengths[:, None]
     a = np.concatenate([dist.start_logits.data.T, dist.end_logits.data.T])  # (2, V)
     index = np.minimum(offsets[:, None] + cols, a.shape[1] - 1)
-    if dist.per_segment:  # take, unlike a[:, index], gives C order
-        a = np.where(valid, np.take(a, index, axis=1), -np.inf)
+    # take, unlike a[:, index], gives C order
+    a = np.where(valid, np.take(a, index, axis=1), -np.inf)
     m = a.max(axis=-1, keepdims=True)
-    total = np.add.reduce(np.exp(a - m), axis=-1, keepdims=True,
-                          where=valid if dist.per_segment else True)
-    a = a - (m + np.log(total))
-    return a if dist.per_segment else np.where(valid, np.take(a, index, axis=1), -np.inf)
+    total = np.add.reduce(np.exp(a - m), axis=-1, keepdims=True, where=valid)
+    return a - (m + np.log(total))
 
 
 def extract_best_span(dist, max_len):
@@ -89,9 +85,9 @@ def extract_best_span(dist, max_len):
     Returns one (label, log-prob) per segment, in segment order; the label
     names its passage by the segment's position in dist.segments. Spans never
     cross segment boundaries and cover at most max_len tokens. Scores come
-    from the log-softmax of the logits, over the whole axis or per segment as
-    dist.per_segment says, so a span keeps a finite score when its
-    probabilities underflow. Ties break toward the smaller start, then the
+    from each segment's own log-softmax of the logits, so a segment's spans
+    do not depend on the others in dist, and a span keeps a finite score when
+    its probabilities underflow. Ties break toward the smaller start, then the
     smaller end.
     """
     if max_len < 1:

@@ -222,7 +222,7 @@ class Trainer:
                 loss = T.add(loss, T.scale(kl, cfg.kl_weight))
                 report["kl_loss"] = kl.item()
             elif mode == "r3":
-                # tau's segment alone, under the whole reader block's log-softmax
+                # the answer inference would extract from tau's segment alone
                 [(extracted, _)] = reader_mod.extract_best_span(
                     replace(dist, segments=dist.segments[:1]), cfg.max_span_len)
                 answer_text = " ".join(

@@ -8,7 +8,6 @@ three modes over three seeds and is shared through a session fixture.
 import ast
 import inspect
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -186,11 +185,11 @@ def test_c02_distribution_normalization():
                  [(l, l), (l, 1), (1, l), (l, l), (l, 1), (1, l)]]
         dist = reader.span_distributions(h_block, widths, *heads)
         gamma = pol.probs()
-        # the start and end distributions over the whole block, as training
-        # reads them, and over each passage alone, as read_each marks them
-        width = max(widths)
-        block = np.exp(reader._log_prob_grids(dist, width)).sum(axis=(1, 2))
-        each = np.exp(reader._log_prob_grids(replace(dist, per_segment=True), width)).sum(axis=2)
+        # the start and end distributions over the whole block, as span_loss
+        # normalizes them, and over each passage alone, as extraction does
+        block = np.array([T.softmax_cols(logits).data.sum()
+                          for logits in (dist.start_logits, dist.end_logits)])
+        each = np.exp(reader._log_prob_grids(dist, max(widths))).sum(axis=2)
         sums = np.concatenate([
             g.data.sum(axis=0) - 1.0,
             [gamma.sum() - 1.0],
@@ -277,7 +276,7 @@ def test_c05_retrieval_matches_brute_force():
 
 def test_c06_span_extraction_oracle():
     rng = np.random.default_rng(6)
-    checked = 0
+    checked = segments = 0
     for case in range(200):
         widths = list(rng.integers(1, 7, size=rng.integers(1, 4)))
         v = int(sum(widths))
@@ -289,19 +288,23 @@ def test_c06_span_extraction_oracle():
             off += int(w)
         dist = reader.SpanDistribution(sl, el, segs)
         for max_len in (1, 4, 15):
-            label, _ = max(reader.extract_best_span(dist, max_len), key=lambda span: span[1])
-            ps = T.softmax_cols(sl).data[:, 0]
-            pe = T.softmax_cols(el).data[:, 0]
-            best, best_score = None, -1.0
-            for passage, seg in enumerate(segs):
-                for i in range(seg.offset, seg.offset + seg.length):
-                    for j in range(i, min(i + max_len, seg.offset + seg.length)):
+            labels = [label for label, _ in reader.extract_best_span(dist, max_len)]
+            # each segment enumerated under its own softmax
+            for passage, (label, seg) in enumerate(zip(labels, segs)):
+                words = slice(seg.offset, seg.offset + seg.length)
+                ps = T.softmax_cols(T.Tensor(sl.data[words])).data[:, 0]
+                pe = T.softmax_cols(T.Tensor(el.data[words])).data[:, 0]
+                best, best_score = None, -1.0
+                for i in range(seg.length):
+                    for j in range(i, min(i + max_len, seg.length)):
                         if ps[i] * pe[j] > best_score:
                             best_score = ps[i] * pe[j]
-                            best = (passage, i - seg.offset, j - seg.offset)
-            assert (label.passage, label.start, label.end) == best
+                            best = (passage, i, j)
+                assert (label.passage, label.start, label.end) == best
+                segments += 1
             checked += 1
-    report(6, f"extract_best_span equals exhaustive enumeration on {checked} cases")
+    report(6, f"extract_best_span equals exhaustive enumeration on {checked} cases "
+              f"({segments} segments)")
 
 
 # -- 7. synthetic end-to-end ordering ------------------------------------------------------

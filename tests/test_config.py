@@ -53,6 +53,14 @@ def test_file_allows_comments_and_blanks(tmp_path):
     assert cfg.hidden_size == 8 and cfg.mode == "sr"
 
 
+def test_file_drops_a_byte_order_mark(tmp_path):
+    # before: unknown config key '\ufeffhidden_size'
+    path = tmp_path / "bom.cfg"
+    path.write_text("\ufeffhidden_size=8\nmode=sr\n", encoding="utf-8")
+    cfg = Config.from_file(path)
+    assert cfg.hidden_size == 8 and cfg.mode == "sr"
+
+
 @pytest.mark.parametrize("field,value,msg", [
     ("hidden_size", 7, "even"),
     ("mode", "reinforce", "mode"),

@@ -136,7 +136,6 @@ def test_predict_matches_brute_force_over_pairs(example):
         h_read = matcher.encode_batch([m], [widths], model.agg_read)[0].data
         dist = model.read_each(m, widths)
     w_s, b_s, ws_out, w_e, b_e, we_out = (p.data for p in model.read_heads)
-    assert dist.per_segment
     ends = np.cumsum(widths)
     assert [(s.offset, s.length) for s in dist.segments] == list(zip(ends - widths, widths))
     assert len(candidates) == len(widths)

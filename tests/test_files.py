@@ -68,6 +68,14 @@ def _dataset_record(tmp_path, **fields):
     return load_dataset(path)
 
 
+def test_jsonl_drops_a_byte_order_mark(tmp_path):
+    # before: one-line error "Unexpected UTF-8 BOM" on line 1
+    path = tmp_path / "bom.jsonl"
+    records = [{"id": f"q{i}", "question": "x", "answers": ["a"]} for i in range(2)]
+    path.write_text("\ufeff" + "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert [q["id"] for q in load_dataset(path)] == ["q0", "q1"]
+
+
 def _config(tmp_path, **fields):
     return Config(**fields).validate()
 

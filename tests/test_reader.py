@@ -122,9 +122,14 @@ def _uniform_dist(widths):
     return reader.SpanDistribution(logits, logits, segs)
 
 
-def _best(spans):
-    """The best of extract_best_span's per-segment spans; the first wins a tie."""
-    return max(spans, key=lambda span: span[1])
+def _own(dist, passage):
+    """Segment passage of dist as a distribution of its own: its logits alone,
+    so span_loss normalizes over its words only."""
+    seg = dist.segments[passage]
+    words = slice(seg.offset, seg.offset + seg.length)
+    return reader.SpanDistribution(T.Tensor(dist.start_logits.data[words]),
+                                   T.Tensor(dist.end_logits.data[words]),
+                                   [reader.Segment(0, seg.length)])
 
 
 def test_extract_concentrated_mass():
@@ -138,24 +143,27 @@ def test_extract_concentrated_mass():
 
 
 def test_extract_uniform_ties_to_first_position():
-    label, _ = _best(reader.extract_best_span(_uniform_dist([3, 2]), 4))
-    assert label.passage == 0
-    assert (label.start, label.end) == (0, 0)
+    spans = reader.extract_best_span(_uniform_dist([3, 2]), 4)
+    assert [(label.passage, label.start, label.end) for label, _ in spans] == \
+        [(0, 0, 0), (1, 0, 0)]
 
 
 def _brute_force_best(dist, max_len):
-    ps = T.softmax_cols(dist.start_logits).data[:, 0]
-    pe = T.softmax_cols(dist.end_logits).data[:, 0]
-    best, best_score = None, -1.0
-    for passage, seg in enumerate(dist.segments):
-        for i in range(seg.offset, seg.offset + seg.length):
-            for j in range(seg.offset, seg.offset + seg.length):
-                if j < i or j - i >= max_len:
-                    continue
+    """Each segment's best (passage, start, end) by p_start * p_end under a
+    softmax over that segment's own words."""
+    bests = []
+    for passage in range(len(dist.segments)):
+        own = _own(dist, passage)
+        ps = T.softmax_cols(own.start_logits).data[:, 0]
+        pe = T.softmax_cols(own.end_logits).data[:, 0]
+        best, best_score = None, -1.0
+        for i in range(len(ps)):
+            for j in range(i, min(i + max_len, len(ps))):
                 if ps[i] * pe[j] > best_score:
                     best_score = ps[i] * pe[j]
-                    best = (passage, i - seg.offset, j - seg.offset)
-    return best
+                    best = (passage, i, j)
+        bests.append(best)
+    return bests
 
 
 @pytest.mark.parametrize("max_len", [1, 4, 15])
@@ -163,30 +171,34 @@ def test_extract_matches_exhaustive_enumeration(max_len):
     for seed in range(30):
         widths = list(np.random.default_rng(seed).integers(1, 6, size=3))
         dist = make_dist(seed + 100, widths)
-        label, logp = _best(reader.extract_best_span(dist, max_len))
-        assert (label.passage, label.start, label.end) == _brute_force_best(dist, max_len)
-        assert label.end - label.start < max_len
+        labels = [label for label, _ in reader.extract_best_span(dist, max_len)]
+        assert [(label.passage, label.start, label.end) for label in labels] == \
+            _brute_force_best(dist, max_len)
+        assert all(label.end - label.start < max_len for label in labels)
 
 
 def test_extract_restricted_to_one_passage():
-    # r3 extracts from one segment of a block, under the whole block's
-    # log-softmax: the best span of passage 1 with passage 1's scores
+    # r3 extracts from a one-segment view of a block: the best span of
+    # passage 1, with the label and score the whole block's call gives it,
+    # bit for bit, under passage 1's own log-softmax
     for seed in range(10):
         dist = make_dist(seed + 300, [3, 4, 2])
         one = replace(dist, segments=dist.segments[1:2])
-        label, logp = reader.extract_best_span(one, 3)[0]
+        [(label, logp)] = reader.extract_best_span(one, 3)
         assert label.passage == 0
-        assert _brute_force_best(one, 3) == (0, label.start, label.end)
-        loss = reader.span_loss(dist, reader.SpanLabel(1, label.start, label.end))
+        assert _brute_force_best(one, 3) == [(0, label.start, label.end)]
+        whole, whole_logp = reader.extract_best_span(dist, 3)[1]
+        assert (label, logp) == (replace(whole, passage=0), whole_logp)
+        loss = reader.span_loss(_own(dist, 1), label)
         assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
 
 
 def test_exp_of_loss_at_argmax_equals_span_probability():
     for seed in range(10):
         dist = make_dist(seed + 200, [3, 2, 4])
-        label, logp = _best(reader.extract_best_span(dist, 4))
-        loss = reader.span_loss(dist, label)
-        assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
+        for passage, (label, logp) in enumerate(reader.extract_best_span(dist, 4)):
+            loss = reader.span_loss(_own(dist, passage), replace(label, passage=0))
+            assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
 
 
 def test_extract_scores_in_log_space_when_probabilities_underflow():
@@ -211,16 +223,12 @@ def reference_best_spans(dist, max_len):
     """extract_best_span as a loop with one span grid per segment, as it ran
     before it scored every segment in one array pass, frozen as the
     bit-for-bit reference. A segment's log-probs come from a log-softmax over
-    its own words when dist.per_segment is set, else over the whole axis."""
+    its own words."""
     starts, ends = dist.start_logits.data[:, 0], dist.end_logits.data[:, 0]
-    whole = _log_softmax(starts), _log_softmax(ends)
     spans = []
     for passage, seg in enumerate(dist.segments):
         lo, length = seg.offset, seg.length
-        if dist.per_segment:
-            ls, le = _log_softmax(starts[lo:lo + length]), _log_softmax(ends[lo:lo + length])
-        else:
-            ls, le = whole[0][lo:lo + length], whole[1][lo:lo + length]
+        ls, le = _log_softmax(starts[lo:lo + length]), _log_softmax(ends[lo:lo + length])
         width = min(max_len, length)
         # scores[i, k] is the span starting at token i and ending at i + k
         last = np.arange(length)[:, None] + np.arange(width)[None, :]
@@ -232,13 +240,13 @@ def reference_best_spans(dist, max_len):
     return spans
 
 
-@pytest.mark.parametrize("per_segment", [False, True])
 @pytest.mark.parametrize("max_len", [1, 4, 15])
-def test_extract_equals_the_frozen_per_segment_loop_bit_for_bit(max_len, per_segment):
+def test_extract_equals_the_frozen_loop_over_segments_bit_for_bit(max_len):
     # one-token segments, uniform logits (every span of a segment ties), then
     # 60 random ragged blocks of 1-20 segments; a third of them have segments
     # of up to 150 words, where a sum over a zero-padded or strided row rounds
-    # differently from the segment's own sum
+    # differently from the segment's own sum. Each block is read whole and as
+    # one one-segment view per segment, as r3 reads tau's segment
     rng = np.random.default_rng(29)
     cases = [([1], None), ([1, 1, 1], None), ([3, 2], 0.0), ([1, 5, 1], 0.0), ([7] * 4, None)]
     for _ in range(60):
@@ -249,7 +257,9 @@ def test_extract_equals_the_frozen_per_segment_loop_bit_for_bit(max_len, per_seg
         logits = (rng.normal(size=(2, v, 1)) * rng.uniform(0.1, 30) if fill is None
                   else np.full((2, v, 1), fill))
         segments = [reader.Segment(end - w, w) for w, end in zip(widths, accumulate(widths))]
-        dist = reader.SpanDistribution(T.Tensor(logits[0]), T.Tensor(logits[1]), segments,
-                                       per_segment)
+        dist = reader.SpanDistribution(T.Tensor(logits[0]), T.Tensor(logits[1]), segments)
         expected = reference_best_spans(dist, max_len)
         assert reader.extract_best_span(dist, max_len) == expected, widths
+        views = [reader.extract_best_span(replace(dist, segments=[seg]), max_len)
+                 for seg in segments]
+        assert views == [[(replace(label, passage=0), score)] for label, score in expected], widths

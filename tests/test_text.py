@@ -115,6 +115,15 @@ def test_load_embeddings_two_lines(tmp_path):
     assert np.array_equal(table.lookup("manila"), [1.0, 2.0, 3.0])
 
 
+def test_load_embeddings_drops_a_byte_order_mark(tmp_path):
+    # before, the first line's vector was keyed '\ufeffthe', so "the" embedded as zeros
+    p = tmp_path / "e.txt"
+    p.write_text("\ufeffthe 0.1 0.2 0.3\nof 1 2 3\n", encoding="utf-8")
+    table = text.load_embeddings(p, 3)
+    assert np.allclose(table.lookup("the"), [0.1, 0.2, 0.3])
+    assert sorted(table.tokens()) == ["of", "the"]
+
+
 def test_lookup_absent_token_is_zero_vector(tmp_path):
     p = write_embeddings(tmp_path / "e.txt", ["luzon 0.1 0.2 0.3"])
     table = text.load_embeddings(p, 3)
