@@ -199,7 +199,9 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="write per-step JSONL records here")
     p.add_argument("--init", default=None, help="checkpoint to initialize from")
-    p.add_argument("--config", default=None, help="config file (key=value lines)")
+    p.add_argument("--config", default=None,
+                   help="JSON object of Config fields, as a checkpoint stores it under "
+                        "extra.config; flags override it")
     # every field but retrieval's, which training never reads
     _add_config_flags(p, [field.name for field in fields(Config) if field.name not in
                           ("retrieve_n", "top_a", "top_s", "bm25_k1", "bm25_b")])
@@ -221,8 +223,8 @@ def build_parser():
     p.add_argument("--out-corpus", required=True)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
-    _add_config_flags(p, ["entities", "relations", "train_questions", "test_questions",
-                          "strong_decoy_rate", "seed"], SyntheticSpec)
+    _add_config_flags(p, ["entities", "relations", "train_questions", "test_questions", "seed"],
+                      SyntheticSpec)
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -1,9 +1,9 @@
-"""Run configuration: a flat dataclass with a key=value file format."""
+"""Run configuration: a flat dataclass, stored as a JSON object of its fields."""
 
 import math
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, replace
 
-from .files import check_fields, check_least, read_lines
+from .files import check_fields, check_least, one_line_errors, read_json_object
 from .retrieval import BM25_B, BM25_K1
 
 MODES = ("sr", "sr2", "r3")  # reader only; plus a KL-trained ranker; joint policy gradient
@@ -67,36 +67,15 @@ class Config:
 
     @classmethod
     def from_file(cls, path):
-        values = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for lineno, line in read_lines(path):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: repeated config key {key!r}")
-            try:
-                values[key] = _parse(raw.strip(), types[key])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-        return cls(**values).validate()
+        """The Config a JSON object holds, as a checkpoint stores it under extra.config;
+        a missing field takes its default. Errors are one line naming path."""
+        stored = read_json_object(path, "config")
+        with one_line_errors(path):
+            return cls(**stored).validate()
 
     def with_overrides(self, overrides):
-        """New Config with non-None overrides applied; validates the result."""
-        data = asdict(self)
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key not in data:
-                raise ValueError(f"unknown config key {key!r}")
-            data[key] = value
-        return Config(**data).validate()
+        """New Config with the non-None {field: value} overrides; validates the result."""
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None}).validate()
 
 
 # the smallest value each setting may take; a zero grad_clip turns clipping off
@@ -104,9 +83,3 @@ _LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers":
           "batch_size": 1, "epochs": 0, "pretrain_epochs": 0, "min_negatives": 0,
           "seed": 0, "top_a": 1, "top_s": 1, "retrieve_n": 1, "max_span_len": 1,
           "learning_rate": 0, "kl_weight": 0, "grad_clip": 0, "bm25_k1": 0}
-
-
-def _parse(raw, typ):
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "'\"":
-        raw = raw[1:-1]
-    return typ(raw)

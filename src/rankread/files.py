@@ -113,17 +113,27 @@ def check_least(record, least):
             raise ValueError(f"{name} must be at least {low}, got {getattr(record, name)}")
 
 
+def _unique_keys(pairs):
+    """json object_pairs_hook: json alone keeps a repeated key's last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_jsonl(path, make, id_key=None):
     """make(record) for every non-blank line of a JSON-lines file. A line that
-    is not JSON, that make rejects, or whose record[id_key] (a question id)
-    repeats an earlier line's raises a one-line ValueError naming file and line."""
+    is not JSON, repeats a key within an object, that make rejects, or whose
+    record[id_key] (a question id) repeats an earlier line's raises a one-line
+    ValueError naming file and line."""
     out = []
     seen = set()
     for lineno, line in read_lines(path):
         if not line.strip():
             continue
         with one_line_errors(f"{path}:{lineno}"):
-            record = json.loads(line)
+            record = json.loads(line, object_pairs_hook=_unique_keys)
             out.append(make(record))
             if id_key is not None:
                 if record[id_key] in seen:
@@ -132,16 +142,21 @@ def read_jsonl(path, make, id_key=None):
     return out
 
 
-def read_versioned_json(path, what, version, keys):
-    """The object a versioned JSON file holds.
-
-    Raises a one-line ValueError naming the file when it is not JSON, does not
-    hold an object, has another format_version, or lacks one of keys.
-    """
-    with open(path, encoding="utf-8") as f, one_line_errors(path):
-        payload = json.load(f)  # not JSON, or not UTF-8
+def read_json_object(path, what):
+    """The object a JSON file holds; a leading byte-order mark is dropped. Raises a
+    one-line ValueError naming the file when it is not UTF-8 JSON, repeats a key
+    within an object, or does not hold an object."""
+    with open(path, encoding="utf-8-sig") as f, one_line_errors(path):
+        payload = json.load(f, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: {what} must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+def read_versioned_json(path, what, version, keys):
+    """read_json_object's object, which must have format_version version and
+    every one of keys, or a one-line ValueError naming the file is raised."""
+    payload = read_json_object(path, what)
     found = payload.get("format_version")
     if found != version:
         raise ValueError(f"{path}: unsupported {what} version: {found!r}")

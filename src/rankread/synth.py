@@ -21,6 +21,7 @@ RELATIONS = ["color", "size", "shape", "origin", "flavor",
 ANSWERS_PER_RELATION = 3  # size of each relation's answer pool
 PSEUDO_POSITIVE_RATE = 1.0  # answer string present, fact not stated
 CONFUSION_DECOY_RATE = 1.0  # hedged fact-shape with a wrong same-pool token
+STRONG_DECOY_RATE = 0.7  # overlap decoy that outranks the facts
 
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
@@ -40,14 +41,11 @@ class SyntheticSpec:
     relations: int = 10
     train_questions: int = 300
     test_questions: int = 100
-    strong_decoy_rate: float = 0.7      # overlap decoy that outranks the facts
     seed: int = 0
 
     def validate(self):
         check_least(self, {"entities": 1, "relations": 1, "train_questions": 0,
                            "test_questions": 0, "seed": 0})
-        if not 0.0 <= self.strong_decoy_rate <= 1.0:
-            raise ValueError(f"strong_decoy_rate must be in [0, 1], got {self.strong_decoy_rate}")
         if self.relations > len(RELATIONS):
             raise ValueError(f"at most {len(RELATIONS)} relations supported")
         if self.entities * self.relations < self.train_questions + self.test_questions:
@@ -72,7 +70,7 @@ def _coin_unique(rng, count, syllables, taken):
     return words
 
 
-def _sentences(entity, relation, answer, wrong_answers, spec, rng):
+def _sentences(entity, relation, answer, wrong_answers, rng):
     # every template is exactly ten tokens, so one question's passages are
     # all of one length
     sents = []
@@ -90,7 +88,7 @@ def _sentences(entity, relation, answer, wrong_answers, spec, rng):
         # ranker that matches the question entity can demote them.
         sents.append(f"{relation.capitalize()} fans always whisper that the answer is {wrong_answers[0]}.")
         sents.append(f"Some people say the true {relation} is surely {wrong_answers[1]}.")
-    if rng.random() < spec.strong_decoy_rate:
+    if rng.random() < STRONG_DECOY_RATE:
         sents.append(f"The {relation} of {entity} is not the {relation} expected.")
     sents.append(f"Many ask about the {relation} of {entity} without luck.")
     sents.append(f"People argue over the {relation} of {entity} these days.")
@@ -119,7 +117,7 @@ def generate(spec):
     for entity, relation, value in facts:
         pool = [a for a in answers[relation] if a != value]
         wrong = [pool[int(rng.integers(len(pool)))] for _ in range(2)]
-        text = " ".join(_sentences(entity, relation, value, wrong, spec, rng))
+        text = " ".join(_sentences(entity, relation, value, wrong, rng))
         documents.append(Document(f"{entity}-{relation}", f"{entity} {relation}", text))
 
     order = rng.permutation(len(facts))

@@ -207,8 +207,8 @@ def test_init_with_other_word_vectors_is_one_line_error_naming_both(workdir, tmp
     if source == "flag":
         flags = ["--embeddings-path", other]
     else:
-        (tmp_path / "run.cfg").write_text(f"embeddings_path={other}\n")
-        flags = ["--config", str(tmp_path / "run.cfg")]
+        (tmp_path / "run.json").write_text(json.dumps({"embeddings_path": other}))
+        flags = ["--config", str(tmp_path / "run.json")]
     out = tmp_path / "out.json"
     assert main(["train", "--init", str(ckpt), "--retrieved", str(workdir["retrieved_train"]),
                  "--dataset", str(workdir["train"]), "--out", str(out), "--mode", "r3",
@@ -350,12 +350,14 @@ def test_checkpoint_with_unknown_config_key_is_one_line_error(workdir, tmp_path,
 
 
 def test_config_parse_error_names_file_and_line(workdir, tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("# model\nembed_dim=8\nhidden_size=abc\n")
+    # a config file is one JSON object, so the line names the file alone, as a
+    # checkpoint's config of the wrong type does
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"embed_dim": 8,\n "hidden_size": "abc"}\n')
     assert main(["train", "--config", str(bad), "--retrieved", str(workdir["retrieved_train"]),
                  "--dataset", str(workdir["train"]), "--out", str(tmp_path / "m.json")]) == 1
-    line = _error_line(capsys)
-    assert line.startswith(f"error: {bad}:3: hidden_size: ") and "'abc'" in line
+    assert _error_line(capsys) == (f"error: {bad}: TypeError: "
+                                   "config hidden_size must be an integer, got 'abc'")
 
 
 def test_retrieved_line_without_ir_score_is_one_line_error(workdir, tmp_path, capsys):
@@ -471,6 +473,56 @@ def test_malformed_index_is_one_line_error(workdir, tmp_path, capsys, payload, m
     assert line.startswith(f"error: {bad}: ") and message in line
 
 
+def test_index_and_checkpoint_with_a_byte_order_mark_load(workdir, tmp_path):
+    # before: "JSONDecodeError: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    marked = {}
+    for name in ("index", "ckpt"):
+        marked[name] = tmp_path / f"bom_{name}.json"
+        marked[name].write_bytes(b"\xef\xbb\xbf" + workdir[name].read_bytes())
+    retrieved = tmp_path / "r.jsonl"
+    assert main(["retrieve", "--index", str(marked["index"]), "--dataset", str(workdir["test"]),
+                 "--out", str(retrieved), "--retrieve-n", "6", "--top-a", "8",
+                 "--top-s", "20"]) == 0
+    assert retrieved.read_bytes() == workdir["retrieved_test"].read_bytes()
+    reports = []
+    for ckpt in (workdir["ckpt"], marked["ckpt"]):
+        reports.append(tmp_path / f"report{len(reports)}.json")
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--retrieved", str(retrieved),
+                     "--dataset", str(workdir["test"]), "--out", str(reports[-1])]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+
+
+@pytest.mark.parametrize("which", ["config", "checkpoint", "dataset", "retrieved"])
+def test_repeated_key_is_one_line_error(workdir, tmp_path, capsys, which):
+    # before, json kept the repeated key's last value silently
+    out = str(tmp_path / "out.json")
+    if which in ("config", "checkpoint"):
+        bad = tmp_path / f"{which}.json"
+        stored = json.loads(workdir["ckpt"].read_text())
+        text = json.dumps(stored["extra"]["config"] if which == "config" else stored)
+        key = "hidden_size"
+        bad.write_text(text.replace(f'"{key}": ', f'"{key}": 4, "{key}": ', 1))
+        where = bad
+    else:
+        source, key = {"dataset": (workdir["test"], "answers"),
+                       "retrieved": (workdir["retrieved_test"], "positive")}[which]
+        lines = source.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace(f'"{key}": ', f'"{key}": [], "{key}": ', 1)
+        bad = tmp_path / f"{which}.jsonl"
+        bad.write_text("".join(lines))
+        where = f"{bad}:2"
+    argv = {"config": ["train", "--config", str(bad), "--retrieved",
+                       str(workdir["retrieved_train"]), "--dataset", str(workdir["train"])],
+            "checkpoint": ["evaluate", "--checkpoint", str(bad), "--retrieved",
+                           str(workdir["retrieved_test"]), "--dataset", str(workdir["test"])],
+            "dataset": ["retrieve", "--index", str(workdir["index"]), "--dataset", str(bad)],
+            "retrieved": ["evaluate", "--checkpoint", str(workdir["ckpt"]), "--retrieved",
+                          str(bad), "--dataset", str(workdir["test"])]}[which]
+    assert main([*argv, "--out", out]) == 1
+    assert _error_line(capsys) == f"error: {where}: ValueError: repeated key {key!r}"
+    assert not os.path.exists(out)
+
+
 def _with_bad_byte(source, path):
     """source's text with a byte that is not UTF-8 in its second line."""
     lines = source.read_bytes().splitlines(keepends=True)
@@ -496,7 +548,7 @@ def test_non_utf8_input_is_one_line_error_naming_file_and_line(workdir, tmp_path
     else:
         source = tmp_path / "source.txt"
         if which == "config":
-            source.write_text("embed_dim=8\nhidden_size=8\n")
+            source.write_text('{"embed_dim": 8,\n "hidden_size": 8}\n')
         else:
             source.write_text("".join(f"w{i} " + " ".join(["0.5"] * 16) + "\n" for i in range(3)))
         bad = _with_bad_byte(source, tmp_path / "bad.txt")
@@ -505,7 +557,9 @@ def test_non_utf8_input_is_one_line_error_naming_file_and_line(workdir, tmp_path
                 {"config": "--config", "embeddings": "--embeddings-path"}[which], str(bad)]
     assert main(argv) == 1
     line = _error_line(capsys)
-    assert line.startswith(f"error: {bad}:2: ") and "can't decode byte 0xff" in line
+    # a config file is one JSON object: its line names the file, as a checkpoint's does
+    where = f"{bad}: UnicodeDecodeError" if which == "config" else f"{bad}:2"
+    assert line.startswith(f"error: {where}: ") and "can't decode byte 0xff" in line
 
 
 @pytest.mark.parametrize("k", ["0", "-1", "1,0"])
@@ -991,16 +1045,27 @@ def test_non_finite_checkpoint_value_is_one_line_error(workdir, tmp_path, capsys
     (["--entities", "0"], "entities must be at least 1, got 0"),
     (["--relations", "0"], "relations must be at least 1, got 0"),
     (["--seed", "-1"], "seed must be at least 0, got -1"),
-    (["--strong-decoy-rate", "7"], "strong_decoy_rate must be in [0, 1], got 7.0"),
-    (["--strong-decoy-rate", "-0.5"], "strong_decoy_rate must be in [0, 1], got -0.5"),
-    (["--strong-decoy-rate", "nan"], "strong_decoy_rate must be in [0, 1], got nan"),
+    # the strong decoy rate is the module constant synth.STRONG_DECOY_RATE, so
+    # its old flag is a usage error (these ids name the range check it had)
+    pytest.param(["--strong-decoy-rate", "7"], "unrecognized arguments: --strong-decoy-rate 7",
+                 id="flags5-strong_decoy_rate must be in [0, 1], got 7.0"),
+    pytest.param(["--strong-decoy-rate", "-0.5"], "unrecognized arguments: --strong-decoy-rate -0.5",
+                 id="flags6-strong_decoy_rate must be in [0, 1], got -0.5"),
+    pytest.param(["--strong-decoy-rate", "nan"], "unrecognized arguments: --strong-decoy-rate nan",
+                 id="flags7-strong_decoy_rate must be in [0, 1], got nan"),
 ])
 def test_out_of_range_synth_setting_is_one_line_error(tmp_path, capsys, flags, message):
     # before, -3 train questions wrote 4 "train" questions with test ids, and
     # a negative seed failed inside numpy with a message naming no setting
     outs = [tmp_path / name for name in ("corpus.jsonl", "train.jsonl", "test.jsonl")]
-    assert main(["synth", "--out-corpus", str(outs[0]), "--out-train", str(outs[1]),
-                 "--out-test", str(outs[2]), "--train-questions", "5", "--test-questions", "5",
-                 *flags]) == 1
-    assert _error_line(capsys) == f"error: {message}"
+    argv = ["synth", "--out-corpus", str(outs[0]), "--out-train", str(outs[1]),
+            "--out-test", str(outs[2]), "--train-questions", "5", "--test-questions", "5", *flags]
+    if message.startswith("unrecognized"):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"rankread: error: {message}"
+    else:
+        assert main(argv) == 1
+        assert _error_line(capsys) == f"error: {message}"
     assert list(tmp_path.iterdir()) == []

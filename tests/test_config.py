@@ -1,5 +1,6 @@
+import json
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -15,50 +16,70 @@ def test_defaults_validate():
 def test_roundtrip_through_file_is_lossless(tmp_path):
     cfg = Config(hidden_size=24, learning_rate=0.00325, mode="r3",
                  dropout=0.17, embeddings_path="data/glove.txt", seed=42)
-    path = tmp_path / "run.cfg"
-    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)!r}\n" for f in fields(cfg)))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(asdict(cfg)))
     assert Config.from_file(path) == cfg
 
 
+def test_file_takes_defaults_for_missing_keys(tmp_path):
+    path = tmp_path / "some.json"
+    path.write_text('{"hidden_size": 8, "mode": "sr"}')
+    assert Config.from_file(path) == Config(hidden_size=8, mode="sr")
+
+
 def test_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("hidden_size=16\nnot_a_key=3\n")
-    with pytest.raises(ValueError, match="not_a_key"):
+    # the wording a checkpoint's config with an unknown key gives
+    path = tmp_path / "bad.json"
+    path.write_text('{"hidden_size": 16, "not_a_key": 3}')
+    with pytest.raises(ValueError) as info:
         Config.from_file(path)
+    assert str(info.value).startswith(f"{path}: TypeError: ")
+    assert str(info.value).endswith("unexpected keyword argument 'not_a_key'")
 
 
 def test_file_rejects_a_repeated_key(tmp_path):
-    # before, the last of the two values was kept silently
-    path = tmp_path / "twice.cfg"
-    path.write_text("hidden_size=4\n# again\n hidden_size = 8\n")
+    # json alone keeps the last of the two values silently
+    path = tmp_path / "twice.json"
+    path.write_text('{"hidden_size": 4, "mode": "sr", "hidden_size": 8}')
     with pytest.raises(ValueError) as info:
         Config.from_file(path)
-    assert str(info.value) == f"{path}:3: repeated config key 'hidden_size'"
-
-
-@pytest.mark.parametrize("raw, value", [("'", "'"), ('"', '"'), ("''", ""), ('"a.txt"', "a.txt")],
-                         ids=["single", "double", "empty-pair", "pair"])
-def test_file_strips_a_quote_pair_only(tmp_path, raw, value):
-    # before, a lone quote was taken for a pair and read as the empty string,
-    # so embeddings_path=' chose synthetic vectors
-    path = tmp_path / "quoted.cfg"
-    path.write_text(f"embeddings_path={raw}\n")
-    assert Config.from_file(path).embeddings_path == value
-
-
-def test_file_allows_comments_and_blanks(tmp_path):
-    path = tmp_path / "ok.cfg"
-    path.write_text("# comment\n\nhidden_size=8\nmode=sr\n")
-    cfg = Config.from_file(path)
-    assert cfg.hidden_size == 8 and cfg.mode == "sr"
+    assert str(info.value) == f"{path}: ValueError: repeated key 'hidden_size'"
 
 
 def test_file_drops_a_byte_order_mark(tmp_path):
-    # before: unknown config key '\ufeffhidden_size'
-    path = tmp_path / "bom.cfg"
-    path.write_text("\ufeffhidden_size=8\nmode=sr\n", encoding="utf-8")
+    # json alone: "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+    path = tmp_path / "bom.json"
+    path.write_text('\ufeff{"hidden_size": 8, "mode": "sr"}', encoding="utf-8")
     cfg = Config.from_file(path)
     assert cfg.hidden_size == 8 and cfg.mode == "sr"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]", "config must be a JSON object, got list"),
+    ('"hidden_size=8"', "config must be a JSON object, got str"),
+    ('{"hidden_size": "8"}', "TypeError: config hidden_size must be an integer, got '8'"),
+    ('{"dropout": null}', "TypeError: config dropout must be a number, got None"),
+    ('{"hidden_size": 7}', "ValueError: hidden_size must be even, got 7"),
+    ("hidden_size=8\n", "JSONDecodeError: Expecting value: line 1 column 1 (char 0)"),
+], ids=["list", "string", "wrong_type", "null", "invalid", "key_value_line"])
+def test_file_error_is_one_line_naming_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        Config.from_file(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_checkpoint_config_written_to_a_file_reads_back_as_the_checkpoint_config(tmp_path):
+    from rankread.model import RankReadModel, load_checkpoint, save_checkpoint
+    from rankread.text import synthetic_embeddings
+    cfg = Config(hidden_size=8, embed_dim=8, mode="r3", dropout=0.2, seed=3)
+    table = synthetic_embeddings({"blue", "sky"}, cfg.embed_dim, seed=cfg.seed)
+    ckpt = tmp_path / "m.json"
+    save_checkpoint(ckpt, RankReadModel(cfg, seed=cfg.seed), table)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(json.loads(ckpt.read_text())["extra"]["config"]))
+    assert Config.from_file(path) == load_checkpoint(ckpt)[0].config == cfg
 
 
 @pytest.mark.parametrize("field,value,msg", [
@@ -116,6 +137,8 @@ def test_overrides_skip_none_and_validate():
     assert cfg.dropout == Config().dropout
     with pytest.raises(ValueError):
         Config().with_overrides({"hidden_size": 9})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'not_a_key'"):
+        Config().with_overrides({"not_a_key": 1})
 
 
 def test_every_config_field_is_read():

@@ -1,7 +1,9 @@
 import pytest
 
 from rankread import retrieval as R
-from rankread.synth import CONFUSION_DECOY_RATE, PSEUDO_POSITIVE_RATE, SyntheticSpec, generate
+from rankread import synth
+from rankread.synth import (CONFUSION_DECOY_RATE, PSEUDO_POSITIVE_RATE, STRONG_DECOY_RATE,
+                           SyntheticSpec, generate)
 from rankread.text import tokenize
 
 
@@ -62,8 +64,9 @@ def test_every_question_has_a_positive_after_retrieval():
             assert len(rs.passages) == 10
 
 
-def test_decoys_rank_high_but_negative():
-    spec = SyntheticSpec(strong_decoy_rate=1.0, seed=7)
+def test_decoys_rank_high_but_negative(monkeypatch):
+    monkeypatch.setattr(synth, "STRONG_DECOY_RATE", 1.0)
+    spec = SyntheticSpec(seed=7)
     _, train, test, _ = generate(spec)
     retrieved = _retrieved(spec, test[:15], False)
     top1_negative = 0
@@ -91,21 +94,16 @@ def test_hedged_decoys_only_surface_at_test_time():
     assert has_hedge(test_sets) == len(test_sets)
 
 
-# pseudo_positive_rate and confusion_decoy_rate are module constants, not spec
-# fields: a spec that names them is refused before validate runs
-@pytest.mark.parametrize("field, error, message", [
-    pytest.param("pseudo_positive_rate", TypeError,
-                 "unexpected keyword argument 'pseudo_positive_rate'", id="pseudo_positive_rate"),
-    pytest.param("confusion_decoy_rate", TypeError,
-                 "unexpected keyword argument 'confusion_decoy_rate'", id="confusion_decoy_rate"),
-    pytest.param("strong_decoy_rate", ValueError,
-                 r"^strong_decoy_rate must be in \[0, 1\], got 1.5$", id="strong_decoy_rate"),
-])
-def test_rates_outside_unit_interval_are_rejected(field, error, message):
-    with pytest.raises(error, match=message):
+# the three decoy rates are module constants, not spec fields: a spec that
+# names one is refused before validate runs
+@pytest.mark.parametrize("field", ["pseudo_positive_rate", "confusion_decoy_rate",
+                                   "strong_decoy_rate"])
+def test_rates_outside_unit_interval_are_rejected(field):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
         SyntheticSpec(**{field: 1.5}).validate()
 
 
 def test_module_rates_lie_in_unit_interval():
     assert 0.0 <= PSEUDO_POSITIVE_RATE <= 1.0
     assert 0.0 <= CONFUSION_DECOY_RATE <= 1.0
+    assert 0.0 <= STRONG_DECOY_RATE <= 1.0
