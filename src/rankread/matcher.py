@@ -5,18 +5,21 @@ reading heads; only the aggregation BiLSTM stacks on top of M differ (one
 layer for ranking, three for reading, separate parameters).
 
 Sequences sit in matrices column-per-token, and a question's passages sit
-side by side in one block, each passage's columns in step order: its
-embeddings, encodings and M are one tensor each, with the passage widths
-alongside. `encode_batch` takes a stack call's blocks, gathers all their
-sequences once into the longest-first order, laid side by side, which is
-the one layout every layer of the stack and `tensor.bilstm` use. So the whole
-call runs through each layer as one recurrence, both directions in one step
-loop, whatever the lengths, and is gathered back per block only after the
-last layer. At each step only the sequences that are still running take it, so a
+side by side in one block, each passage's columns in step order; a batch's
+questions, and its passage blocks, sit side by side in turn, so its
+embeddings, encodings and M are one tensor each, with the widths alongside.
+`encode_batch` takes a stack call's blocks, gathers all their sequences once
+into the longest-first order, laid side by side, which is the one layout
+every layer of the stack and `tensor.bilstm` use. So the whole call runs
+through each layer as one recurrence, both directions in one step loop,
+whatever the lengths, and is gathered back per block only after the last
+layer. At each step only the sequences that are still running take it, so a
 sequence's output equals encoding it alone up to BLAS rounding (checked in
-tests). Each layer is one `tensor.bilstm` tape node for both directions: each
-direction's input projection W x + b is one matmul over all steps, and the
-step loop with its hand-written backward lives inside the op.
+tests). Each layer is one `tensor.bilstm` tape node for both directions:
+each direction's input projection W x + b is one matmul over all steps, and
+the step loop with its hand-written backward lives inside the op. Attention
+is one `tensor.attention` node over every question of a call, and fusion
+acts per column, so it runs once over all of them.
 """
 
 from dataclasses import dataclass
@@ -112,21 +115,24 @@ def encode_batch(blocks, widths, layers):
             for block, end in zip(blocks, ends)]
 
 
-def attend(h_q, h_p, w_g, b_g):
-    """Attention over question words for each passage word.
+def attend(h_q, h_p, w_g, b_g, q_sizes, p_sizes):
+    """The attended question view h_q G of every passage word, (l, P).
 
-    G = column softmax of (w_g h_q + b_g x 1_Q)^T h_p; each column sums to 1.
+    Question i owns q_sizes[i] consecutive columns of h_q and p_sizes[i] of
+    h_p. Its G = column softmax of (w_g h_q + b_g x 1_Q)^T h_p over its own
+    question words, so each column sums to 1. b_g shifts all of a passage
+    word's scores alike, so the softmax, and every output, does not depend
+    on it: no gradient reaches it beyond rounding.
     """
-    a = T.add_col(T.matmul(w_g, h_q), b_g)
-    return T.softmax_cols(T.matmul(T.transpose(a), h_p))
+    return T.attention(T.add_col(T.matmul(w_g, h_q), b_g), h_q, h_p, q_sizes, p_sizes)
 
 
-def match(h_p, h_q, g, w_m):
+def match(h_p, h_qbar, w_m):
     """Fuse passage and question views into the shared representation M.
 
-    M = relu(w_m [h_p; h_q g; h_p * h_q g; h_p - h_q g]), shape (2l, P).
+    M = relu(w_m [h_p; h_qbar; h_p * h_qbar; h_p - h_qbar]), shape (2l, P),
+    with h_qbar = h_q G from `attend`. Every op acts per column.
     """
-    h_qbar = T.matmul(h_q, g)
     stacked = T.concat_rows([h_p, h_qbar, T.mul(h_p, h_qbar), T.sub(h_p, h_qbar)])
     return T.relu(T.matmul(w_m, stacked))
 

@@ -85,18 +85,21 @@ class RankReadModel:
     # -- forward passes -----------------------------------------------------
     #
     # A question's passages are one block: their embeddings side by side in
-    # one (d, P) tensor, with the passage widths alongside, and so are their
-    # encodings, M and each stack's output. The *_batch methods run a batch
-    # of questions as one graph: one encoder pass over every question and
-    # passage, and one pass of each aggregation stack over every M, so the
-    # sequences of all the questions share each recurrence. Attention,
-    # fusion and the heads act per question. A policy's rows and a span
-    # distribution's segments follow the passages' positions in the block;
-    # the caller maps positions back to its own passages. match_passages,
-    # rank, read and read_each are the one-question forms; read_each, the
-    # inference form, runs the read stack and each pointer head once over the
-    # question's block under no_grad. Training's span_loss normalizes over the
-    # whole block; extract_best_span normalizes over each passage alone.
+    # one (d, P) tensor, with the passage widths alongside, and a batch's
+    # blocks sit side by side in turn, so M and each stack's output are one
+    # tensor for the whole batch. The *_batch methods run a batch of
+    # questions as one graph whose node count does not grow with the
+    # questions: one encoder pass over every question and passage, one
+    # attention node, and fusion, each aggregation stack and each head once
+    # over all their columns. A policy's rows and a span distribution's
+    # segments follow the passages' positions, question after question, and
+    # their `questions` field counts each question's passages; the caller
+    # maps positions back to its own passages. match_passages, rank, read and
+    # read_each are the batch-of-one forms; read_each, the inference form,
+    # runs the read stack and each pointer head once over the question's
+    # block under no_grad. Training's span_loss normalizes over each
+    # question's whole block; extract_best_span normalizes over each passage
+    # alone.
 
     def dropout_masks(self, q_emb, p_emb, rng):
         """One question's inverted-dropout masks for the encoded question, the
@@ -111,52 +114,59 @@ class RankReadModel:
                 for shape in ((l, q_emb.data.shape[1]), (l, words), (2 * l, words))]
 
     def match_batch(self, q_embs, p_embs, widths, masks=None):
-        """Shared matching representations: per question, the (2l, P_i) block
-        M over its passage block p_embs[i], whose passages are widths[i] wide.
-        masks[i] is question i's dropout_masks (or None)."""
+        """The shared representation M of a batch: the (2l, P) tensor of
+        question i's passage block p_embs[i], whose passages are widths[i]
+        wide, after question i-1's. masks[i] is question i's dropout_masks;
+        with dropout off, masks is None or holds None for each question."""
         if not all(widths):
             raise T.ShapeError("match_passages: no passages")
-        n = len(q_embs)
-        encoded = matcher.encode_batch(list(q_embs) + list(p_embs),
-                                       [[q.data.shape[1]] for q in q_embs] + list(widths),
-                                       [self.encoder])
-        masks = masks or [None] * n
-        return [self._match(h_q, h_p, m) for h_q, h_p, m in zip(encoded[:n], encoded[n:], masks)]
+        q_sizes = [q.data.shape[1] for q in q_embs]
+        h_q, h_p = matcher.encode_batch([T.concat_cols(q_embs), T.concat_cols(p_embs)],
+                                        [q_sizes, [w for ws in widths for w in ws]],
+                                        [self.encoder])
+        dropout = masks is not None and masks[0] is not None
+        if dropout:
+            h_q = T.mul(h_q, _side_by_side([q for q, _, _ in masks]))
+            h_p = T.mul(h_p, _side_by_side([p for _, p, _ in masks]))
+        g = matcher.attend(h_q, h_p, self.w_g, self.b_g, q_sizes, [sum(ws) for ws in widths])
+        m = matcher.match(h_p, g, self.w_m)
+        return T.mul(m, _side_by_side([mm for _, _, mm in masks])) if dropout else m
 
-    def _match(self, h_q, h_p, masks):
-        if masks is not None:
-            h_q = T.mul(h_q, masks[0])
-            h_p = T.mul(h_p, masks[1])
-        g = matcher.attend(h_q, h_p, self.w_g, self.b_g)
-        m = matcher.match(h_p, h_q, g, self.w_m)
-        return m if masks is None else T.mul(m, masks[2])
+    def rank_batch(self, m, widths):
+        """The selection policy of a batch over the passages of M, question
+        i's widths[i] after question i-1's."""
+        flat = [w for ws in widths for w in ws]
+        [h_rank] = matcher.encode_batch([m], [flat], self.agg_rank)
+        return ranker.score_passages(h_rank, flat, self.w_c, self.b_c, self.w_c_out,
+                                     questions=[len(ws) for ws in widths])
 
-    def rank_batch(self, m_blocks, widths):
-        """One selection policy per question over the passages of its M block."""
-        h_ranks = matcher.encode_batch(m_blocks, widths, self.agg_rank)
-        return [ranker.score_passages(h, ws, self.w_c, self.b_c, self.w_c_out)
-                for h, ws in zip(h_ranks, widths)]
-
-    def read_batch(self, m_blocks, widths):
-        """One span distribution per question over the passages of its block, in order."""
-        h_reads = matcher.encode_batch(m_blocks, widths, self.agg_read)
-        return [reader.span_distributions(h, ws, *self.read_heads)
-                for h, ws in zip(h_reads, widths)]
+    def read_batch(self, m, widths):
+        """The span distribution of a batch over the passages of M, question
+        i's widths[i] after question i-1's."""
+        flat = [w for ws in widths for w in ws]
+        [h_read] = matcher.encode_batch([m], [flat], self.agg_read)
+        return reader.span_distributions(h_read, flat, *self.read_heads,
+                                         questions=[len(ws) for ws in widths])
 
     def match_passages(self, q_emb, p_emb, widths):
-        return self.match_batch([q_emb], [p_emb], [widths])[0]
+        return self.match_batch([q_emb], [p_emb], [widths])
 
     def rank(self, m, widths):
-        return self.rank_batch([m], [widths])[0]
+        return self.rank_batch(m, [widths])
 
     def read(self, m, widths):
-        return self.read_batch([m], [widths])[0]
+        return self.read_batch(m, [widths])
 
     def read_each(self, m, widths):
         """The question's span distribution for inference: under no_grad, one
         pass of the read stack and of each pointer head over the block."""
         with T.no_grad():
-            return self.read_batch([m], [widths])[0]
+            return self.read_batch(m, [widths])
+
+
+def _side_by_side(masks):
+    """Dropout masks joined column-wise into one fixed tensor."""
+    return T.Tensor(np.concatenate([m.data for m in masks], axis=1))
 
 
 # -- checkpoints ------------------------------------------------------------

@@ -24,9 +24,13 @@ class Segment:
 
 @dataclass
 class SpanDistribution:
-    start_logits: T.Tensor  # (V, 1); span_loss's softmax runs over all V concatenated
+    start_logits: T.Tensor  # (V, 1); span_loss's softmax runs over all of a question's
     end_logits: T.Tensor    # words, extract_best_span's over each segment's own words
     segments: list    # one Segment per passage position, in order
+    questions: list = None  # segments per question, consecutive; None: one question, all
+
+    def sizes(self):
+        return self.questions or [len(self.segments)]
 
     def global_index(self, label):
         if not 0 <= label.passage < len(self.segments):
@@ -39,25 +43,37 @@ class SpanDistribution:
         return seg.offset + label.start, seg.offset + label.end
 
 
-def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out):
+def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out, questions=None):
     """Start/end logits over the words of a block of passages, widths wide, in
-    order; segment i is the passage at position i.
+    order; segment i is the passage at position i, and questions counts each
+    question's passages.
 
-    span_loss's softmax runs over the full concatenated axis, so probability
-    mass is shared between the first passage and any appended negatives.
+    span_loss's softmax runs over all of a question's words, so probability
+    mass is shared between its first passage and any appended negatives.
     """
     if not widths:
         raise T.ShapeError("span_distributions: need at least one passage")
     segments = [Segment(end - w, w) for w, end in zip(widths, accumulate(widths))]
     return SpanDistribution(logit_head(h_read, w_s, b_s, ws_out),
-                            logit_head(h_read, w_e, b_e, we_out), segments)
+                            logit_head(h_read, w_e, b_e, we_out), segments, questions)
 
 
-def span_loss(dist, label):
-    """-log p_start(label) - log p_end(label), fused with the softmax."""
-    gs, ge = dist.global_index(label)
-    return T.add(T.neg_log_softmax_mean(dist.start_logits, [gs]),
-                 T.neg_log_softmax_mean(dist.end_logits, [ge]))
+def span_loss(dist, labels):
+    """Each question's -log p_start(label) - log p_end(label), fused with the
+    softmax over the question's words, as an (n, 1) tensor; labels[i] names
+    one of question i's passages."""
+    sizes, starts, ends = [], [], []
+    first = 0
+    for count, label in zip(dist.sizes(), labels, strict=True):
+        gs, ge = dist.global_index(label)
+        if not first <= label.passage < first + count:
+            raise KeyError(f"passage {label.passage} is not one of question {len(sizes)}'s")
+        sizes.append(sum(seg.length for seg in dist.segments[first:first + count]))
+        starts.append([gs])
+        ends.append([ge])
+        first += count
+    return T.add(T.neg_log_softmax_mean(dist.start_logits, sizes, starts),
+                 T.neg_log_softmax_mean(dist.end_logits, sizes, ends))
 
 
 def _log_prob_grids(dist, width):

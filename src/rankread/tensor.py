@@ -178,11 +178,15 @@ def scale(a, c):
     return _unary(a, a.data * c, c)
 
 
+def _softmax(s, axis):
+    """Softmax of an array along axis, max-subtracted for stability."""
+    e = np.exp(s - s.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax_cols(a):
     """Column-wise softmax, max-subtracted for stability."""
-    z = a.data - a.data.max(axis=0, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=0, keepdims=True)
+    y = _softmax(a.data, 0)
     out = Tensor._node(y, (a,))
     if out.requires_grad:
         def bw(g):
@@ -277,32 +281,126 @@ def segment_max(a, widths):
     return out
 
 
-def neg_log_softmax_mean(a, ks):
-    """The mean over ks of -log(softmax(a)[k]) for a column vector a, as one
-    fused node; fusing keeps -log(prob) exact when a probability underflows.
+def neg_log_softmax_mean(a, sizes, ks):
+    """Per segment of a column vector, the mean over its picks of
+    -log(softmax(segment)[k]), as one fused node; fusing keeps -log(prob)
+    exact when a probability underflows.
 
-    The picks are added in the order of ks, then scaled by 1/len(ks), and
-    the backward adds their gradients into a.grad in the same order: the
-    bits of the picks added one by one, and of one pick for one k.
+    a is cut into consecutive segments of the given sizes, and ks[i] lists
+    segment i's picks as rows of a inside it. Returns the (len(sizes), 1)
+    column of the segments' means. Each segment's picks are added in the
+    order of ks[i], then scaled by 1/len(ks[i]), and the backward adds their
+    gradients into a.grad in the same order: the bits of the picks added
+    one by one, and of one pick for one k.
     """
-    ks = list(ks)
+    sizes, ks = list(sizes), [list(k) for k in ks]
     if a.data.shape[1] != 1:
         raise ShapeError(f"neg_log_softmax: expected a column vector, got {a.data.shape}")
-    if not ks or not all(0 <= k < a.data.shape[0] for k in ks):
-        raise ShapeError(f"neg_log_softmax: indices {ks} out of range for {a.data.shape}")
-    m = a.data.max()
-    lse = m + math.log(np.exp(a.data - m).sum())
-    c = 1.0 / len(ks)
-    out = Tensor._node(np.array([[sum(lse - a.data[k, 0] for k in ks) * c]]), (a,))
+    if not sizes or min(sizes) < 1 or sum(sizes) != a.data.shape[0] or len(ks) != len(sizes):
+        raise ShapeError(f"neg_log_softmax: sizes {sizes} do not cut {a.data.shape[0]} rows "
+                         f"into {len(ks)} segments")
+    ends = list(accumulate(sizes))
+    if not all(k and all(end - size <= j < end for j in k)
+               for k, size, end in zip(ks, sizes, ends)):
+        raise ShapeError(f"neg_log_softmax: indices {ks} out of range for segments {sizes}")
+    n, col = len(sizes), a.data[:, 0]
+    starts = np.array(ends) - sizes
+    seg = np.repeat(np.arange(n), sizes)
+    m = np.maximum.reduceat(col, starts)
+    lse = m + np.log(np.add.reduceat(np.exp(col - m[seg]), starts))
+    counts = np.array([len(k) for k in ks])
+    c = 1.0 / counts
+    owner = np.repeat(np.arange(n), counts)
+    picks = np.array([j for k in ks for j in k])
+    out = Tensor._node(
+        (np.bincount(owner, weights=lse[owner] - col[picks], minlength=n) * c)[:, None], (a,))
     if out.requires_grad:
-        soft = np.exp(a.data - lse)
+        soft = np.exp(col - lse[seg])
+        # the r-th pick of every segment that has one: its owner and its row
+        rank = np.arange(len(picks)) - np.repeat(np.cumsum(counts) - counts, counts)
         def bw(g):
-            gk = (g * c)[0, 0]
-            for k in ks:
-                _accumulate(a, gk * soft)
-                a.grad[k, 0] -= gk
+            gk = g[:, 0] * c
+            step = (gk[seg] * soft)[:, None]
+            for r in range(counts.max()):
+                if r == 0:
+                    _accumulate(a, step)
+                else:
+                    live = (counts > r)[seg]
+                    np.add(a.grad, step, out=a.grad, where=live[:, None])
+                at = rank == r
+                a.grad[picks[at], 0] -= gk[owner[at]]
         out._backward = bw
     return out
+
+
+def attention(keys, values, queries, key_sizes, query_sizes):
+    """Each question's queries attend over its own keys, as one tape node.
+
+    Question i owns key_sizes[i] consecutive columns of keys (l, K) and of
+    values (r, K), and query_sizes[i] consecutive columns of queries (l, P).
+    Column j of the (r, P) output is question i's values weighted by
+    softmax_k(keys_k . queries_j), the softmax over its own keys: with
+    question i's blocks written k_i, v_i and q_i, its output block is
+    v_i softmax_cols(k_i^T q_i).
+
+    One question takes the arithmetic of transpose, matmul, softmax_cols and
+    matmul, bit for bit. More than one are stacked in zero-padded, C-ordered
+    (n, ...) blocks and go through np.matmul once per product; a padded key
+    scores -inf, so it takes no weight, and a padded query column is dropped.
+    The backward is hand-written over the same blocks.
+    """
+    key_sizes, query_sizes = list(key_sizes), list(query_sizes)
+    (l, k), (r, p), n = keys.data.shape, values.data.shape, len(key_sizes)
+    if (values.data.shape[1] != k or queries.data.shape[0] != l or not n
+            or len(query_sizes) != n or min(key_sizes + query_sizes) < 1
+            or sum(key_sizes) != k or sum(query_sizes) != queries.data.shape[1]):
+        raise ShapeError(f"attention: keys {keys.data.shape}, values {values.data.shape} and "
+                         f"queries {queries.data.shape} are not cut by key sizes {key_sizes} "
+                         f"and query sizes {query_sizes}")
+    out = Tensor._node(None, (keys, values, queries))
+    if n == 1:
+        k3 = keys.data.T.copy()[None]
+        w3 = _softmax(k3[0] @ queries.data, 0)[None]
+        out.data = values.data @ w3[0]
+        v3, q3 = values.data[None], queries.data[None]
+    else:
+        kmask = np.arange(max(key_sizes)) < np.array(key_sizes)[:, None]
+        qmask = np.arange(max(query_sizes)) < np.array(query_sizes)[:, None]
+        k3 = np.zeros(kmask.shape + (l,))
+        k3[kmask] = keys.data.T
+        v3, q3 = _padded(values.data, kmask), _padded(queries.data, qmask)
+        s = np.matmul(k3, q3)
+        s[~kmask] = -np.inf
+        w3 = _softmax(s, 1)
+        out.data = _packed(np.matmul(v3, w3), qmask)
+    if out.requires_grad:
+        def bw(g):
+            g3 = g[None] if n == 1 else _padded(g, qmask)
+            if values.requires_grad:
+                dv = np.matmul(g3, w3.transpose(0, 2, 1))
+                _accumulate(values, dv[0] if n == 1 else _packed(dv, kmask))
+            dw = np.matmul(v3.transpose(0, 2, 1), g3)
+            ds = w3 * (dw - (dw * w3).sum(axis=1, keepdims=True))
+            if keys.requires_grad:
+                dk = np.matmul(ds, q3.transpose(0, 2, 1))
+                _accumulate(keys, dk[0].T if n == 1 else dk[kmask].T)
+            if queries.requires_grad:
+                dq = np.matmul(k3.transpose(0, 2, 1), ds)
+                _accumulate(queries, dq[0] if n == 1 else _packed(dq, qmask))
+        out._backward = bw
+    return out
+
+
+def _padded(a, mask):
+    """(n, rows, width) blocks of a's (rows, sum) columns, cut per mask row, zeros past each cut."""
+    out = np.zeros((mask.shape[0], a.shape[0], mask.shape[1]))
+    out.transpose(1, 0, 2)[:, mask] = a
+    return out
+
+
+def _packed(blocks, mask):
+    """The inverse of _padded: the masked columns of (n, rows, width) blocks side by side."""
+    return np.ascontiguousarray(blocks.transpose(1, 0, 2)[:, mask])
 
 
 def bilstm(pre_f, pre_b, U_f, U_b, lengths):

@@ -18,10 +18,13 @@ from .text import embed, find_token_spans, tokenize
 log = logging.getLogger(__name__)
 
 
+REWARD_KINDS = ("exact", "overlap", "miss")
+
+
 @dataclass
 class RewardValue:
     value: float
-    kind: str  # exact | overlap | miss
+    kind: str  # one of REWARD_KINDS
 
 
 def reward(gold, predicted):
@@ -96,15 +99,17 @@ def build_examples(dataset, retrieved_sets):
 
 
 def kl_rank_loss(policy, positives):
-    """KL(y || gamma) where y is uniform over the passages at the positive positions.
+    """Each question's KL(y || gamma), where y is uniform over the passages at
+    its positive positions (positives[i] are question i's), as an (n, 1) tensor.
 
     Expands to mean(-log gamma over positives) - log(#positives); zero exactly
     when gamma matches y on its support.
     """
-    rows = sorted(positives)
-    if not rows:
+    rows = [sorted(p) for p in positives]
+    if not all(rows):
         raise ValueError("kl_rank_loss: no positive passage")
-    return T.add(T.neg_log_softmax_mean(policy.logits, rows), T.Tensor([[-np.log(len(rows))]]))
+    return T.add(T.neg_log_softmax_mean(policy.logits, policy.sizes(), rows),
+                 T.Tensor([[-np.log(len(r))] for r in rows]))
 
 
 def sample_passage_subset(example, k, min_negatives, rng):
@@ -144,10 +149,11 @@ class Trainer:
     the trainer's memory does not grow with the training set.
 
     The per-step log records are kept on .log; each carries the gradient
-    norm before clipping and whether clipping fired. A batch whose gradient
-    norm is not finite takes no step and logs no record; it is counted on
-    .nonfinite_steps. .batches counts every batch train() ran, logged or
-    not, and is the step index of the next one.
+    norm before clipping and whether clipping fired, sr2 and r3 records the
+    batch's mean policy entropy, and r3 records its rewards counted by
+    kind. A batch whose gradient norm is not finite takes no step and logs
+    no record; it is counted on .nonfinite_steps. .batches counts every
+    batch train() ran, logged or not, and is the step index of the next one.
     """
 
     def __init__(self, model, table, config, seed=0):
@@ -163,9 +169,10 @@ class Trainer:
     # -- a batch's losses -------------------------------------------------------
 
     def batch_losses(self, batch, mode):
-        """Build the differentiable losses of a batch in one graph.
+        """Build the differentiable loss of a batch as one graph.
 
-        Returns one report per example, in batch order: 'loss' (tensor), the
+        Returns (loss, reports): the (1, 1) sum of the examples' losses, and
+        one report per example, in batch order: its 'loss' and the other
         logged floats, and the draws it used ('subset', 'tau', 'span'). An
         example without a positive passage in its subset is a ValueError
         naming it: build_examples drops those.
@@ -187,67 +194,73 @@ class Trainer:
             q_embs.append(q_emb)
             p_embs.append(p_emb)
             masks.append(model.dropout_masks(q_emb, p_emb, rng))
-        m_blocks = model.match_batch(q_embs, p_embs, widths, masks)
-        policies = model.rank_batch(m_blocks, widths) if mode != "sr" else [None] * len(batch)
+        m = model.match_batch(q_embs, p_embs, widths, masks)
+        policy = model.rank_batch(m, widths) if mode != "sr" else None
 
-        # policies and span distributions index passages by their position in
-        # the subset's block; subset[row] is the example's passage at row
-        tau_rows, labels, read_widths, read_blocks = [], [], [], []
-        for example, subset, pos, ws, m, policy in zip(batch, subsets, positives, widths,
-                                                       m_blocks, policies):
-            row = (ranker_mod.sample_passage(policy, pos, rng) if mode == "r3"
-                   else pos[int(rng.integers(len(pos)))])
+        # the policy's rows and M's passages run question after question:
+        # example i's start at first_row[i]; subset[row] is its passage at row
+        first_row = list(accumulate((len(ws) for ws in widths), initial=0))
+        taus, spans, read_widths, read_cols = [], [], [], []
+        col = 0
+        for example, subset, pos, ws, row0 in zip(batch, subsets, positives, widths, first_row):
+            row = (ranker_mod.sample_passage(policy, [row0 + p for p in pos], rng) - row0
+                   if mode == "r3" else pos[int(rng.integers(len(pos)))])
             occurrences = example.spans[subset[row]]
-            start, end = occurrences[int(rng.integers(len(occurrences)))] \
-                if len(occurrences) > 1 else occurrences[0]
-            tau_rows.append(row)
-            labels.append(reader_mod.SpanLabel(0, start, end))
+            spans.append(occurrences[int(rng.integers(len(occurrences)))]
+                         if len(occurrences) > 1 else occurrences[0])
+            taus.append(row)
             # the reader reads tau, then the negatives: their columns of M
             order = [row] + [r for r, i in enumerate(subset) if not example.spans.get(i)]
-            starts = list(accumulate(ws, initial=0))
+            starts = list(accumulate(ws, initial=col))
             read_widths.append([ws[r] for r in order])
-            read_blocks.append(T.take_cols(m, [starts[r] + c for r in order for c in range(ws[r])]))
-        dists = model.read_batch(read_blocks, read_widths)
-
-        reports = []
-        for example, subset, pos, policy, dist, row, label in zip(
-                batch, subsets, positives, policies, dists, tau_rows, labels):
-            tau = subset[row]
-            reader_loss = reader_mod.span_loss(dist, label)
-            report = {"reader_loss": reader_loss.item(), "subset": subset, "tau": tau,
-                      "span": (label.start, label.end)}
-            loss = reader_loss
-            if mode == "sr2":
-                kl = kl_rank_loss(policy, pos)
-                loss = T.add(loss, T.scale(kl, cfg.kl_weight))
-                report["kl_loss"] = kl.item()
-            elif mode == "r3":
-                # the answer inference would extract from tau's segment alone
-                [(extracted, _)] = reader_mod.extract_best_span(
-                    replace(dist, segments=dist.segments[:1]), cfg.max_span_len)
+            read_cols.extend(c for r in order for c in range(starts[r], starts[r + 1]))
+            col = starts[-1]
+        dist = model.read_batch(T.take_cols(m, read_cols), read_widths)
+        # each example's tau is the first segment of its read block
+        firsts = list(accumulate((len(ws) for ws in read_widths[:-1]), initial=0))
+        reader_loss = reader_mod.span_loss(
+            dist, [reader_mod.SpanLabel(f, *span) for f, span in zip(firsts, spans)])
+        reports = [{"reader_loss": float(v), "subset": subset, "tau": subset[row], "span": span}
+                   for v, subset, row, span in zip(reader_loss.data[:, 0], subsets, taus, spans)]
+        loss = reader_loss
+        if mode != "sr":
+            for report, entropy in zip(reports, policy.entropies()):
+                report["entropy"] = entropy
+        if mode == "sr2":
+            kl = kl_rank_loss(policy, [[row0 + p for p in pos]
+                                       for row0, pos in zip(first_row, positives)])
+            loss = T.add(loss, T.scale(kl, cfg.kl_weight))
+            for report, v in zip(reports, kl.data[:, 0]):
+                report["kl_loss"] = float(v)
+        elif mode == "r3":
+            # the answer inference would extract from each tau's segment alone
+            extracted = reader_mod.extract_best_span(
+                replace(dist, segments=[dist.segments[f] for f in firsts], questions=None),
+                cfg.max_span_len)
+            rewards = []
+            for example, report, (label, _) in zip(batch, reports, extracted):
                 answer_text = " ".join(
-                    example.passage_tokens[tau][extracted.start:extracted.end + 1])
-                r = best_reward(example.answers, answer_text).value
-                log_pi = ranker_mod.log_policy(policy, row)
-                loss = T.add(loss, T.scale(log_pi, -r))
-                report["reward"] = r
-            report["loss"] = loss
-            reports.append(report)
-        return reports
+                    example.passage_tokens[report["tau"]][label.start:label.end + 1])
+                r = best_reward(example.answers, answer_text)
+                report["reward"], report["reward_kind"] = r.value, r.kind
+                rewards.append([-r.value])
+            log_pi = ranker_mod.log_policy(policy, [row0 + row
+                                                    for row0, row in zip(first_row, taus)])
+            loss = T.add(loss, T.mul(T.Tensor(rewards), log_pi))
+        for report, v in zip(reports, loss.data[:, 0]):
+            report["loss"] = float(v)
+        return T.matmul(T.Tensor(np.ones((1, len(batch)))), loss), reports
 
     def example_losses(self, example, mode):
-        """batch_losses of a batch of one; returns its report."""
-        return self.batch_losses([example], mode)[0]
+        """batch_losses of a batch of one: (loss, [report])."""
+        return self.batch_losses([example], mode)
 
     # -- steps and epochs ------------------------------------------------------
 
     def _apply_batch(self, batch, mode, step_index):
         self.model.zero_grads()
-        reports = self.batch_losses(batch, mode)
-        total = reports[0]["loss"]
-        for report in reports[1:]:
-            total = T.add(total, report["loss"])
-        T.backward(total)
+        loss, reports = self.batch_losses(batch, mode)
+        T.backward(loss)
         grad_clip = self.config.grad_clip
         norm = T.clip_global_norm(self.model.parameters().values(), grad_clip)
         if not math.isfinite(norm):
@@ -257,9 +270,12 @@ class Trainer:
         self.optimizer.step()
         record = {"step": step_index, "mode": mode,
                   "reader_loss": sum(r["reader_loss"] for r in reports) / len(batch)}
-        for key in ("reward", "kl_loss"):
+        for key in ("reward", "kl_loss", "entropy"):
             if key in reports[0]:
                 record[key] = sum(r[key] for r in reports) / len(batch)
+        if mode == "r3":
+            record["rewards"] = {kind: sum(r["reward_kind"] == kind for r in reports)
+                                 for kind in REWARD_KINDS}
         record["grad_norm"] = norm
         record["clipped"] = norm > grad_clip > 0
         self.log.append(record)

@@ -155,7 +155,7 @@ def enumerate_policy_gradient(trainer, example):
                                                     cfg.max_span_len)[0]
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
-        T.backward(T.scale(ranker_mod.log_policy(policy, tau), r))
+        T.backward(T.scale(ranker_mod.log_policy(policy, [tau]), r))
         return {n: grad_or_zero(p) for n, p in model.parameters().items()}, r, policy
 
     grads, rewards = {}, {}

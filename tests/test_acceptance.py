@@ -17,7 +17,7 @@ from conftest import (enumerate_policy_gradient, read_block, sum_all, tfidf_ids,
 from test_retrieval import brute_force_bm25, brute_force_tfidf, docs_from
 
 from rankread import evaluation as E
-from rankread import matcher, ranker, reader, retrieval
+from rankread import ranker, reader, retrieval
 from rankread import tensor as T
 from rankread import trainer as trainer_mod
 from rankread.experiment import run_experiment
@@ -65,7 +65,17 @@ def _random_conforming(rng, op_name):
             parts = [tensor(int(rng.integers(1, 4)), c) for _ in range(n)]
         return (parts,), {}
     if op_name == "neg_log_softmax_mean":
-        return (tensor(r, 1),), {"ks": rng.permutation(r)[:int(rng.integers(1, r + 1))].tolist()}
+        sizes = rng.integers(1, 4, size=int(rng.integers(1, 4))).tolist()
+        ks = [(end - size + rng.permutation(size)[:int(rng.integers(1, size + 1))]).tolist()
+              for size, end in zip(sizes, np.cumsum(sizes))]
+        return (tensor(sum(sizes), 1),), {"sizes": sizes, "ks": ks}
+    if op_name == "attention":
+        n = int(rng.integers(1, 4))
+        key_sizes = rng.integers(1, 4, size=n).tolist()
+        query_sizes = rng.integers(1, 4, size=n).tolist()
+        keys, queries = tensor(r, sum(key_sizes)), tensor(r, sum(query_sizes))
+        return (keys, tensor(k, sum(key_sizes)), queries), {"key_sizes": key_sizes,
+                                                            "query_sizes": query_sizes}
     if op_name == "take_cols":
         return (tensor(r, c),), {"index": rng.permutation(c)[:int(rng.integers(1, c + 1))].tolist()}
     if op_name == "segment_max":
@@ -133,15 +143,15 @@ def test_c01_gradient_correctness():
         def reader_loss():
             m = model.match_passages(q_emb, p_emb, widths)
             dist = model.read(*read_block(m, widths, [0, 2]))
-            return reader.span_loss(dist, reader.SpanLabel(0, 0, 1))
+            return reader.span_loss(dist, [reader.SpanLabel(0, 0, 1)])
 
         def kl_loss():
             m = model.match_passages(q_emb, p_emb, widths)
-            return trainer_mod.kl_rank_loss(model.rank(m, widths), {0, 1})
+            return trainer_mod.kl_rank_loss(model.rank(m, widths), [{0, 1}])
 
         def log_pi():
             m = model.match_passages(q_emb, p_emb, widths)
-            return ranker.log_policy(model.rank(m, widths), 1)
+            return ranker.log_policy(model.rank(m, widths), [1])
 
         for name, fn in [("reader", reader_loss), ("kl", kl_loss), ("log_pi", log_pi)]:
             err = T.fd_check(fn, params)
@@ -175,9 +185,12 @@ def test_c02_distribution_normalization():
         l = int(rng.integers(1, 5)) * 2
         h_q = T.Tensor(rng.normal(size=(l, rng.integers(1, 6))))
         h_ps = [T.Tensor(rng.normal(size=(l, rng.integers(1, 6)))) for _ in range(rng.integers(1, 5))]
-        g = matcher.attend(h_q, h_ps[0], T.Tensor(rng.normal(size=(l, l))),
-                           T.Tensor(rng.normal(size=(l, 1))))
         h_block, widths = T.concat_cols(h_ps), [h.data.shape[1] for h in h_ps]
+        # attend's keys with the identity for values: the attended view is G
+        q = h_q.data.shape[1]
+        keys = T.add_col(T.matmul(T.Tensor(rng.normal(size=(l, l))), h_q),
+                         T.Tensor(rng.normal(size=(l, 1))))
+        g = T.attention(keys, T.Tensor(np.eye(q)), h_ps[0], [q], [widths[0]])
         pol = ranker.score_passages(h_block, widths, T.Tensor(rng.normal(size=(l, l))),
                                     T.Tensor(rng.normal(size=(l, 1))),
                                     T.Tensor(rng.normal(size=(1, l))))

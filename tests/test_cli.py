@@ -88,8 +88,8 @@ def test_train_writes_checkpoint_and_log(workdir):
     assert ckpt["extra"]["mode"] == "sr2"
     assert ckpt["extra"]["table"]["kind"] == "inline"
     records = [json.loads(l) for l in workdir["log"].read_text().splitlines()]
-    assert all({"step", "mode", "reader_loss", "kl_loss"} <= set(r) for r in records)
-    assert all("reward" not in r for r in records)  # no policy term in sr2 logs
+    assert all({"step", "mode", "reader_loss", "kl_loss", "entropy"} <= set(r) for r in records)
+    assert all("reward" not in r and "rewards" not in r for r in records)  # no policy term in sr2
 
 
 def test_inline_table_is_the_token_vector_map_sorted_by_token(workdir):
@@ -157,7 +157,12 @@ def test_train_r3_with_init_checkpoint(workdir, tmp_path):
                  "--hidden-size", "8", "--embed-dim", "8", "--dropout", "0.0",
                  "--train-sample-k", "6", "--seed", "3"]) == 0
     records = [json.loads(l) for l in log.read_text().splitlines()]
-    assert all("reward" in r for r in records)
+    assert all(set(r) == {"step", "mode", "reader_loss", "reward", "entropy", "rewards",
+                          "grad_norm", "clipped"} for r in records)
+    # one epoch counts each kept example's reward once, by its kind
+    questions = len(workdir["train"].read_text().splitlines())
+    assert 0 < sum(sum(r["rewards"].values()) for r in records) <= questions
+    assert all(set(r["rewards"]) == {"exact", "overlap", "miss"} for r in records)
 
 
 def _train_sr2(workdir, out, *flags):

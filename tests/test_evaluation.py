@@ -70,8 +70,8 @@ def test_predict_computes_only_the_probabilities_it_reads(example, monkeypatch):
     # the reader's spans are scored from the log-softmax of its logits
     from rankread import tensor as T
     calls = []
-    softmax_cols = T.softmax_cols
-    monkeypatch.setattr(T, "softmax_cols", lambda a: calls.append(a) or softmax_cols(a))
+    softmax = T._softmax
+    monkeypatch.setattr(T, "_softmax", lambda s, axis: calls.append(s) or softmax(s, axis))
     trainer = toy_trainer(seed=0)
     E.predict_candidates(trainer.model, trainer.table, example.question_tokens,
                          example.passages, max_span_len=4)

@@ -341,16 +341,23 @@ def test_encode_rejects_wrong_input_rows():
         encode_each([T.Tensor(np.zeros((2, 4)))], make_stack(72, 3, 4, 2))
 
 
+def _attention_weights(h_q, h_p, w_g, b_g, q_sizes, p_sizes):
+    """attend's weights G, padded to (max q_size, P): the attention op over
+    attend's keys with the identity for each question's values."""
+    keys = T.add_col(T.matmul(w_g, h_q), b_g)
+    eye = np.eye(max(q_sizes))[:, np.concatenate([np.arange(q) for q in q_sizes])]
+    return T.attention(keys, T.Tensor(eye), h_p, q_sizes, p_sizes).data
+
+
 def test_attend_single_question_word_gives_all_ones():
+    # one question word takes all the weight, so its view is that word
     rng = np.random.default_rng(5)
     l = 4
-    g = matcher.attend(
-        T.Tensor(rng.normal(size=(l, 1))),
-        T.Tensor(rng.normal(size=(l, 6))),
-        T.Tensor(rng.normal(size=(l, l))),
-        T.Tensor(rng.normal(size=(l, 1))),
-    )
-    assert np.array_equal(g.data, np.ones((1, 6)))
+    h_q, h_p = T.Tensor(rng.normal(size=(l, 1))), T.Tensor(rng.normal(size=(l, 6)))
+    w_g, b_g = T.Tensor(rng.normal(size=(l, l))), T.Tensor(rng.normal(size=(l, 1)))
+    assert np.array_equal(_attention_weights(h_q, h_p, w_g, b_g, [1], [6]), np.ones((1, 6)))
+    g = matcher.attend(h_q, h_p, w_g, b_g, [1], [6])
+    assert np.array_equal(g.data, np.repeat(h_q.data, 6, axis=1))
 
 
 def test_attend_identical_question_columns_give_uniform_attention():
@@ -359,35 +366,66 @@ def test_attend_identical_question_columns_give_uniform_attention():
     col = rng.normal(size=(l, 1))
     h_q = T.Tensor(np.repeat(col, q_len, axis=1))
     g = matcher.attend(h_q, T.Tensor(rng.normal(size=(l, 5))),
-                       T.Tensor(rng.normal(size=(l, l))), T.Tensor(rng.normal(size=(l, 1))))
-    assert np.allclose(g.data, 1.0 / q_len, atol=1e-12)
+                       T.Tensor(rng.normal(size=(l, l))), T.Tensor(rng.normal(size=(l, 1))),
+                       [q_len], [5])
+    assert np.allclose(g.data, np.repeat(col, 5, axis=1), atol=1e-12)
 
 
 def test_attend_columns_sum_to_one():
     rng = np.random.default_rng(7)
     for _ in range(100):
-        l = int(rng.integers(1, 5)) * 2
-        g = matcher.attend(
-            T.Tensor(rng.normal(size=(l, rng.integers(1, 6)))),
-            T.Tensor(rng.normal(size=(l, rng.integers(1, 6)))),
-            T.Tensor(rng.normal(size=(l, l))),
-            T.Tensor(rng.normal(size=(l, 1))),
-        )
-        assert np.allclose(g.data.sum(axis=0), 1.0, atol=1e-9)
+        l, n = int(rng.integers(1, 5)) * 2, int(rng.integers(1, 4))
+        q_sizes = rng.integers(1, 6, size=n).tolist()
+        p_sizes = rng.integers(1, 6, size=n).tolist()
+        weights = _attention_weights(
+            T.Tensor(rng.normal(size=(l, sum(q_sizes)))),
+            T.Tensor(rng.normal(size=(l, sum(p_sizes)))),
+            T.Tensor(rng.normal(size=(l, l))), T.Tensor(rng.normal(size=(l, 1))),
+            q_sizes, p_sizes)
+        assert np.allclose(weights.sum(axis=0), 1.0, atol=1e-9)
+        # no weight on a row past a question's own words
+        q_of_col = np.repeat(q_sizes, p_sizes)
+        assert not np.any(weights[np.arange(max(q_sizes))[:, None] >= q_of_col])
 
 
-def _match_reference(hp, hq, g, wm):
+def _attend_reference(hq, hp, wg, bg):
+    """h_q G with G the softmax over question words of (w_g h_q + b_g)^T h_p,
+    one passage word at a time."""
+    keys = wg @ hq + bg
+    out = np.zeros((hq.shape[0], hp.shape[1]))
+    for j in range(hp.shape[1]):
+        scores = keys.T @ hp[:, j]
+        weights = np.exp(scores - scores.max())
+        out[:, j] = hq @ (weights / weights.sum())
+    return out
+
+
+def test_attend_over_a_batch_equals_each_question_alone():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        l, n = int(rng.integers(1, 5)) * 2, int(rng.integers(1, 5))
+        q_sizes = rng.integers(1, 6, size=n).tolist()
+        p_sizes = rng.integers(1, 6, size=n).tolist()
+        hq, hp = rng.normal(size=(l, sum(q_sizes))), rng.normal(size=(l, sum(p_sizes)))
+        wg, bg = rng.normal(size=(l, l)), rng.normal(size=(l, 1))
+        g = matcher.attend(T.Tensor(hq), T.Tensor(hp), T.Tensor(wg), T.Tensor(bg),
+                           q_sizes, p_sizes)
+        q_ends, p_ends = np.cumsum(q_sizes), np.cumsum(p_sizes)
+        for q0, q1, p0, p1 in zip(q_ends - q_sizes, q_ends, p_ends - p_sizes, p_ends):
+            want = _attend_reference(hq[:, q0:q1], hp[:, p0:p1], wg, bg)
+            assert np.allclose(g.data[:, p0:p1], want, rtol=1e-12, atol=1e-12)
+        # b_g shifts all of a passage word's scores alike
+        shifted = matcher.attend(T.Tensor(hq), T.Tensor(hp), T.Tensor(wg),
+                                 T.Tensor(bg + rng.normal(size=(l, 1))), q_sizes, p_sizes)
+        assert np.allclose(shifted.data, g.data, rtol=1e-9, atol=1e-12)
+
+
+def _match_reference(hp, hbar, wm):
     """Scalar-loop recomputation of the fusion stage."""
-    l, p_len = hp.shape
-    q_len = g.shape[0]
-    hbar = np.zeros((l, p_len))
-    for a in range(l):
-        for b in range(p_len):
-            hbar[a, b] = sum(hq[a, q] * g[q, b] for q in range(q_len))
     stack = np.vstack([hp, hbar, hp * hbar, hp - hbar])
-    out = np.zeros((wm.shape[0], p_len))
+    out = np.zeros((wm.shape[0], hp.shape[1]))
     for r in range(wm.shape[0]):
-        for b in range(p_len):
+        for b in range(hp.shape[1]):
             acc = sum(wm[r, k] * stack[k, b] for k in range(stack.shape[0]))
             out[r, b] = max(acc, 0.0)
     return out
@@ -395,21 +433,19 @@ def _match_reference(hp, hq, g, wm):
 
 def test_match_agrees_with_scalar_loop_reference():
     rng = np.random.default_rng(8)
-    l, p_len, q_len = 3, 4, 2
+    l, p_len = 3, 4
     hp = rng.normal(size=(l, p_len))
-    hq = rng.normal(size=(l, q_len))
-    g = rng.random(size=(q_len, p_len))
-    g /= g.sum(axis=0, keepdims=True)
+    hbar = rng.normal(size=(l, p_len))
     wm = rng.normal(size=(2 * l, 4 * l))
-    got = matcher.match(T.Tensor(hp), T.Tensor(hq), T.Tensor(g), T.Tensor(wm))
-    assert np.allclose(got.data, _match_reference(hp, hq, g, wm), atol=1e-12)
+    got = matcher.match(T.Tensor(hp), T.Tensor(hbar), T.Tensor(wm))
+    assert np.allclose(got.data, _match_reference(hp, hbar, wm), atol=1e-12)
     assert (got.data >= 0).all()
 
 
 def test_match_zero_weights_give_zero():
     rng = np.random.default_rng(9)
-    got = matcher.match(T.Tensor(rng.normal(size=(2, 3))), T.Tensor(rng.normal(size=(2, 2))),
-                        T.Tensor(np.full((2, 3), 0.5)), T.Tensor(np.zeros((4, 8))))
+    got = matcher.match(T.Tensor(rng.normal(size=(2, 3))), T.Tensor(rng.normal(size=(2, 3))),
+                        T.Tensor(np.zeros((4, 8))))
     assert np.array_equal(got.data, np.zeros((4, 3)))
 
 
@@ -428,14 +464,15 @@ def test_fd_through_attend_match_aggregate():
     registry["wg"] = T.parameter(rng, l, l)
     registry["bg"] = T.parameter(rng, l, 1)
     registry["wm"] = T.parameter(rng, 2 * l, 4 * l)
-    q_emb = T.Tensor(rng.normal(size=(3, 2)))
-    p_emb = T.Tensor(rng.normal(size=(3, 3)))
+    # two questions in one call: question 0 has 2 words and 3 passage words,
+    # question 1 has 1 and 2
+    q_emb = T.Tensor(rng.normal(size=(3, 3)))
+    p_emb = T.Tensor(rng.normal(size=(3, 5)))
 
     def build():
-        h_q = encode(q_emb, enc)
-        h_p = encode(p_emb, enc)
-        g = matcher.attend(h_q, h_p, registry["wg"], registry["bg"])
-        m = matcher.match(h_p, h_q, g, registry["wm"])
+        h_q, h_p = matcher.encode_batch([q_emb, p_emb], [[2, 1], [3, 2]], [enc])
+        g = matcher.attend(h_q, h_p, registry["wg"], registry["bg"], [2, 1], [3, 2])
+        m = matcher.match(h_p, g, registry["wm"])
         h = encode(m, agg)
         return sum_all(T.tanh(h))
 
@@ -501,7 +538,7 @@ def test_head_parameter_separation_gradients():
 
     model, q_emb, p_embs = _small_model(seed=1)
     m = model.match_passages(q_emb, p_embs, WIDTHS)
-    T.backward(ranker_mod.log_policy(model.rank(m, WIDTHS), 1))
+    T.backward(ranker_mod.log_policy(model.rank(m, WIDTHS), [1]))
     for name, p in model.parameters().items():
         if name.startswith(("agg_read.", "read_")):
             assert p.grad is None, name
@@ -509,7 +546,7 @@ def test_head_parameter_separation_gradients():
     model, q_emb, p_embs = _small_model(seed=1)
     m = model.match_passages(q_emb, p_embs, WIDTHS)
     dist = model.read(m, WIDTHS)
-    T.backward(reader_mod.span_loss(dist, reader_mod.SpanLabel(0, 1, 2)))
+    T.backward(reader_mod.span_loss(dist, [reader_mod.SpanLabel(0, 1, 2)]))
     for name, p in model.parameters().items():
         if name.startswith(("agg_rank.", "rank.")):
             assert p.grad is None, name

@@ -127,15 +127,41 @@ def test_sampling_requires_positives_in_train_mode():
 def test_log_policy_values():
     logits = T.Tensor(np.log([[0.5], [0.5]]))
     pol = ranker.PolicyDistribution(logits)
-    assert ranker.log_policy(pol, 0).item() == pytest.approx(math.log(0.5), abs=1e-12)
+    assert ranker.log_policy(pol, [0]).item() == pytest.approx(math.log(0.5), abs=1e-12)
     sure = ranker.PolicyDistribution(T.Tensor([[100.0], [-100.0]]))
-    assert ranker.log_policy(sure, 0).item() == pytest.approx(0.0, abs=1e-12)
+    assert ranker.log_policy(sure, [0]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_policy_gradient_is_onehot_minus_gamma():
     logits = T.Tensor([[0.4], [-0.3], [1.1]], requires_grad=True)
     pol = ranker.PolicyDistribution(logits)
-    T.backward(ranker.log_policy(pol, 2))
+    T.backward(ranker.log_policy(pol, [2]))
     onehot = np.array([[0.0], [0.0], [1.0]])
     assert np.allclose(logits.grad, onehot - pol.probs()[:, None], atol=1e-12)
 
+
+
+def test_a_batch_policy_normalizes_each_question_over_its_own_rows():
+    # probabilities, log-policies and entropies of a three-question policy
+    # are each question's own, bit for bit
+    rng = np.random.default_rng(14)
+    questions = [2, 3, 1]
+    data = rng.normal(size=(6, 1)) * 3
+    batch = ranker.PolicyDistribution(T.Tensor(data, requires_grad=True), questions)
+    starts = np.cumsum([0] + questions[:-1])
+    alone = [ranker.PolicyDistribution(T.Tensor(data[lo:lo + n], requires_grad=True))
+             for lo, n in zip(starts, questions)]
+    assert np.array_equal(batch.probs(), np.concatenate([pol.probs() for pol in alone]))
+    assert batch.entropies() == [pol.entropies()[0] for pol in alone]
+    positions = [1, 3, 5]
+    log_pi = ranker.log_policy(batch, positions)
+    assert log_pi.data.shape == (3, 1)
+    for i, (pol, lo) in enumerate(zip(alone, starts)):
+        assert log_pi.data[i, 0] == ranker.log_policy(pol, [positions[i] - lo]).item()
+
+
+def test_policy_entropy_is_log_n_when_uniform_and_zero_when_sure():
+    uniform = ranker.PolicyDistribution(T.Tensor(np.zeros((5, 1))), [2, 3])
+    assert uniform.entropies() == pytest.approx([math.log(2), math.log(3)], rel=1e-12)
+    sure = ranker.PolicyDistribution(T.Tensor([[800.0], [-800.0]]))
+    assert sure.entropies() == [0.0]

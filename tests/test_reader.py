@@ -74,28 +74,28 @@ def test_distributions_sum_to_one():
 def test_span_loss_zero_when_mass_on_label():
     logits = T.Tensor([[50.0], [-50.0], [-50.0]])
     dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 3)])
-    loss = reader.span_loss(dist, reader.SpanLabel(0, 0, 0))
+    loss = reader.span_loss(dist, [reader.SpanLabel(0, 0, 0)])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_span_loss_half_half_is_two_log_two():
     logits = T.Tensor([[0.0], [0.0]])
     dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 2)])
-    loss = reader.span_loss(dist, reader.SpanLabel(0, 1, 1))
+    loss = reader.span_loss(dist, [reader.SpanLabel(0, 1, 1)])
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_span_loss_rejects_label_outside_segment():
     dist = make_dist(5, [3, 2])
     with pytest.raises(ValueError, match="outside"):
-        reader.span_loss(dist, reader.SpanLabel(1, 0, 3))
+        reader.span_loss(dist, [reader.SpanLabel(1, 0, 3)])
 
 
 @pytest.mark.parametrize("passage", [-1, 2])
 def test_span_loss_rejects_a_passage_outside_the_distribution(passage):
     dist = make_dist(5, [3, 2])
     with pytest.raises(KeyError, match=f"passage {passage} not in this distribution"):
-        reader.span_loss(dist, reader.SpanLabel(passage, 0, 0))
+        reader.span_loss(dist, [reader.SpanLabel(passage, 0, 0)])
 
 
 def test_span_loss_gradient_fd():
@@ -107,7 +107,7 @@ def test_span_loss_gradient_fd():
 
     def build():
         dist = reader.span_distributions(T.Tensor(np.hstack(h_reads_data)), [3, 2], *heads)
-        return reader.span_loss(dist, reader.SpanLabel(0, 1, 2))
+        return reader.span_loss(dist, [reader.SpanLabel(0, 1, 2)])
 
     assert T.fd_check(build, heads) < 1e-4
 
@@ -189,7 +189,7 @@ def test_extract_restricted_to_one_passage():
         assert _brute_force_best(one, 3) == [(0, label.start, label.end)]
         whole, whole_logp = reader.extract_best_span(dist, 3)[1]
         assert (label, logp) == (replace(whole, passage=0), whole_logp)
-        loss = reader.span_loss(_own(dist, 1), label)
+        loss = reader.span_loss(_own(dist, 1), [label])
         assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
 
 
@@ -197,7 +197,7 @@ def test_exp_of_loss_at_argmax_equals_span_probability():
     for seed in range(10):
         dist = make_dist(seed + 200, [3, 2, 4])
         for passage, (label, logp) in enumerate(reader.extract_best_span(dist, 4)):
-            loss = reader.span_loss(_own(dist, passage), replace(label, passage=0))
+            loss = reader.span_loss(_own(dist, passage), [replace(label, passage=0)])
             assert math.exp(-loss.item()) == pytest.approx(math.exp(logp), rel=1e-12)
 
 
@@ -263,3 +263,23 @@ def test_extract_equals_the_frozen_loop_over_segments_bit_for_bit(max_len):
         views = [reader.extract_best_span(replace(dist, segments=[seg]), max_len)
                  for seg in segments]
         assert views == [[(replace(label, passage=0), score)] for label, score in expected], widths
+
+
+def test_span_loss_of_a_batch_normalizes_each_question_over_its_own_words():
+    # two questions, of two passages and of one: each row of the loss is the
+    # question's own span_loss, bit for bit, and a label must name one of
+    # its own question's passages
+    dist = replace(make_dist(400, [3, 2, 4]), questions=[2, 1])
+    loss = reader.span_loss(dist, [reader.SpanLabel(0, 1, 2), reader.SpanLabel(2, 0, 3)])
+    assert loss.data.shape == (2, 1)
+    for row, (first, words, label) in enumerate([(0, slice(0, 5), reader.SpanLabel(0, 1, 2)),
+                                                 (2, slice(5, 9), reader.SpanLabel(0, 0, 3))]):
+        segments = [reader.Segment(seg.offset - words.start, seg.length)
+                    for seg in dist.segments[first:first + 2 - row]]
+        own = reader.SpanDistribution(T.Tensor(dist.start_logits.data[words]),
+                                      T.Tensor(dist.end_logits.data[words]), segments)
+        assert loss.data[row, 0] == reader.span_loss(own, [label]).item()
+    with pytest.raises(KeyError, match="passage 2 is not one of question 0's"):
+        reader.span_loss(dist, [reader.SpanLabel(2, 0, 0), reader.SpanLabel(2, 0, 0)])
+    with pytest.raises(ValueError):
+        reader.span_loss(dist, [reader.SpanLabel(0, 0, 0)])  # one label per question

@@ -54,6 +54,60 @@ def test_run_synthetic_experiment_rejects_negative_epochs_and_a_repeated_seed(ca
     assert f": error: argument {flag}: " in capsys.readouterr().err.splitlines()[-1]
 
 
+def _summary(em, recall1, ir1=0.3):
+    return {"em": dict(zip(("sr", "sr2", "r3"), em)), "recall1": dict(zip(("sr2", "r3"), recall1)),
+            "ir_recall": {1: ir1}}
+
+
+def _seed(seed, em):
+    return {"seed": seed, **{mode: {"em": v} for mode, v in zip(("sr", "sr2", "r3"), em)}}
+
+
+def test_ensemble_tally_of_made_up_runs_equals_a_hand_count():
+    script = _load("run_synthetic_experiment")
+    runs = [
+        (0, {"summary": _summary((60, 90, 100), (0.9, 1.0)),
+             "per_seed": [_seed(0, (50, 80, 100)), _seed(1, (70, 100, 100))]}),
+        # sr2 below sr, and sr2's recall at the IR recall
+        (1, {"summary": _summary((70, 65, 100), (0.3, 1.0)),
+             "per_seed": [_seed(0, (45, 60, 100)), _seed(1, (95, 70, 100))]}),
+        # r3's recall below sr2's, and r3 within 5 EM of sr
+        (2, {"summary": _summary((96, 97, 99), (0.9, 0.8)),
+             "per_seed": [_seed(0, (97, 97, 98)), _seed(1, (95, 97, 100))]}),
+    ]
+    assert script.tally(runs) == {
+        "runs": 3, "passed": 1,
+        "failures": {1: ["recall@1 sr2 > ir", "EM sr2 >= sr"],
+                     2: ["recall@1 r3 > sr2", "EM r3 - sr >= 5"]},
+        "em_range": {0: {"sr": [45, 97], "sr2": [60, 97], "r3": [98, 100]},
+                     1: {"sr": [70, 95], "sr2": [70, 100], "r3": [100, 100]}}}
+
+
+def test_ensemble_on_a_tiny_task_counts_what_its_runs_show(tmp_path):
+    from rankread.synth import SyntheticSpec
+    script = _load("run_synthetic_experiment")
+    spec = SyntheticSpec(entities=6, relations=4, train_questions=12, test_questions=6, seed=3)
+    runs = script.ensemble((0, 1), steps=range(3), spec=spec, sr_epochs=1, sr2_epochs=1,
+                           r3_epochs=1)
+    assert [k for k, _ in runs] == [0, 1, 2]
+    assert [result["task"]["config"].learning_rate for _, result in runs] == \
+        [0.01, 0.01 * (1 + 2.0 ** -52), 0.01 * (1 + 2 * 2.0 ** -52)]
+    passed, em = 0, {}
+    for _, result in runs:
+        s = result["summary"]
+        passed += (s["recall1"]["r3"] > s["recall1"]["sr2"] > s["ir_recall"][1]
+                   and s["em"]["r3"] >= s["em"]["sr2"] >= s["em"]["sr"]
+                   and s["em"]["r3"] - s["em"]["sr"] >= 5.0)
+        for res in result["per_seed"]:
+            for mode in ("sr", "sr2", "r3"):
+                em.setdefault((res["seed"], mode), []).append(res[mode]["em"])
+    counted = script.tally(runs)
+    assert counted["passed"] == passed and counted["runs"] == 3
+    assert len(counted["failures"]) == 3 - passed
+    assert {(seed, mode): tuple(v) for seed, modes in counted["em_range"].items()
+            for mode, v in modes.items()} == {key: (min(v), max(v)) for key, v in em.items()}
+
+
 def _bench_run(seed, side, metrics, fingerprint="f", failed=0):
     return {"workload": "w", "seed": seed, "side": side, "trace": 0, "first": "parent",
             "fingerprint": fingerprint, "inputs_sha256": "i", "quality": {"em": 1.0},

@@ -58,7 +58,7 @@ def test_bilinear_grads():
 
 def test_neg_log_softmax_pick_grad_is_softmax_minus_onehot():
     z = T.Tensor([[0.3], [-1.2], [0.7]], requires_grad=True)
-    loss = T.neg_log_softmax_mean(z, [1])
+    loss = T.neg_log_softmax_mean(z, [3], [[1]])
     T.backward(loss)
     soft = np.exp(z.data) / np.exp(z.data).sum()
     expected = soft.copy()
@@ -170,8 +170,14 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.take_cols, (3, 5), index=[4, 0, 2]) < 1e-4
     assert _fd_single_op(cols, (3, 5), j0=1, j1=4) < 1e-4
     assert _fd_single_op(rows, (5, 2), i0=0, i1=3) < 1e-4
-    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), ks=[2]) < 1e-4
-    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), ks=[3, 0, 2]) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), sizes=[5], ks=[[2]]) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), sizes=[5], ks=[[3, 0, 2]]) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (7, 1), sizes=[2, 4, 1],
+                         ks=[[1], [5, 2, 3], [6]]) < 1e-4
+    assert _fd_single_op(T.attention, (3, 5), (2, 5), (3, 4), key_sizes=[5],
+                         query_sizes=[4]) < 1e-4
+    assert _fd_single_op(T.attention, (3, 6), (2, 6), (3, 7), key_sizes=[1, 3, 2],
+                         query_sizes=[2, 4, 1]) < 1e-4
     assert _fd_single_op(T.scale, (2, 3), c=-1.7) < 1e-4
 
 
@@ -274,14 +280,14 @@ def test_fused_mean_of_picks_equals_the_picks_added_in_order_bit_for_bit():
         def composite(a):
             total = None
             for k in ks:
-                pick = T.neg_log_softmax_mean(a, [k])
+                pick = T.neg_log_softmax_mean(a, [n], [[k]])
                 total = pick if total is None else T.add(total, pick)
             return T.scale(total, 1.0 / len(ks))
 
         data = RNG.normal(size=(n, 2)) * 3
         w = T.Tensor(RNG.normal(size=(1, 2)), requires_grad=True)
         results = []
-        for build in (lambda a: T.neg_log_softmax_mean(a, ks), composite):
+        for build in (lambda a: T.neg_log_softmax_mean(a, [n], [ks]), composite):
             x = T.Tensor(data, requires_grad=True)
             w.grad = None
             loss = build(T.transpose(T.matmul(w, T.transpose(x))))
@@ -293,10 +299,109 @@ def test_fused_mean_of_picks_equals_the_picks_added_in_order_bit_for_bit():
 
 def test_neg_log_softmax_mean_rejects_bad_input():
     with pytest.raises(T.ShapeError, match="column vector"):
-        T.neg_log_softmax_mean(rand_tensor(3, 2), [0])
-    for ks in ([], [3], [-1]):
+        T.neg_log_softmax_mean(rand_tensor(3, 2), [3], [[0]])
+    for ks in ([[]], [[3]], [[-1]]):
         with pytest.raises(T.ShapeError, match="out of range"):
-            T.neg_log_softmax_mean(rand_tensor(3, 1), ks)
+            T.neg_log_softmax_mean(rand_tensor(3, 1), [3], ks)
+    # a pick must lie in its own segment
+    with pytest.raises(T.ShapeError, match="out of range"):
+        T.neg_log_softmax_mean(rand_tensor(3, 1), [1, 2], [[0], [0]])
+    for sizes in ([], [2], [1, 0, 2], [2, 2]):
+        with pytest.raises(T.ShapeError, match="do not cut"):
+            T.neg_log_softmax_mean(rand_tensor(3, 1), sizes, [[0]] * len(sizes))
+    with pytest.raises(T.ShapeError, match="into 2 segments"):
+        T.neg_log_softmax_mean(rand_tensor(3, 1), [3], [[0], [1]])
+
+
+def test_segmented_neg_log_softmax_mean_equals_each_segment_alone_bit_for_bit():
+    # every segment's value and gradient are those of the same op over that
+    # segment's rows alone: the segments share a node, not their arithmetic
+    for _ in range(200):
+        sizes = RNG.integers(1, 6, size=int(RNG.integers(1, 5))).tolist()
+        ends = np.cumsum(sizes)
+        ks = [sorted(RNG.choice(np.arange(end - size, end), size=int(RNG.integers(1, size + 1)),
+                                replace=False).tolist()) for size, end in zip(sizes, ends)]
+        data = RNG.normal(size=(sum(sizes), 1)) * 4
+        g = RNG.normal(size=(len(sizes), 1))
+        a = T.Tensor(data, requires_grad=True)
+        out = T.neg_log_softmax_mean(a, sizes, ks)
+        out._backward(g)
+        for i, (size, end) in enumerate(zip(sizes, ends)):
+            alone = T.Tensor(data[end - size:end], requires_grad=True)
+            one = T.neg_log_softmax_mean(alone, [size], [[k - (end - size) for k in ks[i]]])
+            one._backward(g[i:i + 1])
+            assert one.data[0, 0] == out.data[i, 0]
+            assert np.array_equal(alone.grad, a.grad[end - size:end])
+
+
+def test_neg_log_softmax_mean_equals_a_brute_force_log_softmax():
+    for _ in range(100):
+        sizes = RNG.integers(1, 6, size=int(RNG.integers(1, 5))).tolist()
+        ends = np.cumsum(sizes)
+        ks = [RNG.integers(end - size, end, size=int(RNG.integers(1, 4))).tolist()
+              for size, end in zip(sizes, ends)]
+        data = RNG.normal(size=(sum(sizes), 1)) * 4
+        got = T.neg_log_softmax_mean(T.Tensor(data), sizes, ks).data[:, 0]
+        for i, (size, end) in enumerate(zip(sizes, ends)):
+            seg = data[end - size:end, 0]
+            log_p = seg - math.log(sum(math.exp(x) for x in seg))
+            want = -sum(log_p[k - (end - size)] for k in ks[i]) / len(ks[i])
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _attention_composite(keys, values, queries, key_sizes, query_sizes):
+    """T.attention from per-question transpose, matmul, softmax_cols and matmul."""
+    outs = []
+    for k0, k1, p0, p1 in zip(np.cumsum([0] + key_sizes), np.cumsum(key_sizes),
+                              np.cumsum([0] + query_sizes), np.cumsum(query_sizes)):
+        weights = T.softmax_cols(T.matmul(T.transpose(cols(keys, k0, k1)), cols(queries, p0, p1)))
+        outs.append(T.matmul(cols(values, k0, k1), weights))
+    return T.concat_cols(outs)
+
+
+@pytest.mark.parametrize("key_sizes, query_sizes", [
+    ([4], [6]), ([1], [3]), ([3, 1, 5], [7, 2, 4]), ([2, 2], [3, 3]), ([1, 6], [5, 1])])
+def test_attention_matches_the_per_question_composite(key_sizes, query_sizes):
+    # one question takes the composite's arithmetic, bit for bit; several
+    # stacked in padded blocks agree to rounding, values and gradients
+    l, r = 4, 3
+    data = [RNG.normal(size=(l, sum(key_sizes))), RNG.normal(size=(r, sum(key_sizes))),
+            RNG.normal(size=(l, sum(query_sizes)))]
+    upstream = RNG.normal(size=(r, sum(query_sizes)))
+    results = []
+    for op in (T.attention, _attention_composite):
+        inputs = [T.Tensor(d, requires_grad=True) for d in data]
+        out = op(*inputs, key_sizes, query_sizes)
+        T.backward(sum_all(T.mul(out, T.Tensor(upstream))))
+        results.append([out.data] + [t.grad for t in inputs])
+    for got, want in zip(*results):
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
+    if len(key_sizes) == 1:
+        assert np.array_equal(results[0][0], results[1][0])
+
+
+def test_attention_weights_are_each_questions_own_softmax():
+    # with values of ones, every output column is the sum of its question's
+    # attention weights; a padded key that took weight would show here
+    key_sizes, query_sizes = [1, 4, 2], [3, 2, 5]
+    keys = T.Tensor(RNG.normal(size=(3, 7)) * 5)
+    queries = T.Tensor(RNG.normal(size=(3, 10)) * 5)
+    sums = T.attention(keys, T.Tensor(np.ones((1, 7))), queries, key_sizes, query_sizes)
+    assert np.allclose(sums.data, 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shapes, key_sizes, query_sizes", [
+    (((3, 4), (2, 4), (3, 5)), [2, 1], [3, 2]),
+    (((3, 4), (2, 4), (3, 5)), [2, 2], [3, 1]),
+    (((3, 4), (2, 4), (3, 5)), [2, 2], [5]),
+    (((3, 4), (2, 4), (3, 5)), [4, 0], [4, 1]),
+    (((3, 4), (2, 3), (3, 5)), [4], [5]),
+    (((3, 4), (2, 4), (2, 5)), [4], [5]),
+    (((3, 4), (2, 4), (3, 5)), [], []),
+])
+def test_attention_rejects_sizes_that_do_not_cut_its_inputs(shapes, key_sizes, query_sizes):
+    with pytest.raises(T.ShapeError, match="attention: keys"):
+        T.attention(*(T.Tensor(np.zeros(s)) for s in shapes), key_sizes, query_sizes)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -63,12 +63,12 @@ def policy_from_gamma(gamma):
 
 def test_kl_zero_when_gamma_matches_targets():
     pol = policy_from_gamma([0.5, 0.5])
-    assert trainer_mod.kl_rank_loss(pol, {0, 1}).item() == pytest.approx(0.0, abs=1e-12)
+    assert trainer_mod.kl_rank_loss(pol, [{0, 1}]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kl_single_positive_half_mass():
     pol = policy_from_gamma([0.5, 0.5])
-    assert trainer_mod.kl_rank_loss(pol, {0}).item() == pytest.approx(math.log(2), abs=1e-12)
+    assert trainer_mod.kl_rank_loss(pol, [{0}]).item() == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_kl_nonnegative_random():
@@ -76,12 +76,12 @@ def test_kl_nonnegative_random():
     for _ in range(50):
         gamma = rng.dirichlet(np.ones(4))
         pol = policy_from_gamma(gamma)
-        assert trainer_mod.kl_rank_loss(pol, {0, 2}).item() >= -1e-12
+        assert trainer_mod.kl_rank_loss(pol, [{0, 2}]).item() >= -1e-12
 
 
 def test_kl_requires_positive():
     with pytest.raises(ValueError):
-        trainer_mod.kl_rank_loss(policy_from_gamma([1.0]), set())
+        trainer_mod.kl_rank_loss(policy_from_gamma([1.0]), [set()])
 
 
 def test_kl_gradient_fd():
@@ -89,9 +89,20 @@ def test_kl_gradient_fd():
 
     def build():
         pol = PolicyDistribution(logits)
-        return trainer_mod.kl_rank_loss(pol, {1, 3})
+        return trainer_mod.kl_rank_loss(pol, [{1, 3}])
 
     assert T.fd_check(build, [logits]) < 1e-4
+
+
+def test_kl_of_a_batch_is_each_questions_own():
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(7, 1))
+    batch = PolicyDistribution(T.Tensor(data, requires_grad=True), [3, 4])
+    kl = trainer_mod.kl_rank_loss(batch, [{0, 2}, {4}])
+    assert kl.data[0, 0] == trainer_mod.kl_rank_loss(
+        PolicyDistribution(T.Tensor(data[:3])), [{0, 2}]).item()
+    assert kl.data[1, 0] == trainer_mod.kl_rank_loss(
+        PolicyDistribution(T.Tensor(data[3:])), [{1}]).item()
 
 
 # --- example building --------------------------------------------------------------
@@ -202,7 +213,7 @@ def test_r3_single_positive_always_selects_it():
         record = trainer._apply_batch([ex], "r3", step)
         assert record["reward"] is not None
     # with one positive, tau is forced
-    report = trainer.example_losses(ex, "r3")
+    _, [report] = trainer.example_losses(ex, "r3")
     assert report["tau"] == 0
 
 
@@ -222,9 +233,8 @@ def test_nonfinite_gradient_skips_the_step(example, caplog):
     build = trainer.batch_losses
 
     def poisoned(batch, mode):
-        reports = build(batch, mode)
-        reports[0]["loss"] = T.scale(reports[0]["loss"], float("inf"))
-        return reports
+        loss, reports = build(batch, mode)
+        return T.scale(loss, float("inf")), reports
 
     trainer.batch_losses = poisoned
     assert trainer._apply_batch([example], "r3", 4) is None
@@ -264,8 +274,8 @@ def _unreached_nodes(monkeypatch, mode):
     trainer = toy_trainer(seed=0, dropout=0.3)
     with monkeypatch.context() as m:
         m.setattr(T.Tensor, "_node", classmethod(recording))
-        reports = trainer.batch_losses([toy_example(), toy_example()], mode)
-    reached = {id(t) for t in T._toposort(T.add(reports[0]["loss"], reports[1]["loss"]))}
+        loss, reports = trainer.batch_losses([toy_example(), toy_example()], mode)
+    reached = {id(t) for t in T._toposort(loss)}
     return [t for t in recorded if id(t) not in reached], reports
 
 
@@ -297,21 +307,28 @@ def test_sr2_example_tape_stays_small(example):
     # layout through each stack 153, one packed recurrence per stack call
     # whatever the lengths 140 (a node per direction and a concat per layer),
     # one node per layer for both directions 130, one column block per
-    # question with gathers in place of per-passage slices 108.
-    report = toy_trainer(seed=0).example_losses(example, "sr2")
-    assert _tape_size(report["loss"]) < 110
+    # question with gathers in place of per-passage slices 108, one
+    # attention node for attention and the attended view 107.
+    loss, _ = toy_trainer(seed=0).example_losses(example, "sr2")
+    assert _tape_size(loss) <= 107
 
 
-def test_sr2_batch_tape_stays_small(example):
-    # a batch is one graph whose examples share each recurrence: four toy
-    # examples reach 235 tensors from their summed loss (313 with per-passage
-    # slices), four separate graphs 4 x 108 = 432
-    batch = [toy_example() for _ in range(4)]
-    reports = toy_trainer(seed=0).batch_losses(batch, "sr2")
-    total = reports[0]["loss"]
-    for report in reports[1:]:
-        total = T.add(total, report["loss"])
-    assert _tape_size(total) < 240
+def _batch_tape_size(batch, mode):
+    """Tensors reachable from a toy trainer's batch loss."""
+    loss, _ = toy_trainer(seed=0).batch_losses(batch, mode)
+    return _tape_size(loss)
+
+
+def test_sr2_batch_tape_stays_small():
+    # a batch is one graph whose questions share each recurrence, the
+    # attention node, the fusion, each head and each loss, so its size does
+    # not depend on how many questions it holds, in any mode. Four toy sr2
+    # examples reached 235 tensors when attention, fusion, heads and losses
+    # ran per question (313 with per-passage slices); _mixed_batch() reaches
+    # 109 in sr2 and r3 and 82 in sr
+    batch = _mixed_batch()
+    for mode in trainer_mod.MODES:
+        assert _batch_tape_size(batch, mode) == _batch_tape_size(batch[:2], mode), mode
 
 
 def _mixed_batch():
@@ -335,10 +352,10 @@ def _reference_loss(trainer, example, mode, report):
     m = model.match_passages(embed(example.question_tokens, trainer.table), p_emb, widths)
     order = [tau] + [i for i in subset if not example.spans.get(i)]
     dist = model.read(*read_block(m, widths, [subset.index(i) for i in order]))
-    loss = reader_mod.span_loss(dist, reader_mod.SpanLabel(0, *report["span"]))
+    loss = reader_mod.span_loss(dist, [reader_mod.SpanLabel(0, *report["span"])])
     if mode == "sr2":
         kl = trainer_mod.kl_rank_loss(model.rank(m, widths),
-                                      {subset.index(i) for i in subset if example.spans.get(i)})
+                                      [{subset.index(i) for i in subset if example.spans.get(i)}])
         loss = T.add(loss, T.scale(kl, cfg.kl_weight))
     elif mode == "r3":
         extracted, _ = reader_mod.extract_best_span(replace(dist, segments=dist.segments[:1]),
@@ -346,8 +363,8 @@ def _reference_loss(trainer, example, mode, report):
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         assert r == report["reward"]
-        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(m, widths), subset.index(tau)),
-                                   -r))
+        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(m, widths),
+                                                         [subset.index(tau)]), -r))
     return loss
 
 
@@ -365,7 +382,13 @@ def test_batch_losses_equal_per_example_losses(mode):
     params = trainer.model.parameters()
     built = trainer.batch_losses
     reports = []
-    trainer.batch_losses = lambda b, m: reports.extend(built(b, m)) or reports
+
+    def keep_reports(b, m):
+        loss, batch_reports = built(b, m)
+        reports.extend(batch_reports)
+        return loss, batch_reports
+
+    trainer.batch_losses = keep_reports
     record = trainer._apply_batch(batch, mode, 0)
     assert [len(r["subset"]) < len(ex.passages) for ex, r in zip(batch, reports)] == \
         [True, True, True, False]
@@ -377,11 +400,11 @@ def test_batch_losses_equal_per_example_losses(mode):
         trainer.model.zero_grads()
         loss = _reference_loss(trainer, example, mode, report)
         T.backward(loss)
-        assert abs(loss.item() - report["loss"].item()) <= 1e-10
+        assert abs(loss.item() - report["loss"]) <= 1e-10
         summed += loss.item()
         for name, p in params.items():
             grads[name] += grad_or_zero(p)
-    assert abs(sum(r["loss"].item() for r in reports) - summed) <= 1e-10
+    assert abs(sum(r["loss"] for r in reports) - summed) <= 1e-10
     assert record["reader_loss"] == pytest.approx(
         np.mean([r["reader_loss"] for r in reports]), abs=1e-12)
     for name in params:
@@ -406,17 +429,83 @@ def test_step_record_reports_the_unclipped_gradient_norm(example):
     assert record["grad_norm"] == pytest.approx(np.linalg.norm(left), rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["sr2", "r3"])
+def test_step_record_reports_the_mean_policy_entropy(mode):
+    # read off the tape from the batch's logits: each question's entropy of
+    # its own softmax, against a numpy reference, averaged over the batch
+    trainer = toy_trainer(seed=31, train_sample_k=4, min_negatives=1)
+    batch = _mixed_batch()
+    vocab = {tok for ex in batch for toks in [ex.question_tokens] + ex.passage_tokens
+             for tok in toks}
+    trainer.table = synthetic_embeddings(vocab, trainer.config.embed_dim, seed=5)
+    built = trainer.batch_losses
+    policies = []
+
+    def keep_policy(b, m):
+        rank_batch = trainer.model.rank_batch
+        trainer.model.rank_batch = lambda *args: policies.append(rank_batch(*args)) or policies[-1]
+        try:
+            return built(b, m)
+        finally:
+            del trainer.model.rank_batch
+
+    trainer.batch_losses = keep_policy
+    record = trainer._apply_batch(batch, mode, 0)
+    [policy] = policies
+    logits, expected = policy.logits.data[:, 0], []
+    for lo, hi in zip(np.cumsum([0] + policy.questions[:-1]), np.cumsum(policy.questions)):
+        p = np.exp(logits[lo:hi] - logits[lo:hi].max())
+        p /= p.sum()
+        expected.append(-float(np.sum(p * np.log(p))))
+    assert policy.questions == [4, 4, 4, 3]
+    assert record["entropy"] == pytest.approx(np.mean(expected), rel=1e-12)
+
+
+def test_r3_step_record_counts_rewards_by_kind():
+    trainer = toy_trainer(seed=32)
+    kinds = []
+    reward = trainer_mod.best_reward
+
+    def spy(golds, predicted):
+        kinds.append(reward(golds, predicted).kind)
+        return reward(golds, predicted)
+
+    trainer_mod.best_reward, saved = spy, trainer_mod.best_reward
+    try:
+        records = [trainer._apply_batch(_mixed_batch(), "r3", step) for step in range(3)]
+    finally:
+        trainer_mod.best_reward = saved
+    for i, record in enumerate(records):
+        step_kinds = kinds[4 * i:4 * i + 4]
+        assert record["rewards"] == {kind: step_kinds.count(kind)
+                                     for kind in ("exact", "overlap", "miss")}
+
+
+@pytest.mark.parametrize("mode", trainer_mod.MODES)
+def test_attention_bias_gets_no_gradient_beyond_rounding(mode):
+    # the attention softmax runs over question words and b_g adds the same
+    # score to every question word of a passage word, so no output depends
+    # on it; taken over the passage axis instead, b_g would get a gradient
+    trainer = toy_trainer(seed=33, dropout=0.2, train_sample_k=3, min_negatives=1,
+                          learning_rate=0.0)
+    trainer._apply_batch(_mixed_batch(), mode, 0)
+    grads = {name: grad_or_zero(p) for name, p in trainer.model.parameters().items()}
+    largest = max(float(np.abs(g).max()) for name, g in grads.items() if name != "attn.b")
+    assert largest > 0
+    assert float(np.abs(grads["attn.b"]).max()) <= 1e-12 * largest
+
+
 def test_step_index_counts_batches_without_a_record(example, caplog):
     trainer = toy_trainer(seed=9)
     build = trainer.batch_losses
     calls = []
 
     def poisoned_first(batch, mode):
-        reports = build(batch, mode)
+        loss, reports = build(batch, mode)
         if not calls:
-            reports[0]["loss"] = T.scale(reports[0]["loss"], float("inf"))
+            loss = T.scale(loss, float("inf"))
         calls.append(mode)
-        return reports
+        return loss, reports
 
     trainer.batch_losses = poisoned_first
     with np.errstate(invalid="ignore"):
@@ -555,8 +644,7 @@ def test_sr2_then_r3_hands_off_to_a_fresh_trainer(example):
 @pytest.mark.parametrize("mode", ["sr", "r3"])
 def test_after_backward_only_parameters_hold_gradients(example, mode):
     trainer = toy_trainer(seed=4)
-    reports = trainer.batch_losses([example, example], mode)
-    total = T.add(reports[0]["loss"], reports[1]["loss"])
+    total, _ = trainer.batch_losses([example, example], mode)
     T.backward(total)
     graph = T._toposort(total)
     assert [t for t in graph if t._backward is not None and t.grad is not None] == []
