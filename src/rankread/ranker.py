@@ -1,6 +1,6 @@
 """Passage selection policy: scores matched passages and samples among positives."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -11,25 +11,22 @@ from . import tensor as T
 @dataclass
 class PolicyDistribution:
     logits: T.Tensor  # (N, 1), pre-softmax scores, one row per passage position
-    questions: list = None  # rows per question, consecutive; None: one question, all N
-    _gamma: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def sizes(self):
-        return self.questions or [self.logits.data.shape[0]]
+    questions: list  # rows per question, consecutive
 
     def _rows(self):
         """Each question's logits, as a (rows, 1) array."""
-        sizes = self.sizes()
-        return [self.logits.data[end - n:end] for n, end in zip(sizes, accumulate(sizes))]
+        return [self.logits.data[end - n:end]
+                for n, end in zip(self.questions, accumulate(self.questions))]
 
     def probs(self):
-        """gamma: each question's softmax over its own rows, side by side;
-        computed on the first call."""
-        if self._gamma is None:
-            with T.no_grad():
-                self._gamma = np.concatenate([T.softmax_cols(T.Tensor(rows)).data[:, 0]
-                                              for rows in self._rows()])
-        return self._gamma
+        """gamma: each question's softmax over its own rows, side by side."""
+        with T.no_grad():
+            return np.concatenate([T.softmax_cols(T.Tensor(rows)).data[:, 0]
+                                   for rows in self._rows()])
+
+    def per_question(self):
+        """Each question's policy on its own, off the tape."""
+        return [PolicyDistribution(T.Tensor(rows), [len(rows)]) for rows in self._rows()]
 
     def entropies(self):
         """Each question's policy entropy in nats, from a log-softmax of its rows."""
@@ -48,7 +45,7 @@ def logit_head(x, w, b, w_out):
     return T.transpose(T.matmul(w_out, c))
 
 
-def score_passages(h_rank, widths, w_c, b_c, w_c_out, questions=None):
+def score_passages(h_rank, widths, w_c, b_c, w_c_out, questions):
     """Turn a block of rank representations into a selection distribution
     over the passages' positions in the block.
 
@@ -79,5 +76,5 @@ def sample_passage(policy, positives, rng):
 def log_policy(policy, positions):
     """log of each question's selection probability of the passage at its
     position (positions[i] is question i's), as an (n, 1) tensor."""
-    return T.scale(T.neg_log_softmax_mean(policy.logits, policy.sizes(),
+    return T.scale(T.neg_log_softmax_mean(policy.logits, policy.questions,
                                           [[p] for p in positions]), -1.0)

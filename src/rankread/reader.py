@@ -27,10 +27,7 @@ class SpanDistribution:
     start_logits: T.Tensor  # (V, 1); span_loss's softmax runs over all of a question's
     end_logits: T.Tensor    # words, extract_best_span's over each segment's own words
     segments: list    # one Segment per passage position, in order
-    questions: list = None  # segments per question, consecutive; None: one question, all
-
-    def sizes(self):
-        return self.questions or [len(self.segments)]
+    questions: list  # segments per question, consecutive
 
     def global_index(self, label):
         if not 0 <= label.passage < len(self.segments):
@@ -43,7 +40,7 @@ class SpanDistribution:
         return seg.offset + label.start, seg.offset + label.end
 
 
-def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out, questions=None):
+def span_distributions(h_read, widths, w_s, b_s, ws_out, w_e, b_e, we_out, questions):
     """Start/end logits over the words of a block of passages, widths wide, in
     order; segment i is the passage at position i, and questions counts each
     question's passages.
@@ -64,7 +61,7 @@ def span_loss(dist, labels):
     one of question i's passages."""
     sizes, starts, ends = [], [], []
     first = 0
-    for count, label in zip(dist.sizes(), labels, strict=True):
+    for count, label in zip(dist.questions, labels, strict=True):
         gs, ge = dist.global_index(label)
         if not first <= label.passage < first + count:
             raise KeyError(f"passage {label.passage} is not one of question {len(sizes)}'s")

@@ -494,11 +494,13 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
         z += pre3[i, :, lo:hi]
         # one tanh for all four gates; the sigmoid rows take the overflow-safe
         # form 0.5 * (tanh(0.5 z) + 1), in place
-        z[:3 * h] *= 0.5
+        sig = z[:3 * h]
+        sig *= 0.5
         a = np.tanh(z, out=z)
-        a[:3 * h] += 1.0
-        a[:3 * h] *= 0.5
-        c = a[h:2 * h] * cells[i, :, lo:hi] + a[:h] * a[3 * h:]
+        sig += 1.0
+        sig *= 0.5
+        c = a[h:2 * h] * cells[i, :, lo:hi]
+        c += a[:h] * a[3 * h:]
         cells[i + 1, :, lo:hi] = c
         np.multiply(a[2 * h:3 * h], np.tanh(c), out=hs[i + 1, :, lo:hi])
         if record:

@@ -108,7 +108,7 @@ def kl_rank_loss(policy, positives):
     rows = [sorted(p) for p in positives]
     if not all(rows):
         raise ValueError("kl_rank_loss: no positive passage")
-    return T.add(T.neg_log_softmax_mean(policy.logits, policy.sizes(), rows),
+    return T.add(T.neg_log_softmax_mean(policy.logits, policy.questions, rows),
                  T.Tensor([[-np.log(len(r))] for r in rows]))
 
 
@@ -202,8 +202,10 @@ class Trainer:
         first_row = list(accumulate((len(ws) for ws in widths), initial=0))
         taus, spans, read_widths, read_cols = [], [], [], []
         col = 0
-        for example, subset, pos, ws, row0 in zip(batch, subsets, positives, widths, first_row):
-            row = (ranker_mod.sample_passage(policy, [row0 + p for p in pos], rng) - row0
+        # r3 samples tau from each question's own policy, one softmax each
+        own = policy.per_question() if mode == "r3" else [None] * len(batch)
+        for example, subset, pos, ws, own_policy in zip(batch, subsets, positives, widths, own):
+            row = (ranker_mod.sample_passage(own_policy, pos, rng)
                    if mode == "r3" else pos[int(rng.integers(len(pos)))])
             occurrences = example.spans[subset[row]]
             spans.append(occurrences[int(rng.integers(len(occurrences)))]
@@ -235,7 +237,8 @@ class Trainer:
         elif mode == "r3":
             # the answer inference would extract from each tau's segment alone
             extracted = reader_mod.extract_best_span(
-                replace(dist, segments=[dist.segments[f] for f in firsts], questions=None),
+                replace(dist, segments=[dist.segments[f] for f in firsts],
+                        questions=[1] * len(firsts)),
                 cfg.max_span_len)
             rewards = []
             for example, report, (label, _) in zip(batch, reports, extracted):

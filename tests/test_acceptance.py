@@ -193,10 +193,10 @@ def test_c02_distribution_normalization():
         g = T.attention(keys, T.Tensor(np.eye(q)), h_ps[0], [q], [widths[0]])
         pol = ranker.score_passages(h_block, widths, T.Tensor(rng.normal(size=(l, l))),
                                     T.Tensor(rng.normal(size=(l, 1))),
-                                    T.Tensor(rng.normal(size=(1, l))))
+                                    T.Tensor(rng.normal(size=(1, l))), [len(widths)])
         heads = [T.Tensor(rng.normal(size=s)) for s in
                  [(l, l), (l, 1), (1, l), (l, l), (l, 1), (1, l)]]
-        dist = reader.span_distributions(h_block, widths, *heads)
+        dist = reader.span_distributions(h_block, widths, *heads, [len(widths)])
         gamma = pol.probs()
         # the start and end distributions over the whole block, as span_loss
         # normalizes them, and over each passage alone, as extraction does
@@ -299,7 +299,7 @@ def test_c06_span_extraction_oracle():
         for w in widths:
             segs.append(reader.Segment(off, int(w)))
             off += int(w)
-        dist = reader.SpanDistribution(sl, el, segs)
+        dist = reader.SpanDistribution(sl, el, segs, [len(segs)])
         for max_len in (1, 4, 15):
             labels = [label for label, _ in reader.extract_best_span(dist, max_len)]
             # each segment enumerated under its own softmax

@@ -364,10 +364,11 @@ def test_attend_identical_question_columns_give_uniform_attention():
     rng = np.random.default_rng(6)
     l, q_len = 4, 3
     col = rng.normal(size=(l, 1))
-    h_q = T.Tensor(np.repeat(col, q_len, axis=1))
-    g = matcher.attend(h_q, T.Tensor(rng.normal(size=(l, 5))),
-                       T.Tensor(rng.normal(size=(l, l))), T.Tensor(rng.normal(size=(l, 1))),
-                       [q_len], [5])
+    h_q, h_p = T.Tensor(np.repeat(col, q_len, axis=1)), T.Tensor(rng.normal(size=(l, 5)))
+    w_g, b_g = T.Tensor(rng.normal(size=(l, l))), T.Tensor(rng.normal(size=(l, 1)))
+    assert np.allclose(_attention_weights(h_q, h_p, w_g, b_g, [q_len], [5]), 1.0 / q_len,
+                       atol=1e-12)
+    g = matcher.attend(h_q, h_p, w_g, b_g, [q_len], [5])
     assert np.allclose(g.data, np.repeat(col, 5, axis=1), atol=1e-12)
 
 
@@ -503,7 +504,7 @@ WIDTHS = [4, 4, 4]
 
 def _model_outputs(model, q_emb, p_emb):
     m = model.match_passages(q_emb, p_emb, WIDTHS)
-    gamma = model.rank(m, WIDTHS).probs().copy()
+    gamma = model.rank(m, WIDTHS).probs()
     start = T.softmax_cols(model.read(m, WIDTHS).start_logits).data.copy()
     return gamma, start
 

@@ -15,7 +15,8 @@ def random_policy(seed, n, l=4):
     w_c = T.Tensor(rng.normal(size=(l, l)))
     b_c = T.Tensor(rng.normal(size=(l, 1)))
     w_out = T.Tensor(rng.normal(size=(1, l)))
-    return ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out), h_ranks, (w_c, b_c, w_out)
+    return (ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out, [n]), h_ranks,
+            (w_c, b_c, w_out))
 
 
 def _block(h_ranks):
@@ -31,7 +32,7 @@ def test_identical_passages_give_uniform_gamma():
     w_c = T.Tensor(rng.normal(size=(4, 4)))
     b_c = T.Tensor(rng.normal(size=(4, 1)))
     w_out = T.Tensor(rng.normal(size=(1, 4)))
-    pol = ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out)
+    pol = ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out, [4])
     assert np.allclose(pol.probs(), 0.25, atol=1e-12)
 
 
@@ -43,7 +44,7 @@ def test_single_passage_gamma_is_one():
 
 def test_empty_input_rejected():
     with pytest.raises(T.ShapeError):
-        ranker.score_passages(T.Tensor(np.zeros((4, 0))), [], None, None, None)
+        ranker.score_passages(T.Tensor(np.zeros((4, 0))), [], None, None, None, [0])
 
 
 def test_tiny_instance_matches_hand_computation():
@@ -53,7 +54,7 @@ def test_tiny_instance_matches_hand_computation():
     w_c = T.Tensor([[1.0, -1.0], [0.5, 2.0]])
     b_c = T.Tensor([[0.1], [-0.3]])
     w_out = T.Tensor([[2.0, 1.0]])
-    pol = ranker.score_passages(*_block([h1, h2]), w_c, b_c, w_out)
+    pol = ranker.score_passages(*_block([h1, h2]), w_c, b_c, w_out, [2])
 
     u1 = [max(0.1, 0.4), max(-0.2, 0.3)]
     u2 = [max(0.0, -0.1), max(0.5, 0.2)]
@@ -80,10 +81,10 @@ def test_permutation_equivariance():
     w_c = T.Tensor(rng.normal(size=(l, l)))
     b_c = T.Tensor(rng.normal(size=(l, 1)))
     w_out = T.Tensor(rng.normal(size=(1, l)))
-    base = ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out).probs()
+    base = ranker.score_passages(*_block(h_ranks), w_c, b_c, w_out, [n]).probs()
     perm = rng.permutation(n)
     permuted = ranker.score_passages(*_block([h_ranks[i] for i in perm]), w_c, b_c,
-                                     w_out).probs()
+                                     w_out, [n]).probs()
     assert np.allclose(permuted, base[perm], atol=1e-9)
 
 
@@ -97,7 +98,7 @@ def test_sampling_single_positive_always_selected():
 def test_sampling_frequencies_match_conditional_law():
     # gamma [0.2, 0.3, 0.5], positives {0, 2}: conditional probs 2/7 and 5/7.
     logits = T.Tensor(np.log([[0.2], [0.3], [0.5]]))
-    pol = ranker.PolicyDistribution(logits)
+    pol = ranker.PolicyDistribution(logits, [3])
     rng = np.random.default_rng(123)
     draws = 100_000
     hits = sum(1 for _ in range(draws) if ranker.sample_passage(pol, {0, 2}, rng) == 0)
@@ -113,7 +114,7 @@ def test_sampling_frequencies_match_conditional_law():
 
 def test_sampling_uniform_over_all_positives():
     logits = T.Tensor(np.zeros((4, 1)))
-    pol = ranker.PolicyDistribution(logits)
+    pol = ranker.PolicyDistribution(logits, [4])
     cond = conditional_positive_probs(pol, {0, 1, 2, 3})
     assert all(v == pytest.approx(0.25) for v in cond.values())
 
@@ -126,15 +127,15 @@ def test_sampling_requires_positives_in_train_mode():
 
 def test_log_policy_values():
     logits = T.Tensor(np.log([[0.5], [0.5]]))
-    pol = ranker.PolicyDistribution(logits)
+    pol = ranker.PolicyDistribution(logits, [2])
     assert ranker.log_policy(pol, [0]).item() == pytest.approx(math.log(0.5), abs=1e-12)
-    sure = ranker.PolicyDistribution(T.Tensor([[100.0], [-100.0]]))
+    sure = ranker.PolicyDistribution(T.Tensor([[100.0], [-100.0]]), [2])
     assert ranker.log_policy(sure, [0]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_policy_gradient_is_onehot_minus_gamma():
     logits = T.Tensor([[0.4], [-0.3], [1.1]], requires_grad=True)
-    pol = ranker.PolicyDistribution(logits)
+    pol = ranker.PolicyDistribution(logits, [3])
     T.backward(ranker.log_policy(pol, [2]))
     onehot = np.array([[0.0], [0.0], [1.0]])
     assert np.allclose(logits.grad, onehot - pol.probs()[:, None], atol=1e-12)
@@ -149,9 +150,11 @@ def test_a_batch_policy_normalizes_each_question_over_its_own_rows():
     data = rng.normal(size=(6, 1)) * 3
     batch = ranker.PolicyDistribution(T.Tensor(data, requires_grad=True), questions)
     starts = np.cumsum([0] + questions[:-1])
-    alone = [ranker.PolicyDistribution(T.Tensor(data[lo:lo + n], requires_grad=True))
+    alone = [ranker.PolicyDistribution(T.Tensor(data[lo:lo + n], requires_grad=True), [n])
              for lo, n in zip(starts, questions)]
     assert np.array_equal(batch.probs(), np.concatenate([pol.probs() for pol in alone]))
+    for own, pol in zip(batch.per_question(), alone):
+        assert np.array_equal(own.probs(), pol.probs())
     assert batch.entropies() == [pol.entropies()[0] for pol in alone]
     positions = [1, 3, 5]
     log_pi = ranker.log_policy(batch, positions)
@@ -163,5 +166,5 @@ def test_a_batch_policy_normalizes_each_question_over_its_own_rows():
 def test_policy_entropy_is_log_n_when_uniform_and_zero_when_sure():
     uniform = ranker.PolicyDistribution(T.Tensor(np.zeros((5, 1))), [2, 3])
     assert uniform.entropies() == pytest.approx([math.log(2), math.log(3)], rel=1e-12)
-    sure = ranker.PolicyDistribution(T.Tensor([[800.0], [-800.0]]))
+    sure = ranker.PolicyDistribution(T.Tensor([[800.0], [-800.0]]), [2])
     assert sure.entropies() == [0.0]

@@ -18,7 +18,8 @@ def make_heads(seed, l):
 def make_dist(seed, widths, l=4):
     rng = np.random.default_rng(seed)
     h_reads = [T.Tensor(rng.normal(size=(l, w))) for w in widths]
-    return reader.span_distributions(T.concat_cols(h_reads), widths, *make_heads(seed + 1, l))
+    return reader.span_distributions(T.concat_cols(h_reads), widths, *make_heads(seed + 1, l),
+                                     [len(widths)])
 
 
 def test_single_one_word_passage():
@@ -32,7 +33,7 @@ def test_two_identical_passages_symmetric():
     rng = np.random.default_rng(1)
     h = rng.normal(size=(4, 3))
     heads = make_heads(2, 4)
-    dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], *heads)
+    dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], *heads, [2])
     ps, pe = T.softmax_cols(dist.start_logits).data, T.softmax_cols(dist.end_logits).data
     assert np.allclose(ps[:3], ps[3:], atol=1e-12)
     assert np.allclose(pe[:3], pe[3:], atol=1e-12)
@@ -54,7 +55,7 @@ def test_span_distributions_match_scalar_loop_reference():
     l = 4
     h_reads = [T.Tensor(rng.normal(size=(l, w))) for w in (3, 2)]
     heads = make_heads(4, l)
-    dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], *heads)
+    dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], *heads, [2])
     h_cat = np.concatenate([h.data for h in h_reads], axis=1)
     ws, bs, ws_out, we, be, we_out = heads
     assert np.allclose(T.softmax_cols(dist.start_logits).data[:, 0],
@@ -73,14 +74,14 @@ def test_distributions_sum_to_one():
 
 def test_span_loss_zero_when_mass_on_label():
     logits = T.Tensor([[50.0], [-50.0], [-50.0]])
-    dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 3)])
+    dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 3)], [1])
     loss = reader.span_loss(dist, [reader.SpanLabel(0, 0, 0)])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_span_loss_half_half_is_two_log_two():
     logits = T.Tensor([[0.0], [0.0]])
-    dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 2)])
+    dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 2)], [1])
     loss = reader.span_loss(dist, [reader.SpanLabel(0, 1, 1)])
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
 
@@ -106,7 +107,7 @@ def test_span_loss_gradient_fd():
     h_reads_data = [rng.normal(size=(l, 3)), rng.normal(size=(l, 2))]
 
     def build():
-        dist = reader.span_distributions(T.Tensor(np.hstack(h_reads_data)), [3, 2], *heads)
+        dist = reader.span_distributions(T.Tensor(np.hstack(h_reads_data)), [3, 2], *heads, [2])
         return reader.span_loss(dist, [reader.SpanLabel(0, 1, 2)])
 
     assert T.fd_check(build, heads) < 1e-4
@@ -119,7 +120,7 @@ def _uniform_dist(widths):
     for w in widths:
         segs.append(reader.Segment(off, w))
         off += w
-    return reader.SpanDistribution(logits, logits, segs)
+    return reader.SpanDistribution(logits, logits, segs, [len(segs)])
 
 
 def _own(dist, passage):
@@ -129,7 +130,7 @@ def _own(dist, passage):
     words = slice(seg.offset, seg.offset + seg.length)
     return reader.SpanDistribution(T.Tensor(dist.start_logits.data[words]),
                                    T.Tensor(dist.end_logits.data[words]),
-                                   [reader.Segment(0, seg.length)])
+                                   [reader.Segment(0, seg.length)], [1])
 
 
 def test_extract_concentrated_mass():
@@ -137,7 +138,7 @@ def test_extract_concentrated_mass():
     el = np.full((5, 1), -30.0)
     sl[2, 0] = 5.0
     el[3, 0] = 5.0
-    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 5)])
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 5)], [1])
     label, _ = reader.extract_best_span(dist, 4)[0]
     assert (label.start, label.end) == (2, 3)
 
@@ -208,7 +209,7 @@ def test_extract_scores_in_log_space_when_probabilities_underflow():
     el = np.zeros((6, 1))
     sl[4, 0] = 1001.0
     el[1, 0] = 1000.0
-    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 6)])
+    dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 6)], [1])
     label, logp = reader.extract_best_span(dist, 3)[0]
     assert (label.start, label.end) == (4, 4)
     assert logp == pytest.approx(-1000.0, abs=1e-9)
@@ -257,10 +258,11 @@ def test_extract_equals_the_frozen_loop_over_segments_bit_for_bit(max_len):
         logits = (rng.normal(size=(2, v, 1)) * rng.uniform(0.1, 30) if fill is None
                   else np.full((2, v, 1), fill))
         segments = [reader.Segment(end - w, w) for w, end in zip(widths, accumulate(widths))]
-        dist = reader.SpanDistribution(T.Tensor(logits[0]), T.Tensor(logits[1]), segments)
+        dist = reader.SpanDistribution(T.Tensor(logits[0]), T.Tensor(logits[1]), segments,
+                                       [len(segments)])
         expected = reference_best_spans(dist, max_len)
         assert reader.extract_best_span(dist, max_len) == expected, widths
-        views = [reader.extract_best_span(replace(dist, segments=[seg]), max_len)
+        views = [reader.extract_best_span(replace(dist, segments=[seg], questions=[1]), max_len)
                  for seg in segments]
         assert views == [[(replace(label, passage=0), score)] for label, score in expected], widths
 
@@ -277,7 +279,8 @@ def test_span_loss_of_a_batch_normalizes_each_question_over_its_own_words():
         segments = [reader.Segment(seg.offset - words.start, seg.length)
                     for seg in dist.segments[first:first + 2 - row]]
         own = reader.SpanDistribution(T.Tensor(dist.start_logits.data[words]),
-                                      T.Tensor(dist.end_logits.data[words]), segments)
+                                      T.Tensor(dist.end_logits.data[words]), segments,
+                                      [len(segments)])
         assert loss.data[row, 0] == reader.span_loss(own, [label]).item()
     with pytest.raises(KeyError, match="passage 2 is not one of question 0's"):
         reader.span_loss(dist, [reader.SpanLabel(2, 0, 0), reader.SpanLabel(2, 0, 0)])

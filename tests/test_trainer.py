@@ -58,7 +58,7 @@ def test_reward_range_property(gold, pred):
 
 def policy_from_gamma(gamma):
     logits = T.Tensor(np.log(np.asarray(gamma)).reshape(-1, 1), requires_grad=True)
-    return PolicyDistribution(logits)
+    return PolicyDistribution(logits, [len(gamma)])
 
 
 def test_kl_zero_when_gamma_matches_targets():
@@ -88,7 +88,7 @@ def test_kl_gradient_fd():
     logits = T.Tensor(np.random.default_rng(1).normal(size=(4, 1)), requires_grad=True)
 
     def build():
-        pol = PolicyDistribution(logits)
+        pol = PolicyDistribution(logits, [4])
         return trainer_mod.kl_rank_loss(pol, [{1, 3}])
 
     assert T.fd_check(build, [logits]) < 1e-4
@@ -100,9 +100,9 @@ def test_kl_of_a_batch_is_each_questions_own():
     batch = PolicyDistribution(T.Tensor(data, requires_grad=True), [3, 4])
     kl = trainer_mod.kl_rank_loss(batch, [{0, 2}, {4}])
     assert kl.data[0, 0] == trainer_mod.kl_rank_loss(
-        PolicyDistribution(T.Tensor(data[:3])), [{0, 2}]).item()
+        PolicyDistribution(T.Tensor(data[:3]), [3]), [{0, 2}]).item()
     assert kl.data[1, 0] == trainer_mod.kl_rank_loss(
-        PolicyDistribution(T.Tensor(data[3:])), [{1}]).item()
+        PolicyDistribution(T.Tensor(data[3:]), [4]), [{1}]).item()
 
 
 # --- example building --------------------------------------------------------------
