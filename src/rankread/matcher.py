@@ -81,8 +81,6 @@ def encode_batch(blocks, widths, layers):
     `tensor.bilstm` call per layer, and each block's output is gathered back
     with one node.
     """
-    if not blocks:
-        return []
     in_dim = layers[0].in_dim
     for block, ws in zip(blocks, widths):
         if not ws or min(ws) < 1:

@@ -24,10 +24,6 @@ class PolicyDistribution:
             return np.concatenate([T.softmax_cols(T.Tensor(rows)).data[:, 0]
                                    for rows in self._rows()])
 
-    def per_question(self):
-        """Each question's policy on its own, off the tape."""
-        return [PolicyDistribution(T.Tensor(rows), [len(rows)]) for rows in self._rows()]
-
     def entropies(self):
         """Each question's policy entropy in nats, from a log-softmax of its rows."""
         out = []
@@ -61,14 +57,15 @@ def score_passages(h_rank, widths, w_c, b_c, w_c_out, questions):
                               questions)
 
 
-def sample_passage(policy, positives, rng):
+def sample_passage(gamma, positives, rng):
     """Draw one passage position from gamma restricted to the positive
     positions and renormalized (the law of rejection-sampling gamma until a
-    positive comes up). The positives are one question's."""
+    positive comes up). gamma is one question's probabilities, a slice of
+    `PolicyDistribution.probs`, and the positives index into it."""
     pos = sorted(positives)
     if not pos:
         raise ValueError("sample_passage: no positive passage to sample from")
-    weights = policy.probs()[pos]
+    weights = gamma[pos]
     weights = weights / weights.sum()
     return pos[int(rng.choice(len(pos), p=weights))]
 

@@ -343,64 +343,63 @@ def attention(keys, values, queries, key_sizes, query_sizes):
     question i's blocks written k_i, v_i and q_i, its output block is
     v_i softmax_cols(k_i^T q_i).
 
-    One question takes the arithmetic of transpose, matmul, softmax_cols and
-    matmul, bit for bit. More than one are stacked in zero-padded, C-ordered
-    (n, ...) blocks and go through np.matmul once per product; a padded key
-    scores -inf, so it takes no weight, and a padded query column is dropped.
-    The backward is hand-written over the same blocks.
+    Each input is cut into zero-padded, C-ordered (n, rows, width) blocks,
+    one per question (`_blocks`). Whatever n is, each product is one
+    np.matmul over the blocks and the softmax one pass over their axis 1; a
+    padded key scores -inf, so it takes no weight, and a padded query column
+    is dropped. The backward is hand-written over the same blocks. One
+    question gets the bits of transpose, matmul, softmax_cols and matmul.
     """
     key_sizes, query_sizes = list(key_sizes), list(query_sizes)
-    (l, k), (r, p), n = keys.data.shape, values.data.shape, len(key_sizes)
+    (l, k), n = keys.data.shape, len(key_sizes)
     if (values.data.shape[1] != k or queries.data.shape[0] != l or not n
             or len(query_sizes) != n or min(key_sizes + query_sizes) < 1
             or sum(key_sizes) != k or sum(query_sizes) != queries.data.shape[1]):
         raise ShapeError(f"attention: keys {keys.data.shape}, values {values.data.shape} and "
                          f"queries {queries.data.shape} are not cut by key sizes {key_sizes} "
                          f"and query sizes {query_sizes}")
-    out = Tensor._node(None, (keys, values, queries))
-    if n == 1:
-        k3 = keys.data.T.copy()[None]
-        w3 = _softmax(k3[0] @ queries.data, 0)[None]
-        out.data = values.data @ w3[0]
-        v3, q3 = values.data[None], queries.data[None]
-    else:
-        kmask = np.arange(max(key_sizes)) < np.array(key_sizes)[:, None]
-        qmask = np.arange(max(query_sizes)) < np.array(query_sizes)[:, None]
-        k3 = np.zeros(kmask.shape + (l,))
-        k3[kmask] = keys.data.T
-        v3, q3 = _padded(values.data, kmask), _padded(queries.data, qmask)
-        s = np.matmul(k3, q3)
-        s[~kmask] = -np.inf
-        w3 = _softmax(s, 1)
-        out.data = _packed(np.matmul(v3, w3), qmask)
+    k3 = np.ascontiguousarray(_blocks(keys.data, key_sizes).transpose(0, 2, 1))
+    v3, q3 = _blocks(values.data, key_sizes), _blocks(queries.data, query_sizes)
+    s = np.matmul(k3, q3)
+    for i, size in enumerate(key_sizes):
+        if size < s.shape[1]:  # a block's padded keys score -inf
+            s[i, size:] = -np.inf
+    w3 = _softmax(s, 1)
+    out = Tensor._node(_joined(np.matmul(v3, w3), query_sizes), (keys, values, queries))
     if out.requires_grad:
         def bw(g):
-            g3 = g[None] if n == 1 else _padded(g, qmask)
+            g3 = _blocks(g, query_sizes)
             if values.requires_grad:
-                dv = np.matmul(g3, w3.transpose(0, 2, 1))
-                _accumulate(values, dv[0] if n == 1 else _packed(dv, kmask))
+                _accumulate(values, _joined(np.matmul(g3, w3.transpose(0, 2, 1)), key_sizes))
             dw = np.matmul(v3.transpose(0, 2, 1), g3)
             ds = w3 * (dw - (dw * w3).sum(axis=1, keepdims=True))
             if keys.requires_grad:
                 dk = np.matmul(ds, q3.transpose(0, 2, 1))
-                _accumulate(keys, dk[0].T if n == 1 else dk[kmask].T)
+                _accumulate(keys, _joined(dk.transpose(0, 2, 1), key_sizes))
             if queries.requires_grad:
-                dq = np.matmul(k3.transpose(0, 2, 1), ds)
-                _accumulate(queries, dq[0] if n == 1 else _packed(dq, qmask))
+                _accumulate(queries, _joined(np.matmul(k3.transpose(0, 2, 1), ds), query_sizes))
         out._backward = bw
     return out
 
 
-def _padded(a, mask):
-    """(n, rows, width) blocks of a's (rows, sum) columns, cut per mask row, zeros past each cut."""
-    out = np.zeros((mask.shape[0], a.shape[0], mask.shape[1]))
-    out.transpose(1, 0, 2)[:, mask] = a
+def _blocks(a, sizes):
+    """(n, rows, max(sizes)) blocks of a's (rows, sum(sizes)) columns: block i
+    holds the sizes[i] columns of slice i, then zeros. A lone block is a view
+    of a itself, not a padded copy, so no block may be written into."""
+    if len(sizes) == 1:
+        return a[None]
+    out = np.zeros((len(sizes), a.shape[0], max(sizes)))
+    for block, size, end in zip(out, sizes, accumulate(sizes)):
+        block[:, :size] = a[:, end - size:end]
     return out
 
 
-def _packed(blocks, mask):
-    """The inverse of _padded: the masked columns of (n, rows, width) blocks side by side."""
-    return np.ascontiguousarray(blocks.transpose(1, 0, 2)[:, mask])
+def _joined(blocks, sizes):
+    """The inverse of _blocks: the first sizes[i] columns of block i, side by
+    side. A lone block is its own columns, so it is returned as a view."""
+    if len(sizes) == 1:
+        return blocks[0]
+    return np.concatenate([block[:, :size] for block, size in zip(blocks, sizes)], axis=1)
 
 
 def bilstm(pre_f, pre_b, U_f, U_b, lengths):

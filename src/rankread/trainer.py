@@ -202,10 +202,10 @@ class Trainer:
         first_row = list(accumulate((len(ws) for ws in widths), initial=0))
         taus, spans, read_widths, read_cols = [], [], [], []
         col = 0
-        # r3 samples tau from each question's own policy, one softmax each
-        own = policy.per_question() if mode == "r3" else [None] * len(batch)
-        for example, subset, pos, ws, own_policy in zip(batch, subsets, positives, widths, own):
-            row = (ranker_mod.sample_passage(own_policy, pos, rng)
+        # r3 samples tau from its question's slice of gamma
+        gamma = policy.probs() if mode == "r3" else None
+        for example, subset, pos, ws, row0 in zip(batch, subsets, positives, widths, first_row):
+            row = (ranker_mod.sample_passage(gamma[row0:row0 + len(ws)], pos, rng)
                    if mode == "r3" else pos[int(rng.integers(len(pos)))])
             occurrences = example.spans[subset[row]]
             spans.append(occurrences[int(rng.integers(len(occurrences)))]

@@ -336,6 +336,11 @@ def test_encode_rejects_widths_that_do_not_cut_the_block():
         matcher.encode_batch([T.Tensor(np.zeros((3, 6)))], [[2, 3]], make_stack(84, 3, 4, 1))
 
 
+def test_encode_rejects_a_call_with_no_blocks():
+    with pytest.raises(T.ShapeError, match="^concat_cols: empty input$"):
+        matcher.encode_batch([], [], make_stack(85, 3, 4, 1))
+
+
 def test_encode_rejects_wrong_input_rows():
     with pytest.raises(T.ShapeError, match="expects 3"):
         encode_each([T.Tensor(np.zeros((2, 4)))], make_stack(72, 3, 4, 2))

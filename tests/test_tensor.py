@@ -360,10 +360,11 @@ def _attention_composite(keys, values, queries, key_sizes, query_sizes):
 
 
 @pytest.mark.parametrize("key_sizes, query_sizes", [
-    ([4], [6]), ([1], [3]), ([3, 1, 5], [7, 2, 4]), ([2, 2], [3, 3]), ([1, 6], [5, 1])])
+    ([4], [6]), ([1], [3]), ([3, 1, 5], [7, 2, 4]), ([2, 2], [3, 3]), ([1, 6], [5, 1]),
+    ([7], [300])])
 def test_attention_matches_the_per_question_composite(key_sizes, query_sizes):
-    # one question takes the composite's arithmetic, bit for bit; several
-    # stacked in padded blocks agree to rounding, values and gradients
+    # one question gives the composite's bits, in the output and in every
+    # gradient; several stacked in padded blocks agree to rounding
     l, r = 4, 3
     data = [RNG.normal(size=(l, sum(key_sizes))), RNG.normal(size=(r, sum(key_sizes))),
             RNG.normal(size=(l, sum(query_sizes)))]
@@ -377,7 +378,23 @@ def test_attention_matches_the_per_question_composite(key_sizes, query_sizes):
     for got, want in zip(*results):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-13)
     if len(key_sizes) == 1:
-        assert np.array_equal(results[0][0], results[1][0])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("key_sizes, query_sizes", [([5], [8]), ([3, 1, 5], [7, 2, 4])])
+def test_attention_writes_into_none_of_its_inputs(key_sizes, query_sizes):
+    # a lone question's blocks are views of the inputs and of the upstream
+    # gradient, so an in-place write in the op would show here
+    data = [RNG.normal(size=(4, sum(key_sizes))), RNG.normal(size=(3, sum(key_sizes))),
+            RNG.normal(size=(4, sum(query_sizes)))]
+    upstream = RNG.normal(size=(3, sum(query_sizes)))
+    inputs = [T.Tensor(d.copy(), requires_grad=True) for d in data]
+    g = upstream.copy()
+    T.attention(*inputs, key_sizes, query_sizes)._backward(g)
+    for t, d in zip(inputs, data):
+        assert np.array_equal(t.data, d)
+    assert np.array_equal(g, upstream)
 
 
 def test_attention_weights_are_each_questions_own_softmax():
