@@ -20,9 +20,7 @@ class PolicyDistribution:
 
     def probs(self):
         """gamma: each question's softmax over its own rows, side by side."""
-        with T.no_grad():
-            return np.concatenate([T.softmax_cols(T.Tensor(rows)).data[:, 0]
-                                   for rows in self._rows()])
+        return np.concatenate([T._softmax(rows, 0)[:, 0] for rows in self._rows()])
 
     def entropies(self):
         """Each question's policy entropy in nats, from a log-softmax of its rows."""

@@ -5,9 +5,19 @@ None until a gradient reaches it. Ops build an implicit tape; backward() walks
 it in reverse topological order, after which only leaves (tensors no op made)
 hold a grad. Gradients are checked against central finite differences via
 fd_check().
+
+A training step keeps its memory for the next. The recorded BiLSTM takes its
+large arrays from one module-level free list of flat buffers (`_take`): its
+input blocks go back when its forward ends, its backward's blocks when that
+backward ends, and its stores only when the node is freed, since a second
+backward through the node reads them. Each parameter of an Adamax has a
+gradient home, an array kept from step to step: the next backward writes the
+parameter's gradient there, so a caller that keeps a gradient past the next
+step must copy it.
 """
 
 import math
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from itertools import accumulate
 
@@ -34,7 +44,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_home")
 
     def __init__(self, data, requires_grad=False):
         arr = np.array(data, dtype=np.float64)
@@ -47,6 +57,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._home = None  # the gradient array an Adamax gives its parameters
 
     @classmethod
     def _node(cls, data, parents):
@@ -55,6 +66,7 @@ class Tensor:
         out.data = data
         out.grad = None
         out._backward = None
+        out._home = None
         if _recording and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = parents
@@ -77,15 +89,30 @@ def parameter(rng, rows, cols, scale=0.1):
     return Tensor(rng.uniform(-scale, scale, size=(rows, cols)), requires_grad=True)
 
 
-def _accumulate(t, g):
-    """Add g into t.grad. The first gradient to reach t is stored as a copy,
-    since g may be the consumer's own gradient or a view of it."""
+def _accumulate(t, g, owned=False):
+    """Add g into t.grad.
+
+    The first gradient to reach t becomes its grad. A parameter of an Adamax
+    has a gradient home, an array it keeps from step to step: g is copied
+    there, so the next backward that reaches t writes over this one, and a
+    caller that keeps a parameter's gradient past the next step must copy it.
+    Any other tensor stores a copy of g, since g may be the consumer's own
+    gradient or a view of it, unless owned says that g is the backward's
+    own, an array it has just made or the gradient backward() took off its
+    node, and that it keeps no other reference to it: never a view of a
+    pooled buffer (`_take`). An owned g is stored as it is only when it is
+    C-ordered, since a gradient's memory order decides how later products
+    and sums over it round.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t._home is not None:
+        t._home[...] = g
+        t.grad = t._home
+    else:
+        t.grad = g if owned and g.flags.c_contiguous else g.copy()
 
 
 def _ensure_grad(t):
@@ -105,9 +132,9 @@ def matmul(a, b):
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _accumulate(a, g @ b.data.T)
+                _accumulate(a, g @ b.data.T, owned=True)
             if b.requires_grad:
-                _accumulate(b, a.data.T @ g)
+                _accumulate(b, a.data.T @ g, owned=True)
         out._backward = bw
     return out
 
@@ -121,9 +148,9 @@ def _elementwise(name, ufunc, a, b, local_a, local_b):
     if out.requires_grad:
         def bw(g):
             if a.requires_grad:
-                _accumulate(a, g * local_a)
+                _accumulate(a, g * local_a, owned=True)
             if b.requires_grad:
-                _accumulate(b, g * local_b)
+                _accumulate(b, g * local_b, owned=True)
         out._backward = bw
     return out
 
@@ -147,8 +174,8 @@ def add_col(a, v):
     out = Tensor._node(a.data + v.data, (a, v))
     if out.requires_grad:
         def bw(g):
-            _accumulate(a, g)
-            _accumulate(v, g.sum(axis=1, keepdims=True))
+            _accumulate(v, g.sum(axis=1, keepdims=True), owned=True)
+            _accumulate(a, g, owned=True)  # add_col's gradient passes through as it is
         out._backward = bw
     return out
 
@@ -157,7 +184,7 @@ def _unary(a, value, local):
     out = Tensor._node(value, (a,))
     if out.requires_grad:
         def bw(g):
-            _accumulate(a, g * local)
+            _accumulate(a, g * local, owned=True)
         out._backward = bw
     return out
 
@@ -182,17 +209,6 @@ def _softmax(s, axis):
     """Softmax of an array along axis, max-subtracted for stability."""
     e = np.exp(s - s.max(axis=axis, keepdims=True))
     return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax_cols(a):
-    """Column-wise softmax, max-subtracted for stability."""
-    y = _softmax(a.data, 0)
-    out = Tensor._node(y, (a,))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, y * (g - (g * y).sum(axis=0, keepdims=True)))
-        out._backward = bw
-    return out
 
 
 def transpose(a):
@@ -341,14 +357,15 @@ def attention(keys, values, queries, key_sizes, query_sizes):
     Column j of the (r, P) output is question i's values weighted by
     softmax_k(keys_k . queries_j), the softmax over its own keys: with
     question i's blocks written k_i, v_i and q_i, its output block is
-    v_i softmax_cols(k_i^T q_i).
+    v_i softmax(k_i^T q_i), the softmax taken down each column.
 
     Each input is cut into zero-padded, C-ordered (n, rows, width) blocks,
     one per question (`_blocks`). Whatever n is, each product is one
     np.matmul over the blocks and the softmax one pass over their axis 1; a
     padded key scores -inf, so it takes no weight, and a padded query column
     is dropped. The backward is hand-written over the same blocks. One
-    question gets the bits of transpose, matmul, softmax_cols and matmul.
+    question gets the bits of transpose, matmul, a column softmax and matmul
+    as separate nodes (the composite in tests/test_tensor.py).
     """
     key_sizes, query_sizes = list(key_sizes), list(query_sizes)
     (l, k), n = keys.data.shape, len(key_sizes)
@@ -402,6 +419,50 @@ def _joined(blocks, sizes):
     return np.concatenate([block[:, :size] for block, size in zip(blocks, sizes)], axis=1)
 
 
+# ---------------------------------------------------------------------------
+# Workspace: flat float64 buffers that outlive a training step
+# ---------------------------------------------------------------------------
+
+_free = []  # free flat buffers, smallest first
+
+
+def _take(*shape):
+    """An uninitialized C-ordered array of shape, a view of the smallest free
+    buffer that holds it. When none does, the largest free buffer is dropped
+    for a new one of the size asked, so there are never more buffers than
+    were once in use together. A taken array stays out of the free list
+    until _give hands it back; one never given back is simply freed with
+    its last reference."""
+    size = math.prod(shape)
+    i = bisect_left(_free, size, key=len)
+    if i < len(_free):
+        buf = _free.pop(i)
+    else:
+        if _free:
+            del _free[-1]
+        buf = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _give(*arrays):
+    """Return arrays made by _take to the free list. None may be read after."""
+    for a in arrays:
+        insort(_free, a.base, key=len)
+
+
+class _Lease:
+    """Arrays made by _take that go back to the free list when this is freed:
+    a tape node's closure holds it, so the arrays live as long as the node."""
+
+    __slots__ = ("arrays",)
+
+    def __init__(self, *arrays):
+        self.arrays = arrays
+
+    def __del__(self):
+        _give(*self.arrays)
+
+
 def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     """Both directions of an LSTM layer over sequences of any lengths, as a
     single tape node.
@@ -414,18 +475,17 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     hidden states in the same column order; the backward direction runs each
     sequence from its last step to its first.
 
-    The step loop works on step-major (max_len, rows, 2n) blocks with zeros
-    past each sequence's end. Forward sequence j sits in column n+j, backward
-    sequence j in column n-1-j with its steps reversed, so block step i holds
-    forward step i and backward step max_len-1-i. With active[t] =
-    #(lengths > t), the sequences that take iteration i, as in a packed
-    sequence, are the one contiguous column range [n - active[max_len-1-i],
-    n + active[i]), and every gate, cell and store op runs once per iteration
-    for both directions. The hidden states and cells are stored with one
-    extra zero step in front, so step i of each store is the state entering
-    block step i: a sequence that has not started reads zeros and one that
-    has finished is never read again, so no padded position is computed and
-    each sequence's arithmetic is its own.
+    The step loop works on step-major (max_len, rows, 2n) blocks. Forward
+    sequence j sits in column n+j, backward sequence j in column n-1-j with
+    its steps reversed, so block step i holds forward step i and backward
+    step max_len-1-i. With active[t] = #(lengths > t), the sequences that
+    take iteration i, as in a packed sequence, are the one contiguous column
+    range [n - active[max_len-1-i], n + active[i]), and every gate, cell and
+    store op runs once per iteration for both directions. The hidden states
+    and cells are stored with one extra zero step in front, so step i of each
+    store is the state entering block step i: a sequence that has not started
+    reads zeros and one that has finished is never read again, so no padded
+    position is computed and each sequence's arithmetic is its own.
 
     Each direction keeps its own recurrent matmul over exactly its own
     columns, so every product has the shape a single-direction loop gives it
@@ -434,8 +494,15 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     matches the composite reference in tests/test_matcher.py, one tape node
     per gate op and step, bit for bit; the backward is hand-written BPTT over
     the same columns, reading the entering state from the stores and
-    recomputing tanh(c) from the cells. Gate activations are stored only when
-    the op records a node.
+    recomputing tanh(c) from the cells.
+
+    When the op records a node, its blocks come from the workspace (`_take`),
+    so a training step reuses the memory of the one before. The input blocks
+    go back when the forward ends. The stores (states, cells and the gate
+    activations, which only a recorded node keeps) go back when the node is
+    freed, since every backward through it reads them. The backward's blocks
+    go back when that backward ends. Under no_grad every block is a new
+    zero-filled array.
     """
     h = U_f.data.shape[1]
     rows, cols = pre_f.data.shape
@@ -459,13 +526,14 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     active = list(accumulate(reversed(ends)))[::-1]  # active[t]: how many are longer than t
     spans = [(n - active[steps - 1 - i], n + active[i]) for i in range(steps)]
     mask = None if lengths[-1] == steps else np.arange(steps) < np.array(lengths)[:, None]
+    gates, state = (steps, rows, 2 * n), (steps, h, 2 * n)
 
     def views(b):  # each direction's (rows, n, steps) view of a step-major block, in input order
         b = b.transpose(1, 2, 0)
         return b[:, n:], b[:, n - 1::-1, ::-1]
 
-    def blocked(a_f, a_b):
-        b = np.zeros((steps, a_f.shape[0], 2 * n))
+    def blocked(a_f, a_b, b):
+        # fills b's columns in the spans; the loops read no other column
         for view, a in zip(views(b), (a_f, a_b)):
             if mask is None:
                 view[...] = a.reshape(a.shape[0], n, steps)
@@ -476,16 +544,22 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     def packed(view):
         # copied to one direction's own contiguous block first: the memory
         # order of the U gradient's gemm operands decides its rounding
-        a = np.ascontiguousarray(view)
+        a = np.array(view, order="C")
         return a.reshape(a.shape[0], cols) if mask is None else a[:, mask]
 
     out = Tensor._node(None, (pre_f, pre_b, U_f, U_b))  # data comes after the loop
     record = out.requires_grad
-    pre3 = blocked(pre_f.data, pre_b.data)
-    hs = np.zeros((steps + 1, h, 2 * n))  # [i]: the state entering block step i
-    cells = np.zeros_like(hs)
-    if record:  # zeros past each sequence's end, which the backward reads
-        acts = np.zeros((steps, 4 * h, 2 * n))  # gate activations i, f, o, g
+    if record:
+        pre3, acts = blocked(pre_f.data, pre_b.data, _take(*gates)), _take(*gates)
+        hs, cells = _take(steps + 1, h, 2 * n), _take(steps + 1, h, 2 * n)
+        # a store's positions the loop does not write: the entering zeros, and
+        # past each sequence's end, where the backward's elementwise ops read
+        for a in (hs, cells, acts) if mask is not None else (hs[0], cells[0]):
+            a.fill(0.0)
+    else:
+        pre3 = blocked(pre_f.data, pre_b.data, np.zeros(gates))
+        hs = np.zeros((steps + 1, h, 2 * n))  # [i]: the state entering block step i
+        cells = np.zeros_like(hs)
     for i, (lo, hi) in enumerate(spans):
         z = np.empty((4 * h, hi - lo))
         np.matmul(U_b.data, hs[i, :, lo:n], out=z[:, :n - lo])
@@ -506,15 +580,29 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
             acts[i, :, lo:hi] = a
     out.data = np.concatenate([packed(v) for v in views(hs[1:])])
     if record:
+        _give(pre3)
+        stores = _Lease(hs, cells, acts)
+
         def bw(g):
+            hs, cells, acts = stores.arrays
             i, f, o, gg = acts[:, :h], acts[:, h:2 * h], acts[:, 2 * h:3 * h], acts[:, 3 * h:]
-            tanh_c = np.tanh(cells[1:])
-            # dz = factor * (dc for rows i, f, g; dh for rows o)
-            factor = np.concatenate((gg * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
-                                     tanh_c * o * (1.0 - o), i * (1.0 - gg * gg)), axis=1)
-            dc_dh = o * (1.0 - tanh_c * tanh_c)
-            g3 = blocked(g[:h], g[h:])
-            dpre = np.zeros_like(acts)
+            tanh_c = np.tanh(cells[1:], out=_take(*state))
+            # dz = factor * (dc for rows i, f, g; dh for rows o), each block
+            # written in place with dc_dh's buffer as scratch; step t's dz then
+            # takes factor[t]'s place, so factor ends as the gradient of pre
+            factor, dc_dh = _take(*gates), _take(*state)
+            for block, (x, y, gate) in zip(np.split(factor, 4, axis=1),
+                                            ((gg, i, i), (cells[:-1], f, f), (tanh_c, o, o))):
+                np.subtract(1.0, gate, out=dc_dh)
+                np.multiply(x, y, out=block)
+                block *= dc_dh
+            np.multiply(gg, gg, out=dc_dh)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            np.multiply(i, dc_dh, out=factor[:, 3 * h:])
+            np.multiply(tanh_c, tanh_c, out=dc_dh)
+            np.subtract(1.0, dc_dh, out=dc_dh)
+            dc_dh *= o
+            g3 = blocked(g[:h], g[h:], tanh_c)  # tanh(c) is read no more
             dh_next = np.zeros((h, 2 * n))  # gradient reaching the state entering a step
             dc_next = np.zeros((h, 2 * n))
             for t in range(steps - 1, -1, -1):
@@ -522,15 +610,16 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
                 dh = g3[t, :, lo:hi] + dh_next[:, lo:hi]
                 dc = dh * dc_dh[t, :, lo:hi] + dc_next[:, lo:hi]
                 dz = factor[t, :, lo:hi] * np.concatenate((dc, dc, dh, dc))
-                dpre[t, :, lo:hi] = dz
+                factor[t, :, lo:hi] = dz
                 np.multiply(dc, f[t, :, lo:hi], out=dc_next[:, lo:hi])
                 np.matmul(U_b.data.T, dz[:, :n - lo], out=dh_next[:, lo:n])
                 np.matmul(U_f.data.T, dz[:, n - lo:], out=dh_next[:, n:hi])
-            for pre, U, dp, hp in zip((pre_f, pre_b), (U_f, U_b), views(dpre), views(hs[:-1])):
+            for pre, U, dp, hp in zip((pre_f, pre_b), (U_f, U_b), views(factor), views(hs[:-1])):
                 dp = packed(dp)
-                _accumulate(pre, dp)
+                _accumulate(pre, dp, owned=True)
                 if U.requires_grad:
-                    _accumulate(U, dp @ packed(hp).T)
+                    _accumulate(U, dp @ packed(hp).T, owned=True)
+            _give(tanh_c, factor, dc_dh)
         out._backward = bw
     return out
 
@@ -581,7 +670,13 @@ def zero_grads(params):
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all grads in place so their global L2 norm is at most max_norm."""
+    """Scale all grads in place so their global L2 norm is at most max_norm.
+
+    The squares are summed one parameter at a time, in order. When the grads
+    are the gradient homes of all of one Adamax's parameters, they are
+    scaled by one multiply over its gradient vector; otherwise one by one.
+    """
+    params = list(params)
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -589,10 +684,30 @@ def clip_global_norm(params, max_norm):
     norm = math.sqrt(total)
     if norm > max_norm > 0:
         factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= factor
+        flat = _home_vector(params)
+        if flat is not None:
+            flat *= factor  # a home no gradient reached is zeroed by the next step
+        else:
+            for p in params:
+                if p.grad is not None:
+                    p.grad *= factor
     return norm
+
+
+def _home_vector(params):
+    """The gradient vector that params' homes tile, when every grad is None
+    or its home and the homes are the whole of one vector; else None."""
+    flat, size = None, 0
+    for p in params:
+        home = p._home
+        if home is None or (p.grad is not None and p.grad is not home):
+            return None
+        if flat is None:
+            flat = home.base
+        elif home.base is not flat:
+            return None
+        size += home.size
+    return flat if flat is not None and size == flat.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +752,17 @@ class Adamax:
     """Adamax: Adam with an infinity-norm second moment.
 
     m <- b1*m + (1-b1)*g ; u <- max(b2*u, |g|) ; p -= lr/(1-b1^t) * m/(u+eps)
+
+    The parameters' values, their gradients, m and u are views of four flat
+    vectors, one slice per parameter in the order given: building the
+    optimizer moves each parameter's values into its slice, and makes its
+    gradient slice the parameter's home (`_accumulate`). A parameter's grad
+    stays None until a gradient reaches it; the home is reused by every
+    backward after that, so a caller that keeps a gradient past the next
+    step must copy it. A second Adamax over the same parameters moves them
+    again, and the first may not step after that. step() is one pass over
+    the flat vectors, with two workspace buffers (`_take`) as scratch; a
+    parameter no gradient reached steps as with a zero gradient.
     """
 
     def __init__(self, params, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -646,19 +772,37 @@ class Adamax:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
-        self.u = {n: np.zeros_like(p.data) for n, p in self.params.items()}
+        sizes = [p.data.size for p in self.params.values()]
+        self._data, self._grad, self._m, self._u = (np.zeros(sum(sizes)) for _ in range(4))
+        self.m, self.u, self._slots = {}, {}, []
+        for (name, p), end, size in zip(self.params.items(), accumulate(sizes), sizes):
+            data, home, m, u = (v[end - size:end].reshape(p.data.shape)
+                                for v in (self._data, self._grad, self._m, self._u))
+            data[...] = p.data
+            p.data, p._home = data, home
+            self.m[name], self.u[name] = m, u
+            self._slots.append((name, p, data, home))
 
     def step(self):
+        for name, p, data, home in self._slots:
+            if p.data is not data or p._home is not home:
+                raise ShapeError(f"adamax: parameter {name!r} is no longer in this optimizer's "
+                                 "vectors")
+            if p.grad is None:  # no gradient reached p
+                home.fill(0.0)
+            elif p.grad is not home:
+                if p.grad.shape != data.shape:
+                    raise ShapeError(f"adamax: shape mismatch for parameter {name!r}")
+                home[...] = p.grad
         self.t += 1
         correction = 1.0 - self.beta1 ** self.t
-        for name, p in self.params.items():
-            g = 0.0 if p.grad is None else p.grad  # no gradient reached p
-            if np.shape(g) not in ((), p.data.shape) or self.m[name].shape != p.data.shape:
-                raise ShapeError(f"adamax: shape mismatch for parameter {name!r}")
-            m = self.m[name]
-            u = self.u[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            np.maximum(self.beta2 * u, np.abs(g), out=u)
-            p.data -= (self.lr / correction) * m / (u + self.eps)
+        g, m, u = self._grad, self._m, self._u
+        step, denom = _take(g.size), _take(g.size)
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=step)
+        u *= self.beta2
+        np.maximum(u, np.abs(g, out=step), out=u)
+        np.multiply(self.lr / correction, m, out=step)
+        step /= np.add(u, self.eps, out=denom)
+        self._data -= step
+        _give(step, denom)

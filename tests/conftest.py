@@ -91,6 +91,20 @@ def sum_all(a):
     return T.matmul(T.matmul(T.Tensor(np.ones((1, r))), a), T.Tensor(np.ones((c, 1))))
 
 
+def softmax_cols(a):
+    """Column-wise softmax as a tape node of its own: the reference that
+    attention's per-question composite and the reader's probabilities are
+    checked against. The program takes its softmaxes off the tape
+    (tensor._softmax) or fused into attention and neg_log_softmax_mean."""
+    y = T._softmax(a.data, 0)
+    out = T.Tensor._node(y, (a,))
+    if out.requires_grad:
+        def bw(g):
+            T._accumulate(a, y * (g - (g * y).sum(axis=0, keepdims=True)))
+        out._backward = bw
+    return out
+
+
 def tfidf_ids(sentence_tokens, query_tokens):
     """`rank_sentences_tfidf`'s pool and query for token lists: the sentence
     lengths, the pool's token ids (int32, equal ids for equal tokens) and the

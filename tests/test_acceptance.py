@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (enumerate_policy_gradient, read_block, sum_all, tfidf_ids, toy_example,
-                      toy_trainer)
+from conftest import (enumerate_policy_gradient, read_block, softmax_cols, sum_all, tfidf_ids,
+                      toy_example, toy_trainer)
 from test_retrieval import brute_force_bm25, brute_force_tfidf, docs_from
 
 from rankread import evaluation as E
@@ -200,7 +200,7 @@ def test_c02_distribution_normalization():
         gamma = pol.probs()
         # the start and end distributions over the whole block, as span_loss
         # normalizes them, and over each passage alone, as extraction does
-        block = np.array([T.softmax_cols(logits).data.sum()
+        block = np.array([softmax_cols(logits).data.sum()
                           for logits in (dist.start_logits, dist.end_logits)])
         each = np.exp(reader._log_prob_grids(dist, max(widths))).sum(axis=2)
         sums = np.concatenate([
@@ -305,8 +305,8 @@ def test_c06_span_extraction_oracle():
             # each segment enumerated under its own softmax
             for passage, (label, seg) in enumerate(zip(labels, segs)):
                 words = slice(seg.offset, seg.offset + seg.length)
-                ps = T.softmax_cols(T.Tensor(sl.data[words])).data[:, 0]
-                pe = T.softmax_cols(T.Tensor(el.data[words])).data[:, 0]
+                ps = softmax_cols(T.Tensor(sl.data[words])).data[:, 0]
+                pe = softmax_cols(T.Tensor(el.data[words])).data[:, 0]
                 best, best_score = None, -1.0
                 for i in range(seg.length):
                     for j in range(i, min(i + max_len, seg.length)):

@@ -4,7 +4,7 @@ import pytest
 from rankread import matcher
 from rankread import tensor as T
 
-from conftest import cols, rows, sigmoid, sum_all
+from conftest import cols, rows, sigmoid, softmax_cols, sum_all
 
 
 def make_bilstm(seed, in_dim, out_dim, scale=0.2):
@@ -510,7 +510,7 @@ WIDTHS = [4, 4, 4]
 def _model_outputs(model, q_emb, p_emb):
     m = model.match_passages(q_emb, p_emb, WIDTHS)
     gamma = model.rank(m, WIDTHS).probs()
-    start = T.softmax_cols(model.read(m, WIDTHS).start_logits).data.copy()
+    start = softmax_cols(model.read(m, WIDTHS).start_logits).data.copy()
     return gamma, start
 
 

@@ -8,6 +8,8 @@ import pytest
 from rankread import reader
 from rankread import tensor as T
 
+from conftest import softmax_cols
+
 
 def make_heads(seed, l):
     rng = np.random.default_rng(seed)
@@ -25,8 +27,8 @@ def make_dist(seed, widths, l=4):
 def test_single_one_word_passage():
     dist = make_dist(0, [1])
     assert dist.start_logits.data.shape == (1, 1)
-    assert T.softmax_cols(dist.start_logits).data[0, 0] == pytest.approx(1.0)
-    assert T.softmax_cols(dist.end_logits).data[0, 0] == pytest.approx(1.0)
+    assert softmax_cols(dist.start_logits).data[0, 0] == pytest.approx(1.0)
+    assert softmax_cols(dist.end_logits).data[0, 0] == pytest.approx(1.0)
 
 
 def test_two_identical_passages_symmetric():
@@ -34,7 +36,7 @@ def test_two_identical_passages_symmetric():
     h = rng.normal(size=(4, 3))
     heads = make_heads(2, 4)
     dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], *heads, [2])
-    ps, pe = T.softmax_cols(dist.start_logits).data, T.softmax_cols(dist.end_logits).data
+    ps, pe = softmax_cols(dist.start_logits).data, softmax_cols(dist.end_logits).data
     assert np.allclose(ps[:3], ps[3:], atol=1e-12)
     assert np.allclose(pe[:3], pe[3:], atol=1e-12)
 
@@ -58,9 +60,9 @@ def test_span_distributions_match_scalar_loop_reference():
     dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], *heads, [2])
     h_cat = np.concatenate([h.data for h in h_reads], axis=1)
     ws, bs, ws_out, we, be, we_out = heads
-    assert np.allclose(T.softmax_cols(dist.start_logits).data[:, 0],
+    assert np.allclose(softmax_cols(dist.start_logits).data[:, 0],
                        _pointer_reference(h_cat, ws.data, bs.data, ws_out.data), atol=1e-12)
-    assert np.allclose(T.softmax_cols(dist.end_logits).data[:, 0],
+    assert np.allclose(softmax_cols(dist.end_logits).data[:, 0],
                        _pointer_reference(h_cat, we.data, be.data, we_out.data), atol=1e-12)
 
 
@@ -68,8 +70,8 @@ def test_distributions_sum_to_one():
     for seed in range(25):
         widths = list(np.random.default_rng(seed).integers(1, 5, size=3))
         dist = make_dist(seed, widths)
-        assert T.softmax_cols(dist.start_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
-        assert T.softmax_cols(dist.end_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert softmax_cols(dist.start_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert softmax_cols(dist.end_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_span_loss_zero_when_mass_on_label():
@@ -155,8 +157,8 @@ def _brute_force_best(dist, max_len):
     bests = []
     for passage in range(len(dist.segments)):
         own = _own(dist, passage)
-        ps = T.softmax_cols(own.start_logits).data[:, 0]
-        pe = T.softmax_cols(own.end_logits).data[:, 0]
+        ps = softmax_cols(own.start_logits).data[:, 0]
+        pe = softmax_cols(own.end_logits).data[:, 0]
         best, best_score = None, -1.0
         for i in range(len(ps)):
             for j in range(i, min(i + max_len, len(ps))):

@@ -232,3 +232,50 @@ def test_bench_pairs_keeps_the_runs_before_one_that_fails_and_resumes(tmp_path):
     doc = json.loads(out.read_text())
     assert len(doc["runs"]) == 7 and doc["summary"]["w"]["seeds"] == [1, 2, 4]
     assert (change / "ran").read_text().split() == ["1", "2", "3", "4"]
+
+
+def test_step_memory_summary_of_made_up_steps_equals_a_hand_count():
+    script = _load("step_memory")
+    warmup = [(1.0, 5000)] * script.WARMUP_STEPS  # dropped
+    samples = warmup + [(0.004, 10), (0.012, 40), (0.006, 20)]
+    assert script.summarize(samples, 2) == {"ms_per_example": 3.0, "faults_per_step": 20,
+                                            "steps": 3}
+    with pytest.raises(ValueError, match="more than"):
+        script.summarize(warmup, 2)
+
+
+def test_step_memory_on_a_tiny_task_counts_each_steps_own_faults(monkeypatch):
+    from rankread.experiment import prepare_task
+    from rankread.synth import SyntheticSpec
+    script = _load("step_memory")
+    task = prepare_task(SyntheticSpec(entities=6, relations=4, train_questions=12,
+                                      test_questions=6, seed=3))
+    readings = iter(range(0, 1000, 7))  # the counter reads 7 more at each call
+    monkeypatch.setattr(script, "minor_faults", lambda: next(readings))
+    steps = []
+    train = script.Trainer.train
+    monkeypatch.setattr(script.Trainer, "train",
+                        lambda self, chunk, mode, epochs: steps.append((len(chunk), mode, epochs))
+                        or train(self, chunk, mode, epochs))
+    samples = script.step_samples(task, "sr2", 2, 3)
+    assert steps == [(2, "sr2", 1)] * (script.WARMUP_STEPS + 3)
+    assert [faults for _, faults in samples] == [7] * (script.WARMUP_STEPS + 3)
+    assert all(seconds > 0 for seconds, _ in samples)
+
+
+def test_step_memory_prints_one_row_per_batch_and_mode(capsys):
+    script = _load("step_memory")
+    assert script.main(["--modes", "sr,r3", "--batches", "2,3", "--steps", "1"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["sr", "2"], ["r3", "2"], ["sr", "3"], ["r3", "3"]]
+    assert all(float(row[2]) > 0 and int(row[3]) >= 0 for row in rows)
+
+
+@pytest.mark.parametrize("argv, flag", [(["--modes", "sr,rr"], "--modes"),
+                                        (["--batches", "0"], "--batches"),
+                                        (["--steps", "0"], "--steps")])
+def test_step_memory_rejects_bad_arguments(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        _load("step_memory").main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err

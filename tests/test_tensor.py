@@ -8,7 +8,7 @@ import pytest
 from rankread import tensor as T
 from rankread.model import load_checkpoint, save_checkpoint
 
-from conftest import cols, rows, sigmoid, sum_all, toy_trainer
+from conftest import cols, rows, sigmoid, softmax_cols, sum_all, toy_trainer
 
 
 RNG = None
@@ -30,7 +30,7 @@ def rand_tensor(rows, cols, requires_grad=True, lo=-1.0, hi=1.0):
 
 def test_softmax_uniform_logits():
     z = T.Tensor([[0.0], [0.0], [0.0]])
-    y = T.softmax_cols(z)
+    y = softmax_cols(z)
     assert np.allclose(y.data, 1.0 / 3.0)
 
 
@@ -71,7 +71,7 @@ def test_neg_log_softmax_pick_grad_is_softmax_minus_onehot():
 def test_softmax_columns_sum_to_one_and_positive():
     for _ in range(100):
         a = rand_tensor(RNG.integers(1, 7), RNG.integers(1, 7), lo=-8, hi=8)
-        y = T.softmax_cols(a)
+        y = softmax_cols(a)
         assert np.all(y.data > 0)
         assert np.allclose(y.data.sum(axis=0), 1.0, atol=1e-9)
 
@@ -122,7 +122,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(seed)
         a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
         b = T.Tensor(rng.normal(size=(3, 2)))
-        return T.softmax_cols(T.matmul(T.tanh(a), b)).data
+        return softmax_cols(T.matmul(T.tanh(a), b)).data
     assert np.array_equal(build(11), build(11))
 
 
@@ -164,7 +164,7 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.sub, (2, 4), (2, 4)) < 1e-4
     assert _fd_single_op(T.mul, (3, 2), (3, 2)) < 1e-4
     assert _fd_single_op(T.add_col, (3, 4), (3, 1)) < 1e-4
-    assert _fd_single_op(T.softmax_cols, (4, 3)) < 1e-4
+    assert _fd_single_op(softmax_cols, (4, 3)) < 1e-4
     assert _fd_single_op(T.transpose, (2, 5)) < 1e-4
     assert _fd_single_op(T.segment_max, (3, 7), widths=[2, 1, 4]) < 1e-4
     assert _fd_single_op(T.take_cols, (3, 5), index=[4, 0, 2]) < 1e-4
@@ -354,7 +354,7 @@ def _attention_composite(keys, values, queries, key_sizes, query_sizes):
     outs = []
     for k0, k1, p0, p1 in zip(np.cumsum([0] + key_sizes), np.cumsum(key_sizes),
                               np.cumsum([0] + query_sizes), np.cumsum(query_sizes)):
-        weights = T.softmax_cols(T.matmul(T.transpose(cols(keys, k0, k1)), cols(queries, p0, p1)))
+        weights = softmax_cols(T.matmul(T.transpose(cols(keys, k0, k1)), cols(queries, p0, p1)))
         outs.append(T.matmul(cols(values, k0, k1), weights))
     return T.concat_cols(outs)
 
@@ -587,6 +587,64 @@ def test_bilstm_without_a_tape_gives_the_recording_output_and_no_node(lengths):
     assert np.array_equal(bare.data, recorded.data)
 
 
+def _bilstm_graph(seed, lengths, h=3):
+    """Leaves and a scalar loss through one recorded T.bilstm node, drawn
+    from seed, so two calls with one seed build the same graph."""
+    rng = np.random.default_rng(seed)
+    cols = sum(lengths)
+    ins = [T.Tensor(rng.normal(size=s), requires_grad=True)
+           for s in ((4 * h, cols), (4 * h, cols), (4 * h, h), (4 * h, h))]
+    return ins, sum_all(T.mul(T.bilstm(*ins, lengths), T.Tensor(rng.normal(size=(2 * h, cols)))))
+
+
+def _grads_alone(seed, lengths):
+    ins, loss = _bilstm_graph(seed, lengths)
+    T.backward(loss)
+    return [t.grad for t in ins]
+
+
+def _assert_grads_outside_the_workspace(tensors):
+    for t in tensors:
+        assert not any(np.shares_memory(t.grad, buf) for buf in T._free)
+
+
+@pytest.mark.parametrize("lengths", [[4, 4], [5, 5, 3, 1]])
+def test_bilstm_graphs_built_before_either_backward_give_the_gradients_of_each_alone(lengths):
+    # both nodes hold their stores from the workspace at once; neither
+    # backward may read or free the other's
+    alone = [_grads_alone(seed, lengths) for seed in (1, 2)]
+    (ins1, loss1), (ins2, loss2) = _bilstm_graph(1, lengths), _bilstm_graph(2, lengths)
+    T.backward(loss2)
+    T.backward(loss1)
+    for ins, expected in zip((ins1, ins2), alone):
+        assert all(np.array_equal(t.grad, g) for t, g in zip(ins, expected))
+        _assert_grads_outside_the_workspace(ins)
+
+
+@pytest.mark.parametrize("lengths", [[4, 4], [5, 5, 3, 1]])
+def test_a_second_backward_through_a_bilstm_node_reads_its_own_stores(lengths):
+    # the node keeps its stores until it is freed: a graph of the same
+    # shapes run in between, which takes what the workspace has free, leaves
+    # them as they were, so the second backward adds the same gradients
+    ins, loss = _bilstm_graph(1, lengths)
+    T.backward(loss)
+    once = [t.grad.copy() for t in ins]
+    _grads_alone(2, lengths)
+    T.backward(loss)
+    assert all(np.array_equal(t.grad, g + g) for t, g in zip(ins, once))
+    _assert_grads_outside_the_workspace(ins)
+
+
+@pytest.mark.parametrize("lengths", [[4, 4], [5, 5, 3, 1]])
+def test_a_no_grad_forward_between_a_training_forward_and_its_backward_changes_nothing(lengths):
+    expected = _grads_alone(1, lengths)
+    ins, loss = _bilstm_graph(1, lengths)
+    with T.no_grad():
+        T.bilstm(*(T.Tensor(RNG.normal(size=t.data.shape)) for t in ins), lengths)
+    T.backward(loss)
+    assert all(np.array_equal(t.grad, g) for t, g in zip(ins, expected))
+
+
 def test_fd_concat_ops():
     rng = np.random.default_rng(5)
     xs = [T.Tensor(rng.normal(size=(3, w)), requires_grad=True) for w in (1, 2, 3)]
@@ -756,12 +814,20 @@ def test_adamax_infnorm_accumulator_decays_only_by_rule():
 
 
 def test_adamax_rejects_state_shape_mismatch():
+    # the state lives in the optimizer's flat vectors, so what can go wrong is
+    # a gradient of another shape, or a parameter a later Adamax moved away;
+    # either stops the step before it changes anything
     p = rand_tensor(2, 2)
+    before = p.data.copy()
     opt = T.Adamax({"p": p})
-    opt.m["p"] = np.zeros((3, 3))
-    p.grad = np.ones_like(p.data)
-    with pytest.raises(T.ShapeError, match="p"):
+    p.grad = np.ones((3, 3))
+    with pytest.raises(T.ShapeError, match="shape mismatch for parameter 'p'"):
         opt.step()
+    p.grad = np.ones_like(p.data)
+    T.Adamax({"p": p})
+    with pytest.raises(T.ShapeError, match="parameter 'p' is no longer"):
+        opt.step()
+    assert opt.t == 0 and np.array_equal(p.data, before)
 
 
 def test_clip_global_norm():
@@ -773,6 +839,46 @@ def test_clip_global_norm():
     assert norm == pytest.approx(5.0)
     assert a.grad[0, 0] == pytest.approx(0.6)
     assert b.grad[0, 0] == pytest.approx(0.8)
+
+
+def test_an_adamax_parameter_takes_every_gradient_in_its_one_home():
+    used, unused = rand_tensor(2, 3), rand_tensor(3, 2)
+    values = used.data.copy()
+    opt = T.Adamax({"used": used, "unused": unused}, lr=0.01)
+    assert np.array_equal(used.data, values)  # moved into the flat vector, same values
+    x = T.Tensor(RNG.normal(size=(3, 4)))
+    T.backward(sum_all(T.matmul(used, x)))
+    home = used.grad
+    assert unused.grad is None  # no gradient reached it
+    assert np.array_equal(home, np.tile(x.data.sum(axis=1), (2, 1)))
+    opt.step()
+    assert unused.grad is None
+    T.zero_grads([used, unused])
+    T.backward(sum_all(T.scale(T.matmul(used, x), 2.0)))
+    # the next backward writes over the first gradient, in the same array
+    assert used.grad is home and unused.grad is None
+    assert np.array_equal(home, np.tile(2.0 * x.data.sum(axis=1), (2, 1)))
+
+
+@pytest.mark.parametrize("reached", [(True, True, True), (True, False, True)])
+def test_clip_global_norm_of_adamax_homes_has_the_bits_of_one_by_one(reached):
+    # homes that tile one optimizer's gradient vector are scaled by one
+    # multiply; a parameter no gradient reached keeps grad None either way
+    shapes = [(3, 4), (4, 1), (2, 2)]
+    grads = [RNG.normal(size=s) * 10.0 for s in shapes]
+    plain, homed = ([T.Tensor(np.zeros(s), requires_grad=True) for s in shapes]
+                    for _ in range(2))
+    T.Adamax({str(i): p for i, p in enumerate(homed)})
+    for p, q, g, r in zip(plain, homed, grads, reached):
+        if r:
+            p.grad = g.copy()
+            T._accumulate(q, g)
+    assert T._home_vector(homed) is homed[0]._home.base
+    assert T._home_vector(homed[:2]) is None and T._home_vector(plain) is None
+    assert T.clip_global_norm(homed, 1.0) == T.clip_global_norm(plain, 1.0) > 1.0
+    for p, q in zip(plain, homed):
+        assert (q.grad is None) == (p.grad is None)
+        assert q.grad is None or np.array_equal(q.grad, p.grad)
 
 
 def test_adamax_reads_a_missing_gradient_as_zero():

@@ -619,6 +619,67 @@ def _assert_values_bitwise_equal(model, values):
         assert p.data.tobytes() == values[name].tobytes(), name
 
 
+class PerParameterAdamax:
+    """Adamax as one update per parameter on the parameter's own arrays, with
+    no gradient homes: the arithmetic the flat optimizer keeps bit for bit."""
+
+    def __init__(self, params, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.lr, self.beta1, self.beta2, self.eps = dict(params), lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+        self.u = {name: np.zeros_like(p.data) for name, p in self.params.items()}
+
+    def step(self):
+        self.t += 1
+        correction = 1.0 - self.beta1 ** self.t
+        for name, p in self.params.items():
+            g = 0.0 if p.grad is None else p.grad
+            m, u = self.m[name], self.u[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            np.maximum(self.beta2 * u, np.abs(g), out=u)
+            p.data -= (self.lr / correction) * m / (u + self.eps)
+
+
+def test_sr2_then_r3_keeps_the_bits_of_one_update_per_parameter(example, monkeypatch):
+    # r3's trainer builds a second Adamax over the parameters that sr2's
+    # moved into its vectors; the clip fires on some steps and not others
+    def run():
+        pipeline = toy_trainer(seed=4, dropout=0.2, grad_clip=0.003)
+        sr2_values, r3 = trainer_mod.train_sr2_then_r3(
+            pipeline.model, pipeline.table, pipeline.config, [example, example], 4, 2, 3)
+        return sr2_values, r3.model.export_values(), r3.log
+
+    flat = run()
+    monkeypatch.setattr(T, "Adamax", PerParameterAdamax)
+    reference = run()
+    for got, expected in zip(flat[:2], reference[:2]):
+        assert all(got[name].tobytes() == expected[name].tobytes() for name in expected)
+    assert flat[2] == reference[2]
+    assert {record["clipped"] for record in flat[2]} == {True, False}
+
+
+@pytest.mark.parametrize("mode", trainer_mod.MODES)
+def test_training_graphs_built_before_either_backward_give_the_gradients_of_each_alone(
+        example, mode):
+    # two models' graphs hold their BiLSTM stores from the workspace at once
+    def grads(trainer):
+        return {name: grad_or_zero(p) for name, p in trainer.model.parameters().items()}
+
+    alone = []
+    for seed in (1, 2):
+        trainer = toy_trainer(seed=seed)
+        T.backward(trainer.batch_losses([example, example], mode)[0])
+        alone.append(grads(trainer))
+    trainers = [toy_trainer(seed=seed) for seed in (1, 2)]
+    losses = [trainer.batch_losses([example, example], mode)[0] for trainer in trainers]
+    for loss in reversed(losses):
+        T.backward(loss)
+    for trainer, expected in zip(trainers, alone):
+        got = grads(trainer)
+        assert all(np.array_equal(got[name], expected[name]) for name in expected)
+
+
 def test_sr2_then_r3_hands_off_to_a_fresh_trainer(example):
     # the hand-off equals sr2 in Trainer(seed), then r3 from a copy of those
     # weights in a new Trainer(seed + 1000), as the experiment defines it
