@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left, insort
 from contextlib import contextmanager
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -109,6 +110,9 @@ def _accumulate(t, g, owned=False):
     if t.grad is not None:
         t.grad += g
     elif t._home is not None:
+        if g.shape != t._home.shape:
+            raise ShapeError(f"gradient of shape {g.shape} for a parameter of shape "
+                             f"{t._home.shape}")
         t._home[...] = g
         t.grad = t._home
     else:
@@ -670,13 +674,7 @@ def zero_grads(params):
 
 
 def clip_global_norm(params, max_norm):
-    """Scale all grads in place so their global L2 norm is at most max_norm.
-
-    The squares are summed one parameter at a time, in order. When the grads
-    are the gradient homes of all of one Adamax's parameters, they are
-    scaled by one multiply over its gradient vector; otherwise one by one.
-    """
-    params = list(params)
+    """Scale all grads in place so their global L2 norm is at most max_norm."""
     total = 0.0
     for p in params:
         if p.grad is not None:
@@ -684,30 +682,10 @@ def clip_global_norm(params, max_norm):
     norm = math.sqrt(total)
     if norm > max_norm > 0:
         factor = max_norm / norm
-        flat = _home_vector(params)
-        if flat is not None:
-            flat *= factor  # a home no gradient reached is zeroed by the next step
-        else:
-            for p in params:
-                if p.grad is not None:
-                    p.grad *= factor
+        for p in params:
+            if p.grad is not None:
+                p.grad *= factor
     return norm
-
-
-def _home_vector(params):
-    """The gradient vector that params' homes tile, when every grad is None
-    or its home and the homes are the whole of one vector; else None."""
-    flat, size = None, 0
-    for p in params:
-        home = p._home
-        if home is None or (p.grad is not None and p.grad is not home):
-            return None
-        if flat is None:
-            flat = home.base
-        elif home.base is not flat:
-            return None
-        size += home.size
-    return flat if flat is not None and size == flat.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +740,9 @@ class Adamax:
     step must copy it. A second Adamax over the same parameters moves them
     again, and the first may not step after that. step() is one pass over
     the flat vectors, with two workspace buffers (`_take`) as scratch; a
-    parameter no gradient reached steps as with a zero gradient.
+    parameter no gradient reached steps as with a zero gradient. The m and u
+    mappings are read-only: their entries are the views, so state is
+    restored by writing into them, and replacing an entry is a TypeError.
     """
 
     def __init__(self, params, lr=0.002, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -774,14 +754,15 @@ class Adamax:
         self.t = 0
         sizes = [p.data.size for p in self.params.values()]
         self._data, self._grad, self._m, self._u = (np.zeros(sum(sizes)) for _ in range(4))
-        self.m, self.u, self._slots = {}, {}, []
+        m_views, u_views, self._slots = {}, {}, []
         for (name, p), end, size in zip(self.params.items(), accumulate(sizes), sizes):
             data, home, m, u = (v[end - size:end].reshape(p.data.shape)
                                 for v in (self._data, self._grad, self._m, self._u))
             data[...] = p.data
             p.data, p._home = data, home
-            self.m[name], self.u[name] = m, u
+            m_views[name], u_views[name] = m, u
             self._slots.append((name, p, data, home))
+        self.m, self.u = MappingProxyType(m_views), MappingProxyType(u_views)
 
     def step(self):
         for name, p, data, home in self._slots:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import zlib
 
 import numpy as np
@@ -861,9 +862,8 @@ def test_an_adamax_parameter_takes_every_gradient_in_its_one_home():
 
 
 @pytest.mark.parametrize("reached", [(True, True, True), (True, False, True)])
-def test_clip_global_norm_of_adamax_homes_has_the_bits_of_one_by_one(reached):
-    # homes that tile one optimizer's gradient vector are scaled by one
-    # multiply; a parameter no gradient reached keeps grad None either way
+def test_clip_global_norm_of_adamax_homes_has_the_bits_of_plain_grads(reached):
+    # a parameter no gradient reached keeps grad None either way
     shapes = [(3, 4), (4, 1), (2, 2)]
     grads = [RNG.normal(size=s) * 10.0 for s in shapes]
     plain, homed = ([T.Tensor(np.zeros(s), requires_grad=True) for s in shapes]
@@ -873,12 +873,34 @@ def test_clip_global_norm_of_adamax_homes_has_the_bits_of_one_by_one(reached):
         if r:
             p.grad = g.copy()
             T._accumulate(q, g)
-    assert T._home_vector(homed) is homed[0]._home.base
-    assert T._home_vector(homed[:2]) is None and T._home_vector(plain) is None
     assert T.clip_global_norm(homed, 1.0) == T.clip_global_norm(plain, 1.0) > 1.0
     for p, q in zip(plain, homed):
         assert (q.grad is None) == (p.grad is None)
-        assert q.grad is None or np.array_equal(q.grad, p.grad)
+        assert q.grad is None or (q.grad is q._home and np.array_equal(q.grad, p.grad))
+
+
+def test_a_home_refuses_a_gradient_of_another_shape():
+    # a (1, k) gradient would broadcast into an (r, k) home; it is refused
+    # before it is written, as the step refuses a grad set from outside
+    p = rand_tensor(3, 2)
+    T.Adamax({"p": p})
+    for shape in ((1, 2), (3, 1), (2, 3)):
+        with pytest.raises(T.ShapeError, match=re.escape(f"gradient of shape {shape}")):
+            T._accumulate(p, np.ones(shape))
+        assert p.grad is None and not p._home.any()
+
+
+def test_adamax_state_is_read_only_mappings_of_its_views():
+    p = rand_tensor(2, 2)
+    opt = T.Adamax({"p": p}, lr=0.01)
+    for state in (opt.m, opt.u):
+        with pytest.raises(TypeError):
+            state["p"] = np.ones((2, 2))
+    # writing into a view is how state is restored, and the step reads it
+    opt.u["p"][...] = 4.0
+    p.grad = np.ones((2, 2))
+    opt.step()
+    assert np.array_equal(opt.u["p"], np.full((2, 2), 0.999 * 4.0))
 
 
 def test_adamax_reads_a_missing_gradient_as_zero():
