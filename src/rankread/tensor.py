@@ -97,7 +97,8 @@ def _accumulate(t, g, owned=False):
     has a gradient home, an array it keeps from step to step: g is copied
     there, so the next backward that reaches t writes over this one, and a
     caller that keeps a parameter's gradient past the next step must copy it.
-    Any other tensor stores a copy of g, since g may be the consumer's own
+    A g of another shape than the home is a ShapeError, since the copy would
+    broadcast it. Any other tensor stores a copy of g, since g may be the consumer's own
     gradient or a view of it, unless owned says that g is the backward's
     own, an array it has just made or the gradient backward() took off its
     node, and that it keeps no other reference to it: never a view of a
