@@ -33,9 +33,9 @@ def load_dataset(path):
 
 def _config_from_args(args, base=None):
     """base (default: the --config file, else Config()) with the flags that
-    _add_config_flags registered; retrieve's --mode never reaches Config.mode."""
+    _add_config_flags registered."""
     if base is None:
-        base = Config.from_file(args.config) if getattr(args, "config", None) else Config()
+        base = Config.from_file(args.config) if args.config else Config()
     return base.with_overrides({name: getattr(args, name) for name in args.config_fields})
 
 
@@ -92,23 +92,25 @@ def cmd_build_index(args):
 
 
 def cmd_retrieve(args):
-    config = _config_from_args(args)
+    settings = args.retrieve_n, args.top_a, args.top_s
+    retrieval.check_settings(*settings)
     index = retrieval.load_index(args.index)
     dataset = load_dataset(args.dataset)
     train = args.mode == "train"
     sets = []
     empty = 0
-    for rs in retrieval.retrieve_all(index, dataset, config, train):
+    for rs in retrieval.retrieve_all(index, dataset, train, *settings):
         if not rs.passages:
             empty += 1
             if train:
                 continue
         sets.append(rs)
     retrieval.save_retrieved(sets, args.out)
-    msg = f"retrieved passages for {len(sets)} questions -> {args.out}"
+    msg = (f"retrieved passages for {len(sets)} questions with retrieve_n {args.retrieve_n}, "
+           f"top_a {args.top_a}, top_s {args.top_s}")
     if empty:
         msg += f" ({empty} questions with no passages{' dropped' if train else ''})"
-    print(msg)
+    print(f"{msg} -> {args.out}")
     return 0
 
 
@@ -190,7 +192,11 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["train", "test"], default="test")
-    _add_config_flags(p, ["retrieve_n", "top_a", "top_s"])
+    for flag, default, text in (("--retrieve-n", retrieval.RETRIEVE_N, "passages kept"),
+                                ("--top-a", retrieval.TOP_A, "articles BM25 keeps"),
+                                ("--top-s", retrieval.TOP_S, "sentences TF-IDF keeps")):
+        p.add_argument(flag, type=int, default=default,
+                       help=f"{text} per question (default {default})")
     p.set_defaults(func=cmd_retrieve)
 
     p = sub.add_parser("train", help="train sr, sr2 or r3 on retrieved passages")
@@ -202,9 +208,7 @@ def build_parser():
     p.add_argument("--config", default=None,
                    help="JSON object of Config fields, as a checkpoint stores it under "
                         "extra.config; flags override it")
-    # every field but retrieval's, which training never reads
-    _add_config_flags(p, [field.name for field in fields(Config) if field.name not in
-                          ("retrieve_n", "top_a", "top_s", "bm25_k1", "bm25_b")])
+    _add_config_flags(p, [field.name for field in fields(Config)])
     p.set_defaults(func=cmd_train)
 
     for name, func, text in (

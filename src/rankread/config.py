@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .files import check_fields, check_least, one_line_errors, read_json_object
-from .retrieval import BM25_B, BM25_K1
+from .retrieval import BM25_B, BM25_K1, RETRIEVE_N, TOP_A, TOP_S
 
 MODES = ("sr", "sr2", "r3")  # reader only; plus a KL-trained ranker; joint policy gradient
 
@@ -28,25 +28,25 @@ class Config:
     kl_weight: float = 1.0
     grad_clip: float = 5.0
     seed: int = 0
-    # retrieval
-    top_a: int = 10
-    top_s: int = 30
-    retrieve_n: int = 10
-    bm25_k1: float = BM25_K1
-    bm25_b: float = BM25_B
     # prediction
     max_span_len: int = 15
     # word vectors file; empty string means synthetic embeddings
     embeddings_path: str = ""
 
+    # not fields: retrieval's constants, which perfbench/workloads.py's retrieve
+    # call reads from its Config (self.cfg.top_a, ...); they go with that line
+    retrieve_n = RETRIEVE_N
+    top_a = TOP_A
+    top_s = TOP_S
+    bm25_k1 = BM25_K1
+    bm25_b = BM25_B
+
     def validate(self):
         check_fields("config", self)
-        for key in ("learning_rate", "kl_weight", "grad_clip", "bm25_k1", "bm25_b"):
+        for key in ("learning_rate", "kl_weight", "grad_clip"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         check_least(self, _LEAST)
-        if not 0.0 <= self.bm25_b <= 1.0:
-            raise ValueError(f"bm25_b must be in [0, 1], got {self.bm25_b}")
         if self.hidden_size % 2 != 0:
             raise ValueError(f"hidden_size must be even, got {self.hidden_size}")
         if self.mode not in MODES:
@@ -55,9 +55,6 @@ class Config:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.train_sample_k < self.min_negatives + 1:
             raise ValueError("train_sample_k must be at least min_negatives + 1")
-        if self.retrieve_n > self.top_s:
-            raise ValueError(
-                f"retrieve_n must be at most top_s, got {self.retrieve_n} > {self.top_s}")
         return self
 
     def model_config(self):
@@ -66,12 +63,19 @@ class Config:
         return self.validate()
 
     @classmethod
+    def from_stored(cls, stored):
+        """The Config a stored object holds; a missing field takes its default, and
+        the retrieval keys that older files hold are ignored."""
+        return cls(**{key: value for key, value in stored.items()
+                      if key not in _RETIRED}).validate()
+
+    @classmethod
     def from_file(cls, path):
-        """The Config a JSON object holds, as a checkpoint stores it under extra.config;
-        a missing field takes its default. Errors are one line naming path."""
+        """The Config a JSON object holds, as a checkpoint stores it under
+        extra.config. Errors are one line naming path."""
         stored = read_json_object(path, "config")
         with one_line_errors(path):
-            return cls(**stored).validate()
+            return cls.from_stored(stored)
 
     def with_overrides(self, overrides):
         """New Config with the non-None {field: value} overrides; validates the result."""
@@ -81,5 +85,6 @@ class Config:
 # the smallest value each setting may take; a zero grad_clip turns clipping off
 _LEAST = {"hidden_size": 2, "embed_dim": 1, "reader_layers": 1, "ranker_layers": 1,
           "batch_size": 1, "epochs": 0, "pretrain_epochs": 0, "min_negatives": 0,
-          "seed": 0, "top_a": 1, "top_s": 1, "retrieve_n": 1, "max_span_len": 1,
-          "learning_rate": 0, "kl_weight": 0, "grad_clip": 0, "bm25_k1": 0}
+          "seed": 0, "max_span_len": 1, "learning_rate": 0, "kl_weight": 0, "grad_clip": 0}
+
+_RETIRED = {"retrieve_n", "top_a", "top_s", "bm25_k1", "bm25_b"}  # moved to retrieval.py

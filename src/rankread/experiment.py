@@ -29,8 +29,8 @@ def prepare_task(spec=None, config=None):
     docs, train_records, test_records, vocab = generate(spec)
     index = retrieval.build_index(docs)
     table = synthetic_embeddings(vocab, config.embed_dim, seed=spec.seed)
-    train_retrieved = retrieval.retrieve_all(index, train_records, config, train=True)
-    test_retrieved = retrieval.retrieve_all(index, test_records, config, train=False)
+    train_retrieved = retrieval.retrieve_all(index, train_records, train=True)
+    test_retrieved = retrieval.retrieve_all(index, test_records, train=False)
     examples, dropped = trainer_mod.build_examples(train_records, train_retrieved)
     return {
         "config": config,

@@ -211,7 +211,7 @@ def load_checkpoint(path, config=None):
     if not isinstance(extra, dict) or "config" not in extra or "table" not in extra:
         raise ValueError(f"{path}: checkpoint lacks config/table metadata")
     with one_line_errors(f"{path}: checkpoint metadata"):
-        own = Config(**extra["config"]).validate()
+        own = Config.from_stored(extra["config"])
         table = _embedding_table(extra["table"])
     config = own if config is None else config
     if config.embeddings_path not in ("", table.path):

@@ -13,6 +13,10 @@ from .files import (check_fields, one_line_errors, read_jsonl, read_versioned_js
                     write_jsonl)
 from .text import find_token_spans, tokenize
 
+# the defaults of retrieve's n, top_a and top_s; BM25's k1 and b
+RETRIEVE_N = 10
+TOP_A = 10
+TOP_S = 30
 BM25_K1 = 1.2
 BM25_B = 0.75
 
@@ -269,6 +273,15 @@ def rank_sentences_tfidf(lengths, token_ids, query_ids, top_s):
     return list(zip(top.tolist(), scores[top].tolist()))
 
 
+def check_settings(retrieve_n, top_a, top_s):
+    """Raise ValueError naming the first setting below 1, or retrieve_n above top_s."""
+    for name, value in (("top_a", top_a), ("top_s", top_s), ("retrieve_n", retrieve_n)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if retrieve_n > top_s:
+        raise ValueError(f"retrieve_n must be at most top_s, got {retrieve_n} > {top_s}")
+
+
 def make_training_query(question_tokens, answers, train):
     """Append the answer tokens to the query when training with a unique answer."""
     base = list(question_tokens)
@@ -286,10 +299,7 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
     only their best-ranked copy. The returned set may be empty; dropping such
     questions from training is the caller's job.
     """
-    if n < 1:
-        raise ValueError(f"n={n} must be at least 1")
-    if n > top_s:
-        raise ValueError(f"n={n} exceeds top_s={top_s}")
+    check_settings(n, top_a, top_s)
     q_tokens = tokenize(question).tokens
     query = make_training_query(q_tokens, answers, train)
     texts, owners, lengths, id_runs = [], [], [], []
@@ -322,11 +332,10 @@ def retrieve(index, question_id, question, answers, n, top_a, top_s,
     return RetrievedSet(question_id, passages)
 
 
-def retrieve_all(index, records, config, train):
-    """retrieve() for each {id, question, answers} record, with config's settings."""
-    return [retrieve(index, rec["id"], rec["question"], rec["answers"], n=config.retrieve_n,
-                     top_a=config.top_a, top_s=config.top_s, train=train,
-                     k1=config.bm25_k1, b=config.bm25_b) for rec in records]
+def retrieve_all(index, records, train, n=RETRIEVE_N, top_a=TOP_A, top_s=TOP_S):
+    """retrieve() for each {id, question, answers} record."""
+    return [retrieve(index, rec["id"], rec["question"], rec["answers"], n, top_a, top_s, train)
+            for rec in records]
 
 
 def save_retrieved(sets, path):

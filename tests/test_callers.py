@@ -1,5 +1,9 @@
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from rankread import retrieval
+from rankread.config import Config
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rankread"
@@ -20,6 +24,17 @@ BENCHMARK_ONLY = {
     "model.read": ("perfbench/tracing.py", '(model.RankReadModel, "read", "model.read", None, None)'),
     "trainer.example_losses":
         ("perfbench/tracing.py", '(trainer.Trainer, "example_losses", "trainer.example_losses",'),
+}
+
+# Config's class attributes that alias retrieval's constants, not fields,
+# each with its constant and the benchmark line that reads it from a Config;
+# they can go once the benchmark stops reading them
+BENCHMARK_ALIASES = {
+    "retrieve_n": ("RETRIEVE_N", "n = self.cfg.retrieve_n if train else self.w.test_passages"),
+    "top_a": ("TOP_A", "top_a=self.cfg.top_a, top_s=self.cfg.top_s,"),
+    "top_s": ("TOP_S", "top_a=self.cfg.top_a, top_s=self.cfg.top_s,"),
+    "bm25_k1": ("BM25_K1", "train=train, k1=self.cfg.bm25_k1, b=self.cfg.bm25_b)"),
+    "bm25_b": ("BM25_B", "train=train, k1=self.cfg.bm25_k1, b=self.cfg.bm25_b)"),
 }
 
 # dataclass fields kept though the program never reads them back
@@ -113,6 +128,19 @@ def test_every_module_level_name_is_read():
     used = {name for tree in _parse(_sources()) for name in _names_used(tree)}
     assert [f"{stem}.{name}" for stem, tree in _package().items()
             for name in _assigned(tree) if name not in used] == []
+
+
+def test_config_aliases_only_the_benchmark_reads_are_named():
+    config_class = next(node for node in _package()["config"].body
+                        if isinstance(node, ast.ClassDef) and node.name == "Config")
+    aliases = [target.id for node in config_class.body if isinstance(node, ast.Assign)
+               for target in node.targets]
+    assert sorted(aliases) == sorted(BENCHMARK_ALIASES)
+    workloads = (ROOT / "perfbench" / "workloads.py").read_text()
+    for name, (constant, line) in BENCHMARK_ALIASES.items():
+        assert getattr(Config, name) == getattr(retrieval, constant)
+        assert name not in {field.name for field in fields(Config)}
+        assert f"self.cfg.{name}" in line and line in workloads
 
 
 def _dataclass_fields(tree):

@@ -8,7 +8,6 @@ import pytest
 
 from rankread import retrieval
 from rankread.cli import build_parser, load_dataset, main
-from rankread.config import Config
 from rankread.model import load_checkpoint
 
 
@@ -294,15 +293,18 @@ def test_evaluate_defaults_to_the_checkpoint_max_span_len(workdir, tmp_path):
     assert longest_prediction("--max-span-len", "15") > 2
 
 
-def test_retrieve_defaults_are_the_config_defaults(workdir, tmp_path):
+def test_retrieve_defaults_are_the_config_defaults(workdir, tmp_path, capsys):
+    # retrieval.py's defaults; the summary line names them, since no file does
     out = tmp_path / "retrieved.jsonl"
     assert main(["retrieve", "--index", str(workdir["index"]), "--dataset", str(workdir["test"]),
                  "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (f"retrieved passages for 8 questions with retrieve_n 10, "
+                                       f"top_a 10, top_s 30 -> {out}\n")
     index = retrieval.load_index(workdir["index"])
-    cfg = Config()
     expected = [retrieval.retrieve(index, rec["id"], rec["question"], rec["answers"],
-                                   n=cfg.retrieve_n, top_a=cfg.top_a, top_s=cfg.top_s,
-                                   k1=cfg.bm25_k1, b=cfg.bm25_b)
+                                   n=retrieval.RETRIEVE_N, top_a=retrieval.TOP_A,
+                                   top_s=retrieval.TOP_S, k1=retrieval.BM25_K1,
+                                   b=retrieval.BM25_B)
                 for rec in load_dataset(workdir["test"])]
     assert retrieval.load_retrieved(out) == expected
 
@@ -352,6 +354,21 @@ def test_checkpoint_with_unknown_config_key_is_one_line_error(workdir, tmp_path,
                  "--dataset", str(workdir["test"]), "--out", str(tmp_path / "r.json")]) == 1
     line = _error_line(capsys)
     assert line.startswith(f"error: {bad}: ") and "not_a_key" in line
+
+
+def test_config_file_with_the_retired_retrieval_keys_trains_the_same_model(workdir, tmp_path):
+    # every checkpoint and config file written while Config held retrieval's
+    # settings stores them; train ignores them
+    stored = json.loads(workdir["ckpt"].read_text())["extra"]["config"]
+    retired = {"retrieve_n": 10, "top_a": 10, "top_s": 30, "bm25_k1": 1.2, "bm25_b": 0.75}
+    outs = []
+    for name, config in (("new", stored), ("old", {**stored, **retired})):
+        (tmp_path / f"{name}.cfg.json").write_text(json.dumps(config))
+        outs.append(tmp_path / f"{name}.json")
+        assert main(["train", "--config", str(tmp_path / f"{name}.cfg.json"),
+                     "--retrieved", str(workdir["retrieved_train"]),
+                     "--dataset", str(workdir["train"]), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == workdir["ckpt"].read_bytes()
 
 
 def test_config_parse_error_names_file_and_line(workdir, tmp_path, capsys):
@@ -442,7 +459,7 @@ def test_non_json_index_is_one_line_error(workdir, tmp_path, capsys):
     ('{"format_version": 1, "params": [], "extra": 5}', "lacks config/table metadata"),
     ('{"format_version": 1, "params": [], "extra": {"config": {}, "table": "x"}}', "TypeError"),
     ('{"format_version": 1, "params": [], "extra": {"config": [1], "table": {}}}',
-     "argument after ** must be a mapping, not list"),
+     "AttributeError: 'list' object has no attribute 'items'"),
 ], ids=["list", "no_params", "bad_entry", "extra_int", "table_str", "config_list"])
 def test_malformed_checkpoint_is_one_line_error(workdir, tmp_path, capsys, payload, message):
     bad = tmp_path / "bad.json"
@@ -862,7 +879,8 @@ def test_dataset_id_must_be_a_string(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--retrieve-n", "40"], "retrieve_n must be at most top_s, got 40 > 30"),
     (["--top-s", "5"], "retrieve_n must be at most top_s, got 10 > 5"),
-], ids=["retrieve_n", "top_s"])
+    (["--top-a", "0"], "top_a must be at least 1, got 0"),
+], ids=["retrieve_n", "top_s", "top_a"])
 def test_retrieve_n_above_top_s_stops_before_any_file_is_read(tmp_path, capsys, flags, message):
     # before, retrieve read the index and the dataset, then stopped with
     # "n=40 exceeds top_s=30", naming no setting; the files need not exist

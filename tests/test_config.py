@@ -88,18 +88,12 @@ def test_checkpoint_config_written_to_a_file_reads_back_as_the_checkpoint_config
     ("train_sample_k", 2, "min_negatives"),
     ("reader_layers", 0, "at least 1"),
     ("ranker_layers", 0, "at least 1"),
-    ("retrieve_n", 0, "at least 1"),
-    ("top_a", 0, "^top_a must be at least 1, got 0$"),
-    ("top_a", -3, "^top_a must be at least 1, got -3$"),
-    ("top_s", 0, "^top_s must be at least 1, got 0$"),
     ("batch_size", 0, "at least 1"),
     ("dropout", 1.0, "dropout must be in"),
     ("dropout", -0.1, "dropout must be in"),
     ("learning_rate", float("nan"), "^learning_rate must be finite, got nan$"),
     ("kl_weight", float("inf"), "^kl_weight must be finite, got inf$"),
     ("grad_clip", float("-inf"), "^grad_clip must be finite, got -inf$"),
-    ("bm25_k1", float("nan"), "^bm25_k1 must be finite, got nan$"),
-    ("bm25_b", float("inf"), "^bm25_b must be finite, got inf$"),
     ("hidden_size", 0, "^hidden_size must be at least 2, got 0$"),
     ("hidden_size", -2, "^hidden_size must be at least 2, got -2$"),
     ("embed_dim", 0, "^embed_dim must be at least 1, got 0$"),
@@ -111,11 +105,6 @@ def test_checkpoint_config_written_to_a_file_reads_back_as_the_checkpoint_config
     ("learning_rate", -0.01, "^learning_rate must be at least 0, got -0.01$"),
     ("kl_weight", -1.0, "^kl_weight must be at least 0, got -1.0$"),
     ("grad_clip", -5.0, "^grad_clip must be at least 0, got -5.0$"),
-    ("bm25_k1", -1.0, "^bm25_k1 must be at least 0, got -1.0$"),
-    ("bm25_b", 7, r"^bm25_b must be in \[0, 1\], got 7$"),
-    ("bm25_b", -0.25, r"^bm25_b must be in \[0, 1\], got -0.25$"),
-    ("retrieve_n", 40, "^retrieve_n must be at most top_s, got 40 > 30$"),
-    ("top_s", 9, "^retrieve_n must be at most top_s, got 10 > 9$"),
 ])
 def test_validation_errors(field, value, msg):
     with pytest.raises(ValueError, match=msg):
@@ -123,12 +112,55 @@ def test_validation_errors(field, value, msg):
 
 
 def test_zero_and_unit_bounds_are_accepted():
-    # a zero learning rate or kl weight is a frozen run, a zero grad_clip
-    # turns clipping off, bm25_b may take either end of [0, 1], and
-    # retrieve_n may take every sentence TF-IDF keeps
-    Config(learning_rate=0.0, kl_weight=0.0, grad_clip=0.0, bm25_k1=0.0, bm25_b=0.0).validate()
-    Config(bm25_b=1.0).validate()
-    Config(retrieve_n=30, top_s=30).validate()
+    # a zero learning rate or kl weight is a frozen run, and a zero grad_clip
+    # turns clipping off (retrieval's bounds: test_retrieval's
+    # test_settings_check_accepts_its_bounds)
+    Config(learning_rate=0.0, kl_weight=0.0, grad_clip=0.0).validate()
+
+
+# retrieval's settings, as every checkpoint and config file written while
+# Config held them stores them
+_RETIRED = {"retrieve_n": 10, "top_a": 10, "top_s": 30, "bm25_k1": 1.2, "bm25_b": 0.75}
+
+
+@pytest.mark.parametrize("stored", [
+    {"hidden_size": 8, "mode": "sr", **_RETIRED},
+    # a value Config used to reject (retrieve_n above top_s) is ignored too
+    {"hidden_size": 8, "mode": "sr", "retrieve_n": 40, "bm25_b": 7},
+    # README's paper-scale object, which held the training and the retrieval keys
+    {"hidden_size": 300, "embed_dim": 300, "batch_size": 30, "learning_rate": 0.002,
+     "top_a": 200, "top_s": 200, "retrieve_n": 50},
+], ids=["defaults", "out_of_range", "paper_scale"])
+def test_file_ignores_the_retired_retrieval_keys(tmp_path, stored):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(stored))
+    training = {key: value for key, value in stored.items() if key not in _RETIRED}
+    assert Config.from_file(path) == Config(**training)
+
+
+def test_retrieval_settings_are_not_fields():
+    # they are retrieval.py's, so a Config can neither take nor store them
+    assert not {f.name for f in fields(Config)} & set(_RETIRED)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'top_a'"):
+        Config(top_a=5)
+
+
+def test_checkpoint_with_the_retired_keys_loads_the_same_model(tmp_path):
+    from rankread.model import RankReadModel, load_checkpoint, save_checkpoint
+    from rankread.text import synthetic_embeddings
+    cfg = Config(hidden_size=8, embed_dim=8, mode="r3", seed=3)
+    table = synthetic_embeddings({"blue", "sky"}, cfg.embed_dim, seed=cfg.seed)
+    new = tmp_path / "new.json"
+    save_checkpoint(new, RankReadModel(cfg, seed=cfg.seed), table)
+    payload = json.loads(new.read_text())
+    assert list(payload["extra"]["config"]) == [f.name for f in fields(Config)]
+    payload["extra"]["config"].update(_RETIRED)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(payload))
+    # saved again, the old file's model is the new file, byte for byte
+    again = tmp_path / "again.json"
+    save_checkpoint(again, *load_checkpoint(old))
+    assert again.read_bytes() == new.read_bytes()
 
 
 def test_overrides_skip_none_and_validate():

@@ -121,7 +121,7 @@ def test_field_check_names_the_field_and_its_type(tmp_path, make, what, field, v
     (_passage, {"ir_score": 3}),
     (_passage, {"ir_rank": 0, "positive": False}),
     (_dataset_record, {"answers": []}),
-    (_config, {"learning_rate": 1, "bm25_b": 0}),
+    (_config, {"learning_rate": 1, "grad_clip": 0}),
 ], ids=["int_ir_score", "false_positive", "no_answers", "int_floats"])
 def test_field_check_counts_ints_as_numbers(tmp_path, make, fields):
     assert make(tmp_path, **fields)

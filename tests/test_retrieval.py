@@ -502,6 +502,31 @@ def test_retrieve_rejects_n_below_one(n):
         R.retrieve(idx, "q", "largest island", None, n=n, top_a=3, top_s=10)
 
 
+@pytest.mark.parametrize("field,value,msg", [
+    ("retrieve_n", 0, "at least 1"),
+    ("top_a", 0, "^top_a must be at least 1, got 0$"),
+    ("top_a", -3, "^top_a must be at least 1, got -3$"),
+    ("top_s", 0, "^top_s must be at least 1, got 0$"),
+    ("retrieve_n", 40, "^retrieve_n must be at most top_s, got 40 > 30$"),
+    ("top_s", 9, "^retrieve_n must be at most top_s, got 10 > 9$"),
+])
+def test_settings_check_errors(field, value, msg):
+    # one setting off its default; the messages Config gave while it held them
+    settings = {"retrieve_n": R.RETRIEVE_N, "top_a": R.TOP_A, "top_s": R.TOP_S, field: value}
+    with pytest.raises(ValueError, match=msg):
+        R.check_settings(**settings)
+
+
+def test_settings_check_accepts_its_bounds():
+    # retrieve_n may take every sentence TF-IDF keeps; BM25 takes a zero k1
+    # and a b at either end of [0, 1]
+    R.check_settings(retrieve_n=30, top_a=1, top_s=30)
+    R.check_settings(retrieve_n=1, top_a=1, top_s=1)
+    idx = R.build_index(docs_from(["alpha beta", "gamma delta"]))
+    for k1, b in [(0.0, 0.0), (R.BM25_K1, 1.0)]:
+        assert R.search_bm25(idx, ["alpha"], 3, k1, b)
+
+
 def test_retrieve_dedups_identical_sentences():
     corpus = [R.Document("a", "", "The kib is blue. End here."),
               R.Document("b", "", "The kib is blue. Other text.")]
