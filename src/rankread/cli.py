@@ -136,8 +136,8 @@ def cmd_train(args):
         trainer = trainer_mod.Trainer(model, table, config, seed=config.seed)
         trainer.train(examples, config.mode, config.epochs)
     save_checkpoint(args.out, model, table)
-    if args.log:
-        write_jsonl(args.log, trainer.log)
+    if args.log:  # a skipped batch's record among the step records, in step order
+        write_jsonl(args.log, sorted(trainer.log + trainer.skipped, key=lambda r: r["step"]))
     nonfinite = (f", {trainer.nonfinite_steps} non-finite steps skipped"
                  if trainer.nonfinite_steps else "")
     print(f"trained mode={config.mode} on {len(examples)} questions "

@@ -136,5 +136,5 @@ def match(h_p, h_qbar, w_m):
 
 
 def dropout_mask(rng, shape, p):
-    """Inverted-dropout mask tensor: entries 0 or 1/(1-p)."""
-    return T.Tensor((rng.random(shape) >= p) / (1.0 - p))
+    """Inverted-dropout mask array: entries 0 or 1/(1-p)."""
+    return (rng.random(shape) >= p) / (1.0 - p)

@@ -102,10 +102,11 @@ class RankReadModel:
     # alone.
 
     def dropout_masks(self, q_emb, p_emb, rng):
-        """One question's inverted-dropout masks for the encoded question, the
-        encoded passages and M, drawn in that order; None with dropout off.
-        Their shapes follow from the embeddings, so they can be drawn before
-        the forward pass."""
+        """One question's inverted-dropout mask arrays for the encoded
+        question, the encoded passages and M, drawn in that order; None with
+        dropout off. Their shapes follow from the embeddings, so they can be
+        drawn before the forward pass, and match_batch joins each kind into
+        one tensor for the batch."""
         drop = self.config.dropout
         if drop == 0:
             return None
@@ -165,8 +166,8 @@ class RankReadModel:
 
 
 def _side_by_side(masks):
-    """Dropout masks joined column-wise into one fixed tensor."""
-    return T.Tensor(np.concatenate([m.data for m in masks], axis=1))
+    """Dropout mask arrays joined column-wise into one fixed tensor."""
+    return T.Tensor(np.concatenate(masks, axis=1))
 
 
 # -- checkpoints ------------------------------------------------------------

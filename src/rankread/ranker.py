@@ -10,33 +10,32 @@ from . import tensor as T
 
 @dataclass
 class PolicyDistribution:
-    logits: T.Tensor  # (N, 1), pre-softmax scores, one row per passage position
-    questions: list  # rows per question, consecutive
+    logits: T.Tensor  # (1, N) row of pre-softmax scores, one entry per passage position
+    questions: list  # positions per question, consecutive
 
-    def _rows(self):
-        """Each question's logits, as a (rows, 1) array."""
-        return [self.logits.data[end - n:end]
-                for n, end in zip(self.questions, accumulate(self.questions))]
+    def _segments(self):
+        """Each question's logits, as a 1-D array."""
+        row = self.logits.data[0]
+        return [row[end - n:end] for n, end in zip(self.questions, accumulate(self.questions))]
 
     def probs(self):
-        """gamma: each question's softmax over its own rows, side by side."""
-        return np.concatenate([T._softmax(rows, 0)[:, 0] for rows in self._rows()])
+        """gamma: each question's softmax over its own positions, side by side."""
+        return np.concatenate([T._softmax(seg, 0) for seg in self._segments()])
 
     def entropies(self):
-        """Each question's policy entropy in nats, from a log-softmax of its rows."""
+        """Each question's policy entropy in nats, from a log-softmax of its logits."""
         out = []
-        for rows in self._rows():
-            z = rows[:, 0] - rows.max()
+        for seg in self._segments():
+            z = seg - seg.max()
             log_p = z - np.log(np.exp(z).sum())
             out.append(-float((np.exp(log_p) * log_p).sum()))
         return out
 
 
 def logit_head(x, w, b, w_out):
-    """The (N, 1) logits w_out tanh(w x + b) of x's N columns, transposed: the
+    """The (1, N) row of logits w_out tanh(w x + b) of x's N columns: the
     ranker's head and each of the reader's pointer heads."""
-    c = T.tanh(T.add_col(T.matmul(w, x), b))
-    return T.transpose(T.matmul(w_out, c))
+    return T.matmul(w_out, T.tanh(T.add_col(T.matmul(w, x), b)))
 
 
 def score_passages(h_rank, widths, w_c, b_c, w_c_out, questions):
@@ -67,9 +66,3 @@ def sample_passage(gamma, positives, rng):
     weights = weights / weights.sum()
     return pos[int(rng.choice(len(pos), p=weights))]
 
-
-def log_policy(policy, positions):
-    """log of each question's selection probability of the passage at its
-    position (positions[i] is question i's), as an (n, 1) tensor."""
-    return T.scale(T.neg_log_softmax_mean(policy.logits, policy.questions,
-                                          [[p] for p in positions]), -1.0)

@@ -24,7 +24,7 @@ class Segment:
 
 @dataclass
 class SpanDistribution:
-    start_logits: T.Tensor  # (V, 1); span_loss's softmax runs over all of a question's
+    start_logits: T.Tensor  # (1, V) rows; span_loss's softmax runs over all of a question's
     end_logits: T.Tensor    # words, extract_best_span's over each segment's own words
     segments: list    # one Segment per passage position, in order
     questions: list  # segments per question, consecutive
@@ -83,7 +83,7 @@ def _log_prob_grids(dist, width):
     offsets, lengths = np.array([(seg.offset, seg.length) for seg in dist.segments]).T
     cols = np.arange(width)
     valid = cols < lengths[:, None]
-    a = np.concatenate([dist.start_logits.data.T, dist.end_logits.data.T])  # (2, V)
+    a = np.concatenate([dist.start_logits.data, dist.end_logits.data])  # (2, V)
     index = np.minimum(offsets[:, None] + cols, a.shape[1] - 1)
     # take, unlike a[:, index], gives C order
     a = np.where(valid, np.take(a, index, axis=1), -np.inf)

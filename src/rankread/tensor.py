@@ -216,15 +216,6 @@ def _softmax(s, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def transpose(a):
-    out = Tensor._node(a.data.T.copy(), (a,))
-    if out.requires_grad:
-        def bw(g):
-            _accumulate(a, g.T)
-        out._backward = bw
-    return out
-
-
 def _concat(name, tensors, axis):
     """Stack matrices along axis 1 (side by side) or 0 (vertically). One
     tensor is returned as it is, with no new node."""
@@ -303,53 +294,53 @@ def segment_max(a, widths):
 
 
 def neg_log_softmax_mean(a, sizes, ks):
-    """Per segment of a column vector, the mean over its picks of
+    """Per segment of a row vector, the mean over its picks of
     -log(softmax(segment)[k]), as one fused node; fusing keeps -log(prob)
     exact when a probability underflows.
 
     a is cut into consecutive segments of the given sizes, and ks[i] lists
-    segment i's picks as rows of a inside it. Returns the (len(sizes), 1)
+    segment i's picks as entries of a inside it. Returns the (len(sizes), 1)
     column of the segments' means. Each segment's picks are added in the
     order of ks[i], then scaled by 1/len(ks[i]), and the backward adds their
     gradients into a.grad in the same order: the bits of the picks added
     one by one, and of one pick for one k.
     """
     sizes, ks = list(sizes), [list(k) for k in ks]
-    if a.data.shape[1] != 1:
-        raise ShapeError(f"neg_log_softmax: expected a column vector, got {a.data.shape}")
-    if not sizes or min(sizes) < 1 or sum(sizes) != a.data.shape[0] or len(ks) != len(sizes):
-        raise ShapeError(f"neg_log_softmax: sizes {sizes} do not cut {a.data.shape[0]} rows "
+    if a.data.shape[0] != 1:
+        raise ShapeError(f"neg_log_softmax: expected a row vector, got {a.data.shape}")
+    if not sizes or min(sizes) < 1 or sum(sizes) != a.data.shape[1] or len(ks) != len(sizes):
+        raise ShapeError(f"neg_log_softmax: sizes {sizes} do not cut {a.data.shape[1]} entries "
                          f"into {len(ks)} segments")
     ends = list(accumulate(sizes))
     if not all(k and all(end - size <= j < end for j in k)
                for k, size, end in zip(ks, sizes, ends)):
         raise ShapeError(f"neg_log_softmax: indices {ks} out of range for segments {sizes}")
-    n, col = len(sizes), a.data[:, 0]
+    n, row = len(sizes), a.data[0]
     starts = np.array(ends) - sizes
     seg = np.repeat(np.arange(n), sizes)
-    m = np.maximum.reduceat(col, starts)
-    lse = m + np.log(np.add.reduceat(np.exp(col - m[seg]), starts))
+    m = np.maximum.reduceat(row, starts)
+    lse = m + np.log(np.add.reduceat(np.exp(row - m[seg]), starts))
     counts = np.array([len(k) for k in ks])
     c = 1.0 / counts
     owner = np.repeat(np.arange(n), counts)
     picks = np.array([j for k in ks for j in k])
     out = Tensor._node(
-        (np.bincount(owner, weights=lse[owner] - col[picks], minlength=n) * c)[:, None], (a,))
+        (np.bincount(owner, weights=lse[owner] - row[picks], minlength=n) * c)[:, None], (a,))
     if out.requires_grad:
-        soft = np.exp(col - lse[seg])
-        # the r-th pick of every segment that has one: its owner and its row
+        soft = np.exp(row - lse[seg])
+        # the r-th pick of every segment that has one: its owner and its entry
         rank = np.arange(len(picks)) - np.repeat(np.cumsum(counts) - counts, counts)
         def bw(g):
             gk = g[:, 0] * c
-            step = (gk[seg] * soft)[:, None]
+            step = (gk[seg] * soft)[None]
             for r in range(counts.max()):
                 if r == 0:
                     _accumulate(a, step)
                 else:
                     live = (counts > r)[seg]
-                    np.add(a.grad, step, out=a.grad, where=live[:, None])
+                    np.add(a.grad, step, out=a.grad, where=live[None])
                 at = rank == r
-                a.grad[picks[at], 0] -= gk[owner[at]]
+                a.grad[0, picks[at]] -= gk[owner[at]]
         out._backward = bw
     return out
 

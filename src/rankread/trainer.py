@@ -151,9 +151,10 @@ class Trainer:
     The per-step log records are kept on .log; each carries the gradient
     norm before clipping and whether clipping fired, sr2 and r3 records the
     batch's mean policy entropy, and r3 records its rewards counted by
-    kind. A batch whose gradient norm is not finite takes no step and logs
-    no record; it is counted on .nonfinite_steps. .batches counts every
-    batch train() ran, logged or not, and is the step index of the next one.
+    kind. A batch whose gradient norm is not finite takes no step; its
+    record, {"step", "mode", "nonfinite": True}, goes on .skipped, beside
+    .log, and .nonfinite_steps counts them. .batches counts every batch
+    train() ran, logged or skipped, and is the step index of the next one.
     """
 
     def __init__(self, model, table, config, seed=0):
@@ -163,8 +164,12 @@ class Trainer:
         self.rng = np.random.default_rng(seed)
         self.optimizer = T.Adamax(model.parameters(), lr=config.learning_rate)
         self.log = []
-        self.nonfinite_steps = 0
+        self.skipped = []
         self.batches = 0
+
+    @property
+    def nonfinite_steps(self):
+        return len(self.skipped)
 
     # -- a batch's losses -------------------------------------------------------
 
@@ -246,10 +251,11 @@ class Trainer:
                     example.passage_tokens[report["tau"]][label.start:label.end + 1])
                 r = best_reward(example.answers, answer_text)
                 report["reward"], report["reward_kind"] = r.value, r.kind
-                rewards.append([-r.value])
-            log_pi = ranker_mod.log_policy(policy, [row0 + row
-                                                    for row0, row in zip(first_row, taus)])
-            loss = T.add(loss, T.mul(T.Tensor(rewards), log_pi))
+                rewards.append([r.value])
+            # REINFORCE: reward times -log gamma(tau)
+            nll = T.neg_log_softmax_mean(policy.logits, policy.questions,
+                                         [[row0 + row] for row0, row in zip(first_row, taus)])
+            loss = T.add(loss, T.mul(T.Tensor(rewards), nll))
         for report, v in zip(reports, loss.data[:, 0]):
             report["loss"] = float(v)
         return T.matmul(T.Tensor(np.ones((1, len(batch)))), loss), reports
@@ -267,7 +273,7 @@ class Trainer:
         grad_clip = self.config.grad_clip
         norm = T.clip_global_norm(self.model.parameters().values(), grad_clip)
         if not math.isfinite(norm):
-            self.nonfinite_steps += 1
+            self.skipped.append({"step": step_index, "mode": mode, "nonfinite": True})
             log.warning("step %d: non-finite gradient norm, optimizer step skipped", step_index)
             return None
         self.optimizer.step()
@@ -299,12 +305,12 @@ def train_sr2_then_r3(model, table, config, examples, seed, sr2_epochs, r3_epoch
     """sr2 in a Trainer seeded `seed`, then r3 on the same model in a new Trainer
     seeded `seed + 1000`: a fresh optimizer and an rng sr2 did not draw from, so
     r3 after a checkpoint's sr2 weights with sr2_epochs=0 is the same run. The r3
-    trainer carries on the sr2 log, counters and step index; it is returned with
-    the sr2 weights."""
+    trainer carries on the sr2 log, skipped records and step index; it is returned
+    with the sr2 weights."""
     sr2 = Trainer(model, table, config, seed=seed)
     sr2.train(examples, "sr2", sr2_epochs)
     sr2_values = model.export_values()
     r3 = Trainer(model, table, config, seed=seed + 1000)
-    r3.log, r3.nonfinite_steps, r3.batches = sr2.log, sr2.nonfinite_steps, sr2.batches
+    r3.log, r3.skipped, r3.batches = sr2.log, sr2.skipped, sr2.batches
     r3.train(examples, "r3", r3_epochs)
     return sr2_values, r3

@@ -79,9 +79,22 @@ def cols(a, j0, j1):
     return T.take_cols(a, range(j0, j1))
 
 
+def transpose(a):
+    """a's transpose as a tape node of its own: the reference that attention's
+    per-question composite and `rows` are built from. The program's heads
+    emit their logits as the rows the losses read, so it records no
+    transpose."""
+    out = T.Tensor._node(a.data.T.copy(), (a,))
+    if out.requires_grad:
+        def bw(g):
+            T._accumulate(a, g.T)
+        out._backward = bw
+    return out
+
+
 def rows(a, i0, i1):
     """Rows i0:i1 of a, composed from tape ops."""
-    return T.transpose(cols(T.transpose(a), i0, i1))
+    return transpose(cols(transpose(a), i0, i1))
 
 
 def sum_all(a):
@@ -103,6 +116,13 @@ def softmax_cols(a):
             T._accumulate(a, y * (g - (g * y).sum(axis=0, keepdims=True)))
         out._backward = bw
     return out
+
+
+def softmax_row(a):
+    """The softmax of a (1, n) row of logits, as the (n, 1) column of
+    `softmax_cols` over its transpose: the reference a head's probabilities
+    are checked against."""
+    return softmax_cols(transpose(a))
 
 
 def tfidf_ids(sentence_tokens, query_tokens):
@@ -144,12 +164,12 @@ def conditional_positive_probs(policy, positives):
 
 
 def enumerate_policy_gradient(trainer, example):
-    """Exact expectation of the sampled policy-gradient term r * grad(log pi),
-    under the positive-conditional sampling law, plus the per-outcome grads.
+    """Exact expectation of the gradient of the sampled policy term
+    r * -log pi(tau), built as r3 builds it, under the positive-conditional
+    sampling law, plus the per-outcome grads.
 
     Returns (expectation, {tau: grads}, {tau: prob}, {tau: reward}).
     """
-    from rankread import ranker as ranker_mod
     from rankread import reader as reader_mod
     from rankread import tensor as T
 
@@ -169,7 +189,7 @@ def enumerate_policy_gradient(trainer, example):
                                                     cfg.max_span_len)[0]
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
-        T.backward(T.scale(ranker_mod.log_policy(policy, [tau]), r))
+        T.backward(T.scale(T.neg_log_softmax_mean(policy.logits, policy.questions, [[tau]]), r))
         return {n: grad_or_zero(p) for n, p in model.parameters().items()}, r, policy
 
     grads, rewards = {}, {}

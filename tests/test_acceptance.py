@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (enumerate_policy_gradient, read_block, softmax_cols, sum_all, tfidf_ids,
+from conftest import (enumerate_policy_gradient, read_block, softmax_row, sum_all, tfidf_ids,
                       toy_example, toy_trainer)
 from test_retrieval import brute_force_bm25, brute_force_tfidf, docs_from
 
@@ -68,7 +68,7 @@ def _random_conforming(rng, op_name):
         sizes = rng.integers(1, 4, size=int(rng.integers(1, 4))).tolist()
         ks = [(end - size + rng.permutation(size)[:int(rng.integers(1, size + 1))]).tolist()
               for size, end in zip(sizes, np.cumsum(sizes))]
-        return (tensor(sum(sizes), 1),), {"sizes": sizes, "ks": ks}
+        return (tensor(1, sum(sizes)),), {"sizes": sizes, "ks": ks}
     if op_name == "attention":
         n = int(rng.integers(1, 4))
         key_sizes = rng.integers(1, 4, size=n).tolist()
@@ -149,11 +149,12 @@ def test_c01_gradient_correctness():
             m = model.match_passages(q_emb, p_emb, widths)
             return trainer_mod.kl_rank_loss(model.rank(m, widths), [{0, 1}])
 
-        def log_pi():
+        def policy_nll():
             m = model.match_passages(q_emb, p_emb, widths)
-            return ranker.log_policy(model.rank(m, widths), [1])
+            policy = model.rank(m, widths)
+            return T.neg_log_softmax_mean(policy.logits, policy.questions, [[1]])
 
-        for name, fn in [("reader", reader_loss), ("kl", kl_loss), ("log_pi", log_pi)]:
+        for name, fn in [("reader", reader_loss), ("kl", kl_loss), ("policy_nll", policy_nll)]:
             err = T.fd_check(fn, params)
             assert err < 1e-4, f"{name} (seed {seed}): fd error {err}"
             worst_e2e[name] = max(worst_e2e.get(name, 0.0), err)
@@ -200,7 +201,7 @@ def test_c02_distribution_normalization():
         gamma = pol.probs()
         # the start and end distributions over the whole block, as span_loss
         # normalizes them, and over each passage alone, as extraction does
-        block = np.array([softmax_cols(logits).data.sum()
+        block = np.array([softmax_row(logits).data.sum()
                           for logits in (dist.start_logits, dist.end_logits)])
         each = np.exp(reader._log_prob_grids(dist, max(widths))).sum(axis=2)
         sums = np.concatenate([
@@ -293,8 +294,8 @@ def test_c06_span_extraction_oracle():
     for case in range(200):
         widths = list(rng.integers(1, 7, size=rng.integers(1, 4)))
         v = int(sum(widths))
-        sl = T.Tensor(rng.normal(size=(v, 1)))
-        el = T.Tensor(rng.normal(size=(v, 1)))
+        sl = T.Tensor(rng.normal(size=(1, v)))
+        el = T.Tensor(rng.normal(size=(1, v)))
         segs, off = [], 0
         for w in widths:
             segs.append(reader.Segment(off, int(w)))
@@ -305,8 +306,8 @@ def test_c06_span_extraction_oracle():
             # each segment enumerated under its own softmax
             for passage, (label, seg) in enumerate(zip(labels, segs)):
                 words = slice(seg.offset, seg.offset + seg.length)
-                ps = softmax_cols(T.Tensor(sl.data[words])).data[:, 0]
-                pe = softmax_cols(T.Tensor(el.data[words])).data[:, 0]
+                ps = softmax_row(T.Tensor(sl.data[:, words])).data[:, 0]
+                pe = softmax_row(T.Tensor(el.data[:, words])).data[:, 0]
                 best, best_score = None, -1.0
                 for i in range(seg.length):
                     for j in range(i, min(i + max_len, seg.length)):

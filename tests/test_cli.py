@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from rankread import retrieval
+from rankread import tensor as T
+from rankread import trainer as trainer_mod
 from rankread.cli import build_parser, load_dataset, main
 from rankread.model import load_checkpoint
 
@@ -109,6 +111,37 @@ def test_sr_mode_logs_skip_ranker_fields(workdir, tmp_path):
                  "--train-sample-k", "6", "--seed", "3"]) == 0
     records = [json.loads(l) for l in log.read_text().splitlines()]
     assert all(set(r) == {"step", "mode", "reader_loss", "grad_norm", "clipped"} for r in records)
+
+
+def test_train_log_holds_a_skipped_batch_among_the_step_records(workdir, tmp_path, monkeypatch,
+                                                               capsys):
+    # the second batch's gradient norm is made infinite: its record,
+    # {"step", "mode", "nonfinite"}, sits between steps 0 and 2, and no
+    # non-finite number reaches the file
+    build = trainer_mod.Trainer.batch_losses
+    calls = []
+
+    def poisoned_second(self, batch, mode):
+        loss, reports = build(self, batch, mode)
+        calls.append(mode)
+        return (T.scale(loss, float("inf")) if len(calls) == 2 else loss), reports
+
+    monkeypatch.setattr(trainer_mod.Trainer, "batch_losses", poisoned_second)
+    log = tmp_path / "steps.jsonl"
+    with np.errstate(invalid="ignore"):
+        assert main(["train", "--retrieved", str(workdir["retrieved_train"]),
+                     "--dataset", str(workdir["train"]), "--out", str(tmp_path / "sr2.json"),
+                     "--log", str(log), "--mode", "sr2", "--epochs", "1", "--batch-size", "5",
+                     "--hidden-size", "8", "--embed-dim", "8", "--dropout", "0.0",
+                     "--train-sample-k", "6", "--seed", "3"]) == 0
+    text = log.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    records = [json.loads(line) for line in text.splitlines()]
+    assert len(records) == len(calls) > 2
+    assert [r["step"] for r in records] == list(range(len(calls)))
+    assert records[1] == {"step": 1, "mode": "sr2", "nonfinite": True}
+    assert all("nonfinite" not in r for r in records[:1] + records[2:])
+    assert "1 non-finite steps skipped" in capsys.readouterr().out
 
 
 def test_train_r3_without_init_pretrains(workdir, tmp_path, caplog):

@@ -145,9 +145,9 @@ def test_predict_matches_brute_force_over_pairs(example):
         start_logits = (ws_out @ np.tanh(w_s @ x + b_s))[0]
         end_logits = (we_out @ np.tanh(w_e @ x + b_e))[0]
         seg = dist.segments[i]
-        np.testing.assert_allclose(dist.start_logits.data[seg.offset:end, 0], start_logits,
+        np.testing.assert_allclose(dist.start_logits.data[0, seg.offset:end], start_logits,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dist.end_logits.data[seg.offset:end, 0], end_logits,
+        np.testing.assert_allclose(dist.end_logits.data[0, seg.offset:end], end_logits,
                                    rtol=0, atol=1e-12)
         ps, pe = _softmax(start_logits), _softmax(end_logits)
         span_prob, answer = -1.0, None

@@ -97,7 +97,7 @@ def test_sampling_single_positive_always_selected():
 
 def test_sampling_frequencies_match_conditional_law():
     # gamma [0.2, 0.3, 0.5], positives {0, 2}: conditional probs 2/7 and 5/7.
-    logits = T.Tensor(np.log([[0.2], [0.3], [0.5]]))
+    logits = T.Tensor(np.log([[0.2, 0.3, 0.5]]))
     pol = ranker.PolicyDistribution(logits, [3])
     rng = np.random.default_rng(123)
     draws = 100_000
@@ -113,7 +113,7 @@ def test_sampling_frequencies_match_conditional_law():
 
 
 def test_sampling_uniform_over_all_positives():
-    logits = T.Tensor(np.zeros((4, 1)))
+    logits = T.Tensor(np.zeros((1, 4)))
     pol = ranker.PolicyDistribution(logits, [4])
     cond = conditional_positive_probs(pol, {0, 1, 2, 3})
     assert all(v == pytest.approx(0.25) for v in cond.values())
@@ -125,20 +125,26 @@ def test_sampling_requires_positives_in_train_mode():
         ranker.sample_passage(pol.probs(), set(), np.random.default_rng(0))
 
 
+def _nll(policy, positions):
+    """-log gamma of each question's passage at its position, the term r3
+    weighs by the reward, as r3 builds it."""
+    return T.neg_log_softmax_mean(policy.logits, policy.questions, [[p] for p in positions])
+
+
 def test_log_policy_values():
-    logits = T.Tensor(np.log([[0.5], [0.5]]))
+    logits = T.Tensor(np.log([[0.5, 0.5]]))
     pol = ranker.PolicyDistribution(logits, [2])
-    assert ranker.log_policy(pol, [0]).item() == pytest.approx(math.log(0.5), abs=1e-12)
-    sure = ranker.PolicyDistribution(T.Tensor([[100.0], [-100.0]]), [2])
-    assert ranker.log_policy(sure, [0]).item() == pytest.approx(0.0, abs=1e-12)
+    assert -_nll(pol, [0]).item() == pytest.approx(math.log(0.5), abs=1e-12)
+    sure = ranker.PolicyDistribution(T.Tensor([[100.0, -100.0]]), [2])
+    assert -_nll(sure, [0]).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_log_policy_gradient_is_onehot_minus_gamma():
-    logits = T.Tensor([[0.4], [-0.3], [1.1]], requires_grad=True)
+    logits = T.Tensor([[0.4, -0.3, 1.1]], requires_grad=True)
     pol = ranker.PolicyDistribution(logits, [3])
-    T.backward(ranker.log_policy(pol, [2]))
-    onehot = np.array([[0.0], [0.0], [1.0]])
-    assert np.allclose(logits.grad, onehot - pol.probs()[:, None], atol=1e-12)
+    T.backward(_nll(pol, [2]))
+    onehot = np.array([[0.0, 0.0, 1.0]])
+    assert np.allclose(-logits.grad, onehot - pol.probs()[None], atol=1e-12)
 
 
 
@@ -147,22 +153,22 @@ def test_a_batch_policy_normalizes_each_question_over_its_own_rows():
     # are each question's own, bit for bit
     rng = np.random.default_rng(14)
     questions = [2, 3, 1]
-    data = rng.normal(size=(6, 1)) * 3
+    data = rng.normal(size=(1, 6)) * 3
     batch = ranker.PolicyDistribution(T.Tensor(data, requires_grad=True), questions)
     starts = np.cumsum([0] + questions[:-1])
-    alone = [ranker.PolicyDistribution(T.Tensor(data[lo:lo + n], requires_grad=True), [n])
+    alone = [ranker.PolicyDistribution(T.Tensor(data[:, lo:lo + n], requires_grad=True), [n])
              for lo, n in zip(starts, questions)]
     assert np.array_equal(batch.probs(), np.concatenate([pol.probs() for pol in alone]))
     assert batch.entropies() == [pol.entropies()[0] for pol in alone]
     positions = [1, 3, 5]
-    log_pi = ranker.log_policy(batch, positions)
-    assert log_pi.data.shape == (3, 1)
+    nll = _nll(batch, positions)
+    assert nll.data.shape == (3, 1)
     for i, (pol, lo) in enumerate(zip(alone, starts)):
-        assert log_pi.data[i, 0] == ranker.log_policy(pol, [positions[i] - lo]).item()
+        assert nll.data[i, 0] == _nll(pol, [positions[i] - lo]).item()
 
 
 def test_policy_entropy_is_log_n_when_uniform_and_zero_when_sure():
-    uniform = ranker.PolicyDistribution(T.Tensor(np.zeros((5, 1))), [2, 3])
+    uniform = ranker.PolicyDistribution(T.Tensor(np.zeros((1, 5))), [2, 3])
     assert uniform.entropies() == pytest.approx([math.log(2), math.log(3)], rel=1e-12)
-    sure = ranker.PolicyDistribution(T.Tensor([[800.0], [-800.0]]), [2])
+    sure = ranker.PolicyDistribution(T.Tensor([[800.0, -800.0]]), [2])
     assert sure.entropies() == [0.0]

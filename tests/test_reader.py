@@ -8,7 +8,7 @@ import pytest
 from rankread import reader
 from rankread import tensor as T
 
-from conftest import softmax_cols
+from conftest import softmax_row
 
 
 def make_heads(seed, l):
@@ -27,8 +27,8 @@ def make_dist(seed, widths, l=4):
 def test_single_one_word_passage():
     dist = make_dist(0, [1])
     assert dist.start_logits.data.shape == (1, 1)
-    assert softmax_cols(dist.start_logits).data[0, 0] == pytest.approx(1.0)
-    assert softmax_cols(dist.end_logits).data[0, 0] == pytest.approx(1.0)
+    assert softmax_row(dist.start_logits).data[0, 0] == pytest.approx(1.0)
+    assert softmax_row(dist.end_logits).data[0, 0] == pytest.approx(1.0)
 
 
 def test_two_identical_passages_symmetric():
@@ -36,7 +36,7 @@ def test_two_identical_passages_symmetric():
     h = rng.normal(size=(4, 3))
     heads = make_heads(2, 4)
     dist = reader.span_distributions(T.Tensor(np.hstack([h, h])), [3, 3], *heads, [2])
-    ps, pe = softmax_cols(dist.start_logits).data, softmax_cols(dist.end_logits).data
+    ps, pe = softmax_row(dist.start_logits).data, softmax_row(dist.end_logits).data
     assert np.allclose(ps[:3], ps[3:], atol=1e-12)
     assert np.allclose(pe[:3], pe[3:], atol=1e-12)
 
@@ -60,9 +60,9 @@ def test_span_distributions_match_scalar_loop_reference():
     dist = reader.span_distributions(T.concat_cols(h_reads), [3, 2], *heads, [2])
     h_cat = np.concatenate([h.data for h in h_reads], axis=1)
     ws, bs, ws_out, we, be, we_out = heads
-    assert np.allclose(softmax_cols(dist.start_logits).data[:, 0],
+    assert np.allclose(softmax_row(dist.start_logits).data[:, 0],
                        _pointer_reference(h_cat, ws.data, bs.data, ws_out.data), atol=1e-12)
-    assert np.allclose(softmax_cols(dist.end_logits).data[:, 0],
+    assert np.allclose(softmax_row(dist.end_logits).data[:, 0],
                        _pointer_reference(h_cat, we.data, be.data, we_out.data), atol=1e-12)
 
 
@@ -70,19 +70,19 @@ def test_distributions_sum_to_one():
     for seed in range(25):
         widths = list(np.random.default_rng(seed).integers(1, 5, size=3))
         dist = make_dist(seed, widths)
-        assert softmax_cols(dist.start_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
-        assert softmax_cols(dist.end_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert softmax_row(dist.start_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
+        assert softmax_row(dist.end_logits).data.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_span_loss_zero_when_mass_on_label():
-    logits = T.Tensor([[50.0], [-50.0], [-50.0]])
+    logits = T.Tensor([[50.0, -50.0, -50.0]])
     dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 3)], [1])
     loss = reader.span_loss(dist, [reader.SpanLabel(0, 0, 0)])
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_span_loss_half_half_is_two_log_two():
-    logits = T.Tensor([[0.0], [0.0]])
+    logits = T.Tensor([[0.0, 0.0]])
     dist = reader.SpanDistribution(logits, logits, [reader.Segment(0, 2)], [1])
     loss = reader.span_loss(dist, [reader.SpanLabel(0, 1, 1)])
     assert loss.item() == pytest.approx(2 * math.log(2), abs=1e-12)
@@ -117,7 +117,7 @@ def test_span_loss_gradient_fd():
 
 def _uniform_dist(widths):
     v = sum(widths)
-    logits = T.Tensor(np.zeros((v, 1)))
+    logits = T.Tensor(np.zeros((1, v)))
     segs, off = [], 0
     for w in widths:
         segs.append(reader.Segment(off, w))
@@ -130,16 +130,16 @@ def _own(dist, passage):
     so span_loss normalizes over its words only."""
     seg = dist.segments[passage]
     words = slice(seg.offset, seg.offset + seg.length)
-    return reader.SpanDistribution(T.Tensor(dist.start_logits.data[words]),
-                                   T.Tensor(dist.end_logits.data[words]),
+    return reader.SpanDistribution(T.Tensor(dist.start_logits.data[:, words]),
+                                   T.Tensor(dist.end_logits.data[:, words]),
                                    [reader.Segment(0, seg.length)], [1])
 
 
 def test_extract_concentrated_mass():
-    sl = np.full((5, 1), -30.0)
-    el = np.full((5, 1), -30.0)
-    sl[2, 0] = 5.0
-    el[3, 0] = 5.0
+    sl = np.full((1, 5), -30.0)
+    el = np.full((1, 5), -30.0)
+    sl[0, 2] = 5.0
+    el[0, 3] = 5.0
     dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 5)], [1])
     label, _ = reader.extract_best_span(dist, 4)[0]
     assert (label.start, label.end) == (2, 3)
@@ -157,8 +157,8 @@ def _brute_force_best(dist, max_len):
     bests = []
     for passage in range(len(dist.segments)):
         own = _own(dist, passage)
-        ps = softmax_cols(own.start_logits).data[:, 0]
-        pe = softmax_cols(own.end_logits).data[:, 0]
+        ps = softmax_row(own.start_logits).data[:, 0]
+        pe = softmax_row(own.end_logits).data[:, 0]
         best, best_score = None, -1.0
         for i in range(len(ps)):
             for j in range(i, min(i + max_len, len(ps))):
@@ -207,10 +207,10 @@ def test_exp_of_loss_at_argmax_equals_span_probability():
 def test_extract_scores_in_log_space_when_probabilities_underflow():
     # p_start * p_end underflows to 0 for every span, so a product score
     # cannot tell the spans apart; the log-space score still finds (4, 4)
-    sl = np.zeros((6, 1))
-    el = np.zeros((6, 1))
-    sl[4, 0] = 1001.0
-    el[1, 0] = 1000.0
+    sl = np.zeros((1, 6))
+    el = np.zeros((1, 6))
+    sl[0, 4] = 1001.0
+    el[0, 1] = 1000.0
     dist = reader.SpanDistribution(T.Tensor(sl), T.Tensor(el), [reader.Segment(0, 6)], [1])
     label, logp = reader.extract_best_span(dist, 3)[0]
     assert (label.start, label.end) == (4, 4)
@@ -227,7 +227,7 @@ def reference_best_spans(dist, max_len):
     before it scored every segment in one array pass, frozen as the
     bit-for-bit reference. A segment's log-probs come from a log-softmax over
     its own words."""
-    starts, ends = dist.start_logits.data[:, 0], dist.end_logits.data[:, 0]
+    starts, ends = dist.start_logits.data[0], dist.end_logits.data[0]
     spans = []
     for passage, seg in enumerate(dist.segments):
         lo, length = seg.offset, seg.length
@@ -257,8 +257,8 @@ def test_extract_equals_the_frozen_loop_over_segments_bit_for_bit(max_len):
         cases.append((rng.integers(1, longest + 1, size=rng.integers(1, 21)).tolist(), None))
     for widths, fill in cases:
         v = sum(widths)
-        logits = (rng.normal(size=(2, v, 1)) * rng.uniform(0.1, 30) if fill is None
-                  else np.full((2, v, 1), fill))
+        logits = (rng.normal(size=(2, 1, v)) * rng.uniform(0.1, 30) if fill is None
+                  else np.full((2, 1, v), fill))
         segments = [reader.Segment(end - w, w) for w, end in zip(widths, accumulate(widths))]
         dist = reader.SpanDistribution(T.Tensor(logits[0]), T.Tensor(logits[1]), segments,
                                        [len(segments)])
@@ -280,8 +280,8 @@ def test_span_loss_of_a_batch_normalizes_each_question_over_its_own_words():
                                                  (2, slice(5, 9), reader.SpanLabel(0, 0, 3))]):
         segments = [reader.Segment(seg.offset - words.start, seg.length)
                     for seg in dist.segments[first:first + 2 - row]]
-        own = reader.SpanDistribution(T.Tensor(dist.start_logits.data[words]),
-                                      T.Tensor(dist.end_logits.data[words]), segments,
+        own = reader.SpanDistribution(T.Tensor(dist.start_logits.data[:, words]),
+                                      T.Tensor(dist.end_logits.data[:, words]), segments,
                                       [len(segments)])
         assert loss.data[row, 0] == reader.span_loss(own, [label]).item()
     with pytest.raises(KeyError, match="passage 2 is not one of question 0's"):

@@ -9,7 +9,7 @@ import pytest
 from rankread import tensor as T
 from rankread.model import load_checkpoint, save_checkpoint
 
-from conftest import cols, rows, sigmoid, softmax_cols, sum_all, toy_trainer
+from conftest import cols, rows, sigmoid, softmax_cols, sum_all, toy_trainer, transpose
 
 
 RNG = None
@@ -58,15 +58,15 @@ def test_bilinear_grads():
 
 
 def test_neg_log_softmax_pick_grad_is_softmax_minus_onehot():
-    z = T.Tensor([[0.3], [-1.2], [0.7]], requires_grad=True)
+    z = T.Tensor([[0.3, -1.2, 0.7]], requires_grad=True)
     loss = T.neg_log_softmax_mean(z, [3], [[1]])
     T.backward(loss)
     soft = np.exp(z.data) / np.exp(z.data).sum()
     expected = soft.copy()
-    expected[1, 0] -= 1.0
+    expected[0, 1] -= 1.0
     assert np.allclose(z.grad, expected, atol=1e-12)
     # value matches the naive composition
-    assert loss.item() == pytest.approx(-math.log(soft[1, 0]))
+    assert loss.item() == pytest.approx(-math.log(soft[0, 1]))
 
 
 def test_softmax_columns_sum_to_one_and_positive():
@@ -166,14 +166,14 @@ def test_fd_binary_and_structural_ops():
     assert _fd_single_op(T.mul, (3, 2), (3, 2)) < 1e-4
     assert _fd_single_op(T.add_col, (3, 4), (3, 1)) < 1e-4
     assert _fd_single_op(softmax_cols, (4, 3)) < 1e-4
-    assert _fd_single_op(T.transpose, (2, 5)) < 1e-4
+    assert _fd_single_op(transpose, (2, 5)) < 1e-4
     assert _fd_single_op(T.segment_max, (3, 7), widths=[2, 1, 4]) < 1e-4
     assert _fd_single_op(T.take_cols, (3, 5), index=[4, 0, 2]) < 1e-4
     assert _fd_single_op(cols, (3, 5), j0=1, j1=4) < 1e-4
     assert _fd_single_op(rows, (5, 2), i0=0, i1=3) < 1e-4
-    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), sizes=[5], ks=[[2]]) < 1e-4
-    assert _fd_single_op(T.neg_log_softmax_mean, (5, 1), sizes=[5], ks=[[3, 0, 2]]) < 1e-4
-    assert _fd_single_op(T.neg_log_softmax_mean, (7, 1), sizes=[2, 4, 1],
+    assert _fd_single_op(T.neg_log_softmax_mean, (1, 5), sizes=[5], ks=[[2]]) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (1, 5), sizes=[5], ks=[[3, 0, 2]]) < 1e-4
+    assert _fd_single_op(T.neg_log_softmax_mean, (1, 7), sizes=[2, 4, 1],
                          ks=[[1], [5, 2, 3], [6]]) < 1e-4
     assert _fd_single_op(T.attention, (3, 5), (2, 5), (3, 4), key_sizes=[5],
                          query_sizes=[4]) < 1e-4
@@ -291,7 +291,7 @@ def test_fused_mean_of_picks_equals_the_picks_added_in_order_bit_for_bit():
         for build in (lambda a: T.neg_log_softmax_mean(a, [n], [ks]), composite):
             x = T.Tensor(data, requires_grad=True)
             w.grad = None
-            loss = build(T.transpose(T.matmul(w, T.transpose(x))))
+            loss = build(T.matmul(w, transpose(x)))
             T.backward(T.scale(loss, 1.7))
             results.append((loss.data, x.grad, w.grad))
         for a, b in zip(*results):
@@ -299,40 +299,40 @@ def test_fused_mean_of_picks_equals_the_picks_added_in_order_bit_for_bit():
 
 
 def test_neg_log_softmax_mean_rejects_bad_input():
-    with pytest.raises(T.ShapeError, match="column vector"):
-        T.neg_log_softmax_mean(rand_tensor(3, 2), [3], [[0]])
+    with pytest.raises(T.ShapeError, match="row vector"):
+        T.neg_log_softmax_mean(rand_tensor(2, 3), [3], [[0]])
     for ks in ([[]], [[3]], [[-1]]):
         with pytest.raises(T.ShapeError, match="out of range"):
-            T.neg_log_softmax_mean(rand_tensor(3, 1), [3], ks)
+            T.neg_log_softmax_mean(rand_tensor(1, 3), [3], ks)
     # a pick must lie in its own segment
     with pytest.raises(T.ShapeError, match="out of range"):
-        T.neg_log_softmax_mean(rand_tensor(3, 1), [1, 2], [[0], [0]])
+        T.neg_log_softmax_mean(rand_tensor(1, 3), [1, 2], [[0], [0]])
     for sizes in ([], [2], [1, 0, 2], [2, 2]):
         with pytest.raises(T.ShapeError, match="do not cut"):
-            T.neg_log_softmax_mean(rand_tensor(3, 1), sizes, [[0]] * len(sizes))
+            T.neg_log_softmax_mean(rand_tensor(1, 3), sizes, [[0]] * len(sizes))
     with pytest.raises(T.ShapeError, match="into 2 segments"):
-        T.neg_log_softmax_mean(rand_tensor(3, 1), [3], [[0], [1]])
+        T.neg_log_softmax_mean(rand_tensor(1, 3), [3], [[0], [1]])
 
 
 def test_segmented_neg_log_softmax_mean_equals_each_segment_alone_bit_for_bit():
     # every segment's value and gradient are those of the same op over that
-    # segment's rows alone: the segments share a node, not their arithmetic
+    # segment's entries alone: the segments share a node, not their arithmetic
     for _ in range(200):
         sizes = RNG.integers(1, 6, size=int(RNG.integers(1, 5))).tolist()
         ends = np.cumsum(sizes)
         ks = [sorted(RNG.choice(np.arange(end - size, end), size=int(RNG.integers(1, size + 1)),
                                 replace=False).tolist()) for size, end in zip(sizes, ends)]
-        data = RNG.normal(size=(sum(sizes), 1)) * 4
+        data = RNG.normal(size=(1, sum(sizes))) * 4
         g = RNG.normal(size=(len(sizes), 1))
         a = T.Tensor(data, requires_grad=True)
         out = T.neg_log_softmax_mean(a, sizes, ks)
         out._backward(g)
         for i, (size, end) in enumerate(zip(sizes, ends)):
-            alone = T.Tensor(data[end - size:end], requires_grad=True)
+            alone = T.Tensor(data[:, end - size:end], requires_grad=True)
             one = T.neg_log_softmax_mean(alone, [size], [[k - (end - size) for k in ks[i]]])
             one._backward(g[i:i + 1])
             assert one.data[0, 0] == out.data[i, 0]
-            assert np.array_equal(alone.grad, a.grad[end - size:end])
+            assert np.array_equal(alone.grad, a.grad[:, end - size:end])
 
 
 def test_neg_log_softmax_mean_equals_a_brute_force_log_softmax():
@@ -341,10 +341,10 @@ def test_neg_log_softmax_mean_equals_a_brute_force_log_softmax():
         ends = np.cumsum(sizes)
         ks = [RNG.integers(end - size, end, size=int(RNG.integers(1, 4))).tolist()
               for size, end in zip(sizes, ends)]
-        data = RNG.normal(size=(sum(sizes), 1)) * 4
+        data = RNG.normal(size=(1, sum(sizes))) * 4
         got = T.neg_log_softmax_mean(T.Tensor(data), sizes, ks).data[:, 0]
         for i, (size, end) in enumerate(zip(sizes, ends)):
-            seg = data[end - size:end, 0]
+            seg = data[0, end - size:end]
             log_p = seg - math.log(sum(math.exp(x) for x in seg))
             want = -sum(log_p[k - (end - size)] for k in ks[i]) / len(ks[i])
             assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -355,7 +355,7 @@ def _attention_composite(keys, values, queries, key_sizes, query_sizes):
     outs = []
     for k0, k1, p0, p1 in zip(np.cumsum([0] + key_sizes), np.cumsum(key_sizes),
                               np.cumsum([0] + query_sizes), np.cumsum(query_sizes)):
-        weights = softmax_cols(T.matmul(T.transpose(cols(keys, k0, k1)), cols(queries, p0, p1)))
+        weights = softmax_cols(T.matmul(transpose(cols(keys, k0, k1)), cols(queries, p0, p1)))
         outs.append(T.matmul(cols(values, k0, k1), weights))
     return T.concat_cols(outs)
 
@@ -746,7 +746,7 @@ _FAN_OUT = {
     "concat_cols": (lambda u, v: T.concat_cols([u, v, u]),
                     lambda c: (c[:, :2] + c[:, 4:], c[:, 2:4])),
     "concat_rows": (lambda u, v: T.concat_rows([v, u]), lambda c: (c[3:], c[:3])),
-    "transpose": (lambda u, v: T.transpose(u), lambda c: (c.T, None)),
+    "transpose": (lambda u, v: transpose(u), lambda c: (c.T, None)),
 }
 
 

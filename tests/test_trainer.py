@@ -1,5 +1,7 @@
+import importlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import (enumerate_policy_gradient, grad_or_zero, make_example, passage_block,
                       read_block, toy_example, toy_trainer)
 
-from rankread import ranker as ranker_mod
 from rankread import reader as reader_mod
 from rankread import tensor as T
 from rankread import trainer as trainer_mod
@@ -17,6 +18,7 @@ from rankread.ranker import PolicyDistribution
 from rankread.retrieval import RetrievedPassage, RetrievedSet
 from rankread.text import embed, synthetic_embeddings
 
+ROOT = Path(__file__).resolve().parent.parent
 
 # --- reward -------------------------------------------------------------------
 
@@ -57,7 +59,7 @@ def test_reward_range_property(gold, pred):
 # --- KL ranker loss --------------------------------------------------------------
 
 def policy_from_gamma(gamma):
-    logits = T.Tensor(np.log(np.asarray(gamma)).reshape(-1, 1), requires_grad=True)
+    logits = T.Tensor(np.log(np.asarray(gamma)).reshape(1, -1), requires_grad=True)
     return PolicyDistribution(logits, [len(gamma)])
 
 
@@ -85,7 +87,7 @@ def test_kl_requires_positive():
 
 
 def test_kl_gradient_fd():
-    logits = T.Tensor(np.random.default_rng(1).normal(size=(4, 1)), requires_grad=True)
+    logits = T.Tensor(np.random.default_rng(1).normal(size=(1, 4)), requires_grad=True)
 
     def build():
         pol = PolicyDistribution(logits, [4])
@@ -96,13 +98,13 @@ def test_kl_gradient_fd():
 
 def test_kl_of_a_batch_is_each_questions_own():
     rng = np.random.default_rng(2)
-    data = rng.normal(size=(7, 1))
+    data = rng.normal(size=(1, 7))
     batch = PolicyDistribution(T.Tensor(data, requires_grad=True), [3, 4])
     kl = trainer_mod.kl_rank_loss(batch, [{0, 2}, {4}])
     assert kl.data[0, 0] == trainer_mod.kl_rank_loss(
-        PolicyDistribution(T.Tensor(data[:3]), [3]), [{0, 2}]).item()
+        PolicyDistribution(T.Tensor(data[:, :3]), [3]), [{0, 2}]).item()
     assert kl.data[1, 0] == trainer_mod.kl_rank_loss(
-        PolicyDistribution(T.Tensor(data[3:]), [4]), [{1}]).item()
+        PolicyDistribution(T.Tensor(data[:, 3:]), [4]), [{1}]).item()
 
 
 # --- example building --------------------------------------------------------------
@@ -239,6 +241,7 @@ def test_nonfinite_gradient_skips_the_step(example, caplog):
     trainer.batch_losses = poisoned
     assert trainer._apply_batch([example], "r3", 4) is None
     assert trainer.optimizer.t == 0 and trainer.nonfinite_steps == 1 and trainer.log == []
+    assert trainer.skipped == [{"step": 4, "mode": "r3", "nonfinite": True}]
     after = trainer.model.export_values()
     assert all(np.array_equal(before[name], after[name]) for name in before)
     assert "step 4: non-finite gradient norm" in caplog.text
@@ -324,11 +327,19 @@ def test_sr2_batch_tape_stays_small():
     # attention node, the fusion, each head and each loss, so its size does
     # not depend on how many questions it holds, in any mode. Four toy sr2
     # examples reached 235 tensors when attention, fusion, heads and losses
-    # ran per question (313 with per-passage slices); _mixed_batch() reaches
-    # 109 in sr2 and r3 and 82 in sr
+    # ran per question (313 with per-passage slices)
     batch = _mixed_batch()
     for mode in trainer_mod.MODES:
         assert _batch_tape_size(batch, mode) == _batch_tape_size(batch[:2], mode), mode
+
+
+def test_training_tape_size_is_pinned():
+    # the tensors reachable from _mixed_batch()'s loss in sr, sr2 and r3: a
+    # node added to the training tape fails here. The heads emit the logit
+    # rows the losses read, with no transpose, and r3's term is the reward
+    # times the NLL, with no sign flip of its own
+    assert [_batch_tape_size(_mixed_batch(), mode) for mode in trainer_mod.MODES] == \
+        [80, 106, 105]
 
 
 def _mixed_batch():
@@ -363,8 +374,9 @@ def _reference_loss(trainer, example, mode, report):
         answer = " ".join(example.passage_tokens[tau][extracted.start:extracted.end + 1])
         r = trainer_mod.best_reward(example.answers, answer).value
         assert r == report["reward"]
-        loss = T.add(loss, T.scale(ranker_mod.log_policy(model.rank(m, widths),
-                                                         [subset.index(tau)]), -r))
+        policy = model.rank(m, widths)
+        loss = T.add(loss, T.scale(T.neg_log_softmax_mean(policy.logits, policy.questions,
+                                                          [[subset.index(tau)]]), r))
     return loss
 
 
@@ -452,7 +464,7 @@ def test_step_record_reports_the_mean_policy_entropy(mode):
     trainer.batch_losses = keep_policy
     record = trainer._apply_batch(batch, mode, 0)
     [policy] = policies
-    logits, expected = policy.logits.data[:, 0], []
+    logits, expected = policy.logits.data[0], []
     for lo, hi in zip(np.cumsum([0] + policy.questions[:-1]), np.cumsum(policy.questions)):
         p = np.exp(logits[lo:hi] - logits[lo:hi].max())
         p /= p.sum()
@@ -513,6 +525,30 @@ def test_step_index_counts_batches_without_a_record(example, caplog):
     assert trainer.batches == 2 and trainer.nonfinite_steps == 1
     assert "step 0: non-finite gradient norm" in caplog.text
     assert [record["step"] for record in trainer.log] == [1]
+
+
+def test_a_skipped_batch_fails_the_benchmark_step(example, monkeypatch, tmp_path):
+    # the benchmark's step check reads the record a step adds to .log; the
+    # skipped batch's record goes beside it, so the check reads none and
+    # counts the step as failed
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    trainer = toy_trainer(seed=9)
+    build = trainer.batch_losses
+
+    def poisoned(batch, mode):
+        loss, reports = build(batch, mode)
+        return T.scale(loss, float("inf")), reports
+
+    trainer.batch_losses = poisoned
+    run = workloads.Run(replace(workloads.WORKLOADS["synth_short"],
+                                batch_size=trainer.config.batch_size), 0, 1, tmp_path)
+    job = {"mode": "r3", "trainer": trainer, "steps": 0, "seconds": [], "log": []}
+    with np.errstate(invalid="ignore"):
+        run._step({"examples": [example]}, job, [0], job["seconds"])
+    assert trainer.skipped == [{"step": 0, "mode": "r3", "nonfinite": True}]
+    assert trainer.log == [] and job["log"] == []
+    assert (run.attempted, run.failed, run.failures) == (1, 1, ["r3 step 0"])
 
 
 def test_training_determinism_same_seed_same_log(example):
