@@ -459,6 +459,12 @@ class _Lease:
         _give(*self.arrays)
 
 
+# A bilstm block step with at most this many idle columns runs its elementwise
+# ops over the whole row block; of 0, 8, 16, 32, 64 and every step, 32 read
+# best at the benchmark's hidden-16 shapes in scripts/bilstm_time.py
+FULL_WIDTH_IDLE = 32
+
+
 def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     """Both directions of an LSTM layer over sequences of any lengths, as a
     single tape node.
@@ -492,13 +498,37 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     the same columns, reading the entering state from the stores and
     recomputing tanh(c) from the cells.
 
+    A block step with at most FULL_WIDTH_IDLE idle columns (sequences not
+    running at that step) is a full-width step: its elementwise ops run over
+    the whole contiguous (rows, 2n) step block, with z in the gate
+    activations (in the input block when nothing is recorded) and c and h in
+    place in the stores, its recurrent products go to one (4h, 2n) buffer,
+    and its BPTT step writes dz in place in the gradient block. A step with
+    more idle columns runs every op on its own column range alone: a column
+    slice of a step-major block is a strided view that numpy walks one row at
+    a time, which costs more than computing on a few idle columns but less
+    than computing on many. Either way both matmuls keep their exact column
+    ranges and operand orientation, so BLAS rounds as on the step's own
+    columns.
+
+    A full-width step computes on what its idle columns hold. So when there
+    is one and the lengths differ, the input block and the output gradient's
+    block are zeros outside the sequences; the stores start as zeros in the
+    ragged case, since the other steps leave their idle columns unwritten;
+    and a column of the product buffer holds 0 until its sequence first
+    runs. A backward sequence that has not started then keeps an exactly
+    zero state (z = 0 gives gates 0.5, 0.5, 0.5, 0, so c = h = 0), and a
+    finished forward sequence carries finite values, from its last product,
+    that neither the output gather nor the U-gradient gather reads. In the BPTT, the state gradient of a forward sequence that
+    has not yet reached its last step stays exactly +0.
+
     When the op records a node, its blocks come from the workspace (`_take`),
     so a training step reuses the memory of the one before. The input blocks
     go back when the forward ends. The stores (states, cells and the gate
     activations, which only a recorded node keeps) go back when the node is
     freed, since every backward through it reads them. The backward's blocks
     go back when that backward ends. Under no_grad every block is a new
-    zero-filled array.
+    array, and the stores are zero-filled.
     """
     h = U_f.data.shape[1]
     rows, cols = pre_f.data.shape
@@ -523,13 +553,18 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     spans = [(n - active[steps - 1 - i], n + active[i]) for i in range(steps)]
     mask = None if lengths[-1] == steps else np.arange(steps) < np.array(lengths)[:, None]
     gates, state = (steps, rows, 2 * n), (steps, h, 2 * n)
+    wide = [hi - lo + FULL_WIDTH_IDLE >= 2 * n for lo, hi in spans]
+    zero_idle = mask is not None and any(wide)  # a full-width step reads idle columns
 
     def views(b):  # each direction's (rows, n, steps) view of a step-major block, in input order
         b = b.transpose(1, 2, 0)
         return b[:, n:], b[:, n - 1::-1, ::-1]
 
     def blocked(a_f, a_b, b):
-        # fills b's columns in the spans; the loops read no other column
+        # fills b's columns in the spans, and zeros the others when a
+        # full-width step reads them
+        if zero_idle:
+            b.fill(0.0)
         for view, a in zip(views(b), (a_f, a_b)):
             if mask is None:
                 view[...] = a.reshape(a.shape[0], n, steps)
@@ -543,31 +578,46 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
         a = np.array(view, order="C")
         return a.reshape(a.shape[0], cols) if mask is None else a[:, mask]
 
+    def activate(z):
+        # one tanh for all four gates; the sigmoid rows take the overflow-safe
+        # form 0.5 * (tanh(0.5 z) + 1), in place
+        sig = z[:3 * h]
+        sig *= 0.5
+        np.tanh(z, out=z)
+        sig += 1.0
+        sig *= 0.5
+        return z
+
     out = Tensor._node(None, (pre_f, pre_b, U_f, U_b))  # data comes after the loop
     record = out.requires_grad
     if record:
         pre3, acts = blocked(pre_f.data, pre_b.data, _take(*gates)), _take(*gates)
         hs, cells = _take(steps + 1, h, 2 * n), _take(steps + 1, h, 2 * n)
         # a store's positions the loop does not write: the entering zeros, and
-        # past each sequence's end, where the backward's elementwise ops read
+        # the idle columns of the other steps, which full-width steps and the
+        # backward's elementwise ops read
         for a in (hs, cells, acts) if mask is not None else (hs[0], cells[0]):
             a.fill(0.0)
     else:
-        pre3 = blocked(pre_f.data, pre_b.data, np.zeros(gates))
+        pre3 = blocked(pre_f.data, pre_b.data, np.empty(gates))
         hs = np.zeros((steps + 1, h, 2 * n))  # [i]: the state entering block step i
         cells = np.zeros_like(hs)
+    # the full-width steps' recurrent products: a backward column holds 0
+    # until its sequence starts, a finished forward column its last product
+    u = np.zeros((rows, 2 * n))
+    ig = np.empty((h, 2 * n))
     for i, (lo, hi) in enumerate(spans):
-        z = np.empty((4 * h, hi - lo))
+        z = u[:, lo:hi] if wide[i] else np.empty((4 * h, hi - lo))
         np.matmul(U_b.data, hs[i, :, lo:n], out=z[:, :n - lo])
         np.matmul(U_f.data, hs[i, :, n:hi], out=z[:, n - lo:])
+        if wide[i]:
+            a = activate(np.add(u, pre3[i], out=acts[i] if record else pre3[i]))
+            c = np.multiply(a[h:2 * h], cells[i], out=cells[i + 1])
+            c += np.multiply(a[:h], a[3 * h:], out=ig)
+            np.multiply(a[2 * h:3 * h], np.tanh(c, out=ig), out=hs[i + 1])
+            continue
         z += pre3[i, :, lo:hi]
-        # one tanh for all four gates; the sigmoid rows take the overflow-safe
-        # form 0.5 * (tanh(0.5 z) + 1), in place
-        sig = z[:3 * h]
-        sig *= 0.5
-        a = np.tanh(z, out=z)
-        sig += 1.0
-        sig *= 0.5
+        a = activate(z)
         c = a[h:2 * h] * cells[i, :, lo:hi]
         c += a[:h] * a[3 * h:]
         cells[i + 1, :, lo:hi] = c
@@ -601,13 +651,25 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
             g3 = blocked(g[:h], g[h:], tanh_c)  # tanh(c) is read no more
             dh_next = np.zeros((h, 2 * n))  # gradient reaching the state entering a step
             dc_next = np.zeros((h, 2 * n))
+            dh_wide, dc_wide = np.empty((h, 2 * n)), np.empty((h, 2 * n))
+            factor4 = factor.reshape(steps, 4, h, 2 * n)
             for t in range(steps - 1, -1, -1):
                 lo, hi = spans[t]
-                dh = g3[t, :, lo:hi] + dh_next[:, lo:hi]
-                dc = dh * dc_dh[t, :, lo:hi] + dc_next[:, lo:hi]
-                dz = factor[t, :, lo:hi] * np.concatenate((dc, dc, dh, dc))
-                factor[t, :, lo:hi] = dz
-                np.multiply(dc, f[t, :, lo:hi], out=dc_next[:, lo:hi])
+                if wide[t]:
+                    dh = np.add(g3[t], dh_next, out=dh_wide)
+                    dc = np.multiply(dh, dc_dh[t], out=dc_wide)
+                    dc += dc_next
+                    factor4[t, :2] *= dc
+                    factor4[t, 2] *= dh
+                    factor4[t, 3] *= dc
+                    np.multiply(dc, f[t], out=dc_next)
+                    dz = factor[t, :, lo:hi]
+                else:
+                    dh = g3[t, :, lo:hi] + dh_next[:, lo:hi]
+                    dc = dh * dc_dh[t, :, lo:hi] + dc_next[:, lo:hi]
+                    dz = factor[t, :, lo:hi] * np.concatenate((dc, dc, dh, dc))
+                    factor[t, :, lo:hi] = dz
+                    np.multiply(dc, f[t, :, lo:hi], out=dc_next[:, lo:hi])
                 np.matmul(U_b.data.T, dz[:, :n - lo], out=dh_next[:, lo:n])
                 np.matmul(U_f.data.T, dz[:, n - lo:], out=dh_next[:, n:hi])
             for pre, U, dp, hp in zip((pre_f, pre_b), (U_f, U_b), views(factor), views(hs[:-1])):

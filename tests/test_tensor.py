@@ -543,31 +543,69 @@ def reference_bilstm(pre_f, pre_b, U_f, U_b, lengths, g):
     return out, dpres[0], dpres[1], dUs[0], dUs[1]
 
 
+# [6] * 3 + [1] * k idles k columns at its first and last steps and 2k at the
+# others: at k = FULL_WIDTH_IDLE those two steps run full width and the rest
+# on their columns alone; one more, and every step runs on its columns alone
+STRADDLING = [[6] * 3 + [1] * (T.FULL_WIDTH_IDLE + k) for k in (0, 1)]
+
+
+def _output_gradient(rows, cols):
+    """A normal draw with exact-zero columns and -0 entries, as segment_max
+    and relu send down."""
+    g = RNG.normal(size=(rows, cols))
+    g[:, RNG.random(cols) < 0.2] = 0.0
+    g[RNG.random(g.shape) < 0.1] = -0.0
+    return g
+
+
+def _assert_bilstm_equals_the_frozen_loop(h, lengths):
+    cols = sum(lengths)
+    ins = [T.Tensor(RNG.normal(size=s), requires_grad=True)
+           for s in ((4 * h, cols), (4 * h, cols), (4 * h, h), (4 * h, h))]
+    g = _output_gradient(2 * h, cols)
+    expected = reference_bilstm(*(t.data for t in ins), lengths, g)
+    out = T.bilstm(*ins, lengths)
+    T.backward(sum_all(T.mul(out, T.Tensor(g))))  # the gradient reaching out is g
+    with T.no_grad():
+        bare = T.bilstm(*ins, lengths)
+    # bytes, so that -0 and +0 differ
+    got = [out.data] + [t.grad for t in ins]
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes(), lengths
+    assert bare.data.tobytes() == expected[0].tobytes(), lengths
+
+
 @pytest.mark.parametrize("h", [1, 4, 7, 8])
 def test_bilstm_equals_the_frozen_step_loop_bit_for_bit(h):
     # one sequence, one step, uniform lengths, ragged lengths whose last
-    # steps have one active column (BLAS's gemv path), then 25 random sets of
-    # 1-39 sequences of 1-14 steps, uniform or ragged
-    cases = [[1], [6], [1] * 5, [3] * 4, [7, 3], [4, 2, 2, 1], [9, 9, 5, 5, 2]]
+    # steps have one active column (BLAS's gemv path), steps on both sides of
+    # FULL_WIDTH_IDLE, then 25 random sets of 1-79 sequences of 1-14 steps,
+    # uniform or ragged
+    cases = [[1], [6], [1] * 5, [3] * 4, [7, 3], [4, 2, 2, 1], [9, 9, 5, 5, 2]] + STRADDLING
     for _ in range(25):
-        n, longest = int(RNG.integers(1, 40)), int(RNG.integers(1, 15))
+        n, longest = int(RNG.integers(1, 80)), int(RNG.integers(1, 15))
         ragged = RNG.random() < 0.5
         cases.append(sorted(RNG.integers(1, longest + 1, size=n).tolist(), reverse=True)
                      if ragged else [longest] * n)
     for lengths in cases:
-        cols = sum(lengths)
-        ins = [T.Tensor(RNG.normal(size=s), requires_grad=True)
-               for s in ((4 * h, cols), (4 * h, cols), (4 * h, h), (4 * h, h))]
-        g = RNG.normal(size=(2 * h, cols))
-        expected = reference_bilstm(*(t.data for t in ins), lengths, g)
-        out = T.bilstm(*ins, lengths)
-        T.backward(sum_all(T.mul(out, T.Tensor(g))))  # the gradient reaching out is g
-        with T.no_grad():
-            bare = T.bilstm(*ins, lengths)
-        got = [out.data] + [t.grad for t in ins]
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b), lengths
-        assert np.array_equal(bare.data, expected[0]), lengths
+        _assert_bilstm_equals_the_frozen_loop(h, lengths)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+@pytest.mark.parametrize("lengths", STRADDLING + [[9, 9, 5, 5, 2], [4] * 5])
+def test_bilstm_reads_no_workspace_memory_it_has_not_written(monkeypatch, lengths, fill):
+    # the workspace hands out memory as it was left, here filled with NaN or
+    # inf: a position read before it is written would reach the output or a
+    # gradient, or raise an invalid-value warning in the elementwise ops
+    take = T._take
+
+    def filled_take(*shape):
+        a = take(*shape)
+        a.fill(fill)
+        return a
+
+    monkeypatch.setattr(T, "_take", filled_take)
+    _assert_bilstm_equals_the_frozen_loop(3, lengths)
 
 
 @pytest.mark.parametrize("lengths", [[4, 4], [5, 5, 3, 1], [1]])
