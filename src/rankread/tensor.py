@@ -461,7 +461,8 @@ class _Lease:
 
 # A bilstm block step with at most this many idle columns runs its elementwise
 # ops over the whole row block; of 0, 8, 16, 32, 64 and every step, 32 read
-# best at the benchmark's hidden-16 shapes in scripts/bilstm_time.py
+# best at the benchmark's hidden-16 shapes in scripts/bilstm_time.py, and
+# every step read slower at hidden 300 (see bilstm's docstring)
 FULL_WIDTH_IDLE = 32
 
 
@@ -504,12 +505,14 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     activations (in the input block when nothing is recorded) and c and h in
     place in the stores, its recurrent products go to one (4h, 2n) buffer,
     and its BPTT step writes dz in place in the gradient block. A step with
-    more idle columns runs every op on its own column range alone: a column
-    slice of a step-major block is a strided view that numpy walks one row at
-    a time, which costs more than computing on a few idle columns but less
-    than computing on many. Either way both matmuls keep their exact column
-    ranges and operand orientation, so BLAS rounds as on the step's own
-    columns.
+    more idle columns runs every op on its own column range alone. A column
+    slice of a step-major block is a strided view that numpy walks one row
+    at a time, so the range costs a fixed amount per row, and the full width
+    costs its idle columns: in scripts/bilstm_time.py, running every step
+    full width read 1.20 and 1.25 times the forward time of this rule at
+    hidden 300 on 50 and 300 ragged sequences, where every step idles more
+    than 32 columns. Either way both matmuls keep their exact column ranges
+    and operand orientation, so BLAS rounds as on the step's own columns.
 
     A full-width step computes on what its idle columns hold. So when there
     is one and the lengths differ, the input block and the output gradient's
@@ -519,8 +522,9 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     runs. A backward sequence that has not started then keeps an exactly
     zero state (z = 0 gives gates 0.5, 0.5, 0.5, 0, so c = h = 0), and a
     finished forward sequence carries finite values, from its last product,
-    that neither the output gather nor the U-gradient gather reads. In the BPTT, the state gradient of a forward sequence that
-    has not yet reached its last step stays exactly +0.
+    that neither the output gather nor the U-gradient gather reads. In the
+    BPTT, the state gradient of a forward sequence that has not yet reached
+    its last step stays exactly +0.
 
     When the op records a node, its blocks come from the workspace (`_take`),
     so a training step reuses the memory of the one before. The input blocks
@@ -554,7 +558,8 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
     mask = None if lengths[-1] == steps else np.arange(steps) < np.array(lengths)[:, None]
     gates, state = (steps, rows, 2 * n), (steps, h, 2 * n)
     wide = [hi - lo + FULL_WIDTH_IDLE >= 2 * n for lo, hi in spans]
-    zero_idle = mask is not None and any(wide)  # a full-width step reads idle columns
+    any_wide = any(wide)
+    zero_idle = mask is not None and any_wide  # a full-width step reads idle columns
 
     def views(b):  # each direction's (rows, n, steps) view of a step-major block, in input order
         b = b.transpose(1, 2, 0)
@@ -602,10 +607,10 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
         pre3 = blocked(pre_f.data, pre_b.data, np.empty(gates))
         hs = np.zeros((steps + 1, h, 2 * n))  # [i]: the state entering block step i
         cells = np.zeros_like(hs)
-    # the full-width steps' recurrent products: a backward column holds 0
-    # until its sequence starts, a finished forward column its last product
-    u = np.zeros((rows, 2 * n))
-    ig = np.empty((h, 2 * n))
+    if any_wide:
+        # the full-width steps' recurrent products: a backward column holds 0
+        # until its sequence starts, a finished forward column its last product
+        u, ig = np.zeros((rows, 2 * n)), np.empty((h, 2 * n))
     for i, (lo, hi) in enumerate(spans):
         z = u[:, lo:hi] if wide[i] else np.empty((4 * h, hi - lo))
         np.matmul(U_b.data, hs[i, :, lo:n], out=z[:, :n - lo])
@@ -651,8 +656,9 @@ def bilstm(pre_f, pre_b, U_f, U_b, lengths):
             g3 = blocked(g[:h], g[h:], tanh_c)  # tanh(c) is read no more
             dh_next = np.zeros((h, 2 * n))  # gradient reaching the state entering a step
             dc_next = np.zeros((h, 2 * n))
-            dh_wide, dc_wide = np.empty((h, 2 * n)), np.empty((h, 2 * n))
-            factor4 = factor.reshape(steps, 4, h, 2 * n)
+            if any_wide:
+                dh_wide, dc_wide = np.empty((h, 2 * n)), np.empty((h, 2 * n))
+                factor4 = factor.reshape(steps, 4, h, 2 * n)
             for t in range(steps - 1, -1, -1):
                 lo, hi = spans[t]
                 if wide[t]:
