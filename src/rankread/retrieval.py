@@ -62,23 +62,24 @@ class RetrievedSet:
 class InvertedIndex:
     """Postings and document lengths derived from a document store.
 
-    The index file holds only the documents; `load_index` derives the rest
-    with `build_index`, which indexes the documents in id order, so postings
-    lists and doc_lengths follow that order. Two caches fill on first use: per
-    term and (k1, b), the document positions and BM25 weights `search_bm25`
-    adds up; per document, the sentence store `retrieve` reads. The store
-    holds tokens as ids, fixed when the index is made: a term's id is its
-    rank in the postings' term order.
+    The index file holds only the documents; `load_index` rebuilds the rest.
+    A document's position is its rank in id order; a term's postings are the
+    ascending positions of the documents holding it, its tfs their counts of
+    it: plain int lists, about 20 bytes a posting. Two caches fill on first
+    use: per term and (k1, b), the document positions and BM25 weights
+    `search_bm25` adds up; per document, the sentence store `retrieve` reads.
+    The store holds tokens as ids, fixed when the index is made: a term's id
+    is its rank in the postings' term order.
     """
 
-    def __init__(self, postings, doc_lengths, docs):
-        self.postings = postings          # token -> [(doc_id, tf)], sorted by doc id
+    def __init__(self, postings, tfs, doc_lengths, docs):
+        self.postings = postings          # token -> [document position], ascending
+        self.tfs = tfs                    # token -> [term count], one per posting
         self.doc_lengths = doc_lengths    # doc_id -> token count, in id order
         self.docs = docs                  # doc_id -> Document
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = (sum(doc_lengths.values()) / self.doc_count) if doc_lengths else 0.0
-        self.doc_ids = list(doc_lengths)      # a document's position is its rank in id order
-        self._position = {d: i for i, d in enumerate(self.doc_ids)}
+        self.doc_ids = list(doc_lengths)
         self.length_array = np.array([doc_lengths[d] for d in self.doc_ids], dtype=float)
         self._term_weights = {}
         self._sentences = {}
@@ -90,11 +91,11 @@ class InvertedIndex:
         key = (term, k1, b)
         cached = self._term_weights.get(key)
         if cached is None:
-            plist = self.postings.get(term)
-            if not plist:
+            positions = self.postings.get(term)
+            if not positions:
                 return None
-            pos = np.array([self._position[d] for d, _ in plist], dtype=np.intp)
-            tf = np.array([count for _, count in plist], dtype=float)
+            pos = np.array(positions, dtype=np.intp)
+            tf = np.array(self.tfs[term], dtype=float)
             denom = tf + k1 * (1.0 - b + b * self.length_array[pos] / self.avg_doc_length)
             weights = bm25_idf(self, term) * tf * (k1 + 1.0) / denom
             if pos[-1] - pos[0] + 1 == pos.size:
@@ -136,24 +137,25 @@ def build_index(corpus):
         docs[doc.id] = doc
     if not docs:
         raise ValueError("empty corpus")
-    postings = defaultdict(list)
+    postings, tfs = defaultdict(list), defaultdict(list)
     doc_lengths = {}
-    for doc_id in sorted(docs):
+    for position, doc_id in enumerate(sorted(docs)):
         doc = docs[doc_id]
         tokens = tokenize(f"{doc.title} {doc.text}").tokens
         if not tokens:
             raise ValueError(f"document {doc_id!r} tokenizes to nothing")
         doc_lengths[doc_id] = len(tokens)
         for tok, tf in Counter(tokens).items():
-            postings[tok].append((doc_id, tf))
-    postings.default_factory = None  # from here on a missing term is absent, as in a dict
-    return InvertedIndex(postings, doc_lengths, docs)
+            postings[tok].append(position)
+            tfs[tok].append(tf)
+    postings.default_factory = tfs.default_factory = None  # a missing term is now absent
+    return InvertedIndex(postings, tfs, doc_lengths, docs)
 
 
 def save_index(index, path):
     """Write the documents in id order; load_index rebuilds the postings from them."""
     write_json(path, {"format_version": INDEX_VERSION,
-                      "docs": [asdict(index.docs[d]) for d in index.doc_ids]})
+                      "docs": [vars(index.docs[d]) for d in index.doc_ids]})
 
 
 def load_index(path):
@@ -364,4 +366,4 @@ def load_corpus(path):
 
 
 def save_corpus(docs, path):
-    write_jsonl(path, map(asdict, docs))
+    write_jsonl(path, map(vars, docs))

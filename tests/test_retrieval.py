@@ -1,7 +1,9 @@
+import functools
 import json
 import math
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from itertools import chain, repeat, takewhile
 
@@ -55,6 +57,7 @@ def test_index_roundtrip_and_byte_stability(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     loaded = R.load_index(p1)
     assert loaded.postings == idx.postings
+    assert loaded.tfs == idx.tfs
     assert loaded.doc_lengths == idx.doc_lengths
     assert loaded.doc_count == idx.doc_count
 
@@ -84,15 +87,57 @@ def test_index_is_the_same_whatever_order_the_documents_come_in():
     for order in orders:
         index = R.build_index(iter(order))
         assert list(index.postings.items()) == list(first.postings.items())
+        assert list(index.tfs.items()) == list(first.tfs.items())
         assert index.doc_lengths == first.doc_lengths
         assert list(index.doc_lengths) == index.doc_ids == first.doc_ids
         assert index.docs == first.docs
         assert index.avg_doc_length.hex() == first.avg_doc_length.hex()
         for query in queries:
             assert R.search_bm25(index, query, 10) == R.search_bm25(first, query, 10)
-    for plist in first.postings.values():
-        ids = [doc_id for doc_id, _ in plist]
-        assert all(a < b for a, b in zip(ids, ids[1:]))
+    for positions in first.postings.values():
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+
+
+def test_postings_are_the_positions_and_counts_of_the_documents_holding_each_term(tmp_path):
+    """On a built and on a loaded index: postings[t] is the ascending id-order
+    positions of the documents whose tokens hold t, tfs[t] their counts of t,
+    and the postings' length t's document frequency."""
+    docs, _, _, _ = synth.generate(
+        synth.SyntheticSpec(entities=12, train_questions=0, test_questions=0, seed=5))
+    docs = docs[::-1] + docs_from(["alpha beta beta", "beta gamma"])
+    counts = [Counter(tokenize(f"{d.title} {d.text}").tokens)
+              for d in sorted(docs, key=lambda d: d.id)]
+    built = R.build_index(docs)
+    path = tmp_path / "index.json"
+    R.save_index(built, path)
+    for index in (built, R.load_index(path)):
+        assert index.postings.keys() == index.tfs.keys() == set().union(*counts)
+        for term, positions in index.postings.items():
+            holders = [i for i, c in enumerate(counts) if term in c]
+            assert type(positions) is list and positions == holders
+            assert index.tfs[term] == [counts[i][term] for i in holders]
+            df = len(holders)
+            assert len(index.postings.get(term, ())) == df
+            assert R.bm25_idf(index, term) == math.log(1.0 + (len(docs) - df + 0.5) / (df + 0.5))
+        assert [index.doc_ids[i] for i in index.postings["beta"][-2:]] == ["d000", "d001"]
+        assert index.tfs["beta"][-2:] == [2, 1]
+        assert len(index.postings.get("zz", ())) == 0
+
+
+def test_index_keeps_under_32_bytes_a_posting():
+    """What build_index keeps, over all its postings: a list of (doc_id, tf)
+    tuples kept about 67 bytes a posting, two int lists keep about 21."""
+    docs, _, _, _ = synth.generate(
+        synth.SyntheticSpec(entities=40, train_questions=0, test_questions=0, seed=0))
+    assert len(docs) == 400
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = R.build_index(docs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / sum(map(len, index.postings.values())) < 32
 
 
 def test_document_that_tokenizes_to_nothing_is_named():
@@ -192,17 +237,30 @@ def test_bm25_matches_brute_force_on_100_docs_with_ties():
         assert got == expected  # same docs, same scores, same tie order
 
 
+@functools.lru_cache(maxsize=4)
+def _document_counts(index):
+    """Each document's token counts, in id order, from its own tokens."""
+    return {doc_id: Counter(tokenize(f"{doc.title} {doc.text}").tokens)
+            for doc_id, doc in sorted(index.docs.items())}
+
+
 def dict_bm25(index, query_tokens, top_a, k1=R.BM25_K1, b=R.BM25_B):
-    """The per-document dict scorer `search_bm25` replaced: the bitwise reference."""
+    """The per-document dict scorer `search_bm25` replaced: the bitwise
+    reference. It reads term counts, lengths and document frequencies from the
+    documents' own tokens, not from the index's postings."""
+    counts = _document_counts(index)
+    lengths = {doc_id: sum(c.values()) for doc_id, c in counts.items()}
+    n, avg = len(counts), sum(lengths.values()) / len(counts)
     scores = {}
     for term in query_tokens:
-        plist = index.postings.get(term)
-        if not plist:
+        holders = [doc_id for doc_id, c in counts.items() if term in c]
+        if not holders:
             continue
-        idf = R.bm25_idf(index, term)
-        for doc_id, tf in plist:
-            dl = index.doc_lengths[doc_id]
-            denom = tf + k1 * (1.0 - b + b * dl / index.avg_doc_length)
+        df = len(holders)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for doc_id in holders:
+            tf = counts[doc_id][term]
+            denom = tf + k1 * (1.0 - b + b * lengths[doc_id] / avg)
             scores[doc_id] = scores.get(doc_id, 0.0) + idf * tf * (k1 + 1.0) / denom
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_a]
